@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import dataclasses
 import io
 import json
 import math
@@ -92,14 +93,6 @@ SCHEMA = "bench-abgb/v6"
 #: step: ``(label, world)`` pairs, drained by ``main`` after each scenario.
 TRACE_WORLDS: list[tuple[str, World]] = []
 
-#: The performance configuration of the new stack: lazy rbcast relay
-#: (the O(n²) flood only when a suspicion calls for it) and
-#: reliable-channel send coalescing with delayed cumulative ACKs.
-#: The §4/pipelining scenarios run with these knobs on — the cost
-#: claims of the paper are about the architecture at its best, and the
-#: shape guard pins the msgs/delivery wins they buy.
-PERF_KNOBS = dict(relay_policy="lazy", coalesce_delay=1.0, max_segment_batch=8)
-
 #: Hard ceiling on the failure detector's wire cost in the pipelining
 #: scenario at window=1: fd datagrams per a-delivery.  With heartbeat
 #: suppression and the transport liveness tap the workload's own traffic
@@ -130,6 +123,21 @@ RING_ORIGIN_BALANCE_BOUND = 2.0
 #: trades origin fan-out for hop latency, and ordering (id-only, decoupled
 #: from dissemination) must hide those hops from end-to-end throughput.
 DISSEMINATION_THROUGHPUT_FLOOR = 0.90
+
+
+def simplicity_meta() -> dict:
+    """The size of what the numbers were taken on: configuration fields
+    of the stack and non-blank source lines under ``src/repro``."""
+    src_lines = sum(
+        1
+        for path in (_HERE.parent / "src" / "repro").rglob("*.py")
+        for line in path.read_text().splitlines()
+        if line.strip()
+    )
+    return {
+        "stack_config_fields": len(dataclasses.fields(StackConfig)),
+        "src_lines": src_lines,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +276,7 @@ def run_traffic(
     same RNG draws, only the wire-byte charges change (the 64 B vs
     4 KiB sweep).
     """
-    config = StackConfig(abcast_window=window, abcast_max_batch=max_batch, **PERF_KNOBS)
+    config = StackConfig(abcast_window=window, abcast_max_batch=max_batch)
     world = World(seed=seed, default_link=LinkModel(3.0, 8.0))
     stacks = build_new_group(world, 3, config=config)
     world.start()
@@ -330,7 +338,7 @@ def scenario_sec41() -> dict:
     # Cost profile of a plain new-architecture run with traffic and a
     # membership change (the dynamic scenario, instrumented).
     world = World(seed=30)
-    stacks = build_new_group(world, 3, config=StackConfig(**PERF_KNOBS))
+    stacks = build_new_group(world, 3)
     world.start()
     for i in range(5):
         stacks["p00"].gbcast.gbcast_payload(("m", i), "abcast")
@@ -627,9 +635,7 @@ def run_dissemination(
     bodies is part of the schedule, exactly the regime where balancing
     the origin's NIC pays.
     """
-    config = StackConfig(
-        abcast_window=4, abcast_max_batch=4, dissemination=policy, **PERF_KNOBS
-    )
+    config = StackConfig(dissemination=policy)
     world = World(seed=seed, default_link=LinkModel(3.0, 8.0, bytes_per_ms=bandwidth))
     stacks = build_new_group(world, count, config=config)
     world.start()
@@ -871,6 +877,15 @@ def check(
     baseline = json.loads(baseline_path.read_text())
     problems = compare(baseline.get("scenarios", {}), document["scenarios"], tolerance,
                        path="scenarios", events_floor=events_floor)
+    # One-sided: the stack may lose configuration fields, never gain one
+    # unnoticed (``src_lines`` is recorded for the trajectory only).
+    fields_before = baseline.get("meta", {}).get("stack_config_fields")
+    fields_now = document.get("meta", {}).get("stack_config_fields")
+    if None not in (fields_before, fields_now) and fields_now > fields_before:
+        problems.append(
+            f"meta.stack_config_fields: {fields_now} exceeds the baseline's "
+            f"{fields_before} — StackConfig grew a knob"
+        )
     for name, scenario in document["scenarios"].items():
         details = scenario.get("shape_detail", {})
         for flag, value in scenario.get("shape", {}).items():
@@ -970,7 +985,7 @@ def main(argv: list[str] | None = None) -> int:
 
     profiler = cProfile.Profile() if args.profile is not None else None
     names = args.only or list(SCENARIOS)
-    document = {"schema": SCHEMA, "scenarios": {}}
+    document = {"schema": SCHEMA, "meta": simplicity_meta(), "scenarios": {}}
     trace_problems: list[str] = []
     if args.trace_dir is not None:
         args.trace_dir.mkdir(parents=True, exist_ok=True)

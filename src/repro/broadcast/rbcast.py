@@ -67,12 +67,13 @@ import itertools
 from typing import Any, Callable
 
 from repro.net.message import MsgId
-from repro.net.overlay import DisseminationOverlay
+from repro.net.overlay import POLICIES, DisseminationOverlay
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Component, Process
 
 PORT = "rb"
 STABILITY_PORT = "rb.stable"
+RELAY_POLICIES = ("eager", "lazy")
 
 DeliverFn = Callable[[str, Any, MsgId], None]
 GroupProvider = Callable[[], list[str]]
@@ -97,24 +98,22 @@ class ReliableBroadcast(Component):
         relay_policy: str = "eager",
         suspicion_provider: SuspicionProvider | None = None,
         dissemination: str = "flood",
-        tree_fanout: int = 2,
     ) -> None:
         super().__init__(process, "rb")
-        if relay_policy not in ("eager", "lazy"):
+        if relay_policy not in RELAY_POLICIES:
             raise ValueError(f"unknown relay_policy {relay_policy!r}")
-        if dissemination not in ("flood", "ring", "tree"):
+        if dissemination not in POLICIES:
             raise ValueError(f"unknown dissemination {dissemination!r}")
         self.channel = channel
         self.group_provider = group_provider
         self.relay = relay
         self.relay_policy = relay_policy
         self.dissemination = dissemination
-        #: Ring/tree payload routing; None = classic flood dissemination
-        #: (every pre-overlay code path byte-identical).
+        #: Ring/tree payload routing; None = classic flood dissemination.
         self.overlay = (
             None
             if dissemination == "flood"
-            else DisseminationOverlay(dissemination, tree_fanout)
+            else DisseminationOverlay(dissemination)
         )
         #: Current suspect set of the stack's FD monitor (pids).  Only
         #: consulted under the lazy policy; assigned after construction

@@ -32,22 +32,28 @@ Two practical refinements (both standard, neither affects safety):
   ABORT when a round fails and the failure detector flags dead
   coordinators.
 
-A third refinement is knob-guarded: the **round-0 fast path**
-(``fast_path=True``, plumbed from ``StackConfig.consensus_fast_path``).
-The round-0 coordinator proposes its own value immediately instead of
+A third refinement is a constructor argument: the **round-0 fast path**
+(``fast_path=True``; the new-architecture stack always builds it so, the
+Phoenix baseline keeps the classic round).  The round-0 coordinator proposes its own value immediately instead of
 first reading a majority of estimates.  The estimate read exists only to
 discover a previously *locked* value — one some majority may already
 have ACKed in an earlier round — and no round precedes round 0, so every
 estimate it could read is an initial one (``ts = 0``) and the read
 cannot change what it proposes.  Three supporting wins ride the same
-knob: the coordinator's self-addressed round-0 ESTIMATE is suppressed
+argument: the coordinator's self-addressed round-0 ESTIMATE is suppressed
 (it already holds its value); its own adoption counts as an implicit ACK
 — valid because the adoption records ``est``/``ts`` exactly as an
 explicit ACKer would, so the majority behind a decision still intersects
 every later coordinator's estimate read; and on a majority of ACKs the
 coordinator decides locally at once while the DECIDE rbcast propagates
-to everyone else.  With the knob off the protocol — message for
-message, byte for byte — is the classic three-phase round above.
+to everyone else.  With it off every round, round 0 included, is the
+classic three-phase round above.
+
+Adoption locks a value with ``ts = round + 1``, so a round-0 lock
+(``ts = 1``) is distinguishable from a never-adopted initial estimate
+(``ts = 0``): with ``ts = round`` a round-0 adoption would be invisible
+to the max-ts rule, and the ``(ts, src)`` tie-break could steer a later
+coordinator away from a value round 0 already decided.
 
 The algorithm is value-agnostic: it agrees on whatever hashable value a
 proposer hands it and never inspects the contents.  The atomic
@@ -317,13 +323,15 @@ class ChandraTouegConsensus(Component):
                 self._handle_propose(key, inst, rnd, value)
             elif rnd > inst.round:
                 inst.buffered_proposes[rnd] = value
-            elif self.fast_path and rnd == inst.round:
+            elif rnd == inst.round:
                 # Duplicate of the proposal we already adopted — the
-                # coordinator's catch-up reply to our ESTIMATE, which is
-                # systematic under the fast path (it proposes *before*
-                # reading estimates, so every estimate arrives late).
-                # Our ACK is already on the reliable FIFO channel;
-                # NACKing here would abort a live round.
+                # coordinator's catch-up reply to our ESTIMATE (systematic
+                # under the fast path, which proposes *before* reading
+                # estimates; a classic round answers every estimate that
+                # arrives after the majority).  Our ACK is already on the
+                # reliable FIFO channel; NACKing here could reach the
+                # coordinator before a majority of ACKs and abort a live
+                # round.
                 pass
             else:
                 # Stale proposal: we already abandoned that round.  Tell
@@ -348,15 +356,7 @@ class ChandraTouegConsensus(Component):
 
     def _handle_propose(self, key: InstanceKey, inst: _Instance, rnd: int, value: Any) -> None:
         inst.est = value
-        # Adoption locks the value.  Under the fast path the lock is
-        # encoded as rnd + 1 so a round-0 lock (ts = 1) is distinguishable
-        # from a never-adopted initial estimate (ts = 0) — with ts = rnd a
-        # round-0 adoption would be invisible to the max-ts rule and the
-        # (ts, src) tie-break could steer a later coordinator away from a
-        # value the fast path already decided.  The legacy encoding is
-        # kept when the knob is off so fast-path-off runs stay
-        # byte-identical to historical fingerprints.
-        inst.ts = rnd + 1 if self.fast_path else rnd
+        inst.ts = rnd + 1  # adoption locks the value (see module docstring)
         inst.phase = WAIT_DECIDE
         self._send(inst.coordinator(rnd), ("ACK", key, rnd))
 
@@ -375,7 +375,7 @@ class ChandraTouegConsensus(Component):
             return
         state.proposed = inst.est
         state.has_proposed = True
-        inst.ts = 1  # round-0 lock (rnd + 1 encoding, see _handle_propose)
+        inst.ts = 1  # round-0 lock, as in _handle_propose
         inst.phase = WAIT_DECIDE
         state.acks.add(self.pid)
         self.world.metrics.counters.inc("consensus.fast_path_proposals")

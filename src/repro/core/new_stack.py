@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.abcast.consensus_based import ConsensusAtomicBroadcast
-from repro.broadcast.rbcast import ReliableBroadcast
+from repro.broadcast.rbcast import RELAY_POLICIES, ReliableBroadcast
 from repro.consensus.chandra_toueg import ChandraTouegConsensus
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.gbcast.conflict import RBCAST_ABCAST, ConflictRelation
@@ -34,14 +34,28 @@ from repro.gbcast.thrifty import ThriftyGenericBroadcast
 from repro.membership.abcast_membership import AbcastGroupMembership
 from repro.membership.view import View
 from repro.monitoring.component import MonitoringComponent, MonitoringPolicy
+from repro.net.overlay import POLICIES
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Process
 from repro.sim.world import World
 
 
+#: Timing of the layers below consensus.  One value each in every run
+#: the repository has ever made, so they are constants of the new stack
+#: rather than configuration (the component constructors keep their
+#: parameters: the traditional baselines pass different ones).
+HEARTBEAT_INTERVAL = 10.0
+RETRANSMIT_INTERVAL = 20.0
+STUCK_TIMEOUT = 1_000.0
+
+
 @dataclass(frozen=True)
 class StackConfig:
     """Tuning knobs of the new-architecture stack.
+
+    The defaults are the measured configuration: every number in
+    ``BENCHMARK.json`` and ``BENCH_abgb.json`` is taken on
+    ``StackConfig()`` (plus the scenario's own sweep variable).
 
     The two timeouts embody Section 3.3.2: ``suspicion_timeout`` is the
     *small* timeout used by consensus and generic broadcast to make
@@ -50,61 +64,38 @@ class StackConfig:
     excludes it.
     """
 
-    heartbeat_interval: float = 10.0
-    #: Traffic-aware failure detection: with ``fd_suppression`` on, the
-    #: per-peer explicit heartbeat is skipped whenever any datagram went
-    #: to that peer within ``hb_idle_factor * heartbeat_interval`` ms —
-    #: outbound traffic already proves our liveness, and the transport's
-    #: liveness tap plus the reliable channel's piggybacked hb-epoch
-    #: headers keep detection latency and adaptive timeout estimation
-    #: unchanged.  Heartbeats become the idle-link fallback: the FD's
-    #: wire cost per delivery goes to ~0 as load rises.  The traditional
-    #: stacks build their FDs with suppression off, preserving the
-    #: paper's constant heartbeat stream for the comparison benches.
-    fd_suppression: bool = True
-    hb_idle_factor: float = 1.0
     suspicion_timeout: float = 60.0
-    retransmit_interval: float = 20.0
-    stuck_timeout: float = 1_000.0
     fast_path_timeout: float = 250.0
     #: Consensus pipelining window for atomic broadcast: up to this many
     #: consensus instances run concurrently (1 = classic serial mode).
     #: The window automatically collapses to 1 while a membership ctl op
     #: is pending (see ``repro.abcast.consensus_based``).
-    abcast_window: int = 1
+    abcast_window: int = 4
     #: Cap on messages per consensus proposal batch (None = unlimited).
     #: With ``abcast_window > 1`` a burst splits across concurrent
     #: instances instead of riding one giant batch.
-    abcast_max_batch: int | None = None
-    #: Generic-broadcast ack piggybacking: flush delay (ms) and max acks
-    #: per datagram.  0.0 coalesces only within one event cascade.
-    ack_delay: float = 0.0
-    max_ack_batch: int = 32
-    #: Reliable-broadcast relay policy: ``"eager"`` relays every packet
-    #: on first receipt (O(n²) datagrams per broadcast, maximally crash
-    #: tolerant at all times); ``"lazy"`` relays only for origins the FD
-    #: currently suspects, flooding retained packets when a suspicion
-    #: arises — same delivery guarantee, O(n) datagrams in the
-    #: failure-free case.
-    relay_policy: str = "eager"
+    abcast_max_batch: int | None = 4
+    #: Reliable-broadcast relay policy: ``"lazy"`` relays only for
+    #: origins the FD currently suspects, flooding retained packets when
+    #: a suspicion arises — O(n) datagrams per broadcast in the
+    #: failure-free case; ``"eager"`` relays every packet on first
+    #: receipt (O(n²) datagrams, per-sender FIFO through any fault).
+    #: Same delivery guarantee either way.
+    relay_policy: str = "lazy"
     #: Payload dissemination overlay (``repro.net.overlay``): ``"flood"``
-    #: has the origin unicast every rbcast packet to all n−1 members
-    #: (pre-overlay behaviour, byte-identical); ``"ring"`` routes each
-    #: packet along the sorted member ring rotated to the origin, every
-    #: node sending each body at most once; ``"tree"`` routes down a
-    #: deterministic k-ary tree rooted at the origin (fan-out
-    #: ``tree_fanout``, latency O(log_k n) hops).  Ring/tree re-route
-    #: around FD-suspected members and fall back to a retained-packet
-    #: flood on suspicion edges, so the rbcast delivery guarantee is
-    #: unchanged.
+    #: has the origin unicast every rbcast packet to all n−1 members;
+    #: ``"ring"`` routes each packet along the sorted member ring rotated
+    #: to the origin, every node sending each body at most once;
+    #: ``"tree"`` routes down a deterministic binary tree rooted at the
+    #: origin (latency O(log n) hops).  Ring/tree re-route around
+    #: FD-suspected members and fall back to a retained-packet flood on
+    #: suspicion edges, so the rbcast delivery guarantee is unchanged.
     dissemination: str = "flood"
-    #: Fan-out k of the ``"tree"`` dissemination overlay.
-    tree_fanout: int = 2
     #: Reliable-channel send coalescing: segments to the same peer
     #: within this window (ms) ride one datagram, and ACKs are delayed
     #: and cumulative over the same window.  None disables coalescing
     #: (every segment is its own datagram, ACKed immediately).
-    coalesce_delay: float | None = None
+    coalesce_delay: float | None = 1.0
     #: Max DATA segments packed into one coalesced datagram.
     max_segment_batch: int = 8
     monitoring: MonitoringPolicy = field(default_factory=MonitoringPolicy)
@@ -113,15 +104,21 @@ class StackConfig:
     #: working through up to f crashes, at the cost of a gather round on
     #: stage closure.
     quorum_fast_path: bool = False
-    #: Consensus round-0 fast path: the round-0 coordinator proposes its
-    #: own value immediately (no majority estimate read, no self-ESTIMATE,
-    #: implicit self-ACK, local decide at majority ACK) — one message
-    #: delay less per instance on the decision critical path.  Safe
-    #: because no value can be locked before round 0's first PROPOSE; see
-    #: ``repro.consensus.chandra_toueg``.  On by default for the new
-    #: stack; the traditional baselines construct their consensus directly
-    #: and stay on the classic three-phase round.
-    consensus_fast_path: bool = True
+
+    def __post_init__(self) -> None:
+        valid = {
+            "suspicion_timeout": self.suspicion_timeout > 0,
+            "fast_path_timeout": self.fast_path_timeout > 0,
+            "abcast_window": self.abcast_window >= 1,
+            "abcast_max_batch": self.abcast_max_batch is None or self.abcast_max_batch >= 1,
+            "relay_policy": self.relay_policy in RELAY_POLICIES,
+            "dissemination": self.dissemination in POLICIES,
+            "coalesce_delay": self.coalesce_delay is None or self.coalesce_delay >= 0,
+            "max_segment_batch": self.max_segment_batch >= 1,
+        }
+        for name, ok in valid.items():
+            if not ok:
+                raise ValueError(f"invalid StackConfig.{name}: {getattr(self, name)!r}")
 
 
 class NewArchitectureStack:
@@ -144,8 +141,8 @@ class NewArchitectureStack:
 
         self.channel = ReliableChannel(
             process,
-            retransmit_interval=cfg.retransmit_interval,
-            stuck_timeout=cfg.stuck_timeout,
+            retransmit_interval=RETRANSMIT_INTERVAL,
+            stuck_timeout=STUCK_TIMEOUT,
             coalesce_delay=cfg.coalesce_delay,
             max_segment_batch=cfg.max_segment_batch,
         )
@@ -155,12 +152,12 @@ class NewArchitectureStack:
         # reads the current member list).
         members = lambda: self.membership.current_members()
 
+        # Traffic-aware FD: the explicit heartbeat to a peer is skipped
+        # while our own datagrams keep that link warm.  The traditional
+        # baselines build theirs unsuppressed (the paper's constant
+        # heartbeat stream).
         self.fd = HeartbeatFailureDetector(
-            process,
-            members,
-            heartbeat_interval=cfg.heartbeat_interval,
-            suppression=cfg.fd_suppression,
-            hb_idle_factor=cfg.hb_idle_factor,
+            process, members, heartbeat_interval=HEARTBEAT_INTERVAL, suppression=True
         )
         # Piggybacked heartbeat headers: the channel stamps outgoing
         # datagrams with the FD's hb-epoch and feeds received epochs
@@ -174,7 +171,6 @@ class NewArchitectureStack:
             members,
             relay_policy=cfg.relay_policy,
             dissemination=cfg.dissemination,
-            tree_fanout=cfg.tree_fanout,
         )
         self.consensus = ChandraTouegConsensus(
             process,
@@ -182,7 +178,7 @@ class NewArchitectureStack:
             self.rbcast,
             self.fd,
             suspicion_timeout=cfg.suspicion_timeout,
-            fast_path=cfg.consensus_fast_path,
+            fast_path=True,
         )
         self.abcast = ConsensusAtomicBroadcast(
             process,
@@ -206,8 +202,6 @@ class NewArchitectureStack:
             conflict,
             members,
             fast_path_timeout=cfg.fast_path_timeout,
-            ack_delay=cfg.ack_delay,
-            max_ack_batch=cfg.max_ack_batch,
         )
         self.monitoring = MonitoringComponent(
             process, self.fd, self.membership, self.channel, cfg.monitoring
@@ -310,30 +304,9 @@ def enable_recovery(
         stacks[pid] = stack
         if on_rebuild is not None:
             on_rebuild(pid, stack)
-        _schedule_rejoin(world, stack, rejoin_interval)
+        stack.membership.rejoin_interval = rejoin_interval
+        process.schedule(0.0, stack.membership.request_join)
         return stack
 
     for pid in list(stacks):
         world.set_recovery_factory(pid, factory)
-
-
-def _schedule_rejoin(world: World, stack: NewArchitectureStack, interval: float) -> None:
-    """Ask alive peers, round-robin, to sponsor our join until it lands."""
-    attempt_no = {"n": 0}
-
-    def attempt() -> None:
-        view = stack.membership.view
-        if view is not None and stack.pid in view:
-            return  # joined (or re-admitted); stop retrying
-        seeds = [
-            pid
-            for pid in sorted(world.processes)
-            if pid != stack.pid and not world.processes[pid].crashed
-        ]
-        if seeds:
-            seed = seeds[attempt_no["n"] % len(seeds)]
-            attempt_no["n"] += 1
-            stack.membership.request_join(seed)
-        stack.process.schedule(interval, attempt)
-
-    stack.process.schedule(0.0, attempt)

@@ -66,9 +66,6 @@ def scenario_for_seed(seed: int, budget_events: int = 200_000) -> ScenarioConfig
             relay_policy=rng.choice(["eager", "lazy"]),
             coalesce_delay=rng.choice([None, 0.5]),
             exclusion_timeout=rng.choice([900.0, 2_000.0]),
-            # Biased towards the round-0 fast path (the new stack's
-            # default) while keeping classic-round coverage in the sweep.
-            consensus_fast_path=rng.choice([True, True, False]),
             # Mostly flood (the default everywhere) with ring/tree
             # overlay coverage in the sweep.
             dissemination=rng.choice(["flood", "flood", "ring", "tree"]),

@@ -39,10 +39,9 @@ from repro.checkers import (
     check_no_duplicates,
     check_view_consistency,
 )
-from repro.core.new_stack import StackConfig, build_new_group, enable_recovery
+from repro.core.new_stack import build_new_group, enable_recovery
 from repro.explore.observers import InvariantViolation, ObserverPanel
 from repro.explore.scenario import ScenarioConfig
-from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
 from repro.sim.world import World
 from repro.workload.driver import schedule_broadcasts
@@ -231,16 +230,7 @@ def build_world(config: ScenarioConfig, trace: bool = False):
         drop_prob=config.link.drop_prob,
         dup_prob=config.link.dup_prob,
     )
-    stack_config = StackConfig(
-        suspicion_timeout=config.stack.suspicion_timeout,
-        fast_path_timeout=config.stack.fast_path_timeout,
-        abcast_window=config.stack.abcast_window,
-        relay_policy=config.stack.relay_policy,
-        coalesce_delay=config.stack.coalesce_delay,
-        consensus_fast_path=config.stack.consensus_fast_path,
-        dissemination=config.stack.dissemination,
-        monitoring=MonitoringPolicy(exclusion_timeout=config.stack.exclusion_timeout),
-    )
+    stack_config = config.stack.stack_config()
     world = World(seed=config.seed, default_link=link, trace_enabled=trace)
     stacks = build_new_group(
         world, config.processes, conflict=relation, config=stack_config

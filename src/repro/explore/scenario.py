@@ -9,9 +9,10 @@ byte-identically (``python -m repro explore --replay FILE``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
+from repro.core.new_stack import StackConfig
 from repro.gbcast.conflict import (
     ABCAST_CLASS,
     DEPOSIT,
@@ -21,6 +22,7 @@ from repro.gbcast.conflict import (
     ConflictRelation,
     bank_relation,
 )
+from repro.monitoring.component import MonitoringPolicy
 from repro.workload.generators import FaultPlan
 
 #: Named conflict relations a scenario can run under, with their
@@ -53,38 +55,32 @@ class LinkConfig:
         return LinkConfig(**obj)
 
 
+_STACK_DEFAULTS = StackConfig()
+
+
 @dataclass(frozen=True)
 class StackKnobs:
     """The subset of :class:`repro.core.new_stack.StackConfig` the
-    explorer sweeps (plus the monitoring exclusion timeout)."""
+    explorer sweeps (plus the monitoring exclusion timeout), with the
+    same defaults; everything else stays at ``StackConfig``'s own."""
 
-    abcast_window: int = 1
-    suspicion_timeout: float = 60.0
-    fast_path_timeout: float = 250.0
-    exclusion_timeout: float = 2_000.0
-    relay_policy: str = "eager"
-    coalesce_delay: float | None = None
-    #: Consensus round-0 fast path.  Defaults off here — unlike
-    #: ``StackConfig`` — so pre-fast-path corpus entries and repro files
-    #: (which omit the key) keep replaying their pinned legacy schedules
-    #: byte-identically; the sweep and newer entries opt in explicitly.
-    consensus_fast_path: bool = False
-    #: Payload dissemination overlay (``flood`` | ``ring`` | ``tree``).
-    #: Defaults to ``flood`` — pre-overlay corpus entries omit the key
-    #: and keep replaying byte-identically.
-    dissemination: str = "flood"
+    abcast_window: int = _STACK_DEFAULTS.abcast_window
+    suspicion_timeout: float = _STACK_DEFAULTS.suspicion_timeout
+    fast_path_timeout: float = _STACK_DEFAULTS.fast_path_timeout
+    exclusion_timeout: float = _STACK_DEFAULTS.monitoring.exclusion_timeout
+    relay_policy: str = _STACK_DEFAULTS.relay_policy
+    coalesce_delay: float | None = _STACK_DEFAULTS.coalesce_delay
+    dissemination: str = _STACK_DEFAULTS.dissemination
+
+    def stack_config(self) -> StackConfig:
+        knobs = asdict(self)
+        exclusion_timeout = knobs.pop("exclusion_timeout")
+        return StackConfig(
+            **knobs, monitoring=MonitoringPolicy(exclusion_timeout=exclusion_timeout)
+        )
 
     def to_json_obj(self) -> dict:
-        return {
-            "abcast_window": self.abcast_window,
-            "suspicion_timeout": self.suspicion_timeout,
-            "fast_path_timeout": self.fast_path_timeout,
-            "exclusion_timeout": self.exclusion_timeout,
-            "relay_policy": self.relay_policy,
-            "coalesce_delay": self.coalesce_delay,
-            "consensus_fast_path": self.consensus_fast_path,
-            "dissemination": self.dissemination,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json_obj(obj: dict) -> "StackKnobs":

@@ -21,9 +21,9 @@ fallback*, not the only evidence:
   recovered process; the tap re-checks the incarnation anyway for
   directly injected traffic.
 * with ``suppression`` on, the per-peer heartbeat send is **skipped**
-  whenever we sent that peer any datagram within
-  ``hb_idle_factor * heartbeat_interval`` ms — our outbound traffic
-  already proves our liveness to them.  Under load the O(n) periodic
+  whenever we sent that peer any datagram within the last
+  ``heartbeat_interval`` ms — our outbound traffic already proves our
+  liveness to them.  Under load the O(n) periodic
   broadcast collapses to sends on idle links only; a crashed peer's
   links go idle immediately (it sends nothing), so time-to-suspect is
   unchanged.
@@ -147,17 +147,15 @@ class HeartbeatFailureDetector(Component):
         peer_provider: PeerProvider,
         heartbeat_interval: float = 10.0,
         suppression: bool = False,
-        hb_idle_factor: float = 1.0,
     ) -> None:
         super().__init__(process, "fd")
         self.peer_provider = peer_provider
         self.heartbeat_interval = heartbeat_interval
         #: Heartbeat suppression: skip the explicit heartbeat to peers we
-        #: sent any datagram within ``hb_idle_factor * heartbeat_interval``
-        #: ms.  Off by default (the paper's constant stream); the new
-        #: architecture stack turns it on via ``StackConfig``.
+        #: sent any datagram within the last ``heartbeat_interval`` ms.
+        #: Off by default (the paper's constant stream); the new
+        #: architecture stack turns it on.
         self.suppression = suppression
-        self.hb_idle_factor = hb_idle_factor
         self._last_heard: dict[str, float] = {}
         self._arrival_gaps: dict[str, deque[float]] = {}
         #: Estimator sampling state, separate from ``last_heard``: gaps
@@ -231,7 +229,7 @@ class HeartbeatFailureDetector(Component):
     def _beat(self) -> None:
         self._hb_epoch += 1
         payload = (self.process.incarnation, self._hb_epoch)
-        suppress_within = self.hb_idle_factor * self.heartbeat_interval
+        suppress_within = self.heartbeat_interval
         transport = self.world.transport
         now = self.now
         for peer in self.peer_provider():
@@ -284,17 +282,12 @@ class HeartbeatFailureDetector(Component):
                 listener(src, incarnation)
         return True
 
-    def _note_sample(self, src: str, epoch: int | None) -> None:
-        """Record one arrival-gap sample, at most once per (peer, epoch).
-
-        ``epoch=None`` (legacy bare heartbeats, direct injection in
-        tests) always samples — the pre-epoch behaviour.
-        """
-        if epoch is not None:
-            last_epoch = self._last_sample_epoch.get(src)
-            if last_epoch is not None and epoch <= last_epoch:
-                return
-            self._last_sample_epoch[src] = epoch
+    def _note_sample(self, src: str, epoch: int) -> None:
+        """Record one arrival-gap sample, at most once per (peer, epoch)."""
+        last_epoch = self._last_sample_epoch.get(src)
+        if last_epoch is not None and epoch <= last_epoch:
+            return
+        self._last_sample_epoch[src] = epoch
         previous = self._last_sample_time.get(src)
         if previous is not None:
             self._arrival_gaps.setdefault(src, deque(maxlen=32)).append(
@@ -302,12 +295,9 @@ class HeartbeatFailureDetector(Component):
             )
         self._last_sample_time[src] = self.now
 
-    def _on_heartbeat(self, src: str, payload) -> None:
-        if isinstance(payload, tuple):
-            incarnation, epoch = payload
-        else:  # legacy bare-incarnation payload (direct injection)
-            incarnation, epoch = payload or 0, None
-        if not self._note_incarnation(src, incarnation or 0):
+    def _on_heartbeat(self, src: str, payload: tuple[int, int]) -> None:
+        incarnation, epoch = payload
+        if not self._note_incarnation(src, incarnation):
             return
         self._note_sample(src, epoch)
         self._last_heard[src] = self.now

@@ -52,6 +52,8 @@ from repro.sim.process import Component, Process
 CHK_TAG = "gb.chk"
 ACK_PORT = "gb.ack"
 ENDSTAGE_CLASS = "_gb.endstage"
+#: Cap on acks piggybacked into one datagram.
+MAX_ACK_BATCH = 32
 
 GdeliverFn = Callable[[AppMessage], None]
 GroupProvider = Callable[[], list[str]]
@@ -69,8 +71,6 @@ class ThriftyGenericBroadcast(Component):
         conflict: ConflictRelation,
         group_provider: GroupProvider,
         fast_path_timeout: float = 250.0,
-        ack_delay: float = 0.0,
-        max_ack_batch: int = 32,
     ) -> None:
         super().__init__(process, "gbcast")
         self.channel = channel
@@ -79,13 +79,6 @@ class ThriftyGenericBroadcast(Component):
         self.conflict = conflict
         self.group_provider = group_provider
         self.fast_path_timeout = fast_path_timeout
-        #: Ack piggybacking: acks are buffered per destination and
-        #: flushed ``ack_delay`` ms later as one batched datagram (0.0
-        #: still coalesces every ack generated within one event cascade —
-        #: stage-closure re-acks, reorder-buffer drains — at no latency
-        #: cost).  ``max_ack_batch`` caps the batch per datagram.
-        self.ack_delay = ack_delay
-        self.max_ack_batch = max(1, max_ack_batch)
         self._stage = 0
         self._frozen = False
         self._acked: dict[MsgId, AppMessage] = {}
@@ -98,6 +91,10 @@ class ThriftyGenericBroadcast(Component):
         self._acks_received: dict[MsgId, set[str]] = {}
         self._pending: dict[MsgId, AppMessage] = {}
         self._delivered: set[MsgId] = set()
+        #: Ack piggybacking: acks are buffered per destination and
+        #: flushed at the end of the current event cascade as one batched
+        #: datagram (stage-closure re-acks, reorder-buffer drains) — at
+        #: no latency cost.
         self._ack_buffer: dict[str, list[tuple[int, MsgId]]] = {}
         self._ack_flush_scheduled = False
         self._tick_armed = False
@@ -184,33 +181,29 @@ class ThriftyGenericBroadcast(Component):
             self._ack_buffer.setdefault(member, []).append((self._stage, message.id))
         if not self._ack_flush_scheduled:
             self._ack_flush_scheduled = True
-            self.schedule(self.ack_delay, self._flush_acks)
+            self.schedule(0.0, self._flush_acks)
         self._arm_tick()
 
     def _flush_acks(self) -> None:
         """Send buffered acks, piggybacked into one datagram per member.
 
         Every ack accumulated since the last flush to the same member
-        rides a single channel message (chunked at ``max_ack_batch``) —
+        rides a single channel message (chunked at ``MAX_ACK_BATCH``) —
         cutting ``net.sent`` whenever acks are generated in bursts:
-        stage-closure re-acking, FIFO reorder drains, or bursty senders
-        with a non-zero ``ack_delay``.
+        stage-closure re-acking and FIFO reorder drains.
         """
         self._ack_flush_scheduled = False
         buffer, self._ack_buffer = self._ack_buffer, {}
         for member, acks in buffer.items():
-            for i in range(0, len(acks), self.max_ack_batch):
-                chunk = acks[i : i + self.max_ack_batch]
+            for i in range(0, len(acks), MAX_ACK_BATCH):
+                chunk = acks[i : i + MAX_ACK_BATCH]
                 if len(chunk) > 1:
                     self.world.metrics.counters.inc(
                         "gbcast.acks_piggybacked", len(chunk) - 1
                     )
                 self.channel.send(member, ACK_PORT, chunk)
 
-    def _on_ack(self, src: str, payload) -> None:
-        # Batched form: a list of (stage, mid) pairs; tolerate a single
-        # bare pair for direct-injection tests and older peers.
-        acks = payload if isinstance(payload, list) else [payload]
+    def _on_ack(self, src: str, acks: list[tuple[int, MsgId]]) -> None:
         for stage, mid in acks:
             if stage != self._stage or mid in self._delivered:
                 continue

@@ -18,10 +18,18 @@ snapshot position onward.
 Re-admission (Section 4.3): a JOIN for a pid that is *still in the
 view* — a crashed member that recovered before the monitoring component
 excluded it, or a wrongly suspected process that was restarted — is not
-a membership change at all.  The primary simply sends the fresh
+a membership change at all.  The member it asks simply sends the fresh
 incarnation a snapshot; no view change is installed, no exclusion ever
 happens.  This is exactly the behaviour the paper argues the decoupling
 of monitoring from membership buys.
+
+Join requests are retried, round-robin over the live peers, until a view
+containing the requester is installed.  Together with the direct answer
+above this keeps a join from depending on any single process: if the
+sponsor named at the a-delivery of the JOIN crashes before its snapshot
+leaves, the joiner is in the view without state — a member that cannot
+vote — and the next peer it asks hands it the snapshot instead of
+ordering a re-admission the weakened group may be unable to decide.
 """
 
 from __future__ import annotations
@@ -64,6 +72,9 @@ class AbcastGroupMembership(Component):
         self._component_snapshots: dict[str, tuple[StateProvider, StateInstaller]] = {}
         self.view_history: list[View] = [] if initial_view is None else [initial_view]
         self._requested: set[tuple[str, str, int]] = set()
+        #: Interval (ms) between join-request retries.
+        self.rejoin_interval = 250.0
+        self._join_attempts = 0
         #: View id at which each current member (last) joined.  Initial
         #: members joined at the initial view.  Used to fence *stale
         #: removes*: a remove proposed against an earlier membership
@@ -124,9 +135,23 @@ class AbcastGroupMembership(Component):
         """Propose removing ``pid`` from the group (exclusion or leave)."""
         self._broadcast_ctl("remove", pid)
 
-    def request_join(self, seed: str) -> None:
-        """Ask ``seed`` (a current member) to sponsor our join."""
-        self.channel.send(seed, JOIN_REQ_PORT, self.pid)
+    def request_join(self, seed: str | None = None) -> None:
+        """Ask to be admitted, until a view containing us is installed.
+
+        The first request goes to ``seed`` (a current member) when one
+        is named; every ``rejoin_interval`` ms after that the next live
+        peer in turn is asked.
+        """
+        if self.pid in self.current_members():
+            return
+        if seed is None:
+            peers = [pid for pid in self.world.alive() if pid != self.pid]
+            if peers:
+                seed = peers[self._join_attempts % len(peers)]
+        if seed is not None:
+            self._join_attempts += 1
+            self.channel.send(seed, JOIN_REQ_PORT, self.pid)
+        self.schedule(self.rejoin_interval, self.request_join)
 
     def _broadcast_ctl(self, op: str, pid: str) -> None:
         if self.view is None:
@@ -147,8 +172,7 @@ class AbcastGroupMembership(Component):
     def _on_adeliver(self, message: AppMessage) -> None:
         if message.msg_class != CTL_CLASS or self.view is None:
             return
-        op, pid, *rest = message.payload
-        proposal_view = rest[0] if rest else 0
+        op, pid, proposal_view = message.payload
         # The request is no longer in flight: allow this process to
         # propose the same op again later (e.g. sponsoring a second
         # re-admission of a twice-recovered process).
@@ -169,14 +193,6 @@ class AbcastGroupMembership(Component):
                 # atomic broadcast is still mid-delivery here, so its
                 # instance counter does not yet include this batch.
                 self.schedule(0.0, self._send_state, pid)
-        elif op == "join" and pid in self.view:
-            # Re-admission: the pid is still a member, so this is a
-            # recovered incarnation asking for its state back — send a
-            # fresh snapshot, install no view change.
-            self.world.metrics.counters.inc("gm.readmissions")
-            self.trace("readmit", member=pid)
-            if self._snapshot_sponsor(pid) == self.pid:
-                self.schedule(0.0, self._send_state, pid)
         elif op == "remove" and pid in self.view:
             new_view = self.view.without(pid)
             self._install(new_view)
@@ -185,15 +201,9 @@ class AbcastGroupMembership(Component):
                 callback(pid)
 
     def _snapshot_sponsor(self, joiner: str) -> str | None:
-        """First current member that is not the joiner itself.
-
-        The primary normally sponsors state transfer, but on re-admission
-        the recovering process may *be* the primary — it crashed and came
-        back before the monitoring component excluded it, so the view
-        (and its head) never changed.  A snapshot only the joiner itself
-        could send would never arrive and re-admission would deadlock.
-        The sponsor is derived from the view at the a-delivery of the
-        join op, so every process picks the same one.
+        """First member of the new view that is not the joiner itself
+        (which may sort first).  Derived from the view at the a-delivery
+        of the join op, so every process picks the same one.
         """
         for member in self.view.members:
             if member != joiner:
@@ -217,7 +227,14 @@ class AbcastGroupMembership(Component):
     # Join sponsorship + state transfer
     # ------------------------------------------------------------------
     def _on_join_request(self, _src: str, pid: str) -> None:
-        self.join(pid)
+        if pid in self.current_members():
+            # Re-admission, or a joiner whose sponsor died: the pid is a
+            # member already, so there is nothing to order.
+            self.world.metrics.counters.inc("gm.readmissions")
+            self.trace("readmit", member=pid)
+            self._send_state(pid)
+        else:
+            self.join(pid)
 
     def _send_state(self, joiner: str) -> None:
         snapshot = {

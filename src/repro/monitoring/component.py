@@ -143,10 +143,8 @@ class MonitoringComponent(Component):
                     self.channel.send(member, VOTE_PORT, stamped)
         self._maybe_exclude(suspect)
 
-    def _on_vote(self, src: str, payload) -> None:
-        # Stamped form (suspect, incarnation); tolerate a bare pid for
-        # direct-injection tests and older peers (treated as inc 0).
-        suspect, incarnation = payload if isinstance(payload, tuple) else (payload, 0)
+    def _on_vote(self, src: str, payload: tuple[str, int]) -> None:
+        suspect, incarnation = payload
         if suspect not in self.membership.current_members():
             return
         known = self.fd.incarnation_of(suspect)

@@ -296,10 +296,14 @@ class ReliableChannel(Component):
         later *rejoins* (same incarnation, same connection), a receiver
         still waiting below it can be advanced past the hole — see the
         GAP handling in :meth:`_on_ack` / :meth:`_on_datagram`.
+
+        Segments still waiting in the coalescing buffer get their one
+        transmission first, as they would have had without coalescing:
+        the DECIDE that carries ``remove(dst)`` is typically among them,
+        and a member that removes itself learns of it no other way.
         """
+        self._flush(dst)
         dropped = self._outbox.pop(dst, None)
-        self._sendbuf.pop(dst, None)
-        self._flush_scheduled.discard(dst)
         self._discard_floor[dst] = self._next_seq.get(dst, 0)
         if dropped:
             self.trace("discard", dst=dst, count=len(dropped))
@@ -488,12 +492,15 @@ class ReliableChannel(Component):
             for seq in [s for s in pending if s < ack_up_to]:
                 del pending[seq]
         floor = self._discard_floor.get(src, 0)
-        if ack_up_to < floor:
+        if ack_up_to < floor < self._next_seq.get(src, 0):
             # The receiver is waiting for a segment below the discard
             # floor — we dropped it on exclusion and will never resend
-            # it.  The peer has rejoined (it is acking again), so tell
-            # it to skip the hole; re-sent on every stalled ACK, which
-            # makes the notice loss-tolerant.
+            # it.  The peer has rejoined (we sent it something above the
+            # hole, it is acking below), so tell it to skip the hole;
+            # re-sent on every stalled ACK, which makes the notice
+            # loss-tolerant.  With nothing sent above the floor the ACK
+            # is merely an old one: a notice now could overtake the last
+            # transmission :meth:`discard` made and void it.
             self.world.metrics.counters.inc("rc.gap_notices")
             self.world.u_send(
                 self.pid, src, PORT,

@@ -111,7 +111,6 @@ def test_decide_before_dissemination_over_blocked_link():
     # on the missing id and repair via PULL — total order intact.
     world, stacks = abcast_group(
         seed=9,
-        relay_policy="lazy",
         suspicion_timeout=10_000.0,
         monitoring=MonitoringPolicy(exclusion_timeout=60_000.0),
     )
@@ -183,15 +182,8 @@ def test_late_rbcast_delivery_cancels_the_fetch():
 
 def _traffic_fingerprint(seed: int, payload_bytes: int | None = 4096):
     """A bursty 3-sender run with Blob payloads; full determinism digest."""
-    config = StackConfig(
-        abcast_window=4,
-        abcast_max_batch=4,
-        relay_policy="lazy",
-        coalesce_delay=1.0,
-        max_segment_batch=8,
-    )
     world = World(seed=seed, default_link=LinkModel(3.0, 8.0))
-    stacks = build_new_group(world, 3, config=config)
+    stacks = build_new_group(world, 3)
     world.start()
     total = 0
     for i in range(6):

@@ -87,11 +87,7 @@ def test_membership_change_under_pipelining_bumps_epoch():
     # bursty workload keeps the window full.  The epoch bump must void
     # stale instances identically everywhere: survivors converge on one
     # view and one totally-ordered history, nothing lost or duplicated.
-    config = StackConfig(
-        abcast_window=4,
-        abcast_max_batch=4,
-        monitoring=MonitoringPolicy(exclusion_timeout=300.0),
-    )
+    config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=300.0))
     world, stacks, apis = new_group(seed=11, config=config)
     for i in range(16):
         world.scheduler.at(float(10 + 15 * i), lambda i=i: apis["p00"].abcast(("m", i)))
@@ -182,11 +178,7 @@ def _apply(state, command):
 
 def _pipelined_recovery_scenario(seed: int):
     """The crash-recovery acceptance scenario, but with W=4 pipelining."""
-    config = StackConfig(
-        abcast_window=4,
-        abcast_max_batch=4,
-        monitoring=MonitoringPolicy(exclusion_timeout=5_000.0),
-    )
+    config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=5_000.0))
     world = World(seed=seed, default_link=LinkModel(3.0, 8.0))
     stacks = build_new_group(world, 3, config=config)
     apis = {pid: GroupCommunication(s) for pid, s in stacks.items()}

@@ -18,7 +18,6 @@ def overlay_world(
     link=None,
     suspicion_timeout=100.0,
     dissemination="ring",
-    tree_fanout=2,
     relay_policy="eager",
     members=None,
 ):
@@ -41,7 +40,6 @@ def overlay_world(
             channel,
             lambda: list(group),
             dissemination=dissemination,
-            tree_fanout=tree_fanout,
             relay_policy=relay_policy,
         )
         monitor = fd.monitor(

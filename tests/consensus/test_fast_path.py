@@ -1,17 +1,15 @@
 """Round-0 consensus fast path: latency wins, safety, interleavings.
 
-The knob-guarded fast path (``fast_path=True``) lets the round-0
-coordinator propose without a majority estimate read, count its own
-adoption as an implicit ACK, and decide locally at majority-ACK time.
-These tests pin the three wins, the safety-critical lock-timestamp
-encoding, the collect/abandon interleavings, and — via literal seed
-fingerprints — that switching the knob *off* reproduces the historical
-protocol byte for byte.
+The fast path (``fast_path=True``, what the new stack always builds)
+lets the round-0 coordinator propose without a majority estimate read,
+count its own adoption as an implicit ACK, and decide locally at
+majority-ACK time.  These tests pin the three wins, the safety-critical
+lock-timestamp encoding (shared with classic rounds), and the
+collect/abandon interleavings.
 """
 
 from repro.explore.runner import run_scenario
-from repro.explore.scenario import ScenarioConfig, StackKnobs
-from repro.workload.generators import FaultEvent, FaultPlan
+from repro.explore.scenario import ScenarioConfig
 
 from tests.conftest import run_until
 from tests.consensus.test_chandra_toueg import consensus_world, everyone_decided
@@ -121,13 +119,30 @@ def test_round0_lock_wins_max_ts_against_higher_pid_initial_estimate():
     assert state.proposed == "locked-value"
 
 
-def test_adoption_timestamp_is_legacy_without_fast_path():
+def test_classic_rounds_lock_with_the_same_encoding():
     world, pids, nodes, _ = consensus_world(fast_path=False)
     world.start()
     p01 = nodes["p01"]
     p01.propose("k", "own-value", pids)
     p01._on_message("p00", ("PROPOSE", "k", 0, "other"))
-    assert p01._instances["k"].ts == 0  # byte-identical legacy encoding
+    assert p01._instances["k"].ts == 1
+
+
+def test_classic_round_ignores_the_duplicate_propose_too():
+    # n = 5, classic rounds: the coordinator proposes on the third
+    # ESTIMATE and answers the fourth and fifth with a catch-up PROPOSE,
+    # a duplicate for a participant that already adopted.  A NACK for it
+    # could reach the coordinator before the third ACK and abort a live
+    # round; the duplicate is ignored instead.
+    world, pids, nodes, _ = consensus_world(count=5, fast_path=False)
+    world.start()
+    p04 = nodes["p04"]
+    p04.propose("k", "own-value", pids)
+    p04._on_message("p00", ("PROPOSE", "k", 0, "value"))
+    sent = world.metrics.counters.get("consensus.messages")
+    p04._on_message("p00", ("PROPOSE", "k", 0, "value"))
+    assert world.metrics.counters.get("consensus.messages") == sent  # no NACK
+    assert p04._instances["k"].round == 0
 
 
 # ----------------------------------------------------------------------
@@ -185,58 +200,11 @@ def test_abandon_mid_round0_voids_the_instance_everywhere():
 
 
 # ----------------------------------------------------------------------
-# Fast-path off == the historical protocol, byte for byte
+# The stack the explorer builds runs the fast path
 # ----------------------------------------------------------------------
-#: Fingerprints recorded on the pre-fast-path tree for these exact
-#: configs (explore defaults leave ``consensus_fast_path`` off).  They
-#: cover failure-free serial, pipelined (w4) and partition+crash+recover
-#: schedules — multi-round consensus included.
-SEED_FINGERPRINTS = {
-    "failure_free_w1": (
-        ScenarioConfig(seed=11, processes=3, duration=800.0, rate=20.0),
-        "415d0d43c2cc6302b8e0659112aac512af60d6a86aa15af1791095bc4d894a18",
-    ),
-    "pipelined_w4": (
-        ScenarioConfig(
-            seed=23, processes=3, duration=800.0, rate=25.0,
-            stack=StackKnobs(abcast_window=4),
-        ),
-        "bb11c2d94c559a541bbf48fad48601f104d7436d5278aafd61aa5b83eef1ac25",
-    ),
-    "crash_recover": (
-        ScenarioConfig(
-            seed=5, processes=4, duration=1000.0, rate=25.0, conflict_weight=0.5,
-            plan=FaultPlan([
-                FaultEvent(at=200.0, kind="partition", target=[["p00", "p01", "p03"], ["p02"]]),
-                FaultEvent(at=380.0, kind="heal"),
-                FaultEvent(at=520.0, kind="crash", target="p01"),
-                FaultEvent(at=820.0, kind="recover", target="p01"),
-            ]),
-        ),
-        "d6243d19f34fc3e2063c358ff383310addb1f11d2def8edce1e98bcd9567ef55",
-    ),
-}
-
-
-def test_fast_path_off_is_byte_identical_to_seed_fingerprints():
-    for name, (config, expected) in SEED_FINGERPRINTS.items():
-        assert config.stack.consensus_fast_path is False
-        result, _world = run_scenario(config)
-        assert result.violation is None, (name, result.violation)
-        assert result.fingerprint == expected, name
-
-
-def test_fast_path_on_changes_the_schedule_but_stays_clean():
-    # Sanity check that the pin above pins something: the same seeds with
-    # the knob on take a different (shorter) schedule, still clean.
-    config, expected = SEED_FINGERPRINTS["pipelined_w4"]
-    fast = ScenarioConfig(
-        seed=config.seed, processes=config.processes, duration=config.duration,
-        rate=config.rate,
-        stack=StackKnobs(abcast_window=4, consensus_fast_path=True),
-    )
-    result, world = run_scenario(fast)
+def test_explored_stack_takes_the_fast_path_and_stays_clean():
+    config = ScenarioConfig(seed=23, processes=3, duration=800.0, rate=25.0)
+    result, world = run_scenario(config)
     assert result.violation is None
     assert result.converged
-    assert result.fingerprint != expected
     assert world.metrics.counters.get("consensus.fast_path_proposals") > 0

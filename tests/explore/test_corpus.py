@@ -7,6 +7,7 @@ mid-consensus).  Every tier-1 run re-executes all of them with the full
 online + post-hoc battery.
 """
 
+import dataclasses
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.explore.runner import run_scenario
-from repro.explore.scenario import ScenarioConfig
+from repro.explore.scenario import ScenarioConfig, StackKnobs
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 ENTRIES = sorted(CORPUS_DIR.glob("*.json"))
@@ -41,6 +42,39 @@ def test_corpus_entry_round_trips_through_json(path):
     assert ScenarioConfig.from_json_obj(config.to_json_obj()) == config
 
 
+@pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
+def test_corpus_entry_writes_every_stack_key(path):
+    # An entry pins the configuration it was recorded on; a key left to
+    # a default would silently follow the next change of that default.
+    stack = json.loads(path.read_text())["config"]["stack"]
+    assert set(stack) == {f.name for f in dataclasses.fields(StackKnobs)}
+
+
+#: Counters that must move for an entry to still hit the mechanism it
+#: was recorded for (the fast-path entries have their own test below).
+MECHANISM_COUNTERS = {
+    "decide-before-dissemination-fetch": (
+        "abcast.decide_before_dissemination", "abcast.pulls_sent", "abcast.repaired",
+    ),
+    "exclusion-rejoin-channel-hole": ("rc.gap_notices", "rc.gap_skips"),
+    # The successor's crash triggers the suspicion flood, and its
+    # pre-exclusion reincarnation leaves silently stranded chain packets
+    # that only the stability anti-entropy repair can re-send (no
+    # suspicion edge ever fires for a healthy-looking rejoiner).
+    "ring-successor-crash-mid-dissemination": (
+        "rb.forwarded", "rb.suspect_floods", "rb.overlay_repairs",
+    ),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(MECHANISM_COUNTERS))
+def test_corpus_entry_still_hits_its_mechanism(stem):
+    obj = json.loads((CORPUS_DIR / f"{stem}.json").read_text())
+    _result, world = run_scenario(ScenarioConfig.from_json_obj(obj["config"]))
+    for name in MECHANISM_COUNTERS[stem]:
+        assert world.metrics.counters.get(name) > 0, (stem, name)
+
+
 def test_fast_path_corpus_entries_exercise_the_crash_window():
     # The two fast-path entries must actually hit the window they pin:
     # the fast path fired before the crash and instances escaped round 0
@@ -51,7 +85,6 @@ def test_fast_path_corpus_entries_exercise_the_crash_window():
     ):
         obj = json.loads((CORPUS_DIR / f"{stem}.json").read_text())
         config = ScenarioConfig.from_json_obj(obj["config"])
-        assert config.stack.consensus_fast_path is True
         result, world = run_scenario(config)
         assert result.violation is None, (stem, result.violation)
         counters = world.metrics.counters
@@ -62,25 +95,6 @@ def test_fast_path_corpus_entries_exercise_the_crash_window():
             if rnd != "0"
         }
         assert escaped, f"{stem}: no instance escaped round 0"
-
-
-def test_ring_corpus_entry_exercises_both_overlay_backstops():
-    # The ring entry must really hit its window: the successor's crash
-    # triggers the suspicion flood, and its pre-exclusion reincarnation
-    # leaves silently stranded chain packets that only the stability
-    # anti-entropy repair can re-send (no suspicion edge ever fires for
-    # a healthy-looking rejoiner).
-    obj = json.loads(
-        (CORPUS_DIR / "ring-successor-crash-mid-dissemination.json").read_text()
-    )
-    config = ScenarioConfig.from_json_obj(obj["config"])
-    assert config.stack.dissemination == "ring"
-    result, world = run_scenario(config)
-    assert result.violation is None, result.violation
-    counters = world.metrics.counters
-    assert counters.get("rb.forwarded") > 0
-    assert counters.get("rb.suspect_floods") > 0
-    assert counters.get("rb.overlay_repairs") > 0
 
 
 def test_fast_path_window_shrinks_and_replays_via_cli(tmp_path):
@@ -114,7 +128,7 @@ def test_fast_path_window_shrinks_and_replays_via_cli(tmp_path):
     )
     shrunk_result, _world = run_scenario(shrunk)
     assert shrunk_result.violation["invariant"] == invariant
-    assert shrunk.stack.consensus_fast_path is True  # knob survives shrinking
+    assert shrunk.stack == config.stack  # knobs survive shrinking
 
     repro = write_repro(tmp_path / "repro.json", shrunk, shrunk_result)
     assert explore_main(["--replay", str(repro), "--json"]) == 0

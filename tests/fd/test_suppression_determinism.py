@@ -8,7 +8,7 @@ values, and final clock, or the FD machinery has smuggled in
 nondeterminism.
 """
 
-from repro.core.new_stack import StackConfig, build_new_group, enable_recovery
+from repro.core.new_stack import build_new_group, enable_recovery
 from repro.net.topology import LinkModel
 from repro.sim.world import World
 
@@ -17,16 +17,9 @@ from tests.conftest import run_until
 
 def _suppressed_crash_scenario(seed):
     """Full Fig. 9 stack (suppression on by default), a crash, recovery."""
-    config = StackConfig(
-        abcast_window=4,
-        abcast_max_batch=4,
-        relay_policy="lazy",
-        coalesce_delay=1.0,
-        max_segment_batch=8,
-    )
     world = World(seed=seed, default_link=LinkModel(2.0, 6.0))
-    stacks = build_new_group(world, 3, config=config)
-    enable_recovery(world, stacks, config=config)
+    stacks = build_new_group(world, 3)
+    enable_recovery(world, stacks)
     world.start()
     for i in range(30):
         world.scheduler.at(
@@ -80,33 +73,3 @@ def test_suppressed_stack_fingerprint_is_byte_identical():
     assert counts["fd.tap_refreshes"] > 0
     assert counts["fd.piggyback_samples"] > 0
 
-
-def test_delivery_order_agrees_with_suppression_on_and_off():
-    # Suppression only removes redundant heartbeats: the application's
-    # delivery order from a deterministic workload must be a total order
-    # with the same contents either way.
-    def deliveries(suppression):
-        config = StackConfig(fd_suppression=suppression)
-        world = World(seed=21, default_link=LinkModel(1.0, 2.0))
-        stacks = build_new_group(world, 3, config=config)
-        world.start()
-        for i in range(12):
-            pid = f"p{i % 3:02d}"
-            stacks[pid].abcast.abcast(stacks[pid].process.msg_ids.message(("m", pid, i)))
-        assert run_until(
-            world,
-            lambda: all(
-                len([m for m in s.abcast.delivered_log if not m.msg_class.startswith("_")]) == 12
-                for s in stacks.values()
-            ),
-            timeout=30_000,
-        )
-        logs = [
-            [m.payload for m in s.abcast.delivered_log if not m.msg_class.startswith("_")]
-            for s in stacks.values()
-        ]
-        assert logs[0] == logs[1] == logs[2]
-        return logs[0]
-
-    on, off = deliveries(True), deliveries(False)
-    assert sorted(map(str, on)) == sorted(map(str, off))

@@ -30,7 +30,7 @@ class Chatter(Component):
         self.register_port(port, lambda src, payload: self.received.append((src, payload)))
 
 
-def fd_world(count=3, seed=1, hb=10.0, link=None, suppression=False, idle=1.0):
+def fd_world(count=3, seed=1, hb=10.0, link=None, suppression=False):
     world = World(seed=seed, default_link=link or LinkModel(1.0, 0.0))
     pids = world.spawn(count)
     fds = {
@@ -39,7 +39,6 @@ def fd_world(count=3, seed=1, hb=10.0, link=None, suppression=False, idle=1.0):
             lambda p=pids: list(p),
             hb,
             suppression=suppression,
-            hb_idle_factor=idle,
         )
         for pid in pids
     }

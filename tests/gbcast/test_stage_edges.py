@@ -43,10 +43,10 @@ def test_acks_for_old_stages_are_discarded():
     # Fabricate a pending message and an ack tagged with a stale stage.
     msg = AppMessage(MsgId("p01!f", 7), "p01", "zombie", UPDATE)
     gb._pending[msg.id] = msg
-    gb._on_ack("p01", (gb.stage - 1 if gb.stage else -1, msg.id))
+    gb._on_ack("p01", [(gb.stage - 1 if gb.stage else -1, msg.id)])
     assert msg.id not in gb._acks_received
     # A current-stage ack is counted.
-    gb._on_ack("p01", (gb.stage, msg.id))
+    gb._on_ack("p01", [(gb.stage, msg.id)])
     assert gb._acks_received[msg.id] == {"p01"}
 
 

@@ -46,8 +46,6 @@ def test_flood_dissemination_is_byte_identical_to_the_pre_overlay_default():
     # per-node byte attribution included), identical delivery orders, and
     # the identical simulated clock.  The overlay counters prove the new
     # code paths never ran.
-    base = dict(relay_policy="lazy", coalesce_delay=1.0, max_segment_batch=8)
-
     def fingerprint(config):
         world, stacks = _traffic_run(config)
         assert all(s.rbcast.overlay is None for s in stacks.values())
@@ -56,16 +54,13 @@ def test_flood_dissemination_is_byte_identical_to_the_pre_overlay_default():
         assert counters.get("rb.reroutes", 0) == 0
         return logs(stacks), counters, world.now, world.scheduler.events_processed
 
-    implicit = fingerprint(StackConfig(**base))
-    explicit = fingerprint(StackConfig(**base, dissemination="flood"))
+    implicit = fingerprint(StackConfig())
+    explicit = fingerprint(StackConfig(dissemination="flood"))
     assert implicit == explicit
 
 
 def test_ring_dissemination_full_stack_delivers_everything():
-    config = StackConfig(
-        relay_policy="lazy", coalesce_delay=1.0, dissemination="ring"
-    )
-    world, stacks = _traffic_run(config)
+    world, stacks = _traffic_run(StackConfig(dissemination="ring"))
     counters = world.metrics.counters
     # The overlay really carried the payloads: members forwarded packets
     # along the ring instead of the origin unicasting to everyone.
@@ -77,10 +72,7 @@ def test_ring_dissemination_full_stack_delivers_everything():
 
 
 def test_tree_dissemination_full_stack_delivers_everything():
-    config = StackConfig(
-        relay_policy="lazy", coalesce_delay=1.0, dissemination="tree", tree_fanout=2
-    )
-    world, stacks = _traffic_run(config, count=4)
+    world, stacks = _traffic_run(StackConfig(dissemination="tree"), count=4)
     assert world.metrics.counters.get("rb.forwarded") > 0
     all_logs = list(logs(stacks).values())
     assert all(log == all_logs[0] for log in all_logs)
@@ -90,12 +82,7 @@ def test_ring_stack_survives_crash_and_recovery():
     # A member of the ring crashes mid-run and later rejoins: delivery
     # must continue for the survivors (suspicion re-route + flood
     # backstop + view change) and the recovered member catches up.
-    config = StackConfig(
-        relay_policy="lazy",
-        coalesce_delay=1.0,
-        dissemination="ring",
-        suspicion_timeout=60.0,
-    )
+    config = StackConfig(dissemination="ring")
     world = World(seed=31, default_link=LinkModel(2.0, 6.0))
     stacks = build_new_group(world, 3, config=config)
     enable_recovery(world, stacks, config=config)

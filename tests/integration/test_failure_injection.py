@@ -1,5 +1,7 @@
 """Targeted failure-injection scenarios for the new architecture."""
 
+import pytest
+
 from repro.core.new_stack import StackConfig, add_joiner
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
@@ -51,16 +53,19 @@ def test_joiner_crashes_mid_join():
     assert h0 == h1
 
 
-def test_crash_of_state_transfer_source():
-    # The membership primary (state-transfer source) crashes right after
-    # the join is ordered; the joiner may stall, but the group continues.
+@pytest.mark.parametrize("offset", range(1, 21))
+def test_crash_of_state_transfer_source(offset):
+    # The membership primary (state-transfer source) crashes ``offset`` ms
+    # after the join request: before the join is ordered, between its
+    # ordering and the snapshot leaving, or after.  Regression for the
+    # middle window — the joiner was in the view without state, two of
+    # four members worked, and nothing was ever ordered again.
     config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=400.0))
     world, stacks, apis = new_group(seed=43, config=config)
     world.run_for(50.0)
     joiner = add_joiner(world, stacks, config=config)
     joiner.membership.request_join("p01")
-    # Crash p00 (the primary / snapshot source) almost immediately.
-    world.crash("p00", at=world.now + 8.0)
+    world.crash("p00", at=world.now + offset)
     world.run_for(3_000.0)
     survivors = ("p01", "p02")
     apis["p01"].abcast("group-lives")
@@ -69,6 +74,17 @@ def test_crash_of_state_transfer_source():
         lambda: all("group-lives" in apis[p].delivered_payloads() for p in survivors),
         timeout=60_000,
     )
+    # The joiner ends in the view or outside it, never half-joined: the
+    # survivors agree on the view, and list the joiner iff it installed
+    # that same view itself.
+    views = {stacks[p].membership.view for p in survivors}
+    assert len(views) == 1
+    (view,) = views
+    assert "p00" not in view
+    if joiner.pid in view:
+        assert joiner.membership.view == view
+    else:
+        assert joiner.membership.view is None
 
 
 def test_repeated_crash_recover_cycles_of_links():

@@ -109,7 +109,6 @@ def test_isolated_minority_is_excluded_by_the_primary_partition():
 
 def test_output_triggered_exclusion():
     config = StackConfig(
-        stuck_timeout=200.0,
         monitoring=MonitoringPolicy(
             use_fd=False,
             use_output_triggered=True,
@@ -121,7 +120,7 @@ def test_output_triggered_exclusion():
     world.run_for(50.0)
     world.crash("p02")
     # Generate traffic that gets stuck in the channel buffer for p02.
-    stacks["p00"].channel.send("p02", "gb.ack", (0, None))
+    stacks["p00"].channel.send("p02", "gb.ack", [(0, None)])
     assert run_until(
         world,
         lambda: "p02" not in stacks["p00"].membership.view,
@@ -135,7 +134,7 @@ def test_exclusion_discards_channel_buffer():
     world, stacks, _ = new_group(seed=6, config=config)
     world.run_for(50.0)
     world.crash("p02")
-    stacks["p00"].channel.send("p02", "gb.ack", (0, None))
+    stacks["p00"].channel.send("p02", "gb.ack", [(0, None)])
     world.run_for(100.0)
     assert stacks["p00"].channel.unacked("p02") >= 1
     assert run_until(

@@ -120,16 +120,9 @@ def test_coalesced_delivery_survives_receiver_recovery():
 
 def _lazy_coalesced_crash_scenario(seed):
     """Full Fig. 9 stack with the perf knobs on, a crash, and recovery."""
-    config = StackConfig(
-        abcast_window=4,
-        abcast_max_batch=4,
-        relay_policy="lazy",
-        coalesce_delay=1.0,
-        max_segment_batch=8,
-    )
     world = World(seed=seed, default_link=LinkModel(2.0, 6.0))
-    stacks = build_new_group(world, 3, config=config)
-    enable_recovery(world, stacks, config=config)
+    stacks = build_new_group(world, 3)
+    enable_recovery(world, stacks)
     world.start()
     for i in range(30):
         world.scheduler.at(

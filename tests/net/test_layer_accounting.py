@@ -11,7 +11,7 @@ silently leak traffic.
 
 from __future__ import annotations
 
-from repro.core.new_stack import StackConfig, build_new_group
+from repro.core.new_stack import build_new_group
 from repro.net.topology import LinkModel
 from repro.net.wire import Blob
 from repro.sim.world import World
@@ -21,15 +21,8 @@ from tests.conftest import run_until
 
 
 def _pipelining_run(payload_bytes=4096):
-    config = StackConfig(
-        abcast_window=4,
-        abcast_max_batch=4,
-        relay_policy="lazy",
-        coalesce_delay=1.0,
-        max_segment_batch=8,
-    )
     world = World(seed=23, default_link=LinkModel(3.0, 8.0))
-    stacks = build_new_group(world, 3, config=config)
+    stacks = build_new_group(world, 3)
     world.start()
     total = 0
     for i in range(10):

@@ -8,7 +8,12 @@ end-to-end rejoin scenarios live in tests/integration/test_recovery_scenarios.py
 from __future__ import annotations
 
 from repro.core.api import GroupCommunication
-from repro.core.new_stack import StackConfig, build_new_group, enable_recovery
+from repro.core.new_stack import (
+    HEARTBEAT_INTERVAL,
+    StackConfig,
+    build_new_group,
+    enable_recovery,
+)
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.message import MsgIdFactory
@@ -223,9 +228,8 @@ def test_world_start_is_idempotent_across_rebuilds():
     world.run_for(100.0)
     # Exactly one heartbeat loop on the recovered process: duplicated
     # start() calls must not double the beat rate.
-    interval = stacks["p02"].config.heartbeat_interval
     beats = world.trace.count(pid="p02", component="fd") - beats_before
-    assert beats <= 100.0 / interval + 2
+    assert beats <= 100.0 / HEARTBEAT_INTERVAL + 2
 
 
 def test_recovery_scenario_is_deterministic():

@@ -4,6 +4,7 @@ Keeps the documentation honest — if an example or a documented snippet
 breaks, the suite fails.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,3 +92,43 @@ def test_python_dash_m_repro_selfcheck():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "OK: 1/1 seeds passed" in result.stdout
+
+
+# ----------------------------------------------------------------------
+# docs/ cannot drift from the StackConfig dataclass
+# ----------------------------------------------------------------------
+def _stack_config_fields():
+    import dataclasses
+
+    from repro import StackConfig
+
+    return {field.name: field for field in dataclasses.fields(StackConfig)}
+
+
+def test_api_doc_table_is_the_stack_config_dataclass():
+    import dataclasses
+
+    api = (REPO / "docs" / "api.md").read_text()
+    section = api.split("## Stack tuning", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| `(.+?)` \|", section, re.MULTILINE))
+    fields = _stack_config_fields()
+    assert set(rows) == set(fields)
+    for name, field in fields.items():
+        if field.default_factory is not dataclasses.MISSING:
+            shown = f"{field.default_factory.__name__}()"
+        elif isinstance(field.default, str):
+            shown = f'"{field.default}"'
+        else:
+            shown = repr(field.default)
+        assert rows[name] == shown, f"docs/api.md: {name} defaults to {shown}"
+
+
+@pytest.mark.parametrize("doc", sorted((REPO / "docs").glob("*.md")), ids=lambda p: p.name)
+def test_docs_name_only_real_stack_config_fields(doc):
+    # ``StackConfig.x`` and ``StackConfig(x=...)`` anywhere under docs/
+    # must name a field that exists: a deleted knob cannot linger.
+    text = doc.read_text()
+    named = set(re.findall(r"StackConfig\.(\w+)", text))
+    for call in re.findall(r"StackConfig\(([^)]*)\)", text):
+        named.update(re.findall(r"(\w+)\s*=", call))
+    assert named <= set(_stack_config_fields()), named - set(_stack_config_fields())
