@@ -47,17 +47,23 @@ def run_rmp():
          f"view={stacks['p00'].view()}"]
     )
 
-    # Failure: the ring breaks; two-phase reformation recovers it.
-    world.crash("p01")
+    # Failure: the ring breaks; two-phase reformation recovers it.  The
+    # victim is whoever is about to receive the token, so the token dies
+    # with it (a fixed pid only breaks the ring if the token is on it).
+    view = stacks["p00"].view()
+    holder = max(view.members, key=lambda pid: stacks[pid].abcast.last_token_seen)
+    victim = view.successor(holder)
+    sender = stacks[next(pid for pid in view.members if pid != victim)]
+    world.crash(victim)
     crash_at = world.now
-    stacks["p00"].abcast_payload("post-crash")
+    sender.abcast_payload("post-crash")
     assert world.run_until(
-        lambda: "post-crash" in stacks["p00"].delivered_payloads(), timeout=60_000
+        lambda: "post-crash" in sender.delivered_payloads(), timeout=60_000
     )
     recovery = world.now - crash_at
     rows.append(
         ["crash -> 2PC reformation", recovery, counters.get("abcast.token_passes"),
-         counters.get("reform.initiated"), f"view={stacks['p00'].view()}"]
+         counters.get("reform.initiated"), f"view={sender.view()}"]
     )
     return rows, reforms_after_membership, recovery
 

@@ -194,6 +194,7 @@ def world_metrics(world: World, delivered: int, leaked: int | None = None) -> di
         "open_latency_intervals": leaked
         if leaked is not None
         else world.metrics.latency.open_intervals(),
+        "rc_retransmits": world.metrics.counters.get("rc.retransmits"),
     }
 
 
@@ -248,6 +249,13 @@ def critical_path_block(world: World) -> dict:
     went — queueing vs transit vs ordering wait, per protocol layer —
     plus span-tree health (completeness, integrity)."""
     return critpath.summarize_deliveries(world.spans, "adeliver", "abcast")
+
+
+def no_spurious_retransmits(*runs: dict) -> bool:
+    """Shape rule for loss-free links: the reliable channel re-sent
+    nothing (its timeout stays above the round trip, see
+    ``repro.net.reliable``)."""
+    return all(run["rc_retransmits"] == 0 for run in runs)
 
 
 def causal_trees_complete(block: dict) -> bool:
@@ -508,6 +516,7 @@ def scenario_pipelining() -> dict:
             "w4_actually_pipelined": pipelined["instances_pipelined"] > 0,
             "no_leaked_latency_intervals": serial["open_latency_intervals"] == 0
             and pipelined["open_latency_intervals"] == 0,
+            "no_spurious_retransmits": no_spurious_retransmits(serial, pipelined),
             # Traffic-aware FD: the workload's own datagrams carry the
             # liveness evidence, so the explicit-heartbeat cost per
             # delivery must stay under the hard bound...
@@ -595,6 +604,7 @@ def scenario_payload_sweep() -> dict:
             "ordering_cheaper_than_dissemination_at_4k": ordering_large < body_large,
             "no_leaked_latency_intervals": small["open_latency_intervals"] == 0
             and large["open_latency_intervals"] == 0,
+            "no_spurious_retransmits": no_spurious_retransmits(small, large),
             "causal_trees_complete_64B": causal_trees_complete(small["critical_path"]),
             "causal_trees_complete_4KiB": causal_trees_complete(large["critical_path"]),
             "round0_dominates_64B": round0_dominates(small["decision_path"]),
@@ -734,6 +744,9 @@ def scenario_dissemination_sweep() -> dict:
             "no_leaked_latency_intervals": all(
                 run["open_latency_intervals"] == 0
                 for run in (flood, ring, tree, flood_nobw, ring_nobw)
+            ),
+            "no_spurious_retransmits": no_spurious_retransmits(
+                flood, ring, tree, flood_nobw, ring_nobw
             ),
         },
         "shape_detail": {

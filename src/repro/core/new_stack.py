@@ -45,7 +45,7 @@ from repro.sim.world import World
 #: rather than configuration (the component constructors keep their
 #: parameters: the traditional baselines pass different ones).
 HEARTBEAT_INTERVAL = 10.0
-RETRANSMIT_INTERVAL = 20.0
+INITIAL_RTO = 40.0
 STUCK_TIMEOUT = 1_000.0
 
 
@@ -141,7 +141,7 @@ class NewArchitectureStack:
 
         self.channel = ReliableChannel(
             process,
-            retransmit_interval=RETRANSMIT_INTERVAL,
+            initial_rto=INITIAL_RTO,
             stuck_timeout=STUCK_TIMEOUT,
             coalesce_delay=cfg.coalesce_delay,
             max_segment_batch=cfg.max_segment_batch,

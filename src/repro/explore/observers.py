@@ -185,6 +185,14 @@ class AgreementPrefixObserver(DeliveryObserver):
     the frontier before anyone else.  Such actors buffer deliveries until
     one matches the known order (anchoring), then the buffered suffix is
     validated retroactively.
+
+    Contiguity holds per *membership session*, not per incarnation: an
+    actor that is removed from the view while alive and admitted again
+    (a recovered incarnation re-admitted directly by one member while
+    another member's ``remove`` for its dead predecessor is still being
+    ordered) resumes from a second state snapshot, which stands for
+    everything ordered while it was out.  The panel re-registers such an
+    actor as late when a view brings it back, and it anchors afresh.
     """
 
     name = "agreement-prefix"
@@ -371,17 +379,27 @@ class ObserverPanel:
             for observer in self.abcast_observers:
                 observer.on_deliver(actor, message)
 
+        initial_view = stack.membership.current_view()
+        member = initial_view is not None and stack.pid in initial_view
+
         def on_view(view) -> None:
+            nonlocal member
             self.view_observer.on_view(actor, view)
+            if stack.pid in view and not member:
+                # Back in after an exclusion: the snapshot that came with
+                # this view stands for the part of the order it missed.
+                for observer in self.abcast_observers:
+                    if isinstance(observer, AgreementPrefixObserver):
+                        observer.register(actor, late=True)
+            member = stack.pid in view
 
         stack.gbcast.on_gdeliver(on_gdeliver)
         stack.abcast.on_adeliver(on_adeliver)
         stack.membership.on_new_view(on_view)
         # The initial view is installed at construction, before the panel
         # could see it — feed it through the same consistency check.
-        view = stack.membership.current_view()
-        if view is not None:
-            self.view_observer.on_view(actor, view)
+        if initial_view is not None:
+            self.view_observer.on_view(actor, initial_view)
 
     def attach_group(self, stacks: dict) -> None:
         for pid in sorted(stacks):

@@ -136,7 +136,10 @@ class ScenarioConfig:
         prefix of the sender's same-class stream in order (the direct
         channel is per-peer FIFO, and relayers forward their own
         first-receipt merge, complete and in order), so the merge stays
-        FIFO through any loss, duplication, partition or crash.  A
+        FIFO through any loss, duplication, partition or crash — given
+        that a rejoiner acks the pending set its state snapshot hands
+        over, in id order, before anything that arrives later (corpus
+        entry ``rejoiner-inherits-unacked-pending``).  A
         **lazy-relay** suspicion flood instead re-injects only the
         *retained* (not-yet-stable) suffix of a sender's stream — a
         flooded later message can legally overtake an earlier one, and a

@@ -31,9 +31,11 @@ Invariants enforced (and tested property-style in
   invoked;
 * per-sender FIFO (footnote 9 of the paper) is *emergent*: the reliable
   channels are FIFO, relays preserve per-origin order, processes ack in
-  rdeliver order, closure sets are delivered in MsgId (= send) order,
-  and fast-path completion is a max over per-link FIFO ack arrivals —
-  so a later message from a sender can never overtake an earlier one.
+  rdeliver order (a rejoiner acks the pending set its snapshot hands
+  over first, in MsgId order), closure sets are delivered in MsgId (=
+  send) order, and fast-path completion is a max over per-link FIFO ack
+  arrivals — so a later message from a sender can never overtake an
+  earlier one.
   :class:`repro.gbcast.fifo.FifoSender` provides the same guarantee by
   construction, independent of transport properties.
 """
@@ -287,11 +289,16 @@ class ThriftyGenericBroadcast(Component):
         self._ack_index.clear()
         self._ack_times.clear()
         self._acks_received.clear()
-        # Re-process what is still pending under the new stage.
+        self._ack_pending()
+        self._arm_tick()
+
+    def _ack_pending(self) -> None:
+        """(Re-)process everything pending, in MsgId (= send) order: on
+        entering a stage, and once a state snapshot has handed over the
+        sponsor's pending set."""
         for mid in sorted(self._pending):
             self._try_ack(self._pending[mid])
         self._close_if_suspects_block()
-        self._arm_tick()
 
     # ------------------------------------------------------------------
     # Delivery
@@ -347,3 +354,11 @@ class ThriftyGenericBroadcast(Component):
         for mid, msg in snapshot["pending"].items():
             if mid not in self._delivered:
                 self._pending.setdefault(mid, msg)
+        # The inherited messages will not be r-delivered here again, so
+        # nothing else would ever ack them: the others' fast path would
+        # wait out its timeout for this member's ack, and a later message
+        # of the same sender, acked on arrival, would overtake them — by
+        # fast path or at the head of this member's closure set.  Acking
+        # needs the view, which membership installs right after the
+        # component snapshots: run at the end of the current event.
+        self.schedule(0.0, self._ack_pending)

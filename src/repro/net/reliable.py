@@ -2,18 +2,40 @@
 
 Guarantees: if a correct process ``p`` sends ``m`` to a correct process
 ``q``, then ``q`` eventually receives ``m`` — implemented with sequence
-numbers, cumulative acknowledgements and periodic retransmission over the
-unreliable transport (the paper implements it over TCP [15]).  Delivery
-is FIFO per sender, like TCP.
+numbers, cumulative acknowledgements and timeout-driven retransmission
+over the unreliable transport (the paper implements it over TCP [15]).
+Delivery is FIFO per sender, like TCP.
+
+Retransmission follows TCP's discipline (RFC 6298) and nothing more.
+Every unacknowledged segment remembers when it last left and how often;
+every peer has a round-trip estimator fed by ACKs (``SRTT``/``RTTVAR``;
+Karn's rule: only a segment transmitted exactly once is sampled, and
+the receiver's delayed-ACK hold is simply part of the sample) and a
+retransmission timeout ``RTO = srtt + max(4·rttvar, RTO_MIN)``, at most
+``RTO_MAX``.  A segment is re-sent only once it has been out for a whole
+RTO — selectively, by age: k segments lost from one window fall due at
+the same expiry and heal together, a segment whose own RTO has not run
+out is left alone.  Each expiry that re-sends something doubles the RTO
+up to ``RTO_MAX``; the next clean sample, or an incarnation jump of the
+peer, collapses it.  The back-off outlives an ACK that covers only
+retransmitted segments: reset there, a peer whose round trip exceeds
+the un-backed-off RTO would have every segment re-sent before its ACK
+arrives, and Karn's rule would never admit the sample that corrects the
+estimate.  A crashed peer thus costs O(log) transmissions per segment —
+still for ever.  One one-shot timer per peer drives this, armed only
+while that peer's outbox is non-empty: an idle channel schedules
+nothing.  (``docs/architecture.md`` has the reasoning behind the
+constants.)
 
 The channel also implements *output-triggered suspicion* [12]
 (Section 3.3.2): if a message stays unacknowledged longer than
 ``stuck_timeout``, registered listeners (the monitoring component) are
-notified.  ``discard(dst)`` drops the send buffer for an excluded
-process, which is the paper's reason for coupling the channel to the
-monitoring component.  A discard punches a permanent hole in the
-connection's sequence space; should the excluded process *rejoin* on
-the same connection (crash, late recovery, exclusion, re-join — found
+notified — by the same per-peer timer, so no later than
+``stuck_timeout + RTO_MAX``.  ``discard(dst)`` drops the send buffer for
+an excluded process, which is the paper's reason for coupling the
+channel to the monitoring component.  A discard punches a permanent
+hole in the connection's sequence space; should the excluded process
+*rejoin* on the same connection (crash, late recovery, exclusion, re-join — found
 by the schedule explorer as a wedged state snapshot), the sender
 answers any acknowledgement stalled below the hole with a ``GAP``
 datagram that advances the receiver past it, so the connection heals
@@ -44,13 +66,31 @@ even when explicit heartbeats are suppressed on busy links (see
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.net.wire import payload_size
 from repro.sim.process import Component, Process
+from repro.sim.scheduler import Timer
 
 PORT = "rc"
+
+#: Bounds of the retransmission timeout, in ms.  ``RTO_MIN`` is the least
+#: slack above the smoothed round trip (and the least RTO).  It must
+#: exceed what a single round trip can add to the mean on the measured
+#: links — two hops of 3–11 ms, the sender's coalescing hold, the
+#: receiver's delayed-ACK hold, 16 ms to serialise a full batch of 4 KiB
+#: bodies at 2 MB/s — or the channel re-sends what was never lost.
+#: ``RTO_MAX`` caps the back-off and bounds how late the output-triggered
+#: suspicion can notice a stuck peer.
+RTO_MIN = 40.0
+RTO_MAX = 320.0
+
+#: Slack for "has this segment been out for a whole RTO?": the timer is
+#: armed at ``last_sent + rto`` and float rounding must not make it fire
+#: a hair early, find nothing due and re-arm for zero delay.
+_DUE_SLACK = 1e-6
 
 #: Default layer attribution for well-known ports (used when the caller
 #: does not pass ``layer=`` to :meth:`ReliableChannel.send`).  Unknown
@@ -85,6 +125,40 @@ class _Pending:
     #: at first transmission; re-activated around retransmissions so they
     #: chain to the original send in the span tree.
     span: Any = None
+    #: Time of the latest transmission and the number of transmissions;
+    #: zero while the segment still waits in the coalescing buffer.
+    last_sent: float = 0.0
+    transmits: int = 0
+
+
+class _Rto:
+    """One peer's round-trip estimator and retransmission timer."""
+
+    __slots__ = ("srtt", "rttvar", "base", "backoff", "timer")
+
+    def __init__(self, initial_rto: float) -> None:
+        self.srtt: float | None = None
+        self.rttvar = 0.0
+        #: The RTO before back-off: ``initial_rto`` until the first sample.
+        self.base = initial_rto
+        #: Consecutive expiries that re-sent something since the last
+        #: clean sample; the RTO is doubled this many times.
+        self.backoff = 0
+        self.timer: Timer | None = None
+
+    def sample(self, rtt: float) -> None:
+        """Fold in one round-trip sample (RFC 6298 §2) and end the back-off."""
+        if self.srtt is None:
+            self.srtt = rtt
+            self.rttvar = rtt / 2
+        else:
+            self.rttvar += (abs(self.srtt - rtt) - self.rttvar) / 4
+            self.srtt += (rtt - self.srtt) / 8
+        self.base = self.srtt + max(4 * self.rttvar, RTO_MIN)
+        self.backoff = 0
+
+    def timeout(self) -> float:
+        return min(self.base * (1 << self.backoff), RTO_MAX)
 
 
 class ReliableChannel(Component):
@@ -106,18 +180,24 @@ class ReliableChannel(Component):
     def __init__(
         self,
         process: Process,
-        retransmit_interval: float = 20.0,
+        initial_rto: float = RTO_MIN,
         stuck_timeout: float = 500.0,
         coalesce_delay: float | None = None,
         max_segment_batch: int = 8,
     ) -> None:
         super().__init__(process, "rc")
-        self.retransmit_interval = retransmit_interval
+        if initial_rto <= 0:
+            raise ValueError(f"initial_rto must be positive: {initial_rto}")
+        #: The RTO towards a peer no ACK has sampled yet.
+        self.initial_rto = initial_rto
         self.stuck_timeout = stuck_timeout
         self.coalesce_delay = coalesce_delay
         self.max_segment_batch = max(1, max_segment_batch)
         self._next_seq: dict[str, int] = {}
-        self._outbox: dict[str, dict[int, _Pending]] = {}
+        #: Unacknowledged segments per peer, seq-ascending by construction
+        #: (appended in send order; a reincarnation rebuilds it ascending).
+        self._outbox: dict[str, deque[_Pending]] = {}
+        self._rto: dict[str, _Rto] = {}
         #: Per-peer sequence floor left behind by :meth:`discard`: seqs
         #: below it may have been dropped unsent and will never be
         #: retransmitted, so a receiver stalled below the floor (the
@@ -147,6 +227,9 @@ class ReliableChannel(Component):
         self._inc_sent = counters.handle("rc.sent")
         self._inc_delivered = counters.handle("rc.delivered")
         self._inc_retransmits = counters.handle("rc.retransmits")
+        self._inc_duplicates = counters.handle("rc.duplicates_received")
+        self._inc_rtt_samples = counters.handle("rc.rtt_samples")
+        self._inc_backoffs = counters.handle("rc.backoffs")
         self._inc_batches = counters.handle("rc.batches")
         self._inc_coalesced = counters.handle("rc.segments_coalesced")
         self._port_handles: dict[str, Callable] = {}
@@ -155,9 +238,6 @@ class ReliableChannel(Component):
     @property
     def incarnation(self) -> int:
         return self.process.incarnation
-
-    def start(self) -> None:
-        self.schedule(self.retransmit_interval, self._tick)
 
     def _stamp(self, datagram: tuple) -> tuple:
         """Append the current hb-epoch header when the FD is wired."""
@@ -192,11 +272,18 @@ class ReliableChannel(Component):
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
         pending = _Pending(seq, port, payload, self.now, layer)
-        self._outbox.setdefault(dst, {})[seq] = pending
+        outbox = self._outbox.get(dst)
+        if outbox is None:
+            outbox = self._outbox[dst] = deque()
+            self._rto[dst] = _Rto(self.initial_rto)
+        outbox.append(pending)
+        self._ensure_armed(dst)
         spans = self._spans
         if spans.enabled:
             pending.span = spans.begin(self.pid, layer, f"rc:{port}", "queue", self.now)
         if self.coalesce_delay is None:
+            pending.last_sent = self.now
+            pending.transmits = 1
             self._send_under(
                 pending.span, dst,
                 self._stamp(("DATA", self.incarnation, self._peer_incarnation.get(dst, 0), seq, port, payload)),
@@ -229,6 +316,8 @@ class ReliableChannel(Component):
         # here); the wire datagram rides under the first segment's span.
         now = self.now
         for e in buffered:
+            e.last_sent = now
+            e.transmits = 1
             if e.span is not None:
                 e.span.end = now
         if len(buffered) == 1:
@@ -303,26 +392,28 @@ class ReliableChannel(Component):
         and a member that removes itself learns of it no other way.
         """
         self._flush(dst)
-        dropped = self._outbox.pop(dst, None)
+        dropped = self._outbox.get(dst)
         self._discard_floor[dst] = self._next_seq.get(dst, 0)
         if dropped:
             self.trace("discard", dst=dst, count=len(dropped))
+            dropped.clear()
+            self._disarm(self._rto[dst])
 
     def unacked(self, dst: str) -> int:
-        return len(self._outbox.get(dst, {}))
+        return len(self._outbox.get(dst, ()))
 
     def oldest_unacked_age(self, dst: str) -> float:
         pending = self._outbox.get(dst)
         if not pending:
             return 0.0
-        return self.now - min(p.first_sent for p in pending.values())
+        return self.now - pending[0].first_sent
 
     def on_stuck(self, listener: Callable[[str, float], None]) -> None:
         """Register an output-triggered suspicion listener.
 
-        The listener receives ``(dst, age_ms)`` on every retransmission
-        tick while the oldest unacked message to ``dst`` exceeds
-        ``stuck_timeout``.
+        The listener receives ``(dst, age_ms)`` on every expiry of the
+        retransmission timer towards ``dst`` (at most ``RTO_MAX`` apart)
+        while the oldest unacked message to it exceeds ``stuck_timeout``.
         """
         self._stuck_listeners.append(listener)
 
@@ -422,20 +513,26 @@ class ReliableChannel(Component):
             # their segments are in the outbox and get renumbered below.
             self._sendbuf.pop(src, None)
             self._flush_scheduled.discard(src)
-            pending = self._outbox.pop(src, None)
+            pending = self._outbox.get(src)
             self._next_seq.pop(src, None)
             if pending:
-                entries = sorted(pending.values(), key=lambda p: p.seq)
-                self._outbox[src] = {
-                    seq: _Pending(seq, e.port, e.payload, self.now, e.layer, e.span)
-                    for seq, e in enumerate(entries)
-                }
+                # A new connection: first transmissions again (so the
+                # ACKs they draw are clean samples), no back-off.
+                now = self.now
+                entries = [
+                    _Pending(seq, e.port, e.payload, now, e.layer, e.span, now, 1)
+                    for seq, e in enumerate(pending)
+                ]
+                pending.clear()
+                pending.extend(entries)
                 self._next_seq[src] = len(entries)
                 self._peer_incarnation[src] = incarnation
-                for seq, e in enumerate(entries):
+                self._rto[src].backoff = 0
+                self._ensure_armed(src)
+                for e in entries:
                     self._send_under(
                         e.span, src,
-                        self._stamp(("DATA", self.incarnation, incarnation, seq, e.port, e.payload)),
+                        self._stamp(("DATA", self.incarnation, incarnation, e.seq, e.port, e.payload)),
                         e.layer,
                     )
         self._peer_incarnation[src] = incarnation
@@ -445,17 +542,19 @@ class ReliableChannel(Component):
         """Run one DATA segment through the reorder buffer (no ACK —
         the caller acknowledges once per datagram / coalescing window)."""
         expected = self._next_expected.get(src, 0)
-        if seq >= expected:
-            buffer = self._reorder_buffer.setdefault(src, {})
-            buffer.setdefault(seq, (port, payload))
-            while expected in buffer:
-                deliver_port, deliver_payload = buffer.pop(expected)
-                expected += 1
-                self._next_expected[src] = expected
-                self._inc_delivered()
-                self.process.dispatch(deliver_port, src, deliver_payload)
-                if self.process.crashed:
-                    return
+        buffer = self._reorder_buffer.setdefault(src, {})
+        if seq < expected or seq in buffer:
+            self._inc_duplicates()
+            return
+        buffer[seq] = (port, payload)
+        while expected in buffer:
+            deliver_port, deliver_payload = buffer.pop(expected)
+            expected += 1
+            self._next_expected[src] = expected
+            self._inc_delivered()
+            self.process.dispatch(deliver_port, src, deliver_payload)
+            if self.process.crashed:
+                return
 
     def _skip_hole(self, src: str, floor: int) -> None:
         """Advance past a sender-declared discard hole (GAP datagram).
@@ -488,9 +587,19 @@ class ReliableChannel(Component):
 
     def _on_ack(self, src: str, ack_up_to: int) -> None:
         pending = self._outbox.get(src)
-        if pending:
-            for seq in [s for s in pending if s < ack_up_to]:
-                del pending[seq]
+        if pending and pending[0].seq < ack_up_to:
+            head = pending.popleft()
+            while pending and pending[0].seq < ack_up_to:
+                pending.popleft()
+            rto = self._rto[src]
+            # Karn's rule, on the oldest segment the ACK covers: younger
+            # ones may have sat in the receiver's reorder buffer waiting
+            # for a retransmitted head, which is not a round trip.
+            if head.transmits == 1:
+                self._inc_rtt_samples()
+                rto.sample(self.now - head.last_sent)
+            if not pending:
+                self._disarm(rto)
         floor = self._discard_floor.get(src, 0)
         if ack_up_to < floor < self._next_seq.get(src, 0):
             # The receiver is waiting for a segment below the discard
@@ -511,48 +620,71 @@ class ReliableChannel(Component):
     # ------------------------------------------------------------------
     # Retransmission + output-triggered suspicion
     # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        # Copy: stuck-listeners may send new messages (mutating the outbox).
-        for dst, pending in list(self._outbox.items()):
-            if not pending:
-                continue
-            oldest = min(p.first_sent for p in pending.values())
-            believed = self._peer_incarnation.get(dst, 0)
-            entries = sorted(pending.values(), key=lambda p: p.seq)
-            if self.coalesce_delay is None:
-                for entry in entries:
-                    self._inc_retransmits()
-                    self._send_under(
-                        entry.span, dst,
-                        self._stamp(("DATA", self.incarnation, believed, entry.seq, entry.port, entry.payload)),
-                        "rc",
-                    )
+    def _ensure_armed(self, dst: str) -> None:
+        """Arm the timer towards ``dst`` one RTO out unless it is running
+        (``active`` rather than ``is None``: a timer that came due while
+        the process was crashed has fired without running)."""
+        rto = self._rto[dst]
+        if rto.timer is None or not rto.timer.active:
+            rto.timer = self.schedule(rto.timeout(), self._on_timeout, dst)
+
+    @staticmethod
+    def _disarm(rto: _Rto) -> None:
+        if rto.timer is not None:
+            rto.timer.cancel()
+            rto.timer = None
+
+    def _on_timeout(self, dst: str) -> None:
+        """The retransmission timer towards ``dst`` expired: re-send what
+        has been out for a whole RTO, back off, report a stuck peer, and
+        re-arm for the segment that falls due next."""
+        rto = self._rto[dst]
+        rto.timer = None
+        pending = self._outbox[dst]
+        if not pending:
+            return
+        now = self.now
+        timeout = rto.timeout()
+        sent_before = now - timeout + _DUE_SLACK
+        due = [p for p in pending if p.transmits and p.last_sent <= sent_before]
+        if due:
+            if timeout < RTO_MAX:
+                rto.backoff += 1
+                self._inc_backoffs()
+                timeout = rto.timeout()
+            self._retransmit(dst, due)
+        age = now - pending[0].first_sent
+        if age > self.stuck_timeout:
+            # Listeners may send (arming the timer) or discard ``dst``.
+            for listener in self._stuck_listeners:
+                listener(dst, age)
+        if pending and rto.timer is None:
+            oldest = min((p.last_sent for p in pending if p.transmits), default=now)
+            rto.timer = self.schedule(
+                max(0.0, oldest + timeout - now), self._on_timeout, dst
+            )
+
+    def _retransmit(self, dst: str, entries: list[_Pending]) -> None:
+        now = self.now
+        for entry in entries:
+            entry.last_sent = now
+            entry.transmits += 1
+        self._inc_retransmits(len(entries))
+        believed = self._peer_incarnation.get(dst, 0)
+        # Retransmissions batch too — they are pure channel overhead, so
+        # fewer datagrams is a direct win.
+        step = 1 if self.coalesce_delay is None else self.max_segment_batch
+        for i in range(0, len(entries), step):
+            chunk = entries[i:i + step]
+            if len(chunk) == 1:
+                entry = chunk[0]
+                datagram = (
+                    "DATA", self.incarnation, believed, entry.seq, entry.port, entry.payload
+                )
             else:
-                # Retransmissions batch too — they are pure channel
-                # overhead, so fewer datagrams is a direct win.
-                for i in range(0, len(entries), self.max_segment_batch):
-                    chunk = entries[i:i + self.max_segment_batch]
-                    self._inc_retransmits(len(chunk))
-                    if len(chunk) == 1:
-                        entry = chunk[0]
-                        self._send_under(
-                            entry.span, dst,
-                            self._stamp(("DATA", self.incarnation, believed,
-                                         entry.seq, entry.port, entry.payload)),
-                            "rc",
-                        )
-                    else:
-                        segments = tuple((e.seq, e.port, e.payload) for e in chunk)
-                        self._send_under(
-                            chunk[0].span, dst,
-                            self._stamp(("BATCH", self.incarnation, believed, segments)),
-                            "rc",
-                        )
-            age = self.now - oldest
-            if age > self.stuck_timeout:
-                for listener in self._stuck_listeners:
-                    listener(dst, age)
-        self.schedule(self.retransmit_interval, self._tick)
+                segments = tuple((e.seq, e.port, e.payload) for e in chunk)
+                datagram = ("BATCH", self.incarnation, believed, segments)
+            self._send_under(chunk[0].span, dst, self._stamp(datagram), "rc")
 
 
 def channel_of(process: Process) -> ReliableChannel:

@@ -308,7 +308,9 @@ class MembershipLayer(Layer):
 class EnsembleConfig:
     heartbeat_interval: float = 10.0
     exclusion_timeout: float = 500.0
-    retransmit_interval: float = 20.0
+    #: Reliable-channel retransmission timeout until the first round-trip
+    #: sample (it then follows the link, see ``repro.net.reliable``).
+    initial_rto: float = 40.0
     settle_delay: float = 30.0
 
 
@@ -341,7 +343,7 @@ class EnsembleStack:
         cfg = self.config
         view = View.initial(initial_members)
 
-        self.channel = ReliableChannel(process, retransmit_interval=cfg.retransmit_interval)
+        self.channel = ReliableChannel(process, initial_rto=cfg.initial_rto)
         self.fd = HeartbeatFailureDetector(
             process, lambda: self.membership.view.member_list(), cfg.heartbeat_interval
         )

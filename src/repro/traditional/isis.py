@@ -41,7 +41,9 @@ class IsisConfig:
 
     heartbeat_interval: float = 10.0
     exclusion_timeout: float = 500.0
-    retransmit_interval: float = 20.0
+    #: Reliable-channel retransmission timeout until the first round-trip
+    #: sample (it then follows the link, see ``repro.net.reliable``).
+    initial_rto: float = 40.0
     kill_on_exclusion: bool = True
 
 
@@ -60,7 +62,7 @@ class IsisStack:
         cfg = self.config
         initial_view = View.initial(initial_members) if is_member else None
 
-        self.channel = ReliableChannel(process, retransmit_interval=cfg.retransmit_interval)
+        self.channel = ReliableChannel(process, initial_rto=cfg.initial_rto)
         self.vs = ViewSynchrony(process, self.channel, initial_view)
         self.fd = HeartbeatFailureDetector(
             process, self.vs.current_members, heartbeat_interval=cfg.heartbeat_interval

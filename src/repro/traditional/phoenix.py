@@ -262,7 +262,9 @@ class PhoenixConfig:
     heartbeat_interval: float = 10.0
     consensus_suspicion_timeout: float = 60.0
     exclusion_timeout: float = 500.0
-    retransmit_interval: float = 20.0
+    #: Reliable-channel retransmission timeout until the first round-trip
+    #: sample (it then follows the link, see ``repro.net.reliable``).
+    initial_rto: float = 40.0
 
 
 class PhoenixStack:
@@ -279,7 +281,7 @@ class PhoenixStack:
         cfg = self.config
         initial_view = View.initial(initial_members)
 
-        self.channel = ReliableChannel(process, retransmit_interval=cfg.retransmit_interval)
+        self.channel = ReliableChannel(process, initial_rto=cfg.initial_rto)
         members = lambda: self.membership.current_members()
         self.fd = HeartbeatFailureDetector(
             process, members, heartbeat_interval=cfg.heartbeat_interval

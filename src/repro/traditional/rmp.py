@@ -29,7 +29,9 @@ from repro.traditional.ring_membership import RingMembership
 class RingConfig:
     heartbeat_interval: float = 10.0
     exclusion_timeout: float = 500.0
-    retransmit_interval: float = 20.0
+    #: Reliable-channel retransmission timeout until the first round-trip
+    #: sample (it then follows the link, see ``repro.net.reliable``).
+    initial_rto: float = 40.0
     max_orders_per_token: int = 10
 
 
@@ -55,7 +57,7 @@ class RMPStack:
         cfg = self.config
         initial_view = View.initial(initial_members) if is_member else None
 
-        self.channel = ReliableChannel(process, retransmit_interval=cfg.retransmit_interval)
+        self.channel = ReliableChannel(process, initial_rto=cfg.initial_rto)
         self.abcast = TokenRingAtomicBroadcast(
             process,
             self.channel,

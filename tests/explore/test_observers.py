@@ -142,6 +142,32 @@ def test_agreement_prefix_late_actor_may_run_ahead_before_anchoring():
     observer.on_deliver("p00", b)
 
 
+def test_agreement_prefix_readmitted_actor_anchors_afresh():
+    """An actor excluded while alive and admitted again resumes from a
+    second snapshot (the panel re-registers it as late on the view that
+    brings it back): the part of the order it missed is not a gap, but
+    contiguity holds again from the new anchor."""
+    observer = AgreementPrefixObserver()
+    observer.register("p00", late=False)
+    observer.register("p03~1", late=True)
+    a, b, c, d = msg("p01", 0), msg("p02", 0), msg("p01", 1), msg("p02", 1)
+    for m in (a, b, c, d):
+        observer.on_deliver("p00", m)
+    observer.on_deliver("p03~1", a)
+    with pytest.raises(InvariantViolation):  # same session: b, c missing
+        observer.on_deliver("p03~1", d)
+    observer = AgreementPrefixObserver()
+    observer.register("p00", late=False)
+    observer.register("p03~1", late=True)
+    for m in (a, b, c, d):
+        observer.on_deliver("p00", m)
+    observer.on_deliver("p03~1", a)
+    observer.register("p03~1", late=True)  # removed, then back in a view
+    observer.on_deliver("p03~1", c)
+    with pytest.raises(InvariantViolation):
+        observer.on_deliver("p03~1", a)
+
+
 def test_view_observer_flags_id_reuse_with_different_members():
     observer = ViewObserver()
     observer.on_view("p00", View(1, ("p00", "p01")))

@@ -93,3 +93,37 @@ def test_stage_advances_monotonically_under_churned_conflicts():
     assert all(st >= 1 for st in stages)
     # All processes ended on the same stage (they all saw the same closures).
     assert len(stages) == 1
+
+
+def test_rejoiner_acks_the_pending_set_its_snapshot_hands_over():
+    # m1 is broadcast while p00 is down and is still waiting for p00's
+    # ack when p00's next incarnation is re-admitted: it reaches p00~1
+    # only inside the sponsor's snapshot (the rbcast fence dedups the
+    # re-sent packet), so nothing r-delivers it there.  If the rejoiner
+    # does not ack what it inherited, m1 waits out the fast-path timeout
+    # everywhere while m2 — same sender, acked on arrival — is delivered
+    # first: sender FIFO broken at every member (found by the schedule
+    # explorer as `fifo-per-incarnation` at a rejoiner).
+    from repro.core.new_stack import build_new_group, enable_recovery
+    from repro.gbcast.conflict import RBCAST_CLASS
+    from repro.sim.world import World
+
+    world = World(seed=64)
+    stacks = build_new_group(world, 3)
+    enable_recovery(world, stacks)
+    world.start()
+    world.run_for(100.0)
+    world.crash("p00")
+    world.run_for(1.0)
+    stacks["p02"].gbcast.gbcast_payload("m1", RBCAST_CLASS)
+    world.run_for(9.0)  # well inside the 60 ms suspicion timeout
+    world.recover("p00")
+    world.run_for(20.0)
+    stacks["p02"].gbcast.gbcast_payload("m2", RBCAST_CLASS)
+    delivered = lambda pid: [
+        (m.payload, path) for m, path in stacks[pid].gbcast.delivered_log
+    ]
+    assert run_until(world, lambda: all(len(delivered(p)) == 2 for p in stacks))
+    for pid in stacks:
+        assert delivered(pid) == [("m1", "fast"), ("m2", "fast")], pid
+    assert world.metrics.counters.get("gbcast.endstages") == 0
