@@ -140,6 +140,7 @@ class ChandraTouegConsensus(Component):
         suspicion_timeout: float = 50.0,
         tick_interval: float = 10.0,
         fast_path: bool = False,
+        monitor: Monitor | None = None,
     ) -> None:
         super().__init__(process, "consensus")
         self.channel = channel
@@ -150,8 +151,14 @@ class ChandraTouegConsensus(Component):
         self._pre_propose_buffer: dict[InstanceKey, list[tuple[str, tuple]]] = {}
         self._decisions: dict[InstanceKey, Any] = {}
         self._callbacks: list[DecisionCallback] = []
-        self.monitor: Monitor = fd.monitor(
-            self._monitored_peers, suspicion_timeout, on_suspect=self._on_suspicion
+        #: An always-on monitor handed in by the stack knows a dead
+        #: coordinator *before* an instance starts; the one built here
+        #: watches only participants of undecided instances and grants
+        #: each a full timeout of grace from the moment it enters that
+        #: set, so an instance first started at a suspicion edge would
+        #: wait out a second timeout for the same dead process.
+        self.monitor: Monitor = monitor if monitor is not None else fd.monitor(
+            self._monitored_peers, suspicion_timeout, on_suspect=self.peer_suspected
         )
         self.register_port(PORT, self._on_message)
         rbcast.register(DECIDE_TAG, self._on_decide_broadcast, layer="consensus")
@@ -476,15 +483,13 @@ class ChandraTouegConsensus(Component):
             callback(key, value)
 
     # Suspicion-driven progress -------------------------------------------
-    def _on_suspicion(self, suspect: str) -> None:
-        self._advance_past(suspect)
-
     def _tick(self) -> None:
         for suspect in list(self.monitor.suspects):
-            self._advance_past(suspect)
+            self.peer_suspected(suspect)
         self.schedule(self.tick_interval, self._tick)
 
-    def _advance_past(self, suspect: str) -> None:
+    def peer_suspected(self, suspect: str) -> None:
+        """Move every instance waiting on coordinator ``suspect`` on."""
         for key, inst in list(self._instances.items()):
             if inst.decided or not inst.started or inst.has_estimate is False:
                 continue

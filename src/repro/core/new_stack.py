@@ -172,13 +172,28 @@ class NewArchitectureStack:
             relay_policy=cfg.relay_policy,
             dissemination=cfg.dissemination,
         )
+        # The one small-timeout monitor (suspicion != exclusion): always
+        # on over the current members, so consensus NACKs a coordinator
+        # that is *already* suspected when an instance starts.  An edge
+        # moves consensus past the suspect, unblocks the generic
+        # broadcast fast path (and promotes the next stage closer), and
+        # — under the lazy relay policy — triggers rbcast's
+        # retained-packet flood for the suspected origin.
+        def on_suspect(q: str) -> None:
+            self.consensus.peer_suspected(q)
+            self.gbcast.nudge()
+            self.rbcast.peer_suspected(q)
+
+        self.suspicion_monitor = self.fd.monitor(
+            members, cfg.suspicion_timeout, on_suspect=on_suspect
+        )
         self.consensus = ChandraTouegConsensus(
             process,
             self.channel,
             self.rbcast,
             self.fd,
-            suspicion_timeout=cfg.suspicion_timeout,
             fast_path=True,
+            monitor=self.suspicion_monitor,
         )
         self.abcast = ConsensusAtomicBroadcast(
             process,
@@ -215,17 +230,6 @@ class NewArchitectureStack:
         )
         self.membership.register_snapshot(
             "gbcast", self.gbcast.snapshot, self.gbcast.install_snapshot
-        )
-        # A small-timeout monitor unblocks the generic broadcast fast
-        # path when a member goes silent (suspicion != exclusion), and —
-        # under the lazy relay policy — triggers rbcast's retained-packet
-        # flood for the suspected origin.
-        def on_suspect(q: str) -> None:
-            self.gbcast.nudge()
-            self.rbcast.peer_suspected(q)
-
-        self.suspicion_monitor = self.fd.monitor(
-            members, cfg.suspicion_timeout, on_suspect=on_suspect
         )
         self.gbcast.suspicion_provider = lambda: self.suspicion_monitor.suspects
         self.rbcast.suspicion_provider = lambda: self.suspicion_monitor.suspects

@@ -29,17 +29,19 @@ A message *qualifies* for the closure set if it appears in at least
   closure set.
 
 The qualifying set then rides atomic broadcast as the stage's
-``ENDSTAGE``; everything else (stage bump, re-acking, excluded-sender
-rule) is inherited from the base class.  Liveness additions: a frozen
-process that sees no closure within the fast-path timeout starts its own
-gather, so a crashed gatherer cannot wedge the stage.
+``ENDSTAGE``; everything else is inherited from the base class: stage
+bump, re-acking, the excluded-sender rule, and the one-closer rule —
+only the stage's closer gathers, a member frozen by its GATHER is in the
+same position as one that deferred its own close, and the same ladder
+(next unsuspected member on a suspicion edge, self after the fast-path
+timeout) keeps a crashed gatherer from wedging the stage.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from repro.gbcast.thrifty import ENDSTAGE_CLASS, ThriftyGenericBroadcast
+from repro.gbcast.thrifty import ThriftyGenericBroadcast
 from repro.net.message import AppMessage, MsgId
 
 GATHER_PORT = "gb.gather"
@@ -52,7 +54,6 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._gathering: dict[int, dict[str, dict[MsgId, AppMessage]]] = {}
-        self._frozen_since: float | None = None
         self.register_port(GATHER_PORT, self._on_gather)
         self.register_port(GATHER_OK_PORT, self._on_gather_ok)
 
@@ -72,25 +73,24 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
         message = self._pending.get(mid)
         if message is None:
             return
-        members = set(self.group_provider())
-        if self.pid not in members:
+        members = self.group_provider()
+        acks = self._acks_received.get(mid, ())
+        if len(acks) < self.ack_quorum() or self.pid not in members:
             return
-        acks = self._acks_received.get(mid, set()) & members
-        if len(acks) >= self.ack_quorum():
+        if sum(m in acks for m in members) >= self.ack_quorum():
             self._deliver(message, "fast")
 
     def _suspects_block_fast_path(self) -> bool:
-        members = set(self.group_provider())
-        suspected = set(self.suspicion_provider()) & members
-        return len(suspected) > self._f()
+        suspects = self.suspicion_provider()
+        if len(suspects) <= self._f():
+            return False
+        return sum(m in suspects for m in self.group_provider()) > self._f()
 
     # ------------------------------------------------------------------
     # Stage closure: gather, then abcast the qualifying set
     # ------------------------------------------------------------------
-    def _close_stage(self, reason: str) -> None:
+    def _end_stage(self, reason: str) -> None:
         stage = self._stage
-        if stage in self._gathering:
-            return  # already gathering for this stage
         self._gathering[stage] = {}
         self.trace("gather_start", stage=stage, reason=reason)
         self.world.metrics.counters.inc("gbcast.gathers")
@@ -100,11 +100,13 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
     def _on_gather(self, src: str, stage: int) -> None:
         if stage != self._stage:
             return
-        # Freeze: no more stage-k acks once our set is reported.
+        # Freeze: no more stage-k acks once our set is reported.  Unless
+        # the gather is our own we now wait on src's ENDSTAGE, exactly
+        # like a member that deferred its close.
         if not self._frozen:
             self._frozen = True
-            self._frozen_since = self.now
-            self._arm_tick()  # frozen stages need the frozen-timeout watchdog
+            self._deferred_at = self.now
+            self._arm_tick()
         self.channel.send(src, GATHER_OK_PORT, (stage, dict(self._acked)))
 
     def _on_gather_ok(self, src: str, payload: tuple) -> None:
@@ -131,46 +133,10 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
             contents[mid] for mid, c in sorted(counts.items()) if c >= threshold
         ]
         del self._gathering[stage]
-        self.trace("endstage", stage=stage, reason="gather", size=len(qualifying))
-        self.world.metrics.counters.inc("gbcast.endstages")
-        endstage = AppMessage(
-            self.process.msg_ids.next(), self.pid, (stage, qualifying), ENDSTAGE_CLASS
-        )
-        self.abcast.abcast(endstage)
-
-    # ------------------------------------------------------------------
-    # Liveness: a frozen stage must not depend on one gatherer
-    # ------------------------------------------------------------------
-    def _tick_needed(self) -> bool:
-        # Unlike the base class, a frozen quorum stage still needs the
-        # tick: a crashed gatherer must not wedge the stage forever.
-        return bool(self._ack_times) or self._frozen
-
-    def _timeout_tick(self) -> None:
-        self._tick_armed = False
-        self.world.metrics.counters.inc("gbcast.ticks")
-        if self._frozen:
-            stalled = (
-                self._frozen_since is not None
-                and self.now - self._frozen_since > self.fast_path_timeout
-                and self._stage not in self._gathering
-            )
-            if stalled:
-                self._frozen_since = self.now
-                self._close_stage("frozen-timeout")
-        else:
-            deadline = self.now - self.fast_path_timeout
-            if any(t <= deadline for t in self._ack_times.values()):
-                self._close_stage("timeout")
-        self._arm_tick()
+        self._abcast_endstage(qualifying, "gather")
 
     def _on_adeliver(self, message: AppMessage) -> None:
-        closing = (
-            message.msg_class == ENDSTAGE_CLASS
-            and message.payload[0] == self._stage
-            and message.sender in self.group_provider()
-        )
+        stage = self._stage
         super()._on_adeliver(message)
-        if closing:
-            self._frozen_since = None
-            self._gathering.pop(message.payload[0], None)
+        if self._stage != stage:
+            self._gathering.pop(stage, None)

@@ -14,11 +14,21 @@ Stage-based algorithm (see DESIGN.md §5 for the safety argument):
 * ``m`` is **fast-delivered** once ACKs from *all* current view members
   arrive (no atomic broadcast involved).
 * A process that cannot ACK ``m`` (conflict), or that is nudged (ack
-  timeout / failure suspicion), **closes the stage**: it atomically
-  broadcasts ``ENDSTAGE(k, acked_k)`` and freezes.  On the first
-  adelivered ``ENDSTAGE(k, S)`` from a current member, everyone delivers
-  the undelivered messages of ``S`` in a deterministic order, bumps to
-  stage ``k + 1`` and re-processes pending messages.
+  timeout / failure suspicion), **freezes**: it acks nothing more in
+  stage ``k``.  Every stage has **one closer** — the first current
+  member this process does not suspect, which is also the round-0
+  consensus coordinator — and only the closer atomically broadcasts
+  ``ENDSTAGE(k, acked_k)``.  Any single member's acked set is a valid
+  closure set (a fast delivery needs an ack from *every* member, so
+  every member's set holds every message fast-delivered in ``k``), so
+  the other n−1 ENDSTAGEs, which lost the race anyway, bought nothing.
+  A frozen non-closer re-evaluates on every suspicion edge (the next
+  unsuspected member takes over) and closes by itself
+  ``fast_path_timeout`` later; the ack timeout closes directly, because
+  the process it fires at may be the only one that is stuck.
+* On the first adelivered ``ENDSTAGE(k, S)`` from a current member,
+  everyone delivers the undelivered messages of ``S`` in a deterministic
+  order, bumps to stage ``k + 1`` and re-processes pending messages.
 
 Invariants enforced (and tested property-style in
 ``tests/properties/test_gbcast_properties.py``):
@@ -83,6 +93,9 @@ class ThriftyGenericBroadcast(Component):
         self.fast_path_timeout = fast_path_timeout
         self._stage = 0
         self._frozen = False
+        #: Since when this process is frozen *waiting for somebody
+        #: else's* ENDSTAGE; None once its own is on the way.
+        self._deferred_at: float | None = None
         self._acked: dict[MsgId, AppMessage] = {}
         #: Per-class view of ``_acked``: makes the ack conflict decision
         #: O(#conflicting classes) instead of a scan over every acked
@@ -157,8 +170,8 @@ class ThriftyGenericBroadcast(Component):
 
     def _suspects_block_fast_path(self) -> bool:
         """True when current suspicions make the fast path unreachable."""
-        suspected = set(self.suspicion_provider()) & set(self.group_provider())
-        return bool(suspected)
+        suspects = self.suspicion_provider()
+        return bool(suspects) and not suspects.isdisjoint(self.group_provider())
 
     def _close_if_suspects_block(self) -> None:
         if self._frozen or not self._pending:
@@ -216,18 +229,21 @@ class ThriftyGenericBroadcast(Component):
         message = self._pending.get(mid)
         if message is None:
             return
-        members = set(self.group_provider())
-        if self.pid not in members:
-            return
-        if members <= self._acks_received.get(mid, set()):
+        members = self.group_provider()
+        acks = self._acks_received.get(mid, ())
+        if len(acks) >= len(members) and self.pid in members and acks.issuperset(members):
             self._deliver(message, "fast")
 
     # ------------------------------------------------------------------
     # Stage closure (the only place atomic broadcast is invoked)
     # ------------------------------------------------------------------
     def nudge(self) -> None:
-        """External unblock request (failure suspicion from the stack)."""
-        if not self._frozen and self._pending:
+        """External unblock request (a suspicion edge from the stack).
+
+        Also re-evaluates a deferred close: the suspect may be the
+        closer this process was waiting for.
+        """
+        if self._pending:
             self._close_stage("nudge")
 
     def _tick_needed(self) -> bool:
@@ -236,9 +252,12 @@ class ThriftyGenericBroadcast(Component):
         Idle processes must not wake up: an unconditional re-arm every
         ``fast_path_timeout / 2`` inflates ``events_processed`` and slows
         every simulation for nothing.  The tick is re-armed from the
-        points where work appears (acking a message, unfreezing a stage).
+        points where work appears (acking a message, unfreezing a stage,
+        deferring a close to another member).
         """
-        return bool(self._ack_times) and not self._frozen
+        if self._frozen:
+            return self._deferred_at is not None
+        return bool(self._ack_times)
 
     def _arm_tick(self) -> None:
         if self._tick_armed or not self._tick_needed():
@@ -249,22 +268,49 @@ class ThriftyGenericBroadcast(Component):
     def _timeout_tick(self) -> None:
         self._tick_armed = False
         self.world.metrics.counters.inc("gbcast.ticks")
+        deadline = self.now - self.fast_path_timeout
         if not self._frozen:
-            deadline = self.now - self.fast_path_timeout
             stuck = any(t <= deadline for t in self._ack_times.values())
-            if stuck:
-                self._close_stage("timeout")
+        else:  # the closer this process deferred to never closed
+            stuck = self._deferred_at is not None and self._deferred_at <= deadline
+        if stuck:
+            self._close_stage("timeout")
         self._arm_tick()
 
+    def _closer(self, members: list[str]) -> str | None:
+        """The one member expected to close the current stage: the first
+        this process does not suspect (= the round-0 consensus
+        coordinator when nobody is suspected)."""
+        suspects = self.suspicion_provider()
+        return next((m for m in members if m not in suspects), None)
+
     def _close_stage(self, reason: str) -> None:
-        if self._frozen:
-            return
+        if self._frozen and self._deferred_at is None:
+            return  # this process's ENDSTAGE is already on its way
+        members = self.group_provider()
         self._frozen = True
-        acked_msgs = [self._acked[mid] for mid in sorted(self._acked)]
-        self.trace("endstage", stage=self._stage, reason=reason, size=len(acked_msgs))
+        if self.pid not in members:
+            self._deferred_at = None
+            return  # an ENDSTAGE from outside the view is void: stay silent
+        if reason != "timeout" and self._closer(members) != self.pid:
+            if self._deferred_at is None:
+                self._deferred_at = self.now
+                self.trace("close_deferred", stage=self._stage, reason=reason)
+                self.world.metrics.counters.inc("gbcast.closes_deferred")
+                self._arm_tick()
+            return
+        self._deferred_at = None
+        self._end_stage(reason)
+
+    def _end_stage(self, reason: str) -> None:
+        """Close the stage with this process's frozen acked set."""
+        self._abcast_endstage([self._acked[mid] for mid in sorted(self._acked)], reason)
+
+    def _abcast_endstage(self, closure_set: list[AppMessage], reason: str) -> None:
+        self.trace("endstage", stage=self._stage, reason=reason, size=len(closure_set))
         self.world.metrics.counters.inc("gbcast.endstages")
         endstage = AppMessage(
-            self.process.msg_ids.next(), self.pid, (self._stage, acked_msgs), ENDSTAGE_CLASS
+            self.process.msg_ids.next(), self.pid, (self._stage, closure_set), ENDSTAGE_CLASS
         )
         self.abcast.abcast(endstage)
 
@@ -285,6 +331,7 @@ class ThriftyGenericBroadcast(Component):
                 self._deliver(msg, "closure")
         self._stage += 1
         self._frozen = False
+        self._deferred_at = None
         self._acked.clear()
         self._ack_index.clear()
         self._ack_times.clear()

@@ -57,6 +57,7 @@ MECHANISM_COUNTERS = {
         "abcast.decide_before_dissemination", "abcast.pulls_sent", "abcast.repaired",
     ),
     "exclusion-rejoin-channel-hole": ("rc.gap_notices", "rc.gap_skips"),
+    "one-closer-liveness-ladder": ("gbcast.closes_deferred",),
     # The successor's crash triggers the suspicion flood, and its
     # pre-exclusion reincarnation leaves silently stranded chain packets
     # that only the stability anti-entropy repair can re-send (no
@@ -73,6 +74,19 @@ def test_corpus_entry_still_hits_its_mechanism(stem):
     _result, world = run_scenario(ScenarioConfig.from_json_obj(obj["config"]))
     for name in MECHANISM_COUNTERS[stem]:
         assert world.metrics.counters.get(name) > 0, (stem, name)
+
+
+def test_one_closer_entry_climbs_every_rung_of_the_ladder():
+    # Beside the deferred closes counted above: a non-closer closes on
+    # its own ack timeout (un-gated), and a member that suspects the
+    # closer promotes itself on the suspicion edge.
+    obj = json.loads((CORPUS_DIR / "one-closer-liveness-ladder.json").read_text())
+    _result, world = run_scenario(ScenarioConfig.from_json_obj(obj["config"]), trace=True)
+    closes = {
+        (record.pid, record.details["reason"])
+        for record in world.trace.select(component="gbcast", event="endstage")
+    }
+    assert {("p00", "conflict"), ("p02", "timeout"), ("p01", "nudge")} <= closes
 
 
 def test_fast_path_corpus_entries_exercise_the_crash_window():
