@@ -27,15 +27,15 @@ uniform agreement is inherited from consensus.
 rbcast hands it every referenced body (a slow link, a recovered
 incarnation whose fresh stack replayed a DECIDE, a joiner whose state
 snapshot fences out pre-join rbcast traffic).  Delivery then blocks on
-the missing ids and a deterministic PULL/repair kicks in: ask the
-decision's *proposer* first (it held every body when it proposed), then
-rotate through the remaining members, until the bodies arrive by PUSH or
-by ordinary rbcast delivery.  rbcast's own guarantee — retained packets
-are flooded on suspicion and never pruned before *every* member's
-watermark covers them (plus the proposed-but-undecided retention pin) —
-is the eventual-delivery backstop; the PULL path is the targeted repair
-that closes the window quickly and serves processes rbcast never
-addressed (post-snapshot laggards).
+the missing ids — only the head instance can ever be blocked — and
+abcast asks rbcast for a repair (``rbcast.request_repair``) every
+``REPAIR_INTERVAL``: the decision's *proposer* first (it held every body
+when it proposed), then the other members in turn.  How the packets are
+found and re-sent is rbcast's business; the bodies come back through the
+ordinary r-deliver handler.  Some member always has them: rbcast keeps a
+packet until every current member has r-delivered it, and a joiner whose
+snapshot fences a packet it never saw received the body in the abcast
+snapshot cut in the same event.
 
 Pipelining (Ring-Paxos-style windowing):  up to ``window`` consensus
 instances may be in flight concurrently, so a burst of broadcasts does
@@ -66,19 +66,19 @@ membership change.  Instances are therefore keyed ``(epoch, index)``:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable
 
 from repro.broadcast.rbcast import ReliableBroadcast
 from repro.consensus.chandra_toueg import ChandraTouegConsensus
 from repro.net.message import AppMessage, MsgId
 from repro.sim.process import Component, Process
+from repro.sim.scheduler import Timer
 
 MSG_TAG = "abc.msg"
 INSTANCE_PREFIX = "abc"
-#: Point-to-point repair port for decide-before-dissemination windows
-#: (attributed to the ``abcast`` layer — see ``repro.net.reliable.PORT_LAYERS``).
-PULL_PORT = "abc.pull"
+#: While the head instance is blocked on a decided-but-missing body,
+#: ask rbcast for a repair this often (ms), one member per attempt.
+REPAIR_INTERVAL = 50.0
 
 #: Message classes that may change the group (membership ctl ops ride
 #: this class — see ``repro.membership.abcast_membership.CTL_CLASS``).
@@ -102,21 +102,16 @@ class ConsensusAtomicBroadcast(Component):
         window: int = 1,
         max_batch: int | None = None,
         serial_classes: frozenset[str] = SERIAL_CLASSES,
-        pull_retry_interval: float = 50.0,
-        body_cache_limit: int = 256,
     ) -> None:
         super().__init__(process, "abcast")
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.rbcast = rbcast
-        self.channel = rbcast.channel
         self.consensus = consensus
         self.group_provider = group_provider
         self.window = window
         self.max_batch = max_batch
         self.serial_classes = serial_classes
-        self.pull_retry_interval = pull_retry_interval
-        self.body_cache_limit = body_cache_limit
         self._pending: dict[MsgId, AppMessage] = {}
         self._delivered: set[MsgId] = set()
         #: Decided, not yet applied id vectors keyed by (epoch, index) —
@@ -131,24 +126,17 @@ class ConsensusAtomicBroadcast(Component):
         #: index — so concurrent instances propose disjoint slices.
         self._proposal_ids: dict[int, list[MsgId]] = {}
         self._assigned: set[MsgId] = set()
-        #: rbcast packet id that carried each still-pending body — the
-        #: hook for the retention pin (see :meth:`rb_retention_pin`).
-        self._rb_mid_of: dict[MsgId, MsgId] = {}
-        #: Recently a-delivered bodies, bounded FIFO: the PULL responder
-        #: serves laggards that ask after we already applied the batch.
-        self._bodies: dict[MsgId, AppMessage] = {}
-        self._body_order: deque[MsgId] = deque()
-        #: Active decide-before-dissemination repairs, keyed like the
-        #: decided batch; each tracks the decision's proposer, the ids
-        #: still missing locally, and the retry rotation position.
-        self._fetches: dict[tuple[int, int], dict[str, Any]] = {}
-        #: Union of all fetches' missing ids (fast rdeliver check).
-        self._waiting_on: set[MsgId] = set()
+        #: Decide-before-dissemination: ``(key, proposer, missing ids)``
+        #: of the head instance while it waits for bodies (delivery is in
+        #: strict instance order, so only the head can ever be blocked),
+        #: the timer of its repair requests and the rotation position.
+        self._blocked: tuple[tuple[int, int], str, frozenset[MsgId]] | None = None
+        self._repair_timer: Timer | None = None
+        self._repair_attempt = 0
         self._callbacks: list[AdeliverFn] = []
         self.delivered_log: list[AppMessage] = []
         rbcast.register(MSG_TAG, self._on_rdeliver, layer="abcast")
         consensus.on_decide(self._on_decide)
-        self.register_port(PULL_PORT, self._on_pull_port)
 
     # ------------------------------------------------------------------
     # Client interface (Fig. 9: abcast / adeliver)
@@ -187,32 +175,7 @@ class ConsensusAtomicBroadcast(Component):
 
     def waiting_on(self) -> set[MsgId]:
         """Ids decided but not yet locally available (repair in flight)."""
-        return set(self._waiting_on)
-
-    # ------------------------------------------------------------------
-    # rbcast retention pin (dissemination GC must respect ordering)
-    # ------------------------------------------------------------------
-    def rb_retention_pin(self) -> dict[str, int]:
-        """Per-origin floor of rbcast seqs that must survive pruning.
-
-        A packet whose app id sits in a proposed-but-undecided instance
-        is relay/repair material: if the proposer crashes after the
-        decision spreads, a suspicion flood of retained packets is how
-        laggards get the body — pruning it would strand them on the PULL
-        path alone.  Returns ``{rb_origin: min_seq}``; rbcast's
-        ``_prune`` keeps everything at or above the floor.  Pins release
-        when the instance decides and applies (the id leaves
-        ``_assigned``), so retention stays bounded.
-        """
-        pins: dict[str, int] = {}
-        for mid in self._assigned:
-            rb_mid = self._rb_mid_of.get(mid)
-            if rb_mid is None:
-                continue
-            floor = pins.get(rb_mid.sender)
-            if floor is None or rb_mid.seq < floor:
-                pins[rb_mid.sender] = rb_mid.seq
-        return pins
+        return set(self._blocked[2]) if self._blocked else set()
 
     # ------------------------------------------------------------------
     # State transfer support (for joiners)
@@ -224,7 +187,7 @@ class ConsensusAtomicBroadcast(Component):
         snapshot fences out late copies of pre-snapshot packets, so any
         id decided beyond the snapshot position whose body the joiner
         never received must come from here (the donor held it in
-        ``pending`` at the cut) or from the PULL path.
+        ``pending`` at the cut) or from an rbcast repair.
         """
         return {
             "epoch": self._epoch,
@@ -237,7 +200,7 @@ class ConsensusAtomicBroadcast(Component):
         # Any instance optimistically started before the snapshot position
         # is obsolete; abandon it so this process stops participating.
         self._abandon_proposals(from_index=0)
-        self._cancel_all_fetches()
+        self._unblock()
         self._epoch = snapshot["epoch"]
         self._next_instance = snapshot["next_instance"]
         self._next_proposal = self._next_instance
@@ -249,9 +212,6 @@ class ConsensusAtomicBroadcast(Component):
             if mid not in self._delivered and mid not in merged:
                 merged[mid] = msg
         self._pending = merged
-        self._rb_mid_of = {
-            mid: rb for mid, rb in self._rb_mid_of.items() if mid in self._pending
-        }
         self._decided_batches = {
             (epoch, idx): decision
             for (epoch, idx), decision in self._decided_batches.items()
@@ -288,7 +248,7 @@ class ConsensusAtomicBroadcast(Component):
         snapshot's pruning — i.e. decisions beyond the snapshot position
         that arrived during the transfer; with id-only ordering this is
         where a post-snapshot laggard first discovers missing bodies and
-        starts pulling.
+        starts asking for them.
         """
         self._apply_ready_batches()
         self._maybe_start_instances()
@@ -296,16 +256,14 @@ class ConsensusAtomicBroadcast(Component):
     # ------------------------------------------------------------------
     # Protocol
     # ------------------------------------------------------------------
-    def _on_rdeliver(self, _origin: str, message: AppMessage, rb_mid: MsgId) -> None:
+    def _on_rdeliver(self, _origin: str, message: AppMessage, _rb_mid: MsgId) -> None:
         if message.id in self._delivered or message.id in self._pending:
             return
         self._pending[message.id] = message
-        self._rb_mid_of[message.id] = rb_mid
-        if message.id in self._waiting_on:
-            # Dissemination outran the repair: the body a decided batch
-            # was blocked on just arrived the ordinary way.
-            self.world.metrics.counters.inc("abcast.late_dissemination")
-            self._note_arrived(message.id)
+        if self._blocked is not None and message.id in self._blocked[2]:
+            # A body the head instance was blocked on (re-sent on our
+            # request or late the ordinary way — rbcast does not say).
+            self.world.metrics.counters.inc("abcast.repaired")
             self._apply_ready_batches()
         self._maybe_start_instances()
 
@@ -346,7 +304,7 @@ class ConsensusAtomicBroadcast(Component):
                 self.world.metrics.counters.inc("abcast.instances_pipelined")
             # Id-only proposal: the bodies stay with rbcast.  The
             # proposer pid rides along so a process that decides before
-            # dissemination knows whom to PULL from first.
+            # dissemination knows whom to ask for a repair first.
             self.consensus.propose(
                 (INSTANCE_PREFIX, self._epoch, index),
                 (self.pid, tuple(batch_ids)),
@@ -379,7 +337,7 @@ class ConsensusAtomicBroadcast(Component):
             # DECIDE broadcasts at a recovered incarnation's fresh stack
             # — but applying them would deliver the very prefix the
             # state snapshot is about to install, from position zero.
-            # Retain them (and do not pull for their bodies: the
+            # Retain them (and do not ask for their bodies: the
             # snapshot covers everything up to its position); the
             # post-transfer resume drains whatever lies beyond.
             return
@@ -397,10 +355,10 @@ class ConsensusAtomicBroadcast(Component):
             if missing:
                 # Decided before dissemination: block delivery (instance
                 # order is strict) and repair.
-                self._ensure_fetch(key, proposer, missing)
+                self._block_on(key, proposer, missing)
                 return
             del self._decided_batches[key]
-            self._cancel_fetch(key)
+            self._unblock()
             delivered_now = self._deliver_batch(batch_ids)
             if self.process.crashed:
                 return
@@ -414,108 +372,43 @@ class ConsensusAtomicBroadcast(Component):
                 self._bump_epoch()
 
     # ------------------------------------------------------------------
-    # PULL/repair (decide-before-dissemination)
+    # Decide-before-dissemination: the repair itself is rbcast's
     # ------------------------------------------------------------------
-    def _ensure_fetch(
+    def _block_on(
         self, key: tuple[int, int], proposer: str, missing: list[MsgId]
     ) -> None:
-        if key in self._fetches:
-            return
-        self._fetches[key] = {
-            "proposer": proposer,
-            "missing": set(missing),
-            "attempt": 0,
-        }
-        self._waiting_on.update(missing)
-        self.world.metrics.counters.inc("abcast.decide_before_dissemination")
-        self.trace("fetch_start", key=str(key), missing=len(missing))
-        self._send_pull(key)
+        newly = self._blocked is None
+        self._blocked = (key, proposer, frozenset(missing))
+        if newly:
+            self.world.metrics.counters.inc("abcast.decide_before_dissemination")
+            self.trace("blocked", key=str(key), missing=len(missing))
+            self._repair_attempt = 0
+            self._request_repair()
 
-    def _pull_targets(self, proposer: str) -> list[str]:
-        """Deterministic repair rotation: proposer first, then the rest.
+    def _unblock(self) -> None:
+        self._blocked = None
+        if self._repair_timer is not None:
+            self._repair_timer.cancel()
+            self._repair_timer = None
 
-        The proposer held every proposed body when it proposed, so it is
-        the best first ask; any member may have the bodies too (rbcast
-        delivered to all members), so the rotation falls through to them
-        if the proposer is slow, crashed, or already excluded.
+    def _request_repair(self) -> None:
+        """Ask one member to re-send what rbcast still lacks here.
+
+        Deterministic rotation: the decision's proposer first (it held
+        every body when it proposed), then the other members in turn —
+        any of them retains the packets until they are stable, that is
+        until we have them too.
         """
+        proposer = self._blocked[1]
         members = self.group_provider()
-        others = sorted(m for m in members if m != self.pid and m != proposer)
+        targets = sorted(m for m in members if m != self.pid and m != proposer)
         if proposer != self.pid and proposer in members:
-            return [proposer] + others
-        return others
-
-    def _send_pull(self, key: tuple[int, int]) -> None:
-        fetch = self._fetches.get(key)
-        if fetch is None or not fetch["missing"]:
-            return
-        targets = self._pull_targets(fetch["proposer"])
+            targets.insert(0, proposer)
         if targets:
-            target = targets[fetch["attempt"] % len(targets)]
-            fetch["attempt"] += 1
             self.world.metrics.counters.inc("abcast.pulls_sent")
-            self.channel.send(
-                target, PULL_PORT, ("PULL", tuple(sorted(fetch["missing"])))
-            )
-        self.schedule(self.pull_retry_interval, self._retry_pull, key)
-
-    def _retry_pull(self, key: tuple[int, int]) -> None:
-        if key in self._fetches:
-            self.world.metrics.counters.inc("abcast.pull_retries")
-            self._send_pull(key)
-
-    def _note_arrived(self, mid: MsgId) -> None:
-        self._waiting_on.discard(mid)
-        for key in list(self._fetches):
-            fetch = self._fetches[key]
-            fetch["missing"].discard(mid)
-            if not fetch["missing"]:
-                # Fully repaired; the retry timer finds no entry and dies.
-                del self._fetches[key]
-
-    def _cancel_fetch(self, key: tuple[int, int]) -> None:
-        fetch = self._fetches.pop(key, None)
-        if fetch is not None:
-            self._waiting_on = set().union(
-                *(f["missing"] for f in self._fetches.values())
-            ) if self._fetches else set()
-
-    def _cancel_all_fetches(self) -> None:
-        self._fetches.clear()
-        self._waiting_on.clear()
-
-    def _on_pull_port(self, src: str, request: tuple) -> None:
-        kind = request[0]
-        counters = self.world.metrics.counters
-        if kind == "PULL":
-            found: list[AppMessage] = []
-            misses = 0
-            for mid in request[1]:
-                body = self._pending.get(mid)
-                if body is None:
-                    body = self._bodies.get(mid)
-                if body is None:
-                    misses += 1
-                else:
-                    found.append(body)
-            counters.inc("abcast.pulls_received")
-            if misses:
-                counters.inc("abcast.pull_misses", misses)
-            if found:
-                counters.inc("abcast.pull_served", len(found))
-                self.channel.send(src, PULL_PORT, ("PUSH", tuple(found)))
-        elif kind == "PUSH":
-            repaired = 0
-            for message in request[1]:
-                if message.id in self._delivered or message.id in self._pending:
-                    continue
-                self._pending[message.id] = message
-                self._note_arrived(message.id)
-                repaired += 1
-            if repaired:
-                counters.inc("abcast.repaired", repaired)
-                self._apply_ready_batches()
-                self._maybe_start_instances()
+            self.rbcast.request_repair(targets[self._repair_attempt % len(targets)])
+            self._repair_attempt += 1
+        self._repair_timer = self.schedule(REPAIR_INTERVAL, self._request_repair)
 
     # ------------------------------------------------------------------
     def _retire_proposal(self, index: int) -> None:
@@ -530,8 +423,7 @@ class ConsensusAtomicBroadcast(Component):
         messages are still in ``pending`` and are re-proposed under the
         new epoch, so nothing is lost — the decisions themselves are
         discarded identically at every process (the bump is a function
-        of the delivered prefix alone, which is totally ordered).  Any
-        repair blocked on a voided decision is cancelled with it.
+        of the delivered prefix alone, which is totally ordered).
         """
         voided = [k for k in self._decided_batches if k[0] == self._epoch]
         for key in voided:
@@ -546,7 +438,6 @@ class ConsensusAtomicBroadcast(Component):
             and key[0] == INSTANCE_PREFIX
             and key[1] <= stale_epoch
         )
-        self._cancel_all_fetches()
         if voided:
             self.world.metrics.counters.inc("abcast.instances_voided", len(voided))
         self._epoch += 1
@@ -559,12 +450,6 @@ class ConsensusAtomicBroadcast(Component):
         for index in [i for i in self._proposal_ids if i >= from_index]:
             self.consensus.abandon((INSTANCE_PREFIX, self._epoch, index))
             self._retire_proposal(index)
-
-    def _remember_body(self, message: AppMessage) -> None:
-        self._bodies[message.id] = message
-        self._body_order.append(message.id)
-        while len(self._body_order) > self.body_cache_limit:
-            self._bodies.pop(self._body_order.popleft(), None)
 
     def _deliver_batch(self, batch_ids: tuple[MsgId, ...]) -> list[AppMessage]:
         """Deliver the batch's not-yet-delivered ids in id order.
@@ -583,8 +468,6 @@ class ConsensusAtomicBroadcast(Component):
             message = self._pending.pop(mid)
             self._delivered.add(mid)
             self._assigned.discard(mid)
-            self._rb_mid_of.pop(mid, None)
-            self._remember_body(message)
             self.world.metrics.counters.inc("abcast.delivered")
             self.world.metrics.latency.end("abcast", mid, self.now)
             self.delivered_log.append(message)

@@ -11,9 +11,9 @@ delivers ``m``.
 datagrams even in the common, failure-free case — yet the relay is only
 *needed* when the origin crashes mid-broadcast.  Under
 ``relay_policy="lazy"`` members do not relay on first receipt; instead
-each member retains every not-yet-stable packet and floods the retained
-packets of an origin the moment the failure detector suspects it (and
-relays on receipt while the origin stays suspected).  The crash-tolerance
+each member floods the retained packets of an origin the moment the
+failure detector suspects it (and relays on receipt while the origin
+stays suspected).  The crash-tolerance
 argument is unchanged: if any correct member delivered ``m`` and the
 origin crashed before completing its sends, the origin is eventually
 suspected at that member, which then relays ``m`` to everyone — the
@@ -38,10 +38,21 @@ its forwarding duties are adopted by its predecessor (counted as
 ``rb.reroutes``) while it still gets a best-effort direct copy — and a
 suspicion edge floods **all** retained packets (any origin's, not just
 the suspect's own: a crashed *forwarder* strands other origins'
-packets) as the crash-tolerance backstop.  Under an overlay every
-member retains every not-yet-stable packet, exactly like the lazy
-relay, so the flood material is always at hand and is GC'd by the same
-stability machinery.
+packets) as the crash-tolerance backstop.
+
+**Loss repair** is decided here and nowhere else.  Every member retains
+every delivered, not-yet-stable packet — its own included, whatever the
+policy — in one store with one GC rule (stable at every current member).
+Two paths read it: the *push* on a suspicion edge above, and the *pull*
+on a detected hole — :meth:`ReliableBroadcast.request_repair` sends our
+watermark vector on the ``rb.nack`` port and the peer re-sends every
+retained packet above it on the ordinary ``rb`` port.  The stability
+tick NACKs for a mark that peers reported a whole interval ago and that
+we still lack (a packet rbcast by a member that had not yet installed
+the view we joined in, or stranded at an overlay forwarder that
+rejoined behind its snapshot fence); atomic broadcast NACKs while a
+decided id's body is missing.  The receiver detects and asks, as in
+Ring Paxos: the sender's view of our marks is always stale.
 
 The component is *tag-multiplexed*: several upper layers (consensus
 decisions, atomic broadcast payloads, generic broadcast checks) share one
@@ -73,6 +84,7 @@ from repro.sim.process import Component, Process
 
 PORT = "rb"
 STABILITY_PORT = "rb.stable"
+NACK_PORT = "rb.nack"
 RELAY_POLICIES = ("eager", "lazy")
 
 DeliverFn = Callable[[str, Any, MsgId], None]
@@ -115,17 +127,11 @@ class ReliableBroadcast(Component):
             if dissemination == "flood"
             else DisseminationOverlay(dissemination)
         )
-        #: Current suspect set of the stack's FD monitor (pids).  Only
-        #: consulted under the lazy policy; assigned after construction
-        #: by the stack wiring (the monitor does not exist yet here).
+        #: Current suspect set of the stack's FD monitor (pids), read by
+        #: the forward rule and the hole detection; assigned after
+        #: construction by the stack wiring (the monitor does not exist
+        #: yet here).
         self.suspicion_provider = suspicion_provider
-        #: Optional retention pin (assigned after construction, like the
-        #: suspicion provider): a callable returning ``{origin: seq}``
-        #: floors below which :meth:`_prune` must NOT prune.  Id-only
-        #: atomic broadcast pins packets whose ids ride a proposed-but-
-        #: undecided instance — they are the relay/repair material for
-        #: any member that decides before dissemination reaches it.
-        self.retention_pin: Callable[[], dict[str, int]] | None = None
         self.stability_interval = stability_interval
         # Private gap-free id space: origin is "<pid>!rb" for the first
         # incarnation.  A recovered incarnation restarts its counter at
@@ -148,8 +154,10 @@ class ReliableBroadcast(Component):
         #: rebuild; ``_seen_count`` keeps :meth:`seen_size` O(1).
         self._seen: dict[str, set[int]] = {}
         self._seen_count = 0
-        #: Lazy policy only: retained packets per origin, pruned with the
-        #: dedup entries — the relay material for a later suspicion.
+        #: The one retained store (``relay=True``): every delivered,
+        #: not-yet-stable packet per origin, our own included.  It is the
+        #: material of both repair paths — the suspicion-edge flood and
+        #: the answer to a NACK — and is pruned with the dedup entries.
         self._retained: dict[str, dict[int, tuple]] = {}
         #: Highest contiguous seq delivered per origin (-1 = none).
         self._watermarks: dict[str, int] = {}
@@ -159,11 +167,11 @@ class ReliableBroadcast(Component):
         self._reported: dict[str, dict[str, int]] = {}
         #: What we last gossiped to each member (delta encoding).
         self._gossiped: dict[str, dict[str, int]] = {}
-        #: Overlay anti-entropy: each member's reported vector as of the
-        #: previous stability tick (to tell "stranded" from "in flight")
-        #: and the (member, origin) marks already repaired once.
-        self._repair_prev: dict[str, dict[str, int]] = {}
-        self._repaired_at: dict[tuple[str, str], int] = {}
+        #: Hole detection: the highest mark per origin that unsuspected
+        #: peers had reported as of the previous stability tick (to tell
+        #: "stranded" from "in flight"), and the holder-rotation position.
+        self._nack_prev: dict[str, int] = {}
+        self._nack_turn = 0
         #: Everything at or below this per-origin seq has been pruned.
         self._pruned: dict[str, int] = {}
         counters = self.world.metrics.counters
@@ -173,11 +181,14 @@ class ReliableBroadcast(Component):
         self._inc_forwarded = counters.handle("rb.forwarded")
         self._inc_reroutes = counters.handle("rb.reroutes")
         self._inc_suspect_floods = counters.handle("rb.suspect_floods")
+        self._inc_nacks = counters.handle("rb.nacks_sent")
+        #: Packets re-sent in answer to a NACK (the counter keeps the
+        #: name the benchmark reads).
         self._inc_repairs = counters.handle("rb.overlay_repairs")
         self._inc_pruned = counters.handle("rb.stable_pruned")
-        self._inc_pin_deferred = counters.handle("rb.prune_pinned")
         self.register_port(PORT, self._on_message)
         self.register_port(STABILITY_PORT, self._on_stability)
+        self.register_port(NACK_PORT, self._on_nack)
 
     def start(self) -> None:
         if self.stability_interval is not None:
@@ -198,27 +209,30 @@ class ReliableBroadcast(Component):
         mid = MsgId(self._origin, next(self._next_seq))
         self._inc_broadcasts()
         packet = (mid, self.pid, tag, payload)
-        layer = self._layer_of(tag)
         members = self.group_provider()
         if self.overlay is None:
             targets = members
         else:
-            # Ring/tree: self-deliver plus the overlay's next hops only —
-            # the origin's O(n) unicast burst becomes O(1)/O(k).  Retain
-            # our own packet immediately: it is the flood material should
-            # our successor crash before forwarding.
-            suspects = self._suspects()
-            hops, reroutes = self.overlay.next_hops(members, self.pid, self.pid, suspects)
+            # Ring/tree: self-deliver (which also retains our own packet,
+            # the repair material should our successor crash before
+            # forwarding) plus the overlay's next hops only — the origin's
+            # O(n) unicast burst becomes O(1)/O(k).
+            hops, reroutes = self.overlay.next_hops(
+                members, self.pid, self.pid, self._suspects()
+            )
             if reroutes:
                 self._inc_reroutes(reroutes)
-            self._retained.setdefault(mid.sender, {})[mid.seq] = packet
             targets = ([self.pid] if self.pid in members else []) + hops
-        self.spans.wrap(
-            self.pid, layer, f"rb:{tag}", "send", self.now, mid,
-            self.channel.send_to_all,
-            targets, PORT, packet, layer=layer,
-        )
+        self._send(packet, f"rb:{tag}", targets)
         return mid
+
+    def _send(self, packet: tuple, span: str, targets: list[str]) -> None:
+        """Put ``packet`` on the wire, attributed to its tag's layer."""
+        layer = self._layer_of(packet[2])
+        self.spans.wrap(
+            self.pid, layer, span, "send", self.now, packet[0],
+            self.channel.send_to_all, targets, PORT, packet, layer=layer,
+        )
 
     # Alias so rbcast satisfies the TaggedBroadcast protocol used by
     # layers that can sit on either rbcast or view-synchronous broadcast.
@@ -230,36 +244,32 @@ class ReliableBroadcast(Component):
             return set()
         return self.suspicion_provider()
 
-    def _should_relay(self, origin: str) -> bool:
-        if self.relay_policy == "eager":
-            return True
-        return origin_pid(origin) in self._suspects()
+    def _forward_targets(self, mid: MsgId, src: str) -> list[str]:
+        """The one forward rule: whom a first receipt is passed on to.
 
-    def _forward(self, packet: tuple) -> None:
-        """Overlay forwarding: pass the packet one hop along the ring/tree.
-
-        Every member forwards a packet at most once (this runs behind
-        the dedup check) and retains it until stability — the retained
-        copy is the suspicion-flood backstop's material.
+        Overlay: the next hops along the ring/tree (every member forwards
+        a packet at most once — this runs behind the dedup check).
+        Flood: everyone under the eager policy, everyone while the origin
+        is suspected under the lazy one, otherwise nobody.
         """
-        mid, _origin, tag, _payload = packet
-        self._retained.setdefault(mid.sender, {})[mid.seq] = packet
+        if self.overlay is None:
+            if src == self.pid:
+                return []  # self-delivery of our own broadcast
+            if (
+                self.relay_policy == "lazy"
+                and origin_pid(mid.sender) not in self._suspects()
+            ):
+                return []
+            return [q for q in self.group_provider() if q != self.pid]
         opid = origin_pid(mid.sender)
         if opid == self.pid:
-            return  # our own packet looped back via self-delivery
+            return []  # our own packet looped back via self-delivery
         hops, reroutes = self.overlay.next_hops(
             self.group_provider(), opid, self.pid, self._suspects()
         )
         if reroutes:
             self._inc_reroutes(reroutes)
-        if not hops:
-            return  # end of the chain / leaf of the tree
-        self._inc_forwarded()
-        layer = self._layer_of(tag)
-        self.spans.wrap(
-            self.pid, layer, "rb:forward", "send", self.now, mid,
-            self.channel.send_to_all, hops, PORT, packet, layer=layer,
-        )
+        return hops
 
     def _on_message(self, src: str, packet: tuple) -> None:
         mid, origin, tag, payload = packet
@@ -272,25 +282,14 @@ class ReliableBroadcast(Component):
         seen.add(mid.seq)
         self._seen_count += 1
         self._advance_watermark(mid)
-        if self.overlay is not None and self.relay:
-            self._forward(packet)
-        elif self.relay and src != self.pid:
-            if self.relay_policy == "lazy":
-                # Retain for a potential suspicion-triggered flood; the
-                # entry is pruned together with its dedup entry.
-                self._retained.setdefault(sender, {})[mid.seq] = packet
-            if self._should_relay(sender):
-                # Relay on first receipt so delivery survives the origin's
-                # crash (eager policy: always; lazy: suspected origins only).
-                self._inc_relayed()
-                self.spans.wrap(
-                    self.pid, self._layer_of(tag), "rb:relay", "send", self.now, mid,
-                    self.channel.send_to_all,
-                    [q for q in self.group_provider() if q != self.pid],
-                    PORT,
-                    packet,
-                    layer=self._layer_of(tag),
-                )
+        if self.relay:
+            # Retained until stable: the material of the suspicion flood
+            # and of every answer to a NACK.
+            self._retained.setdefault(sender, {})[mid.seq] = packet
+            targets = self._forward_targets(mid, src)
+            if targets:
+                (self._inc_relayed if self.overlay is None else self._inc_forwarded)()
+                self._send(packet, "rb:forward", targets)
         handler = self._handlers.get(tag)
         if handler is None:
             self.trace("unhandled_tag", tag=tag, mid=str(mid))
@@ -324,13 +323,7 @@ class ReliableBroadcast(Component):
             if self.overlay is None and origin_pid(origin) != pid:
                 continue
             for seq in sorted(packets):
-                packet = packets[seq]
-                self.spans.wrap(
-                    self.pid, self._layer_of(packet[2]), "rb:flood", "send", self.now,
-                    packet[0],
-                    self.channel.send_to_all, peers, PORT, packet,
-                    layer=self._layer_of(packet[2]),
-                )
+                self._send(packets[seq], "rb:flood", peers)
                 flooded += 1
         if flooded:
             self._inc_suspect_floods(flooded)
@@ -376,65 +369,62 @@ class ReliableBroadcast(Component):
             # snapshot again.
             for gone in [m for m in self._gossiped if m not in members]:
                 del self._gossiped[gone]
-            if self.overlay is not None:
-                self._overlay_repair(members)
+            self._nack_stranded(members)
         # Re-check pruning locally: reports are delta-encoded and go
-        # silent once watermarks stop changing, so a retention pin
-        # released after the last report (its instance decided, then the
-        # group went quiet) would otherwise defer collection forever.
+        # silent once watermarks stop changing, so a view change that
+        # removes the last laggard after the last report (then the group
+        # goes quiet) would otherwise defer collection forever.
         self._prune()
         self.schedule(self.stability_interval, self._stability_tick)
 
-    def _overlay_repair(self, members: list[str]) -> None:
-        """Stability-report anti-entropy: the overlay's silent-stall backstop.
+    def _nack_stranded(self, members: list[str]) -> None:
+        """Receiver-side hole detection: ask for what the gossip says we lack.
 
-        The suspicion flood only fires on an FD *edge*.  A chain can also
-        strand packets with no suspicion at all: a member crashes and
-        reincarnates before anyone suspects it, and its state-transfer
-        snapshot fences (``install_snapshot``) the very packets that were
-        in flight *through* it — the rejoiner dedups them instead of
-        forwarding, starving everyone downstream forever.  The watermark
-        gossip already exposes the stall: the starved member's reported
-        mark freezes below ours.  So on each stability tick, re-send the
-        retained packets a peer provably lacks — but only when its mark
-        for that origin is unchanged since the previous tick (in-flight
-        traffic heals itself) and at most once per stalled mark (reliable
-        channels make one repair sufficient).
+        A packet can miss us with no suspicion edge to flood it: it was
+        rbcast by a member that had not yet installed the view we joined
+        in (never addressed to us), or it was in flight *through* an
+        overlay forwarder that crashed and rejoined behind a snapshot
+        fence before anyone suspected it.  The watermark gossip exposes
+        the hole from our side: a mark some unsuspected peer had already
+        reported at our previous tick, and that we still lack one whole
+        interval later, is stranded rather than in flight.  One NACK per
+        tick; the peer asked rotates, because a peer that installed our
+        view late may have pruned the packet already.
         """
-        for member in members:
-            if member == self.pid:
-                continue
-            reported = self._reported.get(member)
-            if reported is None:
-                continue
-            prev = self._repair_prev.get(member)
-            self._repair_prev[member] = dict(reported)
-            if prev is None:
-                continue  # first report seen: grace tick before repairing
-            for origin, packets in self._retained.items():
-                theirs = reported.get(origin, -1)
-                if theirs >= self._watermarks.get(origin, -1):
-                    continue
-                if prev.get(origin, -1) != theirs:
-                    continue  # mark still moving: in flight, not stranded
-                if self._repaired_at.get((member, origin)) == theirs:
-                    continue
-                self._repaired_at[(member, origin)] = theirs
-                resent = 0
-                for seq in sorted(packets):
-                    if seq <= theirs:
-                        continue
-                    packet = packets[seq]
-                    self.spans.wrap(
-                        self.pid, self._layer_of(packet[2]), "rb:repair", "send",
-                        self.now, packet[0],
-                        self.channel.send, member, PORT, packet,
-                        layer=self._layer_of(packet[2]),
-                    )
+        suspects = self._suspects()
+        peers = [m for m in members if m != self.pid and m not in suspects]
+        prev, self._nack_prev = self._nack_prev, {}
+        for peer in peers:
+            for origin, mark in self._reported.get(peer, {}).items():
+                if mark > self._nack_prev.get(origin, -1):
+                    self._nack_prev[origin] = mark
+        marks = self._watermarks
+        if peers and any(mark > marks.get(origin, -1) for origin, mark in prev.items()):
+            self._nack_turn += 1
+            self.request_repair(peers[self._nack_turn % len(peers)])
+
+    def request_repair(self, peer: str) -> None:
+        """NACK: ask ``peer`` to re-send what it retains above our marks.
+
+        The one receiver-driven repair.  The answer arrives as ordinary
+        packets on the ``rb`` port, so dedup, forwarding and the tag
+        handlers need no second entry point.
+        """
+        self._inc_nacks()
+        self.trace("nack", peer=peer)
+        self.channel.send(peer, NACK_PORT, dict(self._watermarks))
+
+    def _on_nack(self, src: str, marks: dict[str, int]) -> None:
+        resent = 0
+        for origin, packets in self._retained.items():
+            have = marks.get(origin, -1)
+            for seq in sorted(packets):
+                if seq > have:
+                    self._send(packets[seq], "rb:repair", [src])
                     resent += 1
-                if resent:
-                    self._inc_repairs(resent)
-                    self.trace("overlay_repair", peer=member, origin=origin, packets=resent)
+        if resent:
+            self._inc_repairs(resent)
+            self.trace("repair", peer=src, packets=resent)
 
     def _on_stability(self, src: str, watermarks: dict[str, int]) -> None:
         # Delta-encoded: merge into (not replace) the sender's vector.
@@ -448,20 +438,10 @@ class ReliableBroadcast(Component):
         reports = [self._reported.get(m) for m in members]
         if any(r is None for r in reports):
             return  # not everyone has reported yet
-        pins = self.retention_pin() if self.retention_pin is not None else {}
         pruned = 0
-        deferred = 0
         origins = set().union(*(r.keys() for r in reports)) if reports else set()
         for origin in origins:
             stable_up_to = min(r.get(origin, -1) for r in reports)
-            pin = pins.get(origin)
-            if pin is not None and pin <= stable_up_to:
-                # A stable-but-pinned packet: its id rides an undecided
-                # abcast instance, so keep it (and everything after it —
-                # the pruned floor must stay contiguous) until the
-                # instance resolves; the next stability tick retries.
-                deferred += stable_up_to - pin + 1
-                stable_up_to = pin - 1
             already = self._pruned.get(origin, -1)
             if stable_up_to <= already:
                 continue
@@ -486,15 +466,13 @@ class ReliableBroadcast(Component):
             self._seen_count -= pruned
             self._inc_pruned(pruned)
             self.trace("pruned", count=pruned)
-        if deferred:
-            self._inc_pin_deferred(deferred)
 
     def seen_size(self) -> int:
         """Current size of the duplicate-suppression set (GC'd), O(1)."""
         return self._seen_count
 
     def retained_size(self) -> int:
-        """Packets retained for suspicion-triggered relay (lazy policy)."""
+        """Delivered, not-yet-stable packets held as repair material."""
         return sum(len(p) for p in self._retained.values())
 
     # ------------------------------------------------------------------

@@ -203,10 +203,6 @@ class NewArchitectureStack:
             window=cfg.abcast_window,
             max_batch=cfg.abcast_max_batch,
         )
-        # Dissemination GC must respect ordering: rbcast may not prune a
-        # packet whose id rides a proposed-but-undecided instance (the
-        # relay/repair material for decide-before-dissemination windows).
-        self.rbcast.retention_pin = self.abcast.rb_retention_pin
         self.membership = AbcastGroupMembership(process, self.channel, self.abcast, initial_view)
         gbcast_class = QuorumGenericBroadcast if cfg.quorum_fast_path else ThriftyGenericBroadcast
         self.gbcast = gbcast_class(

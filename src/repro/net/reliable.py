@@ -96,7 +96,6 @@ _DUE_SLACK = 1e-6
 #: does not pass ``layer=`` to :meth:`ReliableChannel.send`).  Unknown
 #: ports fall back to their prefix before the first dot.
 PORT_LAYERS = {
-    "abc.pull": "abcast",
     "cons": "consensus",
     "gb.ack": "gbcast",
     "gb.gather": "gbcast",
@@ -105,6 +104,7 @@ PORT_LAYERS = {
     "gm.join_req": "membership",
     "rb": "rbcast",
     "rb.stable": "rbcast",
+    "rb.nack": "rbcast",
     "fd.hb": "fd",
 }
 

@@ -1,13 +1,17 @@
-"""Id-only ordering: dissemination/ordering separation and PULL/repair.
+"""Id-only ordering: dissemination/ordering separation and repair.
 
 Consensus proposals carry ``(proposer, (MsgId, ...))`` vectors, never
 bodies — so a process can learn a decision *before* rbcast hands it the
 referenced bodies (decide-before-dissemination).  These tests pin down
-the repair protocol that closes that window: proposer-first PULL, retry
-rotation past a crashed proposer, the end-to-end blocked-link race, the
-recovered-incarnation/post-snapshot laggard path, and the determinism
-contract (same seed → byte-identical counters, logs and clock, with the
-bandwidth term off).
+how abcast closes that window through ``rbcast.request_repair``:
+proposer first, rotation past a crashed proposer, the end-to-end
+blocked-link race, the post-snapshot laggard, the retry timer's life
+cycle — and the determinism contract (same seed → byte-identical
+counters, logs and clock, with the bandwidth term off).
+
+Every body here is disseminated by rbcast itself; the window is opened
+by a directed link that drops everything from the sender to the victim
+while the coordinator's DECIDE arrives fine.
 """
 
 from __future__ import annotations
@@ -63,44 +67,75 @@ def test_proposals_carry_ids_not_bodies():
             assert not hasattr(mid, "payload")
 
 
-def test_pull_repair_asks_proposer_first():
-    # p02 learns a decision for a body only the proposer holds: one PULL
-    # to the proposer must repair it, without waiting for rbcast.
-    world, stacks = abcast_group()
-    body = stacks["p00"].process.msg_ids.message("repair-me")
-    stacks["p00"].abcast._pending[body.id] = body
-    stacks["p02"].abcast._on_decide(("abc", 0, 0), ("p00", (body.id,)))
-    assert run_until(
-        world,
-        lambda: [m.payload for m in stacks["p02"].abcast.delivered_log] == ["repair-me"],
-        timeout=5_000,
+WALL = LinkModel(1.0, 1.0, drop_prob=1.0)
+OPEN = LinkModel(1.0, 1.0)
+
+
+def patient_group(count=3, seed=9):
+    """A group that neither suspects nor excludes within a test's span."""
+    return abcast_group(
+        count=count,
+        seed=seed,
+        suspicion_timeout=10_000.0,
+        monitoring=MonitoringPolicy(exclusion_timeout=60_000.0),
     )
+
+
+def record_repair_requests(stack):
+    """Whom ``stack`` asks for repairs, in order (requests still go out)."""
+    asked = []
+    real = stack.rbcast.request_repair
+
+    def spy(peer):
+        asked.append(peer)
+        real(peer)
+
+    stack.rbcast.request_repair = spy
+    return asked
+
+
+def blocked(stack):
+    return bool(stack.abcast.waiting_on())
+
+
+def payloads(stack):
+    return [m.payload for m in stack.abcast.delivered_log]
+
+
+def test_repair_asks_proposer_first():
+    # p02 learns a decision naming a body that p01's rbcast cannot get
+    # to it: one request to the proposer (the coordinator p00, which
+    # retains p01's packet like every member) must repair it.
+    world, stacks = patient_group()
+    asked = record_repair_requests(stacks["p02"])
+    world.transport.set_link("p01", "p02", WALL)
+    bcast(stacks, "p01", "repair-me")
+    assert run_until(world, lambda: payloads(stacks["p02"]) == ["repair-me"], timeout=400)
+    assert asked == ["p00"]
     counters = world.metrics.counters
     assert counters.get("abcast.decide_before_dissemination") == 1
     assert counters.get("abcast.pulls_sent") == 1  # proposer answered first try
-    assert counters.get("abcast.pull_served") == 1
     assert counters.get("abcast.repaired") == 1
-    assert counters.get("abcast.pull_misses") == 0
+    assert counters.get("rb.nacks_sent") == 1
+    assert counters.get("rb.overlay_repairs") >= 1
 
 
-def test_pull_rotation_falls_through_crashed_proposer():
-    # The proposer crashed after its decision spread; the retry timer
-    # must rotate to the remaining members, any of which can serve.
-    world, stacks = abcast_group()
-    body = stacks["p00"].process.msg_ids.message("survivor-serves")
-    stacks["p01"].abcast._pending[body.id] = body
-    world.run_for(5.0)
-    world.crash("p00")
-    stacks["p02"].abcast._on_decide(("abc", 0, 0), ("p00", (body.id,)))
+def test_repair_rotation_falls_through_crashed_proposer():
+    # The proposer crashes just as its decision spreads; the retry timer
+    # must rotate to the remaining members: p01 next (whose answer hits
+    # the same wall as its broadcast did), then p02, which serves.
+    world, stacks = patient_group(count=4)
+    asked = record_repair_requests(stacks["p03"])
+    world.transport.set_link("p01", "p03", WALL)
+    bcast(stacks, "p01", "survivor-serves")
+    assert run_until(world, lambda: blocked(stacks["p03"]), timeout=400, step=0.1)
+    world.crash("p00")  # the first request is still in flight to it
     assert run_until(
-        world,
-        lambda: [m.payload for m in stacks["p02"].abcast.delivered_log]
-        == ["survivor-serves"],
-        timeout=5_000,
+        world, lambda: payloads(stacks["p03"]) == ["survivor-serves"], timeout=400
     )
+    assert asked == ["p00", "p01", "p02"]
     counters = world.metrics.counters
-    assert counters.get("abcast.pull_retries") >= 1
-    assert counters.get("abcast.pulls_sent") >= 2  # dead proposer, then rotation
+    assert counters.get("abcast.pulls_sent") == 3
     assert counters.get("abcast.repaired") == 1
 
 
@@ -108,7 +143,7 @@ def test_decide_before_dissemination_over_blocked_link():
     # End-to-end: p01's body cannot reach p02 (directed link drops
     # everything, lazy relay means nobody re-forwards it), but the
     # coordinator's DECIDE rbcast arrives fine.  p02 must block delivery
-    # on the missing id and repair via PULL — total order intact.
+    # on the missing id and ask rbcast for a repair — total order intact.
     world, stacks = abcast_group(
         seed=9,
         suspicion_timeout=10_000.0,
@@ -124,60 +159,68 @@ def test_decide_before_dissemination_over_blocked_link():
     counters = world.metrics.counters
     assert counters.get("abcast.decide_before_dissemination") >= 1
     assert counters.get("abcast.pulls_sent") >= 1
-    # The body reached p02 by PUSH repair (rbcast never could).
+    # The body reached p02 in answer to its NACK (p01's send never could).
     assert counters.get("abcast.repaired") >= 1
     orders = list(logs(stacks).values())
     assert all(order == orders[0] for order in orders)
 
 
-def test_recovered_laggard_pulls_bodies_decided_past_its_snapshot():
-    # The recovered-incarnation hard case: a fresh stack resumes from a
-    # state snapshot cut at instance k, then learns the decision for
-    # instance k whose body was disseminated while it was down — the
-    # rbcast snapshot fences out late copies of pre-join packets, so the
-    # only ways to the body are the donor's pending set (empty here: the
-    # donor applied the batch) or the PULL path.
-    world, stacks = abcast_group()
+def test_laggard_repairs_bodies_decided_past_its_snapshot():
+    # The post-snapshot laggard: a stack resumes from a state snapshot
+    # cut at instance k while the decision for instance k names a body
+    # it never received.  install_snapshot re-blocks the same head key:
+    # one chain of repair requests, not two, and nothing below the
+    # snapshot position is redelivered.
+    world, stacks = patient_group()
     for i in range(3):
         bcast(stacks, "p00", f"m{i}")
     assert run_until(world, lambda: all(len(log) == 3 for log in logs(stacks).values()))
-    cut = stacks["p02"].abcast.snapshot()  # position 3, nothing pending
-    late = stacks["p00"].process.msg_ids.message("decided-while-down")
-    stacks["p00"].abcast._pending[late.id] = late
     laggard = stacks["p02"].abcast
-    laggard.install_snapshot(cut)  # fresh incarnation resumes at the cut
-    laggard._on_decide(("abc", 0, laggard.next_instance), ("p00", (late.id,)))
-    laggard.resume_proposing()
-    assert run_until(
-        world,
-        lambda: any(m.payload == "decided-while-down" for m in laggard.delivered_log),
-        timeout=5_000,
-    )
+    cut = laggard.snapshot()  # position 3, nothing pending
+    world.transport.set_link("p01", "p02", WALL)
+    bcast(stacks, "p01", "decided-while-down")
+    assert run_until(world, lambda: blocked(stacks["p02"]), timeout=400, step=0.1)
+    world.transport.set_link("p00", "p02", WALL)  # nobody can serve for now
+    world.run_for(200.0)
     counters = world.metrics.counters
-    assert counters.get("abcast.pulls_sent") >= 1
+    before = counters.get("abcast.pulls_sent")
+    laggard.install_snapshot(cut)
+    assert not blocked(stacks["p02"])
+    laggard.resume_proposing()  # re-blocks on the decision it kept
+    assert blocked(stacks["p02"])
+    world.run_for(500.0)
+    # One immediate request plus one per 50 ms; a second, stale timer
+    # chain would double this.
+    assert 10 <= counters.get("abcast.pulls_sent") - before <= 12
+    world.transport.set_link("p00", "p02", OPEN)
+    assert run_until(
+        world, lambda: "decided-while-down" in payloads(stacks["p02"]), timeout=2_000
+    )
     assert counters.get("abcast.repaired") == 1
     # Nothing below the snapshot position was redelivered.
-    assert [m.payload for m in laggard.delivered_log].count("m0") == 1
+    assert payloads(stacks["p02"]) == ["m0", "m1", "m2", "decided-while-down"]
 
 
-def test_late_rbcast_delivery_cancels_the_fetch():
-    # If ordinary dissemination wins the race after a PULL started, the
-    # fetch must dissolve (no repair counted, retry timer dies).
-    world, stacks = abcast_group()
-    body = stacks["p00"].process.msg_ids.message("raced")
-    stacks["p02"].abcast._on_decide(("abc", 0, 0), ("p00", (body.id,)))
-    world.run_for(10.0)  # PULL sent; every member misses (nobody has it)
-    assert world.metrics.counters.get("abcast.pulls_sent") >= 1
-    assert stacks["p02"].abcast.waiting_on() == {body.id}
-    # Now the body arrives the ordinary way.
-    stacks["p00"].abcast.abcast(body)
-    assert run_until(
-        world,
-        lambda: any(m.payload == "raced" for m in stacks["p02"].abcast.delivered_log),
-        timeout=5_000,
-    )
-    assert stacks["p02"].abcast.waiting_on() == set()
-    assert world.metrics.counters.get("abcast.late_dissemination") >= 1
+def test_body_arrival_stops_the_repair_requests():
+    # While nobody can serve, the blocked head keeps asking every 50 ms;
+    # once the body arrives (here: the channel's own retransmission gets
+    # through the healed link) the timer must die with the blockage.
+    world, stacks = patient_group()
+    world.transport.set_link("p01", "p02", WALL)
+    bcast(stacks, "p01", "raced")
+    assert run_until(world, lambda: blocked(stacks["p02"]), timeout=400, step=0.1)
+    world.transport.set_link("p00", "p02", WALL)
+    world.run_for(300.0)
+    counters = world.metrics.counters
+    assert counters.get("abcast.pulls_sent") >= 6
+    assert blocked(stacks["p02"])
+    world.transport.set_link("p01", "p02", OPEN)
+    assert run_until(world, lambda: payloads(stacks["p02"]) == ["raced"], timeout=2_000)
+    assert not blocked(stacks["p02"])
+    assert counters.get("abcast.repaired") == 1
+    asked = counters.get("abcast.pulls_sent")
+    world.run_for(500.0)
+    assert counters.get("abcast.pulls_sent") == asked
 
 
 def _traffic_fingerprint(seed: int, payload_bytes: int | None = 4096):

@@ -1,10 +1,20 @@
-"""Unit tests for stability-based garbage collection in rbcast."""
+"""Stability-based garbage collection in rbcast: unit tests, and the
+full-stack drain checks (every dedup entry and retained packet is
+collected once traffic stops — through a rejoin, too)."""
+
+import random
+
+import pytest
 
 from repro.broadcast.rbcast import ReliableBroadcast
+from repro.core.api import GroupCommunication
+from repro.core.new_stack import StackConfig, build_new_group, enable_recovery
 from repro.net.reliable import ReliableChannel
 from repro.net.topology import LinkModel
+from repro.net.wire import Blob
 from repro.sim.world import World
 
+from tests.abcast.test_id_only_ordering import abcast_group, bcast, logs
 from tests.conftest import run_until
 
 
@@ -102,3 +112,91 @@ def test_delivery_correct_under_loss_with_gc_enabled():
     for d in delivered.values():
         assert sorted(d) == list(range(30))  # exactly once each
     assert all(rb.seen_size() == 0 for rb in rbs.values())
+
+
+def test_full_stack_memory_stays_bounded_under_sustained_traffic():
+    # Soak on the real stack: nothing but stability decides what rbcast
+    # keeps, so sustained abcast traffic must not accumulate retained
+    # state anywhere — in rbcast or in the ordering layer above it.
+    world, stacks = abcast_group(seed=6)
+    senders = list(stacks)
+    peak = 0
+    total = 0
+    for batch in range(8):
+        for i in range(15):
+            bcast(stacks, senders[i % len(senders)], (batch, i))
+            total += 1
+        world.run_for(600.0)
+        peak = max(peak, max(s.rbcast.seen_size() for s in stacks.values()))
+    assert run_until(
+        world,
+        lambda: all(len(log) == total for log in logs(stacks).values()),
+        timeout=60_000,
+    )
+    world.run_for(3_000.0)  # quiesce: stability rounds with no traffic
+    # 120 messages flowed; the dedup set never held anywhere near all of
+    # them and it drains completely once the group goes quiet.
+    assert peak < 90
+    for stack in stacks.values():
+        ab = stack.abcast
+        assert stack.rbcast.seen_size() == 0
+        assert stack.rbcast.retained_size() == 0
+        assert not ab._pending and not ab._assigned
+        assert not ab.waiting_on()
+
+
+@pytest.mark.parametrize("seed", [1, 5, 13, 19])
+def test_stability_gc_drains_after_a_rejoin_under_flood(seed):
+    # The join-window hole: a survivor rbcasts in the few ms between the
+    # sponsor's snapshot cut and its own install of the rejoiner's view,
+    # so the packet is never addressed to the rejoiner.  Without a
+    # receiver-side repair the rejoiner keeps the hole, nothing of that
+    # origin becomes stable again and every member retains its packets
+    # and dedup entries for ever (these seeds stalled at 27-60 entries).
+    world = World(seed=seed, default_link=LinkModel(3.0, 8.0))
+    stacks = build_new_group(world, 5, config=StackConfig())
+    apis = {pid: GroupCommunication(s) for pid, s in stacks.items()}
+    enable_recovery(
+        world, stacks, config=StackConfig(),
+        on_rebuild=lambda pid, s: apis.__setitem__(pid, GroupCommunication(s)),
+    )
+    world.start()
+    rng = random.Random(seed)
+    survivors = sorted(stacks)[1:]
+    t, i = rng.expovariate(0.06), 0
+    while t < 6_000.0:  # Poisson, 60 ops/s
+        world.scheduler.at(t, lambda i=i: apis[survivors[i % 4]].abcast(("op", i)))
+        t, i = t + rng.expovariate(0.06), i + 1
+    world.crash("p00", at=1_000.0)
+    world.recover("p00", at=4_000.0)
+    world.run_for(11_000.0)  # 6 s of traffic, then 5 s quiet
+    assert len(stacks["p00"].membership.current_members()) == 5
+    for stack in stacks.values():
+        assert stack.rbcast.seen_size() == 0
+        assert stack.rbcast.retained_size() == 0
+
+
+def test_fault_free_ring_run_sends_no_repair_traffic():
+    # Regression for the sender-side anti-entropy misfire (228 re-sent
+    # 4 KiB packets on this run, all duplicates): a stale stability
+    # report is no proof of a hole.  With nothing lost and nobody
+    # suspected, no repair path may fire at all.
+    world = World(seed=3, default_link=LinkModel(3.0, 8.0, bytes_per_ms=2000.0))
+    stacks = build_new_group(world, 5, config=StackConfig(dissemination="ring"))
+    apis = {pid: GroupCommunication(s) for pid, s in stacks.items()}
+    world.start()
+    pids = sorted(stacks)
+    rng = random.Random(3)
+    t = 0.0
+    for i in range(150):  # Poisson, 15 ops/s for ~10 s, round-robin
+        t += rng.expovariate(0.015)
+        world.scheduler.at(
+            t, lambda i=i: apis[pids[i % 5]].abcast(("blob", i, Blob(4096)))
+        )
+    world.run_for(t + 2_000.0)
+    assert all(len(s.abcast.delivered_log) >= 150 for s in stacks.values())
+    counters = world.metrics.counters
+    assert counters.get("rb.forwarded") > 0
+    assert counters.get("rb.nacks_sent") == 0
+    assert counters.get("rb.overlay_repairs") == 0
+    assert counters.get("rb.suspect_floods") == 0

@@ -58,13 +58,13 @@ MECHANISM_COUNTERS = {
     ),
     "exclusion-rejoin-channel-hole": ("rc.gap_notices", "rc.gap_skips"),
     "one-closer-liveness-ladder": ("gbcast.closes_deferred",),
-    # The successor's crash triggers the suspicion flood, and its
-    # pre-exclusion reincarnation leaves silently stranded chain packets
-    # that only the stability anti-entropy repair can re-send (no
-    # suspicion edge ever fires for a healthy-looking rejoiner).
-    "ring-successor-crash-mid-dissemination": (
-        "rb.forwarded", "rb.suspect_floods", "rb.overlay_repairs",
-    ),
+    # A member rbcasts before it installs the rejoiner's view: the
+    # packet is never addressed to the rejoiner, which sees the hole in
+    # the watermark gossip and NACKs it.
+    "rejoin-window-stability-hole": ("rb.nacks_sent", "rb.overlay_repairs"),
+    # The successor's crash triggers the suspicion flood; the flood and
+    # the ring's re-route leave nothing for the NACK backstop here.
+    "ring-successor-crash-mid-dissemination": ("rb.forwarded", "rb.suspect_floods"),
 }
 
 
