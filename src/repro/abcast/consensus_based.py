@@ -37,6 +37,23 @@ packet until every current member has r-delivered it, and a joiner whose
 snapshot fences a packet it never saw received the body in the abcast
 snapshot cut in the same event.
 
+**Joining on PROPOSE**: a member starts an instance when it has ids to
+propose, and consensus buffers what arrives for an instance before
+that.  A member of the instance's epoch that a coordinator's PROPOSE
+finds without one (``consensus.on_solicit``) joins with an *empty* id
+vector, so the proposal is ACKed when it arrives.  Left in the buffer it
+would wait for a body to give the member something to propose — a hop
+per member over the ring and tree overlays, against one direct leg for
+the PROPOSE — *unless* a stale proposal of the member's own happens to
+be in flight at that index (an id two proposers sliced into different
+instances leaves one behind), which answers at once: two regimes 25 %
+apart in latency on a 4 KiB ring, and which one a run is in is an
+accident of its sample path that lasts.  An empty vector that wins a
+later round delivers nothing and costs one instance.  This is not "ACK
+only what you hold": an id can be decided while its body is still on
+the way (the repair above; ROADMAP item 1, family (iv), for a body
+whose only holder crashes).
+
 Pipelining (Ring-Paxos-style windowing):  up to ``window`` consensus
 instances may be in flight concurrently, so a burst of broadcasts does
 not serialise behind one instance's four communication phases.  Each
@@ -137,6 +154,7 @@ class ConsensusAtomicBroadcast(Component):
         self.delivered_log: list[AppMessage] = []
         rbcast.register(MSG_TAG, self._on_rdeliver, layer="abcast")
         consensus.on_decide(self._on_decide)
+        consensus.on_solicit(self._on_solicit)
 
     # ------------------------------------------------------------------
     # Client interface (Fig. 9: abcast / adeliver)
@@ -310,6 +328,31 @@ class ConsensusAtomicBroadcast(Component):
                 (self.pid, tuple(batch_ids)),
                 group,
             )
+
+    def _on_solicit(self, key: Any) -> None:
+        """A coordinator's PROPOSE found no instance here: join with an
+        empty id vector, so that it is ACKed now and not when a body
+        gives this process something to propose (module docstring).
+
+        Only within the current epoch — its participant set is the one
+        every proposer of the instance read — and never behind the
+        delivery position.  The joined index sits in ``_proposal_ids``
+        like a proposal of our own: it counts against the window, is
+        retired when the instance is applied and abandoned with the
+        rest on an epoch bump or a snapshot install.
+        """
+        if not (isinstance(key, tuple) and key[0] == INSTANCE_PREFIX):
+            return
+        epoch, index = key[1], key[2]
+        if epoch != self._epoch or index < self._next_instance:
+            return
+        group = self.group_provider()
+        if self.pid not in group:
+            return
+        self._proposal_ids[index] = []
+        self._next_proposal = max(self._next_proposal, index + 1)
+        self.world.metrics.counters.inc("abcast.instances_joined")
+        self.consensus.propose(key, (self.pid, ()), group)
 
     def _on_decide(self, key: Any, value: Any) -> None:
         if not (isinstance(key, tuple) and key[0] == INSTANCE_PREFIX):

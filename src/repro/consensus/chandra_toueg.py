@@ -32,6 +32,15 @@ Two practical refinements (both standard, neither affects safety):
   ABORT when a round fails and the failure detector flags dead
   coordinators.
 
+A message for an instance the local client has not proposed to yet is
+buffered and replayed by ``propose()`` (the participant set comes with
+that call).  A buffered **PROPOSE** is also announced to the client
+(``on_solicit``): a coordinator holds a value and waits for this
+process's ACK, and a client that knows the instance's participants may
+join with a value of its own choosing instead of letting the proposal
+wait for one.  An ESTIMATE is not announced — it reaches a coordinator
+that has nothing to propose yet, and that is for its client to end.
+
 A third refinement is a constructor argument: the **round-0 fast path**
 (``fast_path=True``; the new-architecture stack always builds it so, the
 Phoenix baseline keeps the classic round).  The round-0 coordinator proposes its own value immediately instead of
@@ -151,6 +160,7 @@ class ChandraTouegConsensus(Component):
         self._pre_propose_buffer: dict[InstanceKey, list[tuple[str, tuple]]] = {}
         self._decisions: dict[InstanceKey, Any] = {}
         self._callbacks: list[DecisionCallback] = []
+        self._solicit_callbacks: list[Callable[[InstanceKey], None]] = []
         #: An always-on monitor handed in by the stack knows a dead
         #: coordinator *before* an instance starts; the one built here
         #: watches only participants of undecided instances and grants
@@ -160,17 +170,23 @@ class ChandraTouegConsensus(Component):
         self.monitor: Monitor = monitor if monitor is not None else fd.monitor(
             self._monitored_peers, suspicion_timeout, on_suspect=self.peer_suspected
         )
+        #: Whether the re-check tick is scheduled (only while the monitor
+        #: suspects someone: :meth:`peer_suspected` arms it).
+        self._ticking = False
         self.register_port(PORT, self._on_message)
         rbcast.register(DECIDE_TAG, self._on_decide_broadcast, layer="consensus")
-
-    def start(self) -> None:
-        self.schedule(self.tick_interval, self._tick)
 
     # ------------------------------------------------------------------
     # Client interface (Fig. 9: propose / decide)
     # ------------------------------------------------------------------
     def on_decide(self, callback: DecisionCallback) -> None:
         self._callbacks.append(callback)
+
+    def on_solicit(self, callback: Callable[[InstanceKey], None]) -> None:
+        """``callback(instance)`` whenever a PROPOSE is buffered for an
+        instance nobody proposed to here; a ``propose()`` from inside
+        the callback replays it at once."""
+        self._solicit_callbacks.append(callback)
 
     def propose(self, instance: InstanceKey, value: Any, participants: list[str]) -> None:
         """Start (or join) consensus ``instance`` with initial ``value``."""
@@ -320,6 +336,9 @@ class ChandraTouegConsensus(Component):
             # A peer started this instance before our propose(); buffer
             # the message and replay it once the client proposes.
             self._pre_propose_buffer.setdefault(key, []).append((src, payload))
+            if kind == "PROPOSE":
+                for callback in self._solicit_callbacks:
+                    callback(key)
             return
         if kind == "ESTIMATE":
             _, _, rnd, est, ts = payload
@@ -484,12 +503,18 @@ class ChandraTouegConsensus(Component):
 
     # Suspicion-driven progress -------------------------------------------
     def _tick(self) -> None:
+        """While anyone is suspected, instances keep arriving at rounds a
+        suspect coordinates (a late PROPOSE adopted, say); re-check them.
+        The tick dies with the last suspicion."""
+        self._ticking = False
         for suspect in list(self.monitor.suspects):
             self.peer_suspected(suspect)
-        self.schedule(self.tick_interval, self._tick)
 
     def peer_suspected(self, suspect: str) -> None:
         """Move every instance waiting on coordinator ``suspect`` on."""
+        if not self._ticking:
+            self._ticking = True
+            self.schedule(self.tick_interval, self._tick)
         for key, inst in list(self._instances.items()):
             if inst.decided or not inst.started or inst.has_estimate is False:
                 continue

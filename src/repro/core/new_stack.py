@@ -44,7 +44,16 @@ from repro.sim.world import World
 #: the repository has ever made, so they are constants of the new stack
 #: rather than configuration (the component constructors keep their
 #: parameters: the traditional baselines pass different ones).
-HEARTBEAT_INTERVAL = 10.0
+#:
+#: ``HEARTBEAT_INTERVAL`` is the longest silence a process allows on a
+#: link before it spends a heartbeat on it: the default suspicion timeout
+#: (60 ms) ÷ 4, so two consecutive losses plus the link's delay still fit
+#: inside the timeout (3 × 15 + 11 = 56 ms); 20 ms would not leave room
+#: for the second loss (35 false suspicions over 95 lossy fault-free
+#: explore scenarios against 4 at 15 ms).  Not derived per stack from
+#: ``suspicion_timeout``: tests legitimately set that to 3.0 and to 1e9,
+#: which would flood or starve the 2 s exclusion monitor.
+HEARTBEAT_INTERVAL = 15.0
 INITIAL_RTO = 40.0
 STUCK_TIMEOUT = 1_000.0
 

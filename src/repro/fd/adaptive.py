@@ -41,6 +41,9 @@ class AdaptiveMonitor(Monitor):
         self.min_timeout = min_timeout
         self.max_timeout = max_timeout
 
+    def _sampled(self) -> None:
+        self._check()
+
     def timeout_for(self, peer: str) -> float:
         gaps = self._detector.arrival_gaps(peer)
         if len(gaps) < 4:

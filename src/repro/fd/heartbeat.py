@@ -20,20 +20,45 @@ fallback*, not the only evidence:
   fence runs first, so a stale pre-crash datagram can never vouch for a
   recovered process; the tap re-checks the incarnation anyway for
   directly injected traffic.
-* with ``suppression`` on, the per-peer heartbeat send is **skipped**
-  whenever we sent that peer any datagram within the last
-  ``heartbeat_interval`` ms — our outbound traffic already proves our
-  liveness to them.  Under load the O(n) periodic
+* with ``suppression`` on, a heartbeat goes to a peer only when nothing
+  at all has been handed to the transport for it for a whole
+  ``heartbeat_interval`` — our outbound traffic already proves our
+  liveness to them.  ``heartbeat_interval`` thus means *the longest
+  silence the sender allows on a link*, and it is kept by a deadline,
+  not a tick: one one-shot timer per process, armed for the earliest
+  per-peer deadline and re-armed lazily (a deadline is looked at again
+  only once reached; traffic sent meanwhile has moved it, which counts
+  as one ``fd.suppressed``).  Deadlines within ``KEEPALIVE_SLACK`` of an
+  interval are served by the same firing, so idle links fall into step
+  instead of waking the process once each.  Under load the O(n)
   broadcast collapses to sends on idle links only; a crashed peer's
   links go idle immediately (it sends nothing), so time-to-suspect is
-  unchanged.
+  unchanged.  With suppression off the deadline is the last heartbeat
+  plus one interval — the same code sends the traditional constant
+  stream.  (Skipping a periodic beat whenever anything went out within
+  the last interval would guarantee only *two* intervals of silence
+  while still paying one datagram per interval on an idle link.  The
+  new stack runs the deadline at 15 ms = suspicion timeout ÷ 4: two
+  consecutive losses plus the link's delay still fit inside the 60 ms
+  timeout.)
 * the reliable channel piggybacks the sender's current **hb-epoch**
-  (``current_hb_epoch``, bumped once per beat) on its datagrams and
+  (``current_hb_epoch``: whole intervals elapsed) on its datagrams and
   feeds received epochs back via :meth:`note_piggyback_sample`.  The
   arrival-gap estimator samples at most once per (peer, epoch), so the
   adaptive detector keeps seeing one sample per heartbeat period —
   whether the sample arrived as an explicit heartbeat or on the back of
   application traffic.
+
+**Monitors run on expiry timers.**  A monitor does not poll: it scans
+its peer set, and arms one one-shot timer for the earliest
+``max(last_heard, member_since) + timeout`` among the peers it still
+trusts — capped one timeout ahead, because a peer that *enters* the set
+is first seen by a scan.  A crash is therefore suspected exactly one
+timeout after the victim was last heard, not at the next tick after.
+Fresh evidence only moves expiries later, so the armed timer is left
+alone (it fires early, finds nothing expired and re-arms); evidence from
+a peer *currently suspected* re-scans at once, and an adaptive monitor,
+whose timeouts move with every sample, re-scans per sample.
 
 The detector is unreliable in the sense of Chandra–Toueg [10]: it can
 suspect correct processes (small timeouts, message loss, partitions) and
@@ -50,8 +75,23 @@ from collections import deque
 from typing import Callable
 
 from repro.sim.process import Component, Process
+from repro.sim.scheduler import Timer
 
 PORT = "fd.hb"
+
+#: Slack for "has this deadline come?": a timer armed ``deadline - now``
+#: ahead fires at ``now + (deadline - now)``, which float rounding can
+#: leave a hair short of ``deadline``; it must not find nothing due and
+#: re-arm for zero delay.
+_DUE_SLACK = 1e-6
+
+#: Share of a heartbeat interval by which a heartbeat may go out early so
+#: that one firing of the keep-alive timer serves neighbouring deadlines:
+#: idle links fall into step instead of waking the process once each.
+#: The price is a heartbeat that traffic might still have suppressed; ⅛
+#: is the knee (0 / ¹⁄₁₆ / ⅛ / ¼ read 69 / 60 / 52 / 41 keep-alive firings
+#: against 71.9 / 72.4 / 73.0 / 75.4 heartbeats per op on ``bulk_ring``).
+KEEPALIVE_SLACK = 1 / 8
 
 PeerProvider = Callable[[], list[str]]
 SuspicionCallback = Callable[[str], None]
@@ -81,22 +121,29 @@ class Monitor:
         self._on_trust = on_trust
         self.suspects: set[str] = set()
         self.active = True
-        self._started_at = detector.now
         #: When each peer (re-)entered the monitored set.  A peer that
         #: joins (or a recovered process re-admitted to the view) gets a
         #: full timeout of grace from that moment — without this, a
         #: stale ``last_heard`` from before its crash would make the
         #: monitor re-suspect it the instant it re-enters the view.
         self._member_since: dict[str, float] = {}
+        #: The one-shot expiry timer.  The first scan is an event rather
+        #: than a call: the peer provider may not resolve yet (the stack
+        #: builds its membership after its monitors).
+        self._timer: Timer | None = None
+        self._arm(detector.now)
 
     def stop(self) -> None:
         self.active = False
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def restart(self) -> None:
         self.active = True
-        self._started_at = self._detector.now
         self.suspects.clear()
         self._member_since.clear()
+        self._check()
 
     def suspected(self, pid: str) -> bool:
         return pid in self.suspects
@@ -106,7 +153,28 @@ class Monitor:
         monitors override this)."""
         return self.timeout
 
+    def _sampled(self) -> None:
+        """The detector recorded a new arrival-gap sample.  Nothing to do
+        for a fixed timeout; adaptive monitors re-scan (their timeouts,
+        hence their expiries, move with every sample)."""
+
+    def _arm(self, when: float) -> None:
+        """Scan at ``when`` — unless a scan is due sooner anyway: one that
+        comes early finds nothing expired and re-arms for what is."""
+        timer = self._timer
+        if timer is not None and timer.active:
+            if timer.when <= when:
+                return
+            timer.cancel()
+        delay = max(0.0, when - self._detector.now)
+        self._timer = self._detector.schedule(delay, self._check)
+
     def _check(self) -> None:
+        """Scan the monitored set: suspect every peer whose timeout has run
+        out since it was last heard (or entered the set), trust every
+        suspect heard since, and arm the timer for the earliest expiry
+        left — at most one timeout ahead, because a peer that *enters*
+        the set is first seen by a scan."""
         if not self.active:
             return
         now = self._detector.now
@@ -119,23 +187,26 @@ class Monitor:
             self.suspects.discard(gone)
         for gone in [p for p in self._member_since if p not in peers]:
             del self._member_since[gone]
+        wake = now + self.timeout
         for peer in sorted(peers):
             since = self._member_since.setdefault(peer, now)
             last = self._detector.last_heard(peer)
             if last is None or last < since:
                 last = since
-            silent_for = now - last
-            if silent_for > self.timeout_for(peer):
-                if peer not in self.suspects:
-                    self.suspects.add(peer)
-                    self._detector.trace("suspect", peer=peer, timeout=self.timeout)
-                    if self._on_suspect is not None:
-                        self._on_suspect(peer)
-            elif peer in self.suspects:
-                self.suspects.discard(peer)
-                self._detector.trace("trust", peer=peer, timeout=self.timeout)
-                if self._on_trust is not None:
-                    self._on_trust(peer)
+            expiry = last + self.timeout_for(peer)
+            if expiry > now + _DUE_SLACK:
+                wake = min(wake, expiry)
+                if peer in self.suspects:
+                    self.suspects.discard(peer)
+                    self._detector.trace("trust", peer=peer, timeout=self.timeout)
+                    if self._on_trust is not None:
+                        self._on_trust(peer)
+            elif peer not in self.suspects:
+                self.suspects.add(peer)
+                self._detector.trace("suspect", peer=peer, timeout=self.timeout)
+                if self._on_suspect is not None:
+                    self._on_suspect(peer)
+        self._arm(wake)
 
 
 class HeartbeatFailureDetector(Component):
@@ -167,7 +238,9 @@ class HeartbeatFailureDetector(Component):
         self._incarnations: dict[str, int] = {}
         self._reincarnation_listeners: list[ReincarnationCallback] = []
         self._monitors: list[Monitor] = []
-        self._hb_epoch = 0
+        self._built_at = self.now
+        #: When the next heartbeat to each peer falls due (see ``_keepalive``).
+        self._deadlines: dict[str, float] = {}
         # Bound handles: one increment per datagram-scale event — the
         # dominant background work in long runs.
         counters = process.world.metrics.counters
@@ -180,7 +253,7 @@ class HeartbeatFailureDetector(Component):
         process.world.transport.register_liveness_sink(process, self._on_traffic)
 
     def start(self) -> None:
-        self._beat()
+        self._keepalive()
 
     # ------------------------------------------------------------------
     # Client interface (Fig. 9: start_stop_monitor / suspect)
@@ -210,10 +283,11 @@ class HeartbeatFailureDetector(Component):
         return self._incarnations.get(pid)
 
     def current_hb_epoch(self) -> int:
-        """The heartbeat epoch, bumped once per beat tick.  The reliable
-        channel stamps it on outgoing datagrams so receivers can sample
-        arrival gaps even when explicit heartbeats are suppressed."""
-        return self._hb_epoch
+        """The heartbeat epoch: whole heartbeat intervals elapsed since
+        this detector was built.  The reliable channel stamps it on
+        outgoing datagrams so receivers can sample arrival gaps even
+        when explicit heartbeats are suppressed."""
+        return int((self.now - self._built_at + _DUE_SLACK) / self.heartbeat_interval)
 
     def on_reincarnation(self, listener: ReincarnationCallback) -> None:
         """Register ``listener(pid, incarnation)`` fired when liveness
@@ -226,28 +300,38 @@ class HeartbeatFailureDetector(Component):
     # ------------------------------------------------------------------
     # Heartbeat machinery
     # ------------------------------------------------------------------
-    def _beat(self) -> None:
-        self._hb_epoch += 1
-        payload = (self.process.incarnation, self._hb_epoch)
-        suppress_within = self.heartbeat_interval
-        transport = self.world.transport
+    def _keepalive(self) -> None:
+        """Send the heartbeats that have fallen due (or will within the
+        slack) and sleep until the next deadline.  A deadline is looked at
+        again only once reached: traffic sent meanwhile has moved it,
+        which counts as one suppressed heartbeat."""
         now = self.now
+        interval = self.heartbeat_interval
+        due_by = now + interval * KEEPALIVE_SLACK + _DUE_SLACK
+        payload = (self.process.incarnation, self.current_hb_epoch())
+        transport = self.world.transport
+        deadlines: dict[str, float] = {}
         for peer in self.peer_provider():
             if peer == self.pid:
                 continue
-            if self.suppression:
-                sent = transport.last_sent(self.pid, peer)
-                if sent is not None and now - sent < suppress_within:
-                    # The link is warm: our own traffic within the last
-                    # period already proved our liveness to this peer.
+            deadline = self._deadlines.get(peer, now)  # a new peer is owed one at once
+            if deadline <= due_by:
+                sent = transport.last_sent(self.pid, peer) if self.suppression else None
+                if sent is not None and sent + interval > due_by:
+                    # Our own traffic since proved our liveness to this peer.
                     self._inc_suppressed()
-                    continue
-            self._inc_heartbeats()
-            self._inc_explicit()
-            self.world.u_send(self.pid, peer, PORT, payload, layer="fd")
-        for mon in self._monitors:
-            mon._check()
-        self.schedule(self.heartbeat_interval, self._beat)
+                    deadline = sent + interval
+                else:
+                    self._inc_heartbeats()
+                    self._inc_explicit()
+                    self.world.u_send(self.pid, peer, PORT, payload, layer="fd")
+                    deadline = now + interval
+            deadlines[peer] = deadline
+        # Peers that left the set are forgotten; with nobody to talk to,
+        # look for peers again one interval on.
+        self._deadlines = deadlines
+        wake = min(deadlines.values(), default=now + interval)
+        self.schedule(max(0.0, wake - now), self._keepalive)
 
     def arrival_gaps(self, pid: str) -> list[float]:
         """Recent heartbeat-epoch inter-arrival gaps (ms) for ``pid``."""
@@ -294,15 +378,16 @@ class HeartbeatFailureDetector(Component):
                 self.now - previous
             )
         self._last_sample_time[src] = self.now
+        for mon in self._monitors:
+            mon._sampled()
 
     def _on_heartbeat(self, src: str, payload: tuple[int, int]) -> None:
         incarnation, epoch = payload
         if not self._note_incarnation(src, incarnation):
             return
-        self._note_sample(src, epoch)
         self._last_heard[src] = self.now
-        for mon in self._monitors:
-            mon._check()
+        self._note_sample(src, epoch)
+        self._recheck_suspect(src)
 
     def _on_traffic(self, src: str, incarnation: int, port: str) -> None:
         """Transport liveness tap: any delivered datagram refreshes
@@ -313,9 +398,12 @@ class HeartbeatFailureDetector(Component):
             return
         self._last_heard[src] = self.now
         self._inc_tap()
-        # Targeted re-check: only monitors currently suspecting this peer
-        # need to revise — a full _check per datagram would be O(n) on
-        # the hot path for nothing.
+        self._recheck_suspect(src)
+
+    def _recheck_suspect(self, src: str) -> None:
+        """Evidence from ``src`` arrived: monitors suspecting it revise at
+        once.  Everyone else's timers merely fire early and re-arm — a
+        scan per datagram would be O(n) on the hot path for nothing."""
         for mon in self._monitors:
             if src in mon.suspects:
                 mon._check()
@@ -333,5 +421,5 @@ class HeartbeatFailureDetector(Component):
         if not self._note_incarnation(src, incarnation):
             return
         self._inc_piggyback()
-        self._note_sample(src, epoch)
         self._last_heard[src] = self.now
+        self._note_sample(src, epoch)

@@ -6,11 +6,26 @@ numbers, cumulative acknowledgements and timeout-driven retransmission
 over the unreliable transport (the paper implements it over TCP [15]).
 Delivery is FIFO per sender, like TCP.
 
+Every datagram of the channel — DATA, BATCH, ACK, GAP, first
+transmission or re-send — opens with the same header: the sender's
+incarnation, the incarnation it believes the peer to run, the cumulative
+ACK for the reverse direction and the hb-epoch.  So acknowledgements
+ride the data going back: a consensus ACK, a gbcast ack or a DECIDE
+returning along a link acknowledges what came down it.  With coalescing
+on, an ACK the channel owes waits up to ``ACK_HOLD`` ms for such a
+datagram and is sent as a pure ``ACK`` only if none went; its hold timer
+is cancelled the moment it rides one.  Data is never flushed early for
+an ACK's sake (that buys latency with datagrams).  Without coalescing
+every arrival is still ACKed immediately.  A piggybacked ACK goes
+through the same ``_on_ack`` as a pure one — the estimator, Karn's rule
+and the GAP notice below cannot tell them apart — and its bytes are
+charged to ``rc``, not to the layer of the data it rides.
+
 Retransmission follows TCP's discipline (RFC 6298) and nothing more.
 Every unacknowledged segment remembers when it last left and how often;
 every peer has a round-trip estimator fed by ACKs (``SRTT``/``RTTVAR``;
 Karn's rule: only a segment transmitted exactly once is sampled, and
-the receiver's delayed-ACK hold is simply part of the sample) and a
+the receiver's ACK hold is simply part of the sample) and a
 retransmission timeout ``RTO = srtt + max(4·rttvar, RTO_MIN)``, at most
 ``RTO_MAX``.  A segment is re-sent only once it has been out for a whole
 RTO — selectively, by age: k segments lost from one window fall due at
@@ -55,13 +70,13 @@ recovered) is rejected — its sequence numbers belong to a dead
 connection — and answered with an ACK that reveals our real incarnation
 so the peer resets and renumbers.
 
-Piggybacked heartbeat headers: when the stack wires ``hb_epoch_provider``
-/ ``hb_sample_sink``, every outgoing DATA/BATCH/ACK datagram carries the
-sender failure detector's current heartbeat epoch as a trailing field,
-and received epochs are fed to the local detector — so the adaptive
-timeout estimator keeps getting one arrival sample per heartbeat period
-even when explicit heartbeats are suppressed on busy links (see
-``repro.fd.heartbeat``).  Unwired channels keep the bare wire format.
+Piggybacked heartbeat epochs: when the stack wires ``hb_epoch_provider``
+/ ``hb_sample_sink``, the header's hb-epoch field carries the sender
+failure detector's current heartbeat epoch, and received epochs are fed
+to the local detector — so the adaptive timeout estimator keeps getting
+one arrival sample per heartbeat period even when explicit heartbeats
+are suppressed on busy links (see ``repro.fd.heartbeat``).  A channel
+with no detector wired sends ``None`` in the same place.
 """
 
 from __future__ import annotations
@@ -70,7 +85,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.net.wire import payload_size
+from repro.net.wire import INT_BYTES, payload_size
 from repro.sim.process import Component, Process
 from repro.sim.scheduler import Timer
 
@@ -80,12 +95,24 @@ PORT = "rc"
 #: slack above the smoothed round trip (and the least RTO).  It must
 #: exceed what a single round trip can add to the mean on the measured
 #: links — two hops of 3–11 ms, the sender's coalescing hold, the
-#: receiver's delayed-ACK hold, 16 ms to serialise a full batch of 4 KiB
+#: receiver's ``ACK_HOLD``, 16 ms to serialise a full batch of 4 KiB
 #: bodies at 2 MB/s — or the channel re-sends what was never lost.
 #: ``RTO_MAX`` caps the back-off and bounds how late the output-triggered
 #: suspicion can notice a stuck peer.
 RTO_MIN = 40.0
 RTO_MAX = 320.0
+
+#: How long an owed ACK waits for a datagram going the same way before it
+#: is sent on its own.  A quarter of ``RTO_MIN``: the hold is part of
+#: every round-trip sample, so it must stay a small share of the slack
+#: ``RTO_MIN`` leaves above the mean.  Holds of 2 / 5 / 10 / 20 ms read
+#: 17.9 / 17.1 / 16.2 / 15.4 datagrams per op on ``order_small``: beyond
+#: 10 ms, half of what a longer hold saves in pure ACKs comes back as
+#: heartbeats those ACKs no longer suppress.
+ACK_HOLD = RTO_MIN / 4
+
+#: Byte attribution of the ACK field on a datagram of another layer.
+_ACK_FIELD = [("rc", INT_BYTES)]
 
 #: Slack for "has this segment been out for a whole RTO?": the timer is
 #: armed at ``last_sent + rto`` and float rounding must not make it fire
@@ -213,8 +240,9 @@ class ReliableChannel(Component):
         #: Segments awaiting a coalesced flush, per peer (coalescing only).
         self._sendbuf: dict[str, list[_Pending]] = {}
         self._flush_scheduled: set[str] = set()
-        #: Peers owed an ACK by the pending delayed-ACK timer (coalescing only).
-        self._ack_owed: set[str] = set()
+        #: Peers owed an ACK, with the hold timer that sends it on its own
+        #: should no datagram go their way first (coalescing only).
+        self._ack_owed: dict[str, Timer] = {}
         #: Traffic-aware FD wiring (set by the stack): the sender's
         #: current heartbeat epoch to stamp on outgoing datagrams, and
         #: the sink that receives ``(src, incarnation, epoch)`` for every
@@ -232,18 +260,13 @@ class ReliableChannel(Component):
         self._inc_backoffs = counters.handle("rc.backoffs")
         self._inc_batches = counters.handle("rc.batches")
         self._inc_coalesced = counters.handle("rc.segments_coalesced")
+        self._inc_piggybacked = counters.handle("rc.acks_piggybacked")
         self._port_handles: dict[str, Callable] = {}
         self.register_port(PORT, self._on_datagram)
 
     @property
     def incarnation(self) -> int:
         return self.process.incarnation
-
-    def _stamp(self, datagram: tuple) -> tuple:
-        """Append the current hb-epoch header when the FD is wired."""
-        if self.hb_epoch_provider is None:
-            return datagram
-        return datagram + (self.hb_epoch_provider(),)
 
     # ------------------------------------------------------------------
     # Sending
@@ -284,11 +307,7 @@ class ReliableChannel(Component):
         if self.coalesce_delay is None:
             pending.last_sent = self.now
             pending.transmits = 1
-            self._send_under(
-                pending.span, dst,
-                self._stamp(("DATA", self.incarnation, self._peer_incarnation.get(dst, 0), seq, port, payload)),
-                layer,
-            )
+            self._transmit(pending.span, dst, "DATA", (seq, port, payload), layer)
             if pending.span is not None:
                 # No coalescing wait on the direct path: zero queue time.
                 pending.span.end = self.now
@@ -322,11 +341,8 @@ class ReliableChannel(Component):
                 e.span.end = now
         if len(buffered) == 1:
             entry = buffered[0]
-            self._send_under(
-                entry.span, dst,
-                self._stamp(("DATA", self.incarnation, self._peer_incarnation.get(dst, 0),
-                             entry.seq, entry.port, entry.payload)),
-                entry.layer,
+            self._transmit(
+                entry.span, dst, "DATA", (entry.seq, entry.port, entry.payload), entry.layer
             )
             return
         self._inc_batches()
@@ -337,24 +353,45 @@ class ReliableChannel(Component):
         # batch must not absorb the abcast payload bodies packed behind
         # it, or the ordering-vs-dissemination byte split is noise.
         split = [(e.layer, payload_size(e.payload)) for e in buffered]
-        self._send_under(
-            buffered[0].span, dst,
-            self._stamp(("BATCH", self.incarnation, self._peer_incarnation.get(dst, 0), segments)),
-            buffered[0].layer,
-            byte_split=split,
-        )
+        self._transmit(buffered[0].span, dst, "BATCH", (segments,), buffered[0].layer, split)
 
-    def _send_under(
+    def _transmit(
         self,
         span: Any,
         dst: str,
-        datagram: tuple,
+        kind: str,
+        body: tuple,
         layer: str,
         byte_split: list[tuple[str, int]] | None = None,
     ) -> None:
-        """``u_send`` with ``span`` as the ambient causal parent (if any),
-        so the datagram's transit span chains to the segment's queue span
-        — including for retransmissions long after the original send."""
+        """Put one datagram for ``dst`` on the wire.
+
+        Whatever its kind, it opens with the same header — our
+        incarnation, the incarnation we believe ``dst`` to run, the
+        cumulative ACK for the reverse direction and the hb-epoch — so an
+        ACK owed to ``dst`` rides it and its hold timer is cancelled.
+        The ACK field is the channel's own overhead: its bytes go to
+        ``rc``, not to the layer of the data it rides.
+
+        ``span`` becomes the ambient causal parent (if any), so the
+        datagram's transit span chains to the segment's queue span —
+        including for retransmissions long after the original send.
+        """
+        held = self._ack_owed.pop(dst, None)
+        if held is not None:
+            held.cancel()
+            if kind != "ACK":
+                self._inc_piggybacked()
+        provider = self.hb_epoch_provider
+        datagram = (
+            kind,
+            self.incarnation,
+            self._peer_incarnation.get(dst, 0),
+            self._next_expected.get(dst, 0),
+            None if provider is None else provider(),
+        ) + body
+        if layer != "rc":
+            byte_split = _ACK_FIELD if byte_split is None else byte_split + _ACK_FIELD
         if span is None:
             self.world.u_send(
                 self.pid, dst, PORT, datagram, layer=layer, byte_split=byte_split
@@ -421,71 +458,54 @@ class ReliableChannel(Component):
     # Receiving
     # ------------------------------------------------------------------
     def _on_datagram(self, src: str, datagram: tuple) -> None:
-        kind, incarnation, believes_us = datagram[0], datagram[1], datagram[2]
+        kind, incarnation, believes_us, ack, hb_epoch = datagram[:5]
         if not self._note_peer_incarnation(src, incarnation):
             self.world.metrics.counters.inc("net.stale_incarnation_dropped")
             return
-        # Piggybacked hb-epoch header (trailing field, present only when
-        # the sender's channel is FD-wired).  Fed after the incarnation
-        # fence: a stale incarnation's epoch must not vouch for the peer.
-        base = 6 if kind == "DATA" else 4
-        if len(datagram) > base and self.hb_sample_sink is not None:
-            self.hb_sample_sink(src, incarnation, datagram[base])
+        # Piggybacked hb-epoch (None from a channel with no FD wired).
+        # Fed after the incarnation fence: a stale incarnation's epoch
+        # must not vouch for the peer.
+        if hb_epoch is not None and self.hb_sample_sink is not None:
+            self.hb_sample_sink(src, incarnation, hb_epoch)
         if believes_us != self.process.incarnation:
             # The peer is still talking to a previous incarnation's
             # connection: its sequence numbers are meaningless to us.
-            # Reject the segment, but answer (our ACK carries our real
-            # incarnation) so the peer learns of us and resets.
+            # Reject the datagram, but answer at once (our ACK carries
+            # our real incarnation) so the peer learns of us and resets.
             self.world.metrics.counters.inc("rc.stale_connection_dropped")
             if kind != "ACK":
                 self._send_ack(src)
             return
+        self._on_ack(src, ack)
         if kind == "DATA":
-            seq, port, payload = datagram[3], datagram[4], datagram[5]
+            seq, port, payload = datagram[5:]
             self._admit(src, seq, port, payload)
             self._request_ack(src)
         elif kind == "BATCH":
-            segments = datagram[3]
-            for seq, port, payload in segments:
+            for seq, port, payload in datagram[5]:
                 self._admit(src, seq, port, payload)
                 if self.process.crashed:
                     return
             # One cumulative ACK covers the whole batch.
             self._request_ack(src)
-        elif kind == "ACK":
-            self._on_ack(src, datagram[3])
         elif kind == "GAP":
-            self._skip_hole(src, datagram[3])
+            self._skip_hole(src, datagram[5])
             self._request_ack(src)
 
     def _send_ack(self, src: str) -> None:
-        self.world.u_send(
-            self.pid, src, PORT,
-            self._stamp((
-                "ACK",
-                self.incarnation,
-                self._peer_incarnation.get(src, 0),
-                self._next_expected.get(src, 0),
-            )),
-            layer="rc",
-        )
+        self._transmit(None, src, "ACK", (), "rc")
 
     def _request_ack(self, src: str) -> None:
-        """ACK ``src`` — immediately, or via the delayed cumulative-ACK
-        timer when coalescing is on (arrivals within one window share
-        one ACK; the ACK is cumulative, so delaying it is always safe)."""
+        """Owe ``src`` an ACK.  Without coalescing it is sent at once.
+        With it, the ACK rides the next datagram that goes to ``src``
+        anyway — a reply, a consensus ACK, a DECIDE — and is sent on its
+        own only if none has gone after ``ACK_HOLD`` ms (it is cumulative,
+        so delaying it is always safe).  Data is never flushed early for
+        an ACK's sake."""
         if self.coalesce_delay is None:
             self._send_ack(src)
-            return
-        if src in self._ack_owed:
-            return
-        self._ack_owed.add(src)
-        self.schedule(self.coalesce_delay, self._flush_ack, src)
-
-    def _flush_ack(self, src: str) -> None:
-        if src in self._ack_owed:
-            self._ack_owed.discard(src)
-            self._send_ack(src)
+        elif src not in self._ack_owed:
+            self._ack_owed[src] = self.schedule(ACK_HOLD, self._send_ack, src)
 
     def _note_peer_incarnation(self, src: str, incarnation: int) -> bool:
         """Track ``src``'s incarnation; returns False for stale traffic.
@@ -530,11 +550,7 @@ class ReliableChannel(Component):
                 self._rto[src].backoff = 0
                 self._ensure_armed(src)
                 for e in entries:
-                    self._send_under(
-                        e.span, src,
-                        self._stamp(("DATA", self.incarnation, incarnation, e.seq, e.port, e.payload)),
-                        e.layer,
-                    )
+                    self._transmit(e.span, src, "DATA", (e.seq, e.port, e.payload), e.layer)
         self._peer_incarnation[src] = incarnation
         return True
 
@@ -611,11 +627,7 @@ class ReliableChannel(Component):
             # is merely an old one: a notice now could overtake the last
             # transmission :meth:`discard` made and void it.
             self.world.metrics.counters.inc("rc.gap_notices")
-            self.world.u_send(
-                self.pid, src, PORT,
-                self._stamp(("GAP", self.incarnation, self._peer_incarnation.get(src, 0), floor)),
-                layer="rc",
-            )
+            self._transmit(None, src, "GAP", (floor,), "rc")
 
     # ------------------------------------------------------------------
     # Retransmission + output-triggered suspicion
@@ -670,7 +682,6 @@ class ReliableChannel(Component):
             entry.last_sent = now
             entry.transmits += 1
         self._inc_retransmits(len(entries))
-        believed = self._peer_incarnation.get(dst, 0)
         # Retransmissions batch too — they are pure channel overhead, so
         # fewer datagrams is a direct win.
         step = 1 if self.coalesce_delay is None else self.max_segment_batch
@@ -678,13 +689,12 @@ class ReliableChannel(Component):
             chunk = entries[i:i + step]
             if len(chunk) == 1:
                 entry = chunk[0]
-                datagram = (
-                    "DATA", self.incarnation, believed, entry.seq, entry.port, entry.payload
+                self._transmit(
+                    entry.span, dst, "DATA", (entry.seq, entry.port, entry.payload), "rc"
                 )
             else:
                 segments = tuple((e.seq, e.port, e.payload) for e in chunk)
-                datagram = ("BATCH", self.incarnation, believed, segments)
-            self._send_under(chunk[0].span, dst, self._stamp(datagram), "rc")
+                self._transmit(chunk[0].span, dst, "BATCH", (segments,), "rc")
 
 
 def channel_of(process: Process) -> ReliableChannel:

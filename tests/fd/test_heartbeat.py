@@ -1,5 +1,7 @@
 """Unit tests for the heartbeat failure detector and its monitors."""
 
+import pytest
+
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.net.topology import LinkModel
 from repro.sim.world import World
@@ -99,3 +101,56 @@ def test_never_suspects_self():
     world.start()
     world.run_for(1_000.0)
     assert "p00" not in monitor.suspects
+
+
+# ----------------------------------------------------------------------
+# Monitors run on expiry timers, not on a tick
+# ----------------------------------------------------------------------
+def suspect_records(world, pid):
+    return [r for r in world.trace.select(component="fd", event="suspect") if r.pid == pid]
+
+
+def test_crash_is_suspected_at_last_heard_plus_timeout_exactly():
+    world, fds = fd_world(hb=10.0, link=LinkModel(1.0, 3.0))
+    fds["p00"].monitor(["p01"], timeout=37.0)
+    world.start()
+    world.run_for(203.0)
+    world.crash("p01")
+    world.run_for(10.0)  # whatever was in flight has landed
+    last_heard = fds["p00"].last_heard("p01")
+    world.run_for(100.0)
+    (record,) = suspect_records(world, "p00")
+    # Not rounded up to a 10 ms tick: the timer was armed for the expiry.
+    assert record.time == pytest.approx(last_heard + 37.0, abs=1e-6)
+    assert record.time % 10.0 > 1e-3
+
+
+def test_peer_that_enters_the_set_and_never_speaks_is_suspected_within_two_timeouts():
+    world, fds = fd_world()
+    peers = ["p01"]
+    monitor = fds["p00"].monitor(lambda: list(peers), timeout=50.0)
+    world.start()
+    world.run_for(333.0)
+    peers.append("p09")  # no such process: it will never be heard
+    entered = world.now
+    assert run_until(world, lambda: "p09" in monitor.suspects, timeout=1_000, step=1.0)
+    # First seen by the next scan (at most one timeout away), then given
+    # a full timeout of grace from there.
+    assert 50.0 <= world.now - entered <= 2 * 50.0 + 1.0
+    assert "p01" not in monitor.suspects
+
+
+def test_stopped_monitor_schedules_nothing():
+    # Detectors without start(): no heartbeat traffic, so every event
+    # left is a monitor's.
+    world, fds = fd_world()
+    monitor = fds["p00"].monitor(["p01"], timeout=50.0)
+    world.scheduler.run_for(0.0)  # the first scan
+    assert world.scheduler.pending() > 0
+    monitor.stop()
+    before = world.scheduler.events_processed
+    world.scheduler.run_for(10_000.0)
+    assert world.scheduler.events_processed == before
+    monitor.restart()
+    world.scheduler.run_for(100.0)
+    assert monitor.suspects == {"p01"}

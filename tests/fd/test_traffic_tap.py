@@ -13,6 +13,8 @@ The one property all of it must preserve: a *crashed* peer's links go
 idle immediately, so time-to-suspect is unchanged with suppression on.
 """
 
+import random
+
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.net.topology import LinkModel
 from repro.sim.process import Component
@@ -137,3 +139,72 @@ def suspicion_time(suppression, crash_at=200.0, timeout=35.0):
 
 def test_crashed_peer_suspected_no_later_with_suppression():
     assert suspicion_time(suppression=True) == suspicion_time(suppression=False)
+
+
+# ----------------------------------------------------------------------
+# Keep-alive deadlines: a heartbeat only when a link has been silent for
+# a whole interval
+# ----------------------------------------------------------------------
+def heartbeat_log(world, src, dst):
+    """Times at which ``src`` hands the transport a heartbeat for ``dst``."""
+    sent = []
+    u_send = world.transport.u_send
+
+    def spy(s, d, port, payload, **kwargs):
+        if (s, d, port) == (src, dst, "fd.hb"):
+            sent.append(world.now)
+        u_send(s, d, port, payload, **kwargs)
+
+    world.transport.u_send = spy
+    return sent
+
+
+def test_silent_link_carries_exactly_one_heartbeat_per_interval():
+    world, fds = fd_world(hb=15.0, suppression=True)
+    sent = heartbeat_log(world, "p00", "p01")
+    world.start()
+    world.run_for(1_500.0)
+    assert sent == [15.0 * k for k in range(101)]
+
+
+def test_busy_link_carries_no_heartbeat_at_all():
+    world, fds = fd_world(hb=15.0, suppression=True)
+    sent = heartbeat_log(world, "p00", "p01")
+    world.start()
+    world.run_for(1.0)
+    del sent[:]  # the one at start, before any traffic
+    app_traffic(world, "p00", "p01", start=5.0, stop=1_000.0, every=5.0)
+    world.run_for(999.0)
+    assert sent == []
+    assert world.metrics.counters.get("fd.suppressed") > 0
+    # The receiver is none the worse for it.
+    assert world.now - fds["p01"].last_heard("p00") <= 5.0 + 1.0
+
+
+def test_receiver_side_silence_is_bounded_by_interval_plus_jitter():
+    # Whatever the traffic does, the sender lets no link stay silent for
+    # more than one interval, so the receiver hears it at least every
+    # interval + jitter.  (A tick that skips a beat whenever anything
+    # went out within the last interval guarantees only twice that.)
+    interval, jitter = 15.0, 4.0
+    for seed in range(5):
+        world, fds = fd_world(
+            seed=seed, hb=interval, link=LinkModel(1.0, jitter), suppression=True
+        )
+        rng = random.Random(seed)
+        t = 0.0
+        while t < 3_000.0:
+            # Bursts and lulls: gaps from 1 ms to three intervals.
+            t += rng.choice([1.0, 3.0, 7.0, 14.0, 16.0, 29.0, 44.0]) * rng.random()
+            world.scheduler.at(t, lambda: world.u_send("p00", "p01", "app", "x", layer="app"))
+        world.start()
+        heard = []
+        while world.now < 3_000.0:
+            world.run_for(0.25)
+            at = fds["p01"].last_heard("p00")
+            if at is not None and (not heard or at != heard[-1]):
+                heard.append(at)
+        gaps = [b - a for a, b in zip(heard, heard[1:])]
+        assert max(gaps) <= interval + jitter + 0.25, (seed, max(gaps))
+        assert world.metrics.counters.get("fd.suppressed") > 0
+        assert world.metrics.counters.get("fd.explicit_hb") > 0

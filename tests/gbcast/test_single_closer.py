@@ -52,7 +52,11 @@ def test_all_conflicting_run_orders_one_endstage_per_stage(count):
     (stages,) = {s.gbcast.stage for s in stacks.values()}
     assert stages >= ops - 1  # every pair conflicts: about one stage per op
     assert counters.get("gbcast.endstages") == stages
-    assert counters.get("gbcast.closes_deferred") == stages * (count - 1)
+    # Every other member defers to the closer — unless the closer's
+    # ENDSTAGE reaches it before the conflict does, which link jitter
+    # decides for a stage or two in forty.
+    others = stages * (count - 1)
+    assert 0.9 * others <= counters.get("gbcast.closes_deferred") <= others
     # ``abcast.instances`` counts every process's proposal of an instance.
     assert counters.get("abcast.instances") / count <= 1.1 * ops
     assert_clean(stacks)

@@ -1,14 +1,15 @@
 """Send-side coalescing and delayed cumulative ACKs in ReliableChannel.
 
 The contract: with ``coalesce_delay`` set, multiple DATA segments to the
-same peer ride one BATCH datagram (capped by ``max_segment_batch``) and
-ACKs are cumulative over the same window — while per-link FIFO, duplicate
-suppression, crash recovery, and byte-identical determinism all hold
-exactly as on the segment-per-datagram path.
+same peer ride one BATCH datagram (capped by ``max_segment_batch``), an
+owed ACK rides whatever datagram next goes the same way and is sent on
+its own only after ``ACK_HOLD`` ms without one — while per-link FIFO,
+duplicate suppression, crash recovery, and byte-identical determinism all
+hold exactly as on the segment-per-datagram path.
 """
 
 from repro.core.new_stack import StackConfig, build_new_group, enable_recovery
-from repro.net.reliable import ReliableChannel
+from repro.net.reliable import ACK_HOLD, ReliableChannel
 from repro.net.topology import LinkModel
 from repro.sim.process import Component
 from repro.sim.world import World
@@ -67,19 +68,30 @@ def test_max_segment_batch_caps_batch_size():
 
 
 def test_fifo_and_dedup_hold_under_loss_and_duplication():
-    world, channels = coalescing_world(
-        seed=4, link=LinkModel(1.0, 3.0, drop_prob=0.3, dup_prob=0.2)
-    )
-    sink = Sink(world.process("p01"))
-    world.start()
-    payloads = [f"m{i}" for i in range(40)]
-    for i, p in enumerate(payloads):
-        # Spread over time so batches form and retransmissions interleave
-        # with fresh coalesced sends.
-        world.scheduler.at(float(i // 7), lambda p=p: channels["p00"].send("p01", "app", p))
-    assert run_until(world, lambda: len(sink.received) >= 40, timeout=60_000)
-    world.run_for(1_000.0)
-    assert sink.received == payloads
+    # One way (pure ACKs), then both ways at once (ACKs ride the data,
+    # and are lost and duplicated with it).
+    for senders in (("p00",), ("p00", "p01")):
+        world, channels = coalescing_world(
+            seed=4, link=LinkModel(1.0, 3.0, drop_prob=0.3, dup_prob=0.2)
+        )
+        sinks = {pid: Sink(world.process(pid)) for pid in world.pids()}
+        world.start()
+        payloads = [f"m{i}" for i in range(40)]
+        for src in senders:
+            dst = "p01" if src == "p00" else "p00"
+            for i, p in enumerate(payloads):
+                # Spread over time so batches form and retransmissions
+                # interleave with fresh coalesced sends.
+                world.scheduler.at(
+                    float(i // 7), lambda s=src, d=dst, p=p: channels[s].send(d, "app", p)
+                )
+        receivers = [sinks["p01" if src == "p00" else "p00"] for src in senders]
+        assert run_until(
+            world, lambda: all(len(r.received) >= 40 for r in receivers), timeout=60_000
+        )
+        world.run_for(1_000.0)
+        assert all(r.received == payloads for r in receivers)
+        assert all(channels[src].unacked(dst) == 0 for src, dst in (("p00", "p01"), ("p01", "p00")))
 
 
 def test_cumulative_acks_cut_ack_traffic():
@@ -97,6 +109,53 @@ def test_cumulative_acks_cut_ack_traffic():
         ack_counts[label] = world.metrics.counters.get("net.sent.rc")
     assert ack_counts["plain"] == 30  # one ack per segment
     assert ack_counts["coalesced"] <= ack_counts["plain"] / 3
+
+
+def test_request_response_traffic_sends_no_pure_ack():
+    # Every ACK finds a datagram going its way within the hold: the
+    # request's rides the response, the response's the next request.
+    world, channels = coalescing_world(coalesce_delay=1.0, link=LinkModel(3.0, 8.0))
+    rounds = 200
+    served = []
+
+    def serve(src, request):
+        served.append(request)
+        channels["p01"].send(src, "app", ("response", request))
+
+    def next_request(src, response):
+        if response[1] + 1 < rounds:
+            channels["p00"].send(src, "app", response[1] + 1)
+
+    world.process("p01").register_port("app", serve)
+    world.process("p00").register_port("app", next_request)
+    world.start()
+    channels["p00"].send("p01", "app", 0)
+    assert run_until(world, lambda: len(served) == rounds, timeout=60_000)
+    counters = world.metrics.counters
+    assert served == list(range(rounds))
+    assert counters.get("net.sent.rc") == 0
+    # Only the last response's ACK finds nothing to ride.
+    world.run_for(1.0 + 11.0 + ACK_HOLD + 11.0)
+    assert counters.get("rc.acks_piggybacked") == 2 * rounds - 1
+    assert counters.get("net.sent.rc") == 1
+    assert counters.get("rc.retransmits") == 0
+    assert channels["p01"].unacked("p00") == 0
+
+
+def test_one_way_stream_draws_at_most_one_ack_per_hold():
+    world, channels = coalescing_world(coalesce_delay=1.0, link=LinkModel(3.0, 8.0))
+    sink = Sink(world.process("p01"))
+    world.start()
+    for i in range(1_000):
+        world.scheduler.at(i * 2.0, lambda i=i: channels["p00"].send("p01", "app", i))
+    assert run_until(world, lambda: len(sink.received) == 1_000, timeout=10_000)
+    world.run_for(100.0)
+    counters = world.metrics.counters
+    assert channels["p00"].unacked("p01") == 0
+    assert counters.get("rc.retransmits") == 0
+    # 2 s of arrivals; the parent's 1 ms hold drew one ACK per datagram.
+    assert counters.get("net.sent.rc") <= 2_000.0 / ACK_HOLD + 2
+    assert counters.get("rc.acks_piggybacked") == 0
 
 
 def test_coalesced_delivery_survives_receiver_recovery():
