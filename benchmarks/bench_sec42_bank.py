@@ -11,6 +11,14 @@ proposals (the ordering work actually performed), and final-balance
 consistency.  The paper's claim: the generic-broadcast stack is strictly
 cheaper at low withdrawal rates and converges to the atomic cost as the
 conflict rate goes to 1.
+
+Both sides are this repo's generic broadcast, and the all-conflicting
+side is cheap on purpose: an ENDSTAGE orders its closure set *and*
+everything pending behind it, so this 20-op burst costs it a handful of
+consensus instances, not one per op (53.0 ms and 57 proposals before
+that, 11.1 ms and 6 since).  What is guarded is therefore the order of
+the two columns, not a factor; a stack that can *only* order pays the
+factor, and ``bench_xarch_comparison.py`` holds that comparison.
 """
 
 from common import once, report, teardown_leaks
@@ -90,18 +98,22 @@ def test_sec42_bank(benchmark, capsys):
         rows,
         note=(
             "Shape: at 0% withdrawals generic broadcast runs ZERO consensus and "
-            "its deposits are several times faster; as the withdrawal (conflict) "
-            "rate grows the gap narrows — generic broadcast degrades gracefully "
-            "to atomic broadcast (Sec. 3.2.1) while never losing consistency."
+            "its deposits are strictly faster; as the withdrawal (conflict) "
+            "rate grows the gap closes — generic broadcast degrades gracefully "
+            "to atomic broadcast (Sec. 3.2.1) while never losing consistency.  "
+            "The gap is a round trip, not a multiple: a conflict burst costs "
+            "one consensus instance, whichever relation reports the conflicts."
         ),
     )
-    # 0% withdrawals: thrifty => no consensus, and a clear latency win.
+    # 0% withdrawals: thrifty => no consensus, and strictly faster deposits.
     assert rows[0][3] == 0
-    assert rows[0][1] < rows[0][2] / 2
+    assert rows[0][1] < rows[0][2]
+    # 10% / 30%: never slower than ordering everything.
+    assert all(r[1] <= r[2] for r in rows[1:3])
     # Consistency at every point.
     assert all(r[5] for r in rows)
-    # The GB ordering work grows with the conflict rate.
-    assert rows[0][3] <= rows[1][3] <= rows[3][3]
+    # The GB ordering work never shrinks as the withdrawal share grows.
+    assert rows[0][3] <= rows[1][3] <= rows[2][3] <= rows[3][3]
 
 
 def test_sec42_bank_group_size(benchmark, capsys):

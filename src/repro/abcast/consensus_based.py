@@ -35,7 +35,15 @@ found and re-sent is rbcast's business; the bodies come back through the
 ordinary r-deliver handler.  Some member always has them: rbcast keeps a
 packet until every current member has r-delivered it, and a joiner whose
 snapshot fences a packet it never saw received the body in the abcast
-snapshot cut in the same event.
+snapshot cut in the same event.  The same path serves bodies that a
+*message* names: a client registers a readiness predicate next to its
+callback (``on_adeliver(callback, needs=)`` — generic broadcast's
+ENDSTAGE names ids whose bodies travel as its own rbcast packets), the
+predicate is asked at the message's turn in its batch — not per batch:
+what came before may have voided it — and a message that lacks a body
+blocks the head exactly like a missing abcast body until the client
+reports it (``body_arrived``).  The wait sits *below* a-delivery because
+everything above is defined by the a-delivery position.
 
 **Joining on PROPOSE**: a member starts an instance when it has ids to
 propose, and consensus buffers what arrives for an instance before
@@ -67,9 +75,11 @@ starts locally.  Serialised naively, W > 1 would let a process propose
 instance k+1 with a stale participant set while instance k decides a
 membership change.  Instances are therefore keyed ``(epoch, index)``:
 
-* the epoch advances exactly when a delivered batch contains a message
-  of a *serial class* (membership ctl ops) — a deterministic function of
-  the delivered prefix, hence identical at every process;
+* the epoch advances exactly when a message of a *serial class*
+  (membership ctl ops) is delivered, and that message ends its batch —
+  the rest stays pending for the new epoch, so a batch is never half
+  applied across a view change — a deterministic function of the
+  delivered prefix, hence identical at every process;
 * within an epoch the membership cannot change, so every proposer of
   ``(e, i)`` reads the same participant set;
 * delivering a serial-class batch voids all undelivered instances of the
@@ -83,7 +93,7 @@ membership change.  Instances are therefore keyed ``(epoch, index)``:
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.broadcast.rbcast import ReliableBroadcast
 from repro.consensus.chandra_toueg import ChandraTouegConsensus
@@ -104,6 +114,9 @@ REPAIR_INTERVAL = 50.0
 SERIAL_CLASSES = frozenset({"_gm.ctl"})
 
 AdeliverFn = Callable[[AppMessage], None]
+#: Readiness predicate of an a-deliver client: the ids of the bodies it
+#: needs in order to process the message and does not hold (empty: ready).
+NeedsFn = Callable[[AppMessage], Iterable[MsgId]]
 GroupProvider = Callable[[], list[str]]
 
 
@@ -143,14 +156,19 @@ class ConsensusAtomicBroadcast(Component):
         #: index — so concurrent instances propose disjoint slices.
         self._proposal_ids: dict[int, list[MsgId]] = {}
         self._assigned: set[MsgId] = set()
-        #: Decide-before-dissemination: ``(key, proposer, missing ids)``
-        #: of the head instance while it waits for bodies (delivery is in
-        #: strict instance order, so only the head can ever be blocked),
-        #: the timer of its repair requests and the rotation position.
-        self._blocked: tuple[tuple[int, int], str, frozenset[MsgId]] | None = None
+        #: Decide-before-dissemination: ``(key, proposer, missing ids,
+        #: namer)`` of the head instance while it waits for bodies
+        #: (delivery is in strict instance order, so only the head can
+        #: ever be blocked; ``namer``: the batch message that names them,
+        #: None for the decision's own abcast bodies), the timer of its
+        #: repair requests and the rotation position.
+        self._blocked: (
+            tuple[tuple[int, int], str, frozenset[MsgId], MsgId | None] | None
+        ) = None
         self._repair_timer: Timer | None = None
         self._repair_attempt = 0
         self._callbacks: list[AdeliverFn] = []
+        self._needs: list[NeedsFn] = []
         self.delivered_log: list[AppMessage] = []
         rbcast.register(MSG_TAG, self._on_rdeliver, layer="abcast")
         consensus.on_decide(self._on_decide)
@@ -159,8 +177,12 @@ class ConsensusAtomicBroadcast(Component):
     # ------------------------------------------------------------------
     # Client interface (Fig. 9: abcast / adeliver)
     # ------------------------------------------------------------------
-    def on_adeliver(self, callback: AdeliverFn) -> None:
+    def on_adeliver(self, callback: AdeliverFn, needs: NeedsFn | None = None) -> None:
+        """Register an a-deliver client; ``needs`` makes a message wait
+        *below a-delivery* for the bodies it names (module docstring)."""
         self._callbacks.append(callback)
+        if needs is not None:
+            self._needs.append(needs)
 
     def abcast(self, message: AppMessage) -> None:
         """Atomically broadcast ``message`` to the current group.
@@ -191,9 +213,11 @@ class ConsensusAtomicBroadcast(Component):
     def delivered_ids(self) -> set[MsgId]:
         return set(self._delivered)
 
-    def waiting_on(self) -> set[MsgId]:
-        """Ids decided but not yet locally available (repair in flight)."""
-        return set(self._blocked[2]) if self._blocked else set()
+    def waiting_on(self) -> dict[MsgId, MsgId | None]:
+        """Ids decided but not yet locally available (repair in flight),
+        each with the batch message that names it (None: an abcast body
+        the decision itself names)."""
+        return dict.fromkeys(self._blocked[2], self._blocked[3]) if self._blocked else {}
 
     # ------------------------------------------------------------------
     # State transfer support (for joiners)
@@ -278,12 +302,17 @@ class ConsensusAtomicBroadcast(Component):
         if message.id in self._delivered or message.id in self._pending:
             return
         self._pending[message.id] = message
-        if self._blocked is not None and message.id in self._blocked[2]:
-            # A body the head instance was blocked on (re-sent on our
-            # request or late the ordinary way — rbcast does not say).
+        self.body_arrived(message.id)
+        self._maybe_start_instances()
+
+    def body_arrived(self, mid: MsgId) -> None:
+        """A body is now held — here, or by the client whose ``needs``
+        named it: resume a head instance blocked on it (re-sent on our
+        request or late the ordinary way — rbcast does not say)."""
+        if self._blocked is not None and mid in self._blocked[2]:
             self.world.metrics.counters.inc("abcast.repaired")
             self._apply_ready_batches()
-        self._maybe_start_instances()
+            self._maybe_start_instances()
 
     def _serial_pending(self) -> bool:
         return any(
@@ -398,35 +427,60 @@ class ConsensusAtomicBroadcast(Component):
             if missing:
                 # Decided before dissemination: block delivery (instance
                 # order is strict) and repair.
-                self._block_on(key, proposer, missing)
+                self._block_on(key, proposer, missing, None)
                 return
+            serial = False
+            for mid in sorted(batch_ids):
+                # Delivered by an earlier instance (proposers may slice
+                # an id differently) or by this one before it blocked.
+                if mid in self._delivered:
+                    continue
+                message = self._pending[mid]
+                # Asked at the message's turn, not per batch: what came
+                # before it in the batch may have voided it.
+                named = [m for needs in self._needs for m in needs(message)]
+                if named:
+                    self._block_on(key, proposer, named, mid)
+                    return
+                self._adeliver(message)
+                if self.process.crashed:
+                    return
+                if message.msg_class in self.serial_classes:
+                    # A membership op ends its batch: the rest stays
+                    # pending for the new epoch, so no batch is ever
+                    # half applied across a view change.
+                    serial = True
+                    break
             del self._decided_batches[key]
             self._unblock()
-            delivered_now = self._deliver_batch(batch_ids)
-            if self.process.crashed:
-                return
             # The batch is applied; the consensus instance can be
             # garbage-collected (a tombstone keeps late messages inert).
             self.consensus.collect((INSTANCE_PREFIX,) + key)
             self._retire_proposal(self._next_instance)
             self._next_instance += 1
             self._next_proposal = max(self._next_proposal, self._next_instance)
-            if any(m.msg_class in self.serial_classes for m in delivered_now):
+            if serial:
                 self._bump_epoch()
 
     # ------------------------------------------------------------------
     # Decide-before-dissemination: the repair itself is rbcast's
     # ------------------------------------------------------------------
     def _block_on(
-        self, key: tuple[int, int], proposer: str, missing: list[MsgId]
+        self, key: tuple[int, int], proposer: str, missing: list[MsgId], namer: MsgId | None
     ) -> None:
-        newly = self._blocked is None
-        self._blocked = (key, proposer, frozenset(missing))
-        if newly:
-            self.world.metrics.counters.inc("abcast.decide_before_dissemination")
-            self.trace("blocked", key=str(key), missing=len(missing))
-            self._repair_attempt = 0
-            self._request_repair()
+        waiting = self._blocked is not None and self._blocked[3] == namer
+        if not waiting:
+            self._unblock()  # the head moved on to another message's bodies
+        self._blocked = (key, proposer, frozenset(missing), namer)
+        if waiting:
+            return  # some of the bodies arrived: same wait, same timer
+        self.world.metrics.counters.inc("abcast.decide_before_dissemination")
+        self.trace(
+            "blocked", key=str(key), missing=" ".join(map(str, sorted(missing))),
+            named_by=str(namer) if namer else "decision",
+        )
+        self._repair_attempt = 0
+        self._request_repair()
 
     def _unblock(self) -> None:
         self._blocked = None
@@ -494,33 +548,17 @@ class ConsensusAtomicBroadcast(Component):
             self.consensus.abandon((INSTANCE_PREFIX, self._epoch, index))
             self._retire_proposal(index)
 
-    def _deliver_batch(self, batch_ids: tuple[MsgId, ...]) -> list[AppMessage]:
-        """Deliver the batch's not-yet-delivered ids in id order.
-
-        Returns the messages *newly* delivered here (ids an earlier
-        instance already delivered are skipped — different proposers may
-        slice the same pending id into different instances).  Callers
-        decide epoch bumps from the returned list: a serial-class message
-        bumps exactly once, at the instance that actually delivered it —
-        deterministic everywhere because the delivered prefix is.
-        """
-        delivered_now: list[AppMessage] = []
-        for mid in sorted(batch_ids):
-            if mid in self._delivered:
-                continue
-            message = self._pending.pop(mid)
-            self._delivered.add(mid)
-            self._assigned.discard(mid)
-            self.world.metrics.counters.inc("abcast.delivered")
-            self.world.metrics.latency.end("abcast", mid, self.now)
-            self.delivered_log.append(message)
-            delivered_now.append(message)
-            self.trace("adeliver", mid=str(mid))
-            spans = self.spans
-            if spans.enabled:
-                spans.point(self.pid, "abcast", "adeliver", "deliver", self.now, mid=mid)
-            for callback in self._callbacks:
-                callback(message)
-            if self.process.crashed:
-                return delivered_now
-        return delivered_now
+    def _adeliver(self, message: AppMessage) -> None:
+        mid = message.id
+        del self._pending[mid]
+        self._delivered.add(mid)
+        self._assigned.discard(mid)
+        self.world.metrics.counters.inc("abcast.delivered")
+        self.world.metrics.latency.end("abcast", mid, self.now)
+        self.delivered_log.append(message)
+        self.trace("adeliver", mid=str(mid))
+        spans = self.spans
+        if spans.enabled:
+            spans.point(self.pid, "abcast", "adeliver", "deliver", self.now, mid=mid)
+        for callback in self._callbacks:
+            callback(message)

@@ -28,9 +28,15 @@ A message *qualifies* for the closure set if it appears in at least
   to deliver in deterministic order, exactly like the base algorithm's
   closure set.
 
-The qualifying set then rides atomic broadcast as the stage's
-``ENDSTAGE``; everything else is inherited from the base class: stage
-bump, re-acking, the excluded-sender rule, and the one-closer rule —
+The qualifying set then rides atomic broadcast as the ``S`` of the
+stage's ``ENDSTAGE(k, S, T)``; like the ENDSTAGE, the GATHER_OK replies
+carry ids, never bodies.  The tail ``T`` is the gatherer's pending set
+minus ``S``: a tail message appears in fewer than ``q - f`` of the
+``n - f`` frozen sets, so at most ``(q - f - 1) + f < q`` members can
+ever ack it in stage ``k`` — it is fast-delivered nowhere and may be
+ordered behind ``S``.  Everything else is inherited from the base class:
+stage bump, re-acking, the excluded-sender rule, the wait for named
+bodies below a-delivery, and the one-closer rule —
 only the stage's closer gathers, a member frozen by its GATHER is in the
 same position as one that deferred its own close, and the same ladder
 (next unsuspected member on a suspicion edge, self after the fast-path
@@ -53,7 +59,7 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._gathering: dict[int, dict[str, dict[MsgId, AppMessage]]] = {}
+        self._gathering: dict[int, dict[str, tuple[MsgId, ...]]] = {}
         self.register_port(GATHER_PORT, self._on_gather)
         self.register_port(GATHER_OK_PORT, self._on_gather_ok)
 
@@ -107,7 +113,7 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
             self._frozen = True
             self._deferred_at = self.now
             self._arm_tick()
-        self.channel.send(src, GATHER_OK_PORT, (stage, dict(self._acked)))
+        self.channel.send(src, GATHER_OK_PORT, (stage, tuple(self._acked)))
 
     def _on_gather_ok(self, src: str, payload: tuple) -> None:
         stage, acked = payload
@@ -123,15 +129,8 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
             return
         # Qualifying set: present in >= quorum - f of the collected sets.
         threshold = self.ack_quorum() - self._f()
-        counts: Counter[MsgId] = Counter()
-        contents: dict[MsgId, AppMessage] = {}
-        for acked_set in collection.values():
-            for mid, message in acked_set.items():
-                counts[mid] += 1
-                contents[mid] = message
-        qualifying = [
-            contents[mid] for mid, c in sorted(counts.items()) if c >= threshold
-        ]
+        counts = Counter(mid for acked in collection.values() for mid in acked)
+        qualifying = sorted(mid for mid, c in counts.items() if c >= threshold)
         del self._gathering[stage]
         self._abcast_endstage(qualifying, "gather")
 

@@ -18,17 +18,28 @@ Stage-based algorithm (see DESIGN.md §5 for the safety argument):
   stage ``k``.  Every stage has **one closer** — the first current
   member this process does not suspect, which is also the round-0
   consensus coordinator — and only the closer atomically broadcasts
-  ``ENDSTAGE(k, acked_k)``.  Any single member's acked set is a valid
-  closure set (a fast delivery needs an ack from *every* member, so
-  every member's set holds every message fast-delivered in ``k``), so
-  the other n−1 ENDSTAGEs, which lost the race anyway, bought nothing.
+  ``ENDSTAGE(k, S, T)``, an ordering record of **ids only**: ``S`` is
+  its acked set, the **tail** ``T`` every other message it holds pending
+  at that moment (the bodies are the CHK packets rbcast delivered to,
+  and retains for, every member).  Any single member's acked set is a
+  valid closure set (a fast delivery needs an ack from *every* member,
+  so every member's set holds every message fast-delivered in ``k``),
+  and what a frozen closer has not acked is fast-delivered nowhere in
+  ``k``, so ``T`` is ordered behind ``S`` there and then: the op that
+  trips a conflict rides the ENDSTAGE it causes, and one instance
+  orders a backlog of any length.
   A frozen non-closer re-evaluates on every suspicion edge (the next
   unsuspected member takes over) and closes by itself
   ``fast_path_timeout`` later; the ack timeout closes directly, because
   the process it fires at may be the only one that is stuck.
-* On the first adelivered ``ENDSTAGE(k, S)`` from a current member,
-  everyone delivers the undelivered messages of ``S`` in a deterministic
-  order, bumps to stage ``k + 1`` and re-processes pending messages.
+* On the first adelivered ``ENDSTAGE(k, S, T)`` from a current member,
+  everyone delivers the undelivered messages of ``S``, then those of
+  ``T``, each in MsgId order, bumps to stage ``k + 1`` and re-processes
+  pending messages; a void or losing ENDSTAGE's tail stays pending.  A
+  member that lacks a body the ENDSTAGE names is held *below
+  a-delivery* by atomic broadcast (``on_adeliver(..., needs=)``): view
+  installs, the excluded-sender rule and the state-transfer cut are
+  defined by the a-delivery position.
 
 Invariants enforced (and tested property-style in
 ``tests/properties/test_gbcast_properties.py``):
@@ -42,8 +53,10 @@ Invariants enforced (and tested property-style in
 * per-sender FIFO (footnote 9 of the paper) is *emergent*: the reliable
   channels are FIFO, relays preserve per-origin order, processes ack in
   rdeliver order (a rejoiner acks the pending set its snapshot hands
-  over first, in MsgId order), closure sets are delivered in MsgId (=
-  send) order, and fast-path completion is a max over per-link FIFO ack
+  over first, in MsgId order), closure sets *and tails* are delivered
+  in MsgId (= send) order, a failed ack freezes the stage (nothing of a
+  sender is in ``S`` behind a message of its in ``T``), and fast-path
+  completion is a max over per-link FIFO ack
   arrivals — so a later message from a sender can never overtake an
   earlier one.
   :class:`repro.gbcast.fifo.FifoSender` provides the same guarantee by
@@ -121,7 +134,7 @@ class ThriftyGenericBroadcast(Component):
         self.delivered_log: list[tuple[AppMessage, str]] = []
         self.register_port(ACK_PORT, self._on_ack)
         rbcast.register(CHK_TAG, self._on_chk, layer="gbcast")
-        abcast.on_adeliver(self._on_adeliver)
+        abcast.on_adeliver(self._on_adeliver, needs=self._bodies_needed)
 
     def start(self) -> None:
         self._arm_tick()
@@ -165,8 +178,10 @@ class ThriftyGenericBroadcast(Component):
         if message.id in self._delivered or message.id in self._pending:
             return
         self._pending[message.id] = message
-        self._try_ack(message)
-        self._close_if_suspects_block()
+        self.abcast.body_arrived(message.id)  # an ENDSTAGE may be waiting for it
+        if message.id in self._pending:  # ... and has not just delivered it
+            self._try_ack(message)
+            self._close_if_suspects_block()
 
     def _suspects_block_fast_path(self) -> bool:
         """True when current suspicions make the fast path unreachable."""
@@ -304,31 +319,52 @@ class ThriftyGenericBroadcast(Component):
 
     def _end_stage(self, reason: str) -> None:
         """Close the stage with this process's frozen acked set."""
-        self._abcast_endstage([self._acked[mid] for mid in sorted(self._acked)], reason)
+        self._abcast_endstage(sorted(self._acked), reason)
 
-    def _abcast_endstage(self, closure_set: list[AppMessage], reason: str) -> None:
-        self.trace("endstage", stage=self._stage, reason=reason, size=len(closure_set))
-        self.world.metrics.counters.inc("gbcast.endstages")
-        endstage = AppMessage(
-            self.process.msg_ids.next(), self.pid, (self._stage, closure_set), ENDSTAGE_CLASS
+    def _abcast_endstage(self, closure_ids: list[MsgId], reason: str) -> None:
+        """Order ``(stage, S, T)``, ids only: the closure set and, behind
+        it, the tail — everything else this process holds pending."""
+        closure = frozenset(closure_ids)
+        tail = tuple(sorted(mid for mid in self._pending if mid not in closure))
+        self.trace(
+            "endstage", stage=self._stage, reason=reason, size=len(closure_ids), tail=len(tail)
         )
+        self.world.metrics.counters.inc("gbcast.endstages")
+        self.world.metrics.counters.inc("gbcast.tail_ordered", len(tail))
+        payload = (self._stage, tuple(closure_ids), tail)
+        endstage = AppMessage(self.process.msg_ids.next(), self.pid, payload, ENDSTAGE_CLASS)
         self.abcast.abcast(endstage)
+
+    def _bodies_needed(self, message: AppMessage) -> list[MsgId]:
+        """abcast's readiness predicate: the ids an ENDSTAGE names whose
+        bodies (CHK packets) have not been r-delivered here yet.  Nothing
+        for a void one (see :meth:`_on_adeliver`): it delivers nothing."""
+        if message.msg_class != ENDSTAGE_CLASS:
+            return []
+        stage, closure, tail = message.payload
+        if stage != self._stage or message.sender not in self.group_provider():
+            return []
+        return [
+            mid
+            for mid in closure + tail
+            if mid not in self._delivered and mid not in self._pending
+        ]
 
     def _on_adeliver(self, message: AppMessage) -> None:
         if message.msg_class != ENDSTAGE_CLASS:
             return
-        stage, acked_msgs = message.payload
+        stage, closure, tail = message.payload
         if stage != self._stage:
             return  # a closure for this stage was already processed
         if message.sender not in self.group_provider():
             # Section 3 safety rule: stage closures from processes that
-            # were excluded before this point in the total order are void.
+            # were excluded before this point in the total order are void
+            # (and their tails stay pending).
             self.trace("endstage_ignored", sender=message.sender)
             return
-        for msg in sorted(acked_msgs, key=lambda m: m.id):
-            if msg.id not in self._delivered:
-                self._pending.setdefault(msg.id, msg)
-                self._deliver(msg, "closure")
+        for mid in closure + tail:  # each in MsgId order, closure set first
+            if mid not in self._delivered:
+                self._deliver(self._pending[mid], "closure")
         self._stage += 1
         self._frozen = False
         self._deferred_at = None

@@ -180,7 +180,9 @@ def test_fault_free_ring_run_sends_no_repair_traffic():
     # Regression for the sender-side anti-entropy misfire (228 re-sent
     # 4 KiB packets on this run, all duplicates): a stale stability
     # report is no proof of a hole.  With nothing lost and nobody
-    # suspected, no repair path may fire at all.
+    # suspected, no repair path may fire at all — nor may abcast's wait
+    # for a body an ENDSTAGE names: on a healthy ring the CHK reaches
+    # every member ahead of the decision (FIFO hop by hop).
     world = World(seed=3, default_link=LinkModel(3.0, 8.0, bytes_per_ms=2000.0))
     stacks = build_new_group(world, 5, config=StackConfig(dissemination="ring"))
     apis = {pid: GroupCommunication(s) for pid, s in stacks.items()}
@@ -194,9 +196,13 @@ def test_fault_free_ring_run_sends_no_repair_traffic():
             t, lambda i=i: apis[pids[i % 5]].abcast(("blob", i, Blob(4096)))
         )
     world.run_for(t + 2_000.0)
-    assert all(len(s.abcast.delivered_log) >= 150 for s in stacks.values())
+    # (Counted where the ops surface: abcast a-delivers ENDSTAGEs, each
+    # ordering the ids of as many ops as were waiting behind it.)
+    assert all(len(s.gbcast.delivered_log) == 150 for s in stacks.values())
     counters = world.metrics.counters
     assert counters.get("rb.forwarded") > 0
+    assert counters.get("gbcast.tail_ordered") > 0
     assert counters.get("rb.nacks_sent") == 0
+    assert counters.get("abcast.pulls_sent") == 0
     assert counters.get("rb.overlay_repairs") == 0
     assert counters.get("rb.suspect_floods") == 0

@@ -59,8 +59,9 @@ MECHANISM_COUNTERS = {
     "exclusion-rejoin-channel-hole": ("rc.gap_notices", "rc.gap_skips"),
     "one-closer-liveness-ladder": ("gbcast.closes_deferred",),
     # A member rbcasts before it installs the rejoiner's view: the
-    # packet is never addressed to the rejoiner, which sees the hole in
-    # the watermark gossip and NACKs it.
+    # packet is never addressed to the rejoiner, which NACKs for it —
+    # when an ENDSTAGE names the stranded CHK (abcast's blocked head
+    # asks, as here), else when the watermark gossip shows the hole.
     "rejoin-window-stability-hole": ("rb.nacks_sent", "rb.overlay_repairs"),
     # The successor's crash triggers the suspicion flood; the flood and
     # the ring's re-route leave nothing for the NACK backstop here.

@@ -50,15 +50,19 @@ def test_all_conflicting_run_orders_one_endstage_per_stage(count):
     world.run_for(500.0)
     counters = world.metrics.counters
     (stages,) = {s.gbcast.stage for s in stacks.values()}
-    assert stages >= ops - 1  # every pair conflicts: about one stage per op
+    # One ENDSTAGE per closed stage, and never a stage per op: every
+    # pair conflicts, but the ENDSTAGE an op trips orders that op too
+    # (its tail) and the next op finds a clean stage.
     assert counters.get("gbcast.endstages") == stages
+    assert 1 <= stages <= ops - 1
     # Every other member defers to the closer — unless the closer's
     # ENDSTAGE reaches it before the conflict does, which link jitter
     # decides for a stage or two in forty.
     others = stages * (count - 1)
     assert 0.9 * others <= counters.get("gbcast.closes_deferred") <= others
-    # ``abcast.instances`` counts every process's proposal of an instance.
-    assert counters.get("abcast.instances") / count <= 1.1 * ops
+    # ``abcast.instances`` counts every process's proposal of an
+    # instance; at this pacing (25 ms apart) an instance serves two ops.
+    assert counters.get("abcast.instances") / count <= 0.6 * ops
     assert_clean(stacks)
 
 
@@ -143,10 +147,12 @@ def test_quorum_variant_gathers_once_per_stage():
     world.run_for(500.0)
     (stages,) = {s.gbcast.stage for s in stacks.values()}
     counters = world.metrics.counters
-    assert stages >= 5
-    assert counters.get("gbcast.gathers") == stages
-    assert counters.get("gbcast.endstages") == stages
+    # Six pairwise-conflicting ops close at least two stages (an
+    # ENDSTAGE orders at most what its gatherer holds), one gather each.
+    assert counters.get("gbcast.gathers") == counters.get("gbcast.endstages") == stages
+    assert stages >= 2
     assert counters.get("gbcast.closes_deferred") > 0
+    assert len({tuple(delivered(s)) for s in stacks.values()}) == 1
 
 
 def test_process_outside_its_own_view_never_closes():

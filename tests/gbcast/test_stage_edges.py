@@ -14,9 +14,13 @@ def test_endstage_from_excluded_sender_is_void():
     world.run_for(50.0)
     gb = stacks["p00"].gbcast
     stage_before = gb.stage
+    # It names a body nobody holds, in its closure set and in its tail:
+    # a void ENDSTAGE needs none of them (abcast does not wait for it).
+    nobody = MsgId("ghost", 7)
     ghost = AppMessage(
-        MsgId("ghost", 0), "ghost", (stage_before, []), ENDSTAGE_CLASS
+        MsgId("ghost", 0), "ghost", (stage_before, (nobody,), (nobody,)), ENDSTAGE_CLASS
     )
+    assert gb._bodies_needed(ghost) == []
     gb._on_adeliver(ghost)  # sender "ghost" is not a member
     assert gb.stage == stage_before
     assert world.trace.count(pid="p00", event="endstage_ignored") == 1
@@ -31,9 +35,15 @@ def test_stale_endstage_for_closed_stage_is_ignored():
     assert run_until(world, lambda: stacks["p00"].gbcast.stage >= 1, timeout=30_000)
     gb = stacks["p00"].gbcast
     stage_now = gb.stage
-    stale = AppMessage(MsgId("p01!x", 99), "p01", (0, []), ENDSTAGE_CLASS)
+    nobody = MsgId("p01", 999)
+    stale = AppMessage(MsgId("p01!x", 99), "p01", (0, (), (nobody,)), ENDSTAGE_CLASS)
+    assert gb._bodies_needed(stale) == []  # void: its tail is not asked for
     gb._on_adeliver(stale)  # stage 0 closed long ago
     assert gb.stage == stage_now
+    assert not gb.undelivered_count()
+    # The same payload for the open stage is waited for below a-delivery.
+    live = AppMessage(MsgId("p01!x", 100), "p01", (stage_now, (), (nobody,)), ENDSTAGE_CLASS)
+    assert gb._bodies_needed(live) == [nobody]
 
 
 def test_acks_for_old_stages_are_discarded():

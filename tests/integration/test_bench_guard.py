@@ -21,6 +21,7 @@ from run_all import (  # noqa: E402
     SCHEMA,
     check,
     compare,
+    endstage_ordering_bytes,
     round0_dominates,
 )
 
@@ -117,3 +118,13 @@ def test_ring_throughput_floor_is_a_hard_bound(tmp_path):
     problems = check(_sweep_doc(1.3, floor - 1.0), baseline, tolerance=0.25)
     assert len(problems) == 1
     assert "ring dissemination regressed throughput" in problems[0]
+
+
+def test_ordering_bytes_are_payload_blind():
+    # The two runs behind the ``endstage_bytes_payload_blind`` flag: the
+    # same 200-op all-conflicting schedule at 64 B and at 4 KiB puts the
+    # same bytes on the wire for abcast + consensus, to the byte — an
+    # ENDSTAGE names ids (ratio 6.1 when it carried its closure set).
+    small, large = endstage_ordering_bytes(64), endstage_ordering_bytes(4096)
+    assert small == large > 0
+    assert large < 200 * 1024  # well under one 4 KiB body per op

@@ -15,6 +15,7 @@ check the defining properties of generic broadcast (Section 3.2.1):
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.new_stack import StackConfig
 from repro.gbcast.conflict import ConflictRelation
 
 from tests.conftest import new_group, run_until
@@ -32,11 +33,12 @@ workloads = st.lists(
 )
 
 
-def run_workload(relation, workload, seed, crash=None):
-    world, stacks, _ = new_group(count=3, seed=seed, conflict=relation)
+def run_workload(relation, workload, seed, crash=None, count=3, quorum=False):
+    config = StackConfig(quorum_fast_path=quorum)
+    world, stacks, _ = new_group(count=count, seed=seed, conflict=relation, config=config)
     pids = sorted(stacks)
     for index, (sender, msg_class, at) in enumerate(workload):
-        pid = pids[sender]
+        pid = pids[sender % count]
         world.scheduler.at(
             at,
             lambda p=pid, c=msg_class, i=index: stacks[p].gbcast.gbcast_payload(
@@ -54,7 +56,7 @@ def run_workload(relation, workload, seed, crash=None):
         sent_by_alive = {
             ("m", i)
             for i, (s, _c, _t) in enumerate(workload)
-            if pids[s] in alive
+            if pids[s % count] in alive
         }
         return all(
             sent_by_alive
@@ -145,3 +147,41 @@ def test_survivors_agree_after_crash(relation, workload, seed, crash):
     sequences = delivered_sequences(stacks, alive)
     sets = [set(p for p, _c in seq) for seq in sequences.values()]
     assert sets[0] == sets[1]
+
+
+#: Arrivals bunched into a few ms, so closers hold pending messages
+#: when they close and ENDSTAGEs carry tails.
+bursts = st.lists(
+    st.tuples(st.integers(0, 4), st.sampled_from(CLASSES), st.floats(0.0, 8.0)),
+    min_size=2,
+    max_size=12,
+)
+
+
+@given(relations, bursts, st.integers(0, 1_000), st.sampled_from([3, 4, 5]), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_tails_keep_every_property_in_both_variants(relation, workload, seed, count, quorum):
+    # ENDSTAGE(k, S, T): whatever the relation, the arrival order, the
+    # group size and the gbcast class, closure sets and tails together
+    # keep conflict order, agreement and per-sender FIFO, and no id is
+    # delivered by two paths (fast and closure, or two ENDSTAGEs).
+    world, stacks, alive = run_workload(
+        relation, workload, seed, count=count, quorum=quorum
+    )
+    logs = {p: [m for m, _path in stacks[p].gbcast.delivered_log] for p in alive}
+    expected = {("m", i) for i in range(len(workload))}
+    for messages in logs.values():
+        ids = [m.id for m in messages]
+        assert len(ids) == len(set(ids))
+        assert {m.payload for m in messages} == expected
+        per_sender: dict[str, list] = {}
+        for mid in ids:
+            per_sender.setdefault(mid.sender, []).append(mid)
+        assert all(sent == sorted(sent) for sent in per_sender.values())
+    reference, *others = logs.values()
+    position = {m.id: i for i, m in enumerate(reference)}
+    for messages in others:
+        for i, a in enumerate(messages):
+            for b in messages[i + 1 :]:
+                if relation.conflicts(a.msg_class, b.msg_class):
+                    assert position[a.id] < position[b.id], (a, b)

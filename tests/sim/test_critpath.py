@@ -119,9 +119,10 @@ def test_live_run_causal_trees_complete():
     block = critpath.summarize_deliveries(world.spans, "adeliver", "abcast")
     # The 8 app messages are g-delivered; what abcast a-delivers is the
     # one ENDSTAGE of each closed stage, at each of the 3 processes —
-    # and 8 pairwise-conflicting messages need at least 7 closures.
+    # however few closures the 8 pairwise-conflicting messages needed
+    # (an ENDSTAGE orders everything its closer holds pending).
     closures = world.metrics.counters.get("gbcast.endstages")
-    assert closures >= 7
+    assert closures >= 1
     assert block["deliveries"] == 3 * closures
     assert block["complete"] == block["deliveries"]
     assert block["integrity_errors"] == 0
