@@ -124,6 +124,14 @@ RING_ORIGIN_BALANCE_BOUND = 2.0
 #: from dissemination) must hide those hops from end-to-end throughput.
 DISSEMINATION_THROUGHPUT_FLOOR = 0.90
 
+#: The dissemination sweep's group size and number of bodies, and how
+#: close the ring's median propose-to-decide delay must stay to flood's:
+#: DECIDE and PROPOSE/ACK are direct legs on either, so an overlay hop
+#: showing up in it means ordering traffic is walking the ring again.
+DISSEMINATION_COUNT = 5
+DISSEMINATION_ROUNDS = 100
+RING_DECIDE_OVER_FLOOD_BOUND = 1.25
+
 
 def simplicity_meta() -> dict:
     """The size of what the numbers were taken on: configuration fields
@@ -678,8 +686,8 @@ def run_dissemination(
     policy: str,
     bandwidth: float | None,
     seed: int = 29,
-    count: int = 5,
-    rounds: int = 100,
+    count: int = DISSEMINATION_COUNT,
+    rounds: int = DISSEMINATION_ROUNDS,
     payload_bytes: int = 4096,
     label: str | None = None,
 ) -> dict:
@@ -736,6 +744,26 @@ def run_dissemination(
     return metrics
 
 
+def control_goes_direct(ring: dict, tree: dict) -> bool:
+    """``rb.forwarded`` counts bodies only: one forward per body and
+    forwarding member (single origin p00 = the head, so the ring is the
+    plain chain with n − 2 forwarders; the binary heap's inner non-root
+    nodes forward in the tree).  A DECIDE walking the overlay would add
+    its own forwards on top."""
+    inner = sum(1 for i in range(1, DISSEMINATION_COUNT) if 2 * i + 1 < DISSEMINATION_COUNT)
+    return (
+        ring["rb"]["forwarded"] == DISSEMINATION_ROUNDS * (DISSEMINATION_COUNT - 2)
+        and tree["rb"]["forwarded"] == DISSEMINATION_ROUNDS * inner
+    )
+
+
+def ring_decides_like_flood(ring: dict, flood: dict) -> bool:
+    return (
+        ring["decision_path"]["p50_decide_ms"]
+        <= flood["decision_path"]["p50_decide_ms"] * RING_DECIDE_OVER_FLOOD_BOUND
+    )
+
+
 def scenario_dissemination_sweep() -> dict:
     """Flood vs ring vs tree payload routing (schema v6 tentpole).
 
@@ -785,6 +813,11 @@ def scenario_dissemination_sweep() -> dict:
             and tree["rb"]["forwarded"] > 0,
             "no_failure_free_floods": ring["rb"]["suspect_floods"] == 0
             and tree["rb"]["suspect_floods"] == 0,
+            # What orders goes direct: nobody forwards a DECIDE, and the
+            # decision is as far away over the ring as it is over flood.
+            "control_goes_direct": control_goes_direct(ring, tree),
+            "ring_decides_like_flood": ring_decides_like_flood(ring, flood)
+            and ring_decides_like_flood(ring_nobw, flood_nobw),
             # One-sided throughput rule (bandwidth disabled): the ring's
             # extra hops must not dent end-to-end throughput.
             "ring_throughput_holds": tput_ring
@@ -817,6 +850,16 @@ def scenario_dissemination_sweep() -> dict:
             "ring_throughput_holds": (
                 f"ring {tput_ring} msgs/s >= flood {tput_flood} msgs/s * "
                 f"{DISSEMINATION_THROUGHPUT_FLOOR}"
+            ),
+            "control_goes_direct": (
+                f"rb.forwarded ring {ring['rb']['forwarded']} / tree "
+                f"{tree['rb']['forwarded']} for {DISSEMINATION_ROUNDS} bodies"
+            ),
+            "ring_decides_like_flood": (
+                f"p50 decide ring {ring['decision_path']['p50_decide_ms']} ms <= flood "
+                f"{flood['decision_path']['p50_decide_ms']} ms * {RING_DECIDE_OVER_FLOOD_BOUND} "
+                f"(no bandwidth term: {ring_nobw['decision_path']['p50_decide_ms']} vs "
+                f"{flood_nobw['decision_path']['p50_decide_ms']})"
             ),
         },
     }

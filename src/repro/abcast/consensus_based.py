@@ -24,12 +24,15 @@ vectors in the same instance order, and ids resolve to immutable bodies;
 uniform agreement is inherited from consensus.
 
 **Decide-before-dissemination**: a process can learn a decision before
-rbcast hands it every referenced body (a slow link, a recovered
-incarnation whose fresh stack replayed a DECIDE, a joiner whose state
-snapshot fences out pre-join rbcast traffic).  Delivery then blocks on
-the missing ids — only the head instance can ever be blocked — and
-abcast asks rbcast for a repair (``rbcast.request_repair``) every
-``REPAIR_INTERVAL``: the decision's *proposer* first (it held every body
+rbcast hands it every referenced body — routinely over an overlay, where
+rbcast sends what orders direct and bodies hop by hop, so ids run a hop
+ahead; else a slow link, a replayed DECIDE at a recovered incarnation, a
+joiner's snapshot fence.  Delivery then blocks on the missing ids —
+only the head instance can ever be blocked — and, one
+``REPAIR_INTERVAL`` later and every interval after (a body in flight is
+not a body lost, and a NACK is answered with all the peer retains),
+abcast asks rbcast for a repair (``rbcast.request_repair``): the
+decision's *proposer* first (it held every body
 when it proposed), then the other members in turn.  How the packets are
 found and re-sent is rbcast's business; the bodies come back through the
 ordinary r-deliver handler.  Some member always has them: rbcast keeps a
@@ -480,7 +483,8 @@ class ConsensusAtomicBroadcast(Component):
             named_by=str(namer) if namer else "decision",
         )
         self._repair_attempt = 0
-        self._request_repair()
+        # Not at once: the body is usually a hop behind (module docstring).
+        self._repair_timer = self.schedule(REPAIR_INTERVAL, self._request_repair)
 
     def _unblock(self) -> None:
         self._blocked = None

@@ -25,14 +25,25 @@ monitor.
 **Dissemination overlay** (``dissemination="ring" | "tree"``): under
 flood — the default — the origin unicasts every packet to all n−1
 members, so the origin's NIC is the throughput ceiling.  With an
-overlay the origin instead sends each packet only to its deterministic
-successor (ring) or its ≤ k tree children, and every member forwards
-the packet exactly once on first receipt along the same structure
-(``repro.net.overlay``): O(1)/O(k) payload sends per node per broadcast
-instead of O(n) at the origin, in the spirit of Ring Paxos's pipelined
-dissemination.  The overlay is view-aware (hops are recomputed against
-the current membership at every send, so view installs and
-reincarnations re-shape the routing automatically) and
+overlay the origin instead sends each *body* only to the member who
+orders and its chain successor (ring) or to its ≤ k tree children, and
+every member forwards it at most once on first receipt along the same
+structure (``repro.net.overlay``): O(1)/O(k) payload sends per node per
+broadcast instead of O(n) at the origin, in the spirit of Ring Paxos's
+pipelined dissemination.  **Routing is by size**
+(:data:`DIRECT_MAX_BYTES`): what orders — a DECIDE, an id-only ENDSTAGE
+— is a few dozen bytes and follows the flood rule whatever the overlay,
+one direct leg from the origin to every member, relayed only as the
+relay policy says (Ring Paxos again: values reach the coordinator
+first, decisions go straight to everyone; a member that learns an id
+ahead of its body waits for it below a-delivery).  The rule reads the
+packet alone, so origin and receivers agree with no wire field.
+*Caveat:* one origin's packets keep their order only within one route —
+a sender mixing sizes across the constant can see its small packet
+overtake its earlier large one (sender FIFO is not promised over an
+overlay: ``ScenarioConfig.fifo_checkable``).  The overlay is view-aware
+(hops are recomputed against the current membership at every send, so
+view installs and reincarnations re-shape the routing) and
 failure-repairing: a suspected downstream member is routed *around* —
 its forwarding duties are adopted by its predecessor (counted as
 ``rb.reroutes``) while it still gets a best-effort direct copy — and a
@@ -80,12 +91,20 @@ from typing import Any, Callable
 from repro.net.message import MsgId
 from repro.net.overlay import POLICIES, DisseminationOverlay
 from repro.net.reliable import ReliableChannel
+from repro.net.wire import payload_size
 from repro.sim.process import Component, Process
 
 PORT = "rb"
 STABILITY_PORT = "rb.stable"
 NACK_PORT = "rb.nack"
 RELAY_POLICIES = ("eager", "lazy")
+#: Largest payload (``wire.payload_size``, bytes) that skips the overlay.
+#: What orders is small: a DECIDE is 57 B, an id-only ENDSTAGE 58 B plus
+#: 23 B per id it names (eight ids go direct, a longer tail takes the
+#: ring like a body).  What is worth balancing is not: a CHK is 4 146 B
+#: with a 4 KiB payload — and 114 B with a 64 B one, direct as well:
+#: n − 1 copies of 256 B load the origin's link like a quarter of a body.
+DIRECT_MAX_BYTES = 256
 
 DeliverFn = Callable[[str, Any, MsgId], None]
 GroupProvider = Callable[[], list[str]]
@@ -210,7 +229,7 @@ class ReliableBroadcast(Component):
         self._inc_broadcasts()
         packet = (mid, self.pid, tag, payload)
         members = self.group_provider()
-        if self.overlay is None:
+        if not self._takes_overlay(payload):
             targets = members
         else:
             # Ring/tree: self-deliver (which also retains our own packet,
@@ -244,7 +263,12 @@ class ReliableBroadcast(Component):
             return set()
         return self.suspicion_provider()
 
-    def _forward_targets(self, mid: MsgId, src: str) -> list[str]:
+    def _takes_overlay(self, payload: Any) -> bool:
+        """The routing rule, read alike by origin and receivers: a body
+        takes the overlay, what orders takes one direct leg."""
+        return self.overlay is not None and payload_size(payload) > DIRECT_MAX_BYTES
+
+    def _forward_targets(self, packet: tuple, src: str) -> list[str]:
         """The one forward rule: whom a first receipt is passed on to.
 
         Overlay: the next hops along the ring/tree (every member forwards
@@ -252,16 +276,16 @@ class ReliableBroadcast(Component):
         Flood: everyone under the eager policy, everyone while the origin
         is suspected under the lazy one, otherwise nobody.
         """
-        if self.overlay is None:
+        opid = origin_pid(packet[0].sender)
+        if not self._takes_overlay(packet[3]):
             if src == self.pid:
                 return []  # self-delivery of our own broadcast
-            if (
-                self.relay_policy == "lazy"
-                and origin_pid(mid.sender) not in self._suspects()
-            ):
+            if self.relay_policy == "lazy" and opid not in self._suspects():
                 return []
-            return [q for q in self.group_provider() if q != self.pid]
-        opid = origin_pid(mid.sender)
+            peers = [q for q in self.group_provider() if q != self.pid]
+            if peers:
+                self._inc_relayed()
+            return peers
         if opid == self.pid:
             return []  # our own packet looped back via self-delivery
         hops, reroutes = self.overlay.next_hops(
@@ -269,6 +293,8 @@ class ReliableBroadcast(Component):
         )
         if reroutes:
             self._inc_reroutes(reroutes)
+        if hops:
+            self._inc_forwarded()
         return hops
 
     def _on_message(self, src: str, packet: tuple) -> None:
@@ -286,9 +312,8 @@ class ReliableBroadcast(Component):
             # Retained until stable: the material of the suspicion flood
             # and of every answer to a NACK.
             self._retained.setdefault(sender, {})[mid.seq] = packet
-            targets = self._forward_targets(mid, src)
+            targets = self._forward_targets(packet, src)
             if targets:
-                (self._inc_relayed if self.overlay is None else self._inc_forwarded)()
                 self._send(packet, "rb:forward", targets)
         handler = self._handlers.get(tag)
         if handler is None:

@@ -93,12 +93,13 @@ class StackConfig:
     relay_policy: str = "lazy"
     #: Payload dissemination overlay (``repro.net.overlay``): ``"flood"``
     #: has the origin unicast every rbcast packet to all n−1 members;
-    #: ``"ring"`` routes each packet along the sorted member ring rotated
-    #: to the origin, every node sending each body at most once;
+    #: ``"ring"`` sends each body to the view's first member and along
+    #: the chain of the others, every node sending it at most once;
     #: ``"tree"`` routes down a deterministic binary tree rooted at the
-    #: origin (latency O(log n) hops).  Ring/tree re-route around
-    #: FD-suspected members and fall back to a retained-packet flood on
-    #: suspicion edges, so the rbcast delivery guarantee is unchanged.
+    #: origin (latency O(log n) hops).  Small packets (what orders) go
+    #: direct over either.  Ring/tree re-route around FD-suspected
+    #: members and fall back to a retained-packet flood on suspicion
+    #: edges, so the rbcast delivery guarantee is unchanged.
     dissemination: str = "flood"
     #: Reliable-channel send coalescing: segments to the same peer
     #: within this window (ms) ride one datagram, and ACKs are delayed

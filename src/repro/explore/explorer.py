@@ -53,7 +53,7 @@ LINK_PROFILES = (
 def scenario_for_seed(seed: int, budget_events: int = 200_000) -> ScenarioConfig:
     """Deterministically expand a seed into a (fault-free) scenario."""
     rng = fork_rng(seed, "explore-scenario")
-    return ScenarioConfig(
+    config = ScenarioConfig(
         seed=seed,
         processes=rng.choice([3, 3, 4, 4, 5]),
         duration=rng.choice([1_200.0, 2_000.0]),
@@ -72,6 +72,12 @@ def scenario_for_seed(seed: int, budget_events: int = 200_000) -> ScenarioConfig
         ),
         budget_events=budget_events,
     )
+    if config.stack.dissemination == "flood":
+        return config
+    # Only bodies above rbcast's ``DIRECT_MAX_BYTES`` take the overlay.
+    # A stream of its own: every other draw of every seed keeps its value.
+    payload_bytes = fork_rng(seed, "explore-payload").choice([None, 4096, 4096])
+    return replace(config, payload_bytes=payload_bytes)
 
 
 def probe_instants(config: ScenarioConfig) -> list[float]:

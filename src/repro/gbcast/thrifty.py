@@ -51,7 +51,8 @@ Invariants enforced (and tested property-style in
 * in conflict-free, suspicion-free runs, **no** atomic broadcast is ever
   invoked;
 * per-sender FIFO (footnote 9 of the paper) is *emergent*: the reliable
-  channels are FIFO, relays preserve per-origin order, processes ack in
+  channels are FIFO, relays preserve per-origin order (per *route* over
+  an overlay, where rbcast sends by size), processes ack in
   rdeliver order (a rejoiner acks the pending set its snapshot hands
   over first, in MsgId order), closure sets *and tails* are delivered
   in MsgId (= send) order, a failed ack freezes the stage (nothing of a
@@ -117,6 +118,8 @@ class ThriftyGenericBroadcast(Component):
         self._ack_index = AckedClassIndex(conflict)
         self._ack_times: dict[MsgId, float] = {}
         self._acks_received: dict[MsgId, set[str]] = {}
+        #: Acks ``(src, stage, mid)`` of members already in a later stage.
+        self._early_acks: list[tuple[str, int, MsgId]] = []
         self._pending: dict[MsgId, AppMessage] = {}
         self._delivered: set[MsgId] = set()
         #: Ack piggybacking: acks are buffered per destination and
@@ -235,10 +238,12 @@ class ThriftyGenericBroadcast(Component):
 
     def _on_ack(self, src: str, acks: list[tuple[int, MsgId]]) -> None:
         for stage, mid in acks:
-            if stage != self._stage or mid in self._delivered:
-                continue
-            self._acks_received.setdefault(mid, set()).add(src)
-            self._check_fast(mid)
+            if stage > self._stage:
+                self._early_acks.append((src, stage, mid))
+                self.world.metrics.counters.inc("gbcast.acks_early")
+            elif stage == self._stage and mid not in self._delivered:
+                self._acks_received.setdefault(mid, set()).add(src)
+                self._check_fast(mid)
 
     def _check_fast(self, mid: MsgId) -> None:
         message = self._pending.get(mid)
@@ -372,6 +377,10 @@ class ThriftyGenericBroadcast(Component):
         self._ack_index.clear()
         self._ack_times.clear()
         self._acks_received.clear()
+        # Count the acks that arrived a stage early, drop the older ones.
+        early, self._early_acks = self._early_acks, []
+        for src, ack_stage, mid in early:
+            self._on_ack(src, [(ack_stage, mid)])
         self._ack_pending()
         self._arm_tick()
 

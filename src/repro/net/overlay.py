@@ -8,13 +8,19 @@ module computes the next hops of that routing, purely as a function of
 the current membership, the packet's origin, and the failure detector's
 current suspect set:
 
-* ``ring`` — members sorted and rotated so the origin is the head; each
-  member forwards to its successor, and the last member (the origin's
-  ring predecessor) forwards to nobody.  O(1) payload sends per node per
-  broadcast instead of O(n) at the origin.
+* ``ring`` — members sorted and rotated so the origin comes first.  The
+  origin sends to the **head** — the view's first member, the one who
+  orders (:meth:`DisseminationOverlay.head`) — and to its successor on
+  the chain of everybody else; a chain member forwards to its
+  successor, the last one and the head to nobody.  O(1) payload sends
+  per node per broadcast (2 at the origin) instead of O(n), every body
+  is at the head after one hop, and the head is a *leaf*: crashed or
+  suspected, it strands nobody's packet.  Origin = head: the plain chain.
 * ``tree`` — the same rotated order read as a k-ary heap rooted at the
   origin: the member at index ``i`` forwards to indices ``k*i+1 ..
-  k*i+k``.  Latency O(log_k n) hops, fan-out bounded by ``k``.
+  k*i+k``.  Latency O(log_k n) hops, fan-out bounded by ``k``.  No spur:
+  every member is that close already, and heap index 1 is an inner node
+  — the head there would forward every origin's bodies.
 
 **Failure repair** (the part that keeps rbcast's agreement argument
 intact, see ``repro.broadcast.rbcast``): a suspected member is routed
@@ -34,7 +40,7 @@ by being evaluated against the current membership at send time.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 POLICIES = ("flood", "ring", "tree")
 
@@ -57,7 +63,7 @@ class DisseminationOverlay:
     # ------------------------------------------------------------------
     # Deterministic structure
     # ------------------------------------------------------------------
-    def order(self, members: Iterable[str], origin: str) -> list[str]:
+    def order(self, members: Sequence[str], origin: str) -> list[str]:
         """Members sorted and rotated so ``origin`` is at index 0."""
         key = (tuple(members), origin)
         cached = self._order_cache.get(key)
@@ -74,12 +80,20 @@ class DisseminationOverlay:
         self._order_cache[key] = ring
         return ring
 
-    def ring_successor(self, members: Iterable[str], origin: str, pid: str) -> str | None:
-        """``pid``'s failure-free ring successor (None = end of chain)."""
-        hops, _ = self._ring_hops(self.order(members, origin), pid, set())
-        return hops[0] if hops else None
+    @staticmethod
+    def head(members: Sequence[str]) -> str:
+        """The view's first member *as listed* (a rejoiner is listed last):
+        consensus's ``coordinator(0)`` and, unsuspected, gbcast's closer."""
+        return members[0]
 
-    def tree_children(self, members: Iterable[str], origin: str, pid: str) -> list[str]:
+    def ring_successor(self, members: Sequence[str], origin: str, pid: str) -> str | None:
+        """``pid``'s failure-free chain successor (None = end of chain)."""
+        hops, _ = self._ring_hops(
+            self.order(members, origin), self.head(members), pid, set()
+        )
+        return hops[-1] if hops else None
+
+    def tree_children(self, members: Sequence[str], origin: str, pid: str) -> list[str]:
         """``pid``'s failure-free tree children."""
         hops, _ = self._tree_hops(self.order(members, origin), pid, set())
         return hops
@@ -89,7 +103,7 @@ class DisseminationOverlay:
     # ------------------------------------------------------------------
     def next_hops(
         self,
-        members: Iterable[str],
+        members: Sequence[str],
         origin: str,
         pid: str,
         suspects: set[str],
@@ -105,28 +119,28 @@ class DisseminationOverlay:
         if pid not in ring or origin not in ring:
             return [q for q in ring if q != pid], 0
         if self.policy == "ring":
-            return self._ring_hops(ring, pid, suspects)
+            return self._ring_hops(ring, self.head(members), pid, suspects)
         return self._tree_hops(ring, pid, suspects)
 
     def _ring_hops(
-        self, ring: list[str], pid: str, suspects: set[str]
+        self, ring: list[str], head: str, pid: str, suspects: set[str]
     ) -> tuple[list[str], int]:
-        n = len(ring)
-        at = ring.index(pid)
+        origin = ring[0]
         hops: list[str] = []
+        if head != origin:
+            if pid == head:
+                return hops, 0  # the spur's end: a leaf, nothing hangs off it
+            if pid == origin:
+                hops.append(head)  # suspected or not: no chain to re-route
+            ring = [q for q in ring if q != head]
         reroutes = 0
-        for step in range(1, n):
-            succ = ring[(at + step) % n]
-            if succ == ring[0]:
-                return hops, reroutes  # wrapped back to the origin: chain done
-            if succ in suspects:
-                # Route around, but still hand the suspect its copy: if
-                # the suspicion is false it keeps receiving payloads.
-                hops.append(succ)
-                reroutes += 1
-                continue
+        for succ in ring[ring.index(pid) + 1 :]:
+            # A suspect is routed around, but still handed its copy: if
+            # the suspicion is false it keeps receiving payloads.
             hops.append(succ)
-            return hops, reroutes
+            if succ not in suspects:
+                break
+            reroutes += 1
         return hops, reroutes
 
     def _tree_hops(

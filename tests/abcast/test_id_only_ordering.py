@@ -16,6 +16,7 @@ while the coordinator's DECIDE arrives fine.
 
 from __future__ import annotations
 
+from repro.abcast.consensus_based import REPAIR_INTERVAL
 from repro.core.new_stack import StackConfig, build_new_group
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
@@ -120,6 +121,30 @@ def test_repair_asks_proposer_first():
     assert counters.get("rb.overlay_repairs") >= 1
 
 
+def test_a_lost_body_is_asked_for_one_interval_after_the_block():
+    # The first request waits like every later one — over an overlay the
+    # body is usually a hop behind the ids, and a body in flight is not
+    # a body lost — but no longer than that: what p01's rbcast cannot
+    # deliver is asked for within 2 x REPAIR_INTERVAL of the block, and
+    # the decision's proposer is asked.
+    world, stacks = patient_group()
+    asked = []
+    real = stacks["p02"].rbcast.request_repair
+    stacks["p02"].rbcast.request_repair = lambda peer: (
+        asked.append((world.now, peer)),
+        real(peer),
+    )
+    world.transport.set_link("p01", "p02", WALL)
+    bcast(stacks, "p01", "lost")
+    assert run_until(world, lambda: blocked(stacks["p02"]), timeout=400, step=0.1)
+    blocked_at = world.now
+    assert not asked
+    assert run_until(world, lambda: payloads(stacks["p02"]) == ["lost"], timeout=400)
+    ((asked_at, peer),) = asked
+    assert peer == "p00"
+    assert REPAIR_INTERVAL - 0.1 <= asked_at - blocked_at <= 2 * REPAIR_INTERVAL
+
+
 def test_repair_rotation_falls_through_crashed_proposer():
     # The proposer crashes just as its decision spreads; the retry timer
     # must rotate to the remaining members: p01 next (whose answer hits
@@ -189,8 +214,8 @@ def test_laggard_repairs_bodies_decided_past_its_snapshot():
     laggard.resume_proposing()  # re-blocks on the decision it kept
     assert blocked(stacks["p02"])
     world.run_for(500.0)
-    # One immediate request plus one per 50 ms; a second, stale timer
-    # chain would double this.
+    # One request per 50 ms; a second, stale timer chain would double
+    # this.
     assert 10 <= counters.get("abcast.pulls_sent") - before <= 12
     world.transport.set_link("p00", "p02", OPEN)
     assert run_until(

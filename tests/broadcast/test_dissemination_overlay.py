@@ -2,11 +2,11 @@
 failure-free, and the retained-packet flood backstop under forwarder
 crashes, suspicion re-routes, view changes and reincarnation."""
 
-from repro.broadcast.rbcast import ReliableBroadcast
+from repro.broadcast.rbcast import DIRECT_MAX_BYTES, ReliableBroadcast
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.net.reliable import ReliableChannel
 from repro.net.topology import LinkModel
-from repro.net.wire import Blob
+from repro.net.wire import Blob, payload_size
 from repro.sim.world import World
 
 from tests.conftest import run_until
@@ -52,6 +52,12 @@ def overlay_world(
     return world, rbs, delivered, group
 
 
+def body(label):
+    """A payload above rbcast's direct-send constant: it takes the
+    overlay (a bare label would go direct to every member)."""
+    return (label, Blob(4096))
+
+
 def node_sent_bytes(world):
     return dict(world.metrics.counters.by_prefix("net.bytes.sent."))
 
@@ -73,9 +79,9 @@ def test_ring_delivers_everywhere_failure_free():
     world, rbs, delivered, _ = overlay_world(count=5, seed=2)
     world.start()
     for i in range(10):
-        rbs["p00"].rbcast("t", i)
+        rbs["p00"].rbcast("t", body(i))
     assert run_until(world, lambda: all(len(d) == 10 for d in delivered.values()))
-    assert all(d == list(range(10)) for d in delivered.values())
+    assert all(d == [body(i) for i in range(10)] for d in delivered.values())
     counters = world.metrics.counters
     # Each broadcast travels the chain: the 3 middle members forward
     # once each, the origin and the last member do not.
@@ -89,9 +95,9 @@ def test_tree_delivers_everywhere_failure_free():
     world, rbs, delivered, _ = overlay_world(count=7, seed=3, dissemination="tree")
     world.start()
     for i in range(10):
-        rbs["p03"].rbcast("t", i)
+        rbs["p03"].rbcast("t", body(i))
     assert run_until(world, lambda: all(len(d) == 10 for d in delivered.values()))
-    assert all(d == list(range(10)) for d in delivered.values())
+    assert all(d == [body(i) for i in range(10)] for d in delivered.values())
     # Binary tree over 7 nodes: root + 2 internal nodes send, 4 leaves
     # do not — forwards come only from the internal (non-root) nodes.
     assert world.metrics.counters.get("rb.forwarded") == 20
@@ -128,13 +134,13 @@ def test_ring_floods_retained_packets_when_the_successor_crashes():
     world.crash("p01", at=0.5)
     world.start()
     world.run_for(1.0)
-    rbs["p00"].rbcast("t", "survivor")
+    rbs["p00"].rbcast("t", body("survivor"))
     world.run_for(50.0)
-    assert delivered["p00"] == ["survivor"]  # self-delivery is immediate
+    assert delivered["p00"] == [body("survivor")]  # self-delivery is immediate
     assert delivered["p02"] == [] and delivered["p03"] == []
     assert run_until(
         world,
-        lambda: delivered["p02"] == ["survivor"] and delivered["p03"] == ["survivor"],
+        lambda: delivered["p02"] == [body("survivor")] and delivered["p03"] == [body("survivor")],
         timeout=5_000,
     )
     assert world.metrics.counters.get("rb.suspect_floods") >= 1
@@ -149,11 +155,11 @@ def test_ring_floods_other_origins_packets_on_forwarder_crash():
     # p02 -> p03 is very slow: the forward is in flight when p02 dies.
     world.transport.set_link("p02", "p03", LinkModel(delay_min=10_000.0, delay_jitter=0.0))
     world.start()
-    rbs["p00"].rbcast("t", "strand")
+    rbs["p00"].rbcast("t", body("strand"))
     world.crash("p02", at=5.0)
     world.run_for(50.0)
-    assert delivered["p01"] == ["strand"] and delivered["p03"] == []
-    assert run_until(world, lambda: delivered["p03"] == ["strand"], timeout=5_000)
+    assert delivered["p01"] == [body("strand")] and delivered["p03"] == []
+    assert run_until(world, lambda: delivered["p03"] == [body("strand")], timeout=5_000)
     assert world.metrics.counters.get("rb.suspect_floods") >= 1
 
 
@@ -170,10 +176,10 @@ def test_ring_reroutes_around_a_suspected_member():
         timeout=5_000,
     )
     floods_before = world.metrics.counters.get("rb.suspect_floods")
-    rbs["p00"].rbcast("t", "around")
+    rbs["p00"].rbcast("t", body("around"))
     assert run_until(
         world,
-        lambda: delivered["p02"] == ["around"] and delivered["p03"] == ["around"],
+        lambda: delivered["p02"] == [body("around")] and delivered["p03"] == [body("around")],
         timeout=1_000,
     )
     assert world.metrics.counters.get("rb.reroutes") >= 1
@@ -191,12 +197,12 @@ def test_tree_reroutes_around_a_suspected_child():
         lambda: "p01" in rbs["p00"].suspicion_provider(),
         timeout=5_000,
     )
-    rbs["p00"].rbcast("t", "adopted")
+    rbs["p00"].rbcast("t", body("adopted"))
     # p01's subtree (p03, p04) is adopted by p00 and still delivers.
     assert run_until(
         world,
         lambda: all(
-            delivered[q] == ["adopted"] for q in ("p02", "p03", "p04", "p05", "p06")
+            delivered[q] == [body("adopted")] for q in ("p02", "p03", "p04", "p05", "p06")
         ),
         timeout=1_000,
     )
@@ -241,15 +247,16 @@ def test_recovered_incarnation_disseminates_over_the_ring():
     rbs["p01"] = rb
     world.run_for(5.0)  # starts the rebuilt components
     assert rb._origin == "p01~1!rb"
-    rb.rbcast("t", "reborn")
+    rb.rbcast("t", body("reborn"))
     assert run_until(
         world,
-        lambda: all(delivered[q] == ["reborn"] for q in ("p00", "p02", "p03")),
+        lambda: all(delivered[q] == [body("reborn")] for q in ("p00", "p02", "p03")),
         timeout=1_000,
     )
-    # The fresh incarnation really used the overlay: its successor
-    # forwarded the packet along the ring.
-    assert world.metrics.counters.get("rb.forwarded") >= 2
+    # The fresh incarnation really used the overlay: it sent to the head
+    # p00 and to its successor p02, which forwarded to p03.
+    assert world.metrics.counters.get("rb.forwarded") == 1
+    assert world.metrics.counters.get("rb.relayed") == 0
 
 
 def test_anti_entropy_repairs_a_silent_mid_chain_stall():
@@ -266,9 +273,9 @@ def test_anti_entropy_repairs_a_silent_mid_chain_stall():
     world.start()
     world.run_for(5.0)
     world.crash("p01")
-    rbs["p00"].rbcast("t", "stranded")
+    rbs["p00"].rbcast("t", body("stranded"))
     world.run_for(5.0)
-    assert delivered["p00"] == ["stranded"]
+    assert delivered["p00"] == [body("stranded")]
     assert delivered["p02"] == []
     world.recover("p01")
     process = world.process("p01")
@@ -280,7 +287,7 @@ def test_anti_entropy_repairs_a_silent_mid_chain_stall():
     # forwarding — the chain is silently broken at p01.
     rb.install_snapshot({"watermarks": {rbs["p00"]._origin: 0}})
     rbs["p01"] = rb
-    assert run_until(world, lambda: delivered["p02"] == ["stranded"], timeout=5_000)
+    assert run_until(world, lambda: delivered["p02"] == [body("stranded")], timeout=5_000)
     counters = world.metrics.counters
     assert counters.get("rb.overlay_repairs") >= 1
     assert counters.get("rb.suspect_floods") == 0
@@ -298,3 +305,34 @@ def test_overlay_retained_packets_are_pruned_with_stability():
     world.run_for(1_500.0)  # a few stability rounds
     assert all(rb.seen_size() == 0 for rb in rbs.values())
     assert all(rb.retained_size() == 0 for rb in rbs.values())
+
+
+def test_the_size_constant_decides_the_route_at_origin_and_receivers():
+    # A Blob of k bytes sizes as k + 2: one packet exactly at the
+    # constant, one a byte over it, same seed, same origin p02 (not the
+    # head).  At the constant: one direct leg to every member, and no
+    # receiver passes on what the origin sent direct (lazy relay, nobody
+    # suspected).  One byte larger: the spur to p00 plus the chain
+    # p02 -> p03 -> p04 -> p01, two forwards, three hops to the end.
+    leg = 5.0
+    for extra, forwards, last_leg in ((0, 0, 1), (1, 2, 3)):
+        world, rbs, delivered, _ = overlay_world(
+            count=5, seed=13, link=LinkModel(leg, 0.0), relay_policy="lazy"
+        )
+        arrived = {}
+        for pid, rb in rbs.items():
+            rb.register("when", lambda o, p, m, pid=pid: arrived.setdefault(pid, world.now))
+        world.start()
+        world.run_for(10.0)
+        packet = Blob(DIRECT_MAX_BYTES - 2 + extra)
+        assert payload_size(packet) == DIRECT_MAX_BYTES + extra
+        sent = world.now
+        rbs["p02"].rbcast("when", packet)
+        assert run_until(world, lambda: len(arrived) == 5)
+        counters = world.metrics.counters
+        assert counters.get("rb.forwarded") == forwards
+        assert counters.get("rb.relayed") == 0
+        assert arrived["p00"] - sent == arrived["p03"] - sent == leg
+        assert arrived["p01"] - sent == last_leg * leg
+        world.run_for(100.0)
+        assert counters.get("rb.forwarded") == forwards

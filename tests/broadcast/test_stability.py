@@ -180,9 +180,10 @@ def test_fault_free_ring_run_sends_no_repair_traffic():
     # Regression for the sender-side anti-entropy misfire (228 re-sent
     # 4 KiB packets on this run, all duplicates): a stale stability
     # report is no proof of a hole.  With nothing lost and nobody
-    # suspected, no repair path may fire at all — nor may abcast's wait
-    # for a body an ENDSTAGE names: on a healthy ring the CHK reaches
-    # every member ahead of the decision (FIFO hop by hop).
+    # suspected, no repair path may fire at all.  abcast's wait for a
+    # body an ENDSTAGE names does begin, routinely — the ids go direct
+    # while the CHK is still on the chain — and ends by that CHK a hop
+    # later: a body in flight is not a body lost, nothing is asked for.
     world = World(seed=3, default_link=LinkModel(3.0, 8.0, bytes_per_ms=2000.0))
     stacks = build_new_group(world, 5, config=StackConfig(dissemination="ring"))
     apis = {pid: GroupCommunication(s) for pid, s in stacks.items()}
@@ -202,6 +203,7 @@ def test_fault_free_ring_run_sends_no_repair_traffic():
     counters = world.metrics.counters
     assert counters.get("rb.forwarded") > 0
     assert counters.get("gbcast.tail_ordered") > 0
+    assert counters.get("abcast.decide_before_dissemination") > 0
     assert counters.get("rb.nacks_sent") == 0
     assert counters.get("abcast.pulls_sent") == 0
     assert counters.get("rb.overlay_repairs") == 0
