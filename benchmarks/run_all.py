@@ -7,35 +7,30 @@ pipelining comparison, without pytest, and writes one machine-readable
 JSON document: per scenario, throughput, a-delivery latency percentiles
 (p50/p95/p99), per-delivery message cost broken down by layer, the
 scenario's *shape* flags — the booleans the paper's arguments rest on —
-and a ``perf`` block metering the *simulator* itself (``wall_ms``,
-``sched_events_processed``, ``events_per_sec``) so interpreter-level
-regressions become visible.
+and ``perf.sched_events_processed``, the number of simulator events the
+scenario executed.
 
-All scenarios run in simulated time with fixed seeds, so the protocol
-metrics are deterministic: the committed baseline under
+All scenarios run in simulated time with fixed seeds, so every figure —
+the event count included — is deterministic and the document is a pure
+function of the tree: the committed baseline under
 ``benchmarks/baseline/`` can be compared exactly, with a small numeric
-tolerance for safety.  The ``perf`` block is wall-clock derived and is
-checked differently: ``wall_ms`` and ``sched_events_processed`` are
-informational, and ``events_per_sec`` only has to clear a generous
-floor (machine/CI jitter must not fail the build, a real interpreter
-regression should).
+tolerance for safety.  Host time is not measured here; that is
+``benchmarks/perf/``'s job.
 
 Usage::
 
     python benchmarks/run_all.py [--out BENCH_abgb.json]
                                  [--check benchmarks/baseline/BENCH_abgb.json]
                                  [--tolerance 0.25]
-                                 [--events-floor 0.2]
                                  [--profile PROFILE.txt] [--profile-top 25]
 
 ``--check`` exits non-zero if any shape flag is false, any baseline
 shape flag changed, a numeric metric drifted beyond the tolerance, any
 ``msgs_per_delivery`` or ``latency_ms`` figure regressed more than 10%
-(improvements never fail — both are one-sided), or ``events_per_sec``
-fell below ``events-floor`` times the baseline.  ``--profile`` additionally runs every scenario under
-cProfile and writes a cumulative-time top-N table (wall numbers in the
-JSON are then distorted by profiling overhead — profile runs are for
-the flamegraph, not the floor check).  See ``docs/benchmarks.md``.
+(improvements never fail — both are one-sided); it prints the
+simplicity trajectory (``meta``) baseline → current either way.
+``--profile`` additionally runs every scenario under cProfile and writes
+a cumulative-time top-N table.  See ``docs/benchmarks.md``.
 """
 
 from __future__ import annotations
@@ -320,13 +315,12 @@ def run_traffic(
     metrics["instances_pipelined"] = counters.get("abcast.instances_pipelined")
     # FD attribution: where the liveness evidence came from.  Explicit
     # heartbeats + suppressed beats = all beat opportunities; tap
-    # refreshes and piggyback samples are the traffic-carried evidence
-    # that makes the suppression safe.
+    # refreshes are the traffic-carried evidence that makes the
+    # suppression safe.
     metrics["fd"] = {
         "explicit_hb": counters.get("fd.explicit_hb"),
         "suppressed": counters.get("fd.suppressed"),
         "tap_refreshes": counters.get("fd.tap_refreshes"),
-        "piggyback_samples": counters.get("fd.piggyback_samples"),
     }
     metrics["critical_path"] = critical_path_block(world)
     metrics["decision_path"] = decision_path_block(world, stacks)
@@ -879,11 +873,10 @@ SCENARIOS = {
 # Shape-regression guard
 # ----------------------------------------------------------------------
 
-#: Wall-clock-derived fields that vary run to run: never compared 1:1.
-#: ``shape_detail`` is informational too: it embeds measured values in
-#: prose for actionable --check failures, and comparing the prose would
-#: just duplicate the numeric checks with zero tolerance.
-INFORMATIONAL_KEYS = ("wall_ms", "sched_events_processed", "shape_detail")
+#: Never compared: ``shape_detail`` embeds measured values in prose for
+#: actionable --check failures, and comparing the prose would just
+#: duplicate the numeric checks with zero tolerance.
+INFORMATIONAL_KEYS = ("shape_detail",)
 
 #: One-sided regression bound for per-delivery wire cost (datagrams and
 #: bytes alike): getting cheaper is always fine, getting >10% more
@@ -903,16 +896,13 @@ def compare(
     current: dict,
     tolerance: float,
     path: str = "",
-    events_floor: float = 0.2,
 ) -> list[str]:
     """Every baseline key must exist in ``current``: bools/strings equal,
     numbers within relative ``tolerance``.  Extra current keys are fine
-    (new metrics don't invalidate an old baseline).  Perf fields have
-    their own rules: ``wall_ms``/``sched_events_processed`` are
-    informational, ``events_per_sec`` must clear ``events_floor`` times
-    the baseline, and anything under a ``msgs_per_delivery`` or
-    ``latency_ms`` key is a one-sided bound — only a >10% cost/latency
-    *increase* is a regression, improvements never fail."""
+    (new metrics don't invalidate an old baseline).  Anything under a
+    ``msgs_per_delivery`` or ``latency_ms`` key is a one-sided bound —
+    only a >10% cost/latency *increase* is a regression, improvements
+    never fail."""
     problems: list[str] = []
     if isinstance(baseline, dict):
         if not isinstance(current, dict):
@@ -923,9 +913,7 @@ def compare(
             if key not in current:
                 problems.append(f"{path}.{key}: missing from current run")
                 continue
-            problems += compare(
-                expected, current[key], tolerance, f"{path}.{key}", events_floor
-            )
+            problems += compare(expected, current[key], tolerance, f"{path}.{key}")
         return problems
     if isinstance(baseline, bool) or isinstance(baseline, str) or baseline is None:
         if current != baseline:
@@ -938,14 +926,6 @@ def compare(
             ]
         if not isinstance(current, (int, float)):
             return [f"{path}: {baseline!r} -> {current!r}"]
-        key = path.rsplit(".", 1)[-1]
-        if key == "events_per_sec":
-            if current < baseline * events_floor:
-                problems.append(
-                    f"{path}: {baseline} -> {current} "
-                    f"(below {events_floor:.0%} floor — simulator got slower)"
-                )
-            return problems
         if "msgs_per_delivery" in path or "bytes_per_delivery" in path:
             if current > baseline * (1.0 + MSGS_REGRESSION):
                 problems.append(
@@ -970,21 +950,23 @@ def compare(
         if not isinstance(current, list) or len(current) != len(baseline):
             return [f"{path}: list changed: {baseline!r} -> {current!r}"]
         for i, (b, c) in enumerate(zip(baseline, current)):
-            problems += compare(b, c, tolerance, f"{path}[{i}]", events_floor)
+            problems += compare(b, c, tolerance, f"{path}[{i}]")
         return problems
     return [f"{path}: unsupported baseline value {baseline!r}"]
 
 
-def check(
-    document: dict, baseline_path: Path, tolerance: float, events_floor: float = 0.2
-) -> list[str]:
+def check(document: dict, baseline_path: Path, tolerance: float) -> list[str]:
     baseline = json.loads(baseline_path.read_text())
     problems = compare(baseline.get("scenarios", {}), document["scenarios"], tolerance,
-                       path="scenarios", events_floor=events_floor)
-    # One-sided: the stack may lose configuration fields, never gain one
-    # unnoticed (``src_lines`` is recorded for the trajectory only).
-    fields_before = baseline.get("meta", {}).get("stack_config_fields")
-    fields_now = document.get("meta", {}).get("stack_config_fields")
+                       path="scenarios")
+    # The simplicity trajectory goes into every CI log.  One-sided: the
+    # stack may lose configuration fields, never gain one unnoticed
+    # (``src_lines`` is recorded for the trajectory only).
+    meta_before, meta_now = baseline.get("meta", {}), document.get("meta", {})
+    for key in sorted(meta_now):
+        print(f"[bench] meta.{key}: {meta_before.get(key)} -> {meta_now[key]}")
+    fields_before = meta_before.get("stack_config_fields")
+    fields_now = meta_now.get("stack_config_fields")
     if None not in (fields_before, fields_now) and fields_now > fields_before:
         problems.append(
             f"meta.stack_config_fields: {fields_now} exceeds the baseline's "
@@ -1072,9 +1054,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="baseline JSON to guard against shape regressions")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="relative tolerance for numeric drift (default 0.25)")
-    parser.add_argument("--events-floor", type=float, default=0.2,
-                        help="events/sec must clear this fraction of the baseline "
-                             "(default 0.2 — generous for CI jitter)")
     parser.add_argument("--profile", type=Path, default=None, metavar="FILE",
                         help="run scenarios under cProfile and write a top-N "
                              "cumulative-time table to FILE")
@@ -1105,17 +1084,9 @@ def main(argv: list[str] | None = None) -> int:
             profiler.disable()
         wall = time.perf_counter() - wall_start
         events = Scheduler.total_events_processed - events_before
-        scenario["perf"] = {
-            "wall_ms": round(wall * 1_000.0, 1),
-            "sched_events_processed": events,
-            "events_per_sec": round(events / wall) if wall > 0 else 0,
-        }
+        scenario["perf"] = {"sched_events_processed": events}
         document["scenarios"][name] = scenario
-        print(
-            f"[bench]   {events} events in {wall * 1_000.0:.0f} ms "
-            f"({scenario['perf']['events_per_sec']} events/s)",
-            flush=True,
-        )
+        print(f"[bench]   {events} events in {wall * 1_000.0:.0f} ms", flush=True)
         if args.trace_dir is not None:
             for label, world in TRACE_WORLDS:
                 for problem in world.spans.check_integrity():
@@ -1144,7 +1115,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[bench] span-tree integrity: OK ({args.trace_dir})")
 
     if args.check is not None:
-        problems = check(document, args.check, args.tolerance, args.events_floor)
+        problems = check(document, args.check, args.tolerance)
         if problems:
             print(f"[bench] SHAPE REGRESSION vs {args.check}:", file=sys.stderr)
             for problem in problems:

@@ -17,10 +17,9 @@ stays suspected).  The crash-tolerance
 argument is unchanged: if any correct member delivered ``m`` and the
 origin crashed before completing its sends, the origin is eventually
 suspected at that member, which then relays ``m`` to everyone — the
-eager flood is restored exactly when it pays for itself.  Suspicion is
-wired in through ``suspicion_provider`` (current suspect set) and
-:meth:`peer_suspected` (edge trigger), both fed by the stack's FD
-monitor.
+eager flood is restored exactly when it pays for itself.  Suspicion
+comes from the FD ``monitor`` the component is built with: it reads
+``monitor.suspects`` and subscribes :meth:`peer_suspected` to the edges.
 
 **Dissemination overlay** (``dissemination="ring" | "tree"``): under
 flood — the default — the origin unicasts every packet to all n−1
@@ -70,14 +69,15 @@ decisions, atomic broadcast payloads, generic broadcast checks) share one
 rbcast component, each registering its own tag handler.
 
 **Stability & garbage collection** (the role of Ensemble's ``stable``
-component, Section 2.2 of the paper): every broadcast consumes an entry
-in the duplicate-suppression set.  Each process therefore gossips, over
-the reliable (FIFO) channels, its per-origin *contiguous* delivery
-watermark; once every current member has covered a packet id, the packet
-is *stable* — no copy of it can ever arrive again behind the gossip on
-any FIFO link — and its dedup entry is pruned.  Packet ids come from a
-private per-component sequence (origin tagged ``pid!rb``), so they are
-gap-free per origin and watermarks are well defined.  The gossip is
+component, Section 2.2 of the paper).  Packet ids come from a private
+per-component sequence (origin tagged ``pid!rb``), so they are gap-free
+per origin and a per-origin *contiguous* delivery watermark plus the set
+of seqs delivered out of order above it says exactly what was delivered:
+that pair is the duplicate suppression, there is no second record.  Each
+process gossips its watermarks over the reliable (FIFO) channels; once
+every current member has covered a packet id, the packet is *stable* —
+no copy of it can ever arrive again behind the gossip on any FIFO link —
+and its retained copy is pruned.  The gossip is
 delta-encoded: a member is sent only the origins whose watermark moved
 since the last send to it (and nothing at all when the vector is
 unchanged), after one initial full snapshot.
@@ -86,13 +86,16 @@ unchanged), after one initial full snapshot.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.net.message import MsgId
 from repro.net.overlay import POLICIES, DisseminationOverlay
 from repro.net.reliable import ReliableChannel
 from repro.net.wire import payload_size
 from repro.sim.process import Component, Process
+
+if TYPE_CHECKING:  # annotation only; importing it here closes a cycle through sim
+    from repro.fd.heartbeat import Monitor
 
 PORT = "rb"
 STABILITY_PORT = "rb.stable"
@@ -108,7 +111,6 @@ DIRECT_MAX_BYTES = 256
 
 DeliverFn = Callable[[str, Any, MsgId], None]
 GroupProvider = Callable[[], list[str]]
-SuspicionProvider = Callable[[], set]
 
 
 def origin_pid(origin: str) -> str:
@@ -127,7 +129,7 @@ class ReliableBroadcast(Component):
         relay: bool = True,
         stability_interval: float | None = 500.0,
         relay_policy: str = "eager",
-        suspicion_provider: SuspicionProvider | None = None,
+        monitor: Monitor | None = None,
         dissemination: str = "flood",
     ) -> None:
         super().__init__(process, "rb")
@@ -146,11 +148,12 @@ class ReliableBroadcast(Component):
             if dissemination == "flood"
             else DisseminationOverlay(dissemination)
         )
-        #: Current suspect set of the stack's FD monitor (pids), read by
-        #: the forward rule and the hole detection; assigned after
-        #: construction by the stack wiring (the monitor does not exist
-        #: yet here).
-        self.suspicion_provider = suspicion_provider
+        #: The stack's small-timeout FD monitor: its suspect set is read
+        #: by the forward rule and the hole detection, its edges flood.
+        #: None (a bare rbcast) suspects nobody.
+        self.monitor = monitor
+        if monitor is not None:
+            monitor.subscribe(self.peer_suspected)
         self.stability_interval = stability_interval
         # Private gap-free id space: origin is "<pid>!rb" for the first
         # incarnation.  A recovered incarnation restarts its counter at
@@ -168,19 +171,16 @@ class ReliableBroadcast(Component):
         #: layer registered its tag (abcast payloads, consensus
         #: decisions, gbcast checks, ...), not of rbcast itself.
         self._tag_layers: dict[str, str] = {}
-        #: Duplicate-suppression set, indexed per origin so pruning a
-        #: stability range is O(entries pruned) instead of a full-set
-        #: rebuild; ``_seen_count`` keeps :meth:`seen_size` O(1).
-        self._seen: dict[str, set[int]] = {}
-        self._seen_count = 0
         #: The one retained store (``relay=True``): every delivered,
         #: not-yet-stable packet per origin, our own included.  It is the
         #: material of both repair paths — the suspicion-edge flood and
-        #: the answer to a NACK — and is pruned with the dedup entries.
+        #: the answer to a NACK — and is pruned as packets turn stable.
         self._retained: dict[str, dict[int, tuple]] = {}
-        #: Highest contiguous seq delivered per origin (-1 = none).
+        #: Highest contiguous seq delivered per origin (-1 = none) and the
+        #: seqs delivered out of order above it.  Together they are the
+        #: duplicate suppression: a seq was delivered iff it is at or
+        #: below the mark or in the set.
         self._watermarks: dict[str, int] = {}
-        #: Out-of-order seqs above the watermark, per origin.
         self._above: dict[str, set[int]] = {}
         #: Latest watermark vector reported by each member.
         self._reported: dict[str, dict[str, int]] = {}
@@ -191,7 +191,8 @@ class ReliableBroadcast(Component):
         #: "stranded" from "in flight"), and the holder-rotation position.
         self._nack_prev: dict[str, int] = {}
         self._nack_turn = 0
-        #: Everything at or below this per-origin seq has been pruned.
+        #: Stable floor per origin: everything at or below it is pruned.
+        #: Never above our own watermark (our report is a term of the min).
         self._pruned: dict[str, int] = {}
         counters = self.world.metrics.counters
         self._inc_broadcasts = counters.handle("rb.broadcasts")
@@ -259,9 +260,7 @@ class ReliableBroadcast(Component):
         return self.rbcast(tag, payload)
 
     def _suspects(self) -> set:
-        if self.suspicion_provider is None:
-            return set()
-        return self.suspicion_provider()
+        return set() if self.monitor is None else self.monitor.suspects
 
     def _takes_overlay(self, payload: Any) -> bool:
         """The routing rule, read alike by origin and receivers: a body
@@ -299,19 +298,19 @@ class ReliableBroadcast(Component):
 
     def _on_message(self, src: str, packet: tuple) -> None:
         mid, origin, tag, payload = packet
-        sender = mid.sender
-        seen = self._seen.get(sender)
-        if seen is None:
-            seen = self._seen[sender] = set()
-        if mid.seq in seen or mid.seq <= self._pruned.get(sender, -1):
+        sender, seq = mid.sender, mid.seq
+        above = self._above.get(sender)
+        if above is None:
+            above = self._above[sender] = set()
+        mark = self._watermarks.get(sender, -1)
+        if seq <= mark or seq in above:
             return
-        seen.add(mid.seq)
-        self._seen_count += 1
-        self._advance_watermark(mid)
+        above.add(seq)
+        self._watermarks[sender] = self._absorb_run(mark, above)
         if self.relay:
             # Retained until stable: the material of the suspicion flood
             # and of every answer to a NACK.
-            self._retained.setdefault(sender, {})[mid.seq] = packet
+            self._retained.setdefault(sender, {})[seq] = packet
             targets = self._forward_targets(packet, src)
             if targets:
                 self._send(packet, "rb:forward", targets)
@@ -357,15 +356,14 @@ class ReliableBroadcast(Component):
     # ------------------------------------------------------------------
     # Stability (Ensemble's `stable` component, new-architecture style)
     # ------------------------------------------------------------------
-    def _advance_watermark(self, mid: MsgId) -> None:
-        origin = mid.sender
-        above = self._above.setdefault(origin, set())
-        above.add(mid.seq)
-        mark = self._watermarks.get(origin, -1)
+    @staticmethod
+    def _absorb_run(mark: int, above: set[int]) -> int:
+        """Move ``mark`` through the contiguous run of ``above`` that starts
+        right after it, consuming the run; returns the new mark."""
         while mark + 1 in above:
             mark += 1
             above.discard(mark)
-        self._watermarks[origin] = mark
+        return mark
 
     def _stability_tick(self) -> None:
         members = self.group_provider()
@@ -471,30 +469,26 @@ class ReliableBroadcast(Component):
             if stable_up_to <= already:
                 continue
             self._pruned[origin] = stable_up_to
-            seen = self._seen.get(origin)
-            if seen:
-                # Seqs are gap-free per origin, so walking the newly
-                # stable range discards exactly the pruned entries —
-                # O(entries pruned), not a full-set rebuild.
-                retained = self._retained.get(origin)
+            # Seqs are gap-free per origin and the range lies at or below
+            # our own watermark: we delivered every one of them.
+            pruned += stable_up_to - already
+            retained = self._retained.get(origin)
+            if retained:
                 for seq in range(already + 1, stable_up_to + 1):
-                    if seq in seen:
-                        seen.discard(seq)
-                        pruned += 1
-                    if retained is not None:
-                        retained.pop(seq, None)
-                if not seen:
-                    del self._seen[origin]
-                if retained is not None and not retained:
+                    retained.pop(seq, None)
+                if not retained:
                     del self._retained[origin]
         if pruned:
-            self._seen_count -= pruned
             self._inc_pruned(pruned)
             self.trace("pruned", count=pruned)
 
     def seen_size(self) -> int:
-        """Current size of the duplicate-suppression set (GC'd), O(1)."""
-        return self._seen_count
+        """Packets delivered and not yet stable: the marks' height above
+        the stable floors plus the out-of-order seqs."""
+        pruned = self._pruned
+        return sum(
+            mark - pruned.get(origin, -1) for origin, mark in self._watermarks.items()
+        ) + sum(len(above) for above in self._above.values())
 
     def retained_size(self) -> int:
         """Delivered, not-yet-stable packets held as repair material."""
@@ -515,7 +509,11 @@ class ReliableBroadcast(Component):
         marks = snapshot["watermarks"]
         for origin, mark in marks.items():
             if mark > self._watermarks.get(origin, -1):
-                self._watermarks[origin] = mark
+                # What we hold out of order at or below the new mark is
+                # covered by it; a run that now touches it is absorbed.
+                above = self._above.get(origin, set())
+                above.difference_update([seq for seq in above if seq <= mark])
+                self._watermarks[origin] = self._absorb_run(mark, above)
             # Everything at or below the transferred watermark was
             # delivered before our snapshot position; late copies must
             # be ignored, and we will never deliver them ourselves.

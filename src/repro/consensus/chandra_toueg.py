@@ -167,9 +167,8 @@ class ChandraTouegConsensus(Component):
         #: each a full timeout of grace from the moment it enters that
         #: set, so an instance first started at a suspicion edge would
         #: wait out a second timeout for the same dead process.
-        self.monitor: Monitor = monitor if monitor is not None else fd.monitor(
-            self._monitored_peers, suspicion_timeout, on_suspect=self.peer_suspected
-        )
+        self.monitor: Monitor = monitor or fd.monitor(self._monitored_peers, suspicion_timeout)
+        self.monitor.subscribe(self.peer_suspected)
         #: Whether the re-check tick is scheduled (only while the monitor
         #: suspects someone: :meth:`peer_suspected` arms it).
         self._ticking = False

@@ -5,6 +5,7 @@ Bottom to top on every process:
     unreliable transport            (repro.net.transport, owned by the world)
     reliable channel                (repro.net.reliable)
     failure detection               (repro.fd.heartbeat, multi-timeout monitors)
+    reliable broadcast              (repro.broadcast.rbcast)
     consensus                       (repro.consensus.chandra_toueg)
     atomic broadcast                (repro.abcast.consensus_based)
     generic broadcast               (repro.gbcast.thrifty)
@@ -17,6 +18,13 @@ consensus and reliable broadcast (NOT on membership); membership is a
 monitoring component; suspicion and exclusion use distinct timeouts
 (small for consensus/generic broadcast progress, large for exclusion —
 Section 4.3).
+
+The stack is built bottom-up in that order, in one pass: a component
+gets what it depends on as constructor arguments — among them the
+small-timeout monitor, which rbcast, consensus and gbcast read and
+subscribe to themselves — and nothing is assigned on it afterwards.
+Beside constructors there are only registrations on existing interfaces:
+the FD's transport tap, abcast's ``on_solicit``, the snapshot sections.
 """
 
 from __future__ import annotations
@@ -169,33 +177,21 @@ class NewArchitectureStack:
         self.fd = HeartbeatFailureDetector(
             process, members, heartbeat_interval=HEARTBEAT_INTERVAL, suppression=True
         )
-        # Piggybacked heartbeat headers: the channel stamps outgoing
-        # datagrams with the FD's hb-epoch and feeds received epochs
-        # back, so the adaptive estimator keeps getting one arrival
-        # sample per heartbeat period under suppression.
-        self.channel.hb_epoch_provider = self.fd.current_hb_epoch
-        self.channel.hb_sample_sink = self.fd.note_piggyback_sample
+        # The one small-timeout monitor (suspicion != exclusion): always
+        # on over the current members, so consensus NACKs a coordinator
+        # that is *already* suspected when an instance starts.  The
+        # layers built with it subscribe themselves, so one edge reaches
+        # them top-down in one event: generic broadcast unblocks the
+        # fast path (and promotes the next stage closer), consensus
+        # moves past the suspect, rbcast floods what it retains.
+        self.suspicion_monitor = self.fd.monitor(members, cfg.suspicion_timeout)
         self.rbcast = ReliableBroadcast(
             process,
             self.channel,
             members,
             relay_policy=cfg.relay_policy,
+            monitor=self.suspicion_monitor,
             dissemination=cfg.dissemination,
-        )
-        # The one small-timeout monitor (suspicion != exclusion): always
-        # on over the current members, so consensus NACKs a coordinator
-        # that is *already* suspected when an instance starts.  An edge
-        # moves consensus past the suspect, unblocks the generic
-        # broadcast fast path (and promotes the next stage closer), and
-        # — under the lazy relay policy — triggers rbcast's
-        # retained-packet flood for the suspected origin.
-        def on_suspect(q: str) -> None:
-            self.consensus.peer_suspected(q)
-            self.gbcast.nudge()
-            self.rbcast.peer_suspected(q)
-
-        self.suspicion_monitor = self.fd.monitor(
-            members, cfg.suspicion_timeout, on_suspect=on_suspect
         )
         self.consensus = ChandraTouegConsensus(
             process,
@@ -222,6 +218,7 @@ class NewArchitectureStack:
             self.abcast,
             conflict,
             members,
+            self.suspicion_monitor,
             fast_path_timeout=cfg.fast_path_timeout,
         )
         self.monitoring = MonitoringComponent(
@@ -237,8 +234,6 @@ class NewArchitectureStack:
         self.membership.register_snapshot(
             "gbcast", self.gbcast.snapshot, self.gbcast.install_snapshot
         )
-        self.gbcast.suspicion_provider = lambda: self.suspicion_monitor.suspects
-        self.rbcast.suspicion_provider = lambda: self.suspicion_monitor.suspects
 
     @property
     def pid(self) -> str:

@@ -9,45 +9,37 @@ Section 3.3.2: consensus can use a small timeout (seconds) while the
 monitoring component uses a large one (minutes), over the same liveness
 evidence.
 
-**Traffic-aware liveness.**  Explicit heartbeats are the *idle-link
-fallback*, not the only evidence:
+**One evidence path.**  Liveness evidence reaches the detector in one
+place, the **liveness tap** it registers on the transport: every
+datagram delivered from a peer — an rc segment, rbcast gossip, a gbcast
+ack, a consensus round, an explicit heartbeat — refreshes ``last_heard``
+(§3.3.2: *any* received message is liveness evidence).  The transport
+stamps the sender's incarnation on every datagram and hands it to the
+tap behind its own incarnation fence, so a stale pre-crash datagram can
+never vouch for a recovered process; the tap re-checks anyway for
+directly injected traffic.  Nothing else carries liveness: a heartbeat
+is an empty datagram on port ``fd.hb`` whose whole effect is the tap
+refresh it causes, and no protocol header has a liveness field.
 
-* a **liveness tap** registered on the transport refreshes ``last_heard``
-  for every datagram received from a peer — an rc segment, rbcast gossip,
-  a gbcast ack or a consensus round all prove the sender alive (the
-  paper's §3.3.2 observation that *any* received message is liveness
-  evidence, here applied at the transport).  The transport's incarnation
-  fence runs first, so a stale pre-crash datagram can never vouch for a
-  recovered process; the tap re-checks the incarnation anyway for
-  directly injected traffic.
-* with ``suppression`` on, a heartbeat goes to a peer only when nothing
-  at all has been handed to the transport for it for a whole
-  ``heartbeat_interval`` — our outbound traffic already proves our
-  liveness to them.  ``heartbeat_interval`` thus means *the longest
-  silence the sender allows on a link*, and it is kept by a deadline,
-  not a tick: one one-shot timer per process, armed for the earliest
-  per-peer deadline and re-armed lazily (a deadline is looked at again
-  only once reached; traffic sent meanwhile has moved it, which counts
-  as one ``fd.suppressed``).  Deadlines within ``KEEPALIVE_SLACK`` of an
-  interval are served by the same firing, so idle links fall into step
-  instead of waking the process once each.  Under load the O(n)
-  broadcast collapses to sends on idle links only; a crashed peer's
-  links go idle immediately (it sends nothing), so time-to-suspect is
-  unchanged.  With suppression off the deadline is the last heartbeat
-  plus one interval — the same code sends the traditional constant
-  stream.  (Skipping a periodic beat whenever anything went out within
-  the last interval would guarantee only *two* intervals of silence
-  while still paying one datagram per interval on an idle link.  The
-  new stack runs the deadline at 15 ms = suspicion timeout ÷ 4: two
-  consecutive losses plus the link's delay still fit inside the 60 ms
-  timeout.)
-* the reliable channel piggybacks the sender's current **hb-epoch**
-  (``current_hb_epoch``: whole intervals elapsed) on its datagrams and
-  feeds received epochs back via :meth:`note_piggyback_sample`.  The
-  arrival-gap estimator samples at most once per (peer, epoch), so the
-  adaptive detector keeps seeing one sample per heartbeat period —
-  whether the sample arrived as an explicit heartbeat or on the back of
-  application traffic.
+Explicit heartbeats are the *idle-link fallback*: with ``suppression``
+on, a heartbeat goes to a peer only when nothing at all has been handed
+to the transport for it for a whole ``heartbeat_interval`` — our
+outbound traffic already proves our liveness to them.
+``heartbeat_interval`` thus means *the longest silence the sender allows
+on a link*, and it is kept by a deadline, not a tick: one one-shot timer
+per process, armed for the earliest per-peer deadline and re-armed
+lazily (a deadline is looked at again only once reached; traffic sent
+meanwhile has moved it, which counts as one ``fd.suppressed``).
+Deadlines within ``KEEPALIVE_SLACK`` of an interval are served by the
+same firing, so idle links fall into step instead of waking the process
+once each.  Under load the O(n) broadcast collapses to sends on idle
+links only; a crashed peer's links go idle immediately (it sends
+nothing), so time-to-suspect is unchanged.  With suppression off the
+deadline is the last heartbeat plus one interval — the same code sends
+the traditional constant stream.  (Skipping a periodic beat whenever
+anything went out within the last interval would guarantee only *two*
+intervals of silence while still paying one datagram per interval on an
+idle link.)
 
 **Monitors run on expiry timers.**  A monitor does not poll: it scans
 its peer set, and arms one one-shot timer for the earliest
@@ -57,8 +49,19 @@ is first seen by a scan.  A crash is therefore suspected exactly one
 timeout after the victim was last heard, not at the next tick after.
 Fresh evidence only moves expiries later, so the armed timer is left
 alone (it fires early, finds nothing expired and re-arms); evidence from
-a peer *currently suspected* re-scans at once, and an adaptive monitor,
-whose timeouts move with every sample, re-scans per sample.
+a peer *currently suspected* re-scans at once.  The detector keeps what
+these scans read — ``last_heard``, incarnations, keep-alive deadlines —
+and nothing else: arrival-gap statistics belong to the one monitor that
+reads them (``repro.fd.adaptive``).
+
+**One suspicion object.**  A monitor is what a layer is *built with*:
+it reads ``monitor.suspects`` and subscribes to the edges
+(:meth:`Monitor.subscribe`).  Any number of layers may subscribe to one
+monitor; an edge reaches them within one event, **top-down** — last
+subscribed, first told.  A stack is built bottom-up, so what orders
+(generic broadcast, consensus) moves before what repairs (reliable
+broadcast's flood), whose bulk would otherwise sit in front of the
+ordering messages on the same FIFO links.
 
 The detector is unreliable in the sense of Chandra–Toueg [10]: it can
 suspect correct processes (small timeouts, message loss, partitions) and
@@ -71,7 +74,6 @@ off, preserving the paper's constant heartbeat stream for comparison.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 from repro.sim.process import Component, Process
@@ -101,24 +103,26 @@ ReincarnationCallback = Callable[[str, int], None]
 class Monitor:
     """One client's view of the failure detector.
 
-    ``suspects`` is the current set of suspected peers; ``on_suspect`` /
-    ``on_trust`` fire on transitions.  Monitors can be stopped (Fig. 9's
-    ``start_stop_monitor``).
+    ``suspects`` is the current set of suspected peers; edge listeners
+    (``on_suspect`` / ``on_trust``, or :meth:`subscribe`) fire on
+    transitions.  Monitors can be stopped (Fig. 9's ``start_stop_monitor``).
     """
 
     def __init__(
         self,
         detector: "HeartbeatFailureDetector",
-        peers: PeerProvider,
+        peers: PeerProvider | list[str],
         timeout: float,
         on_suspect: SuspicionCallback | None = None,
         on_trust: SuspicionCallback | None = None,
     ) -> None:
         self._detector = detector
-        self._peers = peers
+        fixed = list(peers) if isinstance(peers, list) else None
+        self._peers: PeerProvider = peers if fixed is None else lambda: fixed
         self.timeout = timeout
-        self._on_suspect = on_suspect
-        self._on_trust = on_trust
+        self._suspect_listeners: list[SuspicionCallback] = []
+        self._trust_listeners: list[SuspicionCallback] = []
+        self.subscribe(on_suspect, on_trust)
         self.suspects: set[str] = set()
         self.active = True
         #: When each peer (re-)entered the monitored set.  A peer that
@@ -132,6 +136,19 @@ class Monitor:
         #: builds its membership after its monitors).
         self._timer: Timer | None = None
         self._arm(detector.now)
+        detector._monitors.append(self)  # fed its evidence from now on
+
+    def subscribe(
+        self,
+        on_suspect: SuspicionCallback | None = None,
+        on_trust: SuspicionCallback | None = None,
+    ) -> None:
+        """Add edge listeners.  Every listener sees every later edge,
+        inside the event that found it, the latest subscriber first."""
+        if on_suspect is not None:
+            self._suspect_listeners.insert(0, on_suspect)
+        if on_trust is not None:
+            self._trust_listeners.insert(0, on_trust)
 
     def stop(self) -> None:
         self.active = False
@@ -153,10 +170,12 @@ class Monitor:
         monitors override this)."""
         return self.timeout
 
-    def _sampled(self) -> None:
-        """The detector recorded a new arrival-gap sample.  Nothing to do
-        for a fixed timeout; adaptive monitors re-scan (their timeouts,
-        hence their expiries, move with every sample)."""
+    def _heard(self, peer: str) -> None:
+        """Evidence from ``peer`` arrived.  A monitor suspecting it revises
+        at once; otherwise its timer merely fires early and re-arms — a
+        scan per datagram would be O(n) on the hot path for nothing."""
+        if peer in self.suspects:
+            self._check()
 
     def _arm(self, when: float) -> None:
         """Scan at ``when`` — unless a scan is due sooner anyway: one that
@@ -183,8 +202,7 @@ class Monitor:
         # Peers that left the monitored set are forgotten — including
         # their membership baseline, so a later re-entry (rejoin after
         # recovery) starts a fresh grace period.
-        for gone in [p for p in self.suspects if p not in peers]:
-            self.suspects.discard(gone)
+        self.suspects &= peers
         for gone in [p for p in self._member_since if p not in peers]:
             del self._member_since[gone]
         wake = now + self.timeout
@@ -199,13 +217,13 @@ class Monitor:
                 if peer in self.suspects:
                     self.suspects.discard(peer)
                     self._detector.trace("trust", peer=peer, timeout=self.timeout)
-                    if self._on_trust is not None:
-                        self._on_trust(peer)
+                    for listener in self._trust_listeners:
+                        listener(peer)
             elif peer not in self.suspects:
                 self.suspects.add(peer)
                 self._detector.trace("suspect", peer=peer, timeout=self.timeout)
-                if self._on_suspect is not None:
-                    self._on_suspect(peer)
+                for listener in self._suspect_listeners:
+                    listener(peer)
         self._arm(wake)
 
 
@@ -228,28 +246,19 @@ class HeartbeatFailureDetector(Component):
         #: architecture stack turns it on.
         self.suppression = suppression
         self._last_heard: dict[str, float] = {}
-        self._arrival_gaps: dict[str, deque[float]] = {}
-        #: Estimator sampling state, separate from ``last_heard``: gaps
-        #: are sampled at most once per (peer, hb-epoch) so tap refreshes
-        #: from bursty application traffic cannot pollute the arrival
-        #: statistics the adaptive timeouts are built on.
-        self._last_sample_time: dict[str, float] = {}
-        self._last_sample_epoch: dict[str, int] = {}
         self._incarnations: dict[str, int] = {}
         self._reincarnation_listeners: list[ReincarnationCallback] = []
         self._monitors: list[Monitor] = []
-        self._built_at = self.now
         #: When the next heartbeat to each peer falls due (see ``_keepalive``).
         self._deadlines: dict[str, float] = {}
         # Bound handles: one increment per datagram-scale event — the
         # dominant background work in long runs.
         counters = process.world.metrics.counters
-        self._inc_heartbeats = counters.handle("fd.heartbeats_sent")
         self._inc_explicit = counters.handle("fd.explicit_hb")
         self._inc_suppressed = counters.handle("fd.suppressed")
         self._inc_tap = counters.handle("fd.tap_refreshes")
-        self._inc_piggyback = counters.handle("fd.piggyback_samples")
-        self.register_port(PORT, self._on_heartbeat)
+        # A heartbeat has no content: the tap has already read it.
+        self.register_port(PORT, lambda _src, _payload: None)
         process.world.transport.register_liveness_sink(process, self._on_traffic)
 
     def start(self) -> None:
@@ -266,14 +275,7 @@ class HeartbeatFailureDetector(Component):
         on_trust: SuspicionCallback | None = None,
     ) -> Monitor:
         """Create and start a monitor with its own timeout."""
-        if isinstance(peers, list):
-            fixed = list(peers)
-            provider: PeerProvider = lambda: fixed
-        else:
-            provider = peers
-        mon = Monitor(self, provider, timeout, on_suspect, on_trust)
-        self._monitors.append(mon)
-        return mon
+        return Monitor(self, peers, timeout, on_suspect, on_trust)
 
     def last_heard(self, pid: str) -> float | None:
         return self._last_heard.get(pid)
@@ -281,13 +283,6 @@ class HeartbeatFailureDetector(Component):
     def incarnation_of(self, pid: str) -> int | None:
         """Highest incarnation heard from ``pid`` (None = never heard)."""
         return self._incarnations.get(pid)
-
-    def current_hb_epoch(self) -> int:
-        """The heartbeat epoch: whole heartbeat intervals elapsed since
-        this detector was built.  The reliable channel stamps it on
-        outgoing datagrams so receivers can sample arrival gaps even
-        when explicit heartbeats are suppressed."""
-        return int((self.now - self._built_at + _DUE_SLACK) / self.heartbeat_interval)
 
     def on_reincarnation(self, listener: ReincarnationCallback) -> None:
         """Register ``listener(pid, incarnation)`` fired when liveness
@@ -308,7 +303,6 @@ class HeartbeatFailureDetector(Component):
         now = self.now
         interval = self.heartbeat_interval
         due_by = now + interval * KEEPALIVE_SLACK + _DUE_SLACK
-        payload = (self.process.incarnation, self.current_hb_epoch())
         transport = self.world.transport
         deadlines: dict[str, float] = {}
         for peer in self.peer_provider():
@@ -322,9 +316,8 @@ class HeartbeatFailureDetector(Component):
                     self._inc_suppressed()
                     deadline = sent + interval
                 else:
-                    self._inc_heartbeats()
                     self._inc_explicit()
-                    self.world.u_send(self.pid, peer, PORT, payload, layer="fd")
+                    self.world.u_send(self.pid, peer, PORT, None, layer="fd")
                     deadline = now + interval
             deadlines[peer] = deadline
         # Peers that left the set are forgotten; with nobody to talk to,
@@ -333,93 +326,29 @@ class HeartbeatFailureDetector(Component):
         wake = min(deadlines.values(), default=now + interval)
         self.schedule(max(0.0, wake - now), self._keepalive)
 
-    def arrival_gaps(self, pid: str) -> list[float]:
-        """Recent heartbeat-epoch inter-arrival gaps (ms) for ``pid``."""
-        return list(self._arrival_gaps.get(pid, ()))
-
     # ------------------------------------------------------------------
-    # Liveness evidence (heartbeats, tap, piggybacked epochs)
+    # Liveness evidence: the transport tap, and nothing else
     # ------------------------------------------------------------------
-    def _note_incarnation(self, src: str, incarnation: int) -> bool:
-        """Track ``src``'s incarnation; False fences out stale evidence.
-
-        A fresh incarnation means the peer crashed and came back: gap
-        statistics across the outage are meaningless, and everyone
-        listening (monitoring) gets a chance to un-suspect it.  Evidence
-        from a *lower* incarnation than already seen is a stale pre-crash
-        datagram — it must never vouch for the recovered process.
-        """
-        known = self._incarnations.get(src)
-        if known is None:
-            self._incarnations[src] = incarnation
-            return True
-        if incarnation < known:
-            return False
-        if incarnation > known:
-            self._incarnations[src] = incarnation
-            self._arrival_gaps.pop(src, None)
-            self._last_heard.pop(src, None)  # the outage gap is not a sample
-            self._last_sample_time.pop(src, None)
-            self._last_sample_epoch.pop(src, None)
-            self.trace("reincarnated", peer=src, incarnation=incarnation)
-            for listener in self._reincarnation_listeners:
-                listener(src, incarnation)
-        return True
-
-    def _note_sample(self, src: str, epoch: int) -> None:
-        """Record one arrival-gap sample, at most once per (peer, epoch)."""
-        last_epoch = self._last_sample_epoch.get(src)
-        if last_epoch is not None and epoch <= last_epoch:
-            return
-        self._last_sample_epoch[src] = epoch
-        previous = self._last_sample_time.get(src)
-        if previous is not None:
-            self._arrival_gaps.setdefault(src, deque(maxlen=32)).append(
-                self.now - previous
-            )
-        self._last_sample_time[src] = self.now
-        for mon in self._monitors:
-            mon._sampled()
-
-    def _on_heartbeat(self, src: str, payload: tuple[int, int]) -> None:
-        incarnation, epoch = payload
-        if not self._note_incarnation(src, incarnation):
-            return
-        self._last_heard[src] = self.now
-        self._note_sample(src, epoch)
-        self._recheck_suspect(src)
-
     def _on_traffic(self, src: str, incarnation: int, port: str) -> None:
-        """Transport liveness tap: any delivered datagram refreshes
-        ``last_heard`` (explicit heartbeats take the full path above)."""
-        if port == PORT or src == self.pid:
-            return
-        if not self._note_incarnation(src, incarnation):
-            return
-        self._last_heard[src] = self.now
-        self._inc_tap()
-        self._recheck_suspect(src)
-
-    def _recheck_suspect(self, src: str) -> None:
-        """Evidence from ``src`` arrived: monitors suspecting it revise at
-        once.  Everyone else's timers merely fire early and re-arm — a
-        scan per datagram would be O(n) on the hot path for nothing."""
-        for mon in self._monitors:
-            if src in mon.suspects:
-                mon._check()
-
-    def note_piggyback_sample(self, src: str, incarnation: int, epoch: int) -> None:
-        """Feed an hb-epoch header carried by a reliable-channel datagram.
-
-        The first datagram of each of the sender's heartbeat periods acts
-        exactly like a heartbeat arrival for the gap estimator, so the
-        adaptive timeouts keep converging while explicit heartbeats are
-        suppressed.
+        """Transport liveness tap: any delivered datagram, an explicit
+        heartbeat included, refreshes ``last_heard``.  A higher incarnation
+        means the peer crashed and came back: whoever listens (monitoring,
+        a gap estimator) hears of it first.  A *lower* one is a stale
+        pre-crash datagram — it must never vouch for the recovered process.
         """
         if src == self.pid:
             return
-        if not self._note_incarnation(src, incarnation):
-            return
-        self._inc_piggyback()
+        known = self._incarnations.get(src)
+        if known != incarnation:
+            if known is not None and incarnation < known:
+                return
+            self._incarnations[src] = incarnation
+            if known is not None:
+                self.trace("reincarnated", peer=src, incarnation=incarnation)
+                for listener in self._reincarnation_listeners:
+                    listener(src, incarnation)
         self._last_heard[src] = self.now
-        self._note_sample(src, epoch)
+        if port != PORT:
+            self._inc_tap()
+        for mon in self._monitors:
+            mon._heard(src)

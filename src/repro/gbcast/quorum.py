@@ -87,7 +87,7 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
             self._deliver(message, "fast")
 
     def _suspects_block_fast_path(self) -> bool:
-        suspects = self.suspicion_provider()
+        suspects = self.monitor.suspects
         if len(suspects) <= self._f():
             return False
         return sum(m in suspects for m in self.group_provider()) > self._f()

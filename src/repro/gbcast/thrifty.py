@@ -14,10 +14,11 @@ Stage-based algorithm (see DESIGN.md §5 for the safety argument):
 * ``m`` is **fast-delivered** once ACKs from *all* current view members
   arrive (no atomic broadcast involved).
 * A process that cannot ACK ``m`` (conflict), or that is nudged (ack
-  timeout / failure suspicion), **freezes**: it acks nothing more in
-  stage ``k``.  Every stage has **one closer** — the first current
-  member this process does not suspect, which is also the round-0
-  consensus coordinator — and only the closer atomically broadcasts
+  timeout, or a suspicion edge of the FD ``monitor`` it is built with),
+  **freezes**: it acks nothing more in stage ``k``.  Every stage has
+  **one closer** — the first current member not in ``monitor.suspects``,
+  which is also the round-0 consensus coordinator (consensus reads the
+  same monitor) — and only the closer atomically broadcasts
   ``ENDSTAGE(k, S, T)``, an ordering record of **ids only**: ``S`` is
   its acked set, the **tail** ``T`` every other message it holds pending
   at that moment (the bodies are the CHK packets rbcast delivered to,
@@ -70,6 +71,7 @@ from typing import Callable
 
 from repro.abcast.consensus_based import ConsensusAtomicBroadcast
 from repro.broadcast.rbcast import ReliableBroadcast
+from repro.fd.heartbeat import Monitor
 from repro.gbcast.conflict import AckedClassIndex, ConflictRelation
 from repro.net.message import AppMessage, MsgId
 from repro.net.reliable import ReliableChannel
@@ -96,6 +98,7 @@ class ThriftyGenericBroadcast(Component):
         abcast: ConsensusAtomicBroadcast,
         conflict: ConflictRelation,
         group_provider: GroupProvider,
+        monitor: Monitor,
         fast_path_timeout: float = 250.0,
     ) -> None:
         super().__init__(process, "gbcast")
@@ -130,10 +133,11 @@ class ThriftyGenericBroadcast(Component):
         self._ack_flush_scheduled = False
         self._tick_armed = False
         self._callbacks: list[GdeliverFn] = []
-        #: Optional: the stack wires this to its small-timeout monitor so
-        #: a fast path stalled by a suspected member closes immediately
-        #: instead of waiting for the ack timeout (Section 4.3).
-        self.suspicion_provider: Callable[[], set] = set
+        #: The stack's small-timeout monitor: a fast path stalled by a
+        #: suspected member closes on the suspicion edge instead of
+        #: waiting for the ack timeout (Section 4.3).
+        self.monitor = monitor
+        monitor.subscribe(self.nudge)
         self.delivered_log: list[tuple[AppMessage, str]] = []
         self.register_port(ACK_PORT, self._on_ack)
         rbcast.register(CHK_TAG, self._on_chk, layer="gbcast")
@@ -188,7 +192,7 @@ class ThriftyGenericBroadcast(Component):
 
     def _suspects_block_fast_path(self) -> bool:
         """True when current suspicions make the fast path unreachable."""
-        suspects = self.suspicion_provider()
+        suspects = self.monitor.suspects
         return bool(suspects) and not suspects.isdisjoint(self.group_provider())
 
     def _close_if_suspects_block(self) -> None:
@@ -257,8 +261,8 @@ class ThriftyGenericBroadcast(Component):
     # ------------------------------------------------------------------
     # Stage closure (the only place atomic broadcast is invoked)
     # ------------------------------------------------------------------
-    def nudge(self) -> None:
-        """External unblock request (a suspicion edge from the stack).
+    def nudge(self, _suspect: str | None = None) -> None:
+        """Unblock request: a suspicion edge of the monitor, or a caller.
 
         Also re-evaluates a deferred close: the suspect may be the
         closer this process was waiting for.
@@ -301,7 +305,7 @@ class ThriftyGenericBroadcast(Component):
         """The one member expected to close the current stage: the first
         this process does not suspect (= the round-0 consensus
         coordinator when nobody is suspected)."""
-        suspects = self.suspicion_provider()
+        suspects = self.monitor.suspects
         return next((m for m in members if m not in suspects), None)
 
     def _close_stage(self, reason: str) -> None:

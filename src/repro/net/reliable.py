@@ -7,19 +7,21 @@ over the unreliable transport (the paper implements it over TCP [15]).
 Delivery is FIFO per sender, like TCP.
 
 Every datagram of the channel — DATA, BATCH, ACK, GAP, first
-transmission or re-send — opens with the same header: the sender's
-incarnation, the incarnation it believes the peer to run, the cumulative
-ACK for the reverse direction and the hb-epoch.  So acknowledgements
-ride the data going back: a consensus ACK, a gbcast ack or a DECIDE
-returning along a link acknowledges what came down it.  With coalescing
-on, an ACK the channel owes waits up to ``ACK_HOLD`` ms for such a
-datagram and is sent as a pure ``ACK`` only if none went; its hold timer
-is cancelled the moment it rides one.  Data is never flushed early for
-an ACK's sake (that buys latency with datagrams).  Without coalescing
-every arrival is still ACKed immediately.  A piggybacked ACK goes
-through the same ``_on_ack`` as a pure one — the estimator, Karn's rule
-and the GAP notice below cannot tell them apart — and its bytes are
-charged to ``rc``, not to the layer of the data it rides.
+transmission or re-send — opens with the same four-field header: its
+kind, the sender's incarnation, the incarnation it believes the peer to
+run and the cumulative ACK for the reverse direction (nothing about
+liveness: the failure detector reads every datagram at the transport's
+tap).  So acknowledgements ride the data going back: a consensus ACK, a
+gbcast ack or a DECIDE returning along a link acknowledges what came
+down it.  With coalescing on, an ACK the channel owes waits up to
+``ACK_HOLD`` ms for such a datagram and is sent as a pure ``ACK`` only
+if none went; its hold timer is cancelled the moment it rides one.  Data
+is never flushed early for an ACK's sake (that buys latency with
+datagrams).  Without coalescing every arrival is still ACKed
+immediately.  A piggybacked ACK goes through the same ``_on_ack`` as a
+pure one — the estimator, Karn's rule and the GAP notice below cannot
+tell them apart — and its bytes are charged to ``rc``, not to the layer
+of the data it rides.
 
 Retransmission follows TCP's discipline (RFC 6298) and nothing more.
 Every unacknowledged segment remembers when it last left and how often;
@@ -69,14 +71,6 @@ previous incarnation of *ourselves* (the peer has not yet learned we
 recovered) is rejected — its sequence numbers belong to a dead
 connection — and answered with an ACK that reveals our real incarnation
 so the peer resets and renumbers.
-
-Piggybacked heartbeat epochs: when the stack wires ``hb_epoch_provider``
-/ ``hb_sample_sink``, the header's hb-epoch field carries the sender
-failure detector's current heartbeat epoch, and received epochs are fed
-to the local detector — so the adaptive timeout estimator keeps getting
-one arrival sample per heartbeat period even when explicit heartbeats
-are suppressed on busy links (see ``repro.fd.heartbeat``).  A channel
-with no detector wired sends ``None`` in the same place.
 """
 
 from __future__ import annotations
@@ -132,7 +126,6 @@ PORT_LAYERS = {
     "rb": "rbcast",
     "rb.stable": "rbcast",
     "rb.nack": "rbcast",
-    "fd.hb": "fd",
 }
 
 
@@ -243,12 +236,6 @@ class ReliableChannel(Component):
         #: Peers owed an ACK, with the hold timer that sends it on its own
         #: should no datagram go their way first (coalescing only).
         self._ack_owed: dict[str, Timer] = {}
-        #: Traffic-aware FD wiring (set by the stack): the sender's
-        #: current heartbeat epoch to stamp on outgoing datagrams, and
-        #: the sink that receives ``(src, incarnation, epoch)`` for every
-        #: epoch-stamped datagram that passes the incarnation fences.
-        self.hb_epoch_provider: Callable[[], int] | None = None
-        self.hb_sample_sink: Callable[[str, int, int], None] | None = None
         counters = self.world.metrics.counters
         self._counters = counters
         self._spans = self.world.trace.spans
@@ -367,9 +354,9 @@ class ReliableChannel(Component):
         """Put one datagram for ``dst`` on the wire.
 
         Whatever its kind, it opens with the same header — our
-        incarnation, the incarnation we believe ``dst`` to run, the
-        cumulative ACK for the reverse direction and the hb-epoch — so an
-        ACK owed to ``dst`` rides it and its hold timer is cancelled.
+        incarnation, the incarnation we believe ``dst`` to run and the
+        cumulative ACK for the reverse direction — so an ACK owed to
+        ``dst`` rides it and its hold timer is cancelled.
         The ACK field is the channel's own overhead: its bytes go to
         ``rc``, not to the layer of the data it rides.
 
@@ -382,13 +369,11 @@ class ReliableChannel(Component):
             held.cancel()
             if kind != "ACK":
                 self._inc_piggybacked()
-        provider = self.hb_epoch_provider
         datagram = (
             kind,
             self.incarnation,
             self._peer_incarnation.get(dst, 0),
             self._next_expected.get(dst, 0),
-            None if provider is None else provider(),
         ) + body
         if layer != "rc":
             byte_split = _ACK_FIELD if byte_split is None else byte_split + _ACK_FIELD
@@ -458,15 +443,10 @@ class ReliableChannel(Component):
     # Receiving
     # ------------------------------------------------------------------
     def _on_datagram(self, src: str, datagram: tuple) -> None:
-        kind, incarnation, believes_us, ack, hb_epoch = datagram[:5]
+        kind, incarnation, believes_us, ack = datagram[:4]
         if not self._note_peer_incarnation(src, incarnation):
             self.world.metrics.counters.inc("net.stale_incarnation_dropped")
             return
-        # Piggybacked hb-epoch (None from a channel with no FD wired).
-        # Fed after the incarnation fence: a stale incarnation's epoch
-        # must not vouch for the peer.
-        if hb_epoch is not None and self.hb_sample_sink is not None:
-            self.hb_sample_sink(src, incarnation, hb_epoch)
         if believes_us != self.process.incarnation:
             # The peer is still talking to a previous incarnation's
             # connection: its sequence numbers are meaningless to us.
@@ -478,18 +458,18 @@ class ReliableChannel(Component):
             return
         self._on_ack(src, ack)
         if kind == "DATA":
-            seq, port, payload = datagram[5:]
+            seq, port, payload = datagram[4:]
             self._admit(src, seq, port, payload)
             self._request_ack(src)
         elif kind == "BATCH":
-            for seq, port, payload in datagram[5]:
+            for seq, port, payload in datagram[4]:
                 self._admit(src, seq, port, payload)
                 if self.process.crashed:
                     return
             # One cumulative ACK covers the whole batch.
             self._request_ack(src)
         elif kind == "GAP":
-            self._skip_hole(src, datagram[5])
+            self._skip_hole(src, datagram[4])
             self._request_ack(src)
 
     def _send_ack(self, src: str) -> None:

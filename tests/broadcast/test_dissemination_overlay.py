@@ -21,8 +21,8 @@ def overlay_world(
     relay_policy="eager",
     members=None,
 ):
-    """channel + fd + rbcast per process with the stack's suspicion
-    wiring, mirroring ``tests/broadcast/test_lazy_relay.lazy_world``.
+    """channel + fd + rbcast per process, rbcast built with the monitor
+    as in the stack (constructors only), mirroring ``tests/broadcast/test_lazy_relay.lazy_world``.
 
     ``members`` is a mutable list shared by every group provider, so a
     test can splice it to simulate a view install mid-run.
@@ -41,12 +41,8 @@ def overlay_world(
             lambda: list(group),
             dissemination=dissemination,
             relay_policy=relay_policy,
+            monitor=fd.monitor(lambda: list(group), suspicion_timeout),
         )
-        monitor = fd.monitor(
-            lambda: list(group), suspicion_timeout,
-            on_suspect=rb.peer_suspected,
-        )
-        rb.suspicion_provider = lambda m=monitor: m.suspects
         rb.register("t", lambda o, p, m, pid=pid: delivered[pid].append(p))
         rbs[pid] = rb
     return world, rbs, delivered, group
@@ -172,7 +168,7 @@ def test_ring_reroutes_around_a_suspected_member():
     world.start()
     assert run_until(
         world,
-        lambda: "p01" in rbs["p00"].suspicion_provider(),
+        lambda: "p01" in rbs["p00"].monitor.suspects,
         timeout=5_000,
     )
     floods_before = world.metrics.counters.get("rb.suspect_floods")
@@ -194,7 +190,7 @@ def test_tree_reroutes_around_a_suspected_child():
     world.start()
     assert run_until(
         world,
-        lambda: "p01" in rbs["p00"].suspicion_provider(),
+        lambda: "p01" in rbs["p00"].monitor.suspects,
         timeout=5_000,
     )
     rbs["p00"].rbcast("t", body("adopted"))

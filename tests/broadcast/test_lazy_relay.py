@@ -11,8 +11,8 @@ from tests.conftest import run_until
 
 
 def lazy_world(count=3, seed=1, link=None, suspicion_timeout=100.0, policy="lazy"):
-    """channel + fd + rbcast per process, with the stack's suspicion
-    wiring (monitor → peer_suspected / suspicion_provider) in miniature."""
+    """channel + fd + rbcast per process, rbcast built with the monitor as
+    in the stack: no attribute is set on a component after construction."""
     world = World(seed=seed, default_link=link or LinkModel(1.0, 1.0))
     pids = world.spawn(count)
     rbs, delivered = {}, {pid: [] for pid in pids}
@@ -21,13 +21,9 @@ def lazy_world(count=3, seed=1, link=None, suspicion_timeout=100.0, policy="lazy
         channel = ReliableChannel(process)
         fd = HeartbeatFailureDetector(process, lambda p=pids: list(p))
         rb = ReliableBroadcast(
-            process, channel, lambda p=pids: list(p), relay_policy=policy
+            process, channel, lambda p=pids: list(p), relay_policy=policy,
+            monitor=fd.monitor(lambda p=pids: list(p), suspicion_timeout),
         )
-        monitor = fd.monitor(
-            lambda p=pids: list(p), suspicion_timeout,
-            on_suspect=rb.peer_suspected,
-        )
-        rb.suspicion_provider = lambda m=monitor: m.suspects
         rb.register("t", lambda o, p, m, pid=pid: delivered[pid].append(p))
         rbs[pid] = rb
     return world, rbs, delivered

@@ -9,6 +9,7 @@ import pytest
 from repro.broadcast.rbcast import ReliableBroadcast
 from repro.core.api import GroupCommunication
 from repro.core.new_stack import StackConfig, build_new_group, enable_recovery
+from repro.net.message import MsgId
 from repro.net.reliable import ReliableChannel
 from repro.net.topology import LinkModel
 from repro.net.wire import Blob
@@ -97,6 +98,36 @@ def test_stability_can_be_disabled():
     assert run_until(world, lambda: all(len(d) == 10 for d in delivered.values()))
     world.run_for(3_000.0)
     assert all(rb.seen_size() == 10 for rb in rbs.values())
+
+
+def test_install_snapshot_absorbs_what_was_held_out_of_order():
+    # A joiner can hold packets of an origin out of order when its
+    # snapshot arrives.  The installed mark covers what lies at or below
+    # it (never collected otherwise: the watermark has passed it) and
+    # runs on through what now touches it (the gossiped mark would lag
+    # until that origin's next packet).
+    world, rbs, delivered = rb_world(count=1, stability_interval=None)
+    rb = rbs["p00"]
+    packet = lambda seq: (MsgId("p09!rb", seq), "p09", "t", seq)
+    for seq in (2, 3, 6, 8):
+        rb._on_message("p09", packet(seq))
+    assert delivered["p00"] == [2, 3, 6, 8]
+    assert rb.snapshot() == {"watermarks": {"p09!rb": -1}}
+    assert rb.seen_size() == 4
+    rb.install_snapshot({"watermarks": {"p09!rb": 5}})
+    assert rb.snapshot() == {"watermarks": {"p09!rb": 6}}
+    assert rb._above["p09!rb"] == {8}
+    assert rb.seen_size() == 2  # 6 and 8: delivered, above the stable floor
+    # Below the mark is dead, above it is live, and the run closes.
+    rb._on_message("p09", packet(4))
+    rb._on_message("p09", packet(6))
+    rb._on_message("p09", packet(7))
+    assert delivered["p00"] == [2, 3, 6, 8, 7]
+    assert rb.snapshot() == {"watermarks": {"p09!rb": 8}}
+    assert rb._above["p09!rb"] == set()
+    # A snapshot behind our own mark moves nothing.
+    rb.install_snapshot({"watermarks": {"p09!rb": 1}})
+    assert rb.snapshot() == {"watermarks": {"p09!rb": 8}}
 
 
 def test_delivery_correct_under_loss_with_gc_enabled():

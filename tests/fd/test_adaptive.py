@@ -83,85 +83,90 @@ def test_false_suspicion_recovers_like_diamond_s():
 # ----------------------------------------------------------------------
 # Estimation mechanics (mean + safety_factor * stddev + margin, clamped)
 # ----------------------------------------------------------------------
-def lone_fd(seed=1):
-    """One detector, peers without FDs: sample arrivals fully controlled."""
+def lone_fd(seed=1, count=2, **monitor_args):
+    """One detector with one adaptive monitor, peers without FDs: the
+    arrivals it sees are fully controlled.  The estimator samples once
+    per 10 ms heartbeat period of this detector's clock."""
     world = World(seed=seed, default_link=LinkModel(1.0, 0.0))
-    pids = world.spawn(2)
+    pids = world.spawn(count)
     fd = HeartbeatFailureDetector(
-        world.process("p00"), lambda: list(pids), heartbeat_interval=1_000_000.0
+        world.process("p00"), lambda: list(pids), heartbeat_interval=10.0
     )
+    monitor = adaptive_monitor(fd, pids[1:], **monitor_args)
     world.start()
-    return world, fd
+    return world, fd, monitor
 
 
-def inject_samples(world, fd, times, src="p01"):
-    for epoch, t in enumerate(times, start=1):
-        world.scheduler.at(t, lambda e=epoch: fd._note_sample(src, e))
-    world.run_for(times[-1] + 1.0)
+def inject_arrivals(world, fd, times, src="p01", port="rc"):
+    """A datagram from ``src`` reaches the detector's tap at each time."""
+    for t in times:
+        world.scheduler.at(t, lambda: fd._on_traffic(src, 0, port))
+    world.run_for(max(times) + 1.0)
 
 
 def test_estimator_records_interarrival_gaps():
-    world, fd = lone_fd()
-    inject_samples(world, fd, [5.0, 15.0, 25.0, 35.0, 45.0])
-    assert fd.arrival_gaps("p01") == [10.0, 10.0, 10.0, 10.0]
+    world, fd, monitor = lone_fd()
+    inject_arrivals(world, fd, [5.0, 15.0, 25.0, 35.0, 45.0])
+    assert monitor.arrival_gaps("p01") == [10.0, 10.0, 10.0, 10.0]
+    # The detector keeps what fixed monitors read and no gap statistics.
+    assert not [name for name in vars(fd) if "gap" in name or "sample" in name]
 
 
 def test_timeout_formula_and_clamping():
-    world, fd = lone_fd()
-    monitor = adaptive_monitor(
-        fd, ["p01"], safety_factor=2.0, margin=5.0, min_timeout=20.0, max_timeout=60.0
-    )
     # Zero variance, small mean: 10 + 0 + 5 = 15, clamped up to min.
-    inject_samples(world, fd, [5.0, 15.0, 25.0, 35.0, 45.0])
+    world, fd, monitor = lone_fd(
+        safety_factor=2.0, margin=5.0, min_timeout=20.0, max_timeout=60.0
+    )
+    inject_arrivals(world, fd, [5.0, 15.0, 25.0, 35.0, 45.0])
     assert monitor.timeout_for("p01") == 20.0
     # Jittery gaps land between the clamps: exactly the formula.
-    world, fd = lone_fd()
-    monitor = adaptive_monitor(
-        fd, ["p01"], safety_factor=2.0, margin=5.0, min_timeout=20.0, max_timeout=600.0
+    world, fd, monitor = lone_fd(
+        safety_factor=2.0, margin=5.0, min_timeout=20.0, max_timeout=600.0
     )
-    inject_samples(world, fd, [0.0, 10.0, 30.0, 60.0, 100.0])  # gaps 10,20,30,40
-    gaps = fd.arrival_gaps("p01")
+    inject_arrivals(world, fd, [0.0, 10.0, 30.0, 60.0, 100.0])  # gaps 10,20,30,40
+    gaps = monitor.arrival_gaps("p01")
     mean = sum(gaps) / len(gaps)
     stddev = math.sqrt(sum((g - mean) ** 2 for g in gaps) / len(gaps))
     assert monitor.timeout_for("p01") == mean + 2.0 * stddev + 5.0
     # Huge gaps: clamped down to max.
-    world, fd = lone_fd()
-    monitor = adaptive_monitor(fd, ["p01"], max_timeout=60.0)
-    inject_samples(world, fd, [0.0, 1_000.0, 2_000.0, 3_000.0, 4_000.0])
+    world, fd, monitor = lone_fd(max_timeout=60.0)
+    inject_arrivals(world, fd, [0.0, 1_000.0, 2_000.0, 3_000.0, 4_000.0])
     assert monitor.timeout_for("p01") == 60.0
 
 
 def test_samples_dedup_per_heartbeat_epoch():
-    # A burst of datagrams within one epoch is ONE liveness sample — the
-    # estimator must not mistake traffic bursts for short arrival gaps.
-    world, fd = lone_fd()
-    for t, epoch in ((5.0, 1), (6.0, 1), (7.0, 1), (15.0, 2), (16.0, 2), (25.0, 3)):
-        world.scheduler.at(t, lambda e=epoch: fd._note_sample("p01", e))
-    world.run_for(30.0)
-    assert fd.arrival_gaps("p01") == [10.0, 10.0]
+    # A burst of datagrams within one heartbeat period of the receiver is
+    # ONE liveness sample — the estimator must not mistake traffic bursts
+    # for short arrival gaps.
+    world, fd, monitor = lone_fd()
+    inject_arrivals(world, fd, [5.0, 6.0, 7.0, 15.0, 16.0, 25.0])
+    assert monitor.arrival_gaps("p01") == [10.0, 10.0]
+    # ... while every one of them is liveness evidence.
+    assert fd.last_heard("p01") == 25.0
 
 
-def test_piggyback_samples_feed_estimator_identically_to_heartbeats():
-    # The regression the hb-epoch header exists to prevent: under
-    # suppression the estimator sees piggybacked epochs instead of
-    # explicit heartbeats — same arrival times must yield the same gap
-    # history, duplicates within an epoch notwithstanding.
-    world, fd = lone_fd()
+def test_traffic_feeds_estimator_identically_to_heartbeats():
+    # One evidence path: the estimator cannot tell an explicit heartbeat
+    # from a datagram of traffic.  Same arrival times (through the real
+    # transport tap) must yield the same gap history, extra datagrams
+    # within a period notwithstanding.
+    world, fd, monitor = lone_fd(count=3)
     times = [3.0, 13.0, 24.0, 31.0, 45.0]
-    for epoch, t in enumerate(times, start=1):
-        world.scheduler.at(t, lambda e=epoch: fd._on_heartbeat("p01", (0, e)))
-        world.scheduler.at(t, lambda e=epoch: fd.note_piggyback_sample("p02", 0, e))
-        # Extra datagrams piggybacking the same epoch: no extra samples.
-        world.scheduler.at(t + 0.5, lambda e=epoch: fd.note_piggyback_sample("p02", 0, e))
+    for t in times:
+        world.scheduler.at(t, lambda: world.u_send("p01", "p00", "fd.hb", None, layer="fd"))
+        world.scheduler.at(t, lambda: world.u_send("p02", "p00", "rc", "x", layer="app"))
+        world.scheduler.at(t + 0.5, lambda: world.u_send("p02", "p00", "rc", "y", layer="app"))
     world.run_for(50.0)
-    assert fd.arrival_gaps("p02") == fd.arrival_gaps("p01")
-    assert len(fd.arrival_gaps("p02")) == len(times) - 1
+    assert monitor.arrival_gaps("p02") == monitor.arrival_gaps("p01")
+    assert monitor.arrival_gaps("p01") == [10.0, 11.0, 7.0, 14.0]
 
 
 def test_adaptive_timeout_converges_under_suppression():
     # Full stack, busy links: explicit heartbeats are mostly suppressed,
-    # yet the piggybacked epochs keep the adaptive timeout converging to
-    # the same small values as a heartbeat-fed estimator would.
+    # yet the adaptive timeout converges to the same small values as a
+    # heartbeat-fed estimator would — with nothing but the monitor
+    # attached to the stack's detector: nothing is wired into the channel
+    # and no header field carries liveness.
     config = StackConfig(coalesce_delay=1.0, relay_policy="lazy")
     world = World(seed=9, default_link=LinkModel(1.0, 1.0))
     stacks = build_new_group(world, 3, config=config)
@@ -174,7 +179,11 @@ def test_adaptive_timeout_converges_under_suppression():
                 stacks["p01"].process.msg_ids.message(("m", i))
             ),
         )
-    world.run_for(700.0)
+    world.run_for(500.0)
+    # Under load: a sample per heartbeat period, hardly a heartbeat.
+    busy = monitor.arrival_gaps("p01")
+    assert len(busy) >= 30 and max(busy) < 2 * stacks["p00"].fd.heartbeat_interval
+    world.run_for(200.0)
     assert world.metrics.counters.get("fd.suppressed") > 0
-    assert world.metrics.counters.get("fd.piggyback_samples") > 0
     assert monitor.timeout_for("p01") < 200.0
+    assert not monitor.suspects

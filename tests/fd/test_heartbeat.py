@@ -82,6 +82,46 @@ def test_stopped_monitor_reports_nothing():
     assert run_until(world, lambda: "p01" in monitor.suspects, timeout=1_000)
 
 
+def test_subscribed_listeners_see_what_the_constructor_listener_sees():
+    # One monitor, any number of edge listeners: whoever subscribes —
+    # before the first edge, while the monitor is stopped, after a
+    # restart — sees every later edge, exactly as ``on_suspect=`` /
+    # ``on_trust=`` do, within the edge's event and top-down: the latest
+    # subscriber (in a stack: the highest layer) hears first.
+    world, fds = fd_world()
+    ctor, early, while_stopped, order = [], [], [], []
+    monitor = fds["p00"].monitor(
+        ["p01"], timeout=50.0,
+        on_suspect=lambda q: ctor.append(("suspect", q, world.now)),
+        on_trust=lambda q: ctor.append(("trust", q, world.now)),
+    )
+    monitor.subscribe(
+        lambda q: early.append(("suspect", q, world.now)),
+        lambda q: early.append(("trust", q, world.now)),
+    )
+    monitor.subscribe(on_suspect=lambda q: order.append("first"))
+    monitor.subscribe(on_suspect=lambda q: order.append("second"))
+    world.start()
+    world.run_for(100.0)
+    world.split([["p00"], ["p01", "p02"]])
+    assert run_until(world, lambda: "p01" in monitor.suspects, timeout=1_000)
+    world.heal()
+    assert run_until(world, lambda: "p01" not in monitor.suspects, timeout=1_000)
+    assert [e[:2] for e in ctor] == [("suspect", "p01"), ("trust", "p01")]
+    assert early == ctor and order == ["second", "first"]
+    # A stopped monitor reports nothing, to anyone.
+    monitor.stop()
+    monitor.subscribe(lambda q: while_stopped.append(("suspect", q, world.now)))
+    world.crash("p01")
+    world.run_for(2_000.0)
+    assert len(ctor) == 2 and while_stopped == []
+    # Restarted, it finds the dead peer again and tells everybody.
+    monitor.restart()
+    assert run_until(world, lambda: "p01" in monitor.suspects, timeout=1_000)
+    assert ctor[2][:2] == ("suspect", "p01")
+    assert early == ctor and while_stopped == ctor[2:]
+
+
 def test_monitor_forgets_departed_peers():
     world, fds = fd_world()
     peers = ["p01", "p02"]

@@ -1,11 +1,11 @@
 """Byte-identical determinism of the traffic-aware FD paths.
 
-The liveness tap fires on every delivered datagram, suppression consults
-per-link send times, and the piggybacked hb-epoch rides every reliable
-datagram — all on the hot path.  Replaying the same seeded crash/recovery
-scenario twice must reproduce the exact same delivery logs, counter
-values, and final clock, or the FD machinery has smuggled in
-nondeterminism.
+The liveness tap fires on every delivered datagram — it is the one
+evidence path, explicit heartbeats included — and suppression consults
+per-link send times: both on the hot path.  Replaying the same seeded
+crash/recovery scenario twice must reproduce the exact same delivery
+logs, counter values, and final clock, or the FD machinery has smuggled
+in nondeterminism.
 """
 
 from repro.core.new_stack import build_new_group, enable_recovery
@@ -59,8 +59,7 @@ def test_suppressed_stack_fingerprint_is_byte_identical():
         }
         keep = (
             "net.sent", "net.delivered",
-            "fd.heartbeats_sent", "fd.explicit_hb", "fd.suppressed",
-            "fd.tap_refreshes", "fd.piggyback_samples",
+            "fd.explicit_hb", "fd.suppressed", "fd.tap_refreshes",
         )
         counts = {k: world.metrics.counters.get(k) for k in keep}
         return logs, counts, world.now
@@ -71,5 +70,5 @@ def test_suppressed_stack_fingerprint_is_byte_identical():
     counts = first[1]
     assert counts["fd.suppressed"] > 0
     assert counts["fd.tap_refreshes"] > 0
-    assert counts["fd.piggyback_samples"] > 0
+    assert counts["fd.explicit_hb"] > 0
 

@@ -1,6 +1,8 @@
 """One closer per stage: only the first unsuspected member orders an
 ENDSTAGE; everyone else freezes and waits (DESIGN.md §5)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.checkers import check_all
@@ -121,7 +123,9 @@ def test_divergent_suspicions_order_two_endstages_first_wins():
     config = StackConfig(monitoring=NO_EXCLUSION)
     world, stacks, _ = new_group(seed=9, config=config)
     world.run_for(50.0)
-    stacks["p01"].gbcast.suspicion_provider = lambda: {"p00"}
+    # (A stand-in for the monitor: the real one would hear p00 and trust
+    # it again within a heartbeat.)
+    stacks["p01"].gbcast.monitor = SimpleNamespace(suspects={"p00"})
     stacks["p02"].gbcast.gbcast_payload("a", ABCAST_CLASS)
     stacks["p02"].gbcast.gbcast_payload("b", ABCAST_CLASS)
     assert run_until(world, lambda: all(len(delivered(s)) == 2 for s in stacks.values()))
