@@ -65,6 +65,13 @@ only what you hold": an id can be decided while its body is still on
 the way (the repair above; ROADMAP item 1, family (iv), for a body
 whose only holder crashes).
 
+**State transfer**: ``snapshot`` / ``install_snapshot`` are one section
+of the membership snapshot.  The install takes the position, *joins*
+delivered and pending with ours (it never takes a delivery back) and,
+being installed last — the view in place, every client holding its
+state — is also the resumption: what it retained beyond the position is
+applied and the backlog proposed from inside it.
+
 Pipelining (Ring-Paxos-style windowing):  up to ``window`` consensus
 instances may be in flight concurrently, so a burst of broadcasts does
 not serialise behind one instance's four communication phases.  Each
@@ -242,6 +249,12 @@ class ConsensusAtomicBroadcast(Component):
         }
 
     def install_snapshot(self, snapshot: dict[str, Any]) -> None:
+        """Move to the snapshot's position, join its knowledge with ours
+        and resume — the group is known (membership puts the view in
+        place first) and everything above holds its state: what was
+        decided beyond the position and retained during the transfer is
+        applied here (a laggard first finds a body missing, and blocks
+        on it, here) and the pending backlog is proposed."""
         # Any instance optimistically started before the snapshot position
         # is obsolete; abandon it so this process stops participating.
         self._abandon_proposals(from_index=0)
@@ -249,14 +262,12 @@ class ConsensusAtomicBroadcast(Component):
         self._epoch = snapshot["epoch"]
         self._next_instance = snapshot["next_instance"]
         self._next_proposal = self._next_instance
-        self._delivered = set(snapshot["delivered"])
-        merged = {
-            mid: msg for mid, msg in self._pending.items() if mid not in self._delivered
+        self._delivered |= snapshot["delivered"]  # add-only: nothing is forgotten
+        self._pending = {
+            mid: msg
+            for mid, msg in {**snapshot["pending"], **self._pending}.items()
+            if mid not in self._delivered
         }
-        for mid, msg in snapshot.get("pending", {}).items():
-            if mid not in self._delivered and mid not in merged:
-                merged[mid] = msg
-        self._pending = merged
         self._decided_batches = {
             (epoch, idx): decision
             for (epoch, idx), decision in self._decided_batches.items()
@@ -273,28 +284,6 @@ class ConsensusAtomicBroadcast(Component):
                 or (key[1] == self._epoch and key[2] < self._next_instance)
             )
         )
-        self._maybe_start_instances()
-
-    def resume_proposing(self) -> None:
-        """Re-attempt proposals after the group becomes known.
-
-        During state transfer the abcast snapshot is installed *before*
-        the view (components resume in stack order), so the kick at the
-        end of :meth:`install_snapshot` sees an empty group and bails —
-        as does any rdeliver that raced the transfer.  Without a later
-        kick a recovered process never proposes its pending backlog, and
-        since consensus coordinators rotate it may be the one coordinator
-        everyone else is waiting on (alive, so never suspected): the
-        whole group deadlocks.  The membership calls this once the
-        transferred view is in place.
-
-        Also drains any decided batches that were retained while we were
-        not a member (see :meth:`_apply_ready_batches`) and survived the
-        snapshot's pruning — i.e. decisions beyond the snapshot position
-        that arrived during the transfer; with id-only ordering this is
-        where a post-snapshot laggard first discovers missing bodies and
-        starts asking for them.
-        """
         self._apply_ready_batches()
         self._maybe_start_instances()
 
@@ -413,8 +402,8 @@ class ConsensusAtomicBroadcast(Component):
             # — but applying them would deliver the very prefix the
             # state snapshot is about to install, from position zero.
             # Retain them (and do not ask for their bodies: the
-            # snapshot covers everything up to its position); the
-            # post-transfer resume drains whatever lies beyond.
+            # snapshot covers everything up to its position);
+            # ``install_snapshot`` drains whatever lies beyond.
             return
         while True:
             key = (self._epoch, self._next_instance)

@@ -30,7 +30,10 @@ Two practical refinements (both standard, neither affects safety):
 * a participant that ACKed waits for the decision instead of charging
   through rounds; liveness is preserved because the coordinator sends
   ABORT when a round fails and the failure detector flags dead
-  coordinators.
+  coordinators — on the monitor's suspicion edge (``peer_suspected``),
+  and where an instance arrives at a round whose coordinator is
+  suspected already: entering it, or adopting a replayed proposal.
+  Nothing polls; consensus sets no timer.
 
 A message for an instance the local client has not proposed to yet is
 buffered and replayed by ``propose()`` (the participant set comes with
@@ -147,14 +150,12 @@ class ChandraTouegConsensus(Component):
         rbcast: ReliableBroadcast,
         fd: HeartbeatFailureDetector,
         suspicion_timeout: float = 50.0,
-        tick_interval: float = 10.0,
         fast_path: bool = False,
         monitor: Monitor | None = None,
     ) -> None:
         super().__init__(process, "consensus")
         self.channel = channel
         self.rbcast = rbcast
-        self.tick_interval = tick_interval
         self.fast_path = fast_path
         self._instances: dict[InstanceKey, _Instance] = {}
         self._pre_propose_buffer: dict[InstanceKey, list[tuple[str, tuple]]] = {}
@@ -169,9 +170,6 @@ class ChandraTouegConsensus(Component):
         #: wait out a second timeout for the same dead process.
         self.monitor: Monitor = monitor or fd.monitor(self._monitored_peers, suspicion_timeout)
         self.monitor.subscribe(self.peer_suspected)
-        #: Whether the re-check tick is scheduled (only while the monitor
-        #: suspects someone: :meth:`peer_suspected` arms it).
-        self._ticking = False
         self.register_port(PORT, self._on_message)
         rbcast.register(DECIDE_TAG, self._on_decide_broadcast, layer="consensus")
 
@@ -383,7 +381,13 @@ class ChandraTouegConsensus(Component):
         inst.est = value
         inst.ts = rnd + 1  # adoption locks the value (see module docstring)
         inst.phase = WAIT_DECIDE
-        self._send(inst.coordinator(rnd), ("ACK", key, rnd))
+        coord = inst.coordinator(rnd)
+        self._send(coord, ("ACK", key, rnd))
+        if self.monitor.suspected(coord):
+            # A replayed proposal (buffered before we proposed, or for a
+            # round not yet reached) of a coordinator suspected since: the
+            # edge has passed, nothing else would move us on.
+            self._enter_round(key, inst, rnd + 1)
 
     def _fast_path_propose(self, key: InstanceKey, inst: _Instance) -> None:
         """Round-0 coordinator: propose our value without an estimate read.
@@ -501,19 +505,11 @@ class ChandraTouegConsensus(Component):
             callback(key, value)
 
     # Suspicion-driven progress -------------------------------------------
-    def _tick(self) -> None:
-        """While anyone is suspected, instances keep arriving at rounds a
-        suspect coordinates (a late PROPOSE adopted, say); re-check them.
-        The tick dies with the last suspicion."""
-        self._ticking = False
-        for suspect in list(self.monitor.suspects):
-            self.peer_suspected(suspect)
-
     def peer_suspected(self, suspect: str) -> None:
-        """Move every instance waiting on coordinator ``suspect`` on."""
-        if not self._ticking:
-            self._ticking = True
-            self.schedule(self.tick_interval, self._tick)
+        """The monitor's suspicion edge: move every instance waiting on
+        coordinator ``suspect`` on.  One that *arrives* at a suspect's
+        round later checks for itself (:meth:`_enter_round`,
+        :meth:`_handle_propose`)."""
         for key, inst in list(self._instances.items()):
             if inst.decided or not inst.started or inst.has_estimate is False:
                 continue

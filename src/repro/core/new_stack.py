@@ -225,15 +225,10 @@ class NewArchitectureStack:
             process, self.fd, self.membership, self.channel, cfg.monitoring
         )
         # Joiners and recovered incarnations resume mid-stream: the
-        # state-transfer snapshot must carry the generic broadcast stage
-        # and the rbcast stability watermarks alongside the abcast
-        # position (registration order == installation order).
-        self.membership.register_snapshot(
-            "rbcast", self.rbcast.snapshot, self.rbcast.install_snapshot
-        )
-        self.membership.register_snapshot(
-            "gbcast", self.gbcast.snapshot, self.gbcast.install_snapshot
-        )
+        # state-transfer snapshot carries the rbcast stability watermarks
+        # and the generic broadcast stage next to the abcast position.
+        for name, layer in (("rbcast", self.rbcast), ("gbcast", self.gbcast)):
+            self.membership.register_snapshot(name, layer.snapshot, layer.install_snapshot)
 
     @property
     def pid(self) -> str:

@@ -116,9 +116,9 @@ def run_sweep(args: argparse.Namespace) -> int:
             where = f" -> {report.repro_path}" if report.repro_path else ""
             print(f"seed {report.seed}: VIOLATION [{invariant}]{where}")
         else:
-            status = "converged" if report.result.converged else "unconverged"
+            verdict = "ok (converged, " if report.result.converged else "UNCONVERGED ("
             print(
-                f"seed {report.seed}: ok ({status}, "
+                f"seed {report.seed}: {verdict}"
                 f"{report.result.deliveries} deliveries, "
                 f"{report.result.events} events)"
             )

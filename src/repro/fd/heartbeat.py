@@ -77,15 +77,9 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.sim.process import Component, Process
-from repro.sim.scheduler import Timer
+from repro.sim.scheduler import DUE_SLACK, Timer
 
 PORT = "fd.hb"
-
-#: Slack for "has this deadline come?": a timer armed ``deadline - now``
-#: ahead fires at ``now + (deadline - now)``, which float rounding can
-#: leave a hair short of ``deadline``; it must not find nothing due and
-#: re-arm for zero delay.
-_DUE_SLACK = 1e-6
 
 #: Share of a heartbeat interval by which a heartbeat may go out early so
 #: that one firing of the keep-alive timer serves neighbouring deadlines:
@@ -212,7 +206,7 @@ class Monitor:
             if last is None or last < since:
                 last = since
             expiry = last + self.timeout_for(peer)
-            if expiry > now + _DUE_SLACK:
+            if expiry > now + DUE_SLACK:
                 wake = min(wake, expiry)
                 if peer in self.suspects:
                     self.suspects.discard(peer)
@@ -302,7 +296,7 @@ class HeartbeatFailureDetector(Component):
         which counts as one suppressed heartbeat."""
         now = self.now
         interval = self.heartbeat_interval
-        due_by = now + interval * KEEPALIVE_SLACK + _DUE_SLACK
+        due_by = now + interval * KEEPALIVE_SLACK + DUE_SLACK
         transport = self.world.transport
         deadlines: dict[str, float] = {}
         for peer in self.peer_provider():

@@ -112,7 +112,7 @@ class QuorumGenericBroadcast(ThriftyGenericBroadcast):
         if not self._frozen:
             self._frozen = True
             self._deferred_at = self.now
-            self._arm_tick()
+            self._watch()
         self.channel.send(src, GATHER_OK_PORT, (stage, tuple(self._acked)))
 
     def _on_gather_ok(self, src: str, payload: tuple) -> None:

@@ -32,7 +32,10 @@ Stage-based algorithm (see DESIGN.md §5 for the safety argument):
   A frozen non-closer re-evaluates on every suspicion edge (the next
   unsuspected member takes over) and closes by itself
   ``fast_path_timeout`` later; the ack timeout closes directly, because
-  the process it fires at may be the only one that is stuck.
+  the process it fires at may be the only one that is stuck.  Both are
+  one deadline timer (:meth:`_watch`), armed by the event that starts
+  the wait; an idle process has none.  An ack is one channel message per
+  member: packing a burst into a datagram is the channel's coalescing.
 * On the first adelivered ``ENDSTAGE(k, S, T)`` from a current member,
   everyone delivers the undelivered messages of ``S``, then those of
   ``T``, each in MsgId order, bumps to stage ``k + 1`` and re-processes
@@ -55,12 +58,12 @@ Invariants enforced (and tested property-style in
   channels are FIFO, relays preserve per-origin order (per *route* over
   an overlay, where rbcast sends by size), processes ack in
   rdeliver order (a rejoiner acks the pending set its snapshot hands
-  over first, in MsgId order), closure sets *and tails* are delivered
-  in MsgId (= send) order, a failed ack freezes the stage (nothing of a
-  sender is in ``S`` behind a message of its in ``T``), and fast-path
-  completion is a max over per-link FIFO ack
-  arrivals — so a later message from a sender can never overtake an
-  earlier one.
+  over first, in MsgId order, inside the install: state transfer puts
+  the view in place before any section), closure sets *and tails* are
+  delivered in MsgId (= send) order, a failed ack freezes the stage
+  (nothing of a sender is in ``S`` behind a message of its in ``T``),
+  and fast-path completion is a max over per-link FIFO ack arrivals —
+  so a later message from a sender can never overtake an earlier one.
   :class:`repro.gbcast.fifo.FifoSender` provides the same guarantee by
   construction, independent of transport properties.
 """
@@ -76,12 +79,11 @@ from repro.gbcast.conflict import AckedClassIndex, ConflictRelation
 from repro.net.message import AppMessage, MsgId
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Component, Process
+from repro.sim.scheduler import DUE_SLACK, Timer
 
 CHK_TAG = "gb.chk"
 ACK_PORT = "gb.ack"
 ENDSTAGE_CLASS = "_gb.endstage"
-#: Cap on acks piggybacked into one datagram.
-MAX_ACK_BATCH = 32
 
 GdeliverFn = Callable[[AppMessage], None]
 GroupProvider = Callable[[], list[str]]
@@ -119,19 +121,14 @@ class ThriftyGenericBroadcast(Component):
         #: message.  Kept in lockstep with ``_acked`` (messages stay in
         #: both until the stage closes).
         self._ack_index = AckedClassIndex(conflict)
+        #: When each undelivered message of the stage was acked, oldest first.
         self._ack_times: dict[MsgId, float] = {}
+        self._timeout: Timer | None = None  # see :meth:`_watch`
         self._acks_received: dict[MsgId, set[str]] = {}
         #: Acks ``(src, stage, mid)`` of members already in a later stage.
         self._early_acks: list[tuple[str, int, MsgId]] = []
         self._pending: dict[MsgId, AppMessage] = {}
         self._delivered: set[MsgId] = set()
-        #: Ack piggybacking: acks are buffered per destination and
-        #: flushed at the end of the current event cascade as one batched
-        #: datagram (stage-closure re-acks, reorder-buffer drains) — at
-        #: no latency cost.
-        self._ack_buffer: dict[str, list[tuple[int, MsgId]]] = {}
-        self._ack_flush_scheduled = False
-        self._tick_armed = False
         self._callbacks: list[GdeliverFn] = []
         #: The stack's small-timeout monitor: a fast path stalled by a
         #: suspected member closes on the suspicion edge instead of
@@ -142,9 +139,6 @@ class ThriftyGenericBroadcast(Component):
         self.register_port(ACK_PORT, self._on_ack)
         rbcast.register(CHK_TAG, self._on_chk, layer="gbcast")
         abcast.on_adeliver(self._on_adeliver, needs=self._bodies_needed)
-
-    def start(self) -> None:
-        self._arm_tick()
 
     # ------------------------------------------------------------------
     # Client interface (Fig. 9: rbcast/abcast in, gdeliver out)
@@ -204,7 +198,8 @@ class ThriftyGenericBroadcast(Component):
     def _try_ack(self, message: AppMessage) -> None:
         if self._frozen or message.id in self._acked:
             return
-        if self.pid not in self.group_provider():
+        members = self.group_provider()
+        if self.pid not in members:
             return
         if self._ack_index.clashes(message.msg_class):
             self.trace("conflict", mid=str(message.id), cls=message.msg_class)
@@ -214,31 +209,10 @@ class ThriftyGenericBroadcast(Component):
         self._acked[message.id] = message
         self._ack_index.add(message.msg_class)
         self._ack_times[message.id] = self.now
-        for member in self.group_provider():
-            self._ack_buffer.setdefault(member, []).append((self._stage, message.id))
-        if not self._ack_flush_scheduled:
-            self._ack_flush_scheduled = True
-            self.schedule(0.0, self._flush_acks)
-        self._arm_tick()
-
-    def _flush_acks(self) -> None:
-        """Send buffered acks, piggybacked into one datagram per member.
-
-        Every ack accumulated since the last flush to the same member
-        rides a single channel message (chunked at ``MAX_ACK_BATCH``) —
-        cutting ``net.sent`` whenever acks are generated in bursts:
-        stage-closure re-acking and FIFO reorder drains.
-        """
-        self._ack_flush_scheduled = False
-        buffer, self._ack_buffer = self._ack_buffer, {}
-        for member, acks in buffer.items():
-            for i in range(0, len(acks), MAX_ACK_BATCH):
-                chunk = acks[i : i + MAX_ACK_BATCH]
-                if len(chunk) > 1:
-                    self.world.metrics.counters.inc(
-                        "gbcast.acks_piggybacked", len(chunk) - 1
-                    )
-                self.channel.send(member, ACK_PORT, chunk)
+        # One ack per message: a burst to the same member (stage-closure
+        # re-acking) is packed into one datagram by the channel.
+        self.channel.send_to_all(members, ACK_PORT, [(self._stage, message.id)])
+        self._watch()
 
     def _on_ack(self, src: str, acks: list[tuple[int, MsgId]]) -> None:
         for stage, mid in acks:
@@ -270,36 +244,27 @@ class ThriftyGenericBroadcast(Component):
         if self._pending:
             self._close_stage("nudge")
 
-    def _tick_needed(self) -> bool:
-        """Is there outstanding work the timeout tick must watch?
-
-        Idle processes must not wake up: an unconditional re-arm every
-        ``fast_path_timeout / 2`` inflates ``events_processed`` and slows
-        every simulation for nothing.  The tick is re-armed from the
-        points where work appears (acking a message, unfreezing a stage,
-        deferring a close to another member).
-        """
-        if self._frozen:
-            return self._deferred_at is not None
-        return bool(self._ack_times)
-
-    def _arm_tick(self) -> None:
-        if self._tick_armed or not self._tick_needed():
-            return
-        self._tick_armed = True
-        self.schedule(self.fast_path_timeout / 2, self._timeout_tick)
-
-    def _timeout_tick(self) -> None:
-        self._tick_armed = False
-        self.world.metrics.counters.inc("gbcast.ticks")
-        deadline = self.now - self.fast_path_timeout
-        if not self._frozen:
-            stuck = any(t <= deadline for t in self._ack_times.values())
-        else:  # the closer this process deferred to never closed
-            stuck = self._deferred_at is not None and self._deferred_at <= deadline
-        if stuck:
-            self._close_stage("timeout")
-        self._arm_tick()
+    def _watch(self, fired: bool = False) -> None:
+        """Keep the one timeout timer on what this process waits for — the
+        closer it deferred to while frozen (nothing once its own ENDSTAGE
+        is on its way), else the oldest open ack.  Called wherever a wait
+        starts or ends: a wait that finds no timer arms one for its own
+        start + ``fast_path_timeout`` (a ``timeout`` close chains to the
+        event it timed out on), nothing left to wait for cancels it, a
+        timer outlived by later waits fires early and re-arms."""
+        if fired:
+            self._timeout = None
+        since = self._deferred_at if self._frozen else next(iter(self._ack_times.values()), None)
+        if since is None:
+            if self._timeout is not None:
+                self._timeout.cancel()
+                self._timeout = None
+        elif self._timeout is None:
+            due_in = since + self.fast_path_timeout - self.now
+            if due_in > DUE_SLACK:
+                self._timeout = self.schedule(due_in, self._watch, True)
+            else:
+                self._close_stage("timeout")
 
     def _closer(self, members: list[str]) -> str | None:
         """The one member expected to close the current stage: the first
@@ -321,7 +286,7 @@ class ThriftyGenericBroadcast(Component):
                 self._deferred_at = self.now
                 self.trace("close_deferred", stage=self._stage, reason=reason)
                 self.world.metrics.counters.inc("gbcast.closes_deferred")
-                self._arm_tick()
+                self._watch()
             return
         self._deferred_at = None
         self._end_stage(reason)
@@ -386,7 +351,7 @@ class ThriftyGenericBroadcast(Component):
         for src, ack_stage, mid in early:
             self._on_ack(src, [(ack_stage, mid)])
         self._ack_pending()
-        self._arm_tick()
+        self._watch()
 
     def _ack_pending(self) -> None:
         """(Re-)process everything pending, in MsgId (= send) order: on
@@ -411,6 +376,7 @@ class ThriftyGenericBroadcast(Component):
         # conflict order.  The acked set IS the stage's history.
         self._ack_times.pop(message.id, None)
         self._acks_received.pop(message.id, None)
+        self._watch()
         self.world.metrics.counters.inc("gbcast.delivered")
         self.world.metrics.counters.inc(f"gbcast.delivered.{path}")
         self.world.metrics.latency.end("gbcast", message.id, self.now)
@@ -438,23 +404,21 @@ class ThriftyGenericBroadcast(Component):
         }
 
     def install_snapshot(self, snapshot: dict) -> None:
+        """Enter the snapshot's stage and join its knowledge with ours."""
         self._stage = snapshot["stage"]
-        self._delivered = set(snapshot["delivered"])
-        # Purge anything buffered before the snapshot arrived (rbcast may
-        # have redelivered old, not-yet-stable packets to a joiner or a
-        # recovered incarnation while it waited for state transfer) that
-        # the snapshot proves already delivered.
+        self._delivered |= snapshot["delivered"]  # add-only: nothing is forgotten
+        # Ours (rbcast may have redelivered old, not-yet-stable packets
+        # while we waited for the transfer) plus the sponsor's, minus
+        # whatever either side knows delivered.
         self._pending = {
-            mid: msg for mid, msg in self._pending.items() if mid not in self._delivered
+            mid: msg
+            for mid, msg in {**snapshot["pending"], **self._pending}.items()
+            if mid not in self._delivered
         }
-        for mid, msg in snapshot["pending"].items():
-            if mid not in self._delivered:
-                self._pending.setdefault(mid, msg)
         # The inherited messages will not be r-delivered here again, so
         # nothing else would ever ack them: the others' fast path would
         # wait out its timeout for this member's ack, and a later message
         # of the same sender, acked on arrival, would overtake them — by
-        # fast path or at the head of this member's closure set.  Acking
-        # needs the view, which membership installs right after the
-        # component snapshots: run at the end of the current event.
-        self.schedule(0.0, self._ack_pending)
+        # fast path or at the head of this member's closure set.  (The
+        # group is known: membership puts the view in place first.)
+        self._ack_pending()

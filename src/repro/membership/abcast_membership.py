@@ -9,11 +9,22 @@ already solves it for messages, not by a second protocol.
 Operations (Fig. 9): ``join(pid)``, ``remove(pid)`` (a process may remove
 itself, i.e. leave), ``new_view`` / ``init_view`` callbacks upward.
 
-State transfer: when a JOIN is a-delivered, the head of the new view
-sends the joiner a snapshot (view, atomic broadcast position, any
-registered component snapshots such as the generic broadcast stage, and
-application state).  The joiner participates in the group from the
-snapshot position onward.
+State transfer — how a snapshot is cut, ordered and merged — is decided
+here alone.  The head of the new view sends a joiner the view plus one
+**section** per registered ``(cut, install)`` pair: atomic broadcast
+(registered here), what the stack adds, the application's state on top.
+The receiver **refuses**, before anything is touched, a snapshot whose
+view is not newer than the last view it installed itself (a sponsor that
+is behind cannot roll a member back); else it puts the view in place
+silently, so every section finds the group known, and installs the
+sections **top-down**, last registered first: a layer resumes only after
+everything it delivers *into* holds its state.  This component's own
+resumption, announcing the view, comes immediately before atomic
+broadcast's, which may deliver from inside its install what was decided
+beyond the cut — the next view, or a message the application must not
+see before the view it is delivered in.  Installs only **add** (delivered
+sets joined, watermarks raised).  The joiner participates in the group
+from the snapshot position onward.
 
 Re-admission (Section 4.3): a JOIN for a pid that is *still in the
 view* — a crashed member that recovered before the monitoring component
@@ -67,9 +78,9 @@ class AbcastGroupMembership(Component):
         self.view = initial_view
         self._view_callbacks: list[NewViewFn] = []
         self._removal_callbacks: list[Callable[[str], None]] = []
-        self._state_provider: StateProvider = lambda: None
-        self._state_installer: StateInstaller = lambda state: None
-        self._component_snapshots: dict[str, tuple[StateProvider, StateInstaller]] = {}
+        #: Snapshot sections ``name -> (cut, install)`` in registration
+        #: (= build) order; installed in reverse.
+        self._sections: dict[str, tuple[StateProvider, StateInstaller]] = {}
         self.view_history: list[View] = [] if initial_view is None else [initial_view]
         self._requested: set[tuple[str, str, int]] = set()
         #: Interval (ms) between join-request retries.
@@ -88,6 +99,7 @@ class AbcastGroupMembership(Component):
         self.register_port(STATE_PORT, self._on_state)
         self.register_port(JOIN_REQ_PORT, self._on_join_request)
         abcast.on_adeliver(self._on_adeliver)
+        self.register_snapshot("abcast", abcast.snapshot, self._resume)
 
     # ------------------------------------------------------------------
     # Providers used by the components below us
@@ -110,22 +122,18 @@ class AbcastGroupMembership(Component):
         """Called with the removed pid whenever a REMOVE takes effect."""
         self._removal_callbacks.append(callback)
 
-    def set_state_handlers(self, provider: StateProvider, installer: StateInstaller) -> None:
-        """Application hooks for state transfer to joiners."""
-        self._state_provider = provider
-        self._state_installer = installer
-
     def register_snapshot(
         self, name: str, provider: StateProvider, installer: StateInstaller
     ) -> None:
-        """Register a protocol component in the state-transfer snapshot.
+        """Add a section to the state-transfer snapshot: ``provider()``
+        cuts it at the sponsor, ``installer(cut)`` merges it at the joiner
+        (``None`` from a sponsor without that section).  Register in build
+        order — sections are installed in reverse, the group already known."""
+        self._sections[name] = (provider, installer)
 
-        The stack wires e.g. the generic broadcast stage through this so
-        joiners and recovered processes resume at the right position.
-        Installation order on the joiner: abcast first, then registered
-        components in registration order, then the application state.
-        """
-        self._component_snapshots[name] = (provider, installer)
+    def set_state_handlers(self, provider: StateProvider, installer: StateInstaller) -> None:
+        """The application's section (Fig. 9's state transfer hooks)."""
+        self.register_snapshot("app", provider, installer)
 
     def join(self, pid: str) -> None:
         """Propose adding ``pid`` to the group (ordered via abcast)."""
@@ -240,28 +248,27 @@ class AbcastGroupMembership(Component):
         snapshot = {
             "view": self.view,
             "join_view": dict(self._join_view),
-            "abcast": self.abcast.snapshot(),
-            "components": {
-                name: provider()
-                for name, (provider, _) in self._component_snapshots.items()
-            },
-            "app": self._state_provider(),
+            "sections": {name: cut() for name, (cut, _) in self._sections.items()},
         }
         self.world.metrics.counters.inc("gm.state_transfers")
         self.trace("state_transfer", to=joiner)
         self.channel.send(joiner, STATE_PORT, snapshot)
 
     def _on_state(self, _src: str, snapshot: dict) -> None:
+        view = snapshot["view"]
         if self.view is not None and self.pid in self.view:
-            return  # already a member; stale snapshot
-        self._join_view = dict(snapshot.get("join_view", {}))
-        self.abcast.install_snapshot(snapshot["abcast"])
-        for name, state in snapshot.get("components", {}).items():
-            hooks = self._component_snapshots.get(name)
-            if hooks is not None:
-                hooks[1](state)
-        self._state_installer(snapshot["app"])
-        self._install(snapshot["view"])
-        # Only now is the group known: let abcast propose any backlog it
-        # rdelivered before/while the snapshot was in flight.
-        self.abcast.resume_proposing()
+            return  # a member already: the answer to a retried request
+        if self.view is not None and view.id <= self.view.id:
+            # The sponsor is behind what this process installed itself.
+            self.world.metrics.counters.inc("gm.stale_snapshots_refused")
+            self.trace("stale_snapshot_refused", view=str(view), own=str(self.view))
+            return
+        self.view, self._join_view = view, dict(snapshot["join_view"])
+        for name, (_, install) in reversed(self._sections.items()):
+            install(snapshot["sections"].get(name))
+
+    def _resume(self, cut: dict) -> None:
+        """This component's place in the install order: announce the view
+        put in place, then let atomic broadcast deliver into it."""
+        self._install(self.view)
+        self.abcast.install_snapshot(cut)

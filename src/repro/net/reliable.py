@@ -81,7 +81,7 @@ from typing import Any, Callable
 
 from repro.net.wire import INT_BYTES, payload_size
 from repro.sim.process import Component, Process
-from repro.sim.scheduler import Timer
+from repro.sim.scheduler import DUE_SLACK, Timer
 
 PORT = "rc"
 
@@ -107,11 +107,6 @@ ACK_HOLD = RTO_MIN / 4
 
 #: Byte attribution of the ACK field on a datagram of another layer.
 _ACK_FIELD = [("rc", INT_BYTES)]
-
-#: Slack for "has this segment been out for a whole RTO?": the timer is
-#: armed at ``last_sent + rto`` and float rounding must not make it fire
-#: a hair early, find nothing due and re-arm for zero delay.
-_DUE_SLACK = 1e-6
 
 #: Default layer attribution for well-known ports (used when the caller
 #: does not pass ``layer=`` to :meth:`ReliableChannel.send`).  Unknown
@@ -637,7 +632,7 @@ class ReliableChannel(Component):
             return
         now = self.now
         timeout = rto.timeout()
-        sent_before = now - timeout + _DUE_SLACK
+        sent_before = now - timeout + DUE_SLACK
         due = [p for p in pending if p.transmits and p.last_sent <= sent_before]
         if due:
             if timeout < RTO_MAX:

@@ -16,6 +16,12 @@ import heapq
 import itertools
 from typing import Any, Callable
 
+#: Slack for "has this deadline come?": a timer armed ``deadline - now``
+#: ahead fires at ``now + (deadline - now)``, which float rounding can
+#: leave a hair short of ``deadline``; it must not find nothing due and
+#: re-arm for zero delay.
+DUE_SLACK = 1e-6
+
 
 class Timer:
     """Handle for a scheduled callback; supports cancellation.

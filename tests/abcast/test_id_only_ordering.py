@@ -193,9 +193,10 @@ def test_decide_before_dissemination_over_blocked_link():
 def test_laggard_repairs_bodies_decided_past_its_snapshot():
     # The post-snapshot laggard: a stack resumes from a state snapshot
     # cut at instance k while the decision for instance k names a body
-    # it never received.  install_snapshot re-blocks the same head key:
-    # one chain of repair requests, not two, and nothing below the
-    # snapshot position is redelivered.
+    # it never received.  install_snapshot itself — there is no later
+    # "resume" — re-blocks the head it kept: one chain of repair
+    # requests, not two, and nothing below the snapshot position is
+    # redelivered.
     world, stacks = patient_group()
     for i in range(3):
         bcast(stacks, "p00", f"m{i}")
@@ -209,9 +210,7 @@ def test_laggard_repairs_bodies_decided_past_its_snapshot():
     world.run_for(200.0)
     counters = world.metrics.counters
     before = counters.get("abcast.pulls_sent")
-    laggard.install_snapshot(cut)
-    assert not blocked(stacks["p02"])
-    laggard.resume_proposing()  # re-blocks on the decision it kept
+    laggard.install_snapshot(cut)  # drops the old wait, applies what it kept
     assert blocked(stacks["p02"])
     world.run_for(500.0)
     # One request per 50 ms; a second, stale timer chain would double

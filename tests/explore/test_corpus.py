@@ -66,6 +66,8 @@ MECHANISM_COUNTERS = {
     # when an ENDSTAGE names the stranded CHK (abcast's blocked head
     # asks, as here), else when the watermark gossip shows the hole.
     "rejoin-window-stability-hole": ("rb.nacks_sent", "rb.overlay_repairs"),
+    # A member behind the rejoiner's own view answers its join request.
+    "stale-sponsor-cannot-roll-back": ("gm.stale_snapshots_refused",),
     # The successor's crash triggers the suspicion flood; the flood and
     # the ring's re-route leave nothing for the NACK backstop here.
     "ring-successor-crash-mid-dissemination": ("rb.forwarded", "rb.suspect_floods"),
@@ -78,6 +80,15 @@ def test_corpus_entry_still_hits_its_mechanism(stem):
     _result, world = run_scenario(ScenarioConfig.from_json_obj(obj["config"]))
     for name in MECHANISM_COUNTERS[stem]:
         assert world.metrics.counters.get(name) > 0, (stem, name)
+
+
+def test_same_incarnation_entry_installs_two_snapshots():
+    # One recovery, two state transfers: the second install is the same
+    # incarnation's, over a delivered set it must keep.
+    obj = json.loads((CORPUS_DIR / "same-incarnation-rejoin-keeps-dedup.json").read_text())
+    _result, world = run_scenario(ScenarioConfig.from_json_obj(obj["config"]))
+    assert world.metrics.counters.get("world.recoveries") == 1
+    assert world.metrics.counters.get("gm.state_transfers") == 2
 
 
 def test_one_closer_entry_climbs_every_rung_of_the_ladder():

@@ -168,34 +168,40 @@ def test_lossy_network_still_converges():
     )
 
 
+def gbcast_timers(stacks):
+    return [s.gbcast._timeout for s in stacks.values() if s.gbcast._timeout is not None]
+
+
 def test_idle_group_stops_ticking():
-    # Regression: the fast-path timeout tick used to re-arm forever,
-    # waking every idle process each fast_path_timeout for the lifetime
-    # of the run.  Now the tick is armed only while acks are outstanding.
+    # The fast-path timeout is a deadline on what is outstanding, not a
+    # tick: a timer is pending while an ack waits for its delivery, and
+    # none is once nothing is outstanding — no idle process ever wakes.
     world, stacks, _ = new_group(conflict=PASSIVE_REPLICATION, seed=9)
     for i in range(3):
         stacks["p00"].gbcast.gbcast_payload(f"u{i}", UPDATE)
+    assert run_until(world, lambda: bool(gbcast_timers(stacks)), timeout=100, step=0.5)
+    assert all(timer.active for timer in gbcast_timers(stacks))
     assert run_until(
         world,
         lambda: all(len(v) == 3 for v in gb_logs(stacks).values()),
         timeout=10_000,
     )
-    world.run_for(2_000.0)  # let in-flight ticks drain
-    ticks_after_quiesce = world.metrics.counters.get("gbcast.ticks")
-    world.run_for(20_000.0)  # a long idle stretch: ~80 tick periods
-    assert world.metrics.counters.get("gbcast.ticks") == ticks_after_quiesce
+    assert gbcast_timers(stacks) == []  # cancelled by the last delivery
+    world.run_for(20_000.0)  # a long idle stretch: 80 timeouts
+    assert gbcast_timers(stacks) == []
+    assert world.metrics.counters.get("gbcast.endstages") == 0
 
 
 def test_tick_rearms_after_idle_period():
     # The flip side of not ticking while idle: traffic after a long idle
-    # stretch must re-arm the watchdog and still deliver (and still close
-    # stages on a crashed member's missing acks).
+    # stretch must arm the timeout again and still deliver (and still
+    # close stages on a crashed member's missing acks).
     world, stacks, _ = new_group(conflict=PASSIVE_REPLICATION, seed=10)
     stacks["p00"].gbcast.gbcast_payload("warmup", UPDATE)
     assert run_until(
         world, lambda: all(len(v) == 1 for v in gb_logs(stacks).values()), timeout=10_000
     )
-    world.run_for(30_000.0)  # idle: no armed ticks survive this
+    world.run_for(30_000.0)  # idle: no timer is pending through this
     world.crash("p02")
     stacks["p00"].gbcast.gbcast_payload("after-idle", UPDATE)
     survivors = ("p00", "p01")
@@ -208,9 +214,10 @@ def test_tick_rearms_after_idle_period():
 
 
 def test_ack_piggybacking_batches_acks():
-    # The acks a process generates within one event cascade (here: a
-    # coalesced datagram delivering a burst of broadcasts at once) ride
-    # one batched message per member instead of one message per ack.
+    # Batching has one owner, the channel: the acks a process generates
+    # within one millisecond (here: a coalesced datagram delivering a
+    # burst of broadcasts at once) are one segment each and ride one
+    # datagram per member instead of one datagram per ack.
     burst = 8
     world, stacks, _ = new_group(conflict=PASSIVE_REPLICATION, seed=11)
     for i in range(burst):
@@ -221,5 +228,6 @@ def test_ack_piggybacking_batches_acks():
         timeout=20_000,
     )
     counters = world.metrics.counters
-    assert counters.get("gbcast.acks_piggybacked") > 0
-    assert counters.get("rc.sent.port.gb.ack") < burst * 3 * 3
+    assert counters.get("rc.sent.port.gb.ack") == burst * 3 * 3
+    assert counters.get("rc.segments_coalesced") > 0
+    assert counters.get("net.sent.port.rc") < burst * 3

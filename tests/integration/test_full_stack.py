@@ -150,3 +150,11 @@ def test_idle_group_runs_on_deadlines_not_ticks():
     assert world.metrics.counters.get("net.sent") - datagrams <= 1_450
     assert consensus_timers == []
     assert all(not stack.suspicion_monitor.suspects for stack in stacks.values())
+    # Nor with a member suspected (and, for two seconds, not excluded):
+    # consensus moves on the suspicion edge and where an instance arrives
+    # at a suspect's round; it re-scanned every 10 ms while anybody was.
+    world.crash("p04")
+    world.run_for(500.0)
+    survivors = [stack for pid, stack in stacks.items() if pid != "p04"]
+    assert all(stack.suspicion_monitor.suspects == {"p04"} for stack in survivors)
+    assert consensus_timers == []
