@@ -128,6 +128,12 @@ DISSEMINATION_ROUNDS = 100
 RING_DECIDE_OVER_FLOOD_BOUND = 1.25
 
 
+#: The idle-group sweep: group sizes, and how far above the n = 5
+#: per-member cost the keep-alive total may sit at any other size.
+FD_IDLE_SIZES = (3, 5, 9, 17)
+FD_IDLE_LINEAR_SLACK = 1.25
+
+
 def simplicity_meta() -> dict:
     """The size of what the numbers were taken on: configuration fields
     of the stack and non-blank source lines under ``src/repro``."""
@@ -859,6 +865,63 @@ def scenario_dissemination_sweep() -> dict:
     }
 
 
+def run_fd_idle(count: int) -> dict:
+    """Keep-alive datagrams of an idle group over one simulated second
+    (after a 200 ms warm-up): in total, and sent plus received at the
+    busiest member — the watcher, which everybody watches."""
+    world = World(seed=1, default_link=LinkModel(3.0, 8.0), trace_enabled=False)
+    build_new_group(world, count)
+    handled: dict[str, int] = {}
+    u_send = world.transport.u_send
+
+    def spy(src, dst, port, payload, **kwargs):
+        if port == "fd.hb" and world.now >= 200.0:
+            handled[src] = handled.get(src, 0) + 1
+            handled[dst] = handled.get(dst, 0) + 1
+        u_send(src, dst, port, payload, **kwargs)
+
+    world.transport.u_send = spy
+    world.run_for(1_200.0)
+    return {
+        "keepalives_per_s": sum(handled.values()) // 2,
+        "busiest_member_per_s": max(handled.values()),
+        # What the first-hand exclusion mesh is entitled to: every
+        # directed pair without the watcher, once per timeout / 4.
+        "exclusion_mesh_per_s": (count - 1) * (count - 2) * 4_000.0
+        / StackConfig().monitoring.exclusion_timeout,
+    }
+
+
+def scenario_fd_idle_sweep() -> dict:
+    """What an idle group pays for failure detection as it grows: the
+    small-timeout keep-alives form a star at the watcher (2(n-1) links at
+    ``HEARTBEAT_INTERVAL``), so their cost is linear in n; what is left
+    of the n(n-1) mesh is the exclusion monitor's, 33 times slower.  The
+    all-pairs mesh read about 67 n(n-1) here (1 317 at n = 5)."""
+    runs = {count: run_fd_idle(count) for count in FD_IDLE_SIZES}
+    per_member = runs[5]["keepalives_per_s"] / 5
+    bounds = {
+        count: per_member * count * FD_IDLE_LINEAR_SLACK + run["exclusion_mesh_per_s"]
+        for count, run in runs.items()
+    }
+    return {
+        "section": "fd-idle-sweep",
+        "metrics": {f"n{count}": run for count, run in runs.items()},
+        "shape": {
+            "fd_idle_cost_linear_in_n": all(
+                run["keepalives_per_s"] <= bounds[count] for count, run in runs.items()
+            ),
+        },
+        "shape_detail": {
+            "fd_idle_cost_linear_in_n": "; ".join(
+                f"n={count}: {run['keepalives_per_s']}/s <= {per_member:.1f} * {count} * "
+                f"{FD_IDLE_LINEAR_SLACK} + exclusion mesh {run['exclusion_mesh_per_s']:.0f}"
+                for count, run in runs.items()
+            ),
+        },
+    }
+
+
 SCENARIOS = {
     "sec41_complexity": scenario_sec41,
     "sec42_bank": scenario_sec42,
@@ -866,6 +929,7 @@ SCENARIOS = {
     "pipelining": scenario_pipelining,
     "payload_sweep": scenario_payload_sweep,
     "dissemination_sweep": scenario_dissemination_sweep,
+    "fd_idle_sweep": scenario_fd_idle_sweep,
 }
 
 

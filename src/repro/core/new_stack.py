@@ -35,7 +35,7 @@ from typing import Callable
 from repro.abcast.consensus_based import ConsensusAtomicBroadcast
 from repro.broadcast.rbcast import RELAY_POLICIES, ReliableBroadcast
 from repro.consensus.chandra_toueg import ChandraTouegConsensus
-from repro.fd.heartbeat import HeartbeatFailureDetector
+from repro.fd.heartbeat import HeartbeatFailureDetector, StarMonitor
 from repro.gbcast.conflict import RBCAST_ABCAST, ConflictRelation
 from repro.gbcast.quorum import QuorumGenericBroadcast
 from repro.gbcast.thrifty import ThriftyGenericBroadcast
@@ -54,13 +54,21 @@ from repro.sim.world import World
 #: parameters: the traditional baselines pass different ones).
 #:
 #: ``HEARTBEAT_INTERVAL`` is the longest silence a process allows on a
-#: link before it spends a heartbeat on it: the default suspicion timeout
-#: (60 ms) ÷ 4, so two consecutive losses plus the link's delay still fit
-#: inside the timeout (3 × 15 + 11 = 56 ms); 20 ms would not leave room
-#: for the second loss (35 false suspicions over 95 lossy fault-free
-#: explore scenarios against 4 at 15 ms).  Not derived per stack from
+#: link somebody times out at the *small* timeout — the 2(n−1) links to
+#: and from the watcher (``repro.fd.heartbeat``, R3) — before it spends a
+#: heartbeat on it: the default suspicion timeout (60 ms) ÷ 4, so two
+#: consecutive losses plus the link's delay still fit inside the timeout
+#: (3 × 15 + 11 = 56 ms); 20 ms would not leave room for the second loss
+#: (35 false suspicions over 95 lossy fault-free explore scenarios
+#: against 4 at 15 ms).  Every other link is read by the exclusion
+#: monitor alone and kept warm by the same rule applied to *its* timeout,
+#: which the detector derives from the monitors it holds: 2 000 ÷ 4 =
+#: 500 ms.  The fast one is a constant, not derived per stack from
 #: ``suspicion_timeout``: tests legitimately set that to 3.0 and to 1e9,
-#: which would flood or starve the 2 s exclusion monitor.
+#: which would flood or starve the links.  The slow one *is* derived, so
+#: a test that sets ``exclusion_timeout`` to 1e9 to switch exclusion off
+#: gets no keep-alives between two members neither of which orders, and
+#: one that sets it to 100 gets them every 25 ms.
 HEARTBEAT_INTERVAL = 15.0
 INITIAL_RTO = 40.0
 STUCK_TIMEOUT = 1_000.0
@@ -183,8 +191,10 @@ class NewArchitectureStack:
         # layers built with it subscribe themselves, so one edge reaches
         # them top-down in one event: generic broadcast unblocks the
         # fast path (and promotes the next stage closer), consensus
-        # moves past the suspect, rbcast floods what it retains.
-        self.suspicion_monitor = self.fd.monitor(members, cfg.suspicion_timeout)
+        # moves past the suspect, rbcast floods what it retains.  It
+        # times out the watcher only and has the rest from the watcher's
+        # reports, which travel over the reliable channel.
+        self.suspicion_monitor = StarMonitor(self.fd, members, cfg.suspicion_timeout, self.channel)
         self.rbcast = ReliableBroadcast(
             process,
             self.channel,

@@ -115,6 +115,11 @@ def run_sweep(args: argparse.Namespace) -> int:
             invariant = report.result.violation["invariant"]
             where = f" -> {report.repro_path}" if report.repro_path else ""
             print(f"seed {report.seed}: VIOLATION [{invariant}]{where}")
+            for pid, fd in report.result.stats.get("fd", {}).items():
+                print(
+                    f"  {pid}: suspects {fd['suspects']}, watcher {fd['watcher']}, "
+                    f"first-hand {fd['first_hand']}"
+                )
         else:
             verdict = "ok (converged, " if report.result.converged else "UNCONVERGED ("
             print(

@@ -149,6 +149,7 @@ def write_repro(path: str | Path, config: ScenarioConfig, result: RunResult) -> 
         "invariant": result.violation["invariant"],
         "violation": result.violation,
         "fingerprint": result.fingerprint,
+        "fd_at_end": result.stats.get("fd"),
         "config": config.to_json_obj(),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

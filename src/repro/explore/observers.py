@@ -248,7 +248,9 @@ class AgreementPrefixObserver(DeliveryObserver):
         self._cursor[actor] = self._index[message.id] + 1
 
     def _try_anchor(self, actor: str) -> None:
-        buffered = self._floating[actor]
+        # (Anchoring one actor can extend the order and, from inside,
+        # anchor the others ``_anchor_floating`` was about to visit.)
+        buffered = self._floating.get(actor)
         if not buffered:
             return
         anchor = self._index.get(buffered[0].id)

@@ -361,6 +361,18 @@ def run_scenario(config: ScenarioConfig, trace: bool = False):
             "views_installed": world.metrics.counters.get("gm.views_installed"),
             "recoveries": world.metrics.counters.get("world.recoveries"),
             "clamped_faults": world.metrics.counters.get("world.fault_past_clamped"),
+            # Who was blind to whom when the run ended (the repro file
+            # carries it): per live process its suspects, the member it
+            # regards as watcher and whom it times out first-hand.
+            "fd": {
+                pid: {
+                    "suspects": sorted(stack.suspicion_monitor.suspects),
+                    "watcher": stack.suspicion_monitor.watcher,
+                    "first_hand": sorted(stack.suspicion_monitor.first_hand),
+                }
+                for pid, stack in sorted(stacks.items())
+                if not stack.process.crashed
+            },
         },
     )
     return result, world

@@ -79,6 +79,10 @@ def restrict_plan(plan: FaultPlan, pids: set[str]) -> FaultPlan:
                 continue  # everyone in one island: not a partition
             events.append(replace(event, target=groups))
             continue
+        if event.kind in ("cut", "mend"):
+            if pids.issuperset(event.target):
+                events.append(event)
+            continue
         events.append(event)  # heal
     # A heal without any preceding partition is a harmless no-op; keep it
     # (removing it is the event-removal pass's job, under the predicate).

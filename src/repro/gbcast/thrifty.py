@@ -74,7 +74,7 @@ from typing import Callable
 
 from repro.abcast.consensus_based import ConsensusAtomicBroadcast
 from repro.broadcast.rbcast import ReliableBroadcast
-from repro.fd.heartbeat import Monitor
+from repro.fd.heartbeat import Monitor, watcher
 from repro.gbcast.conflict import AckedClassIndex, ConflictRelation
 from repro.net.message import AppMessage, MsgId
 from repro.net.reliable import ReliableChannel
@@ -266,13 +266,6 @@ class ThriftyGenericBroadcast(Component):
             else:
                 self._close_stage("timeout")
 
-    def _closer(self, members: list[str]) -> str | None:
-        """The one member expected to close the current stage: the first
-        this process does not suspect (= the round-0 consensus
-        coordinator when nobody is suspected)."""
-        suspects = self.monitor.suspects
-        return next((m for m in members if m not in suspects), None)
-
     def _close_stage(self, reason: str) -> None:
         if self._frozen and self._deferred_at is None:
             return  # this process's ENDSTAGE is already on its way
@@ -281,7 +274,7 @@ class ThriftyGenericBroadcast(Component):
         if self.pid not in members:
             self._deferred_at = None
             return  # an ENDSTAGE from outside the view is void: stay silent
-        if reason != "timeout" and self._closer(members) != self.pid:
+        if reason != "timeout" and watcher(members, self.monitor.suspects) != self.pid:
             if self._deferred_at is None:
                 self._deferred_at = self.now
                 self.trace("close_deferred", stage=self._stage, reason=reason)

@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.fd.heartbeat import watcher
+
 POLICIES = ("flood", "ring", "tree")
 
 
@@ -83,8 +85,11 @@ class DisseminationOverlay:
     @staticmethod
     def head(members: Sequence[str]) -> str:
         """The view's first member *as listed* (a rejoiner is listed last):
-        consensus's ``coordinator(0)`` and, unsuspected, gbcast's closer."""
-        return members[0]
+        the :func:`repro.fd.heartbeat.watcher` of a group that suspects
+        nobody.  Deliberately blind to suspicions: members that disagreed
+        about the head would cut each other off the chain, and the head
+        is a leaf, so a dead one strands nothing."""
+        return watcher(members)
 
     def ring_successor(self, members: Sequence[str], origin: str, pid: str) -> str | None:
         """``pid``'s failure-free chain successor (None = end of chain)."""

@@ -67,10 +67,15 @@ class PartitionState:
     With no partition installed every pair communicates.  ``split``
     installs a partition given as an iterable of process groups; any
     process not mentioned forms its own singleton component.
+
+    ``cut`` severs one *directed* link — the one-way failure no set of
+    components can express — until ``mend``; cuts and partitions are
+    independent of each other (``heal`` mends nothing).
     """
 
     def __init__(self) -> None:
         self._component_of: dict[str, int] | None = None
+        self._cuts: set[tuple[str, str]] = set()
 
     def split(self, groups: list[list[str]]) -> None:
         mapping: dict[str, int] = {}
@@ -84,11 +89,21 @@ class PartitionState:
     def heal(self) -> None:
         self._component_of = None
 
+    def cut(self, src: str, dst: str) -> None:
+        """Drop everything ``src`` sends ``dst``; the way back stays open."""
+        self._cuts.add((src, dst))
+
+    def mend(self, src: str, dst: str) -> None:
+        self._cuts.discard((src, dst))
+
     @property
     def partitioned(self) -> bool:
         return self._component_of is not None
 
     def connected(self, a: str, b: str) -> bool:
+        """Whether a datagram from ``a`` reaches ``b``."""
+        if self._cuts and (a, b) in self._cuts:
+            return False
         if self._component_of is None:
             return True
         ca = self._component_of.get(a)

@@ -230,6 +230,26 @@ class World:
         else:
             self.scheduler.at(self._fault_time(at, "heal"), self.heal)
 
+    def cut(
+        self, src: str, dst: str, at: float | None = None, until: float | None = None
+    ) -> None:
+        """Sever the directed link ``src`` → ``dst`` (``dst`` → ``src``
+        stays up), now or at ``at``; mend it at ``until`` if given."""
+        if at is None:
+            self.partitions.cut(src, dst)
+            self.trace.emit(self.now, "-", "world", "cut", src=src, dst=dst)
+        else:
+            self.scheduler.at(self._fault_time(at, "cut"), self.cut, src, dst)
+        if until is not None:
+            self.mend(src, dst, at=until)
+
+    def mend(self, src: str, dst: str, at: float | None = None) -> None:
+        if at is None:
+            self.partitions.mend(src, dst)
+            self.trace.emit(self.now, "-", "world", "mend", src=src, dst=dst)
+        else:
+            self.scheduler.at(self._fault_time(at, "mend"), self.mend, src, dst)
+
     def alive(self) -> list[str]:
         return [pid for pid in self.pids() if not self.processes[pid].crashed]
 

@@ -135,11 +135,11 @@ def explore_mix(
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """A scheduled fault: crash / recover / partition / heal."""
+    """A scheduled fault: crash / recover / partition / heal / cut / mend."""
 
     at: float
-    kind: str                       # "crash" | "recover" | "partition" | "heal"
-    target: Any = None              # pid for crash/recover, groups for partition
+    kind: str                       # "crash" | "recover" | "partition" | "heal" | "cut" | "mend"
+    target: Any = None              # pid; groups for partition; [src, dst] for cut/mend
 
     def to_json_obj(self) -> dict:
         obj: dict[str, Any] = {"at": self.at, "kind": self.kind}
@@ -157,6 +157,9 @@ class FaultEvent:
             if not isinstance(target, list):
                 raise ValueError(f"partition event needs group lists, got {target!r}")
             target = [list(group) for group in target]
+        if kind in ("cut", "mend"):
+            if not (isinstance(target, list) and len(target) == 2):
+                raise ValueError(f"{kind} event needs a [src, dst] target, got {target!r}")
         return FaultEvent(at=float(obj["at"]), kind=kind, target=target)
 
 
@@ -279,6 +282,10 @@ class FaultPlan:
                 world.split(event.target, at=event.at)
             elif event.kind == "heal":
                 world.heal(at=event.at)
+            elif event.kind == "cut":
+                world.cut(*event.target, at=event.at)
+            elif event.kind == "mend":
+                world.mend(*event.target, at=event.at)
             else:
                 raise ValueError(f"unknown fault kind {event.kind!r}")
 

@@ -60,6 +60,12 @@ MECHANISM_COUNTERS = {
         "abcast.decide_before_dissemination", "abcast.pulls_sent", "abcast.repaired",
     ),
     "exclusion-rejoin-channel-hole": ("rc.gap_notices", "rc.gap_skips"),
+    # The new watcher's report is adopted by those who already turned to
+    # it and ignored by those who have not; whoever is turned to answers.
+    "head-and-mid-chain-crash-over-the-ring": (
+        "fd.reports_adopted", "fd.reports_ignored", "fd.answered_in_kind", "rb.reroutes",
+    ),
+    "one-way-cut-from-the-head-under-load": ("net.dropped.partition", "fd.answered_in_kind"),
     "one-closer-liveness-ladder": ("gbcast.closes_deferred",),
     # A member rbcasts before it installs the rejoiner's view: the
     # packet is never addressed to the rejoiner, which NACKs for it —
@@ -80,6 +86,19 @@ def test_corpus_entry_still_hits_its_mechanism(stem):
     _result, world = run_scenario(ScenarioConfig.from_json_obj(obj["config"]))
     for name in MECHANISM_COUNTERS[stem]:
         assert world.metrics.counters.get(name) > 0, (stem, name)
+
+
+def test_one_way_cut_entry_blinds_one_member_to_the_head_only():
+    obj = json.loads((CORPUS_DIR / "one-way-cut-from-the-head-under-load.json").read_text())
+    config = ScenarioConfig.from_json_obj(obj["config"])
+    _result, world = run_scenario(config, trace=True)
+    edges = [
+        (record.pid, record.event, record.details["peer"])
+        for record in world.trace.select(component="fd")
+        if record.event in ("suspect", "trust")
+        and record.details["timeout"] == config.stack.suspicion_timeout
+    ]
+    assert edges == [("p03", "suspect", "p00"), ("p03", "trust", "p00")]
 
 
 def test_same_incarnation_entry_installs_two_snapshots():

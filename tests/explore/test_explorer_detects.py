@@ -2,6 +2,8 @@
 ordering bug must be caught, shrunk, and replayed from its repro file —
 the acceptance criterion of the exploration subsystem."""
 
+import json
+
 import pytest
 
 from repro.explore.explorer import (
@@ -79,6 +81,14 @@ def test_caught_bug_is_shrunk_and_replays_from_its_repro_file(tmp_path):
     matches, replayed, expected = replay_repro(path)
     assert matches, (replayed.violation, expected)
     assert replayed.fingerprint == shrunk_result.fingerprint
+    # The artifact says who was blind to whom when the run ended.
+    fd_at_end = json.loads(path.read_text())["fd_at_end"]
+    assert set(fd_at_end) == {f"p{i:02d}" for i in range(shrunk.processes)}
+    assert all(
+        fd == {"suspects": [], "watcher": "p00", "first_hand": ["p00"]}
+        for pid, fd in fd_at_end.items()
+        if pid != "p00"
+    )
 
 
 def test_unknown_mutation_is_rejected():

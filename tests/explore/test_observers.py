@@ -142,6 +142,26 @@ def test_agreement_prefix_late_actor_may_run_ahead_before_anchoring():
     observer.on_deliver("p00", b)
 
 
+def test_agreement_prefix_two_late_actors_anchor_on_one_delivery():
+    """Two recovered incarnations both ran ahead of the frontier.  The
+    delivery that anchors the first extends the order, which anchors the
+    second from inside the first one's replay (a KeyError until PR 24,
+    met by the shrinker on explore seed 1237)."""
+    observer = AgreementPrefixObserver()
+    observer.register("p00", late=False)
+    observer.register("p02~1", late=True)
+    observer.register("p00~1", late=True)
+    a, b, c = msg("p01", 0), msg("p01", 1), msg("p01", 2)
+    observer.on_deliver("p02~1", b)
+    observer.on_deliver("p02~1", c)
+    observer.on_deliver("p00~1", c)
+    observer.on_deliver("p00", a)
+    observer.on_deliver("p00", b)  # anchors p02~1, whose c anchors p00~1
+    assert observer._floating == {}
+    with pytest.raises(InvariantViolation):
+        observer.on_deliver("p00~1", a)
+
+
 def test_agreement_prefix_readmitted_actor_anchors_afresh():
     """An actor excluded while alive and admitted again resumes from a
     second snapshot (the panel re-registers it as late on the view that

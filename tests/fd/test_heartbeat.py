@@ -194,3 +194,69 @@ def test_stopped_monitor_schedules_nothing():
     monitor.restart()
     world.scheduler.run_for(100.0)
     assert monitor.suspects == {"p01"}
+
+
+# ----------------------------------------------------------------------
+# The detector's cadence follows its readers
+# ----------------------------------------------------------------------
+def heartbeat_times(world, src, dst):
+    sent = []
+    u_send = world.transport.u_send
+
+    def spy(s, d, port, payload, **kwargs):
+        if (s, d, port) == (src, dst, "fd.hb"):
+            sent.append((world.now, payload))
+        u_send(s, d, port, payload, **kwargs)
+
+    world.transport.u_send = spy
+    return sent
+
+
+def test_traditional_stream_is_constant_whatever_plain_monitors_it_holds():
+    # The baselines' detector: suppression off, plain monitors — which
+    # watch every peer first-hand, whatever list they were given — so
+    # every link gets the constant stream at ``heartbeat_interval``, to
+    # the microsecond, and its one flag never asks for anything.
+    world, fds = fd_world(hb=10.0)
+    fds["p00"].monitor(["p01"], timeout=37.0)
+    fds["p00"].monitor(["p01", "p02"], timeout=5_000.0)
+    to_p01 = heartbeat_times(world, "p00", "p01")
+    world.start()
+    world.run_for(100.0)
+    to_p02 = heartbeat_times(world, "p00", "p02")
+    from_bare = heartbeat_times(world, "p01", "p00")  # a detector with no monitor
+    world.run_for(100.0)
+    assert to_p01 == [(10.0 * k, False) for k in range(21)]
+    assert to_p02 == from_bare == [(10.0 * k, False) for k in range(11, 21)]
+    assert all(fd._interval(peer) == 10.0 for fd in fds.values() for peer in fds)
+
+
+def test_stopped_monitor_is_no_longer_a_reader():
+    # Two plain monitors, 40 ms and 2 s: the fast one is why the links
+    # are kept warm every ``heartbeat_interval``.  Stopped, it neither
+    # hears of datagrams nor holds the cadence; what is left is the slow
+    # one's (it is the fastest reader now: a plain detector is back to
+    # ``heartbeat_interval``) — until a star-shaped reader shows up.
+    world, fds = fd_world()
+    fd = fds["p00"]
+    fast = fd.monitor(["p01", "p02"], timeout=40.0)
+    slow = fd.monitor(["p01", "p02"], timeout=2_000.0)
+    heard = []
+    fast._heard = heard.append
+    world.start()
+    world.run_for(50.0)
+    assert fd._monitors == [fast, slow] and "p01" in heard
+    fast.stop()
+    del heard[:]
+    world.run_for(50.0)
+    assert fd._monitors == [slow] and heard == []
+    # A reader that watches only p01 first-hand, faster than ``slow``:
+    # p02's link falls to the slow reader's timeout / 4 ...
+    fast.first_hand = {"p01"}
+    fast.restart()
+    assert fd._monitors == [slow, fast]
+    assert (fd._interval("p01"), fd._interval("p02")) == (10.0, 500.0)
+    # ... and stopped, it no longer holds p01's link either.
+    fast.stop()
+    assert (fd._interval("p01"), fd._interval("p02")) == (10.0, 10.0)
+    assert slow.suspects == set()

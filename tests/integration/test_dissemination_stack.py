@@ -210,8 +210,9 @@ def test_ordering_traffic_takes_one_leg_and_bodies_reach_the_closer_first():
 
 def _who_orders(world, stacks, pid):
     """The three places that say who orders, read at ``pid``: the
-    overlay's head, generic broadcast's closer with nobody suspected and
-    round 0's coordinator of the next consensus instance."""
+    overlay's head, the monitor's watcher (whom generic broadcast expects
+    to close the stage) with nobody suspected and round 0's coordinator
+    of the next consensus instance."""
     stack = stacks[pid]
     members = stack.membership.current_members()
     coordinators = []
@@ -228,7 +229,7 @@ def _who_orders(world, stacks, pid):
     assert not set(members) & stack.suspicion_monitor.suspects
     return {
         stack.rbcast.overlay.head(members),
-        stack.gbcast._closer(members),
+        stack.suspicion_monitor.watcher,
         coordinators[0],
     }
 
@@ -311,3 +312,42 @@ def test_one_sender_mixing_sizes_keeps_order_per_route_only():
     # out of send order.
     at_p01 = [i for i, _body in rdelivered["p01"]]
     assert at_p01 != sorted(at_p01)
+
+
+def test_mid_chain_crash_is_rerouted_on_the_watchers_report():
+    # Ring, n = 5, 4 KiB bodies every 10 ms, senders in turn; p03 — a
+    # chain member, watched first-hand by the head alone — crashes at
+    # 600 ms.  The head times it out and its report reaches p03's chain
+    # predecessors one hop later, *ahead of* the head's own flood on the
+    # same FIFO links: from then on they route around p03, every body is
+    # delivered at every survivor, and the NACK backstop pays what the
+    # all-pairs mesh paid on this schedule (1-2 requests, seeds 1-8).
+    world = World(seed=1, default_link=LinkModel(3.0, 8.0, bytes_per_ms=2000.0))
+    stacks = build_new_group(world, 5, config=StackConfig(dissemination="ring"))
+    world.start()
+    pids, sent = sorted(stacks), 0
+    for i in range(120):
+        pid, at = pids[i % 5], 20.0 + 10.0 * i
+        if pid != "p03" or at < 600.0:
+            world.scheduler.at(at, lambda p=pid, i=i: bcast(stacks, p, ("op", p, i, Blob(4096))))
+            sent += 1
+    world.crash("p03", at=600.0)
+    world.run_for(3_000.0)
+    survivors = [pid for pid in pids if pid != "p03"]
+    assert all(len(logs(stacks)[pid]) == sent for pid in survivors)
+    suspected = {
+        record.pid: (record.time, record.details.get("via"))
+        for record in world.trace.select(component="fd", event="suspect")
+        if record.details["timeout"] == StackConfig().suspicion_timeout
+    }
+    assert suspected["p00"][1] is None
+    timeout, keepalive, hop = 60.0, 15.0, 1.0 + 11.0 + 2.0 * 4_300 / 2_000.0
+    assert suspected["p00"][0] <= 600.0 + timeout + keepalive
+    for pid in ("p01", "p02", "p04"):
+        at, via = suspected[pid]
+        assert via == "p00" and at <= suspected["p00"][0] + hop
+    reroutes = [r for r in world.trace.select(component="rb", event="suspect_flood")]
+    assert {r.pid for r in reroutes} == set(survivors)
+    counters = world.metrics.counters
+    assert counters.get("rb.reroutes") > 0
+    assert counters.get("rb.nacks_sent") <= 2

@@ -2,7 +2,7 @@
 
 * Liveness reaches the detector through the transport tap alone: no
   datagram of the reliable channel carries a liveness field, a heartbeat
-  carries nothing, and a stack nobody attached an adaptive monitor to
+  carries one flag that is not about liveness, and a stack nobody attached an adaptive monitor to
   keeps no arrival statistics anywhere.
 * The small-timeout monitor is the object the layers are built with: one
   suspicion edge reaches reliable broadcast, consensus and generic
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.new_stack import NewArchitectureStack, StackConfig, build_new_group
-from repro.fd.heartbeat import Monitor
+from repro.fd.heartbeat import Monitor, StarMonitor
 from repro.gbcast.conflict import RBCAST_CLASS
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
@@ -75,7 +75,9 @@ def test_a_heartbeat_carries_nothing(failover_run):
     counters = group.world.metrics.counters
     heartbeats = [payload for port, payload in wire if port == "fd.hb"]
     assert len(heartbeats) == counters.get("fd.explicit_hb") > 0
-    assert set(heartbeats) == {None}
+    # Nothing about liveness, that is: its one byte says whether the
+    # sender watches the receiver first-hand (R4), where ``None`` was.
+    assert set(heartbeats) == {True, False}
     # ... and still did its job: the crash was detected, the survivors
     # moved on and the victim came back.
     assert counters.get("fd.suppressed") > 0
@@ -88,7 +90,7 @@ def test_a_stack_without_an_adaptive_monitor_records_no_samples(failover_run):
     for api in group.apis.values():
         stack = api.stack
         # consensus / gbcast / rbcast share one; monitoring has its own.
-        assert [type(m) for m in stack.fd._monitors] == [Monitor, Monitor]
+        assert [type(m) for m in stack.fd._monitors] == [StarMonitor, Monitor]
         assert not [name for name in vars(stack.fd) if "gap" in name or "sample" in name]
         assert not [name for name in vars(stack.channel) if name.startswith("hb_")]
     assert group.world.metrics.counters.get("fd.piggyback_samples") == 0

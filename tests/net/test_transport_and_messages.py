@@ -102,6 +102,37 @@ def test_partition_state_semantics():
     assert parts.connected("a", "c")
 
 
+def test_one_way_cut_is_directed_and_independent_of_partitions():
+    parts = PartitionState()
+    parts.cut("a", "b")
+    assert not parts.connected("a", "b")
+    assert parts.connected("b", "a") and parts.connected("a", "c")
+    parts.split([["a", "b", "c"]])
+    parts.heal()
+    assert not parts.connected("a", "b")  # heal mends nothing
+    parts.mend("a", "b")
+    assert parts.connected("a", "b")
+
+
+def test_world_cut_drops_one_direction_counts_and_traces_it():
+    world = World(seed=5)
+    probes = {pid: Probe(world.process(pid)) for pid in world.spawn(2)}
+    world.cut("p00", "p01", at=5.0, until=15.0)
+    for at in (1.0, 7.0, 20.0):
+        world.scheduler.at(at, world.u_send, "p00", "p01", "probe", at)
+        world.scheduler.at(at, world.u_send, "p01", "p00", "probe", at)
+    world.run_for(30.0)
+    assert probes["p01"].payloads == [1.0, 20.0]
+    assert probes["p00"].payloads == [1.0, 7.0, 20.0]
+    assert world.metrics.counters.get("net.dropped.partition") == 1
+    assert [
+        (r.time, r.event, r.details) for r in world.trace.select(component="world")
+    ] == [
+        (5.0, "cut", {"src": "p00", "dst": "p01"}),
+        (15.0, "mend", {"src": "p00", "dst": "p01"}),
+    ]
+
+
 def test_partition_group_overlap_rejected():
     parts = PartitionState()
     with pytest.raises(ValueError):
