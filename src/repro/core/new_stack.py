@@ -63,7 +63,9 @@ from repro.sim.world import World
 #: against 4 at 15 ms).  Every other link is read by the exclusion
 #: monitor alone and kept warm by the same rule applied to *its* timeout,
 #: which the detector derives from the monitors it holds: 2 000 ÷ 4 =
-#: 500 ms.  The fast one is a constant, not derived per stack from
+#: 500 ms (and whoever reads such a link counts its timeout from the
+#: keep-alive that would have come next, so no exclusion comes sooner
+#: after a crash than on a fast link).  The fast one is a constant, not derived per stack from
 #: ``suspicion_timeout``: tests legitimately set that to 3.0 and to 1e9,
 #: which would flood or starve the links.  The slow one *is* derived, so
 #: a test that sets ``exclusion_timeout`` to 1e9 to switch exclusion off

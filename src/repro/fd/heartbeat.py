@@ -52,7 +52,9 @@ its peer set, and arms one one-shot timer for the earliest
 ``max(last_heard, member_since) + timeout`` among the peers it still
 trusts — capped one timeout ahead, because a peer that *enters* the set
 is first seen by a scan.  A crash is therefore suspected exactly one
-timeout after the victim was last heard, not at the next tick after.
+timeout after the victim was last heard, not at the next tick after
+(on a link kept warm more slowly than ``heartbeat_interval``, one
+timeout after the keep-alive that would have come next: ``staleness``).
 Fresh evidence only moves expiries later, so the armed timer is left
 alone (it fires early, finds nothing expired and re-arms); evidence from
 a peer *currently suspected* re-scans at once.  The detector keeps what
@@ -92,8 +94,9 @@ off, preserving the paper's constant heartbeat stream for comparison.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Collection, Sequence
+from typing import TYPE_CHECKING, Callable, Collection
 
+from repro.net.overlay import watcher
 from repro.sim.process import Component, Process
 from repro.sim.scheduler import DUE_SLACK, Timer
 
@@ -122,14 +125,6 @@ SuspicionCallback = Callable[[str], None]
 ReincarnationCallback = Callable[[str, int], None]
 
 
-def watcher(members: Sequence[str], suspects: Collection[str] = ()) -> str | None:
-    """(R1) The first member, in the view's own order, not in ``suspects``:
-    the one who orders — generic broadcast's stage closer, consensus's
-    ``coordinator(0)`` and the ring's head while nobody is suspected —
-    and therefore the one everybody watches, and who watches everybody."""
-    return next((m for m in members if m not in suspects), None)
-
-
 class Monitor:
     """One client's view of the failure detector.
 
@@ -155,9 +150,6 @@ class Monitor:
         self.subscribe(on_suspect, on_trust)
         self.suspects: set[str] = set()
         self.active = True
-        #: The peers this monitor times out itself; None = every peer it
-        #: is given (see :class:`StarMonitor` for the other case).
-        self.first_hand: set[str] | None = None
         #: When each peer (re-)entered the watched set.  A peer that
         #: joins (or a recovered process re-admitted to the view) gets a
         #: full timeout of grace from that moment — without this, a
@@ -208,8 +200,14 @@ class Monitor:
     def reads(self, peer: str) -> bool:
         """Whether this monitor needs the link from ``peer`` kept warm at
         its own timeout (what we owe ``peer`` in return, see
-        :meth:`HeartbeatFailureDetector._interval`)."""
-        return self.first_hand is None or peer in self.first_hand
+        :meth:`HeartbeatFailureDetector._cadence_of`): it watches every
+        peer first-hand."""
+        return True
+
+    def asks(self, peer: str) -> bool:
+        """Whether ``peer`` must be *told* it is watched (R4): not by a
+        monitor that watches everybody — every detector assumes that."""
+        return False
 
     def timeout_for(self, peer: str) -> float:
         """Current timeout applied to ``peer`` (constant here; adaptive
@@ -235,11 +233,15 @@ class Monitor:
         self._timer = self._detector.schedule(delay, self._check)
 
     def _edge(self, suspect: bool, peer: str, **via: str) -> None:
-        """One transition of ``peer``: the set, the trace, the listeners."""
+        """One transition of ``peer``: the set, then everybody who reads it."""
         if suspect:
             self.suspects.add(peer)
         else:
             self.suspects.discard(peer)
+        self._announce(suspect, peer, **via)
+
+    def _announce(self, suspect: bool, peer: str, **via: str) -> None:
+        """The trace, the listeners."""
         self._detector.trace(
             "suspect" if suspect else "trust", peer=peer, timeout=self.timeout, **via
         )
@@ -272,7 +274,7 @@ class Monitor:
             last = self._detector.last_heard(peer)
             if last is None or last < since:
                 last = since
-            expiry = last + self.timeout_for(peer)
+            expiry = last + self.timeout_for(peer) + self._detector.staleness(peer)
             if expiry > now + DUE_SLACK:
                 wake = min(wake, expiry)
                 if peer in self.suspects:
@@ -295,8 +297,10 @@ class StarMonitor(Monitor):
     suspect set, incarnation-stamped, to every member it trusts over the
     reliable channel: on each of its own edges, on taking over, and once
     more on the edge that ends its turn.  A member adopts a report from
-    the process it currently regards as watcher and from nobody else,
-    and keeps what it adopted across a change of watcher.  A report is a
+    the process it currently regards as watcher and from nobody else
+    (one that came too early for that is kept for a timeout, see
+    ``_on_report``), and keeps what it adopted across a change of
+    watcher.  A report is a
     *verdict*, not liveness evidence: it refreshes no ``last_heard``.
     """
 
@@ -308,13 +312,17 @@ class StarMonitor(Monitor):
         channel: "ReliableChannel",
     ) -> None:
         super().__init__(detector, peers, timeout)
-        self.first_hand = set()
+        #: The peers this monitor times out itself (R2).
+        self.first_hand: set[str] = set()
         #: The suspects ahead of the watcher.  Any of them that is alive
         #: after all regards itself as watcher and is timing *us* out, so
         #: the link stays warm: a one-way cut must not become mutual.
         self._senior: set[str] = set()
         self._channel = channel
         self._reporting = False  # this process regards itself as the watcher
+        #: The latest report ignored on arrival, its sender, and until when
+        #: it may still be adopted (see ``_on_report``).
+        self._early: tuple[str, tuple[tuple[str, int], ...], float] | None = None
         self._inc = detector.world.metrics.counters.inc
         detector.register_port(REPORT_PORT, self._on_report)
 
@@ -325,8 +333,12 @@ class StarMonitor(Monitor):
     def reads(self, peer: str) -> bool:
         return peer in self.first_hand or peer in self._senior
 
+    def asks(self, peer: str) -> bool:
+        return peer in self.first_hand
+
     def restart(self) -> None:
         self.first_hand, self._senior, self._reporting = set(), set(), False
+        self._early = None
         super().restart()
 
     def _heard(self, peer: str) -> None:
@@ -344,43 +356,43 @@ class StarMonitor(Monitor):
         self.suspects &= peers
         if heard is not None and heard not in self.first_hand:
             self._edge(False, heard)  # second-hand, or left behind: heard is trusted
-        read = (self.first_hand, self._senior)
         entered: set[str] = set()
         while True:
             first = watcher(members, self.suspects)
             first_hand = peers if first == me else peers & {first}
+            senior = peers if first is None else set(members[: members.index(first)])
             entering = first_hand - self.first_hand
             for peer in entering & self.suspects:
                 self._member_since[peer] = float("-inf")  # no grace for a suspect
             entered |= entering
-            self.first_hand = first_hand
+            if (first_hand, senior) != (self.first_hand, self._senior):
+                self.first_hand, self._senior = first_hand, senior
+                detector._cadence.clear()  # ahead of the scan, which reads it
             self._scan(first_hand)
             if watcher(members, self.suspects) == first:
                 break
-        self._senior = peers if first is None else set(members[: members.index(first)])
-        if (self.first_hand, self._senior) != read:
-            detector._cadence.clear()
         if first == me and not self._reporting and self.suspects:
             self._report(members)  # took over without an edge: a view change
         self._reporting = first == me
         if entered:
             detector._hurry(entered)  # (R4) say so now, not a slow interval on
+        early = self._early
+        if early is not None and early[0] == first:
+            self._early = None
+            if early[2] > detector.now:
+                self._adopt(first, early[1])  # it took over before we noticed
 
-    def _edge(self, suspect: bool, peer: str, **via: str) -> None:
+    def _announce(self, suspect: bool, peer: str, **via: str) -> None:
         """An edge at a process that is its own watcher before or after it
         goes out as a report *ahead of* the listeners: what they send —
         reliable broadcast floods what it retains — would otherwise sit
         in front of it on the same FIFO channels."""
-        if suspect:
-            self.suspects.add(peer)
-        else:
-            self.suspects.discard(peer)
         members = self._peers()
         reporting = watcher(members, self.suspects) == self._detector.pid
         if reporting or self._reporting:
             self._report(members)
         self._reporting = reporting
-        super()._edge(suspect, peer, **via)
+        super()._announce(suspect, peer, **via)
 
     def _report(self, members: list[str]) -> None:
         detector = self._detector
@@ -392,13 +404,28 @@ class StarMonitor(Monitor):
         self._channel.send_to_all(trusted, REPORT_PORT, entries)
 
     def _on_report(self, src: str, entries: tuple[tuple[str, int], ...]) -> None:
+        """Adopt the watcher's report; ignore anybody else's — but keep
+        the latest that names every member ahead of its sender for one
+        timeout.  That sender regards itself as watcher; if it does
+        because it noticed the old one's death a few milliseconds before
+        this process will, nothing would ever repeat what it said on
+        taking over (``_check`` adopts it on turning to the sender)."""
         if not self.active:
             return
+        members = self._peers()
+        if src == watcher(members, self.suspects):
+            self._adopt(src, entries)
+            return
+        self._inc("fd.reports_ignored")
+        if src in members and {peer for peer, _ in entries}.issuperset(
+            members[: members.index(src)]
+        ):
+            self._early = (src, entries, self._detector.now + self.timeout)
+
+    def _adopt(self, src: str, entries: tuple[tuple[str, int], ...]) -> None:
         detector = self._detector
         members = self._peers()
-        if src != watcher(members, self.suspects):
-            self._inc("fd.reports_ignored")
-            return
+        self._early = None  # whatever was kept, this verdict is newer
         reported = set()
         for peer, incarnation in entries:
             if incarnation < (detector.incarnation_of(peer) or 0):
@@ -515,9 +542,22 @@ class HeartbeatFailureDetector(Component):
             interval = self.heartbeat_interval
             if reader > self._small_timeout:
                 interval = max(interval, reader / SILENCES_PER_TIMEOUT)
-            asks = any(m.first_hand is not None and peer in m.first_hand for m in monitors)
+            asks = any(m.asks(peer) for m in monitors)
             known = self._cadence[peer] = (interval, asks)
         return known
+
+    def staleness(self, peer: str) -> float:
+        """How much older than on a fast link ``peer``'s last datagram may
+        be when it falls silent.  A link kept warm every 500 ms says of a
+        crash only that it happened within 500 ms of the last keep-alive,
+        so a reader counts its timeout from the keep-alive that *would*
+        have come: a timeout still means that long a silence of a live
+        link, and the exclusion monitor never excludes earlier after a
+        crash than it did on the mesh.  (Watching is mutual: the silence
+        ``peer`` allows toward us is the one we allow toward it.  Zero
+        wherever the small-timeout monitor reads, and in every
+        traditional stack.)"""
+        return self._cadence_of(peer)[0] - self.heartbeat_interval
 
     def _told(self, peer: str, asks: bool) -> bool:
         """Whether ``peer``'s latest heartbeat said ``asks`` and still holds."""

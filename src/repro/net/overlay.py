@@ -40,11 +40,19 @@ by being evaluated against the current membership at send time.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.fd.heartbeat import watcher
+from typing import Collection, Sequence
 
 POLICIES = ("flood", "ring", "tree")
+
+
+def watcher(members: Sequence[str], suspects: Collection[str] = ()) -> str | None:
+    """The first member, in the view's own order, not in ``suspects``
+    (None: there is none): the one who orders — generic broadcast's stage
+    closer, consensus's ``coordinator(0)`` and the ring's head while
+    nobody is suspected — and therefore the one everybody watches, and
+    who watches everybody (``repro.fd.heartbeat``, R1).  Defined here,
+    at the lowest layer that asks."""
+    return next((m for m in members if m not in suspects), None)
 
 
 class DisseminationOverlay:
@@ -83,10 +91,10 @@ class DisseminationOverlay:
         return ring
 
     @staticmethod
-    def head(members: Sequence[str]) -> str:
+    def head(members: Sequence[str]) -> str | None:
         """The view's first member *as listed* (a rejoiner is listed last):
-        the :func:`repro.fd.heartbeat.watcher` of a group that suspects
-        nobody.  Deliberately blind to suspicions: members that disagreed
+        the :func:`watcher` of a group that suspects nobody.
+        Deliberately blind to suspicions: members that disagreed
         about the head would cut each other off the chain, and the head
         is a leaf, so a dead one strands nothing."""
         return watcher(members)
@@ -128,7 +136,7 @@ class DisseminationOverlay:
         return self._tree_hops(ring, pid, suspects)
 
     def _ring_hops(
-        self, ring: list[str], head: str, pid: str, suspects: set[str]
+        self, ring: list[str], head: str | None, pid: str, suspects: set[str]
     ) -> tuple[list[str], int]:
         origin = ring[0]
         hops: list[str] = []

@@ -252,7 +252,7 @@ def test_stopped_monitor_is_no_longer_a_reader():
     assert fd._monitors == [slow] and heard == []
     # A reader that watches only p01 first-hand, faster than ``slow``:
     # p02's link falls to the slow reader's timeout / 4 ...
-    fast.first_hand = {"p01"}
+    fast.reads = lambda peer: peer == "p01"
     fast.restart()
     assert fd._monitors == [slow, fast]
     assert (fd._interval("p01"), fd._interval("p02")) == (10.0, 500.0)

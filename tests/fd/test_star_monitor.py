@@ -16,9 +16,9 @@ TIMEOUT = StackConfig().suspicion_timeout
 SLOWEST_LINK = 11.0
 
 
-def idle_group(seed=1, count=5):
+def idle_group(seed=1, count=5, config=None):
     world = World(seed=seed, default_link=LinkModel(3.0, 8.0))
-    stacks = build_new_group(world, count, config=StackConfig())
+    stacks = build_new_group(world, count, config=config or StackConfig())
     world.start()
     world.run_for(300.0)
     return world, stacks
@@ -167,3 +167,89 @@ def test_stale_and_foreign_reports_are_dropped_and_counted():
     world.run_for(20.0)
     assert counters.get("fd.stale_reports_dropped") == 1
     assert monitor.suspects == {"p04"}
+
+
+def test_a_report_that_arrives_ahead_of_the_turn_to_its_sender_is_adopted_on_turning():
+    # The takeover skew: p01 stopped hearing p00 first and said what it
+    # sees; p02 still regards p00 as watcher when that arrives.  Nobody
+    # would repeat it, so p02 keeps it and adopts it on turning to p01.
+    # (p00 is only cut off from p02 here, so that no report but the
+    # injected one is on its way.)
+    world, stacks = idle_group()
+    counters = world.metrics.counters
+    monitor = stacks["p02"].suspicion_monitor
+    world.cut("p00", "p02", until=1_000.0)
+    world.run_for(TIMEOUT / 2)
+    stacks["p01"].channel.send("p02", REPORT_PORT, (("p00", 0), ("p04", 0)))
+    world.run_for(SLOWEST_LINK + 2.0)
+    assert counters.get("fd.reports_ignored") == 1
+    assert not monitor.suspects and monitor.watcher == "p00"
+    world.run_until(lambda: "p00" in monitor.suspects, timeout=TIMEOUT, step=1.0)
+    assert monitor.suspects == {"p00", "p04"} and monitor.watcher == "p01"
+    assert counters.get("fd.reports_adopted") == 1
+    assert [e[1:] for e in edges(world, 300.0)] == [
+        ("p02", "suspect", "p00", None), ("p02", "suspect", "p04", "p01")
+    ]
+
+
+def test_an_early_report_is_kept_for_one_timeout_and_only_if_it_explains_its_sender():
+    world, stacks = idle_group()
+    monitor = stacks["p02"].suspicion_monitor
+    # p01 ends a turn of its own: the report names nobody ahead of it.
+    stacks["p01"].channel.send("p02", REPORT_PORT, (("p04", 0),))
+    world.run_for(SLOWEST_LINK + 2.0)
+    assert monitor._early is None
+    # One that does is void a timeout later: p02 turning to p01 after
+    # that finds its own, fresher, view and waits for p01's next edge.
+    stacks["p01"].channel.send("p02", REPORT_PORT, (("p00", 0), ("p04", 0)))
+    world.run_for(TIMEOUT + SLOWEST_LINK)
+    world.crash("p00")
+    world.run_for(TIMEOUT + HEARTBEAT_INTERVAL + SLOWEST_LINK)
+    assert monitor.watcher == "p01" and monitor._early is None
+    assert [e[3:] for e in edges(world, 300.0) if e[1] == "p02"] == [("p00", None)]
+
+
+@pytest.mark.parametrize("phase", [0.0, 30.0, 60.0, 90.0])
+def test_a_slow_link_does_not_shorten_the_exclusion_timeout(phase):
+    # The links between two non-heads are kept warm every 400 / 4 ms, so
+    # what p01, p02 and p04 last heard of p03 may be 100 ms old when it
+    # crashes.  Each still waits the whole exclusion timeout *of the
+    # crash* before its vote, as on the mesh; the head, which hears p03
+    # every 15 ms, votes first and is what excludes.
+    from repro.monitoring.component import MonitoringPolicy
+
+    config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=400.0, votes_required=4))
+    world, stacks = idle_group(config=config)
+    world.run_for(phase)
+    world.crash("p03")
+    crashed = world.now
+    world.run_for(700.0)
+    voted = {
+        r.pid: r.time - crashed
+        for r in world.trace.select(component="monitoring")
+        if r.event == "fd_suspicion" and r.details["suspect"] == "p03"
+    }
+    assert sorted(voted) == ["p00", "p01", "p02", "p04"]
+    assert 400.0 - HEARTBEAT_INTERVAL - SLOWEST_LINK <= voted["p00"] <= 400.0 + SLOWEST_LINK
+    for pid in ("p01", "p02", "p04"):
+        assert 400.0 <= voted[pid] <= 400.0 + 100.0 + SLOWEST_LINK, (pid, voted)
+
+
+def test_a_crash_reported_while_a_member_is_blind_to_the_head_reaches_it_after_the_mend():
+    # p02 stops hearing p00 and turns to p01; p04 crashes meanwhile and
+    # p00 reports it.  The report is a datagram from p00 like any other:
+    # cut with the rest, retransmitted after the mend, and the tap reads
+    # it as evidence *before* the monitor reads it as a verdict — p02 is
+    # back with p00 by the time it asks whose report this is.
+    world, stacks = idle_group()
+    monitor = stacks["p02"].suspicion_monitor
+    world.cut("p00", "p02", until=world.now + 150.0)
+    world.run_for(80.0)
+    assert monitor.suspects == {"p00"} and monitor.watcher == "p01"
+    world.crash("p04")
+    world.run_for(70.0 + 100.0)
+    assert monitor.suspects == {"p04"} and monitor.watcher == "p00"
+    assert world.metrics.counters.get("fd.reports_ignored") == 0
+    assert [e[2:] for e in edges(world, 300.0) if e[1] == "p02"] == [
+        ("suspect", "p00", None), ("trust", "p00", None), ("suspect", "p04", "p00"),
+    ]

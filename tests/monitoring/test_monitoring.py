@@ -29,10 +29,8 @@ def test_crash_leads_to_exclusion_after_large_timeout():
         lambda: stacks["p00"].membership.view.members == ("p00", "p01"),
         timeout=20_000,
     )
-    # Exclusion must have waited for (roughly) the large timeout: it
-    # counts from the victim's last datagram, and the link between two
-    # members neither of which orders is kept warm once per timeout / 4.
-    assert world.now - crash_time >= 500.0 * 3 / 4
+    # Exclusion must have waited for (roughly) the large timeout.
+    assert world.now - crash_time >= 500.0
 
 
 def test_suspicion_does_not_exclude_before_large_timeout():
