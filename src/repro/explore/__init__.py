@@ -3,12 +3,13 @@
 The package turns the deterministic simulator into an adversarial test
 harness:
 
-* :mod:`repro.explore.observers` — online (incremental) invariant
-  checking hooked into live delivery paths, failing fast mid-run;
+* :mod:`repro.explore.observers` — the observer panel: the invariant
+  observers of :mod:`repro.checkers` hooked into live delivery paths,
+  failing fast mid-run, and the per-actor stream logs;
 * :mod:`repro.explore.scenario` — a run as data: JSON-round-trippable
   scenario configs (workload, link, knobs, fault plan, mutation);
 * :mod:`repro.explore.runner` — deterministic execution of one scenario
-  to quiescence, with post-hoc checking and a stable run fingerprint;
+  to quiescence, a post-hoc agreement check and a stable run fingerprint;
 * :mod:`repro.explore.explorer` — seeded sweeps whose fault plans aim at
   protocol-sensitive instants harvested from a probe run;
 * :mod:`repro.explore.shrink` — minimisation of failing schedules;

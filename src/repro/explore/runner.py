@@ -9,15 +9,14 @@ actor delivery streams, view histories, final simulated time and event
 count — so the same config always reproduces byte-identically, which is
 the contract shrinking and ``--replay`` stand on.
 
-Safety is checked twice:
+Safety is checked in two phases:
 
 * **online** — the :class:`ObserverPanel` fails fast mid-run on the
   first violated invariant (order, agreement-prefix, FIFO, duplicates,
-  incarnations, views);
-* **post-hoc** — after quiescence the classic :mod:`repro.checkers`
-  battery runs over the full histories of processes that never crashed
-  (completeness properties like uniform agreement only make sense once
-  the run has settled).
+  incarnations, views), over every actor's full streams;
+* **post-hoc** — after quiescence, uniform agreement alone over the
+  processes that never crashed: a completeness property, which only
+  makes sense once the run has settled.
 
 ``mutation`` deliberately injects a bug into one process's stack — the
 self-test proving the harness detects, shrinks and replays real ordering
@@ -30,17 +29,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.checkers import (
-    app_history,
-    check_agreement,
-    check_conflict_order,
-    check_fifo,
-    check_incarnation_monotonic,
-    check_no_duplicates,
-    check_view_consistency,
-)
+from repro.checkers import InvariantViolation, app_history, check_agreement
 from repro.core.new_stack import build_new_group, enable_recovery
-from repro.explore.observers import InvariantViolation, ObserverPanel
+from repro.explore.observers import ObserverPanel
 from repro.explore.scenario import ScenarioConfig
 from repro.net.topology import LinkModel
 from repro.sim.world import World
@@ -86,55 +77,7 @@ class RunResult:
         }
 
 
-class _RecordingPanel(ObserverPanel):
-    """Observer panel that additionally keeps per-actor canonical logs —
-    the raw material of the run fingerprint."""
-
-    def __init__(
-        self, relation, check_fifo: bool = True, check_incarnation: bool = True
-    ) -> None:
-        super().__init__(
-            relation, check_fifo=check_fifo, check_incarnation=check_incarnation
-        )
-        self.app_log: dict[str, list[str]] = {}
-        self.abcast_log: dict[str, list[str]] = {}
-        self.view_log: dict[str, list[str]] = {}
-        self.abcast_deliveries = 0
-        self.views_installed = 0
-
-    def attach(self, stack, late: bool | None = None) -> None:
-        actor = self.actor_name(stack)
-        self.app_log.setdefault(actor, [])
-        self.abcast_log.setdefault(actor, [])
-        log = self.view_log.setdefault(actor, [])
-        view = stack.membership.current_view()
-        if view is not None:
-            log.append(str(view))
-            self.views_installed += 1
-        stack.gbcast.on_gdeliver(
-            lambda m: self.app_log[actor].append(f"{m.id}|{m.msg_class}")
-            if not m.msg_class.startswith("_")
-            else None
-        )
-        stack.abcast.on_adeliver(
-            lambda m: (
-                self.abcast_log[actor].append(f"{m.id}|{m.msg_class}"),
-                setattr(self, "abcast_deliveries", self.abcast_deliveries + 1),
-            )
-        )
-
-        def record_view(v) -> None:
-            self.view_log[actor].append(str(v))
-            self.views_installed += 1
-
-        stack.membership.on_new_view(record_view)
-        super().attach(stack, late=late)
-
-    def progress(self) -> tuple[int, int, int]:
-        return (self.deliveries, self.abcast_deliveries, self.views_installed)
-
-
-def _fingerprint(panel: _RecordingPanel, world: World, violation: dict | None) -> str:
+def _fingerprint(panel: ObserverPanel, world: World, violation: dict | None) -> str:
     payload = {
         "app": {a: panel.app_log[a] for a in sorted(panel.app_log)},
         "abcast": {a: panel.abcast_log[a] for a in sorted(panel.abcast_log)},
@@ -192,7 +135,7 @@ def _mutate_reorder_conflicting(stacks, relation) -> None:
 
 def _mutate_skip_delivery(stacks, relation) -> None:
     """Victim silently never delivers one conflicting-class message —
-    an agreement violation the post-hoc battery must flag."""
+    an agreement violation the post-hoc check must flag."""
     victim = stacks[sorted(stacks)[0]]
     gbcast = victim.gbcast
     original = gbcast._deliver
@@ -222,7 +165,7 @@ MUTATIONS = {
 # Execution
 # ----------------------------------------------------------------------
 def build_world(config: ScenarioConfig, trace: bool = False):
-    """World + stacks + recording panel for ``config`` (faults applied)."""
+    """World + stacks + observer panel for ``config`` (faults applied)."""
     relation = config.conflict_relation()
     link = LinkModel(
         delay_min=config.link.delay_min,
@@ -235,7 +178,7 @@ def build_world(config: ScenarioConfig, trace: bool = False):
     stacks = build_new_group(
         world, config.processes, conflict=relation, config=stack_config
     )
-    panel = _RecordingPanel(
+    panel = ObserverPanel(
         relation,
         check_fifo=config.fifo_checkable(),
         check_incarnation=config.incarnation_checkable(),
@@ -304,12 +247,7 @@ def run_scenario(config: ScenarioConfig, trace: bool = False):
     def is_converged() -> bool:
         target = target_payloads()
         for pid in participants():
-            delivered = {
-                m.payload
-                for m, _path in stacks[pid].gbcast.delivered_log
-                if not m.msg_class.startswith("_")
-            }
-            if not target <= delivered:
+            if not target <= {m.payload for m in app_history(stacks[pid])}:
                 return False
         return True
 
@@ -345,7 +283,7 @@ def run_scenario(config: ScenarioConfig, trace: bool = False):
         }
 
     if violation is None:
-        violation = _posthoc_checks(config, stacks, participants())
+        violation = _posthoc_agreement(stacks, participants())
 
     result = RunResult(
         violation=violation,
@@ -378,55 +316,18 @@ def run_scenario(config: ScenarioConfig, trace: bool = False):
     return result, world
 
 
-def _check_fifo_per_class(history):
-    """Tier-1's FIFO checker, applied per message class.
+def _posthoc_agreement(stacks, participants: list[str]) -> dict | None:
+    """Uniform agreement over the settled participants; None when clean.
 
-    Generic broadcast never orders a sender's messages *across* classes
-    (commuting ones bypass the staging machinery), so the classic
-    cross-class :func:`repro.checkers.check_fifo` over-asserts here.
-    """
-    classes = sorted({m.msg_class for h in history.values() for m in h})
-    for cls in classes:
-        outcome = check_fifo(
-            {pid: [m for m in h if m.msg_class == cls] for pid, h in history.items()}
-        )
-        if not outcome.ok:
-            return outcome
-    return outcome if classes else check_fifo(history)
-
-
-def _posthoc_checks(config: ScenarioConfig, stacks, participants: list[str]) -> dict | None:
-    """Full-history battery over settled processes; None when clean."""
-    relation = config.conflict_relation()
-    history = {pid: app_history(stacks[pid]) for pid in participants}
-    view_histories = {
-        ObserverPanel.actor_name(stack): stack.membership.view_history
-        for stack in stacks.values()
+    Every other invariant was checked online over every actor's full
+    stream, a superset of the participants' histories."""
+    outcome = check_agreement({pid: app_history(stacks[pid]) for pid in participants})
+    if outcome.ok:
+        return None
+    return {
+        "invariant": "agreement",
+        "actor": "-",
+        "detail": "; ".join(outcome.violations[:3]),
+        "time": None,
+        "phase": "posthoc",
     }
-    battery = [
-        ("no-duplicates", lambda: check_no_duplicates(history)),
-        ("agreement", lambda: check_agreement(history)),
-        ("conflict-order", lambda: check_conflict_order(history, relation)),
-        ("view-consistency", lambda: check_view_consistency(view_histories)),
-    ]
-    # FIFO and incarnation monotonicity are conditional properties, not
-    # stack guarantees — see ScenarioConfig.fifo_checkable (lazy-relay
-    # suspicion floods legally reorder) and .incarnation_checkable
-    # (pre-crash stragglers legally deliver after recovery).
-    if config.incarnation_checkable():
-        battery.insert(
-            2, ("incarnation-monotonic", lambda: check_incarnation_monotonic(history))
-        )
-    if config.fifo_checkable():
-        battery.insert(2, ("fifo-per-incarnation", lambda: _check_fifo_per_class(history)))
-    for invariant, check in battery:
-        outcome = check()
-        if not outcome.ok:
-            return {
-                "invariant": invariant,
-                "actor": "-",
-                "detail": "; ".join(outcome.violations[:3]),
-                "time": None,
-                "phase": "posthoc",
-            }
-    return None

@@ -4,7 +4,7 @@ Each ``corpus/*.json`` entry is a schedule that historically stresses a
 protocol-sensitive window (crash during generic-broadcast conflict
 resolution, suspicion during a view-change ctl op, partition+heal
 mid-consensus).  Every tier-1 run re-executes all of them with the full
-online + post-hoc battery.
+online battery and the post-hoc agreement check.
 """
 
 import dataclasses
@@ -14,6 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.checkers import app_history
+from repro.explore import runner
+from repro.explore.observers import ObserverPanel
 from repro.explore.runner import run_scenario
 from repro.explore.scenario import ScenarioConfig, StackKnobs
 
@@ -33,6 +36,26 @@ def test_corpus_entry_holds_all_invariants(path):
     result, _world = run_scenario(config)
     assert result.violation is None, result.violation
     assert result.converged, "corpus schedule failed to converge"
+
+
+@pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
+def test_panel_saw_every_stream_the_stacks_hold(path, monkeypatch):
+    # Post-hoc, explore checks agreement only: everything else was checked
+    # online, over streams that are the stacks' own delivery and view logs.
+    built, build_world = [], runner.build_world
+
+    def build_and_keep(config, trace=False):
+        built.append(build_world(config, trace))
+        return built[-1]
+
+    monkeypatch.setattr(runner, "build_world", build_and_keep)
+    config = ScenarioConfig.from_json_obj(json.loads(path.read_text())["config"])
+    run_scenario(config)
+    _world, stacks, panel = built[0]
+    for stack in stacks.values():
+        actor = ObserverPanel.actor_name(stack)
+        assert panel.app_log[actor] == [f"{m.id}|{m.msg_class}" for m in app_history(stack)]
+        assert panel.view_log[actor] == [str(v) for v in stack.membership.view_history]
 
 
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
