@@ -77,7 +77,7 @@ from repro.sim.world import World  # noqa: E402
 #: figure may improve freely but must not regress more than 10%.
 #: v6: the ``dissemination_sweep`` scenario runs the 4 KiB single-origin
 #: workload with the bandwidth term enabled under ``flood`` vs ``ring``
-#: vs ``tree`` payload routing, each run carrying a ``node_bytes`` block
+#: payload routing, each run carrying a ``node_bytes`` block
 #: (per-node sent bytes, ``max_node_bytes_per_delivery``, fairness
 #: ratio, origin-over-mean); scenarios may attach a ``shape_detail``
 #: block (measured value + bound per shape flag, informational) that
@@ -737,24 +737,19 @@ def run_dissemination(
     metrics["rb"] = {
         "forwarded": counters.get("rb.forwarded"),
         "reroutes": counters.get("rb.reroutes"),
-        "suspect_floods": counters.get("rb.suspect_floods"),
+        "nacks_sent": counters.get("rb.nacks_sent"),
     }
     metrics["decision_path"] = decision_path_block(world, stacks)
     TRACE_WORLDS.append((label or f"dissemination_{policy}", world))
     return metrics
 
 
-def control_goes_direct(ring: dict, tree: dict) -> bool:
+def control_goes_direct(ring: dict) -> bool:
     """``rb.forwarded`` counts bodies only: one forward per body and
     forwarding member (single origin p00 = the head, so the ring is the
-    plain chain with n − 2 forwarders; the binary heap's inner non-root
-    nodes forward in the tree).  A DECIDE walking the overlay would add
-    its own forwards on top."""
-    inner = sum(1 for i in range(1, DISSEMINATION_COUNT) if 2 * i + 1 < DISSEMINATION_COUNT)
-    return (
-        ring["rb"]["forwarded"] == DISSEMINATION_ROUNDS * (DISSEMINATION_COUNT - 2)
-        and tree["rb"]["forwarded"] == DISSEMINATION_ROUNDS * inner
-    )
+    plain chain with n − 2 forwarders).  A DECIDE walking the overlay
+    would add its own forwards on top."""
+    return ring["rb"]["forwarded"] == DISSEMINATION_ROUNDS * (DISSEMINATION_COUNT - 2)
 
 
 def ring_decides_like_flood(ring: dict, flood: dict) -> bool:
@@ -765,20 +760,18 @@ def ring_decides_like_flood(ring: dict, flood: dict) -> bool:
 
 
 def scenario_dissemination_sweep() -> dict:
-    """Flood vs ring vs tree payload routing (schema v6 tentpole).
+    """Flood vs ring payload routing (schema v6 tentpole).
 
     With the bandwidth term enabled, the sweep measures where the wire
     bytes *sit*: a flood origin's NIC carries ~n−1 payload copies per
     broadcast (origin-over-mean ≈ n−1) while ring spreads each body to
-    exactly one send per node (origin-over-mean ≈ 1) and tree bounds
-    fan-out at k.  A bandwidth-disabled flood/ring pair backs the
+    exactly one send per node (origin-over-mean ≈ 1).  A bandwidth-disabled flood/ring pair backs the
     one-sided throughput rule: balancing must not cost end-to-end
     throughput, because ordering is decoupled from dissemination.
     """
     bw = 2_000.0  # bytes/ms: a 4 KiB body costs ~2 ms of serialisation
     flood = run_dissemination("flood", bw, label="dissemination_flood")
     ring = run_dissemination("ring", bw, label="dissemination_ring")
-    tree = run_dissemination("tree", bw, label="dissemination_tree")
     flood_nobw = run_dissemination("flood", None, label="dissemination_flood_nobw")
     ring_nobw = run_dissemination("ring", None, label="dissemination_ring_nobw")
     ring_origin = ring["node_bytes"]["origin_over_mean"]
@@ -790,7 +783,6 @@ def scenario_dissemination_sweep() -> dict:
         "metrics": {
             "flood": flood,
             "ring": ring,
-            "tree": tree,
             "flood_nobw": flood_nobw,
             "ring_nobw": ring_nobw,
             "ring_throughput_fraction_of_flood": _round(
@@ -806,16 +798,13 @@ def scenario_dissemination_sweep() -> dict:
             "flood_origin_concentrated": flood_origin > RING_ORIGIN_BALANCE_BOUND,
             "ring_flatter_than_flood": ring["node_bytes"]["fairness_ratio"]
             < flood["node_bytes"]["fairness_ratio"] / 2,
-            "tree_flatter_than_flood": tree["node_bytes"]["fairness_ratio"]
-            < flood["node_bytes"]["fairness_ratio"],
-            # The overlays actually carried the payloads hop by hop.
-            "overlay_forwarding_active": ring["rb"]["forwarded"] > 0
-            and tree["rb"]["forwarded"] > 0,
-            "no_failure_free_floods": ring["rb"]["suspect_floods"] == 0
-            and tree["rb"]["suspect_floods"] == 0,
+            # The overlay actually carried the payloads hop by hop...
+            "overlay_forwarding_active": ring["rb"]["forwarded"] > 0,
+            # ...and nothing had to be asked for again.
+            "no_failure_free_nacks": ring["rb"]["nacks_sent"] == 0,
             # What orders goes direct: nobody forwards a DECIDE, and the
             # decision is as far away over the ring as it is over flood.
-            "control_goes_direct": control_goes_direct(ring, tree),
+            "control_goes_direct": control_goes_direct(ring),
             "ring_decides_like_flood": ring_decides_like_flood(ring, flood)
             and ring_decides_like_flood(ring_nobw, flood_nobw),
             # One-sided throughput rule (bandwidth disabled): the ring's
@@ -824,10 +813,10 @@ def scenario_dissemination_sweep() -> dict:
             >= tput_flood * DISSEMINATION_THROUGHPUT_FLOOR,
             "no_leaked_latency_intervals": all(
                 run["open_latency_intervals"] == 0
-                for run in (flood, ring, tree, flood_nobw, ring_nobw)
+                for run in (flood, ring, flood_nobw, ring_nobw)
             ),
             "no_spurious_retransmits": no_spurious_retransmits(
-                flood, ring, tree, flood_nobw, ring_nobw
+                flood, ring, flood_nobw, ring_nobw
             ),
         },
         "shape_detail": {
@@ -843,17 +832,13 @@ def scenario_dissemination_sweep() -> dict:
                 f"ring fairness {ring['node_bytes']['fairness_ratio']} < "
                 f"flood fairness {flood['node_bytes']['fairness_ratio']} / 2"
             ),
-            "tree_flatter_than_flood": (
-                f"tree fairness {tree['node_bytes']['fairness_ratio']} < "
-                f"flood fairness {flood['node_bytes']['fairness_ratio']}"
-            ),
             "ring_throughput_holds": (
                 f"ring {tput_ring} msgs/s >= flood {tput_flood} msgs/s * "
                 f"{DISSEMINATION_THROUGHPUT_FLOOR}"
             ),
             "control_goes_direct": (
-                f"rb.forwarded ring {ring['rb']['forwarded']} / tree "
-                f"{tree['rb']['forwarded']} for {DISSEMINATION_ROUNDS} bodies"
+                f"rb.forwarded ring {ring['rb']['forwarded']} for "
+                f"{DISSEMINATION_ROUNDS} bodies"
             ),
             "ring_decides_like_flood": (
                 f"p50 decide ring {ring['decision_path']['p50_decide_ms']} ms <= flood "

@@ -54,7 +54,7 @@ that.  A member of the instance's epoch that a coordinator's PROPOSE
 finds without one (``consensus.on_solicit``) joins with an *empty* id
 vector, so the proposal is ACKed when it arrives.  Left in the buffer it
 would wait for a body to give the member something to propose — a hop
-per member over the ring and tree overlays, against one direct leg for
+per member over the ring overlay, against one direct leg for
 the PROPOSE — *unless* a stale proposal of the member's own happens to
 be in flight at that index (an id two proposers sliced into different
 instances leaves one behind), which answers at once: two regimes 25 %
@@ -397,7 +397,7 @@ class ConsensusAtomicBroadcast(Component):
     def _apply_ready_batches(self) -> None:
         if self.pid not in self.group_provider():
             # Not (or not yet) a member: decided batches can still reach
-            # us — a lazy-relay suspicion flood happily replays old
+            # us — a suspicion-edge NACK's answer happily replays old
             # DECIDE broadcasts at a recovered incarnation's fresh stack
             # — but applying them would deliver the very prefix the
             # state snapshot is about to install, from position zero.

@@ -10,26 +10,26 @@ delivers ``m``.
 **Relay policy**: the eager relay makes every broadcast cost O(n²)
 datagrams even in the common, failure-free case — yet the relay is only
 *needed* when the origin crashes mid-broadcast.  Under
-``relay_policy="lazy"`` members do not relay on first receipt; instead
-each member floods the retained packets of an origin the moment the
-failure detector suspects it (and relays on receipt while the origin
-stays suspected).  The crash-tolerance
+``relay_policy="lazy"`` members do not relay on first receipt; instead,
+the moment the failure detector suspects a member, everybody asks every
+unsuspected peer for what it holds that they lack (the NACK below), and
+relays on receipt while the origin stays suspected.  The crash-tolerance
 argument is unchanged: if any correct member delivered ``m`` and the
 origin crashed before completing its sends, the origin is eventually
-suspected at that member, which then relays ``m`` to everyone — the
-eager flood is restored exactly when it pays for itself.  Suspicion
-comes from the FD ``monitor`` the component is built with: it reads
-``monitor.suspects`` and subscribes :meth:`peer_suspected` to the edges.
+suspected at every correct member, each of which then asks the member
+that holds ``m`` — the relay is paid exactly when it is needed.
+Suspicion comes from the FD ``monitor`` the component is built with: it
+reads ``monitor.suspects`` and subscribes :meth:`peer_suspected` to the
+edges.
 
-**Dissemination overlay** (``dissemination="ring" | "tree"``): under
-flood — the default — the origin unicasts every packet to all n−1
-members, so the origin's NIC is the throughput ceiling.  With an
-overlay the origin instead sends each *body* only to the member who
-orders and its chain successor (ring) or to its ≤ k tree children, and
-every member forwards it at most once on first receipt along the same
-structure (``repro.net.overlay``): O(1)/O(k) payload sends per node per
-broadcast instead of O(n) at the origin, in the spirit of Ring Paxos's
-pipelined dissemination.  **Routing is by size**
+**Dissemination overlay** (``dissemination="ring"``): under flood — the
+default — the origin unicasts every packet to all n−1 members, so the
+origin's NIC is the throughput ceiling.  Over the ring the origin
+instead sends each *body* only to the member who orders and its chain
+successor, and every member forwards it at most once on first receipt
+along the chain (``repro.net.overlay``): O(1) payload sends per node
+per broadcast instead of O(n) at the origin, in the spirit of Ring
+Paxos's pipelined dissemination.  **Routing is by size**
 (:data:`DIRECT_MAX_BYTES`): what orders — a DECIDE, an id-only ENDSTAGE
 — is a few dozen bytes and follows the flood rule whatever the overlay,
 one direct leg from the origin to every member, relayed only as the
@@ -45,22 +45,22 @@ overlay: ``ScenarioConfig.fifo_checkable``).  The overlay is view-aware
 view installs and reincarnations re-shape the routing) and
 failure-repairing: a suspected downstream member is routed *around* —
 its forwarding duties are adopted by its predecessor (counted as
-``rb.reroutes``) while it still gets a best-effort direct copy — and a
-suspicion edge floods **all** retained packets (any origin's, not just
-the suspect's own: a crashed *forwarder* strands other origins'
-packets) as the crash-tolerance backstop.
+``rb.reroutes``) while it still gets a best-effort direct copy — and
+the suspicion-edge NACK is the crash-tolerance backstop: it asks for
+any origin's packets, not just the suspect's own, since a crashed
+*forwarder* strands other origins' packets.
 
 **Loss repair** is decided here and nowhere else.  Every member retains
 every delivered, not-yet-stable packet — its own included, whatever the
 policy — in one store with one GC rule (stable at every current member).
-Two paths read it: the *push* on a suspicion edge above, and the *pull*
-on a detected hole — :meth:`ReliableBroadcast.request_repair` sends our
-watermark vector on the ``rb.nack`` port and the peer re-sends every
-retained packet above it on the ordinary ``rb`` port.  The stability
-tick NACKs for a mark that peers reported a whole interval ago and that
-we still lack (a packet rbcast by a member that had not yet installed
-the view we joined in, or stranded at an overlay forwarder that
-rejoined behind its snapshot fence); atomic broadcast NACKs while a
+One path reads it, the *pull*: :meth:`ReliableBroadcast.request_repair`
+sends our watermark vector on the ``rb.nack`` port and the peer re-sends
+every retained packet above it on the ordinary ``rb`` port.  Three
+things ask: a suspicion edge, above, asks every unsuspected peer; the
+stability tick asks for a mark that peers reported a whole interval ago
+and that we still lack (a packet rbcast by a member that had not yet
+installed the view we joined in, or stranded at an overlay forwarder
+that rejoined behind its snapshot fence); atomic broadcast asks while a
 decided id's body is missing.  The receiver detects and asks, as in
 Ring Paxos: the sender's view of our marks is always stale.
 
@@ -142,14 +142,10 @@ class ReliableBroadcast(Component):
         self.relay = relay
         self.relay_policy = relay_policy
         self.dissemination = dissemination
-        #: Ring/tree payload routing; None = classic flood dissemination.
-        self.overlay = (
-            None
-            if dissemination == "flood"
-            else DisseminationOverlay(dissemination)
-        )
+        #: Ring payload routing; None = classic flood dissemination.
+        self.overlay = None if dissemination == "flood" else DisseminationOverlay()
         #: The stack's small-timeout FD monitor: its suspect set is read
-        #: by the forward rule and the hole detection, its edges flood.
+        #: by the forward rule and the hole detection, its edges NACK.
         #: None (a bare rbcast) suspects nobody.
         self.monitor = monitor
         if monitor is not None:
@@ -172,9 +168,9 @@ class ReliableBroadcast(Component):
         #: decisions, gbcast checks, ...), not of rbcast itself.
         self._tag_layers: dict[str, str] = {}
         #: The one retained store (``relay=True``): every delivered,
-        #: not-yet-stable packet per origin, our own included.  It is the
-        #: material of both repair paths — the suspicion-edge flood and
-        #: the answer to a NACK — and is pruned as packets turn stable.
+        #: not-yet-stable packet per origin, our own included: the
+        #: material of every answer to a NACK, pruned as packets turn
+        #: stable.
         self._retained: dict[str, dict[int, tuple]] = {}
         #: Highest contiguous seq delivered per origin (-1 = none) and the
         #: seqs delivered out of order above it.  Together they are the
@@ -200,7 +196,6 @@ class ReliableBroadcast(Component):
         self._inc_relayed = counters.handle("rb.relayed")
         self._inc_forwarded = counters.handle("rb.forwarded")
         self._inc_reroutes = counters.handle("rb.reroutes")
-        self._inc_suspect_floods = counters.handle("rb.suspect_floods")
         self._inc_nacks = counters.handle("rb.nacks_sent")
         #: Packets re-sent in answer to a NACK (the counter keeps the
         #: name the benchmark reads).
@@ -233,10 +228,10 @@ class ReliableBroadcast(Component):
         if not self._takes_overlay(payload):
             targets = members
         else:
-            # Ring/tree: self-deliver (which also retains our own packet,
+            # Ring: self-deliver (which also retains our own packet,
             # the repair material should our successor crash before
             # forwarding) plus the overlay's next hops only — the origin's
-            # O(n) unicast burst becomes O(1)/O(k).
+            # O(n) unicast burst becomes O(1).
             hops, reroutes = self.overlay.next_hops(
                 members, self.pid, self.pid, self._suspects()
             )
@@ -270,7 +265,7 @@ class ReliableBroadcast(Component):
     def _forward_targets(self, packet: tuple, src: str) -> list[str]:
         """The one forward rule: whom a first receipt is passed on to.
 
-        Overlay: the next hops along the ring/tree (every member forwards
+        Overlay: the next hops along the ring (every member forwards
         a packet at most once — this runs behind the dedup check).
         Flood: everyone under the eager policy, everyone while the origin
         is suspected under the lazy one, otherwise nobody.
@@ -308,8 +303,7 @@ class ReliableBroadcast(Component):
         above.add(seq)
         self._watermarks[sender] = self._absorb_run(mark, above)
         if self.relay:
-            # Retained until stable: the material of the suspicion flood
-            # and of every answer to a NACK.
+            # Retained until stable: the material of every answer to a NACK.
             self._retained.setdefault(sender, {})[seq] = packet
             targets = self._forward_targets(packet, src)
             if targets:
@@ -322,36 +316,25 @@ class ReliableBroadcast(Component):
         handler(origin, payload, mid)
 
     def peer_suspected(self, pid: str) -> None:
-        """Suspicion edge from the FD: flood retained packets (the
-        crash-tolerance step of lazy relay and of the overlays).
+        """Suspicion edge from the FD: ask every unsuspected peer for what
+        it retains above our marks (the crash-tolerance step of lazy relay
+        and of the overlay).
 
-        Lazy flood relay: flood the suspected process's own origins —
-        only the origin's crash can leave its packets under-delivered.
-        Overlay routing: flood **every** retained packet regardless of
-        origin — a crashed *forwarder* strands whatever packets were
-        mid-route through it, whoever originated them.  Dedup makes the
-        redundant copies harmless.
-
-        No-op under the eager flood policy — everything was already
-        relayed on first receipt.
+        A packet the suspect originated, or was forwarding when it
+        crashed, may have reached some members and not us; whoever has
+        it answers the NACK.  Packets of the suspect still in flight are
+        relayed on receipt by :meth:`_forward_targets`.  No-op under the
+        eager flood policy — everything was already relayed on first
+        receipt.
         """
         if not self.relay:
             return
         if self.overlay is None and self.relay_policy == "eager":
             return
-        peers = [q for q in self.group_provider() if q != self.pid]
-        if not peers:
-            return
-        flooded = 0
-        for origin, packets in self._retained.items():
-            if self.overlay is None and origin_pid(origin) != pid:
-                continue
-            for seq in sorted(packets):
-                self._send(packets[seq], "rb:flood", peers)
-                flooded += 1
-        if flooded:
-            self._inc_suspect_floods(flooded)
-            self.trace("suspect_flood", peer=pid, packets=flooded)
+        suspects = self._suspects()
+        for peer in self.group_provider():
+            if peer != self.pid and peer not in suspects:
+                self.request_repair(peer)
 
     # ------------------------------------------------------------------
     # Stability (Ensemble's `stable` component, new-architecture style)
@@ -403,7 +386,7 @@ class ReliableBroadcast(Component):
     def _nack_stranded(self, members: list[str]) -> None:
         """Receiver-side hole detection: ask for what the gossip says we lack.
 
-        A packet can miss us with no suspicion edge to flood it: it was
+        A packet can miss us with no suspicion edge to ask for it: it was
         rbcast by a member that had not yet installed the view we joined
         in (never addressed to us), or it was in flight *through* an
         overlay forwarder that crashed and rejoined behind a snapshot
@@ -429,9 +412,9 @@ class ReliableBroadcast(Component):
     def request_repair(self, peer: str) -> None:
         """NACK: ask ``peer`` to re-send what it retains above our marks.
 
-        The one receiver-driven repair.  The answer arrives as ordinary
-        packets on the ``rb`` port, so dedup, forwarding and the tag
-        handlers need no second entry point.
+        The one repair path.  The answer arrives as ordinary packets on
+        the ``rb`` port, so dedup, forwarding and the tag handlers need no
+        second entry point.
         """
         self._inc_nacks()
         self.trace("nack", peer=peer)

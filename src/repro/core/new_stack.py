@@ -103,8 +103,8 @@ class StackConfig:
     #: instances instead of riding one giant batch.
     abcast_max_batch: int | None = 4
     #: Reliable-broadcast relay policy: ``"lazy"`` relays only for
-    #: origins the FD currently suspects, flooding retained packets when
-    #: a suspicion arises — O(n) datagrams per broadcast in the
+    #: origins the FD currently suspects, asking its peers for what it
+    #: lacks when a suspicion arises — O(n) datagrams per broadcast in the
     #: failure-free case; ``"eager"`` relays every packet on first
     #: receipt (O(n²) datagrams, per-sender FIFO through any fault).
     #: Same delivery guarantee either way.
@@ -112,12 +112,11 @@ class StackConfig:
     #: Payload dissemination overlay (``repro.net.overlay``): ``"flood"``
     #: has the origin unicast every rbcast packet to all n−1 members;
     #: ``"ring"`` sends each body to the view's first member and along
-    #: the chain of the others, every node sending it at most once;
-    #: ``"tree"`` routes down a deterministic binary tree rooted at the
-    #: origin (latency O(log n) hops).  Small packets (what orders) go
-    #: direct over either.  Ring/tree re-route around FD-suspected
-    #: members and fall back to a retained-packet flood on suspicion
-    #: edges, so the rbcast delivery guarantee is unchanged.
+    #: the chain of the others, every node sending it at most once.
+    #: Small packets (what orders) go direct over the ring too.  The
+    #: ring re-routes around FD-suspected members and, like lazy relay,
+    #: asks every unsuspected peer for what it lacks on a suspicion
+    #: edge, so the rbcast delivery guarantee is unchanged.
     dissemination: str = "flood"
     #: Reliable-channel send coalescing: segments to the same peer
     #: within this window (ms) ride one datagram, and ACKs are delayed
@@ -193,7 +192,7 @@ class NewArchitectureStack:
         # layers built with it subscribe themselves, so one edge reaches
         # them top-down in one event: generic broadcast unblocks the
         # fast path (and promotes the next stage closer), consensus
-        # moves past the suspect, rbcast floods what it retains.  It
+        # moves past the suspect, rbcast asks for what it lacks.  It
         # times out the watcher only and has the rest from the watcher's
         # reports, which travel over the reliable channel.
         self.suspicion_monitor = StarMonitor(self.fd, members, cfg.suspicion_timeout, self.channel)

@@ -66,9 +66,9 @@ def scenario_for_seed(seed: int, budget_events: int = 200_000) -> ScenarioConfig
             relay_policy=rng.choice(["eager", "lazy"]),
             coalesce_delay=rng.choice([None, 0.5]),
             exclusion_timeout=rng.choice([900.0, 2_000.0]),
-            # Mostly flood (the default everywhere) with ring/tree
-            # overlay coverage in the sweep.
-            dissemination=rng.choice(["flood", "flood", "ring", "tree"]),
+            # Half flood (the default everywhere), half ring.  Four
+            # entries, so every other draw of every seed keeps its value.
+            dissemination=rng.choice(["flood", "flood", "ring", "ring"]),
         ),
         budget_events=budget_events,
     )

@@ -64,11 +64,11 @@ class ObserverPanel:
 
     * ``check_fifo=False`` omits the per-sender-per-class FIFO observer —
       reliable broadcast delivers on first receipt over any path, and a
-      lazy-relay suspicion flood re-injects a *partial*
-      (stability-pruned) copy of a sender's stream, so a flooded later
+      lazy-relay suspicion-edge repair re-injects a *partial*
+      (stability-pruned) copy of a sender's stream, so a repaired later
       message can legally overtake an earlier one;
     * ``check_incarnation=False`` omits the incarnation-monotonicity
-      observer — a pre-crash message that a flood, loss retransmission
+      observer — a pre-crash message that a repair, loss retransmission
       or partition heal delivers *after* the sender's recovered
       incarnation started broadcasting is a legal straggler (uniform
       agreement requires delivering it), not a fencing bug.

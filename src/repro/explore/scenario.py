@@ -140,16 +140,16 @@ class ScenarioConfig:
         that a rejoiner acks the pending set its state snapshot hands
         over, in id order, before anything that arrives later (corpus
         entry ``rejoiner-inherits-unacked-pending``).  A
-        **lazy-relay** suspicion flood instead re-injects only the
+        **lazy-relay** suspicion-edge repair instead re-injects only the
         *retained* (not-yet-stable) suffix of a sender's stream — a
-        flooded later message can legally overtake an earlier one, and a
+        repaired later message can legally overtake an earlier one, and a
         false suspicion can trigger that with no fault plan at all.
         Cross-class order is never asserted (the observer keys streams
         by class): commuting messages deliberately bypass the staging
         machinery that conflicting messages wait on.
 
-        The ring/tree dissemination overlays share the lazy caveat: their
-        suspicion-edge flood re-injects the retained suffix, so a false
+        The ring overlay shares the lazy caveat: its suspicion-edge
+        repair re-injects the retained suffix, so a false
         suspicion can reorder with no fault plan at all — FIFO is only
         checkable under classic flood dissemination.
         """

@@ -68,7 +68,7 @@ it reads ``monitor.suspects`` and subscribes to the edges
 monitor; an edge reaches them within one event, **top-down** — last
 subscribed, first told.  A stack is built bottom-up, so what orders
 (generic broadcast, consensus) moves before what repairs (reliable
-broadcast's flood), whose bulk would otherwise sit in front of the
+broadcast's NACKs), whose answers would otherwise sit in front of the
 ordering messages on the same FIFO links.
 
 **Who watches whom.**  A plain :class:`Monitor` watches every peer
@@ -385,7 +385,7 @@ class StarMonitor(Monitor):
     def _announce(self, suspect: bool, peer: str, **via: str) -> None:
         """An edge at a process that is its own watcher before or after it
         goes out as a report *ahead of* the listeners: what they send —
-        reliable broadcast floods what it retains — would otherwise sit
+        reliable broadcast's repair requests — would otherwise sit
         in front of it on the same FIFO channels."""
         members = self._peers()
         reporting = watcher(members, self.suspects) == self._detector.pid

@@ -1,4 +1,4 @@
-"""Dissemination overlay: deterministic ring / k-ary tree payload routing.
+"""Dissemination overlay: deterministic ring payload routing.
 
 Flood dissemination (the default everywhere) makes the *origin* unicast
 every payload to all n−1 members, so the origin's NIC is the throughput
@@ -6,29 +6,22 @@ ceiling — the classic bottleneck Ring Paxos removes by routing payloads
 along a ring so that every node sends each body at most once.  This
 module computes the next hops of that routing, purely as a function of
 the current membership, the packet's origin, and the failure detector's
-current suspect set:
-
-* ``ring`` — members sorted and rotated so the origin comes first.  The
-  origin sends to the **head** — the view's first member, the one who
-  orders (:meth:`DisseminationOverlay.head`) — and to its successor on
-  the chain of everybody else; a chain member forwards to its
-  successor, the last one and the head to nobody.  O(1) payload sends
-  per node per broadcast (2 at the origin) instead of O(n), every body
-  is at the head after one hop, and the head is a *leaf*: crashed or
-  suspected, it strands nobody's packet.  Origin = head: the plain chain.
-* ``tree`` — the same rotated order read as a k-ary heap rooted at the
-  origin: the member at index ``i`` forwards to indices ``k*i+1 ..
-  k*i+k``.  Latency O(log_k n) hops, fan-out bounded by ``k``.  No spur:
-  every member is that close already, and heap index 1 is an inner node
-  — the head there would forward every origin's bodies.
+current suspect set.  Members are sorted and rotated so the origin comes
+first.  The origin sends to the **head** — the view's first member, the
+one who orders (:meth:`DisseminationOverlay.head`) — and to its
+successor on the chain of everybody else; a chain member forwards to
+its successor, the last one and the head to nobody.  O(1) payload sends
+per node per broadcast (2 at the origin) instead of O(n), every body is
+at the head after one hop, and the head is a *leaf*: crashed or
+suspected, it strands nobody's packet.  Origin = head: the plain chain.
 
 **Failure repair** (the part that keeps rbcast's agreement argument
 intact, see ``repro.broadcast.rbcast``): a suspected member is routed
-*around* — its routing duties are adopted by the node that would have
-sent to it (ring: skip to the next unsuspected successor; tree: adopt
-the suspect's children) — while the packet is still sent to the suspect
-directly as a best-effort hop, so a *falsely* suspected member keeps
-receiving payloads and only the chain no longer depends on it.  Each
+*around* — its forwarding duty is adopted by the node that would have
+sent to it, which skips to the next unsuspected successor — while the
+packet is still sent to the suspect directly as a best-effort hop, so
+a *falsely* suspected member keeps receiving payloads and only the
+chain no longer depends on it.  Each
 skip is reported as a re-route so callers can count ``rb.reroutes``.
 
 Everything here is deterministic: hops depend only on the sorted member
@@ -42,7 +35,7 @@ from __future__ import annotations
 
 from typing import Collection, Sequence
 
-POLICIES = ("flood", "ring", "tree")
+POLICIES = ("flood", "ring")
 
 
 def watcher(members: Sequence[str], suspects: Collection[str] = ()) -> str | None:
@@ -56,15 +49,9 @@ def watcher(members: Sequence[str], suspects: Collection[str] = ()) -> str | Non
 
 
 class DisseminationOverlay:
-    """Next-hop computation for ring / tree payload dissemination."""
+    """Next-hop computation for ring payload dissemination."""
 
-    def __init__(self, policy: str, fanout: int = 2) -> None:
-        if policy not in ("ring", "tree"):
-            raise ValueError(f"unknown dissemination policy {policy!r}")
-        if policy == "tree" and fanout < 1:
-            raise ValueError("tree fanout must be >= 1")
-        self.policy = policy
-        self.fanout = fanout
+    def __init__(self) -> None:
         # Rotated ring order per (members, origin): membership changes
         # rarely relative to packet rate, so the sort is paid once per
         # (view, origin) pair, not once per packet.
@@ -106,11 +93,6 @@ class DisseminationOverlay:
         )
         return hops[-1] if hops else None
 
-    def tree_children(self, members: Sequence[str], origin: str, pid: str) -> list[str]:
-        """``pid``'s failure-free tree children."""
-        hops, _ = self._tree_hops(self.order(members, origin), pid, set())
-        return hops
-
     # ------------------------------------------------------------------
     # Routing with failure repair
     # ------------------------------------------------------------------
@@ -131,9 +113,7 @@ class DisseminationOverlay:
         ring = self.order(members, origin)
         if pid not in ring or origin not in ring:
             return [q for q in ring if q != pid], 0
-        if self.policy == "ring":
-            return self._ring_hops(ring, self.head(members), pid, suspects)
-        return self._tree_hops(ring, pid, suspects)
+        return self._ring_hops(ring, self.head(members), pid, suspects)
 
     def _ring_hops(
         self, ring: list[str], head: str | None, pid: str, suspects: set[str]
@@ -154,27 +134,4 @@ class DisseminationOverlay:
             if succ not in suspects:
                 break
             reroutes += 1
-        return hops, reroutes
-
-    def _tree_hops(
-        self, ring: list[str], pid: str, suspects: set[str]
-    ) -> tuple[list[str], int]:
-        n = len(ring)
-        at = ring.index(pid)
-        hops: list[str] = []
-        reroutes = 0
-        k = self.fanout
-        # A suspected child still gets its best-effort copy, but its own
-        # children are adopted (recursively) so the subtree below it
-        # does not depend on a possibly-crashed forwarder.
-        pending = [k * at + c for c in range(1, k + 1)]
-        while pending:
-            child = pending.pop(0)
-            if child >= n:
-                continue
-            q = ring[child]
-            hops.append(q)
-            if q in suspects:
-                reroutes += 1
-                pending.extend(k * child + c for c in range(1, k + 1))
         return hops, reroutes

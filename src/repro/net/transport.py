@@ -71,7 +71,7 @@ class UnreliableTransport:
         #: Per-sender wire bytes (``net.bytes.sent.<pid>``): the
         #: measurement half of bandwidth-*balanced* dissemination — the
         #: aggregate ``net.bytes`` cannot show whether the load sits on
-        #: one NIC (flood origin) or is spread around a ring/tree.
+        #: one NIC (flood origin) or is spread around a ring.
         self._pid_byte_handles: dict[str, Any] = {}
         self._port_handles: dict[str, Any] = {}
         #: pid -> (incarnation at registration, sink).  One sink per

@@ -1,5 +1,5 @@
-"""Ring/tree dissemination overlays on rbcast: balanced payload routing
-failure-free, and the retained-packet flood backstop under forwarder
+"""The ring dissemination overlay on rbcast: balanced payload routing
+failure-free, and the suspicion-edge NACK backstop under forwarder
 crashes, suspicion re-routes, view changes and reincarnation."""
 
 from repro.broadcast.rbcast import DIRECT_MAX_BYTES, ReliableBroadcast
@@ -9,7 +9,7 @@ from repro.net.topology import LinkModel
 from repro.net.wire import Blob, payload_size
 from repro.sim.world import World
 
-from tests.conftest import run_until
+from tests.conftest import edge_nacks, run_until
 
 
 def overlay_world(
@@ -62,13 +62,14 @@ def test_rejects_unknown_dissemination():
     world = World(seed=9)
     world.spawn(1)
     channel = ReliableChannel(world.process("p00"))
-    try:
-        ReliableBroadcast(
-            world.process("p00"), channel, lambda: ["p00"], dissemination="gossip"
-        )
-        assert False, "expected ValueError"
-    except ValueError:
-        pass
+    for policy in ("gossip", "tree"):
+        try:
+            ReliableBroadcast(
+                world.process("p00"), channel, lambda: ["p00"], dissemination=policy
+            )
+            assert False, "expected ValueError"
+        except ValueError:
+            pass
 
 
 def test_ring_delivers_everywhere_failure_free():
@@ -83,21 +84,8 @@ def test_ring_delivers_everywhere_failure_free():
     # once each, the origin and the last member do not.
     assert counters.get("rb.forwarded") == 30
     assert counters.get("rb.relayed") == 0
-    assert counters.get("rb.suspect_floods") == 0
+    assert counters.get("rb.nacks_sent") == 0
     assert counters.get("rb.reroutes") == 0
-
-
-def test_tree_delivers_everywhere_failure_free():
-    world, rbs, delivered, _ = overlay_world(count=7, seed=3, dissemination="tree")
-    world.start()
-    for i in range(10):
-        rbs["p03"].rbcast("t", body(i))
-    assert run_until(world, lambda: all(len(d) == 10 for d in delivered.values()))
-    assert all(d == [body(i) for i in range(10)] for d in delivered.values())
-    # Binary tree over 7 nodes: root + 2 internal nodes send, 4 leaves
-    # do not — forwards come only from the internal (non-root) nodes.
-    assert world.metrics.counters.get("rb.forwarded") == 20
-    assert world.metrics.counters.get("rb.suspect_floods") == 0
 
 
 def test_ring_balances_payload_bytes_across_nodes():
@@ -122,10 +110,10 @@ def test_ring_balances_payload_bytes_across_nodes():
     assert per_policy["ring"] < 1.5
 
 
-def test_ring_floods_retained_packets_when_the_successor_crashes():
+def test_ring_pulls_retained_packets_when_the_successor_crashes():
     # p00's packet dies with its successor p01 before the forward: the
-    # rest of the ring is starved until the FD suspects p01 and the
-    # members holding the packet (here: only the origin) flood it.
+    # rest of the ring is starved until the FD suspects p01, and the
+    # starved members ask the others — here only the origin holds it.
     world, rbs, delivered, _ = overlay_world(count=4, seed=5, link=LinkModel(1.0, 0.0))
     world.crash("p01", at=0.5)
     world.start()
@@ -139,13 +127,15 @@ def test_ring_floods_retained_packets_when_the_successor_crashes():
         lambda: delivered["p02"] == [body("survivor")] and delivered["p03"] == [body("survivor")],
         timeout=5_000,
     )
-    assert world.metrics.counters.get("rb.suspect_floods") >= 1
+    assert edge_nacks(world, "p02", "p01") == ["p00", "p03"]
+    assert edge_nacks(world, "p03", "p01") == ["p00", "p02"]
+    assert world.metrics.counters.get("rb.overlay_repairs") >= 2
 
 
-def test_ring_floods_other_origins_packets_on_forwarder_crash():
+def test_ring_pulls_other_origins_packets_on_forwarder_crash():
     # A crashed *forwarder* strands packets it was mid-route for — other
     # origins' packets, not its own.  p02 receives p00's packet, crashes
-    # before its forward lands at p03; the flood backstop must re-inject
+    # before its forward lands at p03; p03's NACK on the edge must fetch
     # p00's packet from whoever retained it.
     world, rbs, delivered, _ = overlay_world(count=4, seed=6, link=LinkModel(1.0, 0.0))
     # p02 -> p03 is very slow: the forward is in flight when p02 dies.
@@ -156,13 +146,13 @@ def test_ring_floods_other_origins_packets_on_forwarder_crash():
     world.run_for(50.0)
     assert delivered["p01"] == [body("strand")] and delivered["p03"] == []
     assert run_until(world, lambda: delivered["p03"] == [body("strand")], timeout=5_000)
-    assert world.metrics.counters.get("rb.suspect_floods") >= 1
+    assert edge_nacks(world, "p03", "p02") == ["p00", "p01"]
+    assert world.metrics.counters.get("rb.overlay_repairs") >= 1
 
 
 def test_ring_reroutes_around_a_suspected_member():
     # Once p01 is suspected, fresh broadcasts route around it: the chain
-    # continues through p02 directly and delivery does not wait for
-    # another suspicion flood.
+    # continues through p02 directly and delivery needs no repair.
     world, rbs, delivered, _ = overlay_world(count=4, seed=7, link=LinkModel(1.0, 0.0))
     world.crash("p01", at=0.5)
     world.start()
@@ -171,7 +161,7 @@ def test_ring_reroutes_around_a_suspected_member():
         lambda: "p01" in rbs["p00"].monitor.suspects,
         timeout=5_000,
     )
-    floods_before = world.metrics.counters.get("rb.suspect_floods")
+    nacks_before = world.metrics.counters.get("rb.nacks_sent")
     rbs["p00"].rbcast("t", body("around"))
     assert run_until(
         world,
@@ -179,30 +169,8 @@ def test_ring_reroutes_around_a_suspected_member():
         timeout=1_000,
     )
     assert world.metrics.counters.get("rb.reroutes") >= 1
-    assert world.metrics.counters.get("rb.suspect_floods") == floods_before
-
-
-def test_tree_reroutes_around_a_suspected_child():
-    world, rbs, delivered, _ = overlay_world(
-        count=7, seed=8, link=LinkModel(1.0, 0.0), dissemination="tree"
-    )
-    world.crash("p01", at=0.5)
-    world.start()
-    assert run_until(
-        world,
-        lambda: "p01" in rbs["p00"].monitor.suspects,
-        timeout=5_000,
-    )
-    rbs["p00"].rbcast("t", body("adopted"))
-    # p01's subtree (p03, p04) is adopted by p00 and still delivers.
-    assert run_until(
-        world,
-        lambda: all(
-            delivered[q] == [body("adopted")] for q in ("p02", "p03", "p04", "p05", "p06")
-        ),
-        timeout=1_000,
-    )
-    assert world.metrics.counters.get("rb.reroutes") >= 1
+    assert world.metrics.counters.get("rb.nacks_sent") == nacks_before
+    assert world.metrics.counters.get("rb.overlay_repairs") == 0
 
 
 def test_overlay_recomputes_hops_on_view_install():
@@ -222,7 +190,7 @@ def test_overlay_recomputes_hops_on_view_install():
         timeout=1_000,
     )
     # No suspicion machinery involved: the new membership alone re-routed.
-    assert world.metrics.counters.get("rb.suspect_floods") == 0
+    assert world.metrics.counters.get("rb.nacks_sent") == 0
 
 
 def test_recovered_incarnation_disseminates_over_the_ring():
@@ -256,7 +224,7 @@ def test_recovered_incarnation_disseminates_over_the_ring():
 
 
 def test_anti_entropy_repairs_a_silent_mid_chain_stall():
-    # The black hole the suspicion flood cannot see: p00's packet is
+    # The black hole no suspicion edge reveals: p00's packet is
     # sent to its successor p01 while p01 is crashed, and p01 comes back
     # (fresh incarnation, snapshot fence covering the packet) before any
     # FD edge fires — suspicion is disabled outright here to prove no
@@ -286,7 +254,7 @@ def test_anti_entropy_repairs_a_silent_mid_chain_stall():
     assert run_until(world, lambda: delivered["p02"] == [body("stranded")], timeout=5_000)
     counters = world.metrics.counters
     assert counters.get("rb.overlay_repairs") >= 1
-    assert counters.get("rb.suspect_floods") == 0
+    assert not world.trace.select(component="fd", event="suspect")
 
 
 def test_overlay_retained_packets_are_pruned_with_stability():

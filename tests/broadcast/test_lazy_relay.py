@@ -1,5 +1,5 @@
-"""Lazy rbcast relay: O(n) datagrams failure-free, the relay flood only
-on suspicion — and the same delivery guarantee under a sender crash."""
+"""Lazy rbcast relay: O(n) datagrams failure-free, repair only on
+suspicion — and the same delivery guarantee under a sender crash."""
 
 from repro.broadcast.rbcast import ReliableBroadcast, origin_pid
 from repro.fd.heartbeat import HeartbeatFailureDetector
@@ -7,7 +7,7 @@ from repro.net.reliable import ReliableChannel
 from repro.net.topology import LinkModel
 from repro.sim.world import World
 
-from tests.conftest import run_until
+from tests.conftest import edge_nacks, run_until
 
 
 def lazy_world(count=3, seed=1, link=None, suspicion_timeout=100.0, policy="lazy"):
@@ -52,7 +52,7 @@ def test_lazy_policy_never_relays_failure_free():
         rbs["p00"].rbcast("t", i)
     assert run_until(world, lambda: all(len(d) == 10 for d in delivered.values()))
     assert world.metrics.counters.get("rb.relayed") == 0
-    assert world.metrics.counters.get("rb.suspect_floods") == 0
+    assert world.metrics.counters.get("rb.nacks_sent") == 0
 
 
 def test_lazy_costs_less_than_eager_failure_free():
@@ -72,8 +72,8 @@ def test_lazy_costs_less_than_eager_failure_free():
 def test_lazy_relay_delivers_under_sender_crash():
     # Mirror of test_relay_survives_sender_crash_mid_broadcast: the
     # sender's packet reaches only p01 before the crash.  Under the lazy
-    # policy nothing is relayed until the FD suspects p00 — then p01
-    # floods its retained packet and p02 still delivers.
+    # policy nothing is relayed until the FD suspects p00 — then p02 asks
+    # p01 for what it lacks, and delivers p01's retained copy.
     world, rbs, delivered = lazy_world(seed=4, link=LinkModel(1.0, 0.0))
     world.transport.set_link("p00", "p02", LinkModel(delay_min=10_000.0, delay_jitter=0.0))
     world.start()
@@ -88,7 +88,26 @@ def test_lazy_relay_delivers_under_sender_crash():
         lambda: delivered["p02"] == ["survivor"],
         timeout=5_000,
     )
-    assert world.metrics.counters.get("rb.suspect_floods") >= 1
+    # One NACK per unsuspected peer on each survivor's edge.
+    assert edge_nacks(world, "p01", "p00") == ["p02"]
+    assert edge_nacks(world, "p02", "p00") == ["p01"]
+    assert world.metrics.counters.get("rb.overlay_repairs") >= 1
+
+
+def test_a_suspicion_edge_under_eager_relay_asks_for_nothing():
+    # Eager flood relays every packet on first receipt: there is nothing
+    # a suspicion edge could repair, so it sends no NACK.
+    world, rbs, delivered = lazy_world(seed=4, link=LinkModel(1.0, 0.0), policy="eager")
+    world.start()
+    rbs["p00"].rbcast("t", "relayed")
+    world.crash("p00", at=5.0)
+    assert run_until(
+        world,
+        lambda: all("p00" in rbs[q].monitor.suspects for q in ("p01", "p02")),
+        timeout=5_000,
+    )
+    assert delivered["p01"] == delivered["p02"] == ["relayed"]
+    assert world.metrics.counters.get("rb.nacks_sent") == 0
 
 
 def test_relay_on_receipt_while_origin_suspected():

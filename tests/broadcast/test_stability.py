@@ -238,4 +238,3 @@ def test_fault_free_ring_run_sends_no_repair_traffic():
     assert counters.get("rb.nacks_sent") == 0
     assert counters.get("abcast.pulls_sent") == 0
     assert counters.get("rb.overlay_repairs") == 0
-    assert counters.get("rb.suspect_floods") == 0

@@ -22,6 +22,23 @@ def run_until(
     return world.run_until(predicate, timeout=timeout, step=step)
 
 
+def edge_nacks(world: World, pid: str, suspect: str) -> list[str]:
+    """The peers ``pid``'s reliable broadcast NACKed at the instant its
+    monitor suspected ``suspect`` (sorted; empty: no such edge)."""
+    edges = [
+        record.time
+        for record in world.trace.select(pid=pid, component="fd", event="suspect")
+        if record.details["peer"] == suspect
+    ]
+    if not edges:
+        return []
+    return sorted(
+        record.details["peer"]
+        for record in world.trace.select(pid=pid, component="rb", event="nack")
+        if record.time == edges[0]
+    )
+
+
 def new_group(
     count: int = 3,
     seed: int = 1,

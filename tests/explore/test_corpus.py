@@ -97,9 +97,9 @@ MECHANISM_COUNTERS = {
     "rejoin-window-stability-hole": ("rb.nacks_sent", "rb.overlay_repairs"),
     # A member behind the rejoiner's own view answers its join request.
     "stale-sponsor-cannot-roll-back": ("gm.stale_snapshots_refused",),
-    # The successor's crash triggers the suspicion flood; the flood and
-    # the ring's re-route leave nothing for the NACK backstop here.
-    "ring-successor-crash-mid-dissemination": ("rb.forwarded", "rb.suspect_floods"),
+    # The successor's crash: the chain forwards around it, and each
+    # survivor's suspicion edge NACKs a packet the other retained.
+    "ring-successor-crash-mid-dissemination": ("rb.forwarded", "rb.overlay_repairs"),
 }
 
 

@@ -22,6 +22,8 @@ from repro.net.topology import LinkModel
 from repro.net.transport import UnreliableTransport
 from repro.sim.world import World
 
+from tests.conftest import edge_nacks
+
 _PERF = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
 
 #: Body length behind the four header fields, per kind of rc datagram.
@@ -103,8 +105,8 @@ def test_one_suspicion_edge_reaches_all_three_layers_in_the_same_event():
     # p00 is round-0 coordinator and stage closer.  It dies holding the
     # ack p02's g-broadcast waits for and the PROPOSE p01's a-broadcast
     # waits for; its own last packet is not yet stable.  When p01's
-    # monitor suspects it, within that one event: rbcast floods p00's
-    # retained packet, consensus leaves round 0, and generic broadcast
+    # monitor suspects it, within that one event: rbcast asks p02 for
+    # what it lacks, consensus leaves round 0, and generic broadcast
     # (p01 is the closer now) orders the ENDSTAGE.
     config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=100_000.0))
     world = World(seed=3, default_link=LinkModel(1.0, 1.0))
@@ -122,7 +124,7 @@ def test_one_suspicion_edge_reaches_all_three_layers_in_the_same_event():
     def state():
         mine = lambda records: [r for r in records if r.pid == "p01"]
         return {
-            "floods": len(mine(world.trace.select(component="rb", event="suspect_flood"))),
+            "nacks": len(mine(world.trace.select(component="rb", event="nack"))),
             "rounds": sorted(i.round for i in p01.consensus._instances.values() if not i.decided),
             "closes": len(mine(world.trace.select(component="gbcast", event="endstage"))),
         }
@@ -136,17 +138,17 @@ def test_one_suspicion_edge_reaches_all_three_layers_in_the_same_event():
         world.run_for(0.05)
     (suspect, at, before), = inside
     assert suspect == "p00"
-    assert before == {"floods": 0, "rounds": [0], "closes": 0}
+    assert before == {"nacks": 0, "rounds": [0], "closes": 0}
     assert world.now - at <= 0.05
     # (Two instances by now: the ENDSTAGE's own started past the suspect.)
-    assert state() == {"floods": 1, "rounds": [1, 1], "closes": 1}
+    assert state() == {"nacks": 1, "rounds": [1, 1], "closes": 1}
     # All of it at the edge's own instant, and top-down: what orders (the
-    # ENDSTAGE) is on the FIFO links before the bulk of the repair flood.
+    # ENDSTAGE) is on the FIFO links before the repair request.
     mine = [r for r in world.trace.records if r.pid == "p01" and r.time == at]
     events = [(r.component, r.event) for r in mine]
     assert events.index(("fd", "suspect")) < events.index(("gbcast", "endstage"))
-    assert events.index(("gbcast", "endstage")) < events.index(("rb", "suspect_flood"))
-    assert world.metrics.counters.get("rb.suspect_floods") >= 1
+    assert events.index(("gbcast", "endstage")) < events.index(("rb", "nack"))
+    assert edge_nacks(world, "p01", "p00") == ["p02"]
     # Nothing was lost on the way: both messages are delivered everywhere
     # that is alive.
     delivered = lambda s: [m.payload for m, _path in s.gbcast.delivered_log]

@@ -94,13 +94,17 @@ def test_snapshot_not_newer_than_own_view_is_refused_whole():
             victim.abcast.delivered_ids(),
         )
 
+    refused = lambda: world.metrics.counters.get("gm.stale_snapshots_refused")
     before = position()
     assert before[0].id == 1 and before[2] >= 1 and before[3] == 1
+    assert refused() == 0
     victim.membership._on_state("p00", stale)
     assert position() == before
+    assert refused() == 1
     # The same snapshot carrying the view it was excluded in: still refused.
     victim.membership._on_state("p00", {**stale, "view": before[0]})
     assert position() == before
+    assert refused() == 2
 
 
 def test_decision_retained_during_transfer_is_applied_inside_the_install():

@@ -224,7 +224,7 @@ def test_lazy_coalesced_stack_fingerprint_is_byte_identical():
         }
         keep = (
             "net.sent", "net.delivered", "rc.batches", "rc.segments_coalesced",
-            "rb.relayed", "rb.suspect_floods", "rb.broadcasts",
+            "rb.relayed", "rb.nacks_sent", "rb.broadcasts",
         )
         counts = {k: world.metrics.counters.get(k) for k in keep}
         return logs, counts, world.now

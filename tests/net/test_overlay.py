@@ -1,6 +1,6 @@
 """Deterministic next-hop computation of the dissemination overlay.
 
-Pure-function coverage: ring successors, k-ary tree children, suspicion
+Pure-function coverage: ring successors, the spur to the head, suspicion
 re-routing, and the recomputation that view installs and reincarnations
 get for free because hops are a function of the current membership.
 """
@@ -10,20 +10,10 @@ import pytest
 from repro.net.overlay import DisseminationOverlay
 
 FIVE = ["p00", "p01", "p02", "p03", "p04"]
-SEVEN = FIVE + ["p05", "p06"]
-
-
-def test_rejects_unknown_policy_and_bad_fanout():
-    with pytest.raises(ValueError):
-        DisseminationOverlay("gossip")
-    with pytest.raises(ValueError):
-        DisseminationOverlay("flood")  # flood means "no overlay", not a policy here
-    with pytest.raises(ValueError):
-        DisseminationOverlay("tree", fanout=0)
 
 
 def test_ring_order_rotates_to_the_origin():
-    ring = DisseminationOverlay("ring")
+    ring = DisseminationOverlay()
     assert ring.order(FIVE, "p00") == FIVE
     assert ring.order(FIVE, "p02") == ["p02", "p03", "p04", "p00", "p01"]
     # Membership arrival order is irrelevant: the ring is sorted first.
@@ -31,7 +21,7 @@ def test_ring_order_rotates_to_the_origin():
 
 
 def test_ring_chain_covers_the_group_once():
-    ring = DisseminationOverlay("ring")
+    ring = DisseminationOverlay()
     # Follow the chain from the origin: every member appears exactly once
     # and the predecessor of the origin forwards to nobody.
     covered = ["p00"]
@@ -47,7 +37,7 @@ def test_ring_chain_covers_the_group_once():
 
 
 def test_ring_each_node_has_one_hop():
-    ring = DisseminationOverlay("ring")
+    ring = DisseminationOverlay()
     for pid in FIVE[:-1]:
         hops, reroutes = ring.next_hops(FIVE, "p00", pid, set())
         assert len(hops) == 1 and reroutes == 0
@@ -55,7 +45,7 @@ def test_ring_each_node_has_one_hop():
 
 
 def test_ring_reroutes_around_a_suspect_but_still_copies_it():
-    ring = DisseminationOverlay("ring")
+    ring = DisseminationOverlay()
     hops, reroutes = ring.next_hops(FIVE, "p00", "p00", {"p01"})
     # The suspect keeps its best-effort copy; the chain continues past it.
     assert hops == ["p01", "p02"]
@@ -67,7 +57,7 @@ def test_ring_reroutes_around_a_suspect_but_still_copies_it():
 
 
 def test_ring_suspect_at_end_of_chain_never_wraps_to_origin():
-    ring = DisseminationOverlay("ring")
+    ring = DisseminationOverlay()
     hops, reroutes = ring.next_hops(FIVE, "p00", "p03", {"p04"})
     # p04 gets its best-effort copy but the chain stops: the origin
     # already has the packet.
@@ -75,40 +65,8 @@ def test_ring_suspect_at_end_of_chain_never_wraps_to_origin():
     assert reroutes == 1
 
 
-def test_tree_children_form_a_karey_heap_rooted_at_origin():
-    tree = DisseminationOverlay("tree", fanout=2)
-    assert tree.tree_children(SEVEN, "p00", "p00") == ["p01", "p02"]
-    assert tree.tree_children(SEVEN, "p00", "p01") == ["p03", "p04"]
-    assert tree.tree_children(SEVEN, "p00", "p02") == ["p05", "p06"]
-    for leaf in ("p03", "p04", "p05", "p06"):
-        assert tree.tree_children(SEVEN, "p00", leaf) == []
-    # Every member is someone's child exactly once: the tree covers the
-    # group with no duplicate path.
-    children = [c for p in SEVEN for c in tree.tree_children(SEVEN, "p00", p)]
-    assert sorted(children) == SEVEN[1:]
-
-
-def test_tree_fanout_bounds_sends_per_node():
-    tree = DisseminationOverlay("tree", fanout=3)
-    for pid in SEVEN:
-        hops, _ = tree.next_hops(SEVEN, "p03", pid, set())
-        assert len(hops) <= 3
-
-
-def test_tree_adopts_a_suspects_children():
-    tree = DisseminationOverlay("tree", fanout=2)
-    hops, reroutes = tree.next_hops(SEVEN, "p00", "p00", {"p01"})
-    # p01 still gets its copy; its children p03/p04 are adopted by p00.
-    assert hops == ["p01", "p02", "p03", "p04"]
-    assert reroutes == 1
-    # A suspected grandchild of the adoption is routed around recursively.
-    hops, reroutes = tree.next_hops(SEVEN, "p00", "p00", {"p01", "p03"})
-    assert hops == ["p01", "p02", "p03", "p04"]
-    assert reroutes == 2
-
-
 def test_non_member_falls_back_to_flood():
-    ring = DisseminationOverlay("ring")
+    ring = DisseminationOverlay()
     # A stale view mid-change: the sender is no longer (or not yet) a
     # member — flooding is always safe and dedup absorbs the cost.
     hops, reroutes = ring.next_hops(FIVE, "p00", "p09", set())
@@ -121,20 +79,17 @@ def test_hops_recompute_on_membership_change():
     # The "repair on view install" property: hops are a pure function of
     # the current membership, so handing in the post-view member list IS
     # the recomputation.
-    ring = DisseminationOverlay("ring")
-    tree = DisseminationOverlay("tree", fanout=2)
+    ring = DisseminationOverlay()
     assert ring.ring_successor(FIVE, "p00", "p00") == "p01"
     after = [p for p in FIVE if p != "p01"]  # p01 excluded by a view change
     assert ring.ring_successor(after, "p00", "p00") == "p02"
-    assert tree.tree_children(FIVE, "p00", "p00") == ["p01", "p02"]
-    assert tree.tree_children(after, "p00", "p00") == ["p02", "p03"]
     # A joiner slots into sorted position.
     joined = after + ["p01"]
     assert ring.ring_successor(joined, "p00", "p00") == "p01"
 
 
 def test_order_cache_stays_bounded():
-    ring = DisseminationOverlay("ring")
+    ring = DisseminationOverlay()
     for i in range(200):
         ring.order([f"p{i:03d}", f"p{i + 1:03d}"], f"p{i:03d}")
     assert len(ring._order_cache) <= 65
@@ -159,7 +114,7 @@ def _walk(overlay, members, origin, suspects=frozenset()):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_ring_with_spur_covers_the_group_once_from_every_origin(n):
-    ring = DisseminationOverlay("ring")
+    ring = DisseminationOverlay()
     members = [f"p{i:02d}" for i in range(n)]
     head = ring.head(members)
     assert head == "p00"
@@ -185,7 +140,7 @@ def test_ring_head_follows_the_view_order_not_the_sort_order():
     # After p00 was excluded and re-admitted the view lists it last: the
     # round-0 coordinator and the stage closer are p01, and so is the
     # spur's end.  The chain stays the sorted ring without the head.
-    ring = DisseminationOverlay("ring")
+    ring = DisseminationOverlay()
     view = ["p01", "p02", "p03", "p04", "p00"]
     assert ring.head(view) == "p01"
     sends, depth = _walk(ring, view, "p03")
@@ -195,7 +150,7 @@ def test_ring_head_follows_the_view_order_not_the_sort_order():
 
 
 def test_suspected_head_costs_no_reroute_and_strands_nothing():
-    ring = DisseminationOverlay("ring")
+    ring = DisseminationOverlay()
     for origin in FIVE[1:]:
         assert ring.next_hops(FIVE, origin, origin, {"p00"}) == ring.next_hops(
             FIVE, origin, origin, set()
@@ -210,7 +165,7 @@ def test_suspected_head_costs_no_reroute_and_strands_nothing():
 
 
 def test_suspected_chain_member_is_routed_around_under_the_spur():
-    ring = DisseminationOverlay("ring")
+    ring = DisseminationOverlay()
     # Origin p02: spur to p00, chain p02 -> p03 -> p04 -> p01.
     hops, reroutes = ring.next_hops(FIVE, "p02", "p02", {"p03"})
     assert hops == ["p00", "p03", "p04"] and reroutes == 1
