@@ -42,10 +42,18 @@ def rbcast_relay_ablation(relay):
     return world.metrics.counters.get("net.sent"), survivors_complete
 
 
+def timed_out_group(world, timeout):
+    """Three stacks whose generic broadcast closes a blocked stage after
+    ``timeout`` ms (a constant of the stack, set here on each instance)."""
+    stacks = build_new_group(world, 3, config=StackConfig(suspicion_timeout=100_000.0))
+    for stack in stacks.values():
+        stack.gbcast.fast_path_timeout = timeout
+    return stacks
+
+
 def fast_path_timeout_ablation(timeout):
-    config = StackConfig(fast_path_timeout=timeout, suspicion_timeout=100_000.0)
     world = World(seed=61)
-    stacks = build_new_group(world, 3, config=config)
+    stacks = timed_out_group(world, timeout)
     world.start()
     world.run_for(50.0)
     world.crash("p02")  # silent member blocks the all-ack fast path
@@ -59,7 +67,7 @@ def fast_path_timeout_ablation(timeout):
 
     # Failure-free control: the timeout never fires.
     world2 = World(seed=61)
-    stacks2 = build_new_group(world2, 3, config=config)
+    stacks2 = timed_out_group(world2, timeout)
     world2.start()
     stacks2["p00"].gbcast.gbcast_payload("free", "rbcast")
     assert world2.run_until(

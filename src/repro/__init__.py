@@ -30,7 +30,6 @@ from repro.core.new_stack import (
     build_new_group,
     enable_recovery,
 )
-from repro.fd.adaptive import adaptive_monitor
 from repro.gbcast.conflict import (
     PASSIVE_REPLICATION,
     RBCAST_ABCAST,
@@ -59,7 +58,6 @@ __all__ = [
     "StackConfig",
     "View",
     "World",
-    "adaptive_monitor",
     "add_joiner",
     "app_history",
     "bank_relation",

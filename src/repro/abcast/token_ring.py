@@ -168,9 +168,6 @@ class TokenRingAtomicBroadcast(Component):
         """(ordered map, max seq seen) — input to the recovery protocol."""
         return dict(self._ordered), max(self._ordered, default=-1)
 
-    def pending_messages(self) -> list[AppMessage]:
-        return [self._pending[mid] for mid in sorted(self._pending)]
-
     @property
     def last_token_seen(self) -> float:
         return self._last_token_seen

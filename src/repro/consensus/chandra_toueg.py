@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
 from repro.broadcast.rbcast import ReliableBroadcast
-from repro.fd.heartbeat import HeartbeatFailureDetector, Monitor
+from repro.fd.heartbeat import Monitor
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Component, Process
 
@@ -148,10 +148,8 @@ class ChandraTouegConsensus(Component):
         process: Process,
         channel: ReliableChannel,
         rbcast: ReliableBroadcast,
-        fd: HeartbeatFailureDetector,
-        suspicion_timeout: float = 50.0,
+        monitor: Monitor,
         fast_path: bool = False,
-        monitor: Monitor | None = None,
     ) -> None:
         super().__init__(process, "consensus")
         self.channel = channel
@@ -162,13 +160,9 @@ class ChandraTouegConsensus(Component):
         self._decisions: dict[InstanceKey, Any] = {}
         self._callbacks: list[DecisionCallback] = []
         self._solicit_callbacks: list[Callable[[InstanceKey], None]] = []
-        #: An always-on monitor handed in by the stack knows a dead
-        #: coordinator *before* an instance starts; the one built here
-        #: watches only participants of undecided instances and grants
-        #: each a full timeout of grace from the moment it enters that
-        #: set, so an instance first started at a suspicion edge would
-        #: wait out a second timeout for the same dead process.
-        self.monitor: Monitor = monitor or fd.monitor(self._monitored_peers, suspicion_timeout)
+        #: Handed in by the stack and always on over the group, so a dead
+        #: coordinator is known *before* an instance starts.
+        self.monitor = monitor
         self.monitor.subscribe(self.peer_suspected)
         self.register_port(PORT, self._on_message)
         rbcast.register(DECIDE_TAG, self._on_decide_broadcast, layer="consensus")
@@ -277,13 +271,6 @@ class ChandraTouegConsensus(Component):
             inst = _Instance(participants=list(participants))
             self._instances[key] = inst
         return inst
-
-    def _monitored_peers(self) -> list[str]:
-        peers: set[str] = set()
-        for inst in self._instances.values():
-            if not inst.decided:
-                peers.update(inst.participants)
-        return sorted(peers)
 
     def _enter_round(self, key: InstanceKey, inst: _Instance, rnd: int) -> None:
         if inst.decided or not inst.has_estimate:

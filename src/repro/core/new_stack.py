@@ -88,11 +88,12 @@ class StackConfig:
     *small* timeout used by consensus and generic broadcast to make
     progress past a silent process; ``monitoring.exclusion_timeout`` is
     the *large* timeout after which the monitoring component actually
-    excludes it.
+    excludes it.  Generic broadcast's fast-path timeout is its
+    constructor's default (250 ms): like ``HEARTBEAT_INTERVAL``, a value
+    every run uses unchanged is a constant, not configuration.
     """
 
     suspicion_timeout: float = 60.0
-    fast_path_timeout: float = 250.0
     #: Consensus pipelining window for atomic broadcast: up to this many
     #: consensus instances run concurrently (1 = classic serial mode).
     #: The window automatically collapses to 1 while a membership ctl op
@@ -135,7 +136,6 @@ class StackConfig:
     def __post_init__(self) -> None:
         valid = {
             "suspicion_timeout": self.suspicion_timeout > 0,
-            "fast_path_timeout": self.fast_path_timeout > 0,
             "abcast_window": self.abcast_window >= 1,
             "abcast_max_batch": self.abcast_max_batch is None or self.abcast_max_batch >= 1,
             "relay_policy": self.relay_policy in RELAY_POLICIES,
@@ -205,12 +205,7 @@ class NewArchitectureStack:
             dissemination=cfg.dissemination,
         )
         self.consensus = ChandraTouegConsensus(
-            process,
-            self.channel,
-            self.rbcast,
-            self.fd,
-            fast_path=True,
-            monitor=self.suspicion_monitor,
+            process, self.channel, self.rbcast, self.suspicion_monitor, fast_path=True
         )
         self.abcast = ConsensusAtomicBroadcast(
             process,
@@ -230,7 +225,6 @@ class NewArchitectureStack:
             conflict,
             members,
             self.suspicion_monitor,
-            fast_path_timeout=cfg.fast_path_timeout,
         )
         self.monitoring = MonitoringComponent(
             process, self.fd, self.membership, self.channel, cfg.monitoring

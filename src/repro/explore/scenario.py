@@ -65,8 +65,6 @@ class StackKnobs:
     same defaults; everything else stays at ``StackConfig``'s own."""
 
     abcast_window: int = _STACK_DEFAULTS.abcast_window
-    suspicion_timeout: float = _STACK_DEFAULTS.suspicion_timeout
-    fast_path_timeout: float = _STACK_DEFAULTS.fast_path_timeout
     exclusion_timeout: float = _STACK_DEFAULTS.monitoring.exclusion_timeout
     relay_policy: str = _STACK_DEFAULTS.relay_policy
     coalesce_delay: float | None = _STACK_DEFAULTS.coalesce_delay
@@ -183,9 +181,6 @@ class ScenarioConfig:
 
     def with_plan(self, plan: FaultPlan) -> "ScenarioConfig":
         return replace(self, plan=plan)
-
-    def with_processes(self, processes: int) -> "ScenarioConfig":
-        return replace(self, processes=processes)
 
     # ------------------------------------------------------------------
     # Serialisation

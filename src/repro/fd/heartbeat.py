@@ -3,7 +3,7 @@
 A single failure-detection component per process records when each peer
 was last heard and broadcasts heartbeats on the *unreliable* transport.
 Clients (consensus, the monitoring component, membership layers of the
-traditional stacks) each create a :class:`Monitor` with their own timeout
+traditional stacks) each read a :class:`Monitor` with their own timeout
 — this is the ``start_stop_monitor`` interface of Fig. 9 and the basis of
 Section 3.3.2: consensus can use a small timeout (seconds) while the
 monitoring component uses a large one (minutes), over the same liveness
@@ -59,8 +59,7 @@ Fresh evidence only moves expiries later, so the armed timer is left
 alone (it fires early, finds nothing expired and re-arms); evidence from
 a peer *currently suspected* re-scans at once.  The detector keeps what
 these scans read — ``last_heard``, incarnations, keep-alive deadlines —
-and nothing else: arrival-gap statistics belong to the one monitor that
-reads them (``repro.fd.adaptive``).
+and nothing else.
 
 **One suspicion object.**  A monitor is what a layer is *built with*:
 it reads ``monitor.suspects`` and subscribes to the edges
@@ -209,11 +208,6 @@ class Monitor:
         monitor that watches everybody — every detector assumes that."""
         return False
 
-    def timeout_for(self, peer: str) -> float:
-        """Current timeout applied to ``peer`` (constant here; adaptive
-        monitors override this)."""
-        return self.timeout
-
     def _heard(self, peer: str) -> None:
         """Evidence from ``peer`` arrived.  A monitor suspecting it revises
         at once; otherwise its timer merely fires early and re-arms — a
@@ -274,7 +268,7 @@ class Monitor:
             last = self._detector.last_heard(peer)
             if last is None or last < since:
                 last = since
-            expiry = last + self.timeout_for(peer) + self._detector.staleness(peer)
+            expiry = last + self.timeout + self._detector.staleness(peer)
             if expiry > now + DUE_SLACK:
                 wake = min(wake, expiry)
                 if peer in self.suspects:
@@ -646,9 +640,9 @@ class HeartbeatFailureDetector(Component):
     def _on_traffic(self, src: str, incarnation: int, port: str) -> None:
         """Transport liveness tap: any delivered datagram, an explicit
         heartbeat included, refreshes ``last_heard``.  A higher incarnation
-        means the peer crashed and came back: whoever listens (monitoring,
-        a gap estimator) hears of it first.  A *lower* one is a stale
-        pre-crash datagram — it must never vouch for the recovered process.
+        means the peer crashed and came back: whoever listens (monitoring)
+        hears of it first.  A *lower* one is a stale pre-crash datagram —
+        it must never vouch for the recovered process.
         """
         if src == self.pid:
             return

@@ -7,19 +7,20 @@ The network delivers ``(port, payload)`` envelopes; the process routes
 them to the owning component unless it has crashed.
 
 Crash semantics follow the crash-stop model of the paper: a crashed
-process silently stops receiving messages and firing timers.  A
-``restart`` hook supports the Isis-style "kill the wrongly excluded
-process, then re-join" scenario of Section 4.3.
+process silently stops receiving messages and firing timers (Isis's
+"kill the wrongly excluded process" of Section 4.3 is a plain
+:meth:`Process.crash`).
 
 On top of crash-stop, :meth:`Process.recover` implements the
-crash-*recovery* model: the process comes back under a fresh
-**incarnation number** with empty volatile state (no ports, no
-components, a fresh message-id factory).  Everything belonging to the
-old incarnation — pending timers, in-flight messages, channel sequence
-numbers — is fenced by the incarnation number so the new incarnation is
-indistinguishable from a brand-new process that happens to reuse the
-pid.  The world's recovery factory (see ``World.set_recovery_factory``)
-rebuilds the protocol stack on the recovered process.
+crash-*recovery* model, the one way back from a crash: the process
+comes back under a fresh **incarnation number** with empty volatile
+state (no ports, no components, a fresh message-id factory).
+Everything belonging to the old incarnation — pending timers, in-flight
+messages, channel sequence numbers — is fenced by the incarnation number
+so the new incarnation is indistinguishable from a brand-new process
+that happens to reuse the pid.  The world's recovery factory (see
+``World.set_recovery_factory``) rebuilds the protocol stack on the
+recovered process.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class Process:
         self._spans = world.trace.spans
         self._ports: dict[str, PortHandler] = {}
         self._components: dict[str, "Component"] = {}
-        self._restart_hooks: list[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Component and port registry
@@ -134,7 +134,7 @@ class Process:
                 spans._current = prev
 
     # ------------------------------------------------------------------
-    # Crash / restart
+    # Crash / recovery
     # ------------------------------------------------------------------
     def crash(self) -> None:
         if not self.crashed:
@@ -153,35 +153,15 @@ class Process:
                 self.world.metrics.counters.inc("trace.listeners_pruned_on_crash", pruned)
             self.world.trace.emit(self.now, self.pid, "process", "crash")
 
-    def restart(self) -> None:
-        """Bring a crashed process back with fresh component state.
-
-        Components that support restart register a hook via
-        :meth:`on_restart`; the hook is responsible for resetting the
-        component's volatile state (crash-stop processes lose all state).
-        """
-        if not self.crashed:
-            return
-        self.crashed = False
-        self.crash_time = None
-        self.world.trace.emit(self.now, self.pid, "process", "restart")
-        for hook in self._restart_hooks:
-            hook()
-
-    def on_restart(self, hook: Callable[[], None]) -> None:
-        self._restart_hooks.append(hook)
-
     def recover(self) -> "Process":
         """Re-incarnate a crashed process with empty volatile state.
 
-        Unlike :meth:`restart` (which keeps the old components and asks
-        them to reset themselves), recovery models a real process
-        restart: the incarnation number is bumped, all ports, components
-        and restart hooks are dropped, and the message-id factory starts
-        a fresh (incarnation-tagged) sequence.  The caller — normally
-        ``World.recover`` via a recovery factory — is responsible for
-        building a new protocol stack on the bare process and rejoining
-        it to the group.
+        Recovery models a real process restart: the incarnation number
+        is bumped, all ports and components are dropped, and the
+        message-id factory starts a fresh (incarnation-tagged) sequence.
+        The caller — normally ``World.recover`` via a recovery factory —
+        is responsible for building a new protocol stack on the bare
+        process and rejoining it to the group.
         """
         if not self.crashed:
             return self
@@ -191,7 +171,6 @@ class Process:
         self.msg_ids = MsgIdFactory(self.pid, self.incarnation)
         self._ports.clear()
         self._components.clear()
-        self._restart_hooks.clear()
         self.world.trace.emit(
             self.now, self.pid, "process", "recover", incarnation=self.incarnation
         )

@@ -132,19 +132,6 @@ class SpanLog:
         self.max_spans = max_spans
         self.spans: Any = [] if max_spans is None else deque(maxlen=max_spans)
 
-    # -- ambient context ------------------------------------------------
-    def current(self) -> Span | None:
-        return self._current
-
-    def activate(self, span: Span | None) -> Span | None:
-        """Make ``span`` the ambient parent; returns the previous context."""
-        prev = self._current
-        self._current = span
-        return prev
-
-    def restore(self, prev: Span | None) -> None:
-        self._current = prev
-
     # -- recording ------------------------------------------------------
     def begin(
         self,
@@ -183,9 +170,6 @@ class SpanLog:
             self.dropped += 1
         self.spans.append(span)
         return span
-
-    def finish(self, span: Span, end: float) -> None:
-        span.end = end
 
     def point(
         self,

@@ -171,12 +171,6 @@ class World:
         else:
             self.scheduler.at(self._fault_time(at, "crash"), self.processes[pid].crash)
 
-    def restart(self, pid: str, at: float | None = None) -> None:
-        if at is None:
-            self.processes[pid].restart()
-        else:
-            self.scheduler.at(self._fault_time(at, "restart"), self.processes[pid].restart)
-
     # ------------------------------------------------------------------
     # Crash recovery
     # ------------------------------------------------------------------

@@ -291,8 +291,7 @@ class PhoenixStack:
             process,
             self.channel,
             self.rbcast,
-            self.fd,
-            suspicion_timeout=cfg.consensus_suspicion_timeout,
+            self.fd.monitor(members, cfg.consensus_suspicion_timeout),
         )
         self.membership = PhoenixViewMembership(
             process,

@@ -20,9 +20,8 @@ def consensus_world(count=3, seed=1, suspicion_timeout=60.0, link=None, fast_pat
         channel = ReliableChannel(proc)
         fd = HeartbeatFailureDetector(proc, lambda: list(pids))
         rb = ReliableBroadcast(proc, channel, lambda: list(pids))
-        cons = ChandraTouegConsensus(
-            proc, channel, rb, fd, suspicion_timeout, fast_path=fast_path
-        )
+        monitor = fd.monitor(list(pids), suspicion_timeout)
+        cons = ChandraTouegConsensus(proc, channel, rb, monitor, fast_path=fast_path)
         cons.on_decide(lambda key, value, pid=pid: decisions[pid].__setitem__(key, value))
         nodes[pid] = cons
     return world, pids, nodes, decisions

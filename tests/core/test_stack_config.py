@@ -1,7 +1,10 @@
-"""``StackConfig``: the shipped defaults are the measured ones, and an
-invalid configuration is rejected where it is written."""
+"""``StackConfig``: the shipped defaults are the measured ones, an
+invalid configuration is rejected where it is written, and the number of
+fields is the one ``BENCH_abgb.json`` pins."""
 
+import dataclasses
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -37,7 +40,6 @@ def test_the_measured_configuration_is_the_default_one(monkeypatch):
         {"coalesce_delay": -1.0},
         {"max_segment_batch": 0},
         {"suspicion_timeout": 0.0},
-        {"fast_path_timeout": -250.0},
     ],
     ids=lambda bad: next(iter(bad)),
 )
@@ -49,3 +51,10 @@ def test_invalid_configuration_is_rejected_at_construction(bad):
 def test_disabling_values_are_valid():
     config = StackConfig(abcast_max_batch=None, coalesce_delay=None)
     assert config.abcast_max_batch is None and config.coalesce_delay is None
+
+
+def test_knob_count_is_the_pinned_one():
+    # A new field must re-pin ``meta.stack_config_fields`` on purpose; a
+    # deleted one should lower it.
+    baseline = json.loads((REPO / "benchmarks" / "baseline" / "BENCH_abgb.json").read_text())
+    assert len(dataclasses.fields(StackConfig)) == baseline["meta"]["stack_config_fields"]

@@ -119,7 +119,7 @@ def test_one_way_cut_entry_blinds_one_member_to_the_head_only():
         (record.pid, record.event, record.details["peer"])
         for record in world.trace.select(component="fd")
         if record.event in ("suspect", "trust")
-        and record.details["timeout"] == config.stack.suspicion_timeout
+        and record.details["timeout"] == config.stack.stack_config().suspicion_timeout
     ]
     assert edges == [("p03", "suspect", "p00"), ("p03", "trust", "p00")]
 

@@ -55,6 +55,33 @@ def test_suspicion_revised_when_heartbeats_resume():
     assert trusted == ["p01"]
 
 
+def test_traffic_is_evidence_exactly_as_a_heartbeat_is():
+    # One evidence path: p01 only ever sends heartbeats, p02 only
+    # traffic, at the same instants, to a detector whose peers run none.
+    # The monitor cannot tell the two apart: it suspects both at once when
+    # they fall silent, and revises both false suspicions on the next
+    # datagram each sends (◇S).
+    world = World(seed=1, default_link=LinkModel(1.0, 0.0))
+    pids = world.spawn(3)
+    fd = HeartbeatFailureDetector(world.process("p00"), lambda: list(pids), 10.0)
+    edges = []
+    fd.monitor(
+        ["p01", "p02"], timeout=30.0,
+        on_suspect=lambda q: edges.append(("suspect", q, world.now)),
+        on_trust=lambda q: edges.append(("trust", q, world.now)),
+    )
+    for t in (0.0, 10.0, 20.0, 100.0):
+        world.scheduler.at(t, lambda: world.u_send("p01", "p00", "fd.hb", False, layer="fd"))
+        world.scheduler.at(t, lambda: world.u_send("p02", "p00", "rc", "x", layer="app"))
+    world.start()
+    world.run_for(120.0)
+    assert fd.last_heard("p01") == fd.last_heard("p02") == 101.0
+    assert edges == [
+        ("suspect", "p01", 51.0), ("suspect", "p02", 51.0),
+        ("trust", "p01", 101.0), ("trust", "p02", 101.0),
+    ]
+
+
 def test_independent_timeouts_per_monitor():
     # Section 3.3.2: consensus uses a small timeout, monitoring a large
     # one, over the same heartbeat stream.

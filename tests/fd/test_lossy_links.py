@@ -48,7 +48,7 @@ def test_only_three_consecutive_losses_raise_a_false_suspicion(monkeypatch):
         for pid in world.pids():
             fd = next(c for c in world.process(pid).components() if c.name == "fd")
             assert all(2 * len(m.suspects) < config.processes for m in fd._monitors), (seed, pid)
-        timeout = config.stack.suspicion_timeout
+        timeout = config.stack.stack_config().suspicion_timeout
         slowest = config.link.delay_min + config.link.delay_jitter
         for record in world.trace.select(component="fd", event="suspect"):
             if record.details["timeout"] != timeout:

@@ -11,10 +11,9 @@ from repro.sim.world import World
 from tests.conftest import run_until
 
 
-def quorum_group(count=4, seed=1, conflict=PASSIVE_REPLICATION, fast_path_timeout=250.0):
+def quorum_group(count=4, seed=1, conflict=PASSIVE_REPLICATION):
     config = StackConfig(
         quorum_fast_path=True,
-        fast_path_timeout=fast_path_timeout,
         monitoring=MonitoringPolicy(exclusion_timeout=100_000.0),
     )
     world = World(seed=seed)

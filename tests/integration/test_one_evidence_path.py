@@ -2,8 +2,8 @@
 
 * Liveness reaches the detector through the transport tap alone: no
   datagram of the reliable channel carries a liveness field, a heartbeat
-  carries one flag that is not about liveness, and a stack nobody attached an adaptive monitor to
-  keeps no arrival statistics anywhere.
+  carries one flag that is not about liveness, and a stack keeps no
+  arrival statistics anywhere.
 * The small-timeout monitor is the object the layers are built with: one
   suspicion edge reaches reliable broadcast, consensus and generic
   broadcast inside one event.
@@ -87,7 +87,7 @@ def test_a_heartbeat_carries_nothing(failover_run):
     assert group.actor_of[group.workload.victim].endswith("#1")
 
 
-def test_a_stack_without_an_adaptive_monitor_records_no_samples(failover_run):
+def test_a_stack_holds_two_monitors_and_no_arrival_statistics(failover_run):
     group, _wire = failover_run
     for api in group.apis.values():
         stack = api.stack

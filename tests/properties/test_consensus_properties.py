@@ -23,7 +23,7 @@ def build_consensus_world(n, seed, jitter):
         channel = ReliableChannel(proc)
         fd = HeartbeatFailureDetector(proc, lambda: list(pids))
         rb = ReliableBroadcast(proc, channel, lambda: list(pids))
-        cons = ChandraTouegConsensus(proc, channel, rb, fd, suspicion_timeout=50.0)
+        cons = ChandraTouegConsensus(proc, channel, rb, fd.monitor(list(pids), 50.0))
         cons.on_decide(lambda k, v, pid=pid: decisions[pid].__setitem__(k, v))
         nodes[pid] = cons
     return world, pids, nodes, decisions

@@ -14,7 +14,6 @@ from repro.core.new_stack import (
     build_new_group,
     enable_recovery,
 )
-from repro.fd.adaptive import adaptive_monitor
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.message import MsgIdFactory
@@ -150,11 +149,9 @@ def test_failure_detector_tracks_incarnations_and_fires_listener():
         pid: HeartbeatFailureDetector(world.process(pid), lambda: peers)
         for pid in peers
     }
-    estimator = adaptive_monitor(fds["p00"], ["p01"])
     world.start()
     world.run_for(100.0)
     assert fds["p00"].incarnation_of("p01") == 0
-    assert len(estimator.arrival_gaps("p01")) >= 5
     events = []
     fds["p00"].on_reincarnation(lambda pid, inc: events.append((pid, inc)))
     world.crash("p01")
@@ -165,9 +162,6 @@ def test_failure_detector_tracks_incarnations_and_fires_listener():
     world.run_for(100.0)
     assert fds["p00"].incarnation_of("p01") == 1
     assert events == [("p01", 1)]
-    # The outage gap is not an inter-arrival sample.
-    gaps = estimator.arrival_gaps("p01")
-    assert gaps and all(gap < 50.0 for gap in gaps)
 
 
 def test_monitor_gives_reentering_peer_a_fresh_grace_period():

@@ -74,26 +74,6 @@ def test_crash_suppresses_scheduled_timers(world):
     assert fired == []
 
 
-def test_restart_invokes_hooks(world):
-    world.spawn(1)
-    proc = world.process("p00")
-    resets = []
-    proc.on_restart(lambda: resets.append(True))
-    proc.crash()
-    proc.restart()
-    assert resets == [True]
-    assert not proc.crashed
-
-
-def test_restart_noop_when_not_crashed(world):
-    world.spawn(1)
-    proc = world.process("p00")
-    resets = []
-    proc.on_restart(lambda: resets.append(True))
-    proc.restart()
-    assert resets == []
-
-
 def test_unknown_port_is_traced_not_fatal(world):
     world.spawn(1)
     world.u_send("p00", "p00", "nope", None)
