@@ -119,10 +119,11 @@ class StackConfig:
     #: asks every unsuspected peer for what it lacks on a suspicion
     #: edge, so the rbcast delivery guarantee is unchanged.
     dissemination: str = "flood"
-    #: Reliable-channel send coalescing: segments to the same peer
-    #: within this window (ms) ride one datagram, and ACKs are delayed
-    #: and cumulative over the same window.  None disables coalescing
-    #: (every segment is its own datagram, ACKed immediately).
+    #: Reliable-channel send coalescing: segments to the same peer ride
+    #: one datagram, held for this window (ms) behind a datagram sent to
+    #: that peer within it and only to the end of the instant on a link
+    #: idle that long; ACKs are delayed and cumulative.  None disables
+    #: coalescing (every segment is its own datagram, ACKed immediately).
     coalesce_delay: float | None = 1.0
     #: Max DATA segments packed into one coalesced datagram.
     max_segment_batch: int = 8
@@ -180,11 +181,12 @@ class NewArchitectureStack:
         members = lambda: self.membership.current_members()
 
         # Traffic-aware FD: the explicit heartbeat to a peer is skipped
-        # while our own datagrams keep that link warm.  The traditional
-        # baselines build theirs unsuppressed (the paper's constant
+        # while our own datagrams keep that link warm, and a due one goes
+        # out as whatever the channel owes the peer.  The traditional
+        # baselines build theirs without a channel (the paper's constant
         # heartbeat stream).
         self.fd = HeartbeatFailureDetector(
-            process, members, heartbeat_interval=HEARTBEAT_INTERVAL, suppression=True
+            process, members, heartbeat_interval=HEARTBEAT_INTERVAL, channel=self.channel
         )
         # The one small-timeout monitor (suspicion != exclusion): always
         # on over the current members, so consensus NACKs a coordinator

@@ -25,12 +25,17 @@ evidence either: it is a verdict about third parties, adopted or ignored
 as a whole; the datagram it rides vouches for its sender like any other
 and for nobody it names.
 
-Explicit heartbeats are the *idle-link fallback*: with ``suppression``
-on, a heartbeat goes to a peer only when nothing at all has been handed
-to the transport for it for a whole ``heartbeat_interval`` — our
-outbound traffic already proves our liveness to them (what traffic
-cannot do is *ask*: see ``_must_ask`` for the one heartbeat that goes
-out regardless).  ``heartbeat_interval`` thus means *the longest
+Explicit heartbeats are the *idle-link fallback*: a detector built with
+the process's reliable channel (*suppression*) sends a heartbeat to a
+peer only when nothing at all has been handed to the transport for it
+for a whole ``heartbeat_interval`` — our outbound traffic already proves
+our liveness to them (what traffic cannot do is *ask*: see
+``_must_ask`` for the one heartbeat that goes out regardless).  Even
+then the keep-alive goes out as whatever the channel owes that peer —
+its buffered segments, else the ACK it is holding
+(:meth:`ReliableChannel.flush_toward`) — and as a heartbeat only if it
+owes nothing: an owed ACK and a due keep-alive are one datagram, not
+two.  ``heartbeat_interval`` thus means *the longest
 silence the sender allows on a link somebody reads at the small
 timeout* (R3 below gives the others), and it is kept by a deadline, not
 a tick: one one-shot timer per process, armed for the earliest per-peer deadline and re-armed
@@ -40,7 +45,7 @@ Deadlines within ``KEEPALIVE_SLACK`` of an interval are served by the
 same firing, so idle links fall into step instead of waking the process
 once each.  Under load the O(n) broadcast collapses to sends on idle
 links only; a crashed peer's links go idle immediately (it sends
-nothing), so time-to-suspect is unchanged.  With suppression off the
+nothing), so time-to-suspect is unchanged.  Without a channel the
 deadline is the last heartbeat plus one interval — the same code sends
 the traditional constant stream.  (Skipping a periodic beat whenever
 anything went out within the last interval would guarantee only *two*
@@ -87,8 +92,9 @@ suspect correct processes (small timeouts, message loss, partitions) and
 revises its output when evidence arrives — the behaviour assumed of
 ◇S.  Nothing emulates a perfect detector here; the *traditional* stacks
 obtain P-like behaviour the way the paper describes: by killing/excluding
-suspected processes (Section 3.1.1).  They are built with ``suppression``
-off, preserving the paper's constant heartbeat stream for comparison.
+suspected processes (Section 3.1.1).  Their detectors are built without
+a channel, preserving the paper's constant heartbeat stream for
+comparison.
 """
 
 from __future__ import annotations
@@ -443,16 +449,17 @@ class HeartbeatFailureDetector(Component):
         process: Process,
         peer_provider: PeerProvider,
         heartbeat_interval: float = 10.0,
-        suppression: bool = False,
+        channel: "ReliableChannel | None" = None,
     ) -> None:
         super().__init__(process, "fd")
         self.peer_provider = peer_provider
         self.heartbeat_interval = heartbeat_interval
-        #: Heartbeat suppression: skip the explicit heartbeat to peers we
-        #: sent any datagram within the last ``heartbeat_interval`` ms.
-        #: Off by default (the paper's constant stream); the new
-        #: architecture stack turns it on.
-        self.suppression = suppression
+        #: Heartbeat suppression: with a channel, the explicit heartbeat to
+        #: a peer is skipped while our datagrams keep the link warm, and a
+        #: due one goes out as whatever the channel owes that peer.  None
+        #: by default (the paper's constant stream); the new architecture
+        #: stack passes its own.
+        self._channel = channel
         self._last_heard: dict[str, float] = {}
         self._incarnations: dict[str, int] = {}
         self._reincarnation_listeners: list[ReincarnationCallback] = []
@@ -577,12 +584,14 @@ class HeartbeatFailureDetector(Component):
         return heard is None or self.now - heard >= self.heartbeat_interval
 
     def _keepalive(self) -> None:
-        """Send the heartbeats that have fallen due (or will within the
+        """Send the keep-alives that have fallen due (or will within the
         slack) and sleep until the next deadline.  A deadline is looked at
         again only once reached: traffic sent meanwhile has moved it,
-        which counts as one suppressed heartbeat."""
+        which counts as one suppressed heartbeat — and so does a due
+        keep-alive that goes out as what the channel owed the peer."""
         now = self.now
         transport = self.world.transport
+        channel = self._channel
         deadlines: dict[str, float] = {}
         for peer in self.peer_provider():
             if peer == self.pid:
@@ -592,15 +601,16 @@ class HeartbeatFailureDetector(Component):
             due_by = now + interval * KEEPALIVE_SLACK + DUE_SLACK
             if deadline <= due_by:
                 asks = self._cadence_of(peer)[1]
-                sent = transport.last_sent(self.pid, peer) if self.suppression else None
-                if (
-                    sent is not None
-                    and sent + interval > due_by
-                    and not (asks and self._must_ask(peer))
-                ):
+                suppress = channel is not None and not (asks and self._must_ask(peer))
+                sent = transport.last_sent(self.pid, peer) if suppress else None
+                if sent is not None and sent + interval > due_by:
                     # Our own traffic since proved our liveness to this peer.
                     self._inc_suppressed()
                     deadline = sent + interval
+                elif suppress and channel.flush_toward(peer):
+                    # What the channel owed this peer left instead.
+                    self._inc_suppressed()
+                    deadline = now + interval
                 else:
                     self._inc_explicit()
                     self.world.u_send(self.pid, peer, PORT, asks, layer="fd")

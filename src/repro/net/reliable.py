@@ -15,9 +15,11 @@ tap).  So acknowledgements ride the data going back: a consensus ACK, a
 gbcast ack or a DECIDE returning along a link acknowledges what came
 down it.  With coalescing on, an ACK the channel owes waits up to
 ``ACK_HOLD`` ms for such a datagram and is sent as a pure ``ACK`` only
-if none went; its hold timer is cancelled the moment it rides one.  Data
-is never flushed early for an ACK's sake (that buys latency with
-datagrams).  Without coalescing every arrival is still ACKed
+if none went — or when the failure detector's keep-alive to that peer
+falls due first, which goes out as this ACK (:meth:`flush_toward`);
+its hold timer is cancelled the moment it rides one.  Data is never
+flushed early for an ACK's sake (that buys latency with datagrams).
+Without coalescing every arrival is still ACKed
 immediately.  A piggybacked ACK goes through the same ``_on_ack`` as a
 pure one — the estimator, Karn's rule and the GAP notice below cannot
 tell them apart — and its bytes are charged to ``rc``, not to the layer
@@ -105,6 +107,12 @@ RTO_MAX = 320.0
 #: heartbeats those ACKs no longer suppress.
 ACK_HOLD = RTO_MIN / 4
 
+#: How long a segment to an idle link waits: past every event of the
+#: current instant, those its own cascade posts later at zero delay
+#: included (rbcast's self-delivery sends gbcast's ack), so they share
+#: its datagram — but not a millisecond of coalescing.
+INSTANT = 1e-6
+
 #: Byte attribution of the ACK field on a datagram of another layer.
 _ACK_FIELD = [("rc", INT_BYTES)]
 
@@ -180,13 +188,18 @@ class ReliableChannel(Component):
     """Per-process reliable FIFO point-to-point channel.
 
     **Send-side coalescing** (off by default): with ``coalesce_delay``
-    set, DATA segments to the same peer are buffered for up to that many
-    milliseconds (or until ``max_segment_batch`` segments accumulate)
-    and ride one ``BATCH`` datagram; the receiver answers a whole batch
-    — and every arrival within one coalescing window — with a single
-    cumulative ACK.  This cuts the channel's datagram share of
-    per-delivery cost sharply under bursty traffic, at the price of up
-    to ``coalesce_delay`` ms of extra first-transmission latency.
+    set, DATA segments to the same peer ride one ``BATCH`` datagram (up
+    to ``max_segment_batch`` of them, which flush at once); the receiver
+    answers a whole batch — and every arrival within one coalescing
+    window — with a single cumulative ACK.  How long a segment that opens
+    the buffer waits depends on the link: behind a datagram sent to that
+    peer within the last ``coalesce_delay`` ms it waits that long, for
+    the burst under way to join it; on an idle link only until the end
+    of the current instant (``INSTANT``), for what the same event cascade
+    adds.  Batching pays where a link is busy and costs a hop's latency
+    where it is idle, so this cuts the channel's datagram share of
+    per-delivery cost under bursty traffic while an isolated message —
+    the head of a consensus or generic broadcast chain — pays nothing.
     Reliability, FIFO order and the incarnation fencing are unaffected:
     segments keep their per-peer sequence numbers, and the receive-side
     reorder buffer is oblivious to how segments were packed on the wire.
@@ -300,7 +313,9 @@ class ReliableChannel(Component):
             self._flush(dst)
         elif dst not in self._flush_scheduled:
             self._flush_scheduled.add(dst)
-            self.schedule(self.coalesce_delay, self._flush, dst)
+            last = self.world.transport.last_sent(self.pid, dst)
+            idle = last is None or self.now - last >= self.coalesce_delay
+            self.schedule(INSTANT if idle else self.coalesce_delay, self._flush, dst)
 
     def _flush(self, dst: str) -> None:
         """Send everything buffered for ``dst`` as one BATCH datagram.
@@ -469,6 +484,18 @@ class ReliableChannel(Component):
 
     def _send_ack(self, src: str) -> None:
         self._transmit(None, src, "ACK", (), "rc")
+
+    def flush_toward(self, dst: str) -> bool:
+        """Transmit now what the channel holds for ``dst`` — its buffered
+        segments, else the ACK it owes — and say whether a datagram left.
+        A due keep-alive goes out as this datagram instead of a heartbeat."""
+        if self._sendbuf.get(dst):
+            self._flush(dst)
+        elif dst in self._ack_owed:
+            self._send_ack(dst)
+        else:
+            return False
+        return True
 
     def _request_ack(self, src: str) -> None:
         """Owe ``src`` an ACK.  Without coalescing it is sent at once.

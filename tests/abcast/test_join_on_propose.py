@@ -58,8 +58,9 @@ def buffered_proposes(stacks):
 
 def test_the_coordinator_decides_before_the_body_is_two_hops_round_the_ring():
     # Jitter-free links make the race exact: PROPOSE + ACK are two
-    # direct legs (5 ms + 1 ms coalescing each), the body needs
-    # 5 + 2 (4 KiB at 2 MB/s) + 1 per hop.  A majority of five is the
+    # direct legs (5 ms each, + 1 ms coalescing behind a datagram sent
+    # within the last millisecond), the body needs 5 + 2 (4 KiB at
+    # 2 MB/s) per hop, coalesced likewise.  A majority of five is the
     # coordinator and two ACKs; waiting for bodies, the second ACK
     # cannot leave p02 before the second hop lands.
     world, stacks = ring_group(link=LinkModel(5.0, 0.0, bytes_per_ms=2000.0))

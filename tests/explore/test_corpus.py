@@ -76,7 +76,7 @@ def test_corpus_entry_writes_every_stack_key(path):
 #: Counters that must move for an entry to still hit the mechanism it
 #: was recorded for (the fast-path entries have their own test below).
 MECHANISM_COUNTERS = {
-    # A member out of a partition a-delivers an ENDSTAGE 46 ms behind
+    # A member out of a partition a-delivers an ENDSTAGE 26 ms behind
     # the others, whose acks for the next stage are already there.
     "acks-arrive-a-stage-early": ("gbcast.acks_early",),
     "decide-before-dissemination-fetch": (

@@ -5,7 +5,8 @@ Covers the three pieces of the traffic-aware FD:
 * the transport **liveness tap** — any delivered datagram refreshes the
   receiver's ``last_heard`` for the sender;
 * **heartbeat suppression** — a beat to a peer is skipped when any
-  datagram went to that peer within the last heartbeat period;
+  datagram went to that peer within the last heartbeat period, and a due
+  one goes out as whatever the reliable channel owes that peer;
 * **incarnation fencing** — stale pre-crash evidence can never vouch
   for a recovered process, at the tap as everywhere else.
 
@@ -15,7 +16,10 @@ idle immediately, so time-to-suspect is unchanged with suppression on.
 
 import random
 
-from repro.fd.heartbeat import HeartbeatFailureDetector
+import pytest
+
+from repro.fd.heartbeat import HeartbeatFailureDetector, StarMonitor
+from repro.net.reliable import ACK_HOLD, ReliableChannel
 from repro.net.topology import LinkModel
 from repro.sim.process import Component
 from repro.sim.world import World
@@ -33,6 +37,8 @@ class Chatter(Component):
 
 
 def fd_world(count=3, seed=1, hb=10.0, link=None, suppression=False):
+    """Detectors alone; with ``suppression`` each is built with its
+    process's (idle) reliable channel, as the new stack builds it."""
     world = World(seed=seed, default_link=link or LinkModel(1.0, 0.0))
     pids = world.spawn(count)
     fds = {
@@ -40,7 +46,7 @@ def fd_world(count=3, seed=1, hb=10.0, link=None, suppression=False):
             world.process(pid),
             lambda p=pids: list(p),
             hb,
-            suppression=suppression,
+            channel=ReliableChannel(world.process(pid)) if suppression else None,
         )
         for pid in pids
     }
@@ -179,6 +185,47 @@ def test_busy_link_carries_no_heartbeat_at_all():
     assert world.metrics.counters.get("fd.suppressed") > 0
     # The receiver is none the worse for it.
     assert world.now - fds["p01"].last_heard("p00") <= 5.0 + 1.0
+
+
+def keepalive_with_an_owed_ack(star):
+    """What p00 sends p01 once it owes p01 an ACK: p01's segment lands at
+    11 ms, the ACK may be held until 21 ms, and p00's keep-alive to p01
+    falls due at 15 ms.  With ``star`` p00 watches p01 first-hand while
+    p01's heartbeats say it does not watch p00: p00 must ask."""
+    world = World(seed=1, default_link=LinkModel(1.0, 0.0))
+    pids = world.spawn(2)
+    channels = {pid: ReliableChannel(world.process(pid), coalesce_delay=1.0) for pid in pids}
+    fds = {
+        pid: HeartbeatFailureDetector(
+            world.process(pid), lambda: list(pids), 15.0, channel=channels[pid]
+        )
+        for pid in pids
+    }
+    if star:
+        StarMonitor(fds["p00"], lambda: list(pids), 60.0, channels["p00"])
+    Chatter(world.process("p00"))
+    wire = []
+    u_send = world.transport.u_send
+
+    def spy(src, dst, port, payload, **kwargs):
+        if (src, dst) == ("p00", "p01") and world.now > 11.0:
+            wire.append((world.now, port, payload[0] if port == "rc" else payload))
+        u_send(src, dst, port, payload, **kwargs)
+
+    world.transport.u_send = spy
+    world.start()
+    world.scheduler.at(10.0, channels["p01"].send, "p00", "app", "x")
+    world.run_for(11.0 + ACK_HOLD + 1.0)
+    return wire
+
+
+def test_a_due_keepalive_goes_out_as_the_owed_ack():
+    assert keepalive_with_an_owed_ack(star=False) == [(15.0, "rc", "ACK")]
+    # The question goes regardless; the ACK keeps its own hold.
+    assert keepalive_with_an_owed_ack(star=True) == [
+        (15.0, "fd.hb", True),
+        (pytest.approx(11.0 + ACK_HOLD), "rc", "ACK"),
+    ]
 
 
 def test_receiver_side_silence_is_bounded_by_interval_plus_jitter():

@@ -9,6 +9,8 @@ through a crash-recover cycle that exercises the suspicion re-route and
 the suspicion-edge NACK backstop under real membership churn.
 """
 
+import pytest
+
 from repro.broadcast.rbcast import DIRECT_MAX_BYTES, origin_pid
 from repro.checkers import app_history, check_agreement, check_conflict_order, check_no_duplicates
 from repro.core.api import GroupCommunication
@@ -140,11 +142,11 @@ def _tap_rbcast(world, stacks):
 
 
 def test_ordering_traffic_takes_one_leg_and_bodies_reach_the_closer_first():
-    # Jitter-free 5 ms links with the bandwidth term and 1 ms coalescing:
-    # a direct leg is 5 + 1 + size / 2000 ms.  Each member in turn
-    # g-broadcasts two conflicting 4 KiB ops back to back, so the closer
-    # p00 meets a conflict, atomically broadcasts one id-only ENDSTAGE
-    # and decides it.
+    # Jitter-free 5 ms links with the bandwidth term; a link idle for the
+    # 1 ms coalescing window sends at once, so a direct leg is
+    # 5 + size / 2000 ms.  Each member in turn g-broadcasts two
+    # conflicting 4 KiB ops back to back, so the closer p00 meets a
+    # conflict, atomically broadcasts one id-only ENDSTAGE and decides it.
     world = World(seed=1, default_link=LinkModel(5.0, 0.0, bytes_per_ms=2000.0))
     stacks = build_new_group(world, 5, config=StackConfig(dissemination="ring"))
     apis = {pid: GroupCommunication(s) for pid, s in stacks.items()}
@@ -181,8 +183,8 @@ def test_ordering_traffic_takes_one_leg_and_bodies_reach_the_closer_first():
         else:
             # The head is a leaf: its links carry nobody's bodies, and
             # what it orders is one light leg from every peer — under
-            # the 8.1 ms of a body's hop.
-            assert all(6.0 < d < 6.2 for d in delays.values()), (key, delays)
+            # the 7.1 ms of a body's hop.
+            assert all(5.0 < d < 5.2 for d in delays.values()), (key, delays)
     counters = world.metrics.counters
     # rb.forwarded counts bodies only: origin p00 walks the plain chain
     # (3 forwards), every other origin a chain one member shorter (2).
@@ -190,12 +192,14 @@ def test_ordering_traffic_takes_one_leg_and_bodies_reach_the_closer_first():
     assert counters.get("rb.relayed") == 0
     # A CHK from p02: the closer and the chain's first member after one
     # hop, the last member (p01, via p03 and p04) after three.
-    # (The op's two bodies share each hop's datagram: 2 x 4 146 B.)
-    hop = 5.0 + 1.0 + 2 * 4146 / 2000.0
+    # (The op's two bodies share each hop's datagram: 2 x 4 146 B.)  The
+    # closer's leg also waits one coalescing window: p02's keep-alive to
+    # the watcher left half a millisecond before its turn.
+    hop = 5.0 + 2 * 4146 / 2000.0
     chk = next(key for key in bodies if origin_pid(key[1].sender) == "p02")
     delays = legs(chk)
-    assert delays["p00"] == delays["p03"]
-    assert abs(delays["p00"] - hop) < 0.2
+    assert delays["p00"] == pytest.approx(delays["p03"] + 1.0)
+    assert abs(delays["p03"] - hop) < 0.2
     assert abs(delays["p04"] - 2 * hop) < 0.4
     assert abs(delays["p01"] - 3 * hop) < 0.6
     assert counters.get("rb.nacks_sent") == counters.get("abcast.pulls_sent") == 0

@@ -161,6 +161,8 @@ def test_decision_retained_during_transfer_is_applied_inside_the_install():
     assert run_until(world, lambda: joiner.membership.view is not None)
     at = events[0][1]
     assert events == [("app", at), ("view", at), ("deliver", at, 1), ("deliver", at, 1)]
-    assert mine == state["p00"] == ["a1", "a2", "b1", "b2"]
+    # b1 and b2 are concurrent: the sponsor's order is the one to match.
+    assert mine == state["p00"]
+    assert mine[:2] == ["a1", "a2"] and sorted(mine[2:]) == ["b1", "b2"]
     assert joiner.gbcast.stage == 2
     assert world.metrics.counters.get("gm.state_transfers") == 1

@@ -1,15 +1,16 @@
 """Send-side coalescing and delayed cumulative ACKs in ReliableChannel.
 
 The contract: with ``coalesce_delay`` set, multiple DATA segments to the
-same peer ride one BATCH datagram (capped by ``max_segment_batch``), an
-owed ACK rides whatever datagram next goes the same way and is sent on
-its own only after ``ACK_HOLD`` ms without one — while per-link FIFO,
-duplicate suppression, crash recovery, and byte-identical determinism all
-hold exactly as on the segment-per-datagram path.
+same peer ride one BATCH datagram (capped by ``max_segment_batch``; held
+for the window behind a datagram sent within it, else only to the end of
+the instant), an owed ACK rides whatever datagram next goes the same way
+and is sent on its own only after ``ACK_HOLD`` ms without one — while
+per-link FIFO, duplicate suppression, crash recovery, and byte-identical
+determinism all hold exactly as on the segment-per-datagram path.
 """
 
 from repro.core.new_stack import StackConfig, build_new_group, enable_recovery
-from repro.net.reliable import ACK_HOLD, ReliableChannel
+from repro.net.reliable import ACK_HOLD, INSTANT, ReliableChannel
 from repro.net.topology import LinkModel
 from repro.sim.process import Component
 from repro.sim.world import World
@@ -52,6 +53,36 @@ def test_burst_rides_fewer_datagrams_than_segments():
     # 32 segments in max-8 batches plus acks: far fewer wire datagrams
     # than the 32 DATA + 32 ACK of the uncoalesced path.
     assert counters.get("net.sent.port.rc") <= 16
+
+
+def test_segments_wait_for_the_window_only_behind_a_recent_datagram():
+    world, channels = coalescing_world(coalesce_delay=1.0, max_segment_batch=3)
+    Sink(world.process("p01"))
+    sender = channels["p00"]
+    wire = []  # (time, kind, segments) of every datagram p00 sends
+    u_send = world.transport.u_send
+
+    def spy(src, dst, port, datagram, **kwargs):
+        if src == "p00":
+            wire.append((world.now, datagram[0], 1 if datagram[0] == "DATA" else len(datagram[4])))
+        u_send(src, dst, port, datagram, **kwargs)
+
+    world.transport.u_send = spy
+
+    def cascade():
+        sender.send("p01", "app", 0)
+        world.scheduler.schedule(0.0, sender.send, "p01", "app", 1)
+
+    world.start()
+    # An idle link: the segment leaves at the end of its instant, with
+    # what the same instant's cascade adds after it.
+    world.scheduler.at(10.0, cascade)
+    # Within the window of that datagram: the next one waits the window.
+    world.scheduler.at(10.5, sender.send, "p01", "app", 2)
+    # A full batch leaves at once, recent datagram or not.
+    world.scheduler.at(11.7, lambda: [sender.send("p01", "app", i) for i in (3, 4, 5)])
+    world.run_for(20.0)
+    assert wire == [(10.0 + INSTANT, "BATCH", 2), (11.5, "DATA", 1), (11.7, "BATCH", 3)]
 
 
 def test_max_segment_batch_caps_batch_size():

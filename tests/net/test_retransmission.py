@@ -9,7 +9,7 @@ estimator and Karn's rule must not be able to tell the difference.
 
 import pytest
 
-from repro.net.reliable import ACK_HOLD, RTO_MAX, RTO_MIN, ReliableChannel
+from repro.net.reliable import ACK_HOLD, INSTANT, RTO_MAX, RTO_MIN, ReliableChannel
 from repro.net.topology import LinkModel
 from repro.net.wire import Blob
 from repro.sim.process import Component
@@ -157,17 +157,19 @@ def test_backoff_ends_with_the_next_clean_sample():
         # Karn: the ACK of a retransmitted segment is no sample ...
         assert estimator.srtt is None and estimator.backoff == 3
         # ... the next first-try ACK is, and the RTO collapses to the
-        # round trip (2 ms pure, 3 ms behind the answer's coalescing
-        # hold) plus the floor.
+        # round trip plus the floor: 2 ms, pure or behind the answer,
+        # which waits no coalescing window on its idle link — only the
+        # instant.
         sender.send("p01", "app", "clean")
         world.run_for(10.0)
-        assert estimator.srtt == (3.0 if echo else 2.0) and estimator.backoff == 0
+        rtt = 2.0 + (INSTANT if echo else 0.0)
+        assert estimator.srtt == pytest.approx(rtt, abs=1e-9) and estimator.backoff == 0
         if echo:  # so far the channel's own datagrams are the re-sends: no pure ACK
             assert counters.get("net.sent.rc") == counters.get("rc.retransmits")
         world.crash("p01")
         before = counters.get("rc.retransmits")
-        sender.send("p01", "app", "lost")
-        world.run_for((coalesce_delay or 0.0) + estimator.timeout() - 0.5)
+        sender.send("p01", "app", "lost")  # an idle link: it leaves at once
+        world.run_for(estimator.timeout() - 0.5)
         assert counters.get("rc.retransmits") == before
         world.run_for(1.0)
         assert counters.get("rc.retransmits") == before + 1
