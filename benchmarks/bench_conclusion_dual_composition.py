@@ -9,63 +9,29 @@ the identical workload over both and verifies byte-identical behaviour,
 while counting what differs: the routed events.
 """
 
-from common import once, report
-
-from repro.core.composed import build_composed_group
-from repro.core.new_stack import build_new_group
-from repro.sim.world import World
+from common import Group, Result
 
 BURST = 10
 
 
-def run_direct():
-    world = World(seed=77)
-    stacks = build_new_group(world, 3)
-    world.start()
+def run(kind):
+    g = Group(kind, 3, seed=77)
     for i in range(BURST):
-        stacks["p00"].gbcast.gbcast_payload(("m", i), "abcast")
-    logs = lambda pid: [
-        m.payload
-        for m, _p in stacks[pid].gbcast.delivered_log
-        if not m.msg_class.startswith("_")
-    ]
-    assert world.run_until(
-        lambda: all(len(logs(p)) == BURST for p in stacks), timeout=120_000
-    )
+        g.send("p00", ("m", i))
+    history = g.drain(BURST)
     return {
-        "history": {p: logs(p) for p in stacks},
-        "net": world.metrics.counters.get("net.sent"),
-        "hops": world.metrics.counters.get("ens.event_hops"),
-        "latency": world.metrics.latency.stats("gbcast").mean,
+        "history": history,
+        "net": g.world.metrics.counters.get("net.sent"),
+        "hops": g.world.metrics.counters.get("ens.event_hops"),
+        "latency": g.world.metrics.latency.stats("gbcast").mean,
     }
 
 
-def run_composed():
-    world = World(seed=77)
-    group = build_composed_group(world, 3)
-    world.start()
-    for i in range(BURST):
-        group["p00"].gbcast(("m", i), "abcast")
-    assert world.run_until(
-        lambda: all(len(g.delivered_payloads()) == BURST for g in group.values()),
-        timeout=120_000,
-    )
-    return {
-        "history": {p: group[p].delivered_payloads() for p in group},
-        "net": world.metrics.counters.get("net.sent"),
-        "hops": world.metrics.counters.get("ens.event_hops"),
-        "latency": world.metrics.latency.stats("gbcast").mean,
-    }
-
-
-def test_conclusion_dual_composition(benchmark, capsys):
-    def run_all():
-        return run_direct(), run_composed()
-
-    direct, composed = once(benchmark, run_all)
+def scenario_conclusion_dual_composition() -> Result:
+    r = Result()
+    direct, composed = run("new"), run("composed")
     identical = direct["history"] == composed["history"]
-    report(
-        capsys,
+    r.table(
         "Conclusion  Same protocol code, two composition frameworks",
         ["composition", "delivered histories", "datagrams", "routed events", "latency ms"],
         [
@@ -81,6 +47,9 @@ def test_conclusion_dual_composition(benchmark, capsys):
             "not (paper conclusion)."
         ),
     )
-    assert identical
-    assert direct["net"] == composed["net"]
-    assert composed["hops"] > direct["hops"]
+    r.check("same_delivery_histories", "histories identical", identical, "==", True)
+    r.check("same_wire_traffic", "datagrams, event routing vs direct wiring",
+            composed["net"], "==", direct["net"])
+    r.check("only_routing_differs", "routed events, event routing vs direct wiring",
+            composed["hops"], ">", direct["hops"])
+    return r

@@ -6,51 +6,35 @@ dependency chain — the sequencer crash blocks atomic broadcast until the
 membership layer (bottom) excludes it and view synchrony flushes.
 """
 
-from common import once, per_delivery_messages, report
+from common import Group, Result, per_delivery_messages
 
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.isis import IsisConfig, IsisStack, build_isis_group
+from repro.traditional.isis import IsisConfig, IsisStack
 
 
-def run_isis():
-    rows = []
+def scenario_fig1_isis() -> Result:
+    r = Result()
     # Failure-free phase.
-    world = World(seed=1, default_link=LinkModel(1.0, 1.0))
-    stacks = build_isis_group(world, 3, config=IsisConfig(exclusion_timeout=400.0))
-    world.start()
+    g = Group("isis", 3, seed=1, link=LinkModel(1.0, 1.0),
+              config=IsisConfig(exclusion_timeout=400.0))
     for i in range(10):
-        stacks["p00"].abcast_payload(("a", i))
-        stacks["p01"].abcast_payload(("b", i))
-    assert world.run_until(
-        lambda: all(len(s.delivered_payloads()) == 20 for s in stacks.values()),
-        timeout=60_000,
-    )
-    orders = [s.delivered_payloads() for s in stacks.values()]
-    assert all(o == orders[0] for o in orders)
+        g.send("p00", ("a", i))
+        g.send("p01", ("b", i))
+    orders = g.drain(20)
+    r.check("total_order", "distinct delivery orders",
+            len({tuple(o) for o in orders.values()}), "==", 1)
+    world = g.world
     stats = world.metrics.latency.stats("abcast")
-    rows.append(
+    rows = [
         ["failure-free", stats.mean, stats.p95,
          per_delivery_messages(world, 20), world.metrics.counters.get("vs.views_installed")]
-    )
+    ]
 
     # Failure mode: crash the sequencer.
-    world.crash("p00")
-    crash_at = world.now
-    stacks["p01"].abcast_payload("post-crash")
-    assert world.run_until(
-        lambda: "post-crash" in stacks["p01"].delivered_payloads(), timeout=60_000
-    )
-    recovery = world.now - crash_at
+    recovery = g.after_crash("p00", "p01")
     rows.append(["sequencer crash -> new view", recovery, float("nan"),
                  float("nan"), world.metrics.counters.get("vs.views_installed")])
-    return rows, recovery
-
-
-def test_fig1_isis(benchmark, capsys):
-    rows, recovery = once(benchmark, run_isis)
-    report(
-        capsys,
+    r.table(
         "Fig. 1  Isis stack  (layers: " + " / ".join(IsisStack.LAYERS) + ")",
         ["phase", "latency mean ms", "p95 ms", "msgs/delivery", "views installed"],
         rows,
@@ -61,5 +45,6 @@ def test_fig1_isis(benchmark, capsys):
         ),
     )
     # The recovery latency is dominated by the exclusion timeout.
-    assert recovery >= 400.0
-    benchmark.extra_info["recovery_ms"] = recovery
+    r.check("crash_blocks_until_exclusion", "sequencer crash -> next delivery ms",
+            recovery, ">=", 400.0)
+    return r

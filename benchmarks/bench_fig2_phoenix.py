@@ -6,27 +6,24 @@ the S/S' scenario of Section 2.1.2, where two replicated services keep
 progressing in *different* components of a partitioned network.
 """
 
-from common import once, report
+from common import Group, Result
 
 from repro.net.topology import LinkModel
 from repro.sim.world import World
 from repro.traditional.phoenix import PhoenixConfig, PhoenixStack, build_phoenix_group
 
 
-def run_phoenix():
-    rows = []
+def scenario_fig2_phoenix() -> Result:
+    r = Result()
     # Failure-free ordering + consensus-decided view change.
-    world = World(seed=2, default_link=LinkModel(1.0, 1.0))
-    stacks = build_phoenix_group(world, 3, config=PhoenixConfig(exclusion_timeout=300.0))
-    world.start()
+    g = Group("phoenix", 3, seed=2, link=LinkModel(1.0, 1.0),
+              config=PhoenixConfig(exclusion_timeout=300.0))
     for i in range(10):
-        stacks["p00"].abcast_payload(("m", i))
-    assert world.run_until(
-        lambda: all(len(s.delivered_payloads()) == 10 for s in stacks.values()),
-        timeout=60_000,
-    )
+        g.send("p00", ("m", i))
+    g.drain(10)
+    world, stacks = g.world, g.stacks
     stats = world.metrics.latency.stats("abcast")
-    rows.append(["failure-free ordering", stats.mean, 0, "n/a"])
+    rows = [["failure-free ordering", stats.mean, 0, "n/a"]]
     world.crash("p02")
     assert world.run_until(
         lambda: stacks["p00"].view().members == ("p00", "p01"), timeout=60_000
@@ -59,13 +56,7 @@ def run_phoenix():
         ["partition: service S' in Pi2", float("nan"),
          0, f"progressed={'sp-up' in sp['p05'].delivered_payloads()} view={sp['p04'].view()}"]
     )
-    return rows, both
-
-
-def test_fig2_phoenix(benchmark, capsys):
-    rows, both_progressed = once(benchmark, run_phoenix)
-    report(
-        capsys,
+    r.table(
         "Fig. 2  Phoenix stack  (layers: " + " / ".join(PhoenixStack.LAYERS) + ")",
         ["phase", "latency mean ms", "view proposals", "outcome"],
         rows,
@@ -75,4 +66,5 @@ def test_fig2_phoenix(benchmark, capsys):
             "S' progresses in Pi2 during the partition (Sec. 2.1.2)."
         ),
     )
-    assert both_progressed
+    r.check("both_partitions_progress", "S and S' both delivered", both, "==", True)
+    return r

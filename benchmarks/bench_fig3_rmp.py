@@ -7,30 +7,26 @@ anticipates the new architecture), while a crash needs the two-phase
 fault-tolerant membership to recover the ring.
 """
 
-from common import once, report
+from common import Group, Result
 
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.rmp import RMPStack, RingConfig, add_rmp_joiner, build_rmp_group
+from repro.traditional.rmp import RMPStack, RingConfig, add_rmp_joiner
 
 
-def run_rmp():
-    rows = []
-    world = World(seed=4, default_link=LinkModel(1.0, 1.0))
-    stacks = build_rmp_group(world, 3, config=RingConfig(exclusion_timeout=300.0))
-    world.start()
+def scenario_fig3_rmp() -> Result:
+    r = Result()
+    g = Group("rmp", 3, seed=4, link=LinkModel(1.0, 1.0),
+              config=RingConfig(exclusion_timeout=300.0))
     for i in range(10):
-        stacks["p00"].abcast_payload(("m", i))
-    assert world.run_until(
-        lambda: all(len(s.delivered_payloads()) == 10 for s in stacks.values()),
-        timeout=60_000,
-    )
+        g.send("p00", ("m", i))
+    g.drain(10)
+    world, stacks = g.world, g.stacks
     counters = world.metrics.counters
     stats = world.metrics.latency.stats("abcast")
-    rows.append(
+    rows = [
         ["failure-free ordering", stats.mean, counters.get("abcast.token_passes"),
          counters.get("reform.initiated"), "total order ok"]
-    )
+    ]
 
     # Fault-free membership: join + leave via the ring itself.
     joiner = add_rmp_joiner(world, stacks)
@@ -53,25 +49,13 @@ def run_rmp():
     view = stacks["p00"].view()
     holder = max(view.members, key=lambda pid: stacks[pid].abcast.last_token_seen)
     victim = view.successor(holder)
-    sender = stacks[next(pid for pid in view.members if pid != victim)]
-    world.crash(victim)
-    crash_at = world.now
-    sender.abcast_payload("post-crash")
-    assert world.run_until(
-        lambda: "post-crash" in sender.delivered_payloads(), timeout=60_000
-    )
-    recovery = world.now - crash_at
+    sender = next(pid for pid in view.members if pid != victim)
+    recovery = g.after_crash(victim, sender)
     rows.append(
         ["crash -> 2PC reformation", recovery, counters.get("abcast.token_passes"),
-         counters.get("reform.initiated"), f"view={sender.view()}"]
+         counters.get("reform.initiated"), f"view={stacks[sender].view()}"]
     )
-    return rows, reforms_after_membership, recovery
-
-
-def test_fig3_rmp(benchmark, capsys):
-    rows, reforms_after_membership, recovery = once(benchmark, run_rmp)
-    report(
-        capsys,
+    r.table(
         "Fig. 3  RMP stack  (layers: " + " / ".join(RMPStack.LAYERS) + ")",
         ["phase", "latency ms", "token passes", "reformations", "outcome"],
         rows,
@@ -81,5 +65,8 @@ def test_fig3_rmp(benchmark, capsys):
             "two-phase fault-tolerant membership, after the exclusion timeout."
         ),
     )
-    assert reforms_after_membership == 0
-    assert recovery >= 300.0
+    r.check("membership_changes_need_no_reformation", "reformations after join + leave",
+            reforms_after_membership, "==", 0)
+    r.check("crash_reformation_waits_for_exclusion", "crash -> next delivery ms",
+            recovery, ">=", 300.0)
+    return r

@@ -4,60 +4,48 @@ control / recovery).
 Regenerates the two defining behaviours: the flow-control knob (how many
 messages the token holder may order per visit) trades latency for
 fairness, and the recovery layer merges survivor histories on a crash so
-that (extended) view synchrony holds.
+that (extended) view synchrony holds.  A third run shows the structural
+cost of the token: it circulates even with no traffic.
 """
 
-from common import once, report
+from common import Group, Result
 
 from repro.net.topology import LinkModel
-from repro.sim.world import World
 from repro.traditional.rmp import RingConfig
-from repro.traditional.totem import TotemStack, build_totem_group
+from repro.traditional.totem import TotemStack
+
+LINK = LinkModel(1.0, 1.0)
 
 
-def run_totem():
+def scenario_fig4_totem() -> Result:
+    r = Result()
     flow_rows = []
     for max_orders in (1, 5, 20):
-        world = World(seed=5, default_link=LinkModel(1.0, 1.0))
-        stacks = build_totem_group(
-            world, 3, config=RingConfig(exclusion_timeout=60_000.0, max_orders_per_token=max_orders)
-        )
-        world.start()
+        g = Group("totem", 3, seed=5, link=LINK, config=RingConfig(
+            exclusion_timeout=60_000.0, max_orders_per_token=max_orders))
         for i in range(30):
-            stacks["p00"].abcast_payload(("m", i))
-        assert world.run_until(
-            lambda: all(len(s.delivered_payloads()) == 30 for s in stacks.values()),
-            timeout=120_000,
-        )
-        stats = world.metrics.latency.stats("abcast")
+            g.send("p00", ("m", i))
+        g.drain(30)
+        stats = g.world.metrics.latency.stats("abcast")
         flow_rows.append(
             [max_orders, stats.mean, stats.maximum,
-             world.metrics.counters.get("abcast.token_passes")]
+             g.world.metrics.counters.get("abcast.token_passes")]
         )
 
     # Recovery: survivor histories are merged after a crash.
-    world = World(seed=6, default_link=LinkModel(1.0, 1.0))
-    stacks = build_totem_group(world, 3, config=RingConfig(exclusion_timeout=250.0))
-    world.start()
+    g = Group("totem", 3, seed=6, link=LINK, config=RingConfig(exclusion_timeout=250.0))
+    world = g.world
     world.run_for(50.0)
     # One survivor misses the orderer's messages before the crash.
     world.transport.set_link("p00", "p02", LinkModel(1.0, 1.0, drop_prob=1.0))
-    stacks["p00"].abcast_payload("fragile")
+    g.send("p00", "fragile")
     world.run_for(60.0)
     world.crash("p00")
-    world.transport.set_link("p00", "p02", LinkModel(1.0, 1.0))
-    assert world.run_until(
-        lambda: "fragile" in stacks["p02"].delivered_payloads(), timeout=60_000
-    )
+    world.transport.set_link("p00", "p02", LINK)
+    assert world.run_until(lambda: "fragile" in g.log("p02"), timeout=60_000)
     recovered = world.metrics.counters.get("reform.messages_recovered")
-    same = stacks["p01"].delivered_payloads() == stacks["p02"].delivered_payloads()
-    return flow_rows, recovered, same
-
-
-def test_fig4_totem(benchmark, capsys):
-    flow_rows, recovered, same = once(benchmark, run_totem)
-    report(
-        capsys,
+    same = g.log("p01") == g.log("p02")
+    r.table(
         "Fig. 4  Totem stack  (layers: " + " / ".join(TotemStack.LAYERS) + ")",
         ["max orders per token", "latency mean ms", "latency max ms", "token passes"],
         flow_rows,
@@ -68,28 +56,21 @@ def test_fig4_totem(benchmark, capsys):
             f"budget needs more token rotations to drain a burst."
         ),
     )
-    assert same
+    r.check("survivor_logs_identical", "survivor logs identical", same, "==", True)
     # Tighter flow control => more token passes to drain the same burst.
-    assert flow_rows[0][3] > flow_rows[2][3]
+    r.check("tighter_flow_control_more_passes", "token passes at 1 vs 20 orders per token",
+            flow_rows[0][3], ">", flow_rows[2][3])
 
-
-def test_fig4_token_rotation_overhead(benchmark, capsys):
-    """Idle-ring overhead: the token circulates even with no traffic."""
-
-    def run():
-        world = World(seed=7, default_link=LinkModel(1.0, 1.0))
-        build_totem_group(world, 3, config=RingConfig(exclusion_timeout=60_000.0))
-        world.start()
-        world.run_for(1_000.0)
-        return world.metrics.counters.get("abcast.token_passes")
-
-    passes = once(benchmark, run)
-    report(
-        capsys,
+    # Idle-ring overhead: the token circulates even with no traffic.
+    g = Group("totem", 3, seed=7, link=LINK, config=RingConfig(exclusion_timeout=60_000.0))
+    g.world.run_for(1_000.0)
+    passes = g.world.metrics.counters.get("abcast.token_passes")
+    r.table(
         "Fig. 4  Totem idle-ring overhead",
         ["simulated time ms", "token passes with zero traffic"],
         [[1_000, passes]],
         note="The rotating token costs messages even when idle — a structural "
         "overhead the sequencer and consensus-based designs do not pay.",
     )
-    assert passes > 50
+    r.check("idle_token_circulates", "token passes in an idle second", passes, ">", 50)
+    return r

@@ -6,24 +6,21 @@ stack, and the efficiency rationale for placing the application BELOW
 the membership components (event hops on the hot path).
 """
 
-from common import once, report
+from common import Group, Result
 
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.ensemble import EnsembleConfig, EnsembleStack, build_ensemble_group
+from repro.traditional.ensemble import EnsembleConfig, EnsembleStack
 
 
-def run_ensemble():
-    world = World(seed=8, default_link=LinkModel(1.0, 1.0))
-    stacks = build_ensemble_group(world, 3, config=EnsembleConfig(exclusion_timeout=300.0))
-    world.start()
+def scenario_fig5_ensemble() -> Result:
+    r = Result()
+    g = Group("ensemble", 3, seed=8, link=LinkModel(1.0, 1.0),
+              config=EnsembleConfig(exclusion_timeout=300.0))
     # Send from a non-sequencer so the latency includes the fwd hop.
     for i in range(10):
-        stacks["p01"].send(("m", i))
-    assert world.run_until(
-        lambda: all(len(s.delivered_payloads()) == 10 for s in stacks.values()),
-        timeout=60_000,
-    )
+        g.send("p01", ("m", i))
+    g.drain(10)
+    world = g.world
     counters = world.metrics.counters
     hops_normal = counters.get("ens.event_hops")
     stats = world.metrics.latency.stats("abcast")
@@ -33,40 +30,24 @@ def run_ensemble():
     # View change: Sync blocks the group.
     world.crash("p00")
     assert world.run_until(
-        lambda: stacks["p01"].view().members == ("p01", "p02"), timeout=60_000
+        lambda: g.stacks["p01"].view().members == ("p01", "p02"), timeout=60_000
     )
-    stacks["p01"].send("after")
-    assert world.run_until(
-        lambda: "after" in stacks["p02"].delivered_payloads(), timeout=60_000
-    )
-    return {
-        "hops": hops_normal,
-        "bounces": counters.get("ens.bounces"),
-        "stabilized": counters.get("ens.stabilized"),
-        "latency": stats.mean,
-        "blocked_ms": world.metrics.intervals.total("vs.blocked"),
-        "blocks": counters.get("vs.blocks"),
-        "layers_above_app": layers_above_app,
-        "app_index": app_index,
-    }
-
-
-def test_fig5_ensemble(benchmark, capsys):
-    result = once(benchmark, run_ensemble)
-    report(
-        capsys,
+    g.send("p01", "after")
+    assert world.run_until(lambda: "after" in g.log("p02"), timeout=60_000)
+    bounces, blocked_ms = counters.get("ens.bounces"), world.metrics.intervals.total("vs.blocked")
+    r.table(
         "Fig. 5  Ensemble sample stack  (bottom->top: "
         + " / ".join(EnsembleStack.LAYERS) + ")",
         ["metric", "value"],
         [
-            ["delivery latency mean (ms)", result["latency"]],
-            ["event hops (10 multicasts, normal path)", result["hops"]],
-            ["messages detected stable", result["stabilized"]],
-            ["stability events bounced at stack bottom", result["bounces"]],
-            ["layers BELOW app (hot path)", result["app_index"]],
-            ["layers ABOVE app (abnormal scenarios)", result["layers_above_app"]],
-            ["Sync blocking episodes on view change", result["blocks"]],
-            ["total sender-blocked time (ms)", result["blocked_ms"]],
+            ["delivery latency mean (ms)", stats.mean],
+            ["event hops (10 multicasts, normal path)", hops_normal],
+            ["messages detected stable", counters.get("ens.stabilized")],
+            ["stability events bounced at stack bottom", bounces],
+            ["layers BELOW app (hot path)", app_index],
+            ["layers ABOVE app (abnormal scenarios)", layers_above_app],
+            ["Sync blocking episodes on view change", counters.get("vs.blocks")],
+            ["total sender-blocked time (ms)", blocked_ms],
         ],
         note=(
             "Shape: hot-path components (fifo/stable/abcast) sit below the "
@@ -75,6 +56,8 @@ def test_fig5_ensemble(benchmark, capsys):
             "during the view change (the Sec. 4.4 cost)."
         ),
     )
-    assert result["bounces"] >= 1
-    assert result["blocked_ms"] > 0
-    assert result["layers_above_app"] == 3
+    r.check("stability_events_bounce", "stability events bounced", bounces, ">=", 1)
+    r.check("sync_blocks_senders", "sender-blocked ms", blocked_ms, ">", 0)
+    r.check("failure_handling_above_app", "layers above the application",
+            layers_above_app, "==", 3)
+    return r

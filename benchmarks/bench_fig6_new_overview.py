@@ -7,69 +7,50 @@ f < n/2 crashes and no view change — while group membership is a mere
 messages).
 """
 
-from common import once, per_delivery_messages, report
+from common import Group, Result, per_delivery_messages
 
-from repro.core.new_stack import StackConfig, build_new_group
+from repro.core.new_stack import StackConfig
 from repro.monitoring.component import MonitoringPolicy
-from repro.sim.world import World
 
 
-def run_overview():
-    rows = []
+def scenario_fig6_new_overview() -> Result:
+    r = Result()
     config = StackConfig(
         suspicion_timeout=60.0,
         monitoring=MonitoringPolicy(exclusion_timeout=100_000.0),  # no exclusions
     )
-    world = World(seed=10)
-    stacks = build_new_group(world, 5, config=config)
-    world.start()
-
-    def bcast(pid, payload):
-        stacks[pid].abcast.abcast(world.process(pid).msg_ids.message(payload))
-
-    def log(pid):
-        return [m.payload for m in stacks[pid].abcast.delivered_log if m.msg_class == "default"]
-
+    g = Group("new-abcast", 5, seed=10, config=config)
+    world = g.world
+    counters = world.metrics.counters
     for i in range(10):
-        bcast("p00", ("pre", i))
-    assert world.run_until(
-        lambda: all(len(log(p)) == 10 for p in stacks), timeout=60_000
-    )
+        g.send("p00", ("pre", i))
+    g.drain(10)
     stats = world.metrics.latency.stats("abcast")
-    rows.append(["failure-free (n=5)", stats.mean, per_delivery_messages(world, 50),
-                 world.metrics.counters.get("gm.views_installed")])
+    rows = [["failure-free (n=5)", stats.mean, per_delivery_messages(world, 50),
+             counters.get("gm.views_installed")]]
 
     # Crash f = 2 < n/2: abcast continues with NO membership change.
     world.crash("p03")
     world.crash("p04")
     crash_at = world.now
     for i in range(10):
-        bcast("p01", ("post", i))
+        g.send("p01", ("post", i))
     alive = ["p00", "p01", "p02"]
-    assert world.run_until(
-        lambda: all(len(log(p)) == 20 for p in alive), timeout=120_000
-    )
+    g.drain(20, alive)
     recovery_window = world.now - crash_at
     rows.append(
         ["2 crashes (f<n/2), no exclusion", recovery_window, float("nan"),
-         world.metrics.counters.get("gm.views_installed")]
+         counters.get("gm.views_installed")]
     )
 
     # Membership change = one abcast message like any other.
-    stacks["p00"].membership.remove("p03")
+    g.stacks["p00"].membership.remove("p03")
     assert world.run_until(
-        lambda: "p03" not in stacks["p00"].membership.view, timeout=60_000
+        lambda: "p03" not in g.stacks["p00"].membership.view, timeout=60_000
     )
     rows.append(["remove(p03) via abcast", float("nan"), float("nan"),
-                 world.metrics.counters.get("gm.views_installed")])
-    same = all(log(p) == log("p00") for p in alive)
-    return rows, same
-
-
-def test_fig6_new_overview(benchmark, capsys):
-    rows, same = once(benchmark, run_overview)
-    report(
-        capsys,
+                 counters.get("gm.views_installed")])
+    r.table(
         "Fig. 6  New architecture (overview): FD / consensus / abcast / membership",
         ["phase", "time ms", "msgs/delivery", "view installations (sum over procs)"],
         rows,
@@ -79,7 +60,11 @@ def test_fig6_new_overview(benchmark, capsys):
             "atomic broadcast does not rely on membership (Sec. 3.1.1)."
         ),
     )
-    assert same
+    r.check("survivors_agree", "survivors whose log differs from p00's",
+            sum(g.log(p) != g.log("p00") for p in alive), "==", 0)
     # The explicit remove is the FIRST view change of the whole run
     # (installed once at each of the three survivors).
-    assert rows[0][3] == 0 and rows[1][3] == 0 and rows[2][3] == 3
+    r.check("first_view_change_is_the_remove", "views installed",
+            {row[0]: row[3] for row in rows}, "==",
+            {rows[0][0]: 0, rows[1][0]: 0, rows[2][0]: 3})
+    return r

@@ -7,12 +7,10 @@ measure how often the generic broadcast component had to fall back to
 atomic broadcast, and what it cost.
 """
 
-from common import once, report
+from common import Group, Result
 
 from repro.gbcast.conflict import ConflictRelation
-from repro.core.new_stack import build_new_group
 from repro.sim.randomness import fork_rng
-from repro.sim.world import World
 
 #: "commuting" messages never conflict; "ordered" conflict with everything.
 RELATION = ConflictRelation.build(
@@ -24,30 +22,17 @@ MESSAGES = 24
 
 
 def run_mix(conflict_fraction, seed=20):
-    world = World(seed=seed)
-    stacks = build_new_group(world, 3, conflict=RELATION)
-    world.start()
+    g = Group("new", 3, seed=seed, conflict=RELATION)
     rng = fork_rng(seed, f"mix-{conflict_fraction}")
-    pids = sorted(stacks)
+    pids = sorted(g.stacks)
     ordered_count = round(MESSAGES * conflict_fraction)
     classes = ["ordered"] * ordered_count + ["commuting"] * (MESSAGES - ordered_count)
     rng.shuffle(classes)
     for i, msg_class in enumerate(classes):
-        sender = pids[i % len(pids)]
-        world.scheduler.at(
-            world.now + (i % 6) * 5.0,
-            lambda s=sender, c=msg_class, i=i: stacks[s].gbcast.gbcast_payload(("m", i), c),
-        )
-    assert world.run_until(
-        lambda: all(
-            len([m for m, _p in s.gbcast.delivered_log if not m.msg_class.startswith("_")])
-            == MESSAGES
-            for s in stacks.values()
-        ),
-        timeout=120_000,
-    )
-    counters = world.metrics.counters
-    lat = world.metrics.latency
+        g.send(pids[i % len(pids)], ("m", i), msg_class, at=g.world.now + (i % 6) * 5.0)
+    g.drain(MESSAGES)
+    counters = g.world.metrics.counters
+    lat = g.world.metrics.latency
     return [
         f"{conflict_fraction:.0%}",
         counters.get("consensus.proposals"),
@@ -58,13 +43,10 @@ def run_mix(conflict_fraction, seed=20):
     ]
 
 
-def test_fig7_new_augmented(benchmark, capsys):
-    def run_all():
-        return [run_mix(f) for f in (0.0, 0.25, 0.5, 1.0)]
-
-    rows = once(benchmark, run_all)
-    report(
-        capsys,
+def scenario_fig7_new_augmented() -> Result:
+    r = Result()
+    rows = [run_mix(f) for f in (0.0, 0.25, 0.5, 1.0)]
+    r.table(
         "Fig. 7  New architecture (augmented): generic broadcast over abcast",
         ["conflicting traffic", "consensus proposals", "stage closures",
          "conflicts detected", "commuting latency ms", "ordered latency ms"],
@@ -77,7 +59,10 @@ def test_fig7_new_augmented(benchmark, capsys):
         ),
     )
     # 0% conflicts: zero consensus, pure fast path.
-    assert rows[0][1] == 0 and rows[0][2] == 0
+    r.check("no_consensus_without_conflicts", "at 0 % conflicting",
+            {"consensus proposals": rows[0][1], "stage closures": rows[0][2]}, "==", 0)
     # Conflicts cost consensus; monotone-ish growth across the sweep.
-    assert rows[3][1] > 0
-    assert rows[3][2] >= rows[1][2]
+    r.check("conflicts_cost_consensus", "consensus proposals at 100 %", rows[3][1], ">", 0)
+    r.check("closures_grow_with_conflicts", "stage closures at 100 % vs 25 %",
+            rows[3][2], ">=", rows[1][2])
+    return r

@@ -13,7 +13,7 @@ the round-0 coordinator and proposes its own value first; from about one
 link delay of lead on the change wins; in between the seed decides.
 """
 
-from common import once, report
+from common import Result
 
 from repro.gbcast.conflict import PASSIVE_REPLICATION, PRIMARY_CHANGE, UPDATE
 from repro.core.new_stack import build_new_group
@@ -33,6 +33,9 @@ def apply_kv(state, command):
 
 
 def race(seed, lead=0.0):
+    """One race; returns the states the replicas applied (one, unless
+    they diverged), whether every replica rotated its server list to
+    [s2;s3;s1] and whether the old primary is still a member."""
     world = World(seed=seed)
     stacks = build_new_group(world, 3, conflict=PASSIVE_REPLICATION)
     replicas = attach_passive_replicas(stacks, apply_kv, {})
@@ -54,28 +57,23 @@ def race(seed, lead=0.0):
         timeout=60_000,
     )
     applied = {r.state.get("req") for r in replicas.values()}
-    assert len(applied) == 1, "replicas diverged"
     rotated_ok = all(tuple(r.server_list) == ("p01", "p02", "p00") for r in replicas.values())
     still_member = all("p00" in s.membership.view for s in stacks.values())
-    outcome = "update-first" if applied.pop() == "done" else "change-first"
-    return outcome, rotated_ok, still_member
+    return applied, rotated_ok, still_member
 
 
-def test_fig8_passive_replication(benchmark, capsys):
-    def run_all():
-        by_lead = {lead: {"update-first": 0, "change-first": 0} for lead in LEADS}
-        all_rotated = all_member = True
-        for lead in LEADS:
-            for seed in SEEDS:
-                outcome, rotated_ok, still_member = race(seed, lead)
-                by_lead[lead][outcome] += 1
-                all_rotated &= rotated_ok
-                all_member &= still_member
-        return by_lead, all_rotated, all_member
-
-    by_lead, all_rotated, all_member = once(benchmark, run_all)
-    report(
-        capsys,
+def scenario_fig8_passive_replication() -> Result:
+    r = Result()
+    by_lead = {lead: {"update-first": 0, "change-first": 0} for lead in LEADS}
+    diverged = not_rotated = excluded = 0
+    for lead in LEADS:
+        for seed in SEEDS:
+            applied, rotated_ok, still_member = race(seed, lead)
+            diverged += len(applied) != 1
+            by_lead[lead]["update-first" if "done" in applied else "change-first"] += 1
+            not_rotated += not rotated_ok
+            excluded += not still_member
+    r.table(
         f"Fig. 8  Passive replication race: update || primary-change, "
         f"{len(SEEDS)} seeds per lead",
         ["change leads by", "case 1: update first", "case 2: change first, update stale",
@@ -90,6 +88,11 @@ def test_fig8_passive_replication(benchmark, capsys):
             "and the replicas never diverge (Sec. 3.2.3)."
         ),
     )
-    assert sum(c["update-first"] for c in by_lead.values()) > 0
-    assert sum(c["change-first"] for c in by_lead.values()) > 0
-    assert all_rotated and all_member
+    r.check("replicas_never_diverge", "races whose replicas diverged", diverged, "==", 0)
+    r.check("both_outcomes_occur", "races won",
+            {outcome: sum(c[outcome] for c in by_lead.values())
+             for outcome in ("update-first", "change-first")}, ">", 0)
+    r.check("rotated_view_old_primary_kept", "races that",
+            {"did not rotate to [s2;s3;s1]": not_rotated,
+             "excluded the old primary": excluded}, "==", 0)
+    return r

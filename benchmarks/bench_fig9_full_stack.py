@@ -6,30 +6,27 @@ seen on every interface named in Fig. 9, demonstrating that all the
 components exist and interact as drawn.
 """
 
-from common import once, report
+from common import Group, Result
 
 from repro.core.api import GroupCommunication
-from repro.core.new_stack import StackConfig, add_joiner, build_new_group
+from repro.core.new_stack import StackConfig, add_joiner
 from repro.monitoring.component import MonitoringPolicy
-from repro.sim.world import World
 
 
-def run_lifecycle():
+def scenario_fig9_full_stack() -> Result:
+    r = Result()
     config = StackConfig(
         suspicion_timeout=50.0,
         monitoring=MonitoringPolicy(exclusion_timeout=500.0, votes_required=2),
     )
-    world = World(seed=42)
-    stacks = build_new_group(world, 4, config=config)
+    g = Group("new", 4, seed=42, config=config)
+    world, stacks = g.world, g.stacks
     apis = {pid: GroupCommunication(s) for pid, s in stacks.items()}
-    world.start()
 
     for i in range(5):
         apis["p00"].abcast(("a", i))
         apis["p01"].rbcast(("r", i))
-    assert world.run_until(
-        lambda: all(len(a.delivered) == 10 for a in apis.values()), timeout=60_000
-    )
+    g.drain(10)
     apis["p03"].leave()
     assert world.run_until(
         lambda: apis["p00"].view.members == ("p00", "p01", "p02"), timeout=60_000
@@ -59,13 +56,7 @@ def run_lifecycle():
         ["state transfer to joiner", c.get("gm.state_transfers")],
         ["run / join_remove_list (monitoring exclusions)", c.get("monitoring.exclusions_requested")],
     ]
-    return interfaces
-
-
-def test_fig9_full_stack(benchmark, capsys):
-    interfaces = once(benchmark, run_lifecycle)
-    report(
-        capsys,
+    r.table(
         "Fig. 9  Full architecture: interface coverage over one lifecycle run",
         ["Fig. 9 interface", "events observed"],
         interfaces,
@@ -76,5 +67,6 @@ def test_fig9_full_stack(benchmark, capsys):
             "transfer."
         ),
     )
-    for name, count in interfaces:
-        assert count > 0, f"interface saw no traffic: {name}"
+    r.check("every_interface_carries_traffic", "events observed",
+            dict(interfaces), ">", 0)
+    return r

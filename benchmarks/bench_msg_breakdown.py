@@ -6,10 +6,7 @@ components, for a fixed workload — showing what the consensus-based
 design actually spends its messages on.
 """
 
-from common import once, report
-
-from repro.core.new_stack import build_new_group
-from repro.sim.world import World
+from common import Group, Result
 
 BURST = 15
 
@@ -23,21 +20,14 @@ PORT_LABELS = [
 ]
 
 
-def run_breakdown():
-    world = World(seed=90)
-    stacks = build_new_group(world, 3)
-    world.start()
-    pids = sorted(stacks)
+def scenario_msg_breakdown() -> Result:
+    r = Result()
+    g = Group("new", 3, seed=90)
+    pids = sorted(g.stacks)
     for i in range(BURST):
-        stacks[pids[i % 3]].gbcast.gbcast_payload(("m", i), "abcast")
-    assert world.run_until(
-        lambda: all(
-            len([m for m, _p in s.gbcast.delivered_log if m.msg_class == "abcast"]) == BURST
-            for s in stacks.values()
-        ),
-        timeout=120_000,
-    )
-    counters = world.metrics.counters.snapshot()
+        g.send(pids[i % 3], ("m", i))
+    g.drain(BURST)
+    counters = g.world.metrics.counters.snapshot()
     rc_total = counters.get("rc.sent", 0)
     heartbeats = counters.get("net.sent.port.fd.hb", 0)
     rows = []
@@ -49,13 +39,7 @@ def run_breakdown():
     rows.append(["other reliable-channel traffic", rc_total - accounted,
                  f"{(rc_total - accounted) / max(1, rc_total):.0%}"])
     rows.append(["failure-detector heartbeats (unreliable)", heartbeats, "-"])
-    return rows, rc_total
-
-
-def test_msg_breakdown(benchmark, capsys):
-    rows, rc_total = once(benchmark, run_breakdown)
-    report(
-        capsys,
+    r.table(
         f"Message breakdown: {BURST} ordered broadcasts on the new architecture (n=3)",
         ["component", "channel sends", "share of channel traffic"],
         rows,
@@ -67,7 +51,10 @@ def test_msg_breakdown(benchmark, capsys):
             "transport, not the channel."
         ),
     )
-    labels = {r[0]: r[1] for r in rows}
-    assert labels["consensus rounds (estimate/propose/ack)"] > 0
-    assert labels["reliable broadcast (payloads + relays + decides)"] > 0
-    assert rc_total > 0
+    sends = {label: count for label, count, _share in rows}
+    r.check("ordering_and_broadcast_carry_the_traffic", "channel sends", {
+        "consensus rounds": sends["consensus rounds (estimate/propose/ack)"],
+        "reliable broadcast": sends["reliable broadcast (payloads + relays + decides)"],
+        "all components": rc_total,
+    }, ">", 0)
+    return r

@@ -6,48 +6,33 @@ group size?  We sweep n = 3..9 for both the atomic path (consensus) and
 the generic broadcast fast path (all-ack), failure-free.
 """
 
-from common import once, report
+from common import Group, Result
 
-from repro.core.new_stack import build_new_group
 from repro.gbcast.conflict import RBCAST_ABCAST, ConflictRelation
-from repro.sim.world import World
 
 BURST = 10
 FREE = ConflictRelation.build(["free"], [])
 
 
 def run_scale(n, msg_class, conflict):
-    world = World(seed=80 + n)
-    stacks = build_new_group(world, n, conflict=conflict)
-    world.start()
-    pids = sorted(stacks)
+    g = Group("new", n, seed=80 + n, conflict=conflict)
+    pids = sorted(g.stacks)
     for i in range(BURST):
-        stacks[pids[i % n]].gbcast.gbcast_payload(("m", i), msg_class)
-    assert world.run_until(
-        lambda: all(
-            len([m for m, _p in s.gbcast.delivered_log if not m.msg_class.startswith("_")])
-            == BURST
-            for s in stacks.values()
-        ),
-        timeout=300_000,
-    )
-    stats = world.metrics.latency.stats("gbcast")
-    msgs = world.metrics.counters.get("net.sent") / (BURST * n)
+        g.send(pids[i % n], ("m", i), msg_class)
+    g.drain(BURST)
+    stats = g.world.metrics.latency.stats("gbcast")
+    msgs = g.world.metrics.counters.get("net.sent") / (BURST * n)
     return stats.mean, msgs
 
 
-def test_scale_group_size(benchmark, capsys):
-    def run_all():
-        rows = []
-        for n in (3, 5, 7, 9):
-            fast_lat, fast_msgs = run_scale(n, "free", FREE)
-            atomic_lat, atomic_msgs = run_scale(n, "abcast", RBCAST_ABCAST)
-            rows.append([n, fast_lat, fast_msgs, atomic_lat, atomic_msgs])
-        return rows
-
-    rows = once(benchmark, run_all)
-    report(
-        capsys,
+def scenario_scale_group_size() -> Result:
+    r = Result()
+    rows = []
+    for n in (3, 5, 7, 9):
+        fast_lat, fast_msgs = run_scale(n, "free", FREE)
+        atomic_lat, atomic_msgs = run_scale(n, "abcast", RBCAST_ABCAST)
+        rows.append([n, fast_lat, fast_msgs, atomic_lat, atomic_msgs])
+    r.table(
         f"Scaling with group size ({BURST} broadcasts, failure-free)",
         ["n", "fast path latency ms", "fast msgs/delivery",
          "atomic latency ms", "atomic msgs/delivery"],
@@ -60,7 +45,10 @@ def test_scale_group_size(benchmark, capsys):
             "commutative traffic."
         ),
     )
-    for row in rows:
-        assert row[1] < row[3]  # fast path cheaper at every size
+    r.check("fast_path_faster_at_every_size", "latency ms, fast path vs atomic",
+            {f"n={row[0]}": row[1] for row in rows}, "<",
+            {f"n={row[0]}": row[3] for row in rows})
     # Latency growth exists but is modest for the fast path.
-    assert rows[-1][1] < rows[0][1] * 4
+    r.check("fast_path_growth_modest", "fast path latency ms at n=9 vs 4 × n=3",
+            rows[-1][1], "<", rows[0][1] * 4)
+    return r

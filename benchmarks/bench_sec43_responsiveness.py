@@ -16,58 +16,42 @@ post-crash latency is much larger than what the new architecture achieves
 with a small suspicion timeout.
 """
 
-from common import once, report, report_text, teardown_leaks
+from common import (
+    Group,
+    Result,
+    causal_trees_complete,
+    critical_path_block,
+    decision_path_block,
+    round_json,
+    teardown_leaks,
+)
 
-from repro.core.new_stack import StackConfig, build_new_group
+from repro.core.new_stack import StackConfig
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.isis import IsisConfig, build_isis_group
+from repro.traditional.isis import IsisConfig
 
 SILENCE_MS = 600.0
+TIMEOUTS = (50.0, 200.0, 1_000.0)
+FALSE_SUSPICION_TIMEOUTS = (100.0, 200.0)
 
 
-def new_arch_post_crash(timeout, seed=3, leak_sink=None, world_sink=None):
-    world = World(seed=seed)
-    config = StackConfig(
+def new_arch(timeout, seed, exclusion_timeout):
+    return Group("new", 3, seed=seed, config=StackConfig(
         suspicion_timeout=timeout,
-        monitoring=MonitoringPolicy(exclusion_timeout=200_000.0),
-    )
-    stacks = build_new_group(world, 3, config=config)
-    world.start()
-    world.run_for(200.0)
-    world.crash("p00")
-    start = world.now
-    stacks["p01"].gbcast.gbcast_payload("urgent", "abcast")
-    assert world.run_until(
-        lambda: any(m.payload == "urgent" for m, _p in stacks["p01"].gbcast.delivered_log),
-        timeout=300_000,
-    )
-    latency = world.now - start
-    if leak_sink is not None:
-        leak_sink.append(teardown_leaks(world))
-    if world_sink is not None:
-        # Hand the world back so the runner can analyse the causal span
-        # tree (critical-path attribution) before it is collected.
-        world_sink.append(world)
-    return latency
+        monitoring=MonitoringPolicy(exclusion_timeout=exclusion_timeout),
+    ))
 
 
-def isis_post_crash(timeout, seed=3, leak_sink=None):
-    world = World(seed=seed)
-    stacks = build_isis_group(world, 3, config=IsisConfig(exclusion_timeout=timeout))
-    world.start()
-    world.run_for(200.0)
-    world.crash("p00")
-    start = world.now
-    stacks["p01"].abcast_payload("urgent")
-    assert world.run_until(
-        lambda: "urgent" in stacks["p01"].delivered_payloads(), timeout=600_000
-    )
-    latency = world.now - start
-    if leak_sink is not None:
-        leak_sink.append(teardown_leaks(world))
-    return latency
+def isis(timeout, seed):
+    return Group("isis", 3, seed=seed, config=IsisConfig(exclusion_timeout=timeout))
+
+
+def post_crash(g):
+    """How long after the crash of p00, 200 ms into the run, p01's next
+    message takes to reach p01."""
+    g.world.run_for(200.0)
+    return g.after_crash("p00", "p01", "urgent")
 
 
 def silence(world, pid, peers, duration):
@@ -79,57 +63,69 @@ def silence(world, pid, peers, duration):
     )
 
 
-def false_suspicion_cost(timeout, seed=4, leak_sink=None):
-    world = World(seed=seed)
-    config = StackConfig(
-        suspicion_timeout=timeout,
-        monitoring=MonitoringPolicy(exclusion_timeout=20 * SILENCE_MS),
-    )
-    build_new_group(world, 3, config=config)
-    world.start()
-    world.run_for(200.0)
-    silence(world, "p02", ["p00", "p01"], SILENCE_MS)
-    world.run_for(5 * SILENCE_MS)
-    new_kills = int(world.processes["p02"].crashed)
-
-    world2 = World(seed=seed)
-    build_isis_group(world2, 3, config=IsisConfig(exclusion_timeout=timeout))
-    world2.start()
-    world2.run_for(200.0)
-    silence(world2, "p02", ["p00", "p01"], SILENCE_MS)
-    world2.run_for(5 * SILENCE_MS)
-    isis_kills = world2.metrics.counters.get("tgm.self_kills")
-    isis_state_transfers_needed = isis_kills  # each kill forces a re-join
-    if leak_sink is not None:
-        leak_sink.append(teardown_leaks(world))
-        leak_sink.append(teardown_leaks(world2))
-    return new_kills, isis_kills, isis_state_transfers_needed
+def silenced(g):
+    """p02 falls silent for ``SILENCE_MS``, 200 ms into the run; the run
+    goes on for five silences."""
+    g.world.run_for(200.0)
+    silence(g.world, "p02", ["p00", "p01"], SILENCE_MS)
+    g.world.run_for(5 * SILENCE_MS)
+    return g.world
 
 
-def test_sec43_responsiveness(benchmark, capsys):
-    timeouts = (50.0, 200.0, 1_000.0)
+def scenario_sec43_responsiveness() -> Result:
+    leaks = []
+    latency, rows = {}, []
+    for t in TIMEOUTS:
+        new_g, isis_g = new_arch(t, 3, 200_000.0), isis(t, 3)
+        new_ms, isis_ms = post_crash(new_g), post_crash(isis_g)
+        leaks += [teardown_leaks(new_g.world), teardown_leaks(isis_g.world)]
+        latency[f"{t:.0f}ms"] = {"new_arch_ms": round_json(new_ms), "isis_ms": round_json(isis_ms)}
+        rows.append([f"{t:.0f}", new_ms, isis_ms])
+        if t == 200.0:
+            headline = new_g.world
+    # The headline run (new arch, 200 ms timeout, post-crash): where its
+    # latency went and how consensus decided — a coordinator crash is
+    # exactly the case where instances escape round 0 (no round-0 shape
+    # rule here).
+    cp, dp = critical_path_block(headline), decision_path_block(headline)
 
-    def run_all():
-        latency_rows = [
-            [f"{t:.0f}", new_arch_post_crash(t), isis_post_crash(t)] for t in timeouts
-        ]
-        cost_rows = []
-        for t in (100.0, 200.0):
-            new_kills, isis_kills, transfers = false_suspicion_cost(t)
-            cost_rows.append([f"{t:.0f}", new_kills, isis_kills, transfers])
-        return latency_rows, cost_rows
+    suspicion, cost_rows = {}, []
+    for t in FALSE_SUSPICION_TIMEOUTS:
+        new_world = silenced(new_arch(t, 4, 20 * SILENCE_MS))
+        isis_world = silenced(isis(t, 4))
+        new_kills = int(new_world.processes["p02"].crashed)
+        isis_kills = isis_world.metrics.counters.get("tgm.self_kills")
+        leaks += [teardown_leaks(new_world), teardown_leaks(isis_world)]
+        # Each kill forces a re-join and a state transfer.
+        suspicion[f"{t:.0f}ms"] = {
+            "new_arch_kills": new_kills,
+            "isis_kills": isis_kills,
+            "isis_forced_state_transfers": isis_kills,
+        }
+        cost_rows.append([f"{t:.0f}", new_kills, isis_kills, isis_kills])
 
-    latency_rows, cost_rows = once(benchmark, run_all)
-    report(
-        capsys,
+    # Effective responsiveness: the new stack can afford the small
+    # timeout; Isis is forced above the worst silent period (600 ms).
+    new_effective = latency["200ms"]["new_arch_ms"]
+    isis_effective = latency["1000ms"]["isis_ms"]
+    r = Result("4.3", traced=[("sec43_new_arch_200ms", headline)])
+    r.metrics = {
+        "post_crash_latency": latency,
+        "false_suspicion": suspicion["200ms"],
+        "false_suspicion_100ms": suspicion["100ms"],
+        "effective_advantage": round_json(isis_effective / new_effective, 2),
+        "leaked_latency_intervals": sum(leaks),
+        "critical_path": cp,
+        "decision_path": dp,
+    }
+    r.table(
         "Sec. 4.3 (a)  Post-crash abcast latency vs. FD timeout",
         ["FD timeout ms", "new architecture ms", "Isis (traditional) ms"],
-        latency_rows,
+        rows,
         note="Both track the timeout — the question is which timeout each "
         "architecture can AFFORD.",
     )
-    report(
-        capsys,
+    r.table(
         f"Sec. 4.3 (b)  Cost of a false suspicion ({SILENCE_MS:.0f} ms silence of a correct member)",
         ["FD timeout ms", "new arch: processes killed", "Isis: processes killed",
          "Isis: forced state transfers"],
@@ -137,20 +133,22 @@ def test_sec43_responsiveness(benchmark, capsys):
         note="The traditional stack kills the wrongly suspected (correct!) "
         "process; re-inclusion needs a join + state transfer (Sec. 4.3).",
     )
-    new_effective = latency_rows[1][1]     # new arch @ 200 ms (safe: 0 kills)
-    isis_effective = latency_rows[2][2]    # Isis @ 1000 ms (> worst silence)
-    report_text(
-        capsys,
-        "Sec. 4.3 (c)  Effective responsiveness",
+    r.table(
+        "Sec. 4.3 (c)  Effective responsiveness", [], [],
         f"  new architecture, 200 ms timeout (safe): {new_effective:9.1f} ms after a crash\n"
         f"  Isis, forced to 1000 ms (> {SILENCE_MS:.0f} ms silence): {isis_effective:9.1f} ms after a crash\n"
         f"  responsiveness advantage: {isis_effective / new_effective:.1f}x",
     )
     # The paper's shape: wrong suspicions are free for the new stack and
     # fatal for the traditional one...
-    assert all(r[1] == 0 for r in cost_rows)
-    assert all(r[2] >= 1 for r in cost_rows)
-    # ...so the effective post-crash latency gap is large (the measured
-    # advantage is ~2.4x: Isis is forced to a 1000 ms timeout while the
-    # new stack safely runs 200 ms).
-    assert isis_effective > 2 * new_effective
+    r.check("false_suspicion_free_for_new_arch", "new-arch processes killed",
+            {k: s["new_arch_kills"] for k, s in suspicion.items()}, "==", 0)
+    r.check("false_suspicion_fatal_for_isis", "Isis processes killed",
+            {k: s["isis_kills"] for k, s in suspicion.items()}, ">=", 1)
+    # ...so the effective post-crash latency gap is large (Isis is forced
+    # to a 1000 ms timeout while the new stack safely runs 200 ms).
+    r.check("effective_gap_gt_2x", "Isis effective ms (1000 ms timeout) vs 2 × new "
+            "architecture's (200 ms)", isis_effective, ">", 2 * new_effective)
+    r.check("no_leaked_latency_intervals", "open latency intervals", sum(leaks), "==", 0)
+    r.add("causal_trees_complete", causal_trees_complete(cp))
+    return r

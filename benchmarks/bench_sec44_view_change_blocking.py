@@ -11,83 +11,46 @@ episodes, send-delay suffered by messages issued during changes, and
 whether traffic kept flowing.
 """
 
-from common import once, report
+from common import Group, Result
 
-from repro.core.new_stack import build_new_group
+from repro.core.new_stack import add_joiner
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.isis import IsisConfig, add_isis_joiner, build_isis_group
+from repro.traditional.isis import IsisConfig, add_isis_joiner
 
 CHURN_EVENTS = 4
 
 
-def run_isis_churn():
-    world = World(seed=40, default_link=LinkModel(1.0, 1.0))
-    stacks = build_isis_group(world, 3, config=IsisConfig(exclusion_timeout=60_000.0))
-    world.start()
+def run_churn(kind, new_joiner, **build):
+    g = Group(kind, 3, seed=40, link=LinkModel(1.0, 1.0), **build)
+    world = g.world
     sent = 0
     for round_no in range(CHURN_EVENTS):
-        joiner = add_isis_joiner(world, stacks)
-        joiner.gm.request_join("p00")
+        joiner = new_joiner(world, g.stacks)
+        (joiner.gm if kind == "isis" else joiner.membership).request_join("p00")
         # Keep broadcasting while the view change runs.
         for i in range(5):
-            stacks["p01"].abcast_payload(("m", round_no, i))
+            g.send("p01", ("m", round_no, i))
             sent += 1
             world.run_for(5.0)
         assert world.run_until(
             lambda: joiner.view() is not None, timeout=120_000
         )
-    assert world.run_until(
-        lambda: len(stacks["p01"].delivered_payloads()) == sent, timeout=120_000
-    )
+    g.drain(sent, ["p01"])
     m = world.metrics
     return {
         "blocked_ms": m.intervals.total("vs.blocked"),
         "episodes": m.counters.get("vs.blocks"),
         "queued_sends": m.counters.get("vs.sends_blocked"),
         "send_delay": m.latency.stats("vs.send_delay").mean if m.latency.samples("vs.send_delay") else 0.0,
-        "views": stacks["p00"].view().id,
+        "views": g.stacks["p00"].view().id,
     }
 
 
-def run_new_arch_churn():
-    world = World(seed=40, default_link=LinkModel(1.0, 1.0))
-    stacks = build_new_group(world, 3)
-    world.start()
-    sent = 0
-    from repro.core.new_stack import add_joiner
-
-    for round_no in range(CHURN_EVENTS):
-        joiner = add_joiner(world, stacks)
-        joiner.membership.request_join("p00")
-        for i in range(5):
-            stacks["p01"].gbcast.gbcast_payload(("m", round_no, i), "abcast")
-            sent += 1
-            world.run_for(5.0)
-        assert world.run_until(
-            lambda: joiner.membership.view is not None, timeout=120_000
-        )
-    assert world.run_until(
-        lambda: len([m for m, _p in stacks["p01"].gbcast.delivered_log if m.msg_class == "abcast"]) == sent,
-        timeout=120_000,
-    )
-    m = world.metrics
-    return {
-        "blocked_ms": m.intervals.total("vs.blocked"),
-        "episodes": m.counters.get("vs.blocks"),
-        "queued_sends": m.counters.get("vs.sends_blocked"),
-        "send_delay": 0.0,
-        "views": stacks["p00"].membership.view.id,
-    }
-
-
-def test_sec44_view_change_blocking(benchmark, capsys):
-    def run_all():
-        return run_isis_churn(), run_new_arch_churn()
-
-    isis, new = once(benchmark, run_all)
-    report(
-        capsys,
+def scenario_sec44_view_change_blocking() -> Result:
+    r = Result()
+    isis = run_churn("isis", add_isis_joiner, config=IsisConfig(exclusion_timeout=60_000.0))
+    new = run_churn("new", add_joiner)
+    r.table(
         f"Sec. 4.4  Sender blocking during {CHURN_EVENTS} join-triggered view changes",
         ["stack", "view changes", "blocking episodes", "sends queued",
          "total blocked ms", "mean send delay ms"],
@@ -104,6 +67,10 @@ def test_sec44_view_change_blocking(benchmark, capsys):
             "ZERO blocked time — same view delivery comes 'naturally'."
         ),
     )
-    assert isis["views"] == new["views"] == CHURN_EVENTS
-    assert isis["blocked_ms"] > 0 and isis["queued_sends"] > 0
-    assert new["blocked_ms"] == 0 and new["queued_sends"] == 0
+    r.check("both_install_every_view", "views installed",
+            {"Isis": isis["views"], "new architecture": new["views"]}, "==", CHURN_EVENTS)
+    r.check("isis_blocks_senders", "Isis",
+            {"blocked ms": isis["blocked_ms"], "sends queued": isis["queued_sends"]}, ">", 0)
+    r.check("new_arch_never_blocks", "new architecture",
+            {"blocked ms": new["blocked_ms"], "sends queued": new["queued_sends"]}, "==", 0)
+    return r

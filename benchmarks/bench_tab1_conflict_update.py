@@ -6,71 +6,45 @@ identical relative order at every process; the non-conflicting cell
 (update/update) is allowed to — and does — reorder.
 """
 
-from common import once, report
+from common import Group, Result
 
-from repro.gbcast.conflict import PASSIVE_REPLICATION, PRIMARY_CHANGE, UPDATE
-from repro.core.new_stack import build_new_group
-from repro.sim.world import World
+from repro.gbcast.conflict import PASSIVE_REPLICATION, PRIMARY_CHANGE, UPDATE, RBCAST_ABCAST
 
 SEEDS = range(20)
 
 
-def race_pair(class_a, class_b, seed):
-    """Two concurrent messages from different senders; returns the
-    per-process delivery orders of the pair."""
-    world = World(seed=seed)
-    stacks = build_new_group(world, 3, conflict=PASSIVE_REPLICATION)
-    world.start()
-    world.run_for(30.0)
-    stacks["p00"].gbcast.gbcast_payload("A", class_a)
-    stacks["p01"].gbcast.gbcast_payload("B", class_b)
-    assert world.run_until(
-        lambda: all(
-            len([m for m, _p in s.gbcast.delivered_log if not m.msg_class.startswith("_")]) == 2
-            for s in stacks.values()
-        ),
-        timeout=60_000,
-    )
-    orders = set()
-    for s in stacks.values():
-        seq = tuple(
-            m.payload for m, _p in s.gbcast.delivered_log if not m.msg_class.startswith("_")
-        )
-        orders.add(seq)
-    return orders
+def race_pair(class_a, class_b, seed, conflict=RBCAST_ABCAST):
+    """Two concurrent messages from different senders, 30 ms into a run;
+    returns the set of per-process delivery orders of the pair and
+    whether consensus ran."""
+    g = Group("new", 3, seed=seed, conflict=conflict)
+    g.world.run_for(30.0)
+    g.send("p00", "A", class_a)
+    g.send("p01", "B", class_b)
+    orders = {tuple(log) for log in g.drain(2).values()}
+    return orders, g.world.metrics.counters.get("consensus.proposals") > 0
 
 
-def cell(class_a, class_b):
-    """Run the pair over all seeds; classify the observed behaviour."""
-    ever_diverged = False
-    observed_orders = set()
-    for seed in SEEDS:
-        orders = race_pair(class_a, class_b, seed)
-        if len(orders) > 1:
-            ever_diverged = True
-        observed_orders |= orders
-    return ever_diverged, observed_orders
-
-
-def test_tab1_conflict_relation(benchmark, capsys):
-    def run_all():
-        rows = []
-        for a, b, conflicts in (
-            (UPDATE, UPDATE, False),
-            (UPDATE, PRIMARY_CHANGE, True),
-            (PRIMARY_CHANGE, PRIMARY_CHANGE, True),
-        ):
-            diverged, orders = cell(a, b)
-            rows.append([f"{a} / {b}",
-                         "conflict" if conflicts else "no conflict",
-                         "allowed" if not conflicts else "FORBIDDEN",
-                         "observed" if diverged else "never",
-                         len(orders)])
-        return rows
-
-    rows = once(benchmark, run_all)
-    report(
-        capsys,
+def scenario_tab1_conflict_relation() -> Result:
+    r = Result()
+    rows = []
+    for a, b, conflicts in (
+        (UPDATE, UPDATE, False),
+        (UPDATE, PRIMARY_CHANGE, True),
+        (PRIMARY_CHANGE, PRIMARY_CHANGE, True),
+    ):
+        observed_orders = set()
+        diverged = False
+        for seed in SEEDS:
+            orders, _consensus = race_pair(a, b, seed, PASSIVE_REPLICATION)
+            diverged |= len(orders) > 1
+            observed_orders |= orders
+        rows.append([f"{a} / {b}",
+                     "conflict" if conflicts else "no conflict",
+                     "allowed" if not conflicts else "FORBIDDEN",
+                     "observed" if diverged else "never",
+                     len(observed_orders)])
+    r.table(
         "Table 1 (Sec. 3.2.3)  update / primary-change conflict relation, 20 seeds/cell",
         ["message pair", "paper cell", "cross-process reorder", "reorder observed", "distinct orders seen"],
         rows,
@@ -83,5 +57,6 @@ def test_tab1_conflict_relation(benchmark, capsys):
     )
     # update/update: divergence permitted (not required); conflicting
     # cells: divergence must never happen.
-    assert rows[1][3] == "never"
-    assert rows[2][3] == "never"
+    r.check("conflicting_cells_never_reorder", "reorder observed",
+            {row[0]: row[3] for row in rows[1:]}, "==", "never")
+    return r

@@ -2,31 +2,31 @@
 
 The benchmark runner is exercised end to end by CI's ``--check`` run;
 these tests pin the *rules* — the one-sided latency bound, the
-``decision_path`` round-0 shape, the actionable shape-failure messages
-and the dissemination hard bounds — against hand-built documents, so a
-rule regression fails fast without re-running every scenario.
+``decision_path`` round-0 shape, the one-statement check that makes
+every flag and its ``shape_detail`` sentence, and the actionable
+shape-failure messages — against hand-built documents, so a rule
+regression fails fast without re-running every scenario.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
 _BENCH = Path(__file__).resolve().parents[2] / "benchmarks"
-if str(_BENCH) not in sys.path:  # run_all expects its own dir importable
+if str(_BENCH) not in sys.path:  # the benches import each other by module name
     sys.path.insert(0, str(_BENCH))
 
-from run_all import (  # noqa: E402
+from bench_stack_mechanisms import (  # noqa: E402
     DISSEMINATION_THROUGHPUT_FLOOR,
     RING_ORIGIN_BALANCE_BOUND,
-    SCHEMA,
-    check,
-    compare,
     control_goes_direct,
     endstage_ordering_bytes,
     ring_decides_like_flood,
-    round0_dominates,
     run_dissemination,
 )
+from common import Result, claim, round0_dominates  # noqa: E402
+from run_all import SCHEMA, check, compare  # noqa: E402
 
 
 def test_schema_is_v6():
@@ -71,56 +71,51 @@ def _empty_baseline(tmp_path):
     return path
 
 
+def test_check_at_the_bound_holds_and_just_past_it_fails():
+    assert claim("ring origin_over_mean", 2.0, "<=", 2.0)
+    past = claim("ring origin_over_mean", 2.0001, "<=", 2.0)
+    assert not past
+    assert past.detail == "ring origin_over_mean 2.0001 <= 2"
+    assert claim("kills", 1, ">=", 1) and not claim("kills", 0, ">=", 1)
+    assert claim("p50 ms", 9.99, "<", 10.0) and not claim("p50 ms", 10.0, "<", 10.0)
+
+
+def test_check_over_a_mapping_holds_only_if_every_entry_does():
+    both = claim("open latency intervals", {"w1": 0, "w4": 0}, "==", 0)
+    assert both and both.detail == "open latency intervals: w1 0 == 0; w4 0 == 0"
+    one = claim("deposit ms", {"10%": 8.8, "30%": 10.4}, "<=", {"10%": 10.1, "30%": 10.3})
+    assert not one
+    assert "30% 10.4 <= 10.3" in one.detail
+
+
+def test_a_missing_measurement_is_a_false_check_not_an_exception():
+    for missing in (None, math.nan):
+        verdict = claim("ring origin_over_mean", missing, "<=", RING_ORIGIN_BALANCE_BOUND)
+        assert not verdict
+        assert "ring origin_over_mean" in verdict.detail
+        assert "missing" in verdict.detail
+    assert not claim("ring msgs/s", 964.0, ">=", None)
+
+
 def test_shape_failure_quotes_the_measured_detail(tmp_path):
-    # A false shape flag must surface the scenario's shape_detail string
-    # (measured value + bound) — a bare flag name is not actionable.
-    doc = _sweep_doc(origin_over_mean=1.3, tput_ring=960.0)
-    doc["scenarios"]["dissemination_sweep"]["shape"] = {
-        "origin_bytes_balanced": False,
-        "other": True,
-    }
-    doc["scenarios"]["dissemination_sweep"]["shape_detail"] = {
-        "origin_bytes_balanced": "ring origin_over_mean 2.7 <= bound 2.0"
-    }
+    # A breached bound fails --check through its flag alone, and the
+    # failure line quotes the check's sentence: the measured value and
+    # the bound — a bare flag name is not actionable.
+    result = Result()
+    result.check("origin_bytes_balanced", "ring origin_over_mean",
+                 RING_ORIGIN_BALANCE_BOUND + 0.5, "<=", RING_ORIGIN_BALANCE_BOUND)
+    result.check("ring_throughput_holds", "ring msgs/s vs 0.9 × flood",
+                 850.0, ">=", 1000.0 * DISSEMINATION_THROUGHPUT_FLOOR)
+    result.check("other", "ring rb.nacks_sent", 0, "==", 0)
+    doc = {"scenarios": {"dissemination_sweep": {
+        "shape": result.shape, "shape_detail": result.shape_detail}}}
     problems = check(doc, _empty_baseline(tmp_path), tolerance=0.25)
-    assert len(problems) == 1
-    assert "scenarios.dissemination_sweep.shape.origin_bytes_balanced" in problems[0]
-    assert "ring origin_over_mean 2.7 <= bound 2.0" in problems[0]
-
-
-def _sweep_doc(origin_over_mean, tput_ring, tput_flood=1000.0):
-    return {
-        "scenarios": {
-            "dissemination_sweep": {
-                "shape": {},
-                "metrics": {
-                    "ring": {"node_bytes": {"origin_over_mean": origin_over_mean}},
-                    "flood_nobw": {"throughput_msgs_per_s": tput_flood},
-                    "ring_nobw": {"throughput_msgs_per_s": tput_ring},
-                },
-            }
-        }
-    }
-
-
-def test_ring_origin_balance_is_a_hard_bound(tmp_path):
-    baseline = _empty_baseline(tmp_path)
-    ok = _sweep_doc(origin_over_mean=1.3, tput_ring=960.0)
-    assert check(ok, baseline, tolerance=0.25) == []
-    hot = _sweep_doc(origin_over_mean=RING_ORIGIN_BALANCE_BOUND + 0.5, tput_ring=960.0)
-    problems = check(hot, baseline, tolerance=0.25)
-    assert len(problems) == 1
-    assert "origin_over_mean" in problems[0]
-    assert str(RING_ORIGIN_BALANCE_BOUND) in problems[0]
-
-
-def test_ring_throughput_floor_is_a_hard_bound(tmp_path):
-    baseline = _empty_baseline(tmp_path)
-    floor = 1000.0 * DISSEMINATION_THROUGHPUT_FLOOR
-    assert check(_sweep_doc(1.3, floor + 1.0), baseline, tolerance=0.25) == []
-    problems = check(_sweep_doc(1.3, floor - 1.0), baseline, tolerance=0.25)
-    assert len(problems) == 1
-    assert "ring dissemination regressed throughput" in problems[0]
+    assert len(problems) == 2
+    balance, throughput = problems
+    assert "scenarios.dissemination_sweep.shape.origin_bytes_balanced" in balance
+    assert "ring origin_over_mean 2.5 <= 2" in balance
+    assert "scenarios.dissemination_sweep.shape.ring_throughput_holds" in throughput
+    assert "850 >= 900" in throughput
 
 
 def test_ordering_bytes_are_payload_blind():
@@ -139,7 +134,7 @@ def test_ordering_traffic_stays_off_the_overlay():
     # the three middle members and by nobody else — a DECIDE walking the
     # ring doubled the count (600) — and the median propose-to-decide
     # delay is flood's, not flood's plus a ring hop (27.4 vs 16.8 ms).
-    flood, ring = run_dissemination("flood", 2_000.0), run_dissemination("ring", 2_000.0)
+    (flood, _), (ring, _) = run_dissemination("flood", 2_000.0), run_dissemination("ring", 2_000.0)
     assert ring["rb"]["forwarded"] == 300
     assert control_goes_direct(ring)
     assert not control_goes_direct({"rb": {"forwarded": 600}})
