@@ -9,14 +9,13 @@ membership layer (bottom) excludes it and view synchrony flushes.
 from common import Group, Result, per_delivery_messages
 
 from repro.net.topology import LinkModel
-from repro.traditional.isis import IsisConfig, IsisStack
+from repro.traditional.isis import IsisStack
 
 
 def scenario_fig1_isis() -> Result:
     r = Result()
     # Failure-free phase.
-    g = Group("isis", 3, seed=1, link=LinkModel(1.0, 1.0),
-              config=IsisConfig(exclusion_timeout=400.0))
+    g = Group("isis", 3, seed=1, link=LinkModel(1.0, 1.0), exclusion_timeout=400.0)
     for i in range(10):
         g.send("p00", ("a", i))
         g.send("p01", ("b", i))

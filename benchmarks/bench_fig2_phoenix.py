@@ -9,15 +9,14 @@ progressing in *different* components of a partitioned network.
 from common import Group, Result
 
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.phoenix import PhoenixConfig, PhoenixStack, build_phoenix_group
+from repro.sim.world import World, build_group
+from repro.traditional.phoenix import PhoenixStack
 
 
 def scenario_fig2_phoenix() -> Result:
     r = Result()
     # Failure-free ordering + consensus-decided view change.
-    g = Group("phoenix", 3, seed=2, link=LinkModel(1.0, 1.0),
-              config=PhoenixConfig(exclusion_timeout=300.0))
+    g = Group("phoenix", 3, seed=2, link=LinkModel(1.0, 1.0), exclusion_timeout=300.0)
     for i in range(10):
         g.send("p00", ("m", i))
     g.drain(10)
@@ -35,9 +34,8 @@ def scenario_fig2_phoenix() -> Result:
 
     # S/S' partition scenario.
     world2 = World(seed=3, default_link=LinkModel(1.0, 1.0))
-    config = PhoenixConfig(exclusion_timeout=250.0)
-    s = build_phoenix_group(world2, 3, config=config)
-    sp = build_phoenix_group(world2, 3, config=config, start_index=3)
+    s = build_group(world2, 3, PhoenixStack, exclusion_timeout=250.0)
+    sp = build_group(world2, 3, PhoenixStack, exclusion_timeout=250.0)  # p03 p04 p05
     world2.start()
     world2.run_for(100.0)
     world2.split([["p00", "p01", "p03"], ["p02", "p04", "p05"]])

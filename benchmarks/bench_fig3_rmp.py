@@ -10,13 +10,13 @@ fault-tolerant membership to recover the ring.
 from common import Group, Result
 
 from repro.net.topology import LinkModel
-from repro.traditional.rmp import RMPStack, RingConfig, add_rmp_joiner
+from repro.sim.world import add_joiner
+from repro.traditional.rmp import RMPStack
 
 
 def scenario_fig3_rmp() -> Result:
     r = Result()
-    g = Group("rmp", 3, seed=4, link=LinkModel(1.0, 1.0),
-              config=RingConfig(exclusion_timeout=300.0))
+    g = Group("rmp", 3, seed=4, link=LinkModel(1.0, 1.0), exclusion_timeout=300.0)
     for i in range(10):
         g.send("p00", ("m", i))
     g.drain(10)
@@ -29,7 +29,7 @@ def scenario_fig3_rmp() -> Result:
     ]
 
     # Fault-free membership: join + leave via the ring itself.
-    joiner = add_rmp_joiner(world, stacks)
+    joiner = add_joiner(world, stacks)
     joiner.membership.request_join("p00")
     assert world.run_until(lambda: joiner.view() is not None, timeout=60_000)
     stacks["p00"].membership.leave("p02")

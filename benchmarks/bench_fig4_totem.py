@@ -11,7 +11,6 @@ cost of the token: it circulates even with no traffic.
 from common import Group, Result
 
 from repro.net.topology import LinkModel
-from repro.traditional.rmp import RingConfig
 from repro.traditional.totem import TotemStack
 
 LINK = LinkModel(1.0, 1.0)
@@ -21,8 +20,8 @@ def scenario_fig4_totem() -> Result:
     r = Result()
     flow_rows = []
     for max_orders in (1, 5, 20):
-        g = Group("totem", 3, seed=5, link=LINK, config=RingConfig(
-            exclusion_timeout=60_000.0, max_orders_per_token=max_orders))
+        g = Group("totem", 3, seed=5, link=LINK,
+                  exclusion_timeout=60_000.0, max_orders_per_token=max_orders)
         for i in range(30):
             g.send("p00", ("m", i))
         g.drain(30)
@@ -33,7 +32,7 @@ def scenario_fig4_totem() -> Result:
         )
 
     # Recovery: survivor histories are merged after a crash.
-    g = Group("totem", 3, seed=6, link=LINK, config=RingConfig(exclusion_timeout=250.0))
+    g = Group("totem", 3, seed=6, link=LINK, exclusion_timeout=250.0)
     world = g.world
     world.run_for(50.0)
     # One survivor misses the orderer's messages before the crash.
@@ -62,7 +61,7 @@ def scenario_fig4_totem() -> Result:
             flow_rows[0][3], ">", flow_rows[2][3])
 
     # Idle-ring overhead: the token circulates even with no traffic.
-    g = Group("totem", 3, seed=7, link=LINK, config=RingConfig(exclusion_timeout=60_000.0))
+    g = Group("totem", 3, seed=7, link=LINK, exclusion_timeout=60_000.0)
     g.world.run_for(1_000.0)
     passes = g.world.metrics.counters.get("abcast.token_passes")
     r.table(

@@ -9,13 +9,12 @@ the membership components (event hops on the hot path).
 from common import Group, Result
 
 from repro.net.topology import LinkModel
-from repro.traditional.ensemble import EnsembleConfig, EnsembleStack
+from repro.traditional.ensemble import EnsembleStack
 
 
 def scenario_fig5_ensemble() -> Result:
     r = Result()
-    g = Group("ensemble", 3, seed=8, link=LinkModel(1.0, 1.0),
-              config=EnsembleConfig(exclusion_timeout=300.0))
+    g = Group("ensemble", 3, seed=8, link=LinkModel(1.0, 1.0), exclusion_timeout=300.0)
     # Send from a non-sequencer so the latency includes the fwd hop.
     for i in range(10):
         g.send("p01", ("m", i))

@@ -9,8 +9,9 @@ components exist and interact as drawn.
 from common import Group, Result
 
 from repro.core.api import GroupCommunication
-from repro.core.new_stack import StackConfig, add_joiner
+from repro.core.new_stack import StackConfig
 from repro.monitoring.component import MonitoringPolicy
+from repro.sim.world import add_joiner
 
 
 def scenario_fig9_full_stack() -> Result:

@@ -9,6 +9,7 @@ run is the §4.1 cost profile of ``BENCH_abgb.json``.
 """
 
 from common import (
+    TRADITIONAL,
     Group,
     Result,
     causal_trees_complete,
@@ -19,12 +20,6 @@ from common import (
     world_metrics,
 )
 
-from repro.traditional.ensemble import EnsembleStack
-from repro.traditional.isis import IsisStack
-from repro.traditional.phoenix import PhoenixStack
-from repro.traditional.rmp import RMPStack
-from repro.traditional.totem import TotemStack
-
 NEW_ARCH_ORDERING_SOLVERS = [
     "atomic broadcast (orders messages, view changes, and — via stage "
     "closure — conflicting generic broadcasts)",
@@ -34,7 +29,7 @@ NEW_ARCH_ORDERING_SOLVERS = [
 def scenario_sec41_complexity() -> Result:
     traditional = {
         stack.__name__.replace("Stack", ""): stack.ORDERING_SOLVERS
-        for stack in (IsisStack, PhoenixStack, RMPStack, TotemStack, EnsembleStack)
+        for stack in TRADITIONAL.values()
     }
     # Traffic plus a membership change: which ordering mechanisms ran?
     g = Group("new", 3, seed=30)

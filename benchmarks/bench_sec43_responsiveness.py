@@ -29,7 +29,6 @@ from common import (
 from repro.core.new_stack import StackConfig
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
-from repro.traditional.isis import IsisConfig
 
 SILENCE_MS = 600.0
 TIMEOUTS = (50.0, 200.0, 1_000.0)
@@ -44,7 +43,7 @@ def new_arch(timeout, seed, exclusion_timeout):
 
 
 def isis(timeout, seed):
-    return Group("isis", 3, seed=seed, config=IsisConfig(exclusion_timeout=timeout))
+    return Group("isis", 3, seed=seed, exclusion_timeout=timeout)
 
 
 def post_crash(g):

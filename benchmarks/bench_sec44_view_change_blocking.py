@@ -13,19 +13,18 @@ whether traffic kept flowing.
 
 from common import Group, Result
 
-from repro.core.new_stack import add_joiner
 from repro.net.topology import LinkModel
-from repro.traditional.isis import IsisConfig, add_isis_joiner
+from repro.sim.world import add_joiner
 
 CHURN_EVENTS = 4
 
 
-def run_churn(kind, new_joiner, **build):
+def run_churn(kind, **build):
     g = Group(kind, 3, seed=40, link=LinkModel(1.0, 1.0), **build)
     world = g.world
     sent = 0
     for round_no in range(CHURN_EVENTS):
-        joiner = new_joiner(world, g.stacks)
+        joiner = add_joiner(world, g.stacks)
         (joiner.gm if kind == "isis" else joiner.membership).request_join("p00")
         # Keep broadcasting while the view change runs.
         for i in range(5):
@@ -48,8 +47,8 @@ def run_churn(kind, new_joiner, **build):
 
 def scenario_sec44_view_change_blocking() -> Result:
     r = Result()
-    isis = run_churn("isis", add_isis_joiner, config=IsisConfig(exclusion_timeout=60_000.0))
-    new = run_churn("new", add_joiner)
+    isis = run_churn("isis", exclusion_timeout=60_000.0)
+    new = run_churn("new")
     r.table(
         f"Sec. 4.4  Sender blocking during {CHURN_EVENTS} join-triggered view changes",
         ["stack", "view changes", "blocking episodes", "sends queued",

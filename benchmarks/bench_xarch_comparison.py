@@ -12,30 +12,26 @@ from common import Group, Result
 from repro.core.new_stack import StackConfig
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
-from repro.traditional.ensemble import EnsembleConfig
-from repro.traditional.isis import IsisConfig
-from repro.traditional.phoenix import PhoenixConfig
-from repro.traditional.rmp import RingConfig
 
 FD_TIMEOUT = 300.0
 BURST = 12
 
-#: (row label, stack kind, configuration) — every stack at the same FD timeout.
+#: (row label, stack kind, build options) — every stack at the same FD timeout.
 STACK_ROWS = [
-    ("new architecture", "new", StackConfig(
+    ("new architecture", "new", {"config": StackConfig(
         suspicion_timeout=FD_TIMEOUT,
         monitoring=MonitoringPolicy(exclusion_timeout=10 * FD_TIMEOUT),
-    )),
-    ("Isis", "isis", IsisConfig(exclusion_timeout=FD_TIMEOUT)),
-    ("Phoenix", "phoenix", PhoenixConfig(exclusion_timeout=FD_TIMEOUT)),
-    ("RMP", "rmp", RingConfig(exclusion_timeout=FD_TIMEOUT)),
-    ("Totem", "totem", RingConfig(exclusion_timeout=FD_TIMEOUT)),
-    ("Ensemble", "ensemble", EnsembleConfig(exclusion_timeout=FD_TIMEOUT)),
+    )}),
+    ("Isis", "isis", {"exclusion_timeout": FD_TIMEOUT}),
+    ("Phoenix", "phoenix", {"exclusion_timeout": FD_TIMEOUT}),
+    ("RMP", "rmp", {"exclusion_timeout": FD_TIMEOUT}),
+    ("Totem", "totem", {"exclusion_timeout": FD_TIMEOUT}),
+    ("Ensemble", "ensemble", {"exclusion_timeout": FD_TIMEOUT}),
 ]
 
 
-def run(kind, config, crash_pid="p00"):
-    g = Group(kind, 3, seed=50, link=LinkModel(1.0, 1.0), config=config)
+def run(kind, options, crash_pid="p00"):
+    g = Group(kind, 3, seed=50, link=LinkModel(1.0, 1.0), **options)
     world = g.world
     pids = sorted(g.stacks)
     for i in range(BURST // 3):
@@ -51,7 +47,7 @@ def run(kind, config, crash_pid="p00"):
 
 def scenario_xarch_comparison() -> Result:
     r = Result()
-    rows = [[label] + run(kind, config) for label, kind, config in STACK_ROWS]
+    rows = [[label] + run(kind, options) for label, kind, options in STACK_ROWS]
     r.table(
         f"Cross-architecture comparison (same workload, n=3, FD timeout {FD_TIMEOUT:.0f} ms)",
         ["architecture", "latency mean ms", "p95 ms", "net msgs/delivery",

@@ -18,16 +18,12 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.composed import build_composed_group
-from repro.core.new_stack import build_new_group
+from repro.core.composed import ComposedNewArchitecture
+from repro.core.new_stack import NewArchitectureStack
 from repro.net.topology import LAN
 from repro.sim import critpath
-from repro.sim.world import World
-from repro.traditional.ensemble import build_ensemble_group
-from repro.traditional.isis import build_isis_group
-from repro.traditional.phoenix import build_phoenix_group
-from repro.traditional.rmp import build_rmp_group
-from repro.traditional.totem import build_totem_group
+from repro.sim.world import World, build_group
+from repro.traditional import EnsembleStack, IsisStack, PhoenixStack, RMPStack, TotemStack
 
 
 def fmt(value: Any) -> str:
@@ -161,36 +157,43 @@ def _app(log) -> list[Any]:
     return [m.payload for m in log if not m.msg_class.startswith("_")]
 
 
-def _delivered(stack) -> list[Any]:
-    return stack.delivered_payloads()
-
-
 def _abcast_payload(stack, payload, _msg_class) -> None:
     stack.abcast_payload(payload)
 
 
+def _delivered(stack) -> list[Any]:
+    return stack.delivered_payloads()
+
+
+#: The traditional stacks: each offers the one application surface
+#: (``abcast_payload``, ``delivered_payloads``), so all are driven alike.
+TRADITIONAL = {
+    "isis": IsisStack,
+    "phoenix": PhoenixStack,
+    "rmp": RMPStack,
+    "totem": TotemStack,
+    "ensemble": EnsembleStack,
+}
+
 #: How each stack is built, takes an application payload and reports what
-#: it delivered: ``(build, send(stack, payload, msg_class), log(stack))``.
-#: The new stack's application path is its generic broadcast (class
-#: ``"abcast"`` unless one is given); ``new-abcast`` drives its atomic
-#: broadcast directly, ``composed`` is the same stack wired by events.
+#: it delivered: ``(stack class, send(stack, payload, msg_class),
+#: log(stack))``.  The new stack's application path is its generic
+#: broadcast (class ``"abcast"`` unless one is given); ``new-abcast``
+#: drives its atomic broadcast directly, ``composed`` is the same stack
+#: wired by events.
 STACKS = {
     "new": (
-        build_new_group,
+        NewArchitectureStack,
         lambda s, p, c: s.gbcast.gbcast_payload(p, c or "abcast"),
         lambda s: _app(m for m, _path in s.gbcast.delivered_log),
     ),
     "new-abcast": (
-        build_new_group,
+        NewArchitectureStack,
         lambda s, p, c: s.abcast.abcast(s.process.msg_ids.message(p)),
         lambda s: _app(s.abcast.delivered_log),
     ),
-    "composed": (build_composed_group, lambda s, p, c: s.gbcast(p, c or "abcast"), _delivered),
-    "isis": (build_isis_group, _abcast_payload, _delivered),
-    "phoenix": (build_phoenix_group, _abcast_payload, _delivered),
-    "rmp": (build_rmp_group, _abcast_payload, _delivered),
-    "totem": (build_totem_group, _abcast_payload, _delivered),
-    "ensemble": (build_ensemble_group, lambda s, p, c: s.send(p), _delivered),
+    "composed": (ComposedNewArchitecture, lambda s, p, c: s.gbcast(p, c or "abcast"), _delivered),
+    **{kind: (stack, _abcast_payload, _delivered) for kind, stack in TRADITIONAL.items()},
 }
 
 
@@ -203,8 +206,8 @@ class Group:
     def __init__(self, kind: str, n: int, seed: int = 0, link=LAN, **build: Any) -> None:
         self.kind = kind
         self.world = World(seed=seed, default_link=link)
-        make, self._send, self._log = STACKS[kind]
-        self.stacks = make(self.world, n, **build)
+        stack, self._send, self._log = STACKS[kind]
+        self.stacks = build_group(self.world, n, stack, **build)
         self.world.start()
 
     def send(self, pid: str, payload: Any, msg_class: str | None = None,

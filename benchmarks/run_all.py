@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -55,6 +56,7 @@ from scenarios import SCENARIOS  # noqa: E402
 
 from repro.core.new_stack import StackConfig  # noqa: E402
 from repro.sim.scheduler import Scheduler  # noqa: E402
+from repro.traditional import EnsembleStack, IsisStack, PhoenixStack, RMPStack  # noqa: E402
 
 SCHEMA = "bench-abgb/v6"
 
@@ -72,15 +74,23 @@ TRAJECTORY = (
 
 def simplicity_meta() -> dict:
     """The size of what the numbers were taken on: configuration fields
-    of the stack, non-blank source lines under ``src/repro`` and
-    non-blank lines of the benches that take them (``benchmarks/*.py``,
-    the frozen ``benchmarks/perf/`` apart)."""
+    of the stack, the options the traditional stacks take (a constructor
+    keyword other than ``is_member``, counted per stack; Totem inherits
+    RMP's), non-blank source lines under ``src/repro`` and non-blank
+    lines of the benches that take them (``benchmarks/*.py``, the frozen
+    ``benchmarks/perf/`` apart)."""
 
     def lines(paths) -> int:
         return sum(1 for path in paths for line in path.read_text().splitlines() if line.strip())
 
     return {
         "stack_config_fields": len(dataclasses.fields(StackConfig)),
+        "traditional_knobs": sum(
+            1
+            for stack in (IsisStack, PhoenixStack, RMPStack, EnsembleStack)
+            for name, param in inspect.signature(stack).parameters.items()
+            if param.kind is param.KEYWORD_ONLY and name != "is_member"
+        ),
         "src_lines": lines((_HERE.parent / "src" / "repro").rglob("*.py")),
         "bench_lines": lines(_HERE.glob("*.py")),
     }
@@ -177,19 +187,19 @@ def check(document: dict, baseline_path: Path, tolerance: float) -> list[str]:
     problems = compare(baseline.get("scenarios", {}), document["scenarios"], tolerance,
                        path="scenarios")
     # The simplicity trajectory goes into every CI log.  One-sided: the
-    # stack may lose configuration fields, never gain one unnoticed
-    # (``src_lines`` and ``bench_lines`` are recorded for the trajectory
-    # only).
+    # stacks may lose configuration fields and options, never gain one
+    # unnoticed (``src_lines`` and ``bench_lines`` are recorded for the
+    # trajectory only).
     meta_before, meta_now = baseline.get("meta", {}), document.get("meta", {})
     for key in sorted(meta_now):
         print(f"[bench] meta.{key}: {meta_before.get(key)} -> {meta_now[key]}")
-    fields_before = meta_before.get("stack_config_fields")
-    fields_now = meta_now.get("stack_config_fields")
-    if None not in (fields_before, fields_now) and fields_now > fields_before:
-        problems.append(
-            f"meta.stack_config_fields: {fields_now} exceeds the baseline's "
-            f"{fields_before} — StackConfig grew a knob"
-        )
+    for key, grew in (
+        ("stack_config_fields", "StackConfig grew a knob"),
+        ("traditional_knobs", "a traditional stack grew an option"),
+    ):
+        before, now = meta_before.get(key), meta_now.get(key)
+        if None not in (before, now) and now > before:
+            problems.append(f"meta.{key}: {now} exceeds the baseline's {before} — {grew}")
     for name, scenario in document["scenarios"].items():
         details = scenario.get("shape_detail", {})
         for flag, value in scenario.get("shape", {}).items():

@@ -11,16 +11,15 @@ membership, and a behaviour the new architecture inherits.
 """
 
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.phoenix import PhoenixConfig, build_phoenix_group
-
+from repro.sim.world import World, build_group
+from repro.traditional.phoenix import PhoenixStack
 
 
 def main() -> None:
     world = World(seed=9, default_link=LinkModel(1.0, 1.0))
-    config = PhoenixConfig(exclusion_timeout=250.0)
-    service_s = build_phoenix_group(world, 3, config=config)               # p00 p01 p02
-    service_sp = build_phoenix_group(world, 3, config=config, start_index=3)  # p03 p04 p05
+    # A group is spawned after the processes the world already has.
+    service_s = build_group(world, 3, PhoenixStack, exclusion_timeout=250.0)   # p00 p01 p02
+    service_sp = build_group(world, 3, PhoenixStack, exclusion_timeout=250.0)  # p03 p04 p05
     world.start()
     world.run_for(100.0)
 

@@ -11,11 +11,10 @@ membership excludes the crashed process — so its post-crash latency is
 the exclusion timeout plus a flush.
 """
 
-from repro import World
+from repro import World, build_group
 from repro.core.new_stack import StackConfig, build_new_group
 from repro.monitoring.component import MonitoringPolicy
-from repro.traditional.isis import IsisConfig, build_isis_group
-
+from repro.traditional.isis import IsisStack
 
 
 def new_architecture_post_crash_latency(suspicion_timeout):
@@ -39,7 +38,7 @@ def new_architecture_post_crash_latency(suspicion_timeout):
 
 def isis_post_crash_latency(exclusion_timeout):
     world = World(seed=3)
-    stacks = build_isis_group(world, 3, config=IsisConfig(exclusion_timeout=exclusion_timeout))
+    stacks = build_group(world, 3, IsisStack, exclusion_timeout=exclusion_timeout)
     world.start()
     world.run_for(200.0)
     world.crash("p00")  # the sequencer
@@ -82,7 +81,7 @@ def false_suspicion_cost(timeout, silence=600.0):
     new_excluded = world.metrics.counters.get("monitoring.exclusions_requested")
 
     world2 = World(seed=4)
-    build_isis_group(world2, 3, config=IsisConfig(exclusion_timeout=timeout))
+    build_group(world2, 3, IsisStack, exclusion_timeout=timeout)
     world2.start()
     world2.run_for(200.0)
     silence_member(world2, "p02", ["p00", "p01"])

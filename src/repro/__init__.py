@@ -26,7 +26,6 @@ from repro.core.api import GroupCommunication
 from repro.core.new_stack import (
     NewArchitectureStack,
     StackConfig,
-    add_joiner,
     build_new_group,
     enable_recovery,
 )
@@ -40,7 +39,7 @@ from repro.gbcast.fifo import FifoSender
 from repro.membership.view import View
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.message import AppMessage, MsgId
-from repro.sim.world import World, make_pid
+from repro.sim.world import World, add_joiner, build_group, make_pid
 
 __version__ = "1.0.0"
 
@@ -61,6 +60,7 @@ __all__ = [
     "add_joiner",
     "app_history",
     "bank_relation",
+    "build_group",
     "build_new_group",
     "check_all",
     "enable_recovery",

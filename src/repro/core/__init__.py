@@ -1,15 +1,13 @@
 """The paper's new architecture: Fig. 9 stack + application facade."""
 
 from repro.core.api import GroupCommunication
-from repro.core.composed import ComposedNewArchitecture, build_composed_group
-from repro.core.new_stack import NewArchitectureStack, StackConfig, add_joiner, build_new_group
+from repro.core.composed import ComposedNewArchitecture
+from repro.core.new_stack import NewArchitectureStack, StackConfig, build_new_group
 
 __all__ = [
     "ComposedNewArchitecture",
     "GroupCommunication",
     "NewArchitectureStack",
     "StackConfig",
-    "add_joiner",
-    "build_composed_group",
     "build_new_group",
 ]

@@ -27,7 +27,6 @@ from repro.core.new_stack import NewArchitectureStack, StackConfig
 from repro.gbcast.conflict import RBCAST_ABCAST, ConflictRelation
 from repro.membership.view import View
 from repro.net.message import AppMessage
-from repro.sim.world import World
 from repro.stack.events import Event
 from repro.stack.kernel import StackKernel
 from repro.stack.layer import Layer
@@ -157,15 +156,3 @@ class ComposedNewArchitecture:
     def view(self) -> View | None:
         return self.components.view()
 
-
-def build_composed_group(
-    world: World,
-    count: int,
-    conflict: ConflictRelation = RBCAST_ABCAST,
-    config: StackConfig | None = None,
-) -> dict[str, ComposedNewArchitecture]:
-    pids = world.spawn(count)
-    return {
-        pid: ComposedNewArchitecture(world.process(pid), pids, conflict, config)
-        for pid in pids
-    }

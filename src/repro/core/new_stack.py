@@ -45,7 +45,7 @@ from repro.monitoring.component import MonitoringComponent, MonitoringPolicy
 from repro.net.overlay import POLICIES
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Process
-from repro.sim.world import World
+from repro.sim.world import World, build_group
 
 
 #: Timing of the layers below consensus.  One value each in every run
@@ -72,7 +72,6 @@ from repro.sim.world import World
 #: gets no keep-alives between two members neither of which orders, and
 #: one that sets it to 100 gets them every 25 ms.
 HEARTBEAT_INTERVAL = 15.0
-INITIAL_RTO = 40.0
 STUCK_TIMEOUT = 1_000.0
 
 
@@ -169,7 +168,6 @@ class NewArchitectureStack:
 
         self.channel = ReliableChannel(
             process,
-            initial_rto=INITIAL_RTO,
             stuck_timeout=STUCK_TIMEOUT,
             coalesce_delay=cfg.coalesce_delay,
             max_segment_batch=cfg.max_segment_batch,
@@ -252,29 +250,7 @@ def build_new_group(
     config: StackConfig | None = None,
 ) -> dict[str, NewArchitectureStack]:
     """Spawn ``count`` processes, each running the full Fig. 9 stack."""
-    pids = world.spawn(count)
-    stacks = {}
-    for pid in pids:
-        stacks[pid] = NewArchitectureStack(
-            world.process(pid), pids, conflict=conflict, config=config
-        )
-    return stacks
-
-
-def add_joiner(
-    world: World,
-    stacks: dict[str, NewArchitectureStack],
-    conflict: ConflictRelation = RBCAST_ABCAST,
-    config: StackConfig | None = None,
-) -> NewArchitectureStack:
-    """Create a fresh process outside the group, ready to request_join."""
-    index = len(world.processes)
-    (pid,) = world.spawn(1, start_index=index)
-    stack = NewArchitectureStack(
-        world.process(pid), [], conflict=conflict, config=config, is_member=False
-    )
-    stacks[pid] = stack
-    return stack
+    return build_group(world, count, NewArchitectureStack, conflict=conflict, config=config)
 
 
 RebuildHook = Callable[[str, NewArchitectureStack], None]

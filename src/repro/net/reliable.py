@@ -88,7 +88,8 @@ from repro.sim.scheduler import DUE_SLACK, Timer
 PORT = "rc"
 
 #: Bounds of the retransmission timeout, in ms.  ``RTO_MIN`` is the least
-#: slack above the smoothed round trip (and the least RTO).  It must
+#: slack above the smoothed round trip, the least RTO and the RTO towards
+#: a peer no ACK has sampled yet.  It must
 #: exceed what a single round trip can add to the mean on the measured
 #: links — two hops of 3–11 ms, the sender's coalescing hold, the
 #: receiver's ``ACK_HOLD``, 16 ms to serialise a full batch of 4 KiB
@@ -159,11 +160,11 @@ class _Rto:
 
     __slots__ = ("srtt", "rttvar", "base", "backoff", "timer")
 
-    def __init__(self, initial_rto: float) -> None:
+    def __init__(self) -> None:
         self.srtt: float | None = None
         self.rttvar = 0.0
-        #: The RTO before back-off: ``initial_rto`` until the first sample.
-        self.base = initial_rto
+        #: The RTO before back-off: ``RTO_MIN`` until the first sample.
+        self.base = RTO_MIN
         #: Consecutive expiries that re-sent something since the last
         #: clean sample; the RTO is doubled this many times.
         self.backoff = 0
@@ -208,16 +209,11 @@ class ReliableChannel(Component):
     def __init__(
         self,
         process: Process,
-        initial_rto: float = RTO_MIN,
         stuck_timeout: float = 500.0,
         coalesce_delay: float | None = None,
         max_segment_batch: int = 8,
     ) -> None:
         super().__init__(process, "rc")
-        if initial_rto <= 0:
-            raise ValueError(f"initial_rto must be positive: {initial_rto}")
-        #: The RTO towards a peer no ACK has sampled yet.
-        self.initial_rto = initial_rto
         self.stuck_timeout = stuck_timeout
         self.coalesce_delay = coalesce_delay
         self.max_segment_batch = max(1, max_segment_batch)
@@ -293,7 +289,7 @@ class ReliableChannel(Component):
         outbox = self._outbox.get(dst)
         if outbox is None:
             outbox = self._outbox[dst] = deque()
-            self._rto[dst] = _Rto(self.initial_rto)
+            self._rto[dst] = _Rto()
         outbox.append(pending)
         self._ensure_armed(dst)
         spans = self._spans

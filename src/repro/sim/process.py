@@ -146,11 +146,6 @@ class Process:
             abandoned = self.world.metrics.latency.abandon_owner(self.pid)
             if abandoned:
                 self.world.metrics.counters.inc("latency.abandoned_on_crash", abandoned)
-            # Trace listeners registered by this (now dead) incarnation
-            # must not keep firing into its components after recovery.
-            pruned = self.world.trace.prune_owned(self.pid)
-            if pruned:
-                self.world.metrics.counters.inc("trace.listeners_pruned_on_crash", pruned)
             self.world.trace.emit(self.now, self.pid, "process", "crash")
 
     def recover(self) -> "Process":

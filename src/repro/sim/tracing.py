@@ -47,25 +47,6 @@ class TraceRecord:
         return f"[{self.time:10.3f}] {self.pid}/{self.component}: {self.event} {extra}"
 
 
-class Subscription:
-    """Handle returned by :meth:`TraceLog.subscribe`; supports unsubscribe.
-
-    ``owner`` ties the listener to a process incarnation so
-    ``Process.crash`` can prune listeners that the dead incarnation
-    registered (they must not keep firing after recovery).
-    """
-
-    __slots__ = ("listener", "owner", "active")
-
-    def __init__(self, listener: Callable[[TraceRecord], None], owner: Any = None):
-        self.listener = listener
-        self.owner = owner
-        self.active = True
-
-    def cancel(self) -> None:
-        self.active = False
-
-
 class Span:
     """One node of a causal tree: a timed segment on one process."""
 
@@ -316,7 +297,6 @@ class TraceLog:
         self.max_records = max_records
         self.dropped = 0
         self.records: Any = [] if max_records is None else deque(maxlen=max_records)
-        self._listeners: list[Subscription] = []
         self.spans = SpanLog(enabled=enabled, max_spans=max_spans)
 
     def emit(self, time: float, pid: str, component: str, event: str, **details: Any) -> None:
@@ -326,47 +306,6 @@ class TraceLog:
         if self.max_records is not None and len(self.records) == self.max_records:
             self.dropped += 1
         self.records.append(record)
-        for sub in self._listeners:
-            if sub.active:
-                sub.listener(record)
-
-    def subscribe(
-        self, listener: Callable[[TraceRecord], None], owner: Any = None
-    ) -> Subscription:
-        """Register a callback invoked on every new record.
-
-        Returns a :class:`Subscription` handle; call
-        :meth:`unsubscribe` (or ``handle.cancel()``) to stop deliveries.
-        ``owner`` (conventionally ``(pid, incarnation)``) lets
-        ``Process.crash`` prune every listener the dead incarnation
-        registered via :meth:`prune_owned`.
-        """
-        sub = Subscription(listener, owner)
-        self._listeners.append(sub)
-        return sub
-
-    def unsubscribe(self, handle: Subscription) -> None:
-        handle.cancel()
-        try:
-            self._listeners.remove(handle)
-        except ValueError:
-            pass
-
-    def prune_owned(self, pid: str) -> int:
-        """Drop every listener whose owner pid matches; returns the count."""
-        doomed = [
-            sub
-            for sub in self._listeners
-            if sub.owner is not None
-            and (sub.owner == pid or (isinstance(sub.owner, tuple) and sub.owner and sub.owner[0] == pid))
-        ]
-        for sub in doomed:
-            sub.cancel()
-            self._listeners.remove(sub)
-        return len(doomed)
-
-    def listener_count(self) -> int:
-        return len(self._listeners)
 
     def set_max_records(self, max_records: int | None) -> None:
         """Switch to (or resize) ring-buffer mode, keeping current records."""

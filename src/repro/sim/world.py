@@ -279,3 +279,24 @@ class World:
                 return True
             self.run_for(step)
         return predicate()
+
+
+# ----------------------------------------------------------------------
+# Groups
+# ----------------------------------------------------------------------
+def build_group(world: World, count: int, stack_class: Callable[..., Any], **options: Any) -> dict:
+    """Spawn ``count`` processes after the world's existing ones and run
+    ``stack_class(process, pids, **options)`` on each: every stack of the
+    repository, new or traditional, is built this one way."""
+    pids = world.spawn(count, start_index=len(world.processes))
+    return {pid: stack_class(world.process(pid), pids, **options) for pid in pids}
+
+
+def add_joiner(world: World, stacks: dict, **options: Any) -> Any:
+    """Spawn one more process running the same stack as ``stacks``, outside
+    the group (``is_member=False``) and ready to ask for a join; it is
+    added to ``stacks``."""
+    stack_class = type(next(iter(stacks.values())))
+    (stack,) = build_group(world, 1, stack_class, is_member=False, **options).values()
+    stacks[stack.pid] = stack
+    return stack

@@ -4,39 +4,32 @@ Faithful architectural re-implementations of the five representative
 systems the paper surveys: Isis (Fig. 1), Phoenix (Fig. 2), RMP (Fig. 3),
 Totem (Fig. 4) and an Ensemble-style modular stack (Fig. 5), plus the
 shared machinery they rely on (view synchrony, coupled membership, ring
-reformation).
+reformation).  Every stack is built by ``repro.sim.world.build_group``
+(and a joiner by ``add_joiner``) and offers the one application surface:
+``pid``, ``abcast_payload(payload)``, ``delivered_payloads()`` and
+``view()``.
 """
 
-from repro.traditional.ensemble import EnsembleConfig, EnsembleStack, build_ensemble_group
+from repro.traditional.ensemble import EnsembleStack
 from repro.traditional.gm_membership import TraditionalMembership
-from repro.traditional.isis import IsisConfig, IsisStack, add_isis_joiner, build_isis_group
-from repro.traditional.phoenix import PhoenixConfig, PhoenixStack, build_phoenix_group
+from repro.traditional.isis import IsisStack
+from repro.traditional.phoenix import PhoenixStack, PhoenixViewMembership
 from repro.traditional.ring_membership import RingMembership
 from repro.traditional.ring_recovery import RingReformation
-from repro.traditional.rmp import RingConfig, RMPStack, add_rmp_joiner, build_rmp_group
-from repro.traditional.totem import TotemStack, add_totem_joiner, build_totem_group
-from repro.traditional.view_synchrony import ViewSynchrony
+from repro.traditional.rmp import RMPStack
+from repro.traditional.totem import TotemStack
+from repro.traditional.view_synchrony import FlushViewSynchrony, ViewSynchrony
 
 __all__ = [
-    "EnsembleConfig",
     "EnsembleStack",
-    "IsisConfig",
+    "FlushViewSynchrony",
     "IsisStack",
-    "PhoenixConfig",
     "PhoenixStack",
+    "PhoenixViewMembership",
     "RMPStack",
-    "RingConfig",
     "RingMembership",
     "RingReformation",
     "TotemStack",
     "TraditionalMembership",
     "ViewSynchrony",
-    "add_isis_joiner",
-    "add_rmp_joiner",
-    "add_totem_joiner",
-    "build_ensemble_group",
-    "build_isis_group",
-    "build_phoenix_group",
-    "build_rmp_group",
-    "build_totem_group",
 ]

@@ -30,14 +30,12 @@ event routing and Sync behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.membership.view import View
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Process
-from repro.sim.world import World
 from repro.stack.events import (
     APP_DELIVER,
     BLOCK,
@@ -52,6 +50,10 @@ from repro.stack.events import (
 )
 from repro.stack.kernel import StackKernel
 from repro.stack.layer import Layer
+
+#: How long the membership lets in-flight messages settle before it
+#: installs a decided view (an approximate flush).
+SETTLE_DELAY = 30.0
 
 
 class ReliableFifoLayer(Layer):
@@ -171,12 +173,8 @@ class AppInterfaceLayer(Layer):
         super().__init__()
         self.blocked = False
         self._queue: list[Any] = []
-        self._callbacks: list[Callable[[Any], None]] = []
         self.delivered: list[Any] = []
         self._counter = 0
-
-    def on_deliver(self, callback: Callable[[Any], None]) -> None:
-        self._callbacks.append(callback)
 
     def send(self, payload: Any) -> None:
         if self.blocked:
@@ -195,8 +193,6 @@ class AppInterfaceLayer(Layer):
         if event.type == APP_DELIVER:
             self.delivered.append(event["payload"])
             self.kernel.world.metrics.latency.end("abcast", event["mid"], self.now)
-            for callback in self._callbacks:
-                callback(event["payload"])
             return  # consumed: the app has it
         self.pass_on(event)
 
@@ -264,11 +260,10 @@ class MembershipLayer(Layer):
 
     name = "membership"
 
-    def __init__(self, initial_view: View, settle_delay: float = 30.0) -> None:
+    def __init__(self, initial_view: View) -> None:
         super().__init__()
         self.view = initial_view
         self.view_history = [initial_view]
-        self.settle_delay = settle_delay
         self._suspects: set[str] = set()
         self._proposed: set[int] = set()
 
@@ -290,7 +285,7 @@ class MembershipLayer(Layer):
                 # Let in-flight messages settle, then install (approximate
                 # flush; rigorous VS lives in the Isis/Phoenix stacks).
                 self.kernel.schedule_for(
-                    self, self.settle_delay, self._install, View(view_id, tuple(members))
+                    self, SETTLE_DELAY, self._install, View(view_id, tuple(members))
                 )
             return
         # Anything else exits the top silently (e.g. bounced STABLE).
@@ -302,16 +297,6 @@ class MembershipLayer(Layer):
         self.view_history.append(view)
         self.kernel.world.metrics.counters.inc("vs.views_installed")
         self.emit_down(VIEW, view=view)
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    heartbeat_interval: float = 10.0
-    exclusion_timeout: float = 500.0
-    #: Reliable-channel retransmission timeout until the first round-trip
-    #: sample (it then follows the link, see ``repro.net.reliable``).
-    initial_rto: float = 40.0
-    settle_delay: float = 30.0
 
 
 class EnsembleStack:
@@ -336,25 +321,22 @@ class EnsembleStack:
         self,
         process: Process,
         initial_members: list[str],
-        config: EnsembleConfig | None = None,
+        *,
+        exclusion_timeout: float = 500.0,
     ) -> None:
         self.process = process
-        self.config = config or EnsembleConfig()
-        cfg = self.config
         view = View.initial(initial_members)
 
-        self.channel = ReliableChannel(process, initial_rto=cfg.initial_rto)
-        self.fd = HeartbeatFailureDetector(
-            process, lambda: self.membership.view.member_list(), cfg.heartbeat_interval
-        )
+        self.channel = ReliableChannel(process)
+        self.fd = HeartbeatFailureDetector(process, lambda: self.membership.view.member_list())
         self.app = AppInterfaceLayer()
-        self.membership = MembershipLayer(view, settle_delay=cfg.settle_delay)
+        self.membership = MembershipLayer(view)
         self.layers = [
             ReliableFifoLayer(),
             StableLayer(),
             AtomicBroadcastLayer(),
             self.app,
-            FailureDetectionLayer(self.fd, cfg.exclusion_timeout),
+            FailureDetectionLayer(self.fd, exclusion_timeout),
             SyncLayer(),
             self.membership,
         ]
@@ -369,12 +351,9 @@ class EnsembleStack:
     def pid(self) -> str:
         return self.process.pid
 
-    def send(self, payload: Any) -> None:
+    def abcast_payload(self, payload: Any) -> None:
         """Totally-ordered multicast to the group."""
         self.app.send(payload)
-
-    def on_deliver(self, callback: Callable[[Any], None]) -> None:
-        self.app.on_deliver(callback)
 
     def delivered_payloads(self) -> list[Any]:
         return list(self.app.delivered)
@@ -382,9 +361,3 @@ class EnsembleStack:
     def view(self) -> View:
         return self.membership.view
 
-
-def build_ensemble_group(
-    world: World, count: int, config: EnsembleConfig | None = None
-) -> dict[str, EnsembleStack]:
-    pids = world.spawn(count)
-    return {pid: EnsembleStack(world.process(pid), pids, config=config) for pid in pids}

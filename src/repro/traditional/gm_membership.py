@@ -23,7 +23,7 @@ from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.membership.view import View
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Component, Process
-from repro.traditional.view_synchrony import ViewSynchrony
+from repro.traditional.view_synchrony import FlushViewSynchrony
 
 SUSPECT_PORT = "tgm.suspect"
 JOIN_PORT = "tgm.join"
@@ -40,15 +40,13 @@ class TraditionalMembership(Component):
         self,
         process: Process,
         channel: ReliableChannel,
-        vs: ViewSynchrony,
+        vs: FlushViewSynchrony,
         fd: HeartbeatFailureDetector,
         exclusion_timeout: float = 500.0,
-        kill_on_exclusion: bool = True,
     ) -> None:
         super().__init__(process, "tgm")
         self.channel = channel
         self.vs = vs
-        self.kill_on_exclusion = kill_on_exclusion
         self._suspects: set[str] = set()
         self._pending_joins: set[str] = set()
         self._state_provider: StateProvider = lambda: None
@@ -134,11 +132,6 @@ class TraditionalMembership(Component):
         if joined and view.primary == self.pid:
             for pid in joined:
                 self.schedule(0.0, self._send_state, pid)
-        # The channel can drop buffers for processes no longer in the view.
-        previous = self.vs.view_history[-2] if len(self.vs.view_history) > 1 else None
-        if previous is not None:
-            for gone in set(previous.members) - set(view.members):
-                self.channel.discard(gone)
 
     def _send_state(self, joiner: str) -> None:
         self.world.metrics.counters.inc("tgm.state_transfers")
@@ -152,5 +145,4 @@ class TraditionalMembership(Component):
         """Isis semantics: a process that sees itself excluded dies."""
         self.world.metrics.counters.inc("tgm.self_kills")
         self.trace("self_kill")
-        if self.kill_on_exclusion:
-            self.process.crash()
+        self.process.crash()

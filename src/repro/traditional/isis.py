@@ -16,8 +16,7 @@ Layering (Section 2.1.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.abcast.sequencer import SequencerAtomicBroadcast
 from repro.fd.heartbeat import HeartbeatFailureDetector
@@ -25,55 +24,34 @@ from repro.membership.view import View
 from repro.net.message import AppMessage
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Process
-from repro.sim.world import World
 from repro.traditional.gm_membership import TraditionalMembership
-from repro.traditional.view_synchrony import ViewSynchrony
+from repro.traditional.view_synchrony import FlushViewSynchrony
 
 
-@dataclass(frozen=True)
-class IsisConfig:
-    """Tuning knobs of the Isis stack.
+class IsisStack:
+    """All Fig. 1 layers of one process.
 
     ``exclusion_timeout`` is the SINGLE failure-detection timeout: it
     controls both how fast crashes are detected and how easily correct
     processes get excluded — the trade-off of Section 4.3.
     """
 
-    heartbeat_interval: float = 10.0
-    exclusion_timeout: float = 500.0
-    #: Reliable-channel retransmission timeout until the first round-trip
-    #: sample (it then follows the link, see ``repro.net.reliable``).
-    initial_rto: float = 40.0
-    kill_on_exclusion: bool = True
-
-
-class IsisStack:
-    """All Fig. 1 layers of one process."""
-
     def __init__(
         self,
         process: Process,
         initial_members: list[str],
-        config: IsisConfig | None = None,
+        *,
+        exclusion_timeout: float = 500.0,
         is_member: bool = True,
     ) -> None:
         self.process = process
-        self.config = config or IsisConfig()
-        cfg = self.config
         initial_view = View.initial(initial_members) if is_member else None
 
-        self.channel = ReliableChannel(process, initial_rto=cfg.initial_rto)
-        self.vs = ViewSynchrony(process, self.channel, initial_view)
-        self.fd = HeartbeatFailureDetector(
-            process, self.vs.current_members, heartbeat_interval=cfg.heartbeat_interval
-        )
+        self.channel = ReliableChannel(process)
+        self.vs = FlushViewSynchrony(process, self.channel, initial_view)
+        self.fd = HeartbeatFailureDetector(process, self.vs.current_members)
         self.gm = TraditionalMembership(
-            process,
-            self.channel,
-            self.vs,
-            self.fd,
-            exclusion_timeout=cfg.exclusion_timeout,
-            kill_on_exclusion=cfg.kill_on_exclusion,
+            process, self.channel, self.vs, self.fd, exclusion_timeout=exclusion_timeout
         )
         self.abcast = SequencerAtomicBroadcast(
             process, self.channel, self.vs, self.vs.current_view
@@ -92,12 +70,6 @@ class IsisStack:
         self.abcast.abcast(message)
         return message
 
-    def on_adeliver(self, callback: Callable[[AppMessage], None]) -> None:
-        self.abcast.on_adeliver(callback)
-
-    def vs_bcast(self, tag: str, payload: Any) -> None:
-        self.vs.bcast(tag, payload)
-
     def view(self) -> View | None:
         return self.vs.current_view()
 
@@ -112,20 +84,3 @@ class IsisStack:
         "view synchrony (orders messages vs. view changes)",
         "atomic broadcast (orders messages)",
     ]
-
-
-def build_isis_group(
-    world: World, count: int, config: IsisConfig | None = None
-) -> dict[str, IsisStack]:
-    pids = world.spawn(count)
-    return {pid: IsisStack(world.process(pid), pids, config=config) for pid in pids}
-
-
-def add_isis_joiner(
-    world: World, stacks: dict[str, IsisStack], config: IsisConfig | None = None
-) -> IsisStack:
-    index = len(world.processes)
-    (pid,) = world.spawn(1, start_index=index)
-    stack = IsisStack(world.process(pid), [], config=config, is_member=False)
-    stacks[pid] = stack
-    return stack

@@ -25,33 +25,41 @@ View change protocol (consensus-based flush):
 Because the decision goes through consensus, concurrent view-change
 initiators are harmless — a clear robustness advantage over the Isis
 flush, which the paper credits to Phoenix's consensus-based design.
+
+Blocking, queueing, the delivery of step 5 and the install are Isis's
+too: :class:`PhoenixViewMembership` is a
+:class:`~repro.traditional.view_synchrony.ViewSynchrony` that adds only
+steps 1–4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.abcast.sequencer import SequencerAtomicBroadcast
 from repro.broadcast.rbcast import ReliableBroadcast
 from repro.consensus.chandra_toueg import ChandraTouegConsensus
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.membership.view import View
-from repro.net.message import AppMessage, MsgId
+from repro.net.message import AppMessage
 from repro.net.reliable import ReliableChannel
-from repro.sim.process import Component, Process
-from repro.sim.world import World
+from repro.sim.process import Process
+from repro.traditional.view_synchrony import Received, ViewSynchrony
 
-MSG_PORT = "pvs.msg"
 GATHER_PORT = "pvs.gather"
 GATHER_OK_PORT = "pvs.gather_ok"
 PROPOSAL_PORT = "pvs.proposal"
 
-DeliverFn = Callable[[str, Any, MsgId], None]
+#: The small timeout of the consensus layer's own monitor.
+CONSENSUS_SUSPICION_TIMEOUT = 60.0
 
 
-class PhoenixViewMembership(Component):
-    """Membership + view synchrony in one layer, over consensus."""
+class PhoenixViewMembership(ViewSynchrony):
+    """Membership + view synchrony in one layer: the view-synchronous
+    broadcast of :class:`ViewSynchrony`, its next view decided by
+    consensus."""
+
+    name = "pvs"
 
     def __init__(
         self,
@@ -62,25 +70,14 @@ class PhoenixViewMembership(Component):
         initial_view: View | None,
         exclusion_timeout: float = 500.0,
     ) -> None:
-        super().__init__(process, "pvs")
-        self.channel = channel
+        super().__init__(process, channel, initial_view)
         self.consensus = consensus
-        self.view = initial_view
-        self.blocked = False
-        self._handlers: dict[str, DeliverFn] = {}
-        self._received: dict[MsgId, tuple[str, str, Any]] = {}
-        self._delivered_ids: set[MsgId] = set()
-        self._queued_out: list[tuple[MsgId, str, Any]] = []
-        self._future_msgs: list[tuple[int, MsgId, str, str, Any]] = []
-        self._gathering: dict[int, dict[str, dict]] = {}
+        self._gathering: dict[int, dict[str, Received]] = {}
         self._proposed_for: set[int] = set()
         self._pending_joins: set[str] = set()
-        self._view_callbacks: list[Callable[[View], None]] = []
-        self.view_history: list[View] = [] if initial_view is None else [initial_view]
         self.monitor = fd.monitor(
             self.current_members, exclusion_timeout, on_suspect=lambda _q: self._act()
         )
-        self.register_port(MSG_PORT, self._on_msg)
         self.register_port(GATHER_PORT, self._on_gather)
         self.register_port(GATHER_OK_PORT, self._on_gather_ok)
         self.register_port(PROPOSAL_PORT, self._on_proposal)
@@ -95,65 +92,11 @@ class PhoenixViewMembership(Component):
         self._act()
         self.schedule(100.0, self._tick)
 
-    # ------------------------------------------------------------------
-    # TaggedBroadcast interface (used by the sequencer abcast above)
-    # ------------------------------------------------------------------
-    def register(self, tag: str, handler: DeliverFn) -> None:
-        if tag in self._handlers:
-            raise ValueError(f"duplicate pvs tag {tag!r} on {self.pid}")
-        self._handlers[tag] = handler
-
-    def bcast(self, tag: str, payload: Any) -> MsgId:
-        mid = self.process.msg_ids.next()
-        if self.view is None or self.blocked:
-            self._queued_out.append((mid, tag, payload))
-            self.world.metrics.counters.inc("vs.sends_blocked")
-            self.world.metrics.latency.begin("vs.send_delay", mid, self.now)
-            return mid
-        self._send(mid, tag, payload)
-        return mid
-
-    def _send(self, mid: MsgId, tag: str, payload: Any) -> None:
-        self.world.metrics.counters.inc("vs.broadcasts")
-        packet = (mid, self.pid, self.view.id, tag, payload)
-        self.channel.send_to_all(self.view.member_list(), MSG_PORT, packet)
-
-    def _on_msg(self, _src: str, packet: tuple) -> None:
-        mid, origin, view_id, tag, payload = packet
-        if self.view is None:
-            return
-        if view_id == self.view.id:
-            self._deliver(mid, origin, tag, payload)
-        elif view_id > self.view.id:
-            self._future_msgs.append((view_id, mid, origin, tag, payload))
-
-    def _deliver(self, mid: MsgId, origin: str, tag: str, payload: Any) -> None:
-        if mid in self._delivered_ids:
-            return
-        self._delivered_ids.add(mid)
-        self._received[mid] = (origin, tag, payload)
-        self.world.metrics.counters.inc("vs.delivered")
-        handler = self._handlers.get(tag)
-        if handler is not None:
-            handler(origin, payload, mid)
-
-    # ------------------------------------------------------------------
-    # Membership operations
-    # ------------------------------------------------------------------
     def join(self, pid: str) -> None:
         if self.view is not None and pid in self.view:
             return
         self._pending_joins.add(pid)
         self._act()
-
-    def current_members(self) -> list[str]:
-        return [] if self.view is None else self.view.member_list()
-
-    def current_view(self) -> View | None:
-        return self.view
-
-    def on_new_view(self, callback: Callable[[View], None]) -> None:
-        self._view_callbacks.append(callback)
 
     # ------------------------------------------------------------------
     # Consensus-based view change
@@ -172,12 +115,6 @@ class PhoenixViewMembership(Component):
         self.world.metrics.counters.inc("pvs.gathers_started")
         self.channel.send_to_all(self.view.member_list(), GATHER_PORT, self.view.id)
 
-    def _block(self) -> None:
-        if not self.blocked:
-            self.blocked = True
-            self.world.metrics.counters.inc("vs.blocks")
-            self.world.metrics.intervals.begin("vs.blocked", (self.pid, self.view.id), self.now)
-
     def _on_gather(self, src: str, old_view_id: int) -> None:
         if self.view is None or old_view_id != self.view.id:
             return
@@ -195,7 +132,7 @@ class PhoenixViewMembership(Component):
         gathering[src] = received
         live = [m for m in self.view.members if m not in self.monitor.suspects]
         if all(m in gathering for m in live):
-            merged: dict[MsgId, tuple[str, str, Any]] = {}
+            merged: Received = {}
             for received_map in gathering.values():
                 merged.update(received_map)
             new_members = live + sorted(self._pending_joins)
@@ -223,48 +160,13 @@ class PhoenixViewMembership(Component):
         if target_view_id != self.view.id + 1:
             return
         new_members, merged = value
-        for mid in sorted(merged):
-            origin, tag, payload = merged[mid]
-            self._deliver(mid, origin, tag, payload)
+        self._deliver_merged(merged)
         ordered = [m for m in self.view.members if m in new_members]
         ordered += [m for m in new_members if m not in ordered]
+        self._pending_joins -= set(ordered)
+        # A member the decision left out installs the view all the same:
+        # Phoenix excludes processes without killing them.
         self._install(View(target_view_id, tuple(ordered)))
-
-    def _install(self, new_view: View) -> None:
-        old_view_id = self.view.id
-        excluded = set(self.view.members) - set(new_view.members)
-        self.view = new_view
-        self.view_history.append(new_view)
-        self._received = {}
-        self._pending_joins -= set(new_view.members)
-        for gone in excluded:
-            self.channel.discard(gone)
-        if self.blocked:
-            self.blocked = False
-            self.world.metrics.intervals.end("vs.blocked", (self.pid, old_view_id), self.now)
-        self.world.metrics.counters.inc("vs.views_installed")
-        self.trace("new_view", view=str(new_view))
-        queued, self._queued_out = self._queued_out, []
-        if self.pid in new_view:
-            for mid, tag, payload in queued:
-                self.world.metrics.latency.end("vs.send_delay", mid, self.now)
-                self._send(mid, tag, payload)
-        ready = [m for m in self._future_msgs if m[0] == new_view.id]
-        self._future_msgs = [m for m in self._future_msgs if m[0] > new_view.id]
-        for _view_id, mid, origin, tag, payload in ready:
-            self._deliver(mid, origin, tag, payload)
-        for callback in self._view_callbacks:
-            callback(new_view)
-
-
-@dataclass(frozen=True)
-class PhoenixConfig:
-    heartbeat_interval: float = 10.0
-    consensus_suspicion_timeout: float = 60.0
-    exclusion_timeout: float = 500.0
-    #: Reliable-channel retransmission timeout until the first round-trip
-    #: sample (it then follows the link, see ``repro.net.reliable``).
-    initial_rto: float = 40.0
 
 
 class PhoenixStack:
@@ -274,24 +176,21 @@ class PhoenixStack:
         self,
         process: Process,
         initial_members: list[str],
-        config: PhoenixConfig | None = None,
+        *,
+        exclusion_timeout: float = 500.0,
     ) -> None:
         self.process = process
-        self.config = config or PhoenixConfig()
-        cfg = self.config
         initial_view = View.initial(initial_members)
 
-        self.channel = ReliableChannel(process, initial_rto=cfg.initial_rto)
+        self.channel = ReliableChannel(process)
         members = lambda: self.membership.current_members()
-        self.fd = HeartbeatFailureDetector(
-            process, members, heartbeat_interval=cfg.heartbeat_interval
-        )
+        self.fd = HeartbeatFailureDetector(process, members)
         self.rbcast = ReliableBroadcast(process, self.channel, members)
         self.consensus = ChandraTouegConsensus(
             process,
             self.channel,
             self.rbcast,
-            self.fd.monitor(members, cfg.consensus_suspicion_timeout),
+            self.fd.monitor(members, CONSENSUS_SUSPICION_TIMEOUT),
         )
         self.membership = PhoenixViewMembership(
             process,
@@ -299,7 +198,7 @@ class PhoenixStack:
             self.consensus,
             self.fd,
             initial_view,
-            exclusion_timeout=cfg.exclusion_timeout,
+            exclusion_timeout=exclusion_timeout,
         )
         self.abcast = SequencerAtomicBroadcast(
             process, self.channel, self.membership, self.membership.current_view
@@ -326,10 +225,3 @@ class PhoenixStack:
         "membership/VS (orders views and messages vs. views, via consensus)",
         "atomic broadcast (orders messages)",
     ]
-
-
-def build_phoenix_group(
-    world: World, count: int, config: PhoenixConfig | None = None, start_index: int = 0
-) -> dict[str, PhoenixStack]:
-    pids = world.spawn(count, start_index=start_index)
-    return {pid: PhoenixStack(world.process(pid), pids, config=config) for pid in pids}

@@ -12,8 +12,7 @@ fault-tolerant membership layer to recover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.abcast.token_ring import TokenRingAtomicBroadcast
 from repro.fd.heartbeat import HeartbeatFailureDetector
@@ -21,18 +20,7 @@ from repro.membership.view import View
 from repro.net.message import AppMessage
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Process
-from repro.sim.world import World
 from repro.traditional.ring_membership import RingMembership
-
-
-@dataclass(frozen=True)
-class RingConfig:
-    heartbeat_interval: float = 10.0
-    exclusion_timeout: float = 500.0
-    #: Reliable-channel retransmission timeout until the first round-trip
-    #: sample (it then follows the link, see ``repro.net.reliable``).
-    initial_rto: float = 40.0
-    max_orders_per_token: int = 10
 
 
 class RMPStack:
@@ -49,26 +37,22 @@ class RMPStack:
         self,
         process: Process,
         initial_members: list[str],
-        config: RingConfig | None = None,
+        *,
+        exclusion_timeout: float = 500.0,
+        max_orders_per_token: int = 10,
         is_member: bool = True,
     ) -> None:
         self.process = process
-        self.config = config or RingConfig()
-        cfg = self.config
         initial_view = View.initial(initial_members) if is_member else None
 
-        self.channel = ReliableChannel(process, initial_rto=cfg.initial_rto)
+        self.channel = ReliableChannel(process)
         self.abcast = TokenRingAtomicBroadcast(
             process,
             self.channel,
             lambda: self.membership.ring_view(),
-            max_orders_per_token=cfg.max_orders_per_token,
+            max_orders_per_token=max_orders_per_token,
         )
-        self.fd = HeartbeatFailureDetector(
-            process,
-            lambda: self.membership.current_members(),
-            heartbeat_interval=cfg.heartbeat_interval,
-        )
+        self.fd = HeartbeatFailureDetector(process, lambda: self.membership.current_members())
         self.membership = RingMembership(
             process,
             self.channel,
@@ -76,7 +60,7 @@ class RMPStack:
             self.fd,
             initial_view,
             mode=self.MODE,
-            exclusion_timeout=cfg.exclusion_timeout,
+            exclusion_timeout=exclusion_timeout,
         )
 
     @property
@@ -88,11 +72,6 @@ class RMPStack:
         self.abcast.abcast(message)
         return message
 
-    def on_adeliver(self, callback: Callable[[AppMessage], None]) -> None:
-        self.abcast.on_adeliver(
-            lambda m: callback(m) if not m.msg_class.startswith("_") else None
-        )
-
     def view(self) -> View | None:
         return self.membership.current_view()
 
@@ -100,20 +79,3 @@ class RMPStack:
         return [
             m.payload for m in self.abcast.delivered_log if not m.msg_class.startswith("_")
         ]
-
-
-def build_rmp_group(
-    world: World, count: int, config: RingConfig | None = None
-) -> dict[str, RMPStack]:
-    pids = world.spawn(count)
-    return {pid: RMPStack(world.process(pid), pids, config=config) for pid in pids}
-
-
-def add_rmp_joiner(
-    world: World, stacks: dict[str, RMPStack], config: RingConfig | None = None
-) -> RMPStack:
-    index = len(world.processes)
-    (pid,) = world.spawn(1, start_index=index)
-    stack = RMPStack(world.process(pid), [], config=config, is_member=False)
-    stacks[pid] = stack
-    return stack

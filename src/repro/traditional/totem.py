@@ -18,8 +18,7 @@ snapshot.
 
 from __future__ import annotations
 
-from repro.sim.world import World
-from repro.traditional.rmp import RingConfig, RMPStack
+from repro.traditional.rmp import RMPStack
 
 
 class TotemStack(RMPStack):
@@ -32,20 +31,3 @@ class TotemStack(RMPStack):
         "membership (orders view changes)",
         "recovery (orders messages vs. view changes)",
     ]
-
-
-def build_totem_group(
-    world: World, count: int, config: RingConfig | None = None
-) -> dict[str, TotemStack]:
-    pids = world.spawn(count)
-    return {pid: TotemStack(world.process(pid), pids, config=config) for pid in pids}
-
-
-def add_totem_joiner(
-    world: World, stacks: dict[str, TotemStack], config: RingConfig | None = None
-) -> TotemStack:
-    index = len(world.processes)
-    (pid,) = world.spawn(1, start_index=index)
-    stack = TotemStack(world.process(pid), [], config=config, is_member=False)
-    stacks[pid] = stack
-    return stack

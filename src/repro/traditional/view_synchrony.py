@@ -1,13 +1,23 @@
-"""View-synchronous broadcast with a flush protocol (traditional stacks).
+"""View-synchronous broadcast (traditional stacks).
 
-This is the classic Isis-style layer the paper's new architecture gets
-rid of (Section 3.1.2).  It implements *sending view delivery*
-(Section 4.4): messages broadcast in view ``v`` are delivered in view
-``v`` at every process that installs ``v+1``; to guarantee that without
-discarding messages, the group is **blocked** — senders must stop — while
-the membership change protocol runs.  The blocking window is measured
-(``vs.blocked`` interval metric) because it is precisely the
-responsiveness cost the paper's Section 4.4 argues against.
+This is the classic layer the paper's new architecture gets rid of
+(Section 3.1.2).  It implements *sending view delivery* (Section 4.4):
+messages broadcast in view ``v`` are delivered in view ``v`` at every
+process that installs ``v+1``; to guarantee that without discarding
+messages, the group is **blocked** — senders must stop — while the next
+view is being decided.  The blocking window is measured (``vs.blocked``
+interval metric) because it is precisely the responsiveness cost the
+paper's Section 4.4 argues against.
+
+:class:`ViewSynchrony` is the one implementation of it, shared by Isis and
+Phoenix: broadcast in the current view, queue while blocked, hold
+messages of views not yet installed, deliver the merged set of the old
+view, install the next one.  *How* the next view and its merged set are
+decided is left to a subclass — there are two:
+
+* :class:`FlushViewSynchrony` (Isis), the coordinator-driven flush below;
+* ``PhoenixViewMembership`` (:mod:`repro.traditional.phoenix`), a gather
+  round whose outcome consensus decides.
 
 Flush protocol (coordinator-driven):
 
@@ -43,7 +53,6 @@ from repro.net.message import MsgId
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Component, Process
 
-MSG_PORT = "vs.msg"
 FLUSH_PORT = "vs.flush"
 FLUSH_OK_PORT = "vs.flush_ok"
 VIEW_PORT = "vs.view"
@@ -51,41 +60,42 @@ VIEW_PORT = "vs.view"
 DeliverFn = Callable[[str, Any, MsgId], None]
 NewViewFn = Callable[[View], None]
 ExcludedFn = Callable[[], None]
+#: What a view's members received in it: ``{mid: (origin, tag, payload)}``.
+Received = dict[MsgId, tuple[str, str, Any]]
 
 
 class ViewSynchrony(Component):
-    """View-synchronous tagged broadcast (TaggedBroadcast protocol)."""
+    """View-synchronous tagged broadcast (TaggedBroadcast protocol).
+
+    ``name`` is the component's name and the prefix of its message port
+    (``<name>.msg``); counters are ``vs.*`` whatever the name.
+    """
+
+    name = "vs"
 
     def __init__(
-        self,
-        process: Process,
-        channel: ReliableChannel,
-        initial_view: View | None,
+        self, process: Process, channel: ReliableChannel, initial_view: View | None
     ) -> None:
-        super().__init__(process, "vs")
+        super().__init__(process, self.name)
         self.channel = channel
         self.view = initial_view
         self.blocked = False
+        self.msg_port = f"{self.name}.msg"
         self._handlers: dict[str, DeliverFn] = {}
-        self._received: dict[MsgId, tuple[str, str, Any]] = {}
+        self._received: Received = {}
         self._delivered_ids: set[MsgId] = set()
         self._queued_out: list[tuple[MsgId, str, Any]] = []
         self._future_msgs: list[tuple[int, MsgId, str, str, Any]] = []
-        self._collecting: dict[tuple, dict[str, dict]] = {}
         self._view_callbacks: list[NewViewFn] = []
-        self._excluded_callbacks: list[ExcludedFn] = []
         self.view_history: list[View] = [] if initial_view is None else [initial_view]
-        self.register_port(MSG_PORT, self._on_msg)
-        self.register_port(FLUSH_PORT, self._on_flush)
-        self.register_port(FLUSH_OK_PORT, self._on_flush_ok)
-        self.register_port(VIEW_PORT, self._on_view)
+        self.register_port(self.msg_port, self._on_msg)
 
     # ------------------------------------------------------------------
     # TaggedBroadcast interface
     # ------------------------------------------------------------------
     def register(self, tag: str, handler: DeliverFn) -> None:
         if tag in self._handlers:
-            raise ValueError(f"duplicate vs tag {tag!r} on {self.pid}")
+            raise ValueError(f"duplicate {self.name} tag {tag!r} on {self.pid}")
         self._handlers[tag] = handler
 
     def bcast(self, tag: str, payload: Any) -> MsgId:
@@ -107,7 +117,7 @@ class ViewSynchrony(Component):
     def _send(self, mid: MsgId, tag: str, payload: Any) -> None:
         self.world.metrics.counters.inc("vs.broadcasts")
         packet = (mid, self.pid, self.view.id, tag, payload)
-        self.channel.send_to_all(self.view.member_list(), MSG_PORT, packet)
+        self.channel.send_to_all(self.view.member_list(), self.msg_port, packet)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -121,7 +131,7 @@ class ViewSynchrony(Component):
         elif view_id > self.view.id:
             # We have not installed the sender's view yet; hold it.
             self._future_msgs.append((view_id, mid, origin, tag, payload))
-        # Older views: the flush already accounted for (or discarded) it.
+        # Older views: the view change already accounted for (or discarded) it.
 
     def _deliver(self, mid: MsgId, origin: str, tag: str, payload: Any) -> None:
         if mid in self._delivered_ids:
@@ -133,9 +143,76 @@ class ViewSynchrony(Component):
         if handler is not None:
             handler(origin, payload, mid)
 
+    def _deliver_merged(self, merged: Received) -> None:
+        """Sending view delivery: what anybody received in the view that
+        ends is delivered in it, before the next view is installed."""
+        for mid in sorted(merged):
+            self._deliver(mid, *merged[mid])
+
     # ------------------------------------------------------------------
-    # Flush protocol
+    # View change
     # ------------------------------------------------------------------
+    def _block(self) -> None:
+        if not self.blocked:
+            self.blocked = True
+            self.world.metrics.counters.inc("vs.blocks")
+            self.world.metrics.intervals.begin("vs.blocked", (self.pid, self.view.id), self.now)
+            self.trace("blocked", view=self.view.id)
+
+    def _install(self, new_view: View) -> None:
+        old_view = self.view
+        self.view = new_view
+        self.view_history.append(new_view)
+        self._received = {}
+        if old_view is not None:
+            # The channel can drop buffers for processes no longer in the view.
+            for gone in set(old_view.members) - set(new_view.members):
+                self.channel.discard(gone)
+        if self.blocked:
+            self.blocked = False
+            self.world.metrics.intervals.end("vs.blocked", (self.pid, old_view.id), self.now)
+        self.world.metrics.counters.inc("vs.views_installed")
+        self.trace("new_view", view=str(new_view))
+        # Release messages queued while blocked (they carry the new view id).
+        queued, self._queued_out = self._queued_out, []
+        if self.pid in new_view:
+            for mid, tag, payload in queued:
+                self.world.metrics.latency.end("vs.send_delay", mid, self.now)
+                self._send(mid, tag, payload)
+        # Process messages that arrived for this view early.
+        ready = [m for m in self._future_msgs if m[0] == new_view.id]
+        self._future_msgs = [m for m in self._future_msgs if m[0] > new_view.id]
+        for _view_id, mid, origin, tag, payload in ready:
+            self._deliver(mid, origin, tag, payload)
+        for callback in self._view_callbacks:
+            callback(new_view)
+
+    # ------------------------------------------------------------------
+    # Callbacks
+    # ------------------------------------------------------------------
+    def on_new_view(self, callback: NewViewFn) -> None:
+        self._view_callbacks.append(callback)
+
+    def current_members(self) -> list[str]:
+        return [] if self.view is None else self.view.member_list()
+
+    def current_view(self) -> View | None:
+        return self.view
+
+
+class FlushViewSynchrony(ViewSynchrony):
+    """Isis: a coordinator's flush decides the next view."""
+
+    def __init__(
+        self, process: Process, channel: ReliableChannel, initial_view: View | None
+    ) -> None:
+        super().__init__(process, channel, initial_view)
+        self._collecting: dict[tuple, dict[str, Received]] = {}
+        self._excluded_callbacks: list[ExcludedFn] = []
+        self.register_port(FLUSH_PORT, self._on_flush)
+        self.register_port(FLUSH_OK_PORT, self._on_flush_ok)
+        self.register_port(VIEW_PORT, self._on_view)
+
     def initiate_view_change(self, new_members: list[str]) -> None:
         """Run the flush as coordinator; install ``new_members`` next.
 
@@ -162,13 +239,6 @@ class ViewSynchrony(Component):
         reply = (old_view_id, tuple(new_members), dict(self._received))
         self.channel.send(src, FLUSH_OK_PORT, reply)
 
-    def _block(self) -> None:
-        if not self.blocked:
-            self.blocked = True
-            self.world.metrics.counters.inc("vs.blocks")
-            self.world.metrics.intervals.begin("vs.blocked", (self.pid, self.view.id), self.now)
-            self.trace("blocked", view=self.view.id)
-
     def _on_flush_ok(self, src: str, reply: tuple) -> None:
         old_view_id, new_members, received = reply
         if self.view is None or old_view_id != self.view.id:
@@ -180,7 +250,7 @@ class ViewSynchrony(Component):
         collecting[src] = received
         survivors = [m for m in self.view.members if m in new_members]
         if all(m in collecting for m in survivors):
-            merged: dict[MsgId, tuple[str, str, Any]] = {}
+            merged: Received = {}
             for received_map in collecting.values():
                 merged.update(received_map)
             ordered = survivors + [m for m in new_members if m not in survivors]
@@ -199,10 +269,7 @@ class ViewSynchrony(Component):
             return
         if new_view.id != self.view.id + 1:
             return  # stale or duplicate
-        # Sending view delivery: deliver the merged set in the OLD view.
-        for mid in sorted(merged):
-            origin, tag, payload = merged[mid]
-            self._deliver(mid, origin, tag, payload)
+        self._deliver_merged(merged)
         if self.pid not in new_view:
             self.trace("excluded", view=str(new_view))
             self.world.metrics.counters.inc("vs.exclusions_observed")
@@ -211,41 +278,5 @@ class ViewSynchrony(Component):
             return
         self._install(new_view)
 
-    def _install(self, new_view: View) -> None:
-        ending_block = self.blocked
-        old_view_id = self.view.id if self.view is not None else None
-        self.view = new_view
-        self.view_history.append(new_view)
-        self._received = {}
-        self.blocked = False
-        if ending_block and old_view_id is not None:
-            self.world.metrics.intervals.end("vs.blocked", (self.pid, old_view_id), self.now)
-        self.world.metrics.counters.inc("vs.views_installed")
-        self.trace("new_view", view=str(new_view))
-        # Release messages queued while blocked (they carry the new view id).
-        queued, self._queued_out = self._queued_out, []
-        for mid, tag, payload in queued:
-            self.world.metrics.latency.end("vs.send_delay", mid, self.now)
-            self._send(mid, tag, payload)
-        # Process messages that arrived for this view early.
-        ready = [m for m in self._future_msgs if m[0] == new_view.id]
-        self._future_msgs = [m for m in self._future_msgs if m[0] > new_view.id]
-        for _view_id, mid, origin, tag, payload in ready:
-            self._deliver(mid, origin, tag, payload)
-        for callback in self._view_callbacks:
-            callback(new_view)
-
-    # ------------------------------------------------------------------
-    # Callbacks
-    # ------------------------------------------------------------------
-    def on_new_view(self, callback: NewViewFn) -> None:
-        self._view_callbacks.append(callback)
-
     def on_excluded(self, callback: ExcludedFn) -> None:
         self._excluded_callbacks.append(callback)
-
-    def current_members(self) -> list[str]:
-        return [] if self.view is None else self.view.member_list()
-
-    def current_view(self) -> View | None:
-        return self.view

@@ -125,7 +125,7 @@ def test_outsider_retains_replayed_decisions_instead_of_applying_them():
     explorer caught a recovered process delivering positions 0..6 and
     then jumping to its snapshot position (seed 30).  The outsider must
     retain the decisions and deliver only past its snapshot, once in."""
-    from repro.core.new_stack import add_joiner
+    from repro.sim.world import add_joiner
 
     world, stacks = abcast_group()
     for i in range(3):

@@ -115,7 +115,7 @@ def test_membership_change_under_pipelining_bumps_epoch():
 def test_join_under_pipelining_state_transfer_carries_epoch():
     # A joiner's snapshot must carry (epoch, next_instance), not just an
     # instance number, or it would apply batches at the wrong position.
-    from repro.core.new_stack import add_joiner
+    from repro.sim.world import add_joiner
 
     config = StackConfig(abcast_window=4, abcast_max_batch=4)
     world, stacks, apis = new_group(seed=19, config=config)

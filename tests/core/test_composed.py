@@ -1,10 +1,10 @@
 """The Appia/Cactus duality (paper conclusion): the same protocol code
 under two composition styles must behave identically."""
 
-from repro.core.composed import build_composed_group
+from repro.core.composed import ComposedNewArchitecture
 from repro.core.new_stack import build_new_group
 from repro.gbcast.conflict import PASSIVE_REPLICATION
-from repro.sim.world import World
+from repro.sim.world import World, build_group
 
 from tests.conftest import run_until
 
@@ -24,7 +24,7 @@ def drive_direct(seed, script):
 
 def drive_composed(seed, script):
     world = World(seed=seed)
-    group = build_composed_group(world, 3)
+    group = build_group(world, 3, ComposedNewArchitecture)
     world.start()
     script(world, lambda pid, payload, cls: group[pid].gbcast(payload, cls))
     return world, (lambda pid: group[pid].delivered_payloads()), group
@@ -49,7 +49,7 @@ def test_same_code_same_behaviour_across_compositions():
 
 def test_composed_membership_operations_route_through_events():
     world = World(seed=8)
-    group = build_composed_group(world, 3)
+    group = build_group(world, 3, ComposedNewArchitecture)
     world.start()
     views = []
     group["p00"].app.on_new_view(lambda v: views.append(v.members))
@@ -61,7 +61,7 @@ def test_composed_membership_operations_route_through_events():
 
 def test_composed_event_hops_are_counted():
     world = World(seed=9)
-    group = build_composed_group(world, 3)
+    group = build_group(world, 3, ComposedNewArchitecture)
     world.start()
     group["p00"].gbcast("hop", "abcast")
     assert run_until(
@@ -76,7 +76,7 @@ def test_composed_event_hops_are_counted():
 
 def test_composed_supports_custom_relations():
     world = World(seed=10)
-    group = build_composed_group(world, 3, conflict=PASSIVE_REPLICATION)
+    group = build_group(world, 3, ComposedNewArchitecture, conflict=PASSIVE_REPLICATION)
     world.start()
     for i in range(5):
         group["p00"].gbcast(("u", i), "update")

@@ -1,8 +1,8 @@
 """``StackConfig``: the shipped defaults are the measured ones, an
 invalid configuration is rejected where it is written, and the number of
-fields is the one ``BENCH_abgb.json`` pins."""
+fields — and of the traditional stacks' options — is the one
+``BENCH_abgb.json`` pins."""
 
-import dataclasses
 import importlib.util
 import json
 import sys
@@ -13,6 +13,10 @@ import pytest
 from repro.core.new_stack import StackConfig
 
 REPO = Path(__file__).resolve().parents[2]
+if str(REPO / "benchmarks") not in sys.path:  # the benches import each other by module name
+    sys.path.insert(0, str(REPO / "benchmarks"))
+
+from run_all import simplicity_meta  # noqa: E402
 
 
 def test_the_measured_configuration_is_the_default_one(monkeypatch):
@@ -54,7 +58,9 @@ def test_disabling_values_are_valid():
 
 
 def test_knob_count_is_the_pinned_one():
-    # A new field must re-pin ``meta.stack_config_fields`` on purpose; a
-    # deleted one should lower it.
+    # A new field or option must re-pin ``meta`` on purpose; a deleted one
+    # should lower it.
     baseline = json.loads((REPO / "benchmarks" / "baseline" / "BENCH_abgb.json").read_text())
-    assert len(dataclasses.fields(StackConfig)) == baseline["meta"]["stack_config_fields"]
+    meta = simplicity_meta()
+    for knobs in ("stack_config_fields", "traditional_knobs"):
+        assert meta[knobs] == baseline["meta"][knobs], knobs

@@ -8,14 +8,14 @@ in abcast's blocked-head path.
 """
 
 from repro.abcast.consensus_based import REPAIR_INTERVAL
-from repro.core.new_stack import StackConfig, add_joiner, build_new_group
+from repro.core.new_stack import StackConfig, build_new_group
 from repro.gbcast.conflict import ABCAST_CLASS
 from repro.gbcast.quorum import GATHER_OK_PORT
 from repro.gbcast.thrifty import ENDSTAGE_CLASS
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.message import AppMessage, MsgId
 from repro.net.topology import LinkModel
-from repro.sim.world import World
+from repro.sim.world import World, add_joiner
 
 from tests.conftest import run_until
 

@@ -8,78 +8,48 @@ here, compared in ``benchmarks/bench_xarch_comparison.py``).
 
 import pytest
 
-from repro.core.new_stack import build_new_group
+from repro.core.new_stack import NewArchitectureStack
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.ensemble import build_ensemble_group
-from repro.traditional.isis import build_isis_group
-from repro.traditional.phoenix import build_phoenix_group
-from repro.traditional.rmp import build_rmp_group
-from repro.traditional.totem import build_totem_group
+from repro.sim.world import World, build_group
+from repro.traditional import EnsembleStack, IsisStack, PhoenixStack, RMPStack, TotemStack
 
 from tests.conftest import run_until
 
-
-def new_arch_runner(world, count):
-    stacks = build_new_group(world, count)
-    world.start()
-
-    def send(pid, payload):
-        stacks[pid].gbcast.gbcast_payload(payload, "abcast")
-
-    def log(pid):
-        return [
-            m.payload
-            for m, _p in stacks[pid].gbcast.delivered_log
-            if m.msg_class == "abcast"
-        ]
-
-    return list(stacks), send, log
-
-
-def traditional_runner(builder):
-    def runner(world, count):
-        stacks = builder(world, count)
-        world.start()
-
-        def send(pid, payload):
-            stacks[pid].abcast_payload(payload)
-
-        def log(pid):
-            return stacks[pid].delivered_payloads()
-
-        return list(stacks), send, log
-
-    return runner
-
-
-def ensemble_runner(world, count):
-    stacks = build_ensemble_group(world, count)
-    world.start()
-
-    def send(pid, payload):
-        stacks[pid].send(payload)
-
-    def log(pid):
-        return stacks[pid].delivered_payloads()
-
-    return list(stacks), send, log
-
-
-RUNNERS = {
-    "new-architecture": new_arch_runner,
-    "isis": traditional_runner(build_isis_group),
-    "phoenix": traditional_runner(build_phoenix_group),
-    "rmp": traditional_runner(build_rmp_group),
-    "totem": traditional_runner(build_totem_group),
-    "ensemble": ensemble_runner,
+STACKS = {
+    "new-architecture": NewArchitectureStack,
+    "isis": IsisStack,
+    "phoenix": PhoenixStack,
+    "rmp": RMPStack,
+    "totem": TotemStack,
+    "ensemble": EnsembleStack,
 }
 
 
-@pytest.mark.parametrize("name", sorted(RUNNERS))
+def runner(name, world, count):
+    """Build and start a group; return its pids, ``send(pid, payload)``
+    and ``log(pid)``.  Every traditional stack offers the one application
+    surface; the new stack's application path is generic broadcast."""
+    stacks = build_group(world, count, STACKS[name])
+    world.start()
+    if name == "new-architecture":
+        return (
+            list(stacks),
+            lambda pid, payload: stacks[pid].gbcast.gbcast_payload(payload, "abcast"),
+            lambda pid: [
+                m.payload for m, _p in stacks[pid].gbcast.delivered_log if m.msg_class == "abcast"
+            ],
+        )
+    return (
+        list(stacks),
+        lambda pid, payload: stacks[pid].abcast_payload(payload),
+        lambda pid: stacks[pid].delivered_payloads(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
 def test_same_workload_same_total_order(name):
     world = World(seed=21, default_link=LinkModel(1.0, 1.0))
-    pids, send, log = RUNNERS[name](world, 3)
+    pids, send, log = runner(name, world, 3)
     for i in range(5):
         for pid in pids:
             send(pid, (pid, i))
@@ -93,11 +63,11 @@ def test_same_workload_same_total_order(name):
     assert len(set(payloads)) == expected
 
 
-@pytest.mark.parametrize("name", sorted(RUNNERS))
+@pytest.mark.parametrize("name", sorted(STACKS))
 def test_deterministic_across_reruns(name):
     def one_run():
         world = World(seed=33, default_link=LinkModel(1.0, 1.0))
-        pids, send, log = RUNNERS[name](world, 3)
+        pids, send, log = runner(name, world, 3)
         for i in range(3):
             send(pids[0], ("x", i))
         run_until(world, lambda: len(log(pids[0])) == 3, timeout=60_000)

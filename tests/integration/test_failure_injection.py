@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.new_stack import StackConfig, add_joiner
+from repro.core.new_stack import StackConfig
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
+from repro.sim.world import add_joiner
 
 from tests.conftest import new_group, run_until
 

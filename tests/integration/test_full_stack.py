@@ -7,10 +7,10 @@ abcast/adeliver, rbcast/rdeliver (generic broadcast conflict classes),
 join/remove/new_view (membership), run/join_remove_list (monitoring).
 """
 
-from repro.core.new_stack import StackConfig, add_joiner, build_new_group
+from repro.core.new_stack import StackConfig, build_new_group
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
-from repro.sim.world import World
+from repro.sim.world import World, add_joiner
 
 from tests.conftest import new_group, run_until
 

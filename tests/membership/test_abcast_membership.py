@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.new_stack import StackConfig, add_joiner
+from repro.core.new_stack import StackConfig
 from repro.gbcast.conflict import RBCAST_ABCAST
+from repro.sim.world import add_joiner
 
 from tests.conftest import new_group, run_until
 

@@ -9,10 +9,10 @@ not newer than what the receiver installed itself is refused whole.
 from __future__ import annotations
 
 from repro.core.api import GroupCommunication
-from repro.core.new_stack import StackConfig, add_joiner, build_new_group
+from repro.core.new_stack import StackConfig, build_new_group
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
-from repro.sim.world import World
+from repro.sim.world import World, add_joiner
 
 from tests.conftest import new_group, run_until
 

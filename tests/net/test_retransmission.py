@@ -209,9 +209,3 @@ def test_idle_channel_schedules_nothing():
     world.run_for(10_000.0)
     assert world.scheduler.events_processed == before
 
-
-def test_non_positive_initial_rto_is_rejected():
-    world = World(seed=1)
-    world.spawn(1)
-    with pytest.raises(ValueError):
-        ReliableChannel(world.process("p00"), initial_rto=0.0)

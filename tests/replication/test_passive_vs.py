@@ -3,8 +3,8 @@
 from repro.net.topology import LinkModel
 from repro.replication.client import spawn_client
 from repro.replication.primary_backup_vs import attach_passive_vs_replicas
-from repro.sim.world import World
-from repro.traditional.isis import IsisConfig, build_isis_group
+from repro.sim.world import World, build_group
+from repro.traditional.isis import IsisStack
 
 from tests.conftest import run_until
 
@@ -16,9 +16,9 @@ def apply_kv(state, command):
     return new_state, ("stored", key, value)
 
 
-def vs_setup(count=3, seed=1, config=None):
+def vs_setup(count=3, seed=1, **options):
     world = World(seed=seed, default_link=LinkModel(1.0, 1.0))
-    stacks = build_isis_group(world, count, config=config)
+    stacks = build_group(world, count, IsisStack, **options)
     replicas = attach_passive_vs_replicas(stacks, apply_kv, {})
     client = spawn_client(world, sorted(stacks), mode="primary", retry_timeout=400.0)
     world.start()
@@ -38,9 +38,7 @@ def test_primary_updates_backups_via_vs():
 
 
 def test_primary_crash_needs_exclusion_to_recover():
-    world, stacks, replicas, client = vs_setup(
-        seed=2, config=IsisConfig(exclusion_timeout=400.0)
-    )
+    world, stacks, replicas, client = vs_setup(seed=2, exclusion_timeout=400.0)
     world.run_for(100.0)
     world.crash("p00")
     crash_time = world.now
@@ -56,9 +54,7 @@ def test_primary_crash_needs_exclusion_to_recover():
 def test_false_suspicion_kills_the_primary():
     # Section 4.3, traditional cost: the wrongly suspected primary is
     # excluded AND killed; the group pays a full view change.
-    world, stacks, replicas, client = vs_setup(
-        seed=3, config=IsisConfig(exclusion_timeout=200.0)
-    )
+    world, stacks, replicas, client = vs_setup(seed=3, exclusion_timeout=200.0)
     world.run_for(100.0)
     for dst in ("p01", "p02"):
         world.transport.set_link("p00", dst, LinkModel(1.0, 1.0, drop_prob=1.0))

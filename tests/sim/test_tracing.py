@@ -1,7 +1,6 @@
 """Unit tests for the trace log and the causal span log."""
 
 from repro.sim.tracing import SpanLog, TraceLog, TraceRecord
-from repro.sim.world import World
 
 
 def test_emit_and_select():
@@ -21,56 +20,6 @@ def test_disabled_log_records_nothing():
     log = TraceLog(enabled=False)
     log.emit(1.0, "p00", "c", "e")
     assert len(log) == 0
-
-
-def test_subscribe_receives_live_records():
-    log = TraceLog()
-    seen = []
-    log.subscribe(seen.append)
-    log.emit(1.0, "p00", "c", "e")
-    log.emit(2.0, "p01", "c", "f")
-    assert [r.event for r in seen] == ["e", "f"]
-
-
-def test_unsubscribe_stops_deliveries():
-    # Regression: subscribe() used to return None, so a listener could
-    # never be detached — crashed processes kept receiving records.
-    log = TraceLog()
-    seen = []
-    handle = log.subscribe(seen.append)
-    log.emit(1.0, "p00", "c", "e")
-    log.unsubscribe(handle)
-    log.emit(2.0, "p00", "c", "f")
-    assert [r.event for r in seen] == ["e"]
-    assert log.listener_count() == 0
-    # Cancelling via the handle works too, and double-unsubscribe is a no-op.
-    other = log.subscribe(seen.append)
-    other.cancel()
-    log.emit(3.0, "p00", "c", "g")
-    assert [r.event for r in seen] == ["e"]
-    log.unsubscribe(other)
-    log.unsubscribe(handle)
-
-
-def test_crash_prunes_owned_listeners():
-    world = World(seed=1)
-    world.spawn(2)
-    seen = []
-    world.trace.subscribe(seen.append, owner="p00")
-    world.trace.subscribe(seen.append, owner=("p00", 0))
-    survivor = world.trace.subscribe(seen.append, owner="p01")
-    unowned = world.trace.subscribe(seen.append)
-    assert world.trace.listener_count() == 4
-    world.processes["p00"].crash()
-    # Both p00-owned listeners (bare pid and (pid, incarnation) tuple)
-    # are gone; the p01-owned and anonymous ones survive.
-    assert world.trace.listener_count() == 2
-    assert world.metrics.counters.get("trace.listeners_pruned_on_crash") == 2
-    before = len(seen)
-    world.trace.emit(world.now, "p01", "c", "e")
-    assert len(seen) == before + 2
-    world.trace.unsubscribe(survivor)
-    world.trace.unsubscribe(unowned)
 
 
 def test_max_records_ring_buffer_and_dropped_gauge():

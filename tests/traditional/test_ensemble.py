@@ -1,15 +1,15 @@
 """Tests for the Ensemble modular stack (Fig. 5) and the stack kernel."""
 
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.ensemble import EnsembleConfig, EnsembleStack, build_ensemble_group
+from repro.sim.world import World, build_group
+from repro.traditional.ensemble import EnsembleStack
 
 from tests.conftest import run_until
 
 
-def ensemble_group(count=3, seed=1, config=None):
+def ensemble_group(count=3, seed=1, **options):
     world = World(seed=seed, default_link=LinkModel(1.0, 1.0))
-    stacks = build_ensemble_group(world, count, config=config)
+    stacks = build_group(world, count, EnsembleStack, **options)
     world.start()
     return world, stacks
 
@@ -29,8 +29,8 @@ def test_stack_composition_matches_fig5():
 def test_failure_free_total_order():
     world, stacks = ensemble_group()
     for i in range(6):
-        stacks["p00"].send(f"a{i}")
-        stacks["p01"].send(f"b{i}")
+        stacks["p00"].abcast_payload(f"a{i}")
+        stacks["p01"].abcast_payload(f"b{i}")
     assert run_until(
         world, lambda: all(len(v) == 12 for v in logs(stacks).values()), timeout=20_000
     )
@@ -40,7 +40,7 @@ def test_failure_free_total_order():
 
 def test_stability_events_bounce_through_the_stack():
     world, stacks = ensemble_group(seed=2)
-    stacks["p00"].send("stable-me")
+    stacks["p00"].abcast_payload("stable-me")
     assert run_until(
         world, lambda: world.metrics.counters.get("ens.stabilized") >= 1, timeout=20_000
     )
@@ -49,13 +49,13 @@ def test_stability_events_bounce_through_the_stack():
 
 def test_event_hops_counted():
     world, stacks = ensemble_group(seed=3)
-    stacks["p00"].send("x")
+    stacks["p00"].abcast_payload("x")
     assert run_until(world, lambda: all(len(v) == 1 for v in logs(stacks).values()))
     assert world.metrics.counters.get("ens.event_hops") > 0
 
 
 def test_sequencer_crash_triggers_sync_block_and_new_view():
-    world, stacks = ensemble_group(seed=4, config=EnsembleConfig(exclusion_timeout=200.0))
+    world, stacks = ensemble_group(seed=4, exclusion_timeout=200.0)
     world.run_for(100.0)
     world.crash("p00")
     survivors = ("p01", "p02")
@@ -68,7 +68,7 @@ def test_sequencer_crash_triggers_sync_block_and_new_view():
     assert world.metrics.counters.get("vs.blocks") >= 1
     assert world.metrics.intervals.total("vs.blocked") > 0
     # Ordering resumes under the new sequencer.
-    stacks["p01"].send("after-change")
+    stacks["p01"].abcast_payload("after-change")
     assert run_until(
         world,
         lambda: all("after-change" in logs(stacks)[p] for p in survivors),
@@ -77,12 +77,12 @@ def test_sequencer_crash_triggers_sync_block_and_new_view():
 
 
 def test_sends_during_block_are_queued_not_lost():
-    world, stacks = ensemble_group(seed=5, config=EnsembleConfig(exclusion_timeout=150.0))
+    world, stacks = ensemble_group(seed=5, exclusion_timeout=150.0)
     world.run_for(50.0)
     world.crash("p02")
     # Wait until p00 blocks, then send.
     assert run_until(world, lambda: stacks["p00"].app.blocked, timeout=20_000)
-    stacks["p00"].send("queued-while-blocked")
+    stacks["p00"].abcast_payload("queued-while-blocked")
     assert world.metrics.counters.get("vs.sends_blocked") >= 1
     survivors = ("p00", "p01")
     assert run_until(

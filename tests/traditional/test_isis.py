@@ -1,15 +1,15 @@
 """Tests for the Isis stack (Fig. 1): VS + coupled membership + sequencer."""
 
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.isis import IsisConfig, IsisStack, add_isis_joiner, build_isis_group
+from repro.sim.world import World, add_joiner, build_group
+from repro.traditional.isis import IsisStack
 
 from tests.conftest import run_until
 
 
-def isis_group(count=3, seed=1, config=None):
+def isis_group(count=3, seed=1, **options):
     world = World(seed=seed, default_link=LinkModel(1.0, 1.0))
-    stacks = build_isis_group(world, count, config=config)
+    stacks = build_group(world, count, IsisStack, **options)
     world.start()
     return world, stacks
 
@@ -31,7 +31,7 @@ def test_failure_free_total_order():
 
 
 def test_sequencer_crash_blocks_until_view_change():
-    world, stacks = isis_group(seed=2, config=IsisConfig(exclusion_timeout=300.0))
+    world, stacks = isis_group(seed=2, exclusion_timeout=300.0)
     world.run_for(100.0)
     world.crash("p00")  # p00 is the sequencer (view head)
     stacks["p01"].abcast_payload("stalled")
@@ -52,14 +52,14 @@ def test_view_synchrony_messages_delivered_in_sending_view():
     got = {pid: [] for pid in stacks}
     for pid, stack in stacks.items():
         stack.vs.register("app", lambda o, p, m, pid=pid: got[pid].append(p))
-    stacks["p00"].vs_bcast("app", "in-view-0")
+    stacks["p00"].vs.bcast("app", "in-view-0")
     assert run_until(world, lambda: all(v == ["in-view-0"] for v in got.values()))
     # All deliveries happened in view 0.
     assert all(s.view().id == 0 for s in stacks.values())
 
 
 def test_senders_block_during_view_change():
-    world, stacks = isis_group(seed=4, config=IsisConfig(exclusion_timeout=200.0))
+    world, stacks = isis_group(seed=4, exclusion_timeout=200.0)
     world.run_for(50.0)
     world.crash("p02")
     assert run_until(world, lambda: stacks["p00"].view().id == 1, timeout=20_000)
@@ -70,7 +70,7 @@ def test_senders_block_during_view_change():
 def test_false_suspicion_kills_correct_process():
     # Section 4.3: in traditional stacks a wrong suspicion costs an
     # exclusion; the excluded (correct!) process kills itself.
-    world, stacks = isis_group(seed=5, config=IsisConfig(exclusion_timeout=150.0))
+    world, stacks = isis_group(seed=5, exclusion_timeout=150.0)
     world.run_for(100.0)
     # Cut heartbeats from p02 to the others without crashing p02.
     world.transport.set_link("p02", "p00", LinkModel(1.0, 1.0, drop_prob=1.0))
@@ -90,7 +90,7 @@ def test_join_with_state_transfer():
     for pid, stack in stacks.items():
         stack.gm.set_state_handlers(lambda pid=pid: f"state-of-{pid}", lambda s: None)
     world.run_for(100.0)
-    joiner = add_isis_joiner(world, stacks)
+    joiner = add_joiner(world, stacks)
     installed = []
     joiner.gm.set_state_handlers(lambda: None, installed.append)
     joiner.gm.request_join("p01")

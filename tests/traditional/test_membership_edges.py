@@ -1,10 +1,10 @@
 """Edge cases for the traditional membership layers and ring recovery."""
 
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.isis import IsisConfig, build_isis_group
-from repro.traditional.phoenix import PhoenixConfig, build_phoenix_group
-from repro.traditional.rmp import RingConfig, build_rmp_group
+from repro.sim.world import World, build_group
+from repro.traditional.isis import IsisStack
+from repro.traditional.phoenix import PhoenixStack
+from repro.traditional.rmp import RMPStack
 
 from tests.conftest import run_until
 
@@ -13,7 +13,7 @@ def test_isis_coordinator_crash_next_rank_takes_over():
     # The flush coordinator itself dies: the next-ranked survivor must
     # complete the change (excluding both dead members).
     world = World(seed=31, default_link=LinkModel(1.0, 1.0))
-    stacks = build_isis_group(world, 4, config=IsisConfig(exclusion_timeout=200.0))
+    stacks = build_group(world, 4, IsisStack, exclusion_timeout=200.0)
     world.start()
     world.run_for(100.0)
     world.crash("p03")
@@ -40,7 +40,7 @@ def test_isis_coordinator_crash_next_rank_takes_over():
 
 def test_isis_sequential_crashes_shrink_to_singleton():
     world = World(seed=32, default_link=LinkModel(1.0, 1.0))
-    stacks = build_isis_group(world, 3, config=IsisConfig(exclusion_timeout=150.0))
+    stacks = build_group(world, 3, IsisStack, exclusion_timeout=150.0)
     world.start()
     world.run_for(100.0)
     world.crash("p01")
@@ -60,7 +60,7 @@ def test_isis_sequential_crashes_shrink_to_singleton():
 
 def test_phoenix_excluded_member_can_rejoin():
     world = World(seed=33, default_link=LinkModel(1.0, 1.0))
-    stacks = build_phoenix_group(world, 3, config=PhoenixConfig(exclusion_timeout=200.0))
+    stacks = build_group(world, 3, PhoenixStack, exclusion_timeout=200.0)
     world.start()
     world.run_for(100.0)
     # Cut p02 off long enough to be excluded (process-level: NOT killed).
@@ -84,7 +84,7 @@ def test_phoenix_excluded_member_can_rejoin():
 
 def test_rmp_sequential_crashes_reform_twice():
     world = World(seed=34, default_link=LinkModel(1.0, 1.0))
-    stacks = build_rmp_group(world, 4, config=RingConfig(exclusion_timeout=200.0))
+    stacks = build_group(world, 4, RMPStack, exclusion_timeout=200.0)
     world.start()
     world.run_for(100.0)
     world.crash("p03")
@@ -109,7 +109,7 @@ def test_rmp_sequential_crashes_reform_twice():
 
 def test_rmp_message_during_reformation_not_lost():
     world = World(seed=35, default_link=LinkModel(1.0, 1.0))
-    stacks = build_rmp_group(world, 3, config=RingConfig(exclusion_timeout=200.0))
+    stacks = build_group(world, 3, RMPStack, exclusion_timeout=200.0)
     world.start()
     world.run_for(100.0)
     world.crash("p02")

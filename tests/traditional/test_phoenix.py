@@ -1,15 +1,15 @@
 """Tests for the Phoenix stack (Fig. 2): consensus-based membership + VS."""
 
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.phoenix import PhoenixConfig, PhoenixStack, build_phoenix_group
+from repro.sim.world import World, build_group
+from repro.traditional.phoenix import PhoenixStack
 
 from tests.conftest import run_until
 
 
-def phoenix_group(count=3, seed=1, config=None):
+def phoenix_group(count=3, seed=1, **options):
     world = World(seed=seed, default_link=LinkModel(1.0, 1.0))
-    stacks = build_phoenix_group(world, count, config=config)
+    stacks = build_group(world, count, PhoenixStack, **options)
     world.start()
     return world, stacks
 
@@ -31,7 +31,7 @@ def test_failure_free_total_order():
 
 
 def test_crash_leads_to_consensus_decided_view_change():
-    world, stacks = phoenix_group(seed=2, config=PhoenixConfig(exclusion_timeout=200.0))
+    world, stacks = phoenix_group(seed=2, exclusion_timeout=200.0)
     world.run_for(100.0)
     world.crash("p02")
     survivors = ("p00", "p01")
@@ -49,7 +49,7 @@ def test_crash_leads_to_consensus_decided_view_change():
 
 
 def test_sequencer_crash_recovery():
-    world, stacks = phoenix_group(seed=3, config=PhoenixConfig(exclusion_timeout=200.0))
+    world, stacks = phoenix_group(seed=3, exclusion_timeout=200.0)
     world.run_for(50.0)
     world.crash("p00")  # the sequencer
     stacks["p01"].abcast_payload("stalled")
@@ -65,7 +65,7 @@ def test_concurrent_view_change_initiators_converge():
     # Several survivors initiate a change simultaneously; consensus
     # ensures a single consistent view sequence.  (Crash only a minority:
     # consensus-based membership requires f < n/2.)
-    world, stacks = phoenix_group(count=5, seed=4, config=PhoenixConfig(exclusion_timeout=150.0))
+    world, stacks = phoenix_group(count=5, seed=4, exclusion_timeout=150.0)
     world.run_for(100.0)
     world.crash("p03")
     world.crash("p04")
@@ -87,10 +87,8 @@ def test_partition_scenario_two_services_progress():
     # S' in Pi2; both make progress during the partition because Phoenix
     # membership is at process level.
     world = World(seed=5, default_link=LinkModel(1.0, 1.0))
-    s_group = build_phoenix_group(world, 3, config=PhoenixConfig(exclusion_timeout=200.0))
-    s_prime = build_phoenix_group(
-        world, 3, config=PhoenixConfig(exclusion_timeout=200.0), start_index=3
-    )
+    s_group = build_group(world, 3, PhoenixStack, exclusion_timeout=200.0)
+    s_prime = build_group(world, 3, PhoenixStack, exclusion_timeout=200.0)  # p03 p04 p05
     world.start()
     world.run_for(100.0)
     # Pi1 holds S-majority {p00,p01} and S'-minority {p03};
@@ -110,7 +108,7 @@ def test_partition_scenario_two_services_progress():
 
 
 def test_view_synchrony_blocking_measured():
-    world, stacks = phoenix_group(seed=6, config=PhoenixConfig(exclusion_timeout=150.0))
+    world, stacks = phoenix_group(seed=6, exclusion_timeout=150.0)
     world.run_for(50.0)
     world.crash("p01")
     assert run_until(world, lambda: stacks["p00"].view().id == 1, timeout=30_000)

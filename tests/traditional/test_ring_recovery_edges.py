@@ -3,17 +3,17 @@
 import pytest
 
 from repro.net.topology import LinkModel
-from repro.sim.world import World
-from repro.traditional.rmp import RingConfig, build_rmp_group
-from repro.traditional.totem import build_totem_group
+from repro.sim.world import World, build_group
+from repro.traditional.rmp import RMPStack
+from repro.traditional.totem import TotemStack
 
 from tests.conftest import run_until
 
 
-@pytest.mark.parametrize("builder", [build_rmp_group, build_totem_group])
-def test_reformation_initiator_crash_is_retried_by_next_rank(builder):
+@pytest.mark.parametrize("stack_class", [RMPStack, TotemStack])
+def test_reformation_initiator_crash_is_retried_by_next_rank(stack_class):
     world = World(seed=51, default_link=LinkModel(1.0, 1.0))
-    stacks = builder(world, 4, config=RingConfig(exclusion_timeout=200.0))
+    stacks = build_group(world, 4, stack_class, exclusion_timeout=200.0)
     world.start()
     world.run_for(100.0)
     world.crash("p03")
@@ -42,7 +42,7 @@ def test_reformation_initiator_crash_is_retried_by_next_rank(builder):
 
 def test_stale_commit_for_old_view_is_ignored():
     world = World(seed=52, default_link=LinkModel(1.0, 1.0))
-    stacks = build_rmp_group(world, 3, config=RingConfig(exclusion_timeout=200.0))
+    stacks = build_group(world, 3, RMPStack, exclusion_timeout=200.0)
     world.start()
     world.run_for(100.0)
     world.crash("p02")
@@ -61,7 +61,7 @@ def test_stale_commit_for_old_view_is_ignored():
 
 def test_ring_tolerates_loss_during_reformation():
     world = World(seed=53, default_link=LinkModel(1.0, 2.0, drop_prob=0.2))
-    stacks = build_rmp_group(world, 3, config=RingConfig(exclusion_timeout=250.0))
+    stacks = build_group(world, 3, RMPStack, exclusion_timeout=250.0)
     world.start()
     world.run_for(100.0)
     world.crash("p01")

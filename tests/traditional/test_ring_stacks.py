@@ -3,17 +3,23 @@
 import pytest
 
 from repro.net.topology import LinkModel
-from repro.sim.world import World
+from repro.sim.world import World, add_joiner, build_group
 from repro.traditional.ring_membership import RingMembership
-from repro.traditional.rmp import RingConfig, add_rmp_joiner, build_rmp_group
-from repro.traditional.totem import add_totem_joiner, build_totem_group
+from repro.traditional.rmp import RMPStack
+from repro.traditional.totem import TotemStack
 
 from tests.conftest import run_until
 
 
-def ring_group(builder, count=3, seed=1, config=None):
+#: Both ring stacks, under the ids these tests have always carried.
+RINGS = pytest.mark.parametrize(
+    "stack_class", [RMPStack, TotemStack], ids=["build_rmp_group", "build_totem_group"]
+)
+
+
+def ring_group(stack_class, count=3, seed=1, **options):
     world = World(seed=seed, default_link=LinkModel(1.0, 1.0))
-    stacks = builder(world, count, config=config)
+    stacks = build_group(world, count, stack_class, **options)
     world.start()
     return world, stacks
 
@@ -22,9 +28,9 @@ def logs(stacks):
     return {pid: s.delivered_payloads() for pid, s in stacks.items()}
 
 
-@pytest.mark.parametrize("builder", [build_rmp_group, build_totem_group])
-def test_failure_free_total_order(builder):
-    world, stacks = ring_group(builder)
+@RINGS
+def test_failure_free_total_order(stack_class):
+    world, stacks = ring_group(stack_class)
     for i in range(6):
         stacks["p00"].abcast_payload(f"a{i}")
         stacks["p02"].abcast_payload(f"c{i}")
@@ -36,9 +42,9 @@ def test_failure_free_total_order(builder):
     assert world.metrics.counters.get("abcast.token_passes") > 0
 
 
-@pytest.mark.parametrize("builder", [build_rmp_group, build_totem_group])
-def test_crash_breaks_ring_then_reformation_recovers(builder):
-    world, stacks = ring_group(builder, seed=2, config=RingConfig(exclusion_timeout=200.0))
+@RINGS
+def test_crash_breaks_ring_then_reformation_recovers(stack_class):
+    world, stacks = ring_group(stack_class, seed=2, exclusion_timeout=200.0)
     world.run_for(100.0)
     world.crash("p01")
     stacks["p00"].abcast_payload("post-crash")
@@ -53,11 +59,11 @@ def test_crash_breaks_ring_then_reformation_recovers(builder):
     assert stacks["p00"].abcast.generation >= 1
 
 
-@pytest.mark.parametrize("builder", [build_rmp_group, build_totem_group])
-def test_recovery_merges_partial_histories(builder):
+@RINGS
+def test_recovery_merges_partial_histories(stack_class):
     # One survivor misses ORDER messages (lossy link from the crashed
     # orderer); reformation must recover them before the new view.
-    world, stacks = ring_group(builder, seed=3, config=RingConfig(exclusion_timeout=250.0))
+    world, stacks = ring_group(stack_class, seed=3, exclusion_timeout=250.0)
     world.run_for(50.0)
     # p02 stops hearing from p00 (the likely token holder at t=60).
     world.transport.set_link("p00", "p02", LinkModel(1.0, 1.0, drop_prob=1.0))
@@ -75,9 +81,9 @@ def test_recovery_merges_partial_histories(builder):
 
 
 def test_rmp_fault_free_join_rides_the_ring():
-    world, stacks = ring_group(build_rmp_group, seed=4)
+    world, stacks = ring_group(RMPStack, seed=4)
     world.run_for(100.0)
-    joiner = add_rmp_joiner(world, stacks)
+    joiner = add_joiner(world, stacks)
     joiner.membership.request_join("p00")
     assert run_until(
         world,
@@ -96,7 +102,7 @@ def test_rmp_fault_free_join_rides_the_ring():
 
 
 def test_rmp_fault_free_leave():
-    world, stacks = ring_group(build_rmp_group, seed=5)
+    world, stacks = ring_group(RMPStack, seed=5)
     world.run_for(100.0)
     stacks["p00"].membership.leave("p02")
     assert run_until(
@@ -115,13 +121,13 @@ def test_rmp_fault_free_leave():
 
 
 def test_totem_join_via_reformation_replays_history():
-    world, stacks = ring_group(build_totem_group, seed=6)
+    world, stacks = ring_group(TotemStack, seed=6)
     for i in range(5):
         stacks["p00"].abcast_payload(f"old-{i}")
     assert run_until(
         world, lambda: all(len(v) == 5 for v in logs(stacks).values()), timeout=20_000
     )
-    joiner = add_totem_joiner(world, stacks)
+    joiner = add_joiner(world, stacks)
     joiner.membership.request_join("p01")
     assert run_until(world, lambda: joiner.view() is not None, timeout=30_000)
     assert world.metrics.counters.get("reform.initiated") >= 1
@@ -140,11 +146,11 @@ def test_invalid_mode_rejected():
         RingMembership(world.process("p00"), None, None, None, None, mode="nope")
 
 
-@pytest.mark.parametrize("builder", [build_rmp_group, build_totem_group])
-def test_token_blocks_without_reformation(builder):
+@RINGS
+def test_token_blocks_without_reformation(stack_class):
     # The defining traditional weakness (Section 2.3.2): with a huge
     # exclusion timeout the ring stays broken and nothing is delivered.
-    world, stacks = ring_group(builder, seed=8, config=RingConfig(exclusion_timeout=60_000.0))
+    world, stacks = ring_group(stack_class, seed=8, exclusion_timeout=60_000.0)
     world.run_for(100.0)
     # Crash whoever is about to receive the token: it left the member
     # that saw it last and dies with its addressee.  (Crashing a fixed
