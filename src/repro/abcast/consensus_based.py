@@ -549,7 +549,8 @@ class ConsensusAtomicBroadcast(Component):
         self.world.metrics.counters.inc("abcast.delivered")
         self.world.metrics.latency.end("abcast", mid, self.now)
         self.delivered_log.append(message)
-        self.trace("adeliver", mid=str(mid))
+        if self.world.trace.enabled:
+            self.trace("adeliver", mid=str(mid))
         spans = self.spans
         if spans.enabled:
             spans.point(self.pid, "abcast", "adeliver", "deliver", self.now, mid=mid)

@@ -568,10 +568,15 @@ class HeartbeatFailureDetector(Component):
     def _interval(self, peer: str) -> float:
         """The longest silence ``peer`` is owed: what our own readers make
         it, or ``heartbeat_interval`` while it has asked (R4)."""
-        interval = self._cadence_of(peer)[0]
+        return self._owed(peer)[0]
+
+    def _owed(self, peer: str) -> tuple[float, bool]:
+        """:meth:`_interval` and whether a heartbeat to ``peer`` asks, from
+        one read of the link's cadence."""
+        interval, asks = self._cadence_of(peer)
         if interval > self.heartbeat_interval and self._told(peer, True):
-            return self.heartbeat_interval
-        return interval
+            return self.heartbeat_interval, asks
+        return interval, asks
 
     def _must_ask(self, peer: str) -> bool:
         """Traffic proves our liveness to ``peer`` but cannot ask it for
@@ -597,10 +602,9 @@ class HeartbeatFailureDetector(Component):
             if peer == self.pid:
                 continue
             deadline = self._deadlines.get(peer, now)  # a new peer is owed one at once
-            interval = self._interval(peer)
+            interval, asks = self._owed(peer)
             due_by = now + interval * KEEPALIVE_SLACK + DUE_SLACK
             if deadline <= due_by:
-                asks = self._cadence_of(peer)[1]
                 suppress = channel is not None and not (asks and self._must_ask(peer))
                 sent = transport.last_sent(self.pid, peer) if suppress else None
                 if sent is not None and sent + interval > due_by:

@@ -136,6 +136,15 @@ class ThriftyGenericBroadcast(Component):
         self.monitor = monitor
         monitor.subscribe(self.nudge)
         self.delivered_log: list[tuple[AppMessage, str]] = []
+        # Per-op bookkeeping, resolved once: counter handles, and per
+        # conflict class its ``gbcast.broadcasts.<class>`` handle and
+        # ``gbcast.<class>`` latency tag, per path its counter handle.
+        metrics = self.world.metrics
+        self._latency = metrics.latency
+        self._inc_broadcasts = metrics.counters.handle("gbcast.broadcasts")
+        self._inc_delivered = metrics.counters.handle("gbcast.delivered")
+        self._classes: dict[str, tuple[Callable[..., None], str]] = {}
+        self._paths: dict[str, Callable[..., None]] = {}
         self.register_port(ACK_PORT, self._on_ack)
         rbcast.register(CHK_TAG, self._on_chk, layer="gbcast")
         abcast.on_adeliver(self._on_adeliver, needs=self._bodies_needed)
@@ -148,16 +157,25 @@ class ThriftyGenericBroadcast(Component):
 
     def gbcast(self, message: AppMessage) -> None:
         """Generic-broadcast ``message`` (its class drives ordering)."""
-        self.world.metrics.counters.inc("gbcast.broadcasts")
-        self.world.metrics.counters.inc(f"gbcast.broadcasts.{message.msg_class}")
-        self.world.metrics.latency.begin("gbcast", message.id, self.now)
-        self.world.metrics.latency.begin(
-            f"gbcast.{message.msg_class}", message.id, self.now
-        )
+        inc_class, tag = self._class_handles(message.msg_class)
+        self._inc_broadcasts()
+        inc_class()
+        now = self.now
+        self._latency.begin("gbcast", message.id, now)
+        self._latency.begin(tag, message.id, now)
         self.spans.wrap(
-            self.pid, "gbcast", "gbcast", "send", self.now, message.id,
+            self.pid, "gbcast", "gbcast", "send", now, message.id,
             self.rbcast.rbcast, CHK_TAG, message,
         )
+
+    def _class_handles(self, msg_class: str) -> tuple[Callable[..., None], str]:
+        known = self._classes.get(msg_class)
+        if known is None:
+            known = self._classes[msg_class] = (
+                self.world.metrics.counters.handle(f"gbcast.broadcasts.{msg_class}"),
+                f"gbcast.{msg_class}",
+            )
+        return known
 
     def gbcast_payload(self, payload, msg_class: str) -> AppMessage:
         """Convenience: wrap ``payload`` in a fresh message and g-broadcast."""
@@ -370,14 +388,19 @@ class ThriftyGenericBroadcast(Component):
         self._ack_times.pop(message.id, None)
         self._acks_received.pop(message.id, None)
         self._watch()
-        self.world.metrics.counters.inc("gbcast.delivered")
-        self.world.metrics.counters.inc(f"gbcast.delivered.{path}")
-        self.world.metrics.latency.end("gbcast", message.id, self.now)
-        self.world.metrics.latency.end(
-            f"gbcast.{message.msg_class}", message.id, self.now
-        )
+        inc_path = self._paths.get(path)
+        if inc_path is None:
+            inc_path = self._paths[path] = self.world.metrics.counters.handle(
+                f"gbcast.delivered.{path}"
+            )
+        self._inc_delivered()
+        inc_path()
+        now = self.now
+        self._latency.end("gbcast", message.id, now)
+        self._latency.end(self._class_handles(message.msg_class)[1], message.id, now)
         self.delivered_log.append((message, path))
-        self.trace("gdeliver", mid=str(message.id), path=path, cls=message.msg_class)
+        if self.world.trace.enabled:
+            self.trace("gdeliver", mid=str(message.id), path=path, cls=message.msg_class)
         spans = self.spans
         if spans.enabled:
             spans.point(

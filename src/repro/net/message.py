@@ -3,13 +3,18 @@
 A :class:`MsgId` is globally unique and totally ordered (sender id, then
 per-sender sequence number); protocols use this order whenever they need
 a deterministic tie-break that is identical at every process.
+
+Both structs are on every datagram's path, so they are built for the
+interpreter: a :class:`MsgId` is a tuple (it hashes and compares in C),
+and an :class:`AppMessage` keeps its wire size once it has been sized
+(see ``repro.net.wire.payload_size``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 #: Conflict class used when the caller does not specify one.  The
 #: built-in relations treat it as conflicting with everything, which is
@@ -17,8 +22,7 @@ from typing import Any
 DEFAULT_CLASS = "default"
 
 
-@dataclass(frozen=True, order=True)
-class MsgId:
+class MsgId(NamedTuple):
     """Globally unique, totally ordered message identifier.
 
     ``incarnation`` distinguishes the message streams of successive
@@ -26,6 +30,11 @@ class MsgId:
     recovered process restarts its sequence numbers from zero (volatile
     state is lost), so ids stay globally unique only because they also
     carry the incarnation number.
+
+    A tuple ``(sender, seq, incarnation)``: it hashes, compares and
+    orders exactly as that plain tuple does, so it also *equals* it
+    (``MsgId("p00", 3) == ("p00", 3, 0)``).  No protocol keys one
+    mapping by both.
     """
 
     sender: str
@@ -51,6 +60,11 @@ class AppMessage:
     sender: str
     payload: Any
     msg_class: str = DEFAULT_CLASS
+
+    #: Wire size, set by ``repro.net.wire.payload_size`` the first time
+    #: the message is sized (the message is immutable, so it holds at
+    #: every hop and for every peer).  A class attribute, not a field.
+    _size = None
 
     def __str__(self) -> str:
         return f"{self.id}[{self.msg_class}]"

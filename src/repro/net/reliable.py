@@ -81,7 +81,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.net.wire import INT_BYTES, payload_size
+from repro.net.wire import INT_BYTES, datagram_size, payload_size, tuple_size
 from repro.sim.process import Component, Process
 from repro.sim.scheduler import DUE_SLACK, Timer
 
@@ -117,6 +117,12 @@ INSTANT = 1e-6
 #: Byte attribution of the ACK field on a datagram of another layer.
 _ACK_FIELD = [("rc", INT_BYTES)]
 
+#: Bytes of the four-field header every datagram opens with: its kind
+#: and three ints (our incarnation, the peer's, the cumulative ACK).
+_HEAD_BYTES = {
+    kind: payload_size(kind) + 3 * INT_BYTES for kind in ("DATA", "BATCH", "ACK", "GAP")
+}
+
 #: Default layer attribution for well-known ports (used when the caller
 #: does not pass ``layer=`` to :meth:`ReliableChannel.send`).  Unknown
 #: ports fall back to their prefix before the first dot.
@@ -145,6 +151,10 @@ class _Pending:
     payload: Any
     first_sent: float
     layer: str = "other"
+    #: Wire bytes of ``payload``, and of the segment's three items
+    #: ``(seq, port, payload)``: sized once, at :meth:`ReliableChannel.send`.
+    size: int = 0
+    items: int = 0
     #: Causal "queue" span for this segment: opened at ``send()``, closed
     #: at first transmission; re-activated around retransmissions so they
     #: chain to the original send in the span tree.
@@ -252,7 +262,8 @@ class ReliableChannel(Component):
         self._inc_batches = counters.handle("rc.batches")
         self._inc_coalesced = counters.handle("rc.segments_coalesced")
         self._inc_piggybacked = counters.handle("rc.acks_piggybacked")
-        self._port_handles: dict[str, Callable] = {}
+        #: Per port: its ``rc.sent.port.<port>`` handle and its wire bytes.
+        self._ports: dict[str, tuple[Callable, int]] = {}
         self.register_port(PORT, self._on_datagram)
 
     @property
@@ -270,22 +281,38 @@ class ReliableChannel(Component):
         omitted it is derived from the port name.  ACKs and
         retransmissions are channel overhead and always count as ``rc``.
         """
+        self._send(dst, port, payload, layer or layer_of_port(port), None)
+
+    def send_to_all(
+        self, dsts: list[str], port: str, payload: Any, layer: str | None = None
+    ) -> None:
+        """:meth:`send` to each of ``dsts``; the payload is sized once."""
         layer = layer or layer_of_port(port)
+        size = payload_size(payload)
+        for dst in dsts:
+            self._send(dst, port, payload, layer, size)
+
+    def _send(self, dst: str, port: str, payload: Any, layer: str, size: int | None) -> None:
         self._inc_sent()
-        inc_port = self._port_handles.get(port)
-        if inc_port is None:
-            inc_port = self._port_handles[port] = self._counters.handle(
-                f"rc.sent.port.{port}"
+        known = self._ports.get(port)
+        if known is None:
+            known = self._ports[port] = (
+                self._counters.handle(f"rc.sent.port.{port}"),
+                payload_size(port),
             )
+        inc_port, port_bytes = known
         inc_port()
         if dst == self.pid:
             # Local delivery: immediate, reliable and ordered by the
             # scheduler; no acks needed.
             self.schedule(0.0, self.process.dispatch, port, self.pid, payload)
             return
+        if size is None:
+            size = payload_size(payload)
+        now = self.now
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
-        pending = _Pending(seq, port, payload, self.now, layer)
+        pending = _Pending(seq, port, payload, now, layer, size, INT_BYTES + port_bytes + size)
         outbox = self._outbox.get(dst)
         if outbox is None:
             outbox = self._outbox[dst] = deque()
@@ -294,14 +321,14 @@ class ReliableChannel(Component):
         self._ensure_armed(dst)
         spans = self._spans
         if spans.enabled:
-            pending.span = spans.begin(self.pid, layer, f"rc:{port}", "queue", self.now)
+            pending.span = spans.begin(self.pid, layer, f"rc:{port}", "queue", now)
         if self.coalesce_delay is None:
-            pending.last_sent = self.now
+            pending.last_sent = now
             pending.transmits = 1
-            self._transmit(pending.span, dst, "DATA", (seq, port, payload), layer)
+            self._transmit_data(dst, pending, layer)
             if pending.span is not None:
                 # No coalescing wait on the direct path: zero queue time.
-                pending.span.end = self.now
+                pending.span.end = now
             return
         buffered = self._sendbuf.setdefault(dst, [])
         buffered.append(pending)
@@ -310,7 +337,7 @@ class ReliableChannel(Component):
         elif dst not in self._flush_scheduled:
             self._flush_scheduled.add(dst)
             last = self.world.transport.last_sent(self.pid, dst)
-            idle = last is None or self.now - last >= self.coalesce_delay
+            idle = last is None or now - last >= self.coalesce_delay
             self.schedule(INSTANT if idle else self.coalesce_delay, self._flush, dst)
 
     def _flush(self, dst: str) -> None:
@@ -333,20 +360,34 @@ class ReliableChannel(Component):
             if e.span is not None:
                 e.span.end = now
         if len(buffered) == 1:
-            entry = buffered[0]
-            self._transmit(
-                entry.span, dst, "DATA", (entry.seq, entry.port, entry.payload), entry.layer
-            )
+            self._transmit_data(dst, buffered[0], buffered[0].layer)
             return
         self._inc_batches()
         self._inc_coalesced(len(buffered) - 1)
-        segments = tuple((e.seq, e.port, e.payload) for e in buffered)
         # Datagram *count* goes to the first segment's layer (one wire
         # message); *bytes* are split per segment — a consensus-headed
         # batch must not absorb the abcast payload bodies packed behind
         # it, or the ordering-vs-dissemination byte split is noise.
-        split = [(e.layer, payload_size(e.payload)) for e in buffered]
-        self._transmit(buffered[0].span, dst, "BATCH", (segments,), buffered[0].layer, split)
+        split = [(e.layer, e.size) for e in buffered]
+        self._transmit_batch(dst, buffered, buffered[0].layer, split)
+
+    def _transmit_data(self, dst: str, entry: _Pending, layer: str) -> None:
+        """One segment as one DATA datagram (its items follow the header)."""
+        self._transmit(
+            entry.span, dst, "DATA", (entry.seq, entry.port, entry.payload), layer, entry.items
+        )
+
+    def _transmit_batch(
+        self,
+        dst: str,
+        entries: list[_Pending],
+        layer: str,
+        byte_split: list[tuple[str, int]] | None = None,
+    ) -> None:
+        """Several segments as one BATCH datagram: one tuple of segments."""
+        segments = tuple((e.seq, e.port, e.payload) for e in entries)
+        items = tuple_size(sum(tuple_size(e.items) for e in entries))
+        self._transmit(entries[0].span, dst, "BATCH", (segments,), layer, items, byte_split)
 
     def _transmit(
         self,
@@ -355,9 +396,14 @@ class ReliableChannel(Component):
         kind: str,
         body: tuple,
         layer: str,
+        body_bytes: int,
         byte_split: list[tuple[str, int]] | None = None,
     ) -> None:
         """Put one datagram for ``dst`` on the wire.
+
+        ``body_bytes`` is the wire size of the ``body`` items, which the
+        caller knows without walking them; the transport is handed the
+        datagram's size, so nothing is sized twice.
 
         Whatever its kind, it opens with the same header — our
         incarnation, the incarnation we believe ``dst`` to run and the
@@ -383,26 +429,21 @@ class ReliableChannel(Component):
         ) + body
         if layer != "rc":
             byte_split = _ACK_FIELD if byte_split is None else byte_split + _ACK_FIELD
+        size = datagram_size(_HEAD_BYTES[kind] + body_bytes)
         if span is None:
-            self.world.u_send(
-                self.pid, dst, PORT, datagram, layer=layer, byte_split=byte_split
+            self.world.transport.u_send(
+                self.pid, dst, PORT, datagram, layer=layer, byte_split=byte_split, size=size
             )
             return
         spans = self._spans
         prev = spans._current
         spans._current = span
         try:
-            self.world.u_send(
-                self.pid, dst, PORT, datagram, layer=layer, byte_split=byte_split
+            self.world.transport.u_send(
+                self.pid, dst, PORT, datagram, layer=layer, byte_split=byte_split, size=size
             )
         finally:
             spans._current = prev
-
-    def send_to_all(
-        self, dsts: list[str], port: str, payload: Any, layer: str | None = None
-    ) -> None:
-        for dst in dsts:
-            self.send(dst, port, payload, layer=layer)
 
     def discard(self, dst: str) -> None:
         """Drop buffered messages for ``dst`` (after membership exclusion).
@@ -479,7 +520,7 @@ class ReliableChannel(Component):
             self._request_ack(src)
 
     def _send_ack(self, src: str) -> None:
-        self._transmit(None, src, "ACK", (), "rc")
+        self._transmit(None, src, "ACK", (), "rc", 0)
 
     def flush_toward(self, dst: str) -> bool:
         """Transmit now what the channel holds for ``dst`` — its buffered
@@ -538,7 +579,7 @@ class ReliableChannel(Component):
                 # ACKs they draw are clean samples), no back-off.
                 now = self.now
                 entries = [
-                    _Pending(seq, e.port, e.payload, now, e.layer, e.span, now, 1)
+                    _Pending(seq, e.port, e.payload, now, e.layer, e.size, e.items, e.span, now, 1)
                     for seq, e in enumerate(pending)
                 ]
                 pending.clear()
@@ -548,7 +589,7 @@ class ReliableChannel(Component):
                 self._rto[src].backoff = 0
                 self._ensure_armed(src)
                 for e in entries:
-                    self._transmit(e.span, src, "DATA", (e.seq, e.port, e.payload), e.layer)
+                    self._transmit_data(src, e, e.layer)
         self._peer_incarnation[src] = incarnation
         return True
 
@@ -625,7 +666,7 @@ class ReliableChannel(Component):
             # is merely an old one: a notice now could overtake the last
             # transmission :meth:`discard` made and void it.
             self.world.metrics.counters.inc("rc.gap_notices")
-            self._transmit(None, src, "GAP", (floor,), "rc")
+            self._transmit(None, src, "GAP", (floor,), "rc", INT_BYTES)
 
     # ------------------------------------------------------------------
     # Retransmission + output-triggered suspicion
@@ -686,13 +727,9 @@ class ReliableChannel(Component):
         for i in range(0, len(entries), step):
             chunk = entries[i:i + step]
             if len(chunk) == 1:
-                entry = chunk[0]
-                self._transmit(
-                    entry.span, dst, "DATA", (entry.seq, entry.port, entry.payload), "rc"
-                )
+                self._transmit_data(dst, chunk[0], "rc")
             else:
-                segments = tuple((e.seq, e.port, e.payload) for e in chunk)
-                self._transmit(chunk[0].span, dst, "BATCH", (segments,), "rc")
+                self._transmit_batch(dst, chunk, "rc")
 
 
 def channel_of(process: Process) -> ReliableChannel:

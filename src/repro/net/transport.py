@@ -54,26 +54,27 @@ class UnreliableTransport:
         self._links: dict[tuple[str, str], LinkModel] = {}
         self._rng = fork_rng(world.seed, "transport")
         self._spans = world.trace.spans
-        # Bound counter handles, resolved once: the three increments on
-        # the send path used to pay an f-string format per datagram.
+        # Counters resolved once: the send path bumps six per datagram, by
+        # name on the live mapping; the rest through handles.
         counters = world.metrics.counters
         self._counters = counters
-        self._inc_sent = counters.handle("net.sent")
-        self._inc_bytes = counters.handle("net.bytes")
+        self._live = counters.live
         self._inc_delivered = counters.handle("net.delivered")
         self._inc_dropped_partition = counters.handle("net.dropped.partition")
         self._inc_dropped_loss = counters.handle("net.dropped.loss")
         self._inc_dropped_crashed = counters.handle("net.dropped.crashed")
         self._inc_duplicated = counters.handle("net.duplicated")
         self._inc_stale = counters.handle("net.stale_incarnation_dropped")
-        self._layer_handles: dict[str, Any] = {}
-        self._layer_byte_handles: dict[str, Any] = {}
-        #: Per-sender wire bytes (``net.bytes.sent.<pid>``): the
+        #: (src, layer, port) -> the names of one datagram's counters
+        #: ``net.bytes.sent.<src>`` (per-sender wire bytes, the
         #: measurement half of bandwidth-*balanced* dissemination — the
         #: aggregate ``net.bytes`` cannot show whether the load sits on
-        #: one NIC (flood origin) or is spread around a ring.
-        self._pid_byte_handles: dict[str, Any] = {}
-        self._port_handles: dict[str, Any] = {}
+        #: one NIC or is spread around a ring), ``net.sent.<layer>``,
+        #: ``net.bytes.<layer>`` and ``net.sent.port.<port>``, and the
+        #: sender's last-sent map.
+        self._send_keys: dict[tuple[str, str, str], tuple] = {}
+        #: layer -> ``net.bytes.<layer>``, for the entries of a byte split.
+        self._byte_keys: dict[str, str] = {}
         #: pid -> (incarnation at registration, sink).  One sink per
         #: process; re-registration (a recovered incarnation's fresh FD)
         #: overwrites, and the stored incarnation fences out callbacks
@@ -121,13 +122,16 @@ class UnreliableTransport:
     # ------------------------------------------------------------------
     # Datagram service
     # ------------------------------------------------------------------
-    def _byte_handle(self, layer: str) -> Any:
-        handle = self._layer_byte_handles.get(layer)
-        if handle is None:
-            handle = self._layer_byte_handles[layer] = self._counters.handle(
-                f"net.bytes.{layer}"
-            )
-        return handle
+    def _keys(self, key: tuple[str, str, str]) -> tuple:
+        src, layer, port = key
+        keys = self._send_keys[key] = (
+            f"net.bytes.sent.{src}",
+            f"net.sent.{layer}",
+            f"net.bytes.{layer}",
+            f"net.sent.port.{port}",
+            self._last_sent.setdefault(src, {}),
+        )
+        return keys
 
     def u_send(
         self,
@@ -137,6 +141,7 @@ class UnreliableTransport:
         payload: Any,
         layer: str = "other",
         byte_split: list[tuple[str, int]] | None = None,
+        size: int | None = None,
     ) -> None:
         """Best-effort send; may drop, delay or duplicate.
 
@@ -161,40 +166,38 @@ class UnreliableTransport:
         ``layer`` — otherwise a consensus-headed batch would absorb the
         payload bodies coalesced behind it and the ordering-vs-
         dissemination split would be noise.
+
+        ``size`` is the datagram's ``wire_size(payload)`` when the caller
+        knows it already (the reliable channel sizes each segment once);
+        it must equal that, or byte counters and bandwidth delays drift.
+        Without it the payload is walked here.
         """
-        self._inc_sent()
-        size = wire_size(payload)
-        self._inc_bytes(size)
-        inc_pid = self._pid_byte_handles.get(src)
-        if inc_pid is None:
-            inc_pid = self._pid_byte_handles[src] = self._counters.handle(
-                f"net.bytes.sent.{src}"
-            )
-        inc_pid(size)
-        inc_layer = self._layer_handles.get(layer)
-        if inc_layer is None:
-            inc_layer = self._layer_handles[layer] = self._counters.handle(
-                f"net.sent.{layer}"
-            )
-        inc_layer()
+        if size is None:
+            size = wire_size(payload)
+        key = (src, layer, port)
+        keys = self._send_keys.get(key)
+        if keys is None:
+            keys = self._keys(key)
+        pid_bytes, layer_sent, layer_bytes, port_sent, per_dst = keys
+        live = self._live
+        live["net.sent"] += 1
+        live["net.bytes"] += size
+        live[pid_bytes] += size
+        live[layer_sent] += 1
         if byte_split is None:
-            self._byte_handle(layer)(size)
+            live[layer_bytes] += size
         else:
             accounted = 0
+            byte_keys = self._byte_keys
             for seg_layer, seg_bytes in byte_split:
-                self._byte_handle(seg_layer)(seg_bytes)
+                name = byte_keys.get(seg_layer)
+                if name is None:
+                    name = byte_keys[seg_layer] = f"net.bytes.{seg_layer}"
+                live[name] += seg_bytes
                 accounted += seg_bytes
-            self._byte_handle(layer)(size - accounted)
-        inc_port = self._port_handles.get(port)
-        if inc_port is None:
-            inc_port = self._port_handles[port] = self._counters.handle(
-                f"net.sent.port.{port}"
-            )
-        inc_port()
-        now = self.world.scheduler.now
-        per_dst = self._last_sent.get(src)
-        if per_dst is None:
-            per_dst = self._last_sent[src] = {}
+            live[layer_bytes] += size - accounted
+        live[port_sent] += 1
+        now = self.world.scheduler._now
         per_dst[dst] = now
         # Partitions are checked once, at delivery time (the authoritative
         # check: the simulated wire is cut for in-flight traffic too); the

@@ -30,6 +30,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
+from repro.net.message import AppMessage, MsgId
+
 #: Fixed per-datagram envelope: IPv4 header (20) + UDP header (8).
 HEADER_BYTES = 28
 
@@ -67,6 +69,23 @@ class Blob:
         return f"Blob({self.size})"
 
 
+#: Field names per dataclass type (None: not a dataclass), resolved once
+#: per class instead of ``dataclasses.fields()`` on every object sized.
+_FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
+
+
+def _field_names(t: type) -> tuple[str, ...] | None:
+    names = _FIELD_NAMES.get(t, False)
+    if names is False:
+        names = (
+            tuple(f.name for f in dataclasses.fields(t))
+            if dataclasses.is_dataclass(t)
+            else None
+        )
+        _FIELD_NAMES[t] = names
+    return names
+
+
 def payload_size(obj: Any) -> int:
     """Structural byte size of ``obj`` under a compact binary encoding.
 
@@ -74,6 +93,10 @@ def payload_size(obj: Any) -> int:
     dataclass fields when possible, else by the length of their ``str``
     form (stable for the repr-friendly value objects the protocols
     carry).  Containers pay :data:`LEN_PREFIX` plus their items.
+
+    A :class:`~repro.net.message.MsgId` sizes like the tuple of its three
+    fields, an :class:`~repro.net.message.AppMessage` like its four fields
+    — and is sized once: the result is kept on the (immutable) message.
     """
     if obj is None:
         return NONE_BYTES
@@ -82,19 +105,34 @@ def payload_size(obj: Any) -> int:
     t = type(obj)
     if t is int:
         return INT_BYTES
-    if t is float:
-        return FLOAT_BYTES
     if t is str:
         return LEN_PREFIX + len(obj)
-    if t is bytes or t is bytearray:
-        return LEN_PREFIX + len(obj)
-    if t is Blob:
-        return LEN_PREFIX + obj.size
     if t is tuple or t is list:
         total = LEN_PREFIX
         for item in obj:
             total += payload_size(item)
         return total
+    if t is MsgId:
+        # (sender: str, seq: int, incarnation: int)
+        return 2 * LEN_PREFIX + len(obj[0]) + 2 * INT_BYTES
+    if t is AppMessage:
+        size = obj._size
+        if size is None:
+            size = (
+                LEN_PREFIX
+                + payload_size(obj.id)
+                + payload_size(obj.sender)
+                + payload_size(obj.payload)
+                + payload_size(obj.msg_class)
+            )
+            object.__setattr__(obj, "_size", size)
+        return size
+    if t is float:
+        return FLOAT_BYTES
+    if t is bytes or t is bytearray:
+        return LEN_PREFIX + len(obj)
+    if t is Blob:
+        return LEN_PREFIX + obj.size
     if t is dict:
         total = LEN_PREFIX
         for key, value in obj.items():
@@ -106,22 +144,35 @@ def payload_size(obj: Any) -> int:
             total += payload_size(item)
         return total
     # Slower fallbacks, off the per-datagram hot path for the common
-    # wire shapes above: int/float subclasses, dataclasses (MsgId,
-    # AppMessage, value objects), then the str form.
+    # wire shapes above: int/float subclasses, other dataclasses (value
+    # objects such as views), then the str form.
     if isinstance(obj, bool):
         return BOOL_BYTES
     if isinstance(obj, int):
         return INT_BYTES
     if isinstance(obj, float):
         return FLOAT_BYTES
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    names = _field_names(t)
+    if names is not None:
         total = LEN_PREFIX
-        for field in dataclasses.fields(obj):
-            total += payload_size(getattr(obj, field.name))
+        for name in names:
+            total += payload_size(getattr(obj, name))
         return total
     return LEN_PREFIX + len(str(obj))
+
+
+def tuple_size(items_bytes: int) -> int:
+    """:func:`payload_size` of a tuple whose items together size
+    ``items_bytes`` — for a caller that sized the items already."""
+    return LEN_PREFIX + items_bytes
 
 
 def wire_size(payload: Any) -> int:
     """Estimated on-the-wire size of one datagram carrying ``payload``."""
     return HEADER_BYTES + payload_size(payload)
+
+
+def datagram_size(items_bytes: int) -> int:
+    """:func:`wire_size` of a tuple datagram whose items together size
+    ``items_bytes``."""
+    return HEADER_BYTES + LEN_PREFIX + items_bytes

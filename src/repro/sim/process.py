@@ -55,6 +55,7 @@ class Process:
         # Cached span-log reference: schedule() touches it per call and
         # attribute chains cost on the hot path.
         self._spans = world.trace.spans
+        self._scheduler = world.scheduler
         self._ports: dict[str, PortHandler] = {}
         self._components: dict[str, "Component"] = {}
 
@@ -65,6 +66,7 @@ class Process:
         if component.name in self._components:
             raise ValueError(f"duplicate component {component.name!r} on {self.pid}")
         self._components[component.name] = component
+        self.world._unstarted.append(component)
 
     def component(self, name: str) -> "Component":
         return self._components[name]
@@ -92,7 +94,7 @@ class Process:
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        return self.world.scheduler.now
+        return self._scheduler._now
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule a callback that is suppressed if this process crashes.
@@ -106,7 +108,7 @@ class Process:
         captured and re-activated around the callback, so spans begun by
         timer-driven work chain back to the event that armed the timer.
         """
-        return self.world.scheduler.schedule(
+        return self._scheduler.schedule(
             delay, self._fire_if_alive, self.incarnation, callback, args,
             self._spans._current,
         )
@@ -182,28 +184,28 @@ class Component:
     Subclasses register ports in ``__init__`` and may override
     :meth:`start`, which the world calls once the whole topology is wired
     (so cross-component references are safe to use).
+
+    ``pid`` and ``world`` are plain attributes: a component lives and
+    dies with one incarnation of its process (recovery builds new ones).
     """
 
     def __init__(self, process: Process, name: str) -> None:
         self.process = process
         self.name = name
+        self.pid = process.pid
+        self.world = process.world
+        self._scheduler = process.world.scheduler
         process.add_component(self)
 
     # Convenience accessors -------------------------------------------------
     @property
-    def pid(self) -> str:
-        return self.process.pid
-
-    @property
     def now(self) -> float:
-        return self.process.now
-
-    @property
-    def world(self) -> "World":
-        return self.process.world
+        return self._scheduler._now
 
     def trace(self, event: str, **details: Any) -> None:
-        self.world.trace.emit(self.now, self.pid, self.name, event, **details)
+        trace = self.world.trace
+        if trace.enabled:
+            trace.emit(self.now, self.pid, self.name, event, **details)
 
     @property
     def spans(self):

@@ -107,7 +107,11 @@ class Scheduler:
         """Schedule ``callback(*args)`` to run ``delay`` ms from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        return self.at(self._now + delay, callback, *args)
+        # :meth:`at` inlined: every protocol timer comes through here.
+        when = self._now + delay
+        timer = Timer(when, callback, args, self)
+        heapq.heappush(self._queue, (when, next(self._counter), timer))
+        return timer
 
     def at(self, when: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``."""

@@ -56,6 +56,9 @@ class World:
         self.transport = UnreliableTransport(self, default_link)
         self.rng = fork_rng(seed, "world")
         self._started = False
+        #: Components not yet started, in registration order (appended by
+        #: ``Process.add_component``).
+        self._unstarted: list[Any] = []
         self._recovery_factories: dict[str, Callable[[Process], Any]] = {}
 
     # ------------------------------------------------------------------
@@ -90,17 +93,20 @@ class World:
         Idempotent per component: calling again (``run`` and ``run_for``
         call it on every invocation) starts only components created since
         the previous call — e.g. a process spawned mid-run to join the
-        group, or a stack rebuilt by crash recovery.  Started-ness is
-        tracked on the component itself (an ``id()``-keyed set would
-        break when a recovered process's old components are collected
-        and their ids reused).
+        group, or a stack rebuilt by crash recovery — in pid order, each
+        process's in registration order.  A component whose process
+        recovered before it was started is gone with its incarnation and
+        never starts.
         """
         self._started = True
-        for pid in self.pids():
-            for component in self.processes[pid].components():
-                if not getattr(component, "_world_started", False):
-                    component._world_started = True
-                    component.start()
+        if not self._unstarted:
+            return
+        # A stable sort: within one pid, registration order stays.
+        fresh = sorted(self._unstarted, key=lambda component: component.pid)
+        self._unstarted = []
+        for component in fresh:
+            if component.process._components.get(component.name) is component:
+                component.start()
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         self.start()

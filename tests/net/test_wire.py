@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
+import enum
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.membership.view import View
+from repro.net.message import AppMessage, MsgId
 from repro.net.wire import (
     BOOL_BYTES,
+    FLOAT_BYTES,
     HEADER_BYTES,
     INT_BYTES,
     LEN_PREFIX,
@@ -63,11 +72,119 @@ def test_wire_size_adds_fixed_header():
 
 
 def test_dataclass_payloads_size_by_fields():
-    from repro.net.message import MsgId
-
+    view = View(3, ("p00", "p01"))
+    # id + members, one slot per dataclass field.
+    assert payload_size(view) == LEN_PREFIX + INT_BYTES + payload_size(("p00", "p01"))
     mid = MsgId("p00", 7)
-    # sender + seq + incarnation, one slot per dataclass field.
+    # sender + seq + incarnation, as when MsgId was a dataclass.
     assert payload_size(mid) == LEN_PREFIX + payload_size("p00") + 2 * INT_BYTES
+
+
+# ----------------------------------------------------------------------
+# The fast paths of payload_size equal the structural rule
+# ----------------------------------------------------------------------
+def reference_size(obj):
+    """The structural rule as one plain recursive walk: exact types, then
+    int/float subclasses, then dataclasses by their fields, then the str
+    form.  ``MsgId`` was a dataclass of ``(sender, seq, incarnation)``
+    when this was the implementation, so it is walked by those fields."""
+    if obj is None:
+        return NONE_BYTES
+    if obj is True or obj is False:
+        return BOOL_BYTES
+    t = type(obj)
+    if t is int:
+        return INT_BYTES
+    if t is float:
+        return FLOAT_BYTES
+    if t is str or t is bytes or t is bytearray:
+        return LEN_PREFIX + len(obj)
+    if t is Blob:
+        return LEN_PREFIX + obj.size
+    if t in (tuple, list, set, frozenset):
+        return LEN_PREFIX + sum(reference_size(item) for item in obj)
+    if t is dict:
+        return LEN_PREFIX + sum(reference_size(k) + reference_size(v) for k, v in obj.items())
+    if isinstance(obj, bool):
+        return BOOL_BYTES
+    if isinstance(obj, int):
+        return INT_BYTES
+    if isinstance(obj, float):
+        return FLOAT_BYTES
+    if t is MsgId:
+        names = MsgId._fields
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        names = [field.name for field in dataclasses.fields(obj)]
+    else:
+        return LEN_PREFIX + len(str(obj))
+    return LEN_PREFIX + sum(reference_size(getattr(obj, name)) for name in names)
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+
+
+short_text = st.text(max_size=6)
+msg_ids = st.builds(MsgId, short_text, st.integers(0, 2**40), st.integers(0, 4))
+hashables = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | short_text
+    | st.binary(max_size=6)
+    | st.builds(Blob, st.integers(0, 10_000))
+    | st.just(Small.ONE)
+    | msg_ids,
+    lambda inner: st.lists(inner, max_size=3).map(tuple) | st.frozensets(inner, max_size=3),
+    max_leaves=8,
+)
+payloads = st.recursive(
+    hashables | st.binary(max_size=6).map(bytearray),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(hashables, inner, max_size=3)
+    | st.sets(hashables, max_size=3)
+    | st.builds(AppMessage, msg_ids, short_text, inner, short_text)
+    | st.builds(View, st.integers(0, 9), st.lists(short_text, max_size=4).map(tuple)),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_fast_size_paths_equal_the_structural_rule(payload):
+    assert payload_size(payload) == reference_size(payload)
+    # Again: an AppMessage anywhere inside now answers from its kept size.
+    assert payload_size(payload) == reference_size(payload)
+    assert wire_size(payload) == HEADER_BYTES + reference_size(payload)
+
+
+def test_an_app_message_is_sized_once():
+    message = AppMessage(MsgId("p00", 1), "p00", ("body", Blob(100)), "c")
+    assert message._size is None
+    size = payload_size(message)
+    assert message._size == size == reference_size(message)
+    # Not a field: equality, hashing and repr ignore it.
+    assert message == AppMessage(MsgId("p00", 1), "p00", ("body", Blob(100)), "c")
+    assert "_size" not in repr(message)
+
+
+def test_msg_id_hashes_and_orders_as_its_tuple():
+    assert hash(MsgId("p00", 3, 1)) == hash(("p00", 3, 1))
+    assert hash(MsgId("p01", 7)) == hash(("p01", 7, 0))
+    ids = [MsgId(s, q, i) for s in ("p00", "p01", "p10") for q in (0, 1, 12) for i in (0, 2)]
+    shuffled = list(ids)
+    random.Random(5).shuffle(shuffled)
+    assert sorted(shuffled) == sorted(ids, key=lambda m: (m.sender, m.seq, m.incarnation))
+    assert sorted(shuffled) == ids
+    assert str(MsgId("p00", 3)) == "p00#3"
+    assert str(MsgId("p00", 3, 1)) == "p00~1#3"
+    assert repr(MsgId("p00", 3)) == "MsgId(sender='p00', seq=3, incarnation=0)"
+    # The representation is a tuple: an id equals the plain tuple of its
+    # fields (documented on MsgId; no mapping is keyed by both).
+    assert MsgId("p00", 3) == ("p00", 3, 0)
+    assert isinstance(MsgId("p00", 3), tuple)
 
 
 def test_transmit_ms_bandwidth_term():
