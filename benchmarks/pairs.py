@@ -1,18 +1,18 @@
 """Alternating parent / change pairs of the contract command, with the verdict.
 
-    python benchmarks/pairs.py PARENT --workload W --seeds 1:11 [--seconds 30]
-        [--metric host_ops_per_s] [--json FILE]
+    python benchmarks/pairs.py PARENT --workload W --seeds 1:11 [--json FILE]
 
-Runs one pair per seed of the command ``BENCHMARK.json`` names,
-``benchmarks/perf/run.py --workload W --seed N --seconds S --trace 0``:
-one side in a temporary export of revision ``PARENT`` (``git archive``,
-so the repository gets no worktree entry), the other in this checkout.
-Even pairs run the parent first, odd pairs the change.  It then prints,
-for every contract metric, each side's median and quartiles; for the
-claimed ``--metric``, wins and ties and the verdict of the small-sandbox
-rule: a gain is claimed only when the change wins at least nine tenths
-of the pairs (ties count for neither) and the medians differ by more
-than the distance between the parent's quartiles.  Last, whether every
+Runs one pair per seed of the contract command: the ``command`` that
+``BENCHMARK.json`` names, with ``--workload W --seed N --seconds S
+--trace 0`` where ``S`` is its ``run_seconds``.  One side runs in a
+temporary export of revision ``PARENT`` (``git archive``, so the
+repository gets no worktree entry), the other in this checkout.  Even
+pairs run the parent first, odd pairs the change.  It then prints, for
+every contract metric, each side's median and quartiles; for
+``host_ops_per_s``, the claimed metric, wins and ties and the verdict of
+the small-sandbox rule: a gain is claimed only when the change wins at
+least nine tenths of the pairs (ties count for neither) and the medians
+differ by more than the distance between the parent's quartiles.  Last, whether every
 exact metric — anything measured on the simulated clock or counted —
 is identical pair for pair.
 
@@ -38,6 +38,8 @@ _ROOT = Path(__file__).resolve().parent.parent
 #: Metrics read off the host clock, as ``benchmarks/perf/run.py`` names
 #: them; every other contract metric must repeat exactly.
 HOST_METRICS = ("setup_s", "host_ops_per_s", "host_peak_rss_mb")
+#: The metric a host-time claim is judged on.
+CLAIMED = "host_ops_per_s"
 #: Share of the pairs the change must win to claim a gain.
 WIN_SHARE = 0.9
 
@@ -87,10 +89,20 @@ def verdict(parent: list[float], change: list[float], better: str) -> Verdict:
     )
 
 
+def contract() -> dict:
+    return json.loads((_ROOT / "BENCHMARK.json").read_text())
+
+
 def contract_metrics() -> dict[str, str]:
     """End-to-end metric -> its ``better`` direction, from BENCHMARK.json."""
-    contract = json.loads((_ROOT / "BENCHMARK.json").read_text())
-    return {entry["name"]: entry["better"] for entry in contract["end_to_end"]}
+    return {entry["name"]: entry["better"] for entry in contract()["end_to_end"]}
+
+
+def contract_command(workload: str, seed: int) -> list[str]:
+    """The contract command for one run, from BENCHMARK.json."""
+    spec = contract()
+    return [*spec["command"], "--workload", workload, "--seed", str(seed),
+            "--seconds", str(spec["run_seconds"]), "--trace", "0"]
 
 
 def export(revision: str, into: Path) -> Path:
@@ -99,32 +111,35 @@ def export(revision: str, into: Path) -> Path:
         ["git", "archive", "--format=tar", revision],
         cwd=_ROOT, check=True, capture_output=True,
     ).stdout
+    # The ``data`` filter exists from Python 3.10.12 / 3.11.4 on; the
+    # archive is our own tree, so older releases extract it unfiltered.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(into, filter="data")
+        archive.extractall(into, **safe)
     return into
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_side(root: Path, workload: str, seed: int) -> dict:
     """One contract run in ``root``; its last stdout line, parsed."""
     done = subprocess.run(
-        [sys.executable, "benchmarks/perf/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True,
+        contract_command(workload, seed), cwd=root, capture_output=True, text=True
     )
     lines = done.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"no output from {root} seed {seed}:\n{done.stderr}")
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(
+            f"{root} seed {seed} exited {done.returncode}:\n{done.stderr}"
+        )
     return json.loads(lines[-1])
 
 
-def run_pairs(parent_root: Path, workload: str, seeds: list[int], seconds: float) -> list[dict]:
+def run_pairs(parent_root: Path, workload: str, seeds: list[int]) -> list[dict]:
     roots = {"parent": parent_root, "change": _ROOT}
     runs = []
     for index, seed in enumerate(seeds):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_side(roots[side], workload, seed, seconds)
+            pair[side] = run_side(roots[side], workload, seed)
         values = {side: pair[side]["metrics"] for side in ("parent", "change")}
         print(f"[pairs] seed {seed} ({order[0]} first): " + ", ".join(
             f"{name} {values['parent'][name]['value']:.6g} -> {values['change'][name]['value']:.6g}"
@@ -134,9 +149,10 @@ def run_pairs(parent_root: Path, workload: str, seeds: list[int], seconds: float
     return runs
 
 
-def report(runs: list[dict], claimed: str) -> bool:
-    """Print the table, the claimed metric's verdict and the exact-metric
-    check; True when the claim holds and the exact metrics match."""
+def report(runs: list[dict]) -> bool:
+    """Print the table, the verdict on ``host_ops_per_s`` and the
+    exact-metric check; True when the claim holds and the exact metrics
+    match."""
     directions = contract_metrics()
     print(f"{'metric':20s} {'parent q1 / median / q3':>32s} {'change q1 / median / q3':>32s}"
           f" {'ratio':>7s}")
@@ -146,10 +162,10 @@ def report(runs: list[dict], claimed: str) -> bool:
         (pl, pm, ph), (cl, cm, ch) = (quartiles(values) for values in sides)
         print(f"{name:20s} {pl:10.6g} {pm:10.6g} {ph:10.6g} {cl:10.6g} {cm:10.6g} {ch:10.6g}"
               f" {cm / pm if pm else float('nan'):7.3f}")
-    parent = [run["parent"]["metrics"][claimed]["value"] for run in runs]
-    change = [run["change"]["metrics"][claimed]["value"] for run in runs]
-    result = verdict(parent, change, directions[claimed])
-    print(f"{claimed}: change wins {result.wins} of {result.pairs} pairs, {result.ties} tied; "
+    parent = [run["parent"]["metrics"][CLAIMED]["value"] for run in runs]
+    change = [run["change"]["metrics"][CLAIMED]["value"] for run in runs]
+    result = verdict(parent, change, directions[CLAIMED])
+    print(f"{CLAIMED}: change wins {result.wins} of {result.pairs} pairs, {result.ties} tied; "
           f"median ratio {result.ratio:.3f} (base: parent); gain {result.gain:.6g} vs "
           f"parent inter-quartile distance {result.parent_spread:.6g}: "
           f"{'CLAIMED' if result.claimed else 'not claimed'}")
@@ -180,16 +196,14 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent", help="git revision of the parent")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1:11"))
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--metric", default="host_ops_per_s", help="the claimed metric")
     parser.add_argument("--json", type=Path, help="write every run here")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
         parent_root = export(args.parent, Path(tmp))
-        runs = run_pairs(parent_root, args.workload, args.seeds, args.seconds)
+        runs = run_pairs(parent_root, args.workload, args.seeds)
     if args.json:
         args.json.write_text(json.dumps(runs, indent=2) + "\n")
-    return 0 if report(runs, args.metric) else 1
+    return 0 if report(runs) else 1
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 medians further apart than the parent's quartiles."""
 
 import pytest
-from pairs import quartiles, seed_range, verdict
+from pairs import contract, contract_command, quartiles, seed_range, verdict
 
 PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]
 
@@ -51,6 +51,16 @@ def test_readings_must_pair_up():
         verdict(PARENT, PARENT[:5], "higher")
     with pytest.raises(ValueError):
         verdict([], [], "higher")
+
+
+def test_the_command_is_the_contract_command():
+    spec = contract()
+    command = contract_command("bank_commute", 7)
+    assert command[:len(spec["command"])] == spec["command"]
+    assert command[len(spec["command"]):] == [
+        "--workload", "bank_commute", "--seed", "7",
+        "--seconds", str(spec["run_seconds"]), "--trace", "0",
+    ]
 
 
 def test_seed_ranges():

@@ -31,13 +31,6 @@ class Counters:
 
         return bump
 
-    @property
-    def live(self) -> Counter[str]:
-        """The backing mapping itself, for a hot path that bumps several
-        counters per event (``live[name] += amount`` costs no call).
-        Stays valid across :meth:`clear`, like a handle."""
-        return self._values
-
     def get(self, name: str) -> int:
         return self._values.get(name, 0)
 

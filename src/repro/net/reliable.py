@@ -151,10 +151,8 @@ class _Pending:
     payload: Any
     first_sent: float
     layer: str = "other"
-    #: Wire bytes of ``payload``, and of the segment's three items
-    #: ``(seq, port, payload)``: sized once, at :meth:`ReliableChannel.send`.
+    #: Wire bytes of ``payload``: sized once, at :meth:`ReliableChannel.send`.
     size: int = 0
-    items: int = 0
     #: Causal "queue" span for this segment: opened at ``send()``, closed
     #: at first transmission; re-activated around retransmissions so they
     #: chain to the original send in the span tree.
@@ -300,8 +298,7 @@ class ReliableChannel(Component):
                 self._counters.handle(f"rc.sent.port.{port}"),
                 payload_size(port),
             )
-        inc_port, port_bytes = known
-        inc_port()
+        known[0]()
         if dst == self.pid:
             # Local delivery: immediate, reliable and ordered by the
             # scheduler; no acks needed.
@@ -312,7 +309,7 @@ class ReliableChannel(Component):
         now = self.now
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
-        pending = _Pending(seq, port, payload, now, layer, size, INT_BYTES + port_bytes + size)
+        pending = _Pending(seq, port, payload, now, layer, size)
         outbox = self._outbox.get(dst)
         if outbox is None:
             outbox = self._outbox[dst] = deque()
@@ -371,10 +368,15 @@ class ReliableChannel(Component):
         split = [(e.layer, e.size) for e in buffered]
         self._transmit_batch(dst, buffered, buffered[0].layer, split)
 
+    def _segment_bytes(self, entry: _Pending) -> int:
+        """Wire bytes of a segment's three items ``(seq, port, payload)``."""
+        return INT_BYTES + self._ports[entry.port][1] + entry.size
+
     def _transmit_data(self, dst: str, entry: _Pending, layer: str) -> None:
         """One segment as one DATA datagram (its items follow the header)."""
         self._transmit(
-            entry.span, dst, "DATA", (entry.seq, entry.port, entry.payload), layer, entry.items
+            entry.span, dst, "DATA", (entry.seq, entry.port, entry.payload), layer,
+            self._segment_bytes(entry),
         )
 
     def _transmit_batch(
@@ -386,7 +388,7 @@ class ReliableChannel(Component):
     ) -> None:
         """Several segments as one BATCH datagram: one tuple of segments."""
         segments = tuple((e.seq, e.port, e.payload) for e in entries)
-        items = tuple_size(sum(tuple_size(e.items) for e in entries))
+        items = tuple_size(sum(tuple_size(self._segment_bytes(e)) for e in entries))
         self._transmit(entries[0].span, dst, "BATCH", (segments,), layer, items, byte_split)
 
     def _transmit(
@@ -579,7 +581,7 @@ class ReliableChannel(Component):
                 # ACKs they draw are clean samples), no back-off.
                 now = self.now
                 entries = [
-                    _Pending(seq, e.port, e.payload, now, e.layer, e.size, e.items, e.span, now, 1)
+                    _Pending(seq, e.port, e.payload, now, e.layer, e.size, e.span, now, 1)
                     for seq, e in enumerate(pending)
                 ]
                 pending.clear()

@@ -54,18 +54,19 @@ class UnreliableTransport:
         self._links: dict[tuple[str, str], LinkModel] = {}
         self._rng = fork_rng(world.seed, "transport")
         self._spans = world.trace.spans
-        # Counters resolved once: the send path bumps six per datagram, by
-        # name on the live mapping; the rest through handles.
+        # Counters resolved once into handles: the send path bumps six per
+        # datagram.
         counters = world.metrics.counters
         self._counters = counters
-        self._live = counters.live
+        self._inc_sent = counters.handle("net.sent")
+        self._inc_bytes = counters.handle("net.bytes")
         self._inc_delivered = counters.handle("net.delivered")
         self._inc_dropped_partition = counters.handle("net.dropped.partition")
         self._inc_dropped_loss = counters.handle("net.dropped.loss")
         self._inc_dropped_crashed = counters.handle("net.dropped.crashed")
         self._inc_duplicated = counters.handle("net.duplicated")
         self._inc_stale = counters.handle("net.stale_incarnation_dropped")
-        #: (src, layer, port) -> the names of one datagram's counters
+        #: (src, layer, port) -> the handles of one datagram's counters
         #: ``net.bytes.sent.<src>`` (per-sender wire bytes, the
         #: measurement half of bandwidth-*balanced* dissemination — the
         #: aggregate ``net.bytes`` cannot show whether the load sits on
@@ -73,8 +74,8 @@ class UnreliableTransport:
         #: ``net.bytes.<layer>`` and ``net.sent.port.<port>``, and the
         #: sender's last-sent map.
         self._send_keys: dict[tuple[str, str, str], tuple] = {}
-        #: layer -> ``net.bytes.<layer>``, for the entries of a byte split.
-        self._byte_keys: dict[str, str] = {}
+        #: layer -> the ``net.bytes.<layer>`` handle, for a byte split.
+        self._byte_keys: dict[str, Callable[[int], None]] = {}
         #: pid -> (incarnation at registration, sink).  One sink per
         #: process; re-registration (a recovered incarnation's fresh FD)
         #: overwrites, and the stored incarnation fences out callbacks
@@ -124,11 +125,12 @@ class UnreliableTransport:
     # ------------------------------------------------------------------
     def _keys(self, key: tuple[str, str, str]) -> tuple:
         src, layer, port = key
+        handle = self._counters.handle
         keys = self._send_keys[key] = (
-            f"net.bytes.sent.{src}",
-            f"net.sent.{layer}",
-            f"net.bytes.{layer}",
-            f"net.sent.port.{port}",
+            handle(f"net.bytes.sent.{src}"),
+            handle(f"net.sent.{layer}"),
+            handle(f"net.bytes.{layer}"),
+            handle(f"net.sent.port.{port}"),
             self._last_sent.setdefault(src, {}),
         )
         return keys
@@ -178,25 +180,24 @@ class UnreliableTransport:
         keys = self._send_keys.get(key)
         if keys is None:
             keys = self._keys(key)
-        pid_bytes, layer_sent, layer_bytes, port_sent, per_dst = keys
-        live = self._live
-        live["net.sent"] += 1
-        live["net.bytes"] += size
-        live[pid_bytes] += size
-        live[layer_sent] += 1
+        inc_pid_bytes, inc_layer_sent, inc_layer_bytes, inc_port_sent, per_dst = keys
+        self._inc_sent()
+        self._inc_bytes(size)
+        inc_pid_bytes(size)
+        inc_layer_sent()
         if byte_split is None:
-            live[layer_bytes] += size
+            inc_layer_bytes(size)
         else:
             accounted = 0
             byte_keys = self._byte_keys
             for seg_layer, seg_bytes in byte_split:
-                name = byte_keys.get(seg_layer)
-                if name is None:
-                    name = byte_keys[seg_layer] = f"net.bytes.{seg_layer}"
-                live[name] += seg_bytes
+                inc = byte_keys.get(seg_layer)
+                if inc is None:
+                    inc = byte_keys[seg_layer] = self._counters.handle(f"net.bytes.{seg_layer}")
+                inc(seg_bytes)
                 accounted += seg_bytes
-            live[layer_bytes] += size - accounted
-        live[port_sent] += 1
+            inc_layer_bytes(size - accounted)
+        inc_port_sent()
         now = self.world.scheduler._now
         per_dst[dst] = now
         # Partitions are checked once, at delivery time (the authoritative
