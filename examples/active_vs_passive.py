@@ -16,7 +16,6 @@ The trade-off in numbers, from one deterministic run each.
 """
 
 from repro import PASSIVE_REPLICATION, World
-from repro.core.api import GroupCommunication
 from repro.core.new_stack import StackConfig, build_new_group
 from repro.monitoring.component import MonitoringPolicy
 from repro.replication.client import spawn_client
@@ -34,8 +33,7 @@ def apply_kv(state, command):
 def run_active():
     world = World(seed=21)
     stacks = build_new_group(world, 3)
-    apis = {pid: GroupCommunication(s) for pid, s in stacks.items()}
-    attach_active_replicas(stacks, apis, apply_kv, {})
+    attach_active_replicas(stacks, apply_kv, {})
     client = spawn_client(world, sorted(stacks), mode="all")
     world.start()
     for i in range(10):

@@ -19,7 +19,7 @@ from repro import (
     build_new_group,
     enable_recovery,
 )
-from repro.replication.state_machine import attach_active_replicas, attach_replica
+from repro.replication.state_machine import ActiveReplica, attach_active_replicas
 from repro.workload.generators import FaultPlan
 
 
@@ -32,13 +32,13 @@ def main() -> None:
     world = World(seed=42)
     stacks = build_new_group(world, 3, config=config)
     apis = {pid: GroupCommunication(stack) for pid, stack in stacks.items()}
-    replicas = attach_active_replicas(stacks, apis, apply_fn, 0)
+    replicas = attach_active_replicas(stacks, apply_fn, 0)
 
     def rebuild(pid, stack):
         # The old incarnation's facade and replica are dead objects:
         # re-attach fresh ones to the rebuilt stack.
         apis[pid] = GroupCommunication(stack)
-        replicas[pid] = attach_replica(stack, apis[pid], apply_fn, 0)
+        replicas[pid] = ActiveReplica(stack, apply_fn, 0)
 
     enable_recovery(world, stacks, config=config, on_rebuild=rebuild)
     world.start()

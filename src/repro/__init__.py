@@ -35,7 +35,6 @@ from repro.gbcast.conflict import (
     ConflictRelation,
     bank_relation,
 )
-from repro.gbcast.fifo import FifoSender
 from repro.membership.view import View
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.message import AppMessage, MsgId
@@ -47,7 +46,6 @@ __all__ = [
     "AppMessage",
     "CheckResult",
     "ConflictRelation",
-    "FifoSender",
     "GroupCommunication",
     "MonitoringPolicy",
     "MsgId",

@@ -12,7 +12,6 @@ from repro.gbcast.conflict import (
     ConflictRelation,
     bank_relation,
 )
-from repro.gbcast.fifo import FifoSender
 from repro.gbcast.quorum import QuorumGenericBroadcast
 from repro.gbcast.thrifty import ThriftyGenericBroadcast
 
@@ -20,7 +19,6 @@ __all__ = [
     "ABCAST_CLASS",
     "ConflictRelation",
     "DEPOSIT",
-    "FifoSender",
     "PASSIVE_REPLICATION",
     "QuorumGenericBroadcast",
     "PRIMARY_CHANGE",

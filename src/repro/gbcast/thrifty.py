@@ -64,8 +64,9 @@ Invariants enforced (and tested property-style in
   (nothing of a sender is in ``S`` behind a message of its in ``T``),
   and fast-path completion is a max over per-link FIFO ack arrivals —
   so a later message from a sender can never overtake an earlier one.
-  :class:`repro.gbcast.fifo.FifoSender` provides the same guarantee by
-  construction, independent of transport properties.
+  The passive replicas' primary pipeline
+  (:class:`repro.replication.replica.PrimaryReplica`) provides the same
+  guarantee by construction, independent of transport properties.
 """
 
 from __future__ import annotations

@@ -1,17 +1,20 @@
 """Replication techniques over the group communication stacks.
 
-Active replication (state machine) over atomic broadcast, passive
-replication over generic broadcast (the paper's Fig. 8 design), passive
-replication over view synchrony (the traditional baseline), and the
-Section 4.2 replicated bank account.
+One request path (:class:`~repro.replication.replica.Replica`: intake,
+dedup, reply) under one active replica and one primary-backup core.
+Active replication (state machine) g-broadcasts each command under the
+class its classifier gives — atomic broadcast by default, the Section 4.2
+bank's deposit/withdrawal classes for the bank.  Passive replication
+runs over generic broadcast (the paper's Fig. 8 design) or over view
+synchrony (the traditional baseline), both on the primary pipeline that
+is footnote 9's FIFO sender.
 
-NOTE: ``apply_fn`` callbacks used with *passive* replication must be pure
-(return a fresh state object); the primary ships the returned state to
-the backups by reference in the simulated network.
+``apply_fn(state, command) -> (state', result)`` may mutate the state it
+is given: every replica owns its copy of the state, and copies what a
+snapshot or an update hands it.
 """
 
 from repro.replication.bank import (
-    BankReplica,
     BankState,
     apply_bank,
     attach_bank_replicas,
@@ -25,7 +28,6 @@ from repro.replication.state_machine import ActiveReplica, attach_active_replica
 
 __all__ = [
     "ActiveReplica",
-    "BankReplica",
     "BankState",
     "PassiveReplicaGB",
     "PassiveReplicaVS",

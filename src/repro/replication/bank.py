@@ -15,6 +15,10 @@ withdrawal is identical at every replica, so every replica takes the same
 accept/reject decision and ends with the same balance — even though
 deposits may interleave differently.  (Asserted by the tests and the
 ``consistent`` flag of :func:`bank_audit`.)
+
+A bank replica is an :class:`~repro.replication.state_machine.ActiveReplica`
+over :func:`apply_bank` and :class:`BankState`, broadcasting each command
+under the class :func:`classify` gives it.
 """
 
 from __future__ import annotations
@@ -24,9 +28,7 @@ from typing import Any
 
 from repro.core.new_stack import NewArchitectureStack
 from repro.gbcast.conflict import DEPOSIT, WITHDRAWAL
-from repro.net.message import AppMessage
-from repro.replication.client import REPLY_PORT, REQUEST_PORT
-from repro.sim.process import Component, Process
+from repro.replication.state_machine import ActiveReplica, attach_active_replicas
 
 
 @dataclass
@@ -68,66 +70,16 @@ def apply_bank(state: BankState, command: tuple) -> tuple[BankState, Any]:
     raise ValueError(f"unknown bank operation {op!r}")
 
 
-class BankReplica(Component):
-    """A bank replica over generic broadcast (conflict relation:
-    ``bank_relation()``)."""
-
-    def __init__(
-        self,
-        process: Process,
-        stack: NewArchitectureStack,
-        initial_balance: int = 0,
-    ) -> None:
-        super().__init__(process, "bank")
-        self.stack = stack
-        self.state = BankState(balance=initial_balance)
-        self._executed: dict[tuple[str, int], Any] = {}
-        self._broadcast: set[tuple[str, int]] = set()
-        self.register_port(REQUEST_PORT, self._on_request)
-        stack.gbcast.on_gdeliver(self._on_gdeliver)
-
-    def _on_request(self, _src: str, packet: tuple) -> None:
-        client, req_id, command = packet
-        key = (client, req_id)
-        if key in self._executed:
-            self._reply(client, req_id, self._executed[key])
-            return
-        if key in self._broadcast:
-            return
-        self._broadcast.add(key)
-        self.stack.gbcast.gbcast_payload(
-            ("bank", client, req_id, command, self.pid), classify(command)
-        )
-
-    def _on_gdeliver(self, message: AppMessage) -> None:
-        if message.msg_class not in (DEPOSIT, WITHDRAWAL):
-            return
-        _tag, client, req_id, command, replier = message.payload
-        key = (client, req_id)
-        if key not in self._executed:
-            self.state, result = apply_bank(self.state, command)
-            self._executed[key] = result
-            self.world.metrics.counters.inc("bank.executed")
-        if replier == self.pid:
-            self._reply(client, req_id, self._executed[key])
-
-    def _reply(self, client: str, req_id: int, result: Any) -> None:
-        self.stack.channel.send(client, REPLY_PORT, (req_id, result, None))
-
-
 def attach_bank_replicas(
     stacks: dict[str, NewArchitectureStack], initial_balance: int = 0
-) -> dict[str, BankReplica]:
-    """Wire a BankReplica onto every stack (conflict relation must be
+) -> dict[str, ActiveReplica]:
+    """Wire a bank replica onto every stack (conflict relation must be
     ``bank_relation()``, or ``ConflictRelation.always()`` for the
     traditional all-atomic baseline of Section 4.2)."""
-    return {
-        pid: BankReplica(stack.process, stack, initial_balance)
-        for pid, stack in stacks.items()
-    }
+    return attach_active_replicas(stacks, apply_bank, BankState(balance=initial_balance), classify)
 
 
-def bank_audit(replicas: dict[str, BankReplica]) -> dict:
+def bank_audit(replicas: dict[str, ActiveReplica]) -> dict:
     """Cross-replica consistency report."""
     balances = {pid: r.state.balance for pid, r in replicas.items()}
     unique = set(balances.values())

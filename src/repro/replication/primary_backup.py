@@ -19,48 +19,39 @@ A primary change merely ROTATES the server list ([s1;s2;s3] →
 component's job, on a much larger timeout).
 
 FIFO requirement (footnote 9 of the paper): the primary serialises its
-updates — it issues update *k+1* only after delivering its own update
-*k* — so updates apply in primary-processing order even though the
-relation does not order them.
+updates through :class:`~repro.replication.replica.PrimaryReplica` — it
+issues update *k+1* only after delivering its own update *k* — so updates
+apply in primary-processing order even though the relation does not
+order them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.new_stack import NewArchitectureStack
 from repro.gbcast.conflict import PRIMARY_CHANGE, UPDATE
 from repro.membership.view import View
 from repro.net.message import AppMessage
-from repro.replication.client import REPLY_PORT, REQUEST_PORT
-from repro.sim.process import Component, Process
-
-ApplyFn = Callable[[Any, Any], tuple[Any, Any]]  # (state, cmd) -> (state', result)
+from repro.replication.replica import ApplyFn, PrimaryReplica
 
 
-class PassiveReplicaGB(Component):
+class PassiveReplicaGB(PrimaryReplica):
     """One replica of a passively replicated service over gbcast."""
 
     def __init__(
         self,
-        process: Process,
         stack: NewArchitectureStack,
         apply_fn: ApplyFn,
         initial_state: Any,
         primary_suspicion_timeout: float = 120.0,
     ) -> None:
-        super().__init__(process, "replica")
+        super().__init__(stack.process, stack.channel, apply_fn, initial_state)
         self.stack = stack
-        self.apply_fn = apply_fn
-        self.state = initial_state
         view = stack.view()
         self.server_list: list[str] = view.member_list() if view else []
         self.epoch = 0
-        self._executed: dict[tuple[str, int], Any] = {}
-        self._queue: list[tuple[str, int, Any]] = []
-        self._outstanding = False
         self._change_requested_for: set[int] = set()
-        self.register_port(REQUEST_PORT, self._on_request)
         stack.gbcast.on_gdeliver(self._on_gdeliver)
         stack.membership.on_new_view(self._on_new_view)
         self.monitor = stack.fd.monitor(
@@ -78,40 +69,12 @@ class PassiveReplicaGB(Component):
 
     @property
     def is_primary(self) -> bool:
-        return self.server_list and self.primary == self.pid
+        return bool(self.server_list) and self.primary == self.pid
 
-    # ------------------------------------------------------------------
-    # Client requests (primary only)
-    # ------------------------------------------------------------------
-    def _on_request(self, _src: str, packet: tuple) -> None:
-        client, req_id, command = packet
-        key = (client, req_id)
-        if key in self._executed:
-            self._reply(client, req_id, self._executed[key])
-            return
-        if not self.is_primary:
-            # Not our job; the client's retry logic will find the primary
-            # (we hint at the current list so it converges fast).
-            self.stack.channel.send(
-                client, REPLY_PORT, (None, None, list(self.server_list))
-            )
-            return
-        self._queue.append((client, req_id, command))
-        self._drain()
+    def _server_hint(self) -> list[str]:
+        return list(self.server_list)
 
-    def _drain(self) -> None:
-        """Serialise updates: one outstanding update at a time (FIFO)."""
-        if self._outstanding or not self._queue or not self.is_primary:
-            return
-        client, req_id, command = self._queue.pop(0)
-        key = (client, req_id)
-        if key in self._executed:
-            self._reply(client, req_id, self._executed[key])
-            self._drain()
-            return
-        new_state, result = self.apply_fn(self.state, command)
-        self._outstanding = True
-        self.world.metrics.counters.inc("passive.updates_sent")
+    def _send_update(self, client: str, req_id: int, new_state: Any, result: Any) -> None:
         self.stack.gbcast.gbcast_payload(
             ("update", self.epoch, client, req_id, new_state, result), UPDATE
         )
@@ -121,29 +84,15 @@ class PassiveReplicaGB(Component):
     # ------------------------------------------------------------------
     def _on_gdeliver(self, message: AppMessage) -> None:
         if message.msg_class == UPDATE:
-            self._on_update(message)
+            _tag, epoch, client, req_id, new_state, result = message.payload
+            valid = epoch == self.epoch
+            if not valid:
+                # Fig. 8 case 2: the primary change was ordered before this
+                # update — the deposed primary's processing must be ignored.
+                self.trace("stale_update", from_epoch=epoch, epoch=self.epoch)
+            self._on_update(message.sender, valid, client, req_id, new_state, result)
         elif message.msg_class == PRIMARY_CHANGE:
             self._on_primary_change(message)
-
-    def _on_update(self, message: AppMessage) -> None:
-        _tag, epoch, client, req_id, new_state, result = message.payload
-        mine = message.sender == self.pid
-        if epoch != self.epoch:
-            # Fig. 8 case 2: the primary change was ordered before this
-            # update — the deposed primary's processing must be ignored.
-            self.world.metrics.counters.inc("passive.stale_updates")
-            self.trace("stale_update", from_epoch=epoch, epoch=self.epoch)
-            if mine:
-                self._outstanding = False
-                self._drain()
-            return
-        self.state = new_state
-        self._executed[(client, req_id)] = result
-        self.world.metrics.counters.inc("passive.updates_applied")
-        if mine:
-            self._outstanding = False
-            self._reply(client, req_id, result)
-            self._drain()
 
     def _on_primary_change(self, message: AppMessage) -> None:
         suspected = message.payload[1]
@@ -154,7 +103,6 @@ class PassiveReplicaGB(Component):
         self.world.metrics.counters.inc("passive.primary_changes")
         self.trace("primary_change", new_primary=self.server_list[0], epoch=self.epoch)
         # A new primary may have inherited queued requests it can now serve.
-        self._outstanding = False
         self._drain()
 
     # ------------------------------------------------------------------
@@ -184,13 +132,7 @@ class PassiveReplicaGB(Component):
         self.server_list = [s for s in self.server_list if s in view]
         if self.server_list and head_was not in self.server_list:
             self.epoch += 1  # the head changed by exclusion
-            self._outstanding = False
             self._drain()
-
-    def _reply(self, client: str, req_id: int, result: Any) -> None:
-        self.stack.channel.send(
-            client, REPLY_PORT, (req_id, result, list(self.server_list))
-        )
 
 
 def attach_passive_replicas(
@@ -202,8 +144,6 @@ def attach_passive_replicas(
     """Wire a PassiveReplicaGB onto every stack (conflict relation must be
     PASSIVE_REPLICATION)."""
     return {
-        pid: PassiveReplicaGB(
-            stack.process, stack, apply_fn, initial_state, primary_suspicion_timeout
-        )
+        pid: PassiveReplicaGB(stack, apply_fn, initial_state, primary_suspicion_timeout)
         for pid, stack in stacks.items()
     }

@@ -20,119 +20,52 @@ compare it with the generic-broadcast solution of
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.membership.view import View
 from repro.net.message import MsgId
-from repro.replication.client import REPLY_PORT, REQUEST_PORT
-from repro.sim.process import Component, Process
+from repro.replication.replica import ApplyFn, PrimaryReplica
 from repro.traditional.isis import IsisStack
 
 UPDATE_TAG = "pb.update"
 
-ApplyFn = Callable[[Any, Any], tuple[Any, Any]]
 
-
-class PassiveReplicaVS(Component):
+class PassiveReplicaVS(PrimaryReplica):
     """One replica of a passively replicated service over Isis VS."""
 
-    def __init__(
-        self,
-        process: Process,
-        stack: IsisStack,
-        apply_fn: ApplyFn,
-        initial_state: Any,
-    ) -> None:
-        super().__init__(process, "replica")
+    def __init__(self, stack: IsisStack, apply_fn: ApplyFn, initial_state: Any) -> None:
+        super().__init__(stack.process, stack.channel, apply_fn, initial_state)
         self.stack = stack
-        self.apply_fn = apply_fn
-        self.state = initial_state
-        self._executed: dict[tuple[str, int], Any] = {}
-        self._queue: list[tuple[str, int, Any]] = []
-        self._outstanding = False
-        self.register_port(REQUEST_PORT, self._on_request)
-        stack.vs.register(UPDATE_TAG, self._on_update)
+        stack.vs.register(UPDATE_TAG, self._on_vs_update)
         stack.vs.on_new_view(self._on_new_view)
 
-    # ------------------------------------------------------------------
-    # Roles
-    # ------------------------------------------------------------------
     @property
     def is_primary(self) -> bool:
         view = self.stack.view()
         return view is not None and len(view) > 0 and view.primary == self.pid
 
-    def _server_list(self) -> list[str]:
+    def _server_hint(self) -> list[str]:
         view = self.stack.view()
         return [] if view is None else view.member_list()
 
-    # ------------------------------------------------------------------
-    # Client requests
-    # ------------------------------------------------------------------
-    def _on_request(self, _src: str, packet: tuple) -> None:
-        client, req_id, command = packet
-        key = (client, req_id)
-        if key in self._executed:
-            self._reply(client, req_id, self._executed[key])
-            return
-        if not self.is_primary:
-            self.stack.channel.send(client, REPLY_PORT, (None, None, self._server_list()))
-            return
-        self._queue.append((client, req_id, command))
-        self._drain()
-
-    def _drain(self) -> None:
-        if self._outstanding or not self._queue or not self.is_primary:
-            return
-        client, req_id, command = self._queue.pop(0)
-        key = (client, req_id)
-        if key in self._executed:
-            self._reply(client, req_id, self._executed[key])
-            self._drain()
-            return
-        new_state, result = self.apply_fn(self.state, command)
-        self._outstanding = True
-        self.world.metrics.counters.inc("passive.updates_sent")
+    def _send_update(self, client: str, req_id: int, new_state: Any, result: Any) -> None:
         self.stack.vs.bcast(UPDATE_TAG, (self.pid, client, req_id, new_state, result))
 
-    # ------------------------------------------------------------------
-    # View-synchronous update delivery
-    # ------------------------------------------------------------------
-    def _on_update(self, _origin: str, payload: tuple, _mid: MsgId) -> None:
+    def _on_vs_update(self, _origin: str, payload: tuple, _mid: MsgId) -> None:
+        # An update from a process that is no longer (or was never) the
+        # primary of the delivery view is void.
         sender, client, req_id, new_state, result = payload
         view = self.stack.view()
-        if view is None or sender != view.primary:
-            # An update from a process that is no longer (or was never)
-            # the primary of the delivery view is void.
-            self.world.metrics.counters.inc("passive.stale_updates")
-            if sender == self.pid:
-                self._outstanding = False
-                self._drain()
-            return
-        self.state = new_state
-        self._executed[(client, req_id)] = result
-        self.world.metrics.counters.inc("passive.updates_applied")
-        if sender == self.pid:
-            self._outstanding = False
-            self._reply(client, req_id, result)
-            self._drain()
+        valid = view is not None and sender == view.primary
+        self._on_update(sender, valid, client, req_id, new_state, result)
 
-    # ------------------------------------------------------------------
-    # Primary change == view change (exclusion) in this baseline
-    # ------------------------------------------------------------------
-    def _on_new_view(self, view: View) -> None:
+    def _on_new_view(self, _view: View) -> None:
+        # Primary change == view change (exclusion) in this baseline.
         self.world.metrics.counters.inc("passive.primary_changes")
-        self._outstanding = False
         self._drain()
-
-    def _reply(self, client: str, req_id: int, result: Any) -> None:
-        self.stack.channel.send(client, REPLY_PORT, (req_id, result, self._server_list()))
 
 
 def attach_passive_vs_replicas(
     stacks: dict[str, IsisStack], apply_fn: ApplyFn, initial_state: Any
 ) -> dict[str, PassiveReplicaVS]:
-    return {
-        pid: PassiveReplicaVS(stack.process, stack, apply_fn, initial_state)
-        for pid, stack in stacks.items()
-    }
+    return {pid: PassiveReplicaVS(stack, apply_fn, initial_state) for pid, stack in stacks.items()}

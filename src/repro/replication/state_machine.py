@@ -1,90 +1,77 @@
 """Active replication (state machine approach, Section 3.2.2 / [33]).
 
-Client requests are atomically broadcast to the group; every replica
-executes every request in the same total order, so replicas stay
-identical; every replica replies, and the client keeps the first reply.
-Availability: as long as a majority of replicas is alive, requests keep
-being executed — no view change needed (Section 3.1.1).
+Client requests are generic-broadcast to the group under the class
+``classify(command)`` gives them; every replica executes every request
+on g-delivery, so replicas that order every conflicting pair of commands
+the same way stay identical.  The default classifier puts every command
+in the ``abcast`` class — atomic broadcast, the textbook state machine.
+The Section 4.2 bank (:mod:`repro.replication.bank`) is this replica with
+a classifier under which deposits commute: same state machine, different
+conflict relation.  Availability: as long as a majority of replicas is
+alive, requests keep being executed — no view change needed
+(Section 3.1.1).
 
 Requests are deduplicated by ``(client, req_id)``: with clients sending
-to all replicas, the same request is abcast up to n times but executed
-once.
+to all replicas, the same request is broadcast up to n times but
+executed once.
 
-Crash recovery: a replica exposes :meth:`ActiveReplica.snapshot` /
+Crash recovery: a replica registers :meth:`ActiveReplica.snapshot` /
 :meth:`ActiveReplica.install_snapshot` (state, executed-request dedup
-table, command log) and registers them as the membership state-transfer
-handlers, so a joiner — or a recovered incarnation rejoining the
-group — resumes with byte-identical application state and keeps the
-exactly-once guarantee across its crash.
+table, command log) as the membership state-transfer handlers, so a
+joiner — or a recovered incarnation rejoining the group — resumes with
+an identical copy of the application state and keeps the exactly-once
+guarantee across its crash.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Callable
 
-from repro.core.api import GroupCommunication
-from repro.net.reliable import ReliableChannel
-from repro.replication.client import REPLY_PORT, REQUEST_PORT
-from repro.sim.process import Component, Process
+from repro.core.new_stack import NewArchitectureStack
+from repro.gbcast.conflict import ABCAST_CLASS
+from repro.net.message import AppMessage
+from repro.replication.replica import ApplyFn, Replica
 
-ApplyFn = Callable[[Any, Any], tuple[Any, Any]]  # (state, cmd) -> (state', result)
+Classifier = Callable[[Any], str]  # command -> conflict class
 
 
-class ActiveReplica(Component):
+def abcast_class(_command: Any) -> str:
+    """Every command conflicts with every other: atomic broadcast."""
+    return ABCAST_CLASS
+
+
+class ActiveReplica(Replica):
     """One replica of an actively replicated service."""
 
     def __init__(
         self,
-        process: Process,
-        api: GroupCommunication,
-        channel: ReliableChannel,
+        stack: NewArchitectureStack,
         apply_fn: ApplyFn,
         initial_state: Any,
+        classify: Classifier = abcast_class,
     ) -> None:
-        super().__init__(process, "replica")
-        self.api = api
-        self.channel = channel
-        self.apply_fn = apply_fn
-        self.state = initial_state
-        self._executed: dict[tuple[str, int], Any] = {}
-        self._broadcast: set[tuple[str, int]] = set()
+        super().__init__(stack.process, stack.channel, apply_fn, initial_state)
+        self.stack = stack
+        self.classify = classify
         self.command_log: list[Any] = []
-        self.register_port(REQUEST_PORT, self._on_request)
-        api.on_adeliver(self._on_command)
+        stack.gbcast.on_gdeliver(self._on_gdeliver)
+        stack.membership.set_state_handlers(self.snapshot, self.install_snapshot)
 
-    # ------------------------------------------------------------------
-    # Client side-in
-    # ------------------------------------------------------------------
-    def _on_request(self, _src: str, packet: tuple) -> None:
-        client, req_id, command = packet
-        key = (client, req_id)
-        if key in self._executed:
-            # Re-reply: the first reply may have been lost / client retried.
-            self._reply(client, req_id, self._executed[key])
-            return
-        if key in self._broadcast:
-            return
-        self._broadcast.add(key)
-        self.api.abcast(("cmd", client, req_id, command))
+    def _submit(self, client: str, req_id: int, command: Any) -> None:
+        self.stack.gbcast.gbcast_payload(("cmd", client, req_id, command), self.classify(command))
 
-    # ------------------------------------------------------------------
-    # Totally ordered execution
-    # ------------------------------------------------------------------
-    def _on_command(self, message) -> None:
-        kind, client, req_id, command = message.payload
-        if kind != "cmd":
-            return
-        key = (client, req_id)
-        if key in self._executed:
+    def _on_gdeliver(self, message: AppMessage) -> None:
+        payload = message.payload
+        if type(payload) is not tuple or payload[:1] != ("cmd",):
+            return  # not a client command (control traffic, or another service's)
+        _tag, client, req_id, command = payload
+        if (client, req_id) in self._executed:
             return  # duplicate broadcast of the same request
         self.state, result = self.apply_fn(self.state, command)
-        self._executed[key] = result
         self.command_log.append(command)
         self.world.metrics.counters.inc("replica.executed")
-        self._reply(client, req_id, result)
-
-    def _reply(self, client: str, req_id: int, result: Any) -> None:
-        self.channel.send(client, REPLY_PORT, (req_id, result, None))
+        self._complete(client, req_id, result)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (membership state transfer, crash recovery)
@@ -92,7 +79,7 @@ class ActiveReplica(Component):
     def snapshot(self) -> dict[str, Any]:
         """Everything a fresh replica needs to resume exactly-once."""
         return {
-            "state": self.state,
+            "state": copy.deepcopy(self.state),
             "executed": dict(self._executed),
             "command_log": list(self.command_log),
         }
@@ -100,7 +87,7 @@ class ActiveReplica(Component):
     def install_snapshot(self, snapshot: dict[str, Any] | None) -> None:
         if snapshot is None:
             return  # joined a group without replicas; nothing to restore
-        self.state = snapshot["state"]
+        self.state = copy.deepcopy(snapshot["state"])
         self._executed = dict(snapshot["executed"])
         self.command_log = list(snapshot["command_log"])
         self.world.metrics.counters.inc("replica.snapshots_installed")
@@ -108,26 +95,15 @@ class ActiveReplica(Component):
 
 
 def attach_active_replicas(
-    stacks, apis, apply_fn: ApplyFn, initial_state: Any, transfer_state: bool = True
+    stacks: dict[str, NewArchitectureStack],
+    apply_fn: ApplyFn,
+    initial_state: Any,
+    classify: Classifier = abcast_class,
 ) -> dict[str, ActiveReplica]:
-    """Wire an ActiveReplica onto every stack of a new-architecture group.
-
-    With ``transfer_state`` (the default) each replica registers its
-    snapshot/restore hooks as the stack's membership state handlers, so
-    joiners and recovered processes receive the replicated state.
-    """
-    replicas = {}
-    for pid, stack in stacks.items():
-        replicas[pid] = attach_replica(stack, apis[pid], apply_fn, initial_state, transfer_state)
-    return replicas
-
-
-def attach_replica(
-    stack, api, apply_fn: ApplyFn, initial_state: Any, transfer_state: bool = True
-) -> ActiveReplica:
-    """Wire one ActiveReplica onto one stack (also used on recovery
-    rebuild, where only the recovered process needs a new replica)."""
-    replica = ActiveReplica(stack.process, api, stack.channel, apply_fn, initial_state)
-    if transfer_state:
-        stack.membership.set_state_handlers(replica.snapshot, replica.install_snapshot)
-    return replica
+    """Wire an ActiveReplica onto every stack of a new-architecture group
+    (on recovery rebuild, construct one ``ActiveReplica`` for the
+    recovered process)."""
+    return {
+        pid: ActiveReplica(stack, apply_fn, initial_state, classify)
+        for pid, stack in stacks.items()
+    }

@@ -1,8 +1,10 @@
-"""Unit tests for FIFO generic broadcast (footnote 9)."""
+"""Unit tests for FIFO generic broadcast (footnote 9).
 
-from repro.gbcast.conflict import PASSIVE_REPLICATION, UPDATE, ConflictRelation
-from repro.gbcast.fifo import FifoSender
-from repro.net.topology import LinkModel
+FIFO by construction — the passive primary's one-outstanding-update
+pipeline — is tested in ``tests/replication/test_passive_gb.py``.
+"""
+
+from repro.gbcast.conflict import ConflictRelation
 
 from tests.conftest import new_group, run_until
 
@@ -49,57 +51,3 @@ def test_fifo_emerges_natively_even_across_classes():
     for s in stacks.values():
         order = delivered_payloads(s)
         assert order.index("o2") < order.index("f")  # FIFO held anyway
-
-
-def test_fifo_sender_preserves_send_order_under_the_same_adversity():
-    world, stacks, _ = new_group(conflict=MIXED, seed=1)
-    sender = FifoSender(stacks["p00"].gbcast)
-    world.run_for(20.0)
-    stacks["p01"].gbcast.gbcast_payload("o1", "ordered")
-    world.run_for(3.0)
-    sender.send("o2", "ordered")
-    sender.send("f", "free")
-    assert run_until(
-        world,
-        lambda: all(len(delivered_payloads(s)) == 3 for s in stacks.values()),
-        timeout=30_000,
-    )
-    for s in stacks.values():
-        order = delivered_payloads(s)
-        assert order.index("o2") < order.index("f")  # FIFO preserved
-
-
-def test_fifo_pipeline_drains_a_long_queue():
-    world, stacks, _ = new_group(conflict=PASSIVE_REPLICATION, seed=2)
-    sender = FifoSender(stacks["p01"].gbcast)
-    for i in range(10):
-        sender.send(("seq", i), UPDATE)
-    assert run_until(
-        world,
-        lambda: all(len(delivered_payloads(s)) == 10 for s in stacks.values()),
-        timeout=60_000,
-    )
-    expected = [("seq", i) for i in range(10)]
-    for s in stacks.values():
-        assert delivered_payloads(s) == expected
-    assert sender.pending() == 0
-
-
-def test_fifo_interleaves_with_conflicting_traffic_consistently():
-    world, stacks, _ = new_group(conflict=PASSIVE_REPLICATION, seed=3)
-    sender = FifoSender(stacks["p00"].gbcast)
-    for i in range(4):
-        sender.send(("u", i), UPDATE)
-    stacks["p01"].gbcast.gbcast_payload("pc", "primary_change")
-    assert run_until(
-        world,
-        lambda: all(len(delivered_payloads(s)) == 5 for s in stacks.values()),
-        timeout=60_000,
-    )
-    # FIFO among the sender's updates at every process...
-    for s in stacks.values():
-        updates = [p for p in delivered_payloads(s) if p != "pc"]
-        assert updates == [("u", i) for i in range(4)]
-    # ...and the conflicting change sits at the same position everywhere.
-    positions = {delivered_payloads(s).index("pc") for s in stacks.values()}
-    assert len(positions) == 1

@@ -15,7 +15,7 @@ from repro.core.new_stack import StackConfig, build_new_group, enable_recovery
 from repro.gbcast.conflict import RBCAST_ABCAST
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
-from repro.replication.state_machine import attach_active_replicas, attach_replica
+from repro.replication.state_machine import ActiveReplica, attach_active_replicas
 from repro.sim.world import World
 from repro.workload.generators import FaultPlan
 
@@ -35,11 +35,11 @@ def _run_acceptance_scenario(seed: int):
     world = World(seed=seed, default_link=LinkModel(3.0, 8.0))
     stacks = build_new_group(world, 3, config=config)
     apis = {pid: GroupCommunication(s) for pid, s in stacks.items()}
-    replicas = attach_active_replicas(stacks, apis, _apply, 0)
+    replicas = attach_active_replicas(stacks, _apply, 0)
 
     def rebuild(pid, stack):
         apis[pid] = GroupCommunication(stack)
-        replicas[pid] = attach_replica(stack, apis[pid], _apply, 0)
+        replicas[pid] = ActiveReplica(stack, _apply, 0)
 
     enable_recovery(world, stacks, config=config, on_rebuild=rebuild)
     world.start()
@@ -195,11 +195,11 @@ def test_recovered_replica_keeps_exactly_once_dedup():
     # client retry that straddles the crash is not executed twice.
     config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=5_000.0))
     world, stacks, apis = new_group(seed=17, config=config)
-    replicas = attach_active_replicas(stacks, apis, _apply, 0)
+    replicas = attach_active_replicas(stacks, _apply, 0)
 
     def rebuild(pid, stack):
         apis[pid] = GroupCommunication(stack)
-        replicas[pid] = attach_replica(stack, apis[pid], _apply, 0)
+        replicas[pid] = ActiveReplica(stack, _apply, 0)
 
     enable_recovery(world, stacks, config=config, on_rebuild=rebuild)
     apis["p00"].abcast(("cmd", "client", 0, ("add", 10)))

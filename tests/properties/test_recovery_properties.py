@@ -16,7 +16,7 @@ from repro.core.api import GroupCommunication
 from repro.core.new_stack import StackConfig, enable_recovery
 from repro.gbcast.conflict import RBCAST_ABCAST
 from repro.monitoring.component import MonitoringPolicy
-from repro.replication.state_machine import attach_active_replicas, attach_replica
+from repro.replication.state_machine import ActiveReplica, attach_active_replicas
 from repro.workload.generators import FaultPlan
 
 from tests.conftest import new_group, run_until
@@ -30,11 +30,11 @@ def _run_with_fault_plan(seed: int, plan: FaultPlan, count: int, horizon: float)
     """Replicated counter under ``plan``; traffic from p00 (never a victim)."""
     config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=400.0))
     world, stacks, apis = new_group(count=5, seed=seed, config=config)
-    replicas = attach_active_replicas(stacks, apis, _apply, 0)
+    replicas = attach_active_replicas(stacks, _apply, 0)
 
     def rebuild(pid, stack):
         apis[pid] = GroupCommunication(stack)
-        replicas[pid] = attach_replica(stack, apis[pid], _apply, 0)
+        replicas[pid] = ActiveReplica(stack, _apply, 0)
 
     enable_recovery(world, stacks, config=config, on_rebuild=rebuild)
     world.start()

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.core.new_stack import StackConfig, build_new_group, enable_recovery
 from repro.gbcast.conflict import ConflictRelation, bank_relation
+from repro.monitoring.component import MonitoringPolicy
+from repro.net.topology import LinkModel
 from repro.replication.bank import apply_bank, attach_bank_replicas, bank_audit, classify, BankState
 from repro.replication.client import spawn_client
+from repro.replication.state_machine import ActiveReplica
+from repro.sim.world import World
 
 from tests.conftest import new_group, run_until
 
@@ -116,3 +121,37 @@ def test_all_atomic_baseline_uses_consensus_for_deposits():
     )
     assert run_until(world, lambda: bank_audit(replicas)["consistent"], timeout=30_000)
     assert world.metrics.counters.get("consensus.proposals") > 0
+
+
+def test_bank_replica_survives_crash_and_recovery():
+    # Deposits and withdrawals under load on a WAN-ish link; p02 crashes
+    # and recovers within the exclusion timeout, is re-admitted, and its
+    # new replica resumes from the state-transfer snapshot.
+    config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=5_000.0))
+    world = World(seed=7, default_link=LinkModel(3.0, 8.0))
+    stacks = build_new_group(world, 3, conflict=bank_relation(), config=config)
+    replicas = attach_bank_replicas(stacks, initial_balance=100)
+
+    def rebuild(pid, stack):
+        replicas[pid] = ActiveReplica(stack, apply_bank, BankState(balance=100), classify)
+
+    enable_recovery(world, stacks, config=config, on_rebuild=rebuild)
+    client = spawn_client(world, ["p00"], mode="primary", retry_timeout=5_000.0)
+    world.start()
+    ops = [("withdraw", 30) if i % 5 == 4 else ("deposit", 10) for i in range(60)]
+    for i, op in enumerate(ops):
+        world.scheduler.at(20.0 + 20.0 * i, lambda op=op: client.submit(op))
+    world.crash("p02", at=300.0)
+    world.recover("p02", at=800.0)
+    assert run_until(world, lambda: len(client.completed) == len(ops), timeout=60_000)
+    assert run_until(
+        world,
+        lambda: all(len(r.command_log) == len(ops) for r in replicas.values()),
+        timeout=30_000,
+    )
+    audit = bank_audit(replicas)
+    assert audit["consistent"], audit["balances"]
+    assert audit["balances"]["p02"] == 100 + 48 * 10 - 12 * 30  # each op once
+    assert world.processes["p02"].incarnation == 1
+    assert world.metrics.counters.get("replica.snapshots_installed") >= 1
+    assert stacks["p00"].membership.view.id == 0  # re-admitted, never excluded

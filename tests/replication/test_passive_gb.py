@@ -1,8 +1,9 @@
 """Tests for passive replication over generic broadcast (Fig. 8)."""
 
 from repro.core.new_stack import StackConfig
-from repro.gbcast.conflict import PASSIVE_REPLICATION
+from repro.gbcast.conflict import PASSIVE_REPLICATION, PRIMARY_CHANGE, UPDATE
 from repro.monitoring.component import MonitoringPolicy
+from repro.net.topology import LinkModel
 from repro.replication.client import spawn_client
 from repro.replication.primary_backup import attach_passive_replicas
 
@@ -146,3 +147,98 @@ def test_stale_update_ignored_when_change_ordered_first():
     # Either ALL applied it (update ordered first) or NONE did (change
     # ordered first) — never a mix.
     assert len(set(applied)) == 1
+
+
+# ----------------------------------------------------------------------
+# Footnote 9: the primary's one-outstanding-update pipeline is a FIFO
+# sender — its updates g-deliver in request order at every member.
+# ----------------------------------------------------------------------
+def updates_from(stack, sender):
+    """Request ids of ``sender``'s updates, in g-delivery order at ``stack``."""
+    return [
+        m.payload[3]
+        for m, _path in stack.gbcast.delivered_log
+        if m.msg_class == UPDATE and m.sender == sender
+    ]
+
+
+def test_primary_updates_keep_request_order_past_slow_acks_and_a_conflict():
+    world, stacks, replicas, client = passive_setup(seed=1)
+    world.run_for(20.0)
+    # Slow acks from p02 keep a conflicting message acked but undelivered
+    # while the primary's updates go out.  A primary change naming a
+    # backup conflicts with every update and rotates nothing.
+    slow = [("p02", "p00"), ("p02", "p01")]
+    for src, dst in slow:
+        world.transport.set_link(src, dst, LinkModel(80.0, 0.0))
+    stacks["p01"].gbcast.gbcast_payload(("primary_change", "p02"), PRIMARY_CHANGE)
+    world.run_for(3.0)
+    done = []
+    for i in range(3):
+        client.submit(("seq", i), callback=done.append)
+    world.run_for(30.0)
+    for src, dst in slow:
+        world.transport.set_link(src, dst, LinkModel(1.0, 1.0))
+    assert run_until(world, lambda: len(done) == 3, timeout=30_000)
+    assert run_until(
+        world, lambda: all(len(updates_from(s, "p00")) == 3 for s in stacks.values()),
+        timeout=30_000,
+    )
+    assert world.metrics.counters.get("gbcast.endstages") >= 1  # the conflict was resolved
+    for stack in stacks.values():
+        assert updates_from(stack, "p00") == [0, 1, 2]
+    assert all(r.epoch == 0 and r.state == {"seq": 2} for r in replicas.values())
+
+
+def test_primary_pipeline_drains_a_queue_of_ten_requests_in_order():
+    world, stacks, replicas, client = passive_setup(seed=2)
+    primary = replicas["p00"]
+    # How many of its own updates the primary had delivered at each send.
+    delivered_at_send = []
+    send = primary._send_update
+
+    def recording_send(*update):
+        delivered_at_send.append(len(updates_from(stacks["p00"], "p00")))
+        send(*update)
+
+    primary._send_update = recording_send
+    done = []
+    for i in range(10):
+        client.submit(("seq", i), callback=done.append)
+    assert run_until(world, lambda: len(done) == 10, timeout=60_000)
+    assert run_until(
+        world, lambda: all(len(updates_from(s, "p00")) == 10 for s in stacks.values()),
+        timeout=30_000,
+    )
+    for stack in stacks.values():
+        assert updates_from(stack, "p00") == list(range(10))
+    assert delivered_at_send == list(range(10))  # one update outstanding at a time
+    assert all(r.state == {"seq": 9} for r in replicas.values())
+
+
+def test_primary_change_while_updates_are_queued_sits_at_one_position():
+    world, stacks, replicas, client = passive_setup(seed=3)
+    primary = replicas["p00"]
+    for i in range(4):
+        client.submit(("u", i))
+    assert run_until(
+        world, lambda: primary._outstanding is not None and primary._queue, timeout=10_000
+    )
+    stacks["p01"].gbcast.gbcast_payload(("primary_change", "p00"), PRIMARY_CHANGE)
+    assert run_until(world, lambda: len(client.completed) == 4, timeout=60_000)
+    world.run_for(1_000.0)
+    assert all(r.epoch >= 1 for r in replicas.values())
+    # FIFO among the deposed primary's updates at every member...
+    orders = {tuple(updates_from(s, "p00")) for s in stacks.values()}
+    assert len(orders) == 1
+    (order,) = orders
+    assert order and list(order) == sorted(order)
+    # ...and the conflicting change sits at the same position everywhere.
+    positions = {
+        [m.payload for m, _path in s.gbcast.delivered_log if not m.msg_class.startswith("_")]
+        .index(("primary_change", "p00"))
+        for s in stacks.values()
+    }
+    assert len(positions) == 1
+    states = [r.state for r in replicas.values()]
+    assert all(state == states[0] for state in states)

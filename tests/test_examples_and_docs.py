@@ -132,3 +132,24 @@ def test_docs_name_only_real_stack_config_fields(doc):
     for call in re.findall(r"StackConfig\(([^)]*)\)", text):
         named.update(re.findall(r"(\w+)\s*=", call))
     assert named <= set(_stack_config_fields()), named - set(_stack_config_fields())
+
+
+@pytest.mark.parametrize(
+    "package, heading",
+    [
+        ("repro.gbcast", "Conflict relations (`repro.gbcast`)"),
+        ("repro.replication", "Replication (`repro.replication`)"),
+    ],
+    ids=["gbcast", "replication"],
+)
+def test_api_doc_tables_name_only_real_attributes(package, heading):
+    # The name opening each row of these docs/api.md tables must be an
+    # attribute of the package: a deleted class cannot linger.
+    import importlib
+
+    api = (REPO / "docs" / "api.md").read_text()
+    section = api.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `(\w+)", section, re.MULTILINE)
+    module = importlib.import_module(package)
+    assert names
+    assert [name for name in names if not hasattr(module, name)] == []
