@@ -1,4 +1,4 @@
-"""Entry points: ``python -m repro [selfcheck|explore|trace]``.
+"""Entry points: ``python -m repro [selfcheck|explore]``.
 
 ``selfcheck`` (the default) runs a short deterministic scenario over the
 new architecture — mixed broadcast traffic, a crash, an exclusion, then
@@ -6,12 +6,10 @@ a crash-recovery rejoin — and validates the full invariant battery with
 :mod:`repro.checkers`.  Exits non-zero on any violation.  Useful as a
 smoke test of an installation.
 
-``explore`` runs the adversarial schedule explorer / fault fuzzer; see
-:mod:`repro.explore.cli`.
-
-``trace`` replays an explore repro artifact with causal span tracing
-and renders the critical-path attribution (optionally exporting a
-Chrome-trace JSON); see :mod:`repro.explore.trace_cli`.
+``explore`` runs the adversarial schedule explorer / fault fuzzer, and
+``explore --replay FILE`` re-executes a repro file or corpus entry with
+causal span tracing (critical-path attribution, ``--chrome`` export);
+see :mod:`repro.explore.cli`.
 """
 
 from __future__ import annotations
@@ -83,20 +81,22 @@ def selfcheck(seed: int = 1, verbose: bool = True) -> bool:
     return ok and bool(result)
 
 
+def selfcheck_seeds(argv: list[str]) -> list[int]:
+    """Seeds of ``python -m repro [selfcheck] [SEED ...]`` (default 1 2 3).
+
+    The "selfcheck" subcommand word is optional (the CI invocation is
+    ``python -m repro selfcheck``); the remaining args are seeds."""
+    if argv and argv[0] == "selfcheck":
+        argv = argv[1:]
+    return [int(a) for a in argv] or [1, 2, 3]
+
+
 def main(argv: list[str]) -> int:
     if argv and argv[0] == "explore":
         from repro.explore.cli import main as explore_main
 
         return explore_main(argv[1:])
-    if argv and argv[0] == "trace":
-        from repro.explore.trace_cli import main as trace_main
-
-        return trace_main(argv[1:])
-    # Accept an optional "selfcheck" subcommand word (the CI invocation
-    # is `python -m repro selfcheck`); remaining args are seeds.
-    if argv and argv[0] == "selfcheck":
-        argv = argv[1:]
-    seeds = [int(a) for a in argv] or [1, 2, 3]
+    seeds = selfcheck_seeds(argv)
     print("repro self-check: new-architecture lifecycle + invariant battery")
     failures = 0
     for seed in seeds:

@@ -141,7 +141,6 @@ class ConsensusAtomicBroadcast(Component):
         group_provider: GroupProvider,
         window: int = 1,
         max_batch: int | None = None,
-        serial_classes: frozenset[str] = SERIAL_CLASSES,
     ) -> None:
         super().__init__(process, "abcast")
         if window < 1:
@@ -151,7 +150,6 @@ class ConsensusAtomicBroadcast(Component):
         self.group_provider = group_provider
         self.window = window
         self.max_batch = max_batch
-        self.serial_classes = serial_classes
         self._pending: dict[MsgId, AppMessage] = {}
         self._delivered: set[MsgId] = set()
         #: Decided, not yet applied id vectors keyed by (epoch, index) —
@@ -308,7 +306,7 @@ class ConsensusAtomicBroadcast(Component):
 
     def _serial_pending(self) -> bool:
         return any(
-            msg.msg_class in self.serial_classes for msg in self._pending.values()
+            msg.msg_class in SERIAL_CLASSES for msg in self._pending.values()
         )
 
     def _maybe_start_instances(self) -> None:
@@ -437,7 +435,7 @@ class ConsensusAtomicBroadcast(Component):
                 self._adeliver(message)
                 if self.process.crashed:
                     return
-                if message.msg_class in self.serial_classes:
+                if message.msg_class in SERIAL_CLASSES:
                     # A membership op ends its batch: the rest stays
                     # pending for the new epoch, so no batch is ever
                     # half applied across a view change.

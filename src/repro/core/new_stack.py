@@ -261,7 +261,6 @@ def enable_recovery(
     stacks: dict[str, NewArchitectureStack],
     conflict: ConflictRelation = RBCAST_ABCAST,
     config: StackConfig | None = None,
-    rejoin_interval: float = 250.0,
     on_rebuild: RebuildHook | None = None,
 ) -> None:
     """Arm ``World.recover`` for every stack in ``stacks``.
@@ -270,7 +269,8 @@ def enable_recovery(
     fires, a fresh Fig. 9 stack is built on the re-incarnated process
     (``is_member=False`` — its volatile state, including the view, is
     gone) and the process rejoins through the abcast-based membership.
-    Rejoin requests are retried every ``rejoin_interval`` ms, cycling
+    Rejoin requests are retried every
+    :data:`repro.membership.abcast_membership.REJOIN_INTERVAL` ms, cycling
     through the currently-alive peers as sponsor seeds, until a state
     snapshot arrives and a view is installed.
 
@@ -287,7 +287,6 @@ def enable_recovery(
         stacks[pid] = stack
         if on_rebuild is not None:
             on_rebuild(pid, stack)
-        stack.membership.rejoin_interval = rejoin_interval
         process.schedule(0.0, stack.membership.request_join)
         return stack
 

@@ -13,7 +13,8 @@ harness:
 * :mod:`repro.explore.explorer` — seeded sweeps whose fault plans aim at
   protocol-sensitive instants harvested from a probe run;
 * :mod:`repro.explore.shrink` — minimisation of failing schedules;
-* :mod:`repro.explore.cli` — ``python -m repro explore``.
+* :mod:`repro.explore.cli` — ``python -m repro explore``: sweeps, and
+  ``--replay`` of a repro file or corpus entry with causal span tracing.
 """
 
 from repro.explore.explorer import (
@@ -28,12 +29,11 @@ from repro.explore.explorer import (
 )
 from repro.explore.observers import InvariantViolation, ObserverPanel
 from repro.explore.runner import RunResult, run_scenario
-from repro.explore.scenario import LinkConfig, ScenarioConfig, StackKnobs
+from repro.explore.scenario import ScenarioConfig, StackKnobs
 from repro.explore.shrink import shrink_scenario
 
 __all__ = [
     "InvariantViolation",
-    "LinkConfig",
     "ObserverPanel",
     "RunResult",
     "ScenarioConfig",

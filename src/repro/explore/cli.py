@@ -5,13 +5,19 @@ files::
 
     python -m repro explore --seeds 0:50 --budget-events 200000 --out repros/
 
-Replay mode re-executes a saved repro file and verifies the recorded
-failure reproduces byte-identically::
+Replay mode re-executes a saved repro file with causal span tracing,
+verifies the recorded failure reproduces byte-identically, checks the
+span tree's integrity and prints the per-layer critical-path
+attribution of the run's deliveries and its slowest delivery chains;
+``--chrome`` exports the annotated trace for Perfetto /
+``chrome://tracing``.  A corpus entry replays too, and is expected to
+run clean and converge::
 
     python -m repro explore --replay repros/repro-seed7-conflict-order.json
+    python -m repro explore --replay tests/explore/corpus/one-closer-liveness-ladder.json --chrome t.json
 
 Exit status: 0 when the sweep found no violations (or the replay
-reproduced exactly); 1 otherwise.
+reproduced exactly, with an intact span tree); 1 otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ import argparse
 import json
 import sys
 
-from repro.explore.explorer import load_repro, replay_repro, sweep
+from repro.explore.explorer import replay_repro, sweep
+from repro.sim import critpath
 
 
 def parse_seed_range(text: str) -> range:
@@ -71,7 +78,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay",
         default=None,
         metavar="FILE",
-        help="re-execute a saved repro file instead of sweeping",
+        help="re-execute a saved repro file or corpus entry, traced, "
+        "instead of sweeping",
+    )
+    parser.add_argument(
+        "--chrome",
+        default=None,
+        metavar="PATH",
+        help="with --replay: export the annotated trace as Chrome-trace JSON",
+    )
+    parser.add_argument(
+        "--top",
+        type=int,
+        default=3,
+        metavar="N",
+        help="with --replay: render the N slowest delivery critical paths "
+        "(default 3)",
     )
     parser.add_argument(
         "--json",
@@ -81,30 +103,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_replay(path: str, as_json: bool) -> int:
-    matches, result, expected = replay_repro(path)
-    config, _expected = load_repro(path)
-    if as_json:
+def run_replay(args: argparse.Namespace) -> int:
+    config, expected, result, world, matches = replay_repro(args.replay, trace=True)
+    spans = world.trace.spans
+    integrity = spans.check_integrity()
+    if args.json:
         print(
             json.dumps(
                 {
-                    "replay": path,
+                    "replay": args.replay,
                     "reproduced": matches,
                     "expected": expected,
                     "actual": result.to_json_obj(),
+                    "span_integrity_errors": len(integrity),
                 },
                 sort_keys=True,
             )
         )
     else:
-        print(f"replay {path} (seed {config.seed}):")
-        print(f"  expected invariant:   {expected['invariant']}")
+        print(f"replay {args.replay} (seed {config.seed}, {config.processes} "
+              f"processes, {config.duration} ms):")
         actual = result.violation["invariant"] if result.violation else None
-        print(f"  actual invariant:     {actual}")
-        print(f"  expected fingerprint: {expected['fingerprint']}")
-        print(f"  actual fingerprint:   {result.fingerprint}")
+        if expected["fingerprint"] is None:
+            print("  expected:             no violation, converged")
+            print(f"  actual invariant:     {actual}, converged: {result.converged}")
+        else:
+            print(f"  expected invariant:   {expected['invariant']}")
+            print(f"  actual invariant:     {actual}")
+            print(f"  expected fingerprint: {expected['fingerprint']}")
+            print(f"  actual fingerprint:   {result.fingerprint}")
         print("  REPRODUCED" if matches else "  DID NOT REPRODUCE")
-    return 0 if matches else 1
+        print(f"spans: {len(spans)} recorded, {spans.dropped} dropped, "
+              f"{len(integrity)} integrity errors")
+        for problem in integrity[:10]:
+            print(f"  INTEGRITY: {problem}")
+        for kind, layer in (("gdeliver", "gbcast"), ("adeliver", "abcast")):
+            block = critpath.summarize_deliveries(spans, kind, layer)
+            print(f"  {layer} deliveries (critical path):")
+            for key in sorted(block):
+                print(f"    {key}: {block[key]}")
+        slow = critpath.slowest_deliveries(spans, args.top, "gdeliver", "gbcast")
+        if not slow:
+            slow = critpath.slowest_deliveries(spans, args.top, "adeliver", "abcast")
+        if slow:
+            print(f"slowest {len(slow)} delivery chain(s):")
+            for record in slow:
+                print(critpath.render_path(record))
+    if args.chrome:
+        world.trace.export_chrome(args.chrome)
+        if not args.json:
+            print(f"chrome trace written to {args.chrome}")
+    return 0 if matches and not integrity else 1
 
 
 def run_sweep(args: argparse.Namespace) -> int:
@@ -166,7 +215,7 @@ def run_sweep(args: argparse.Namespace) -> int:
 def main(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     if args.replay is not None:
-        return run_replay(args.replay, args.json)
+        return run_replay(args)
     return run_sweep(args)
 
 

@@ -20,12 +20,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.explore.runner import RunResult, run_scenario
-from repro.explore.scenario import LinkConfig, ScenarioConfig, StackKnobs
+from repro.explore.scenario import ScenarioConfig, StackKnobs
 from repro.explore.shrink import shrink_scenario
+from repro.net.topology import LinkModel
 from repro.sim.randomness import fork_rng
-from repro.sim.world import make_pid
+from repro.sim.world import World, make_pid
 from repro.workload.generators import FaultEvent, FaultPlan
 
 #: (component, event) trace pairs marking protocol-sensitive instants.
@@ -43,10 +45,10 @@ SENSITIVE_EVENTS = (
 #: Link profiles the explorer sweeps: clean LAN, jittery, lossy with
 #: duplication, and skewed (slow asymmetric-feeling delays).
 LINK_PROFILES = (
-    LinkConfig(delay_min=1.0, delay_jitter=1.0),
-    LinkConfig(delay_min=1.0, delay_jitter=4.0),
-    LinkConfig(delay_min=1.0, delay_jitter=4.0, drop_prob=0.05, dup_prob=0.02),
-    LinkConfig(delay_min=2.0, delay_jitter=8.0, drop_prob=0.02),
+    LinkModel(delay_min=1.0, delay_jitter=1.0),
+    LinkModel(delay_min=1.0, delay_jitter=4.0),
+    LinkModel(delay_min=1.0, delay_jitter=4.0, drop_prob=0.05, dup_prob=0.02),
+    LinkModel(delay_min=2.0, delay_jitter=8.0, drop_prob=0.02),
 )
 
 
@@ -157,11 +159,16 @@ def write_repro(path: str | Path, config: ScenarioConfig, result: RunResult) -> 
 
 
 def load_repro(path: str | Path) -> tuple[ScenarioConfig, dict]:
-    """Load a repro file; returns (config, expected-outcome dict)."""
+    """Load a repro file or a corpus entry; returns (config, expected outcome).
+
+    A repro file expects its recorded invariant and fingerprint.  A
+    corpus entry (``tests/explore/corpus``, no ``version`` key) expects
+    a clean, converged run: its expected invariant and fingerprint are
+    None."""
     obj = json.loads(Path(path).read_text())
-    if obj.get("version") != REPRO_VERSION:
-        raise ValueError(f"unsupported repro version {obj.get('version')!r}")
     config = ScenarioConfig.from_json_obj(obj["config"])
+    if "version" in obj and obj["version"] != REPRO_VERSION:
+        raise ValueError(f"unsupported repro version {obj['version']!r}")
     expected = {
         "invariant": obj.get("invariant"),
         "fingerprint": obj.get("fingerprint"),
@@ -170,17 +177,31 @@ def load_repro(path: str | Path) -> tuple[ScenarioConfig, dict]:
     return config, expected
 
 
-def replay_repro(path: str | Path) -> tuple[bool, RunResult, dict]:
-    """Re-execute a repro file; True iff the recorded failure reproduces
-    byte-identically (same invariant, same fingerprint)."""
+class Replay(NamedTuple):
+    """A re-executed schedule and its verdict."""
+
+    config: ScenarioConfig
+    expected: dict
+    result: RunResult
+    world: World
+    reproduced: bool
+
+
+def replay_repro(path: str | Path, trace: bool = False) -> Replay:
+    """Re-execute a repro file or corpus entry (see :func:`load_repro`);
+    ``reproduced`` is True iff the run matches what the file expects.
+    Tracing does not change the run."""
     config, expected = load_repro(path)
-    result, _world = run_scenario(config)
-    actual_invariant = result.violation["invariant"] if result.violation else None
-    matches = (
-        actual_invariant == expected["invariant"]
-        and result.fingerprint == expected["fingerprint"]
-    )
-    return matches, result, expected
+    result, world = run_scenario(config, trace=trace)
+    actual = result.violation["invariant"] if result.violation else None
+    if expected["fingerprint"] is None:  # a corpus entry
+        reproduced = actual is None and result.converged
+    else:
+        reproduced = (
+            actual == expected["invariant"]
+            and result.fingerprint == expected["fingerprint"]
+        )
+    return Replay(config, expected, result, world, reproduced)
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,6 @@ from repro.checkers import InvariantViolation, app_history, check_agreement
 from repro.core.new_stack import build_new_group, enable_recovery
 from repro.explore.observers import ObserverPanel
 from repro.explore.scenario import ScenarioConfig
-from repro.net.topology import LinkModel
 from repro.sim.world import World
 from repro.workload.driver import schedule_broadcasts
 from repro.workload.generators import explore_mix
@@ -41,7 +40,7 @@ from repro.workload.generators import explore_mix
 #: Extra simulated ms past the last scheduled op/fault before the
 #: convergence phase starts looking for quiescence.
 HORIZON_MARGIN = 50.0
-#: Slice width for checkpointed running (budget + fail-fast granularity).
+#: Slice width of the quiescence phase (progress-check granularity).
 SLICE_MS = 100.0
 
 
@@ -167,14 +166,8 @@ MUTATIONS = {
 def build_world(config: ScenarioConfig, trace: bool = False):
     """World + stacks + observer panel for ``config`` (faults applied)."""
     relation = config.conflict_relation()
-    link = LinkModel(
-        delay_min=config.link.delay_min,
-        delay_jitter=config.link.delay_jitter,
-        drop_prob=config.link.drop_prob,
-        dup_prob=config.link.dup_prob,
-    )
     stack_config = config.stack.stack_config()
-    world = World(seed=config.seed, default_link=link, trace_enabled=trace)
+    world = World(seed=config.seed, default_link=config.link, trace_enabled=trace)
     stacks = build_new_group(
         world, config.processes, conflict=relation, config=stack_config
     )
@@ -252,9 +245,7 @@ def run_scenario(config: ScenarioConfig, trace: bool = False):
         return True
 
     try:
-        ran = world.run_checkpointed(
-            horizon, SLICE_MS, lambda w: True, max_events=budget
-        )
+        ran = world.run_for(horizon, max_events=budget)
         # Quiescence phase: converge AND go quiet for quiet_window ms (a
         # late rbcast relay or a recovering process may still be catching
         # up right after the nominal target is reached).

@@ -23,6 +23,7 @@ from repro.gbcast.conflict import (
     bank_relation,
 )
 from repro.monitoring.component import MonitoringPolicy
+from repro.net.topology import LinkModel
 from repro.workload.generators import FaultPlan
 
 #: Named conflict relations a scenario can run under, with their
@@ -31,28 +32,6 @@ RELATIONS: dict[str, tuple[ConflictRelation, str, str]] = {
     "rbcast_abcast": (RBCAST_ABCAST, ABCAST_CLASS, RBCAST_CLASS),
     "bank": (bank_relation(), WITHDRAWAL, DEPOSIT),
 }
-
-
-@dataclass(frozen=True)
-class LinkConfig:
-    """Stochastic link behaviour of the scenario's network."""
-
-    delay_min: float = 1.0
-    delay_jitter: float = 1.0
-    drop_prob: float = 0.0
-    dup_prob: float = 0.0
-
-    def to_json_obj(self) -> dict:
-        return {
-            "delay_min": self.delay_min,
-            "delay_jitter": self.delay_jitter,
-            "drop_prob": self.drop_prob,
-            "dup_prob": self.dup_prob,
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "LinkConfig":
-        return LinkConfig(**obj)
 
 
 _STACK_DEFAULTS = StackConfig()
@@ -96,7 +75,7 @@ class ScenarioConfig:
     relation: str = "rbcast_abcast"
     conflict_weight: float = 0.3        # weight of the conflicting class
     payload_bytes: int | None = None    # modelled app payload size (Blob)
-    link: LinkConfig = field(default_factory=LinkConfig)
+    link: LinkModel = field(default_factory=LinkModel)
     stack: StackKnobs = field(default_factory=StackKnobs)
     plan: FaultPlan = field(default_factory=FaultPlan)
     budget_events: int = 200_000
@@ -194,7 +173,13 @@ class ScenarioConfig:
             "relation": self.relation,
             "conflict_weight": self.conflict_weight,
             "payload_bytes": self.payload_bytes,
-            "link": self.link.to_json_obj(),
+            # The four stochastic fields always, the bandwidth term only
+            # when set: corpus entries and repro files predate it.
+            "link": {
+                key: value
+                for key, value in asdict(self.link).items()
+                if key != "bytes_per_ms" or value is not None
+            },
             "stack": self.stack.to_json_obj(),
             "plan": self.plan.to_json_obj(),
             "budget_events": self.budget_events,
@@ -217,7 +202,7 @@ class ScenarioConfig:
                 if obj.get("payload_bytes") is None
                 else int(obj["payload_bytes"])
             ),
-            link=LinkConfig.from_json_obj(obj.get("link", {})),
+            link=LinkModel(**obj.get("link", {})),
             stack=StackKnobs.from_json_obj(obj.get("stack", {})),
             plan=FaultPlan.from_json_obj(obj.get("plan", [])),
             budget_events=int(obj.get("budget_events", 200_000)),

@@ -56,6 +56,8 @@ from repro.sim.process import Component, Process
 CTL_CLASS = "_gm.ctl"
 STATE_PORT = "gm.state"
 JOIN_REQ_PORT = "gm.join_req"
+#: Interval (ms) between join-request retries.
+REJOIN_INTERVAL = 250.0
 
 NewViewFn = Callable[[View], None]
 StateProvider = Callable[[], Any]
@@ -83,8 +85,6 @@ class AbcastGroupMembership(Component):
         self._sections: dict[str, tuple[StateProvider, StateInstaller]] = {}
         self.view_history: list[View] = [] if initial_view is None else [initial_view]
         self._requested: set[tuple[str, str, int]] = set()
-        #: Interval (ms) between join-request retries.
-        self.rejoin_interval = 250.0
         self._join_attempts = 0
         #: View id at which each current member (last) joined.  Initial
         #: members joined at the initial view.  Used to fence *stale
@@ -147,7 +147,7 @@ class AbcastGroupMembership(Component):
         """Ask to be admitted, until a view containing us is installed.
 
         The first request goes to ``seed`` (a current member) when one
-        is named; every ``rejoin_interval`` ms after that the next live
+        is named; every ``REJOIN_INTERVAL`` ms after that the next live
         peer in turn is asked.
         """
         if self.pid in self.current_members():
@@ -159,7 +159,7 @@ class AbcastGroupMembership(Component):
         if seed is not None:
             self._join_attempts += 1
             self.channel.send(seed, JOIN_REQ_PORT, self.pid)
-        self.schedule(self.rejoin_interval, self.request_join)
+        self.schedule(REJOIN_INTERVAL, self.request_join)
 
     def _broadcast_ctl(self, op: str, pid: str) -> None:
         if self.view is None:

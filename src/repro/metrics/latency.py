@@ -70,7 +70,7 @@ class LatencyRecorder:
         self._open: dict[tuple[str, object], float] = {}
         #: Per-tag cache of the sorted sample view: stats() used to
         #: re-sort the full list on every call, which is quadratic when
-        #: polled per-slice by checkpointed runs.  Invalidated on record.
+        #: polled between slices of a run.  Invalidated on record.
         self._sorted_cache: dict[str, list[float]] = {}
 
     def record(self, tag: str, value: float) -> None:

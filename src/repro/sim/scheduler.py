@@ -75,9 +75,8 @@ class Scheduler:
     #: Events executed across every Scheduler instance in this process —
     #: lets the benchmark harness meter scenarios that build (several)
     #: worlds internally.  Maintained in batches by :meth:`run` (not per
-    #: event — that would tax the hot loop), so bare :meth:`step` calls
-    #: are not globally counted.  Wall-clock-free: determinism is
-    #: unaffected.
+    #: event — that would tax the hot loop).  Wall-clock-free:
+    #: determinism is unaffected.
     total_events_processed = 0
 
     #: Compaction policy for cancelled timers (see :meth:`_note_cancelled`):
@@ -165,34 +164,14 @@ class Scheduler:
         """Number of queued (possibly cancelled) events."""
         return len(self._queue)
 
-    def step(self) -> bool:
-        """Run the next event.  Returns False when the queue is empty."""
-        while self._queue:
-            when, _, entry = heapq.heappop(self._queue)
-            if entry.__class__ is tuple:
-                self._now = when
-                self._events_processed += 1
-                entry[0](*entry[1])
-                return True
-            if entry.cancelled:
-                if self._cancelled_pending > 0:
-                    self._cancelled_pending -= 1
-                continue
-            self._now = when
-            entry.fired = True
-            self._events_processed += 1
-            entry.callback(*entry.args)
-            return True
-        return False
-
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have been processed.  Returns the number of events run.
         """
         ran = 0
         queue = self._queue
-        # Inlined step(): the loop runs once per simulated event, and a
-        # peek-then-delegate structure pays a second heap access plus a
+        # One loop body, no helper: it runs once per simulated event, and
+        # a peek-then-delegate structure pays a second heap access plus a
         # method call per event.
         while queue:
             if max_events is not None and ran >= max_events:

@@ -116,37 +116,6 @@ class World:
         self.start()
         return self.scheduler.run_for(duration, max_events=max_events)
 
-    def run_checkpointed(
-        self,
-        duration: float,
-        slice_ms: float,
-        checkpoint: Callable[["World"], bool],
-        max_events: int | None = None,
-    ) -> int:
-        """Run for ``duration`` ms in ``slice_ms`` slices with a hook between.
-
-        ``checkpoint(world)`` runs after every slice; returning False stops
-        the run early (quiescence detected, budget spent, scenario done).
-        The hook may also raise — the exploration harness uses this to
-        fail fast on a violated invariant without waiting for the horizon.
-        An overall ``max_events`` budget is enforced across all slices.
-        Returns the number of events processed.
-        """
-        if slice_ms <= 0:
-            raise ValueError(f"slice must be positive: {slice_ms}")
-        self.start()
-        deadline = self.now + duration
-        ran = 0
-        while self.now < deadline:
-            budget = None if max_events is None else max_events - ran
-            if budget is not None and budget <= 0:
-                break
-            step = min(slice_ms, deadline - self.now)
-            ran += self.scheduler.run_for(step, max_events=budget)
-            if not checkpoint(self):
-                break
-        return ran
-
     @property
     def now(self) -> float:
         return self.scheduler.now

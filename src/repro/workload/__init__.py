@@ -1,22 +1,12 @@
-"""Workload and fault-schedule generators, plus replay drivers."""
+"""Workload and fault-schedule generators, and the workload replay."""
 
-from repro.workload.driver import run_gbcast_workload, schedule_broadcasts
-from repro.workload.generators import (
-    BroadcastOp,
-    FaultEvent,
-    FaultPlan,
-    WorkloadSpec,
-    bank_mix,
-    explore_mix,
-)
+from repro.workload.driver import schedule_broadcasts
+from repro.workload.generators import BroadcastOp, FaultEvent, FaultPlan, explore_mix
 
 __all__ = [
     "BroadcastOp",
     "FaultEvent",
     "FaultPlan",
-    "WorkloadSpec",
-    "bank_mix",
     "explore_mix",
-    "run_gbcast_workload",
     "schedule_broadcasts",
 ]

@@ -1,91 +1,20 @@
-"""Drivers that replay generated workloads against a stack group."""
+"""Replay a generated workload on the world clock."""
 
 from __future__ import annotations
 
 from typing import Callable
 
 from repro.sim.world import World
-from repro.workload.generators import BroadcastOp, FaultPlan
-
-SendFn = Callable[[int, BroadcastOp], None]
+from repro.workload.generators import BroadcastOp
 
 
 def schedule_broadcasts(
-    world: World,
-    ops: list[BroadcastOp],
-    send: SendFn,
-    skip_crashed: Callable[[int], bool] | None = None,
+    world: World, ops: list[BroadcastOp], send: Callable[[int, BroadcastOp], None]
 ) -> int:
     """Schedule every op on the world clock; returns the op count.
 
-    ``send(sender_index, op)`` performs the broadcast; ops whose sender
-    is crashed at fire time are skipped when ``skip_crashed`` says so.
+    ``send(sender_index, op)`` performs the broadcast at ``op.at``.
     """
     for op in ops:
-        def fire(op=op):
-            if skip_crashed is not None and skip_crashed(op.sender_index):
-                return
-            send(op.sender_index, op)
-        world.scheduler.at(op.at, fire)
+        world.scheduler.at(op.at, send, op.sender_index, op)
     return len(ops)
-
-
-def run_gbcast_workload(
-    world: World,
-    stacks: dict,
-    ops: list[BroadcastOp],
-    fault_plan: FaultPlan | None = None,
-    timeout: float = 300_000.0,
-) -> dict:
-    """Replay a workload over new-architecture stacks; wait for agreement.
-
-    Returns a summary: delivered payload sets per alive process, and
-    whether all alive processes delivered every op issued by a process
-    that stayed alive.
-    """
-    pids = sorted(stacks)
-    issued: list[tuple[str, BroadcastOp]] = []
-
-    def send(sender_index: int, op: BroadcastOp) -> None:
-        pid = pids[sender_index % len(pids)]
-        if world.processes[pid].crashed:
-            return
-        issued.append((pid, op))
-        stacks[pid].gbcast.gbcast_payload(op.payload, op.msg_class)
-
-    schedule_broadcasts(world, ops, send)
-    if fault_plan is not None:
-        fault_plan.apply(world)
-    # Let the whole schedule (broadcasts + faults) play out before
-    # checking for convergence.
-    horizon = max([op.at for op in ops], default=0.0)
-    if fault_plan is not None:
-        horizon = max([horizon] + [e.at for e in fault_plan.events])
-    world.run_for(horizon + 1.0)
-
-    def alive_pids():
-        return [p for p in pids if not world.processes[p].crashed]
-
-    def delivered(pid):
-        return {
-            m.payload
-            for m, _path in stacks[pid].gbcast.delivered_log
-            if not m.msg_class.startswith("_")
-        }
-
-    def converged():
-        # Every op whose sender is still alive must reach every alive
-        # process (an op issued moments before its sender's crash may
-        # legitimately be lost — the broadcast never left the sender).
-        target = {
-            op.payload for pid, op in issued if not world.processes[pid].crashed
-        }
-        return all(target <= delivered(p) for p in alive_pids())
-
-    done = world.run_until(converged, timeout=timeout)
-    return {
-        "converged": done,
-        "issued": len(issued),
-        "alive": alive_pids(),
-        "delivered": {p: delivered(p) for p in alive_pids()},
-    }

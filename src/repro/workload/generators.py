@@ -2,7 +2,8 @@
 
 All generators are deterministic given a seed (they draw from a forked
 RNG stream) and produce plain schedules — lists of (time, action)
-descriptors — that drivers replay against any stack.
+descriptors — that :mod:`repro.explore.runner` replays against the new
+stack.
 """
 
 from __future__ import annotations
@@ -24,88 +25,6 @@ class BroadcastOp:
     msg_class: str
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """A stochastic broadcast mix.
-
-    ``class_weights`` maps conflict classes to relative frequencies;
-    senders are drawn uniformly from ``senders`` indices.
-
-    ``payload_bytes`` sets the modelled application payload size: each
-    op carries a :class:`repro.net.wire.Blob` of that many bytes next to
-    its index, so the wire-byte cost model charges realistic body sizes
-    (the 64 B vs 4 KiB sweep) without allocating buffers.  ``None``
-    keeps the legacy tiny ``("op", i)`` payload.  The knob draws no
-    randomness — schedules are identical across payload sizes.
-    """
-
-    duration: float
-    rate_per_second: float
-    class_weights: dict[str, float]
-    senders: int
-    seed: int = 0
-    payload_bytes: int | None = None
-
-    def generate(self) -> list[BroadcastOp]:
-        rng = fork_rng(self.seed, f"workload-{self.duration}-{self.rate_per_second}")
-        classes = sorted(self.class_weights)
-        weights = [self.class_weights[c] for c in classes]
-        ops: list[BroadcastOp] = []
-        mean_gap = 1_000.0 / self.rate_per_second
-        t = 0.0
-        index = 0
-        while True:
-            t += rng.expovariate(1.0 / mean_gap) if mean_gap > 0 else 0.0
-            if t >= self.duration:
-                break
-            msg_class = rng.choices(classes, weights=weights)[0]
-            if self.payload_bytes is None:
-                payload: Any = ("op", index)
-            else:
-                payload = ("op", index, Blob(self.payload_bytes))
-            ops.append(
-                BroadcastOp(
-                    at=t,
-                    sender_index=rng.randrange(self.senders),
-                    payload=payload,
-                    msg_class=msg_class,
-                )
-            )
-            index += 1
-        return ops
-
-
-def bank_mix(
-    duration: float,
-    rate_per_second: float,
-    withdraw_fraction: float,
-    senders: int,
-    seed: int = 0,
-) -> list[BroadcastOp]:
-    """Section 4.2 deposit/withdrawal mix."""
-    spec = WorkloadSpec(
-        duration=duration,
-        rate_per_second=rate_per_second,
-        class_weights={
-            "deposit": 1.0 - withdraw_fraction,
-            "withdrawal": withdraw_fraction,
-        },
-        senders=senders,
-        seed=seed,
-    )
-    ops = spec.generate()
-    # Re-tag payloads as bank commands.
-    rng = fork_rng(seed, "bank-amounts")
-    out = []
-    for op in ops:
-        if op.msg_class == "deposit":
-            command = ("deposit", rng.randrange(1, 20))
-        else:
-            command = ("withdraw", rng.randrange(1, 20))
-        out.append(BroadcastOp(op.at, op.sender_index, command, op.msg_class))
-    return out
-
-
 def explore_mix(
     duration: float,
     rate_per_second: float,
@@ -114,23 +33,39 @@ def explore_mix(
     seed: int = 0,
     payload_bytes: int | None = None,
 ) -> list[BroadcastOp]:
-    """Mixed conflict/commutative traffic for generic-broadcast coverage.
+    """A stochastic broadcast mix: Poisson arrivals at ``rate_per_second``
+    over ``duration`` ms, senders drawn uniformly from ``senders`` indices.
 
-    ``class_weights`` maps conflict classes of the scenario's relation
-    (e.g. ``{"rbcast": 0.7, "abcast": 0.3}`` or the bank classes) to
-    relative frequencies — the fuzzing harness sweeps the ratio so both
-    the fast path and the stage-closure path are exercised.
-    ``payload_bytes`` forwards to :attr:`WorkloadSpec.payload_bytes`.
+    ``class_weights`` maps conflict classes (e.g. ``{"rbcast": 0.7,
+    "abcast": 0.3}`` or the bank classes) to relative frequencies — the
+    fuzzing harness sweeps the ratio so both generic broadcast's fast
+    path and its stage-closure path are exercised.
+
+    ``payload_bytes`` sets the modelled application payload size: each
+    op carries a :class:`repro.net.wire.Blob` of that many bytes next to
+    its index, so the wire-byte cost model charges realistic body sizes
+    (the 64 B vs 4 KiB sweep) without allocating buffers.  ``None``
+    keeps the tiny ``("op", i)`` payload.  The knob draws no randomness
+    — schedules are identical across payload sizes.
     """
-    spec = WorkloadSpec(
-        duration=duration,
-        rate_per_second=rate_per_second,
-        class_weights=dict(class_weights),
-        senders=senders,
-        seed=seed,
-        payload_bytes=payload_bytes,
-    )
-    return spec.generate()
+    rng = fork_rng(seed, f"workload-{duration}-{rate_per_second}")
+    classes = sorted(class_weights)
+    weights = [class_weights[c] for c in classes]
+    ops: list[BroadcastOp] = []
+    mean_gap = 1_000.0 / rate_per_second
+    t = 0.0
+    while True:
+        t += rng.expovariate(1.0 / mean_gap) if mean_gap > 0 else 0.0
+        if t >= duration:
+            break
+        msg_class = rng.choices(classes, weights=weights)[0]
+        index = len(ops)
+        if payload_bytes is None:
+            payload: Any = ("op", index)
+        else:
+            payload = ("op", index, Blob(payload_bytes))
+        ops.append(BroadcastOp(t, rng.randrange(senders), payload, msg_class))
+    return ops
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,18 @@ import pytest
 from repro.checkers import app_history
 from repro.explore import runner
 from repro.explore.observers import ObserverPanel
+from repro.explore.explorer import load_repro, replay_repro
 from repro.explore.runner import run_scenario
 from repro.explore.scenario import ScenarioConfig, StackKnobs
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 ENTRIES = sorted(CORPUS_DIR.glob("*.json"))
+
+
+def entry(name: str | Path) -> ScenarioConfig:
+    """The scenario of a corpus entry, by stem or path, through the
+    loader ``python -m repro explore --replay`` uses."""
+    return load_repro(CORPUS_DIR / f"{name}.json" if isinstance(name, str) else name)[0]
 
 
 def test_corpus_is_not_empty():
@@ -30,12 +37,11 @@ def test_corpus_is_not_empty():
 
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
 def test_corpus_entry_holds_all_invariants(path):
-    obj = json.loads(path.read_text())
-    config = ScenarioConfig.from_json_obj(obj["config"])
+    config, _expected, result, _world, reproduced = replay_repro(path)
     assert config.plan.events, f"{path.stem}: corpus entry should inject faults"
-    result, _world = run_scenario(config)
     assert result.violation is None, result.violation
     assert result.converged, "corpus schedule failed to converge"
+    assert reproduced  # what ``--replay`` judges a corpus entry by
 
 
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
@@ -49,8 +55,7 @@ def test_panel_saw_every_stream_the_stacks_hold(path, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(runner, "build_world", build_and_keep)
-    config = ScenarioConfig.from_json_obj(json.loads(path.read_text())["config"])
-    run_scenario(config)
+    run_scenario(entry(path))
     _world, stacks, panel = built[0]
     for stack in stacks.values():
         actor = ObserverPanel.actor_name(stack)
@@ -60,9 +65,10 @@ def test_panel_saw_every_stream_the_stacks_hold(path, monkeypatch):
 
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
 def test_corpus_entry_round_trips_through_json(path):
-    obj = json.loads(path.read_text())
-    config = ScenarioConfig.from_json_obj(obj["config"])
+    config = entry(path)
     assert ScenarioConfig.from_json_obj(config.to_json_obj()) == config
+    # The link is written back with exactly the keys it was recorded with.
+    assert config.to_json_obj()["link"] == json.loads(path.read_text())["config"]["link"]
 
 
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
@@ -105,15 +111,13 @@ MECHANISM_COUNTERS = {
 
 @pytest.mark.parametrize("stem", sorted(MECHANISM_COUNTERS))
 def test_corpus_entry_still_hits_its_mechanism(stem):
-    obj = json.loads((CORPUS_DIR / f"{stem}.json").read_text())
-    _result, world = run_scenario(ScenarioConfig.from_json_obj(obj["config"]))
+    _result, world = run_scenario(entry(stem))
     for name in MECHANISM_COUNTERS[stem]:
         assert world.metrics.counters.get(name) > 0, (stem, name)
 
 
 def test_one_way_cut_entry_blinds_one_member_to_the_head_only():
-    obj = json.loads((CORPUS_DIR / "one-way-cut-from-the-head-under-load.json").read_text())
-    config = ScenarioConfig.from_json_obj(obj["config"])
+    config = entry("one-way-cut-from-the-head-under-load")
     _result, world = run_scenario(config, trace=True)
     edges = [
         (record.pid, record.event, record.details["peer"])
@@ -127,8 +131,7 @@ def test_one_way_cut_entry_blinds_one_member_to_the_head_only():
 def test_same_incarnation_entry_installs_two_snapshots():
     # One recovery, two state transfers: the second install is the same
     # incarnation's, over a delivered set it must keep.
-    obj = json.loads((CORPUS_DIR / "same-incarnation-rejoin-keeps-dedup.json").read_text())
-    _result, world = run_scenario(ScenarioConfig.from_json_obj(obj["config"]))
+    _result, world = run_scenario(entry("same-incarnation-rejoin-keeps-dedup"))
     assert world.metrics.counters.get("world.recoveries") == 1
     assert world.metrics.counters.get("gm.state_transfers") == 2
 
@@ -137,8 +140,7 @@ def test_one_closer_entry_climbs_every_rung_of_the_ladder():
     # Beside the deferred closes counted above: a non-closer closes on
     # its own ack timeout (un-gated), and a member that suspects the
     # closer promotes itself on the suspicion edge.
-    obj = json.loads((CORPUS_DIR / "one-closer-liveness-ladder.json").read_text())
-    _result, world = run_scenario(ScenarioConfig.from_json_obj(obj["config"]), trace=True)
+    _result, world = run_scenario(entry("one-closer-liveness-ladder"), trace=True)
     closes = {
         (record.pid, record.details["reason"])
         for record in world.trace.select(component="gbcast", event="endstage")
@@ -154,9 +156,7 @@ def test_fast_path_corpus_entries_exercise_the_crash_window():
         "fast-path-coordinator-crash-pre-ack",
         "fast-path-coordinator-crash-post-ack",
     ):
-        obj = json.loads((CORPUS_DIR / f"{stem}.json").read_text())
-        config = ScenarioConfig.from_json_obj(obj["config"])
-        result, world = run_scenario(config)
+        result, world = run_scenario(entry(stem))
         assert result.violation is None, (stem, result.violation)
         counters = world.metrics.counters
         assert counters.get("consensus.fast_path_proposals") > 0, stem
@@ -181,10 +181,7 @@ def test_fast_path_window_shrinks_and_replays_via_cli(tmp_path):
     from repro.explore.shrink import shrink_scenario
     from repro.workload.generators import FaultPlan
 
-    obj = json.loads(
-        (CORPUS_DIR / "fast-path-coordinator-crash-post-ack.json").read_text()
-    )
-    base = ScenarioConfig.from_json_obj(obj["config"])
+    base = entry("fast-path-coordinator-crash-post-ack")
     config = replace(
         base,
         mutation="skip_delivery",

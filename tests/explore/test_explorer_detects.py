@@ -78,9 +78,9 @@ def test_caught_bug_is_shrunk_and_replays_from_its_repro_file(tmp_path):
     assert shrunk_result.violation["invariant"] == invariant
 
     path = write_repro(tmp_path / "repro.json", shrunk, shrunk_result)
-    matches, replayed, expected = replay_repro(path)
-    assert matches, (replayed.violation, expected)
-    assert replayed.fingerprint == shrunk_result.fingerprint
+    replay = replay_repro(path)
+    assert replay.reproduced, (replay.result.violation, replay.expected)
+    assert replay.result.fingerprint == shrunk_result.fingerprint
     # The artifact says who was blind to whom when the run ended.
     fd_at_end = json.loads(path.read_text())["fd_at_end"]
     assert set(fd_at_end) == {f"p{i:02d}" for i in range(shrunk.processes)}

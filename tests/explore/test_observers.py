@@ -207,7 +207,8 @@ def test_conditional_observers_are_scoped_by_the_scenario():
     from dataclasses import replace
 
     from repro.explore.observers import ObserverPanel
-    from repro.explore.scenario import LinkConfig, ScenarioConfig, StackKnobs
+    from repro.explore.scenario import ScenarioConfig, StackKnobs
+    from repro.net.topology import LinkModel
     from repro.workload.generators import FaultEvent, FaultPlan
 
     eager = ScenarioConfig(seed=0, stack=StackKnobs(relay_policy="eager"))
@@ -222,12 +223,12 @@ def test_conditional_observers_are_scoped_by_the_scenario():
         ]
     )
     # No recoveries: trivially checkable whatever the paths look like.
-    assert replace(lazy, link=LinkConfig(drop_prob=0.05)).incarnation_checkable()
+    assert replace(lazy, link=LinkModel(drop_prob=0.05)).incarnation_checkable()
     # Prompt paths: eager + loss-free + no partitions.
     assert replace(eager, plan=recovery).incarnation_checkable()
     assert not replace(lazy, plan=recovery).incarnation_checkable()
     assert not replace(
-        eager, plan=recovery, link=LinkConfig(drop_prob=0.02)
+        eager, plan=recovery, link=LinkModel(drop_prob=0.02)
     ).incarnation_checkable()
     partitioned = FaultPlan(
         recovery.events

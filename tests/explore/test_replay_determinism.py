@@ -99,3 +99,34 @@ def test_repro_file_replays_identically_via_cli(tmp_path):
         outputs.append(json.loads(proc.stdout))
     assert outputs[0]["reproduced"] is True
     assert outputs[0] == outputs[1]
+
+
+def test_traced_replay_via_cli_is_intact_and_byte_identical(tmp_path, capsys):
+    # ``--replay`` traces: the recorded failure still reproduces, the
+    # span tree is intact, and the Chrome export is the same bytes twice.
+    from repro.explore.cli import main as explore_main
+
+    config = ScenarioConfig(
+        seed=3, processes=4, duration=1_200.0, rate=30.0, conflict_weight=0.8,
+        mutation="reorder_conflicting",
+    )
+    result, _world = run_scenario(config)
+    path = write_repro(tmp_path / "repro.json", config, result)
+    traces = []
+    for run in range(2):
+        chrome = tmp_path / f"trace{run}.json"
+        assert explore_main(["--replay", str(path), "--chrome", str(chrome)]) == 0
+        out = capsys.readouterr().out
+        assert "REPRODUCED" in out and "DID NOT" not in out
+        assert " 0 integrity errors" in out
+        assert json.loads(chrome.read_text())["traceEvents"]
+        traces.append(chrome.read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_corpus_entry_replays_via_cli(capsys):
+    from repro.explore.cli import main as explore_main
+
+    entry = REPO_ROOT / "tests" / "explore" / "corpus" / "one-closer-liveness-ladder.json"
+    assert explore_main(["--replay", str(entry)]) == 0
+    assert "REPRODUCED" in capsys.readouterr().out

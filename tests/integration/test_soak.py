@@ -24,8 +24,8 @@ from repro.core.new_stack import StackConfig, build_new_group, enable_recovery
 from repro.gbcast.conflict import ConflictRelation
 from repro.net.topology import LinkModel
 from repro.sim.world import World
-from repro.workload.driver import run_gbcast_workload, schedule_broadcasts
-from repro.workload.generators import FaultPlan, WorkloadSpec
+from repro.workload.driver import schedule_broadcasts
+from repro.workload.generators import FaultPlan, explore_mix
 
 from tests.conftest import new_group
 
@@ -39,9 +39,38 @@ RELATION = ConflictRelation.build(
 MIX = {"free": 0.6, "grouped": 0.25, "ordered": 0.15}
 
 
+def drive(world, stacks, ops, plan):
+    """Replay ``ops`` (and ``plan``) until every op issued by a process
+    that is alive at the end reached every live process; returns the
+    issued count and the live pids."""
+    pids = sorted(stacks)
+    issued = []
+
+    def send(sender_index, op):
+        pid = pids[sender_index % len(pids)]
+        if not world.processes[pid].crashed:
+            issued.append((pid, op))
+            stacks[pid].gbcast.gbcast_payload(op.payload, op.msg_class)
+
+    schedule_broadcasts(world, ops, send)
+    horizon = max(op.at for op in ops)
+    if plan is not None:
+        plan.apply(world)
+        horizon = max(horizon, plan.duration())
+    world.run_for(horizon + 1.0)
+    alive = [pid for pid in pids if not world.processes[pid].crashed]
+
+    def converged():
+        target = {op.payload for pid, op in issued if pid in alive}
+        return all(target <= {m.payload for m in app_history(stacks[p])} for p in alive)
+
+    assert world.run_until(converged, timeout=600_000), "workload did not converge"
+    return {"issued": len(issued), "alive": alive}
+
+
 def soak(seed, count=3, crashes=0, partition=False, duration=1_500.0, rate=80.0):
     world, stacks, _ = new_group(count=count, seed=seed, conflict=RELATION)
-    ops = WorkloadSpec(duration, rate, MIX, senders=count, seed=seed).generate()
+    ops = explore_mix(duration, rate, count, MIX, seed=seed)
     plan = None
     if crashes:
         plan = FaultPlan.minority_crashes(sorted(stacks), duration, crashes, seed=seed)
@@ -53,8 +82,7 @@ def soak(seed, count=3, crashes=0, partition=False, duration=1_500.0, rate=80.0)
             start=duration * 0.3,
             length=duration * 0.2,
         ).events
-    summary = run_gbcast_workload(world, stacks, ops, fault_plan=plan, timeout=600_000)
-    assert summary["converged"], "workload did not converge"
+    summary = drive(world, stacks, ops, plan)
     history = {pid: app_history(stacks[pid]) for pid in summary["alive"]}
     result = check_all(history, relation=RELATION)
     assert result, result.violations
@@ -119,7 +147,7 @@ def test_soak_crash_exclusion_rejoin_drains_every_rbcast_store():
     enable_recovery(world, stacks, conflict=RELATION, config=config)
     world.start()
     # Four senders: the victim p04 never broadcasts.
-    ops = WorkloadSpec(6_000.0, 60.0, MIX, senders=4, seed=606).generate()
+    ops = explore_mix(6_000.0, 60.0, 4, MIX, seed=606)
     steady = sorted(stacks)[:4]
     schedule_broadcasts(
         world, ops,

@@ -128,10 +128,10 @@ def test_posted_events_advance_time_and_counts():
     seen = []
     sched.post(3.0, lambda: seen.append(sched.now))
     assert sched.pending() == 1
-    assert sched.step()
+    assert sched.run(max_events=1) == 1
     assert seen == [3.0]
     assert sched.events_processed == 1
-    assert not sched.step()
+    assert sched.run(max_events=1) == 0
 
 
 def test_posted_events_respect_until_boundary():

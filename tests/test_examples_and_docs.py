@@ -153,3 +153,36 @@ def test_api_doc_tables_name_only_real_attributes(package, heading):
     module = importlib.import_module(package)
     assert names
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+# ----------------------------------------------------------------------
+# docs/ cannot drift from the command line
+# ----------------------------------------------------------------------
+#: ``python -m repro ARGS`` in backticks or on a ``$`` console line.
+QUOTED_COMMAND = re.compile(r"(?:`|\$ )(?:\S+=\S+ )*python -m repro((?: [^`\s]+)*)")
+
+
+def _quoted_commands():
+    for doc in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        for line in doc.read_text().splitlines():
+            for tail in QUOTED_COMMAND.findall(line):
+                yield doc.name, tail.split()
+
+
+def test_docs_quote_only_commands_the_cli_parses():
+    # Every ``python -m repro ...`` in README.md and docs/ goes through
+    # the parser the command line uses: a deleted subcommand or option
+    # cannot linger.
+    from repro.__main__ import selfcheck_seeds
+    from repro.explore.cli import build_parser
+
+    commands = list(_quoted_commands())
+    assert len(commands) >= 4
+    for doc, args in commands:
+        if args[:1] == ["explore"]:
+            try:
+                build_parser().parse_args(args[1:])
+            except SystemExit:
+                pytest.fail(f"{doc}: python -m repro {' '.join(args)}")
+        else:
+            assert selfcheck_seeds(args), f"{doc}: python -m repro {' '.join(args)}"

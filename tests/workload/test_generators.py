@@ -1,30 +1,25 @@
-"""Unit tests for the workload generators and drivers."""
+"""Unit tests for the workload generators and their replay."""
 
 import json
 
 import pytest
 
-from repro.gbcast.conflict import ConflictRelation
-from repro.workload.generators import (
-    FaultEvent,
-    FaultPlan,
-    WorkloadSpec,
-    bank_mix,
-    explore_mix,
-)
-from repro.workload.driver import run_gbcast_workload
+from repro.explore.runner import run_scenario
+from repro.explore.scenario import ScenarioConfig
+from repro.workload.generators import FaultEvent, FaultPlan, explore_mix
 
 from tests.conftest import new_group
 
 
 def test_workload_is_deterministic():
-    spec = WorkloadSpec(1_000.0, 50.0, {"a": 1.0, "b": 1.0}, senders=3, seed=5)
-    assert spec.generate() == spec.generate()
+    mix = {"a": 1.0, "b": 1.0}
+    assert explore_mix(1_000.0, 50.0, 3, mix, seed=5) == explore_mix(
+        1_000.0, 50.0, 3, mix, seed=5
+    )
 
 
 def test_workload_respects_duration_and_rate():
-    spec = WorkloadSpec(2_000.0, 100.0, {"a": 1.0}, senders=3, seed=1)
-    ops = spec.generate()
+    ops = explore_mix(2_000.0, 100.0, 3, {"a": 1.0}, seed=1)
     assert all(0 <= op.at < 2_000.0 for op in ops)
     # ~200 expected; Poisson so allow wide slack.
     assert 120 < len(ops) < 300
@@ -33,20 +28,9 @@ def test_workload_respects_duration_and_rate():
 
 
 def test_class_weights_shape_the_mix():
-    spec = WorkloadSpec(5_000.0, 100.0, {"rare": 0.1, "common": 0.9}, senders=2, seed=2)
-    ops = spec.generate()
+    ops = explore_mix(5_000.0, 100.0, 2, {"rare": 0.1, "common": 0.9}, seed=2)
     rare = sum(1 for op in ops if op.msg_class == "rare")
     assert 0 < rare < len(ops) * 0.25
-
-
-def test_bank_mix_commands():
-    ops = bank_mix(1_000.0, 100.0, withdraw_fraction=0.3, senders=3, seed=3)
-    assert ops
-    for op in ops:
-        kind, amount = op.payload
-        assert kind in ("deposit", "withdraw")
-        assert 1 <= amount < 20
-        assert op.msg_class == ("withdrawal" if kind == "withdraw" else "deposit")
 
 
 def test_fault_plan_minority_only():
@@ -67,24 +51,34 @@ def test_fault_plan_apply_crashes_at_times():
 
 
 def test_driver_converges_failure_free():
-    relation = ConflictRelation.build(["a", "b"], [("b", "b")])
-    world, stacks, _ = new_group(seed=8, conflict=relation)
-    ops = WorkloadSpec(300.0, 60.0, {"a": 0.8, "b": 0.2}, senders=3, seed=8).generate()
-    summary = run_gbcast_workload(world, stacks, ops)
-    assert summary["converged"]
-    assert summary["issued"] == len(ops)
-    sets = list(summary["delivered"].values())
-    assert all(s == sets[0] for s in sets)
+    # One commuting and one self-conflicting class, 80/20.
+    config = ScenarioConfig(
+        seed=8, processes=3, duration=300.0, rate=60.0,
+        relation="rbcast_abcast", conflict_weight=0.2,
+    )
+    result, _world = run_scenario(config)
+    assert result.violation is None, result.violation
+    assert result.converged
+    assert result.issued == len(
+        explore_mix(300.0, 60.0, 3, config.class_weights(), seed=8)
+    )
 
 
 def test_driver_converges_with_crash():
-    relation = ConflictRelation.build(["a", "b"], [("b", "b"), ("a", "b")])
-    world, stacks, _ = new_group(count=5, seed=9, conflict=relation)
-    ops = WorkloadSpec(400.0, 40.0, {"a": 0.7, "b": 0.3}, senders=5, seed=9).generate()
-    plan = FaultPlan.minority_crashes(sorted(stacks), duration=400.0, count=2, seed=9)
-    summary = run_gbcast_workload(world, stacks, ops, fault_plan=plan)
-    assert summary["converged"]
-    assert len(summary["alive"]) == 3
+    # Deposits commute with each other; withdrawals conflict with both.
+    plan = FaultPlan.minority_crashes(
+        [f"p{i:02d}" for i in range(5)], duration=400.0, count=2, seed=9
+    )
+    config = ScenarioConfig(
+        seed=9, processes=5, duration=400.0, rate=40.0,
+        relation="bank", conflict_weight=0.3, plan=plan,
+    )
+    result, world = run_scenario(config)
+    assert result.violation is None, result.violation
+    assert result.converged
+    assert sorted(p for p in world.processes if not world.processes[p].crashed) == sorted(
+        {f"p{i:02d}" for i in range(5)} - plan.crashed_pids()
+    )
 
 
 def test_fault_plan_json_round_trip():
