@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_replay(args: argparse.Namespace) -> int:
-    config, expected, result, world, matches = replay_repro(args.replay, trace=True)
+    config, expected, result, world, matches = replay_repro(args.replay)
     spans = world.trace.spans
     integrity = spans.check_integrity()
     if args.json:
@@ -124,14 +124,11 @@ def run_replay(args: argparse.Namespace) -> int:
         print(f"replay {args.replay} (seed {config.seed}, {config.processes} "
               f"processes, {config.duration} ms):")
         actual = result.violation["invariant"] if result.violation else None
-        if expected["fingerprint"] is None:
-            print("  expected:             no violation, converged")
-            print(f"  actual invariant:     {actual}, converged: {result.converged}")
-        else:
-            print(f"  expected invariant:   {expected['invariant']}")
-            print(f"  actual invariant:     {actual}")
-            print(f"  expected fingerprint: {expected['fingerprint']}")
-            print(f"  actual fingerprint:   {result.fingerprint}")
+        print(f"  expected invariant:   {expected['invariant']}")
+        print(f"  actual invariant:     {actual}")
+        print(f"  expected fingerprint: {expected['fingerprint']}")
+        print(f"  actual fingerprint:   {result.fingerprint}")
+        print(f"  converged:            {result.converged}")
         print("  REPRODUCED" if matches else "  DID NOT REPRODUCE")
         print(f"spans: {len(spans)} recorded, {spans.dropped} dropped, "
               f"{len(integrity)} integrity errors")

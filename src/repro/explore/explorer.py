@@ -187,12 +187,12 @@ class Replay(NamedTuple):
     reproduced: bool
 
 
-def replay_repro(path: str | Path, trace: bool = False) -> Replay:
-    """Re-execute a repro file or corpus entry (see :func:`load_repro`);
-    ``reproduced`` is True iff the run matches what the file expects.
-    Tracing does not change the run."""
+def replay_repro(path: str | Path) -> Replay:
+    """Re-execute a repro file or corpus entry (see :func:`load_repro`)
+    with span tracing on; ``reproduced`` is True iff the run matches what
+    the file expects.  Tracing does not change the run."""
     config, expected = load_repro(path)
-    result, world = run_scenario(config, trace=trace)
+    result, world = run_scenario(config, trace=True)
     actual = result.violation["invariant"] if result.violation else None
     if expected["fingerprint"] is None:  # a corpus entry
         reproduced = actual is None and result.converged

@@ -51,7 +51,7 @@ def test_fault_plan_apply_crashes_at_times():
 
 
 def test_driver_converges_failure_free():
-    # One commuting and one self-conflicting class, 80/20.
+    # abcast conflicts with both classes, rbcast commutes with itself, 80/20.
     config = ScenarioConfig(
         seed=8, processes=3, duration=300.0, rate=60.0,
         relation="rbcast_abcast", conflict_weight=0.2,
