@@ -23,7 +23,7 @@ def run(kind):
         "history": history,
         "net": g.world.metrics.counters.get("net.sent"),
         "hops": g.world.metrics.counters.get("ens.event_hops"),
-        "latency": g.world.metrics.latency.stats("gbcast").mean,
+        "latency": g.world.metrics.latency.stats("gbcast.abcast").mean,
     }
 
 

@@ -20,7 +20,7 @@ def run_scale(n, msg_class, conflict):
     for i in range(BURST):
         g.send(pids[i % n], ("m", i), msg_class)
     g.drain(BURST)
-    stats = g.world.metrics.latency.stats("gbcast")
+    stats = g.world.metrics.latency.stats(f"gbcast.{msg_class}")
     msgs = g.world.metrics.counters.get("net.sent") / (BURST * n)
     return stats.mean, msgs
 

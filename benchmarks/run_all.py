@@ -38,10 +38,12 @@ from __future__ import annotations
 import argparse
 import cProfile
 import dataclasses
+import importlib
 import inspect
 import io
 import json
 import math
+import pkgutil
 import pstats
 import sys
 import time
@@ -54,8 +56,11 @@ for entry in (str(_HERE), str(_HERE.parent / "src")):
 
 from scenarios import SCENARIOS  # noqa: E402
 
+import repro  # noqa: E402
 from repro.core.new_stack import StackConfig  # noqa: E402
+from repro.sim.process import Component  # noqa: E402
 from repro.sim.scheduler import Scheduler  # noqa: E402
+from repro.sim.world import World  # noqa: E402
 from repro.traditional import EnsembleStack, IsisStack, PhoenixStack, RMPStack  # noqa: E402
 
 SCHEMA = "bench-abgb/v6"
@@ -72,11 +77,37 @@ TRAJECTORY = (
 )
 
 
+def _component_options() -> int:
+    """Parameters with a default on the constructor of ``World`` and of
+    every component class of the package (each constructor counted where
+    it is defined)."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    classes = {
+        cls
+        for cls in subclasses(Component)
+        if cls.__module__.startswith("repro.") and "__init__" in vars(cls)
+    }
+    return sum(
+        1
+        for cls in classes | {World}
+        for param in inspect.signature(cls).parameters.values()
+        if param.default is not param.empty
+    )
+
+
 def simplicity_meta() -> dict:
     """The size of what the numbers were taken on: configuration fields
     of the stack, the options the traditional stacks take (a constructor
     keyword other than ``is_member``, counted per stack; Totem inherits
-    RMP's), non-blank source lines under ``src/repro`` and non-blank
+    RMP's), the defaulted constructor parameters of the components and
+    the world, non-blank source lines under ``src/repro`` and non-blank
     lines of the benches that take them (``benchmarks/*.py``, the frozen
     ``benchmarks/perf/`` apart)."""
 
@@ -91,6 +122,7 @@ def simplicity_meta() -> dict:
             for name, param in inspect.signature(stack).parameters.items()
             if param.kind is param.KEYWORD_ONLY and name != "is_member"
         ),
+        "component_options": _component_options(),
         "src_lines": lines((_HERE.parent / "src" / "repro").rglob("*.py")),
         "bench_lines": lines(_HERE.glob("*.py")),
     }
@@ -196,6 +228,7 @@ def check(document: dict, baseline_path: Path, tolerance: float) -> list[str]:
     for key, grew in (
         ("stack_config_fields", "StackConfig grew a knob"),
         ("traditional_knobs", "a traditional stack grew an option"),
+        ("component_options", "a component constructor grew a defaulted parameter"),
     ):
         before, now = meta_before.get(key), meta_now.get(key)
         if None not in (before, now) and now > before:

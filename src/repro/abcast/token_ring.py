@@ -3,7 +3,9 @@
 Section 2.3.2 of the paper: "In RMP and Totem, processes form a logical
 ring and atomic broadcast is implemented using a rotating token ...  If
 one process crashes, the ring is broken, and the token may be lost.  The
-failure mode is needed to recover from this situation."
+failure mode is needed to recover from this situation."  This is the
+*moving* sequencer; its slot store and delivery loop are the fixed
+sequencer's (:class:`~repro.abcast.sequencer.SequencerCore`).
 
 Normal mode: the token carries the next sequence number around the ring
 (ring = current view order).  Only the token holder orders messages: it
@@ -26,21 +28,17 @@ are discarded.
 
 from __future__ import annotations
 
-from typing import Callable
-
+from repro.abcast.sequencer import SequencerCore, ViewProvider
 from repro.membership.view import View
-from repro.net.message import AppMessage, MsgId
+from repro.net.message import AppMessage
 from repro.net.reliable import ReliableChannel
-from repro.sim.process import Component, Process
+from repro.sim.process import Process
 
 TOKEN_PORT = "tok"
 ORDER_PORT = "tok.order"
 
-AdeliverFn = Callable[[AppMessage], None]
-ViewProvider = Callable[[], View]
 
-
-class TokenRingAtomicBroadcast(Component):
+class TokenRingAtomicBroadcast(SequencerCore):
     """Token-ring total order; reformation is driven from above."""
 
     def __init__(
@@ -50,22 +48,13 @@ class TokenRingAtomicBroadcast(Component):
         view_provider: ViewProvider,
         max_orders_per_token: int = 10,
     ) -> None:
-        super().__init__(process, "abcast")
-        self.channel = channel
-        self.view_provider = view_provider
+        super().__init__(process, channel, view_provider)
         self.max_orders_per_token = max_orders_per_token
-        self._pending: dict[MsgId, AppMessage] = {}
-        self._ordered: dict[int, AppMessage | None] = {}
-        self._ordered_ids: set[MsgId] = set()
-        self._next_deliver = 0
-        self._delivered: set[MsgId] = set()
         self._frozen = False
         self.generation = 0
         self._last_token_seen = 0.0
-        self._callbacks: list[AdeliverFn] = []
-        self.delivered_log: list[AppMessage] = []
         self.register_port(TOKEN_PORT, self._on_token)
-        self.register_port(ORDER_PORT, self._on_order)
+        self.register_port(ORDER_PORT, lambda _src, payload: self._order(*payload))
 
     def start(self) -> None:
         # The head of the initial view creates the token.
@@ -73,16 +62,8 @@ class TokenRingAtomicBroadcast(Component):
         if view.members and view.primary == self.pid:
             self.schedule(0.0, self._hold_token, 0)
 
-    # ------------------------------------------------------------------
-    # Client interface
-    # ------------------------------------------------------------------
-    def on_adeliver(self, callback: AdeliverFn) -> None:
-        self._callbacks.append(callback)
-
     def abcast(self, message: AppMessage) -> None:
-        self.world.metrics.counters.inc("abcast.broadcasts")
-        self.world.metrics.latency.begin("abcast", message.id, self.now)
-        self._pending[message.id] = message
+        super().abcast(message)
         view = self.view_provider()
         if len(view) == 1 and view.primary == self.pid and not self._frozen:
             # Sole member holds the token implicitly.
@@ -113,7 +94,7 @@ class TokenRingAtomicBroadcast(Component):
         for mid in sorted(self._pending):
             if budget == 0:
                 break
-            if mid in self._ordered_ids or mid in self._delivered:
+            if self._is_ordered(mid):
                 continue
             message = self._pending[mid]
             self.world.metrics.counters.inc("abcast.sequenced")
@@ -127,35 +108,6 @@ class TokenRingAtomicBroadcast(Component):
         successor = view.successor(self.pid)
         self.world.metrics.counters.inc("abcast.token_passes")
         self.channel.send(successor, TOKEN_PORT, (self.generation, seq))
-
-    # ------------------------------------------------------------------
-    # Delivery
-    # ------------------------------------------------------------------
-    def _on_order(self, _src: str, payload: tuple) -> None:
-        seq, message = payload
-        if seq in self._ordered:
-            return
-        self._ordered[seq] = message
-        if message is not None:
-            self._ordered_ids.add(message.id)
-        self._try_deliver()
-
-    def _try_deliver(self) -> None:
-        while self._next_deliver in self._ordered:
-            message = self._ordered[self._next_deliver]
-            self._next_deliver += 1
-            if message is None or message.id in self._delivered:
-                continue
-            self._delivered.add(message.id)
-            self._pending.pop(message.id, None)
-            self.world.metrics.counters.inc("abcast.delivered")
-            self.world.metrics.latency.end("abcast", message.id, self.now)
-            self.delivered_log.append(message)
-            self.trace("adeliver", mid=str(message.id), seq=self._next_deliver - 1)
-            for callback in self._callbacks:
-                callback(message)
-            if self.process.crashed:
-                return
 
     # ------------------------------------------------------------------
     # Failure mode hooks (called by the RMP/Totem membership layers)
@@ -207,12 +159,9 @@ class TokenRingAtomicBroadcast(Component):
         the new ``generation``.
         """
         for seq, message in merged.items():
-            if seq not in self._ordered:
-                self._ordered[seq] = message
-                if message is not None:
-                    self._ordered_ids.add(message.id)
+            self._fill(seq, message)
         for seq in range(self._next_deliver, next_seq):
-            self._ordered.setdefault(seq, None)
+            self._fill(seq, None)
         self._try_deliver()
         self._frozen = False
         self.generation = generation

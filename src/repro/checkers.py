@@ -50,9 +50,7 @@ class CheckResult:
 
 def app_history(stack) -> list[AppMessage]:
     """Application-level delivery sequence of a new-architecture stack."""
-    return [
-        m for m, _path in stack.gbcast.delivered_log if not m.msg_class.startswith("_")
-    ]
+    return [m for m, _path in stack.gbcast.delivered_log]
 
 
 # ----------------------------------------------------------------------

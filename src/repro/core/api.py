@@ -14,7 +14,9 @@ the operations of Fig. 9:
 * ``on_adeliver`` / ``on_rdeliver`` / ``on_gdeliver`` / ``on_new_view``
   — upward callbacks.
 
-Internal control classes (prefixed ``_``) never reach the application.
+Internal control traffic (membership operations, stage closures; classes
+prefixed ``_``) never reaches the application: it travels on atomic
+broadcast, and only generic-broadcast deliveries are dispatched here.
 """
 
 from __future__ import annotations
@@ -101,8 +103,6 @@ class GroupCommunication:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, message: AppMessage) -> None:
-        if message.msg_class.startswith("_"):
-            return  # internal control traffic
         self.delivered.append(message)
         for callback in self._gdeliver:
             callback(message)

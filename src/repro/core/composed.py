@@ -64,8 +64,6 @@ class ServiceLayer(Layer):
         # Nothing travels below this layer: the components own the network.
 
     def _on_gdeliver(self, message: AppMessage) -> None:
-        if message.msg_class.startswith("_"):
-            return
         self.emit_up(GDELIVER, message=message)
 
     def _on_new_view(self, view: View) -> None:

@@ -48,10 +48,10 @@ from repro.sim.process import Process
 from repro.sim.world import World, build_group
 
 
-#: Timing of the layers below consensus.  One value each in every run
-#: the repository has ever made, so they are constants of the new stack
-#: rather than configuration (the component constructors keep their
-#: parameters: the traditional baselines pass different ones).
+#: Timing of the failure detector.  One value in every run the
+#: repository has ever made, so it is a constant of the new stack rather
+#: than configuration (the detector's constructor keeps its parameter:
+#: the traditional baselines pass different ones).
 #:
 #: ``HEARTBEAT_INTERVAL`` is the longest silence a process allows on a
 #: link somebody times out at the *small* timeout — the 2(n−1) links to
@@ -72,7 +72,6 @@ from repro.sim.world import World, build_group
 #: gets no keep-alives between two members neither of which orders, and
 #: one that sets it to 100 gets them every 25 ms.
 HEARTBEAT_INTERVAL = 15.0
-STUCK_TIMEOUT = 1_000.0
 
 
 @dataclass(frozen=True)
@@ -167,10 +166,7 @@ class NewArchitectureStack:
         initial_view = View.initial(initial_members) if is_member else None
 
         self.channel = ReliableChannel(
-            process,
-            stuck_timeout=STUCK_TIMEOUT,
-            coalesce_delay=cfg.coalesce_delay,
-            max_segment_batch=cfg.max_segment_batch,
+            process, coalesce_delay=cfg.coalesce_delay, max_segment_batch=cfg.max_segment_batch
         )
         # Group provider closure: resolved through the membership
         # component created below (late binding keeps Fig. 9's dependency

@@ -121,8 +121,6 @@ class ObserverPanel:
         view_log = self.view_log.setdefault(actor, [])
 
         def on_gdeliver(message: AppMessage) -> None:
-            if message.msg_class.startswith("_"):
-                return
             app_log.append(f"{message.id}|{message.msg_class}")
             self.deliveries += 1
             for observer in self.app_observers:

@@ -617,7 +617,7 @@ class HeartbeatFailureDetector(Component):
                     deadline = now + interval
                 else:
                     self._inc_explicit()
-                    self.world.u_send(self.pid, peer, PORT, asks, layer="fd")
+                    self.world.transport.u_send(self.pid, peer, PORT, asks, layer="fd")
                     deadline = now + interval
             deadlines[peer] = deadline
         # Peers that left the set are forgotten; with nobody to talk to,

@@ -31,7 +31,7 @@ Stage-based algorithm (see DESIGN.md §5 for the safety argument):
   orders a backlog of any length.
   A frozen non-closer re-evaluates on every suspicion edge (the next
   unsuspected member takes over) and closes by itself
-  ``fast_path_timeout`` later; the ack timeout closes directly, because
+  ``FAST_PATH_TIMEOUT`` later; the ack timeout closes directly, because
   the process it fires at may be the only one that is stuck.  Both are
   one deadline timer (:meth:`_watch`), armed by the event that starts
   the wait; an idle process has none.  An ack is one channel message per
@@ -86,6 +86,11 @@ CHK_TAG = "gb.chk"
 ACK_PORT = "gb.ack"
 ENDSTAGE_CLASS = "_gb.endstage"
 
+#: How long (ms) an open ack or a deferred close waits before this
+#: process closes the stage itself.  One value in every measured run, so
+#: a constant rather than configuration.
+FAST_PATH_TIMEOUT = 250.0
+
 GdeliverFn = Callable[[AppMessage], None]
 GroupProvider = Callable[[], list[str]]
 
@@ -102,7 +107,6 @@ class ThriftyGenericBroadcast(Component):
         conflict: ConflictRelation,
         group_provider: GroupProvider,
         monitor: Monitor,
-        fast_path_timeout: float = 250.0,
     ) -> None:
         super().__init__(process, "gbcast")
         self.channel = channel
@@ -110,7 +114,8 @@ class ThriftyGenericBroadcast(Component):
         self.abcast = abcast
         self.conflict = conflict
         self.group_provider = group_provider
-        self.fast_path_timeout = fast_path_timeout
+        #: An instance attribute, so an ablation can vary it per stack.
+        self.fast_path_timeout = FAST_PATH_TIMEOUT
         self._stage = 0
         self._frozen = False
         #: Since when this process is frozen *waiting for somebody
@@ -162,7 +167,6 @@ class ThriftyGenericBroadcast(Component):
         self._inc_broadcasts()
         inc_class()
         now = self.now
-        self._latency.begin("gbcast", message.id, now)
         self._latency.begin(tag, message.id, now)
         self.spans.wrap(
             self.pid, "gbcast", "gbcast", "send", now, message.id,
@@ -396,9 +400,7 @@ class ThriftyGenericBroadcast(Component):
             )
         self._inc_delivered()
         inc_path()
-        now = self.now
-        self._latency.end("gbcast", message.id, now)
-        self._latency.end(self._class_handles(message.msg_class)[1], message.id, now)
+        self._latency.end(self._class_handles(message.msg_class)[1], message.id, self.now)
         self.delivered_log.append((message, path))
         if self.world.trace.enabled:
             self.trace("gdeliver", mid=str(message.id), path=path, cls=message.msg_class)

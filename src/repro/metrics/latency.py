@@ -96,18 +96,11 @@ class LatencyRecorder:
     # ------------------------------------------------------------------
     # Interval hygiene (soak/crash runs must not leak open intervals)
     # ------------------------------------------------------------------
-    def abandon(self, tag: str, key: object) -> bool:
-        """Drop an open interval without recording a sample.
-
-        For intervals whose end will never come: the message was dropped,
-        or its originator crashed before the broadcast got out.  Returns
-        True if an interval was actually open.
-        """
-        return self._open.pop((tag, key), None) is not None
-
     def abandon_if(self, predicate: Callable[[str, object], bool]) -> int:
-        """Abandon every open interval for which ``predicate(tag, key)``
-        holds; returns how many were dropped."""
+        """Drop, without recording a sample, every open interval for
+        which ``predicate(tag, key)`` holds — intervals whose end will
+        never come (the message was dropped, or its originator crashed
+        before the broadcast got out); returns how many were dropped."""
         doomed = [tk for tk in self._open if predicate(*tk)]
         for tk in doomed:
             del self._open[tk]

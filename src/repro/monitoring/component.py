@@ -15,8 +15,10 @@ Supported exclusion policies (all from the paper):
   only after having learned that a threshold of other processes also
   suspect q");
 * **output-triggered suspicion** [12] — the reliable channel reports
-  messages stuck in its send buffer (``use_output_triggered``); an
-  exclusion is the only way to safely discard them.
+  how long its oldest unacknowledged message to a peer has waited, and
+  past the policy's threshold the peer is suspected
+  (``use_output_triggered``); an exclusion is the only way to safely
+  discard such messages.
 
 The component gossips suspicion votes over reliable channels and calls
 ``membership.remove`` once the policy threshold is met; on the removal

@@ -1,7 +1,7 @@
 """Simulated network: messages, unreliable transport, reliable channel."""
 
 from repro.net.message import DEFAULT_CLASS, AppMessage, Envelope, MsgId, MsgIdFactory
-from repro.net.reliable import ReliableChannel, channel_of
+from repro.net.reliable import ReliableChannel
 from repro.net.topology import LAN, LOSSY, LinkModel, PartitionState
 from repro.net.transport import UnreliableTransport
 from repro.net.wire import HEADER_BYTES, Blob, payload_size, wire_size
@@ -20,7 +20,6 @@ __all__ = [
     "PartitionState",
     "ReliableChannel",
     "UnreliableTransport",
-    "channel_of",
     "payload_size",
     "wire_size",
 ]

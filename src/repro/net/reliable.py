@@ -46,11 +46,12 @@ while that peer's outbox is non-empty: an idle channel schedules
 nothing.  (``docs/architecture.md`` has the reasoning behind the
 constants.)
 
-The channel also implements *output-triggered suspicion* [12]
-(Section 3.3.2): if a message stays unacknowledged longer than
-``stuck_timeout``, registered listeners (the monitoring component) are
-notified — by the same per-peer timer, so no later than
-``stuck_timeout + RTO_MAX``.  ``discard(dst)`` drops the send buffer for
+The channel also feeds *output-triggered suspicion* [12] (Section
+3.3.2): every expiry of the per-peer timer that finds the peer's outbox
+non-empty reports the age of its oldest unacknowledged segment to the
+``on_stuck`` listeners — the monitoring component, whose policy alone
+decides how old is stuck, so it notices no later than its threshold plus
+``RTO_MAX``.  ``discard(dst)`` drops the send buffer for
 an excluded process, which is the paper's reason for coupling the
 channel to the monitoring component.  A discard punches a permanent
 hole in the connection's sequence space; should the excluded process
@@ -217,12 +218,10 @@ class ReliableChannel(Component):
     def __init__(
         self,
         process: Process,
-        stuck_timeout: float = 500.0,
         coalesce_delay: float | None = None,
         max_segment_batch: int = 8,
     ) -> None:
         super().__init__(process, "rc")
-        self.stuck_timeout = stuck_timeout
         self.coalesce_delay = coalesce_delay
         self.max_segment_batch = max(1, max_segment_batch)
         self._next_seq: dict[str, int] = {}
@@ -482,9 +481,10 @@ class ReliableChannel(Component):
     def on_stuck(self, listener: Callable[[str, float], None]) -> None:
         """Register an output-triggered suspicion listener.
 
-        The listener receives ``(dst, age_ms)`` on every expiry of the
+        The listener receives ``(dst, age_ms)`` — the age of the oldest
+        unacked segment to ``dst`` — on every expiry of the
         retransmission timer towards ``dst`` (at most ``RTO_MAX`` apart)
-        while the oldest unacked message to it exceeds ``stuck_timeout``.
+        that finds one; whether that age means stuck is its own call.
         """
         self._stuck_listeners.append(listener)
 
@@ -604,12 +604,16 @@ class ReliableChannel(Component):
             self._inc_duplicates()
             return
         buffer[seq] = (port, payload)
+        self._drain(src, buffer, expected)
+
+    def _drain(self, src: str, buffer: dict[int, tuple[str, Any]], expected: int) -> None:
+        """Dispatch the contiguous run of ``buffer`` from ``expected`` on."""
         while expected in buffer:
-            deliver_port, deliver_payload = buffer.pop(expected)
+            port, payload = buffer.pop(expected)
             expected += 1
             self._next_expected[src] = expected
             self._inc_delivered()
-            self.process.dispatch(deliver_port, src, deliver_payload)
+            self.process.dispatch(port, src, payload)
             if self.process.crashed:
                 return
 
@@ -633,14 +637,7 @@ class ReliableChannel(Component):
         self._next_expected[src] = floor
         self.world.metrics.counters.inc("rc.gap_skips")
         self.trace("gap_skip", src=src, floor=floor, dropped=len(stale))
-        while self._next_expected[src] in buffer:
-            expected = self._next_expected[src]
-            deliver_port, deliver_payload = buffer.pop(expected)
-            self._next_expected[src] = expected + 1
-            self._inc_delivered()
-            self.process.dispatch(deliver_port, src, deliver_payload)
-            if self.process.crashed:
-                return
+        self._drain(src, buffer, floor)
 
     def _on_ack(self, src: str, ack_up_to: int) -> None:
         pending = self._outbox.get(src)
@@ -689,7 +686,8 @@ class ReliableChannel(Component):
 
     def _on_timeout(self, dst: str) -> None:
         """The retransmission timer towards ``dst`` expired: re-send what
-        has been out for a whole RTO, back off, report a stuck peer, and
+        has been out for a whole RTO, back off, report the age of the
+        oldest unacked segment to the ``on_stuck`` listeners, and
         re-arm for the segment that falls due next."""
         rto = self._rto[dst]
         rto.timer = None
@@ -707,10 +705,9 @@ class ReliableChannel(Component):
                 timeout = rto.timeout()
             self._retransmit(dst, due)
         age = now - pending[0].first_sent
-        if age > self.stuck_timeout:
-            # Listeners may send (arming the timer) or discard ``dst``.
-            for listener in self._stuck_listeners:
-                listener(dst, age)
+        # Listeners may send (arming the timer) or discard ``dst``.
+        for listener in self._stuck_listeners:
+            listener(dst, age)
         if pending and rto.timer is None:
             oldest = min((p.last_sent for p in pending if p.transmits), default=now)
             rto.timer = self.schedule(
@@ -732,10 +729,3 @@ class ReliableChannel(Component):
                 self._transmit_data(dst, chunk[0], "rc")
             else:
                 self._transmit_batch(dst, chunk, "rc")
-
-
-def channel_of(process: Process) -> ReliableChannel:
-    """Fetch the reliable channel component of a process."""
-    channel = process.component("rc")
-    assert isinstance(channel, ReliableChannel)
-    return channel

@@ -287,17 +287,12 @@ class TraceLog:
     tracing enabled without unbounded growth.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        max_records: int | None = None,
-        max_spans: int | None = None,
-    ) -> None:
+    def __init__(self, enabled: bool = True, max_records: int | None = None) -> None:
         self.enabled = enabled
         self.max_records = max_records
         self.dropped = 0
         self.records: Any = [] if max_records is None else deque(maxlen=max_records)
-        self.spans = SpanLog(enabled=enabled, max_spans=max_spans)
+        self.spans = SpanLog(enabled=enabled)
 
     def emit(self, time: float, pid: str, component: str, event: str, **details: Any) -> None:
         if not self.enabled:

@@ -38,16 +38,10 @@ class World:
         seed: int = 0,
         default_link: LinkModel = LAN,
         trace_enabled: bool = True,
-        trace_max_records: int | None = None,
-        trace_max_spans: int | None = None,
     ) -> None:
         self.seed = seed
         self.scheduler = Scheduler()
-        self.trace = TraceLog(
-            enabled=trace_enabled,
-            max_records=trace_max_records,
-            max_spans=trace_max_spans,
-        )
+        self.trace = TraceLog(enabled=trace_enabled)
         #: Causal span tree (see ``repro.sim.tracing.SpanLog``).
         self.spans = self.trace.spans
         self.metrics = MetricsRecorder()
@@ -221,20 +215,6 @@ class World:
 
     def alive(self) -> list[str]:
         return [pid for pid in self.pids() if not self.processes[pid].crashed]
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def u_send(
-        self,
-        src: str,
-        dst: str,
-        port: str,
-        payload: Any,
-        layer: str = "other",
-        byte_split: list[tuple[str, int]] | None = None,
-    ) -> None:
-        self.transport.u_send(src, dst, port, payload, layer=layer, byte_split=byte_split)
 
     def run_until(
         self,

@@ -33,6 +33,10 @@ CTL_CLASS = "_ring.ctl"
 JOIN_REQ_PORT = "ringgm.join_req"
 STATE_PORT = "ringgm.state"
 
+#: Period (ms) at which a member re-checks its suspects and, if it is the
+#: lowest-ranked unsuspected one, (re-)starts the reformation.
+RETRY_INTERVAL = 250.0
+
 EMPTY_VIEW = View(-1, ())
 
 StateProvider = Callable[[], Any]
@@ -51,7 +55,6 @@ class RingMembership(Component):
         initial_view: View | None,
         mode: str,
         exclusion_timeout: float = 500.0,
-        retry_interval: float = 250.0,
     ) -> None:
         if mode not in ("rmp", "totem"):
             raise ValueError(f"unknown ring membership mode {mode!r}")
@@ -59,7 +62,6 @@ class RingMembership(Component):
         self.channel = channel
         self.token = token
         self.mode = mode
-        self.retry_interval = retry_interval
         self.view = initial_view
         self.view_history: list[View] = [] if initial_view is None else [initial_view]
         self._pending_joins: set[str] = set()
@@ -78,7 +80,7 @@ class RingMembership(Component):
             token.on_adeliver(self._on_ring_ctl)
 
     def start(self) -> None:
-        self.schedule(self.retry_interval, self._tick)
+        self.schedule(RETRY_INTERVAL, self._tick)
 
     # ------------------------------------------------------------------
     # Providers
@@ -179,7 +181,7 @@ class RingMembership(Component):
 
     def _tick(self) -> None:
         self._act()
-        self.schedule(self.retry_interval, self._tick)
+        self.schedule(RETRY_INTERVAL, self._tick)
 
     # ------------------------------------------------------------------
     # Installation

@@ -62,5 +62,5 @@ def test_knob_count_is_the_pinned_one():
     # should lower it.
     baseline = json.loads((REPO / "benchmarks" / "baseline" / "BENCH_abgb.json").read_text())
     meta = simplicity_meta()
-    for knobs in ("stack_config_fields", "traditional_knobs"):
+    for knobs in ("stack_config_fields", "traditional_knobs", "component_options"):
         assert meta[knobs] == baseline["meta"][knobs], knobs

@@ -41,10 +41,11 @@ def test_traffic_feeds_estimator_identically_to_heartbeats():
     monitor = fd.monitor(["p01", "p02"], timeout=20.0)
     times = [3.0, 13.0, 24.0, 31.0, 45.0]
     heard = {"p01": [], "p02": []}
+    send = world.transport.u_send
     for t in times:
-        world.scheduler.at(t, lambda: world.u_send("p01", "p00", "fd.hb", False, layer="fd"))
-        world.scheduler.at(t, lambda: world.u_send("p02", "p00", "rc", "x", layer="app"))
-        world.scheduler.at(t + 0.5, lambda: world.u_send("p02", "p00", "rc", "y", layer="app"))
+        world.scheduler.at(t, lambda: send("p01", "p00", "fd.hb", False, layer="fd"))
+        world.scheduler.at(t, lambda: send("p02", "p00", "rc", "x", layer="app"))
+        world.scheduler.at(t + 0.5, lambda: send("p02", "p00", "rc", "y", layer="app"))
         for peer in heard:
             world.scheduler.at(t + 1.2, lambda peer=peer: heard[peer].append(fd.last_heard(peer)))
     world.start()

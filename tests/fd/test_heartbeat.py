@@ -70,9 +70,10 @@ def test_traffic_is_evidence_exactly_as_a_heartbeat_is():
         on_suspect=lambda q: edges.append(("suspect", q, world.now)),
         on_trust=lambda q: edges.append(("trust", q, world.now)),
     )
+    send = world.transport.u_send
     for t in (0.0, 10.0, 20.0, 100.0):
-        world.scheduler.at(t, lambda: world.u_send("p01", "p00", "fd.hb", False, layer="fd"))
-        world.scheduler.at(t, lambda: world.u_send("p02", "p00", "rc", "x", layer="app"))
+        world.scheduler.at(t, lambda: send("p01", "p00", "fd.hb", False, layer="fd"))
+        world.scheduler.at(t, lambda: send("p02", "p00", "rc", "x", layer="app"))
     world.start()
     world.run_for(120.0)
     assert fd.last_heard("p01") == fd.last_heard("p02") == 101.0

@@ -58,7 +58,7 @@ def fd_world(count=3, seed=1, hb=10.0, link=None, suppression=False):
 def app_traffic(world, src, dst, start, stop, every=5.0):
     t = start
     while t < stop:
-        world.scheduler.at(t, lambda: world.u_send(src, dst, "app", "x", layer="app"))
+        world.scheduler.at(t, lambda: world.transport.u_send(src, dst, "app", "x", layer="app"))
         t += every
 
 
@@ -70,7 +70,7 @@ def test_tap_refreshes_last_heard_from_app_traffic():
     world.run_for(50.0)
     before = fds["p00"].last_heard("p01")
     taps_before = world.metrics.counters.get("fd.tap_refreshes")
-    world.u_send("p01", "p00", "app", "hello", layer="app")
+    world.transport.u_send("p01", "p00", "app", "hello", layer="app")
     world.run_for(10.0)
     assert fds["p00"].last_heard("p01") > before
     assert world.metrics.counters.get("fd.tap_refreshes") > taps_before
@@ -243,7 +243,9 @@ def test_receiver_side_silence_is_bounded_by_interval_plus_jitter():
         while t < 3_000.0:
             # Bursts and lulls: gaps from 1 ms to three intervals.
             t += rng.choice([1.0, 3.0, 7.0, 14.0, 16.0, 29.0, 44.0]) * rng.random()
-            world.scheduler.at(t, lambda: world.u_send("p00", "p01", "app", "x", layer="app"))
+            world.scheduler.at(
+                t, lambda: world.transport.u_send("p00", "p01", "app", "x", layer="app")
+            )
         world.start()
         heard = []
         while world.now < 3_000.0:

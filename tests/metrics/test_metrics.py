@@ -158,8 +158,8 @@ def test_abandon_drops_interval_without_sample():
     rec = LatencyRecorder()
     rec.begin("t", "k1", 0.0)
     assert rec.open_intervals() == 1
-    assert rec.abandon("t", "k1")
-    assert not rec.abandon("t", "k1")  # already gone
+    assert rec.abandon_if(lambda tag, key: (tag, key) == ("t", "k1")) == 1
+    assert rec.abandon_if(lambda tag, key: (tag, key) == ("t", "k1")) == 0  # already gone
     assert rec.open_intervals() == 0
     assert not rec.end("t", "k1", 5.0)
     assert rec.samples("t") == []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.new_stack import StackConfig
 from repro.monitoring.component import MonitoringPolicy
+from repro.net.reliable import RTO_MAX
 
 from tests.conftest import new_group, run_until
 
@@ -120,6 +121,7 @@ def test_output_triggered_exclusion():
     world.run_for(50.0)
     world.crash("p02")
     # Generate traffic that gets stuck in the channel buffer for p02.
+    sent_at = world.now
     stacks["p00"].channel.send("p02", "gb.ack", [(0, None)])
     assert run_until(
         world,
@@ -127,6 +129,10 @@ def test_output_triggered_exclusion():
         timeout=60_000,
     )
     assert world.metrics.counters.get("monitoring.output_suspicions") >= 1
+    # The policy's threshold is the one that counts: the first suspicion
+    # comes at the first retransmission expiry past it.
+    first = world.trace.select(component="monitoring", event="output_suspicion")[0]
+    assert 300.0 <= first.time - sent_at <= 300.0 + RTO_MAX
 
 
 def test_exclusion_discards_channel_buffer():

@@ -1,6 +1,6 @@
 """Unit tests for the reliable channel over a lossy transport."""
 
-from repro.net.reliable import ReliableChannel
+from repro.net.reliable import RTO_MIN, ReliableChannel
 from repro.net.topology import LinkModel
 from repro.sim.process import Component
 from repro.sim.world import World
@@ -105,9 +105,11 @@ def test_gap_skips_discard_hole_when_the_peer_returns():
 
 
 def test_output_triggered_suspicion_fires_for_dead_peer():
+    # The channel reports the oldest unacked segment's age at every
+    # retransmission expiry; how old is stuck is the listener's call.
     world = World(seed=6)
     world.spawn(2)
-    sender = ReliableChannel(world.process("p00"), stuck_timeout=100.0)
+    sender = ReliableChannel(world.process("p00"))
     ReliableChannel(world.process("p01"))
     stuck = []
     sender.on_stuck(lambda dst, age: stuck.append((dst, age)))
@@ -115,20 +117,22 @@ def test_output_triggered_suspicion_fires_for_dead_peer():
     world.start()
     sender.send("p01", "app", "black hole")
     world.run_for(500.0)
-    assert stuck and stuck[0][0] == "p01"
-    assert all(age > 100.0 for _, age in stuck)
+    # Expiries after 40, 80 and 160 ms of back-off.
+    assert stuck == [("p01", RTO_MIN), ("p01", 3 * RTO_MIN), ("p01", 7 * RTO_MIN)]
 
 
 def test_no_stuck_notification_for_healthy_peer():
     world = World(seed=7)
     world.spawn(2)
-    sender = ReliableChannel(world.process("p00"), stuck_timeout=100.0)
+    sender = ReliableChannel(world.process("p00"))
     ReliableChannel(world.process("p01"))
     Sink(world.process("p01"))
     stuck = []
     sender.on_stuck(lambda dst, age: stuck.append(dst))
     world.start()
-    sender.send("p01", "app", "fine")
+    for i in range(5):
+        sender.send("p01", "app", i)
+        world.run_for(100.0)
     world.run_for(500.0)
     assert stuck == []
 

@@ -105,7 +105,7 @@ def test_rto_adapts_to_a_slow_link(seed):
 
 
 def test_crashed_peer_costs_logarithmically_many_transmissions():
-    world, sender, _sink = pair(LinkModel(1.0, 1.0), stuck_timeout=500.0)
+    world, sender, _sink = pair(LinkModel(1.0, 1.0))
     stuck = []
     sender.on_stuck(lambda dst, age: stuck.append(world.now))
     world.crash("p01")
@@ -116,7 +116,9 @@ def test_crashed_peer_costs_logarithmically_many_transmissions():
     # where a fixed 20 ms timer made 100.
     assert counters.get("rc.retransmits") == 8
     assert counters.get("rc.backoffs") == 3  # RTO_MIN * 2**3 == RTO_MAX
-    assert stuck and stuck[0] <= 500.0 + RTO_MAX
+    # Every expiry reports the stuck segment, one report per re-send.
+    assert len(stuck) == 8
+    assert stuck[:4] == [RTO_MIN, 3 * RTO_MIN, 7 * RTO_MIN, 7 * RTO_MIN + RTO_MAX]
     # ... still for ever, at the capped rate.
     world.run_for(10 * RTO_MAX)
     assert counters.get("rc.retransmits") == 18

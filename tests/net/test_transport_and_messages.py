@@ -53,7 +53,7 @@ def test_drop_probability_roughly_respected():
     world.spawn(2)
     probe = Probe(world.process("p01"))
     for i in range(400):
-        world.u_send("p00", "p01", "probe", i)
+        world.transport.u_send("p00", "p01", "probe", i)
     world.run_for(100.0)
     assert 100 < len(probe.payloads) < 300  # ~200 expected
 
@@ -62,7 +62,7 @@ def test_duplication_delivers_twice():
     world = World(seed=2, default_link=LinkModel(1.0, 0.0, dup_prob=1.0))
     world.spawn(2)
     probe = Probe(world.process("p01"))
-    world.u_send("p00", "p01", "probe", "x")
+    world.transport.u_send("p00", "p01", "probe", "x")
     world.run_for(100.0)
     assert probe.payloads == ["x", "x"]
 
@@ -73,7 +73,7 @@ def test_per_link_override():
     slow = LinkModel(delay_min=50.0, delay_jitter=0.0)
     world.transport.set_link("p00", "p01", slow)
     probe = Probe(world.process("p01"))
-    world.u_send("p00", "p01", "probe", "slow")
+    world.transport.u_send("p00", "p01", "probe", "slow")
     world.run_for(49.0)
     assert probe.payloads == []
     world.run_for(2.0)
@@ -84,7 +84,7 @@ def test_self_send_has_zero_delay():
     world = World(seed=4, default_link=LinkModel(delay_min=10.0, delay_jitter=0.0))
     world.spawn(1)
     probe = Probe(world.process("p00"))
-    world.u_send("p00", "p00", "probe", "self")
+    world.transport.u_send("p00", "p00", "probe", "self")
     world.run_for(0.0)
     assert probe.payloads == ["self"]
 
@@ -119,8 +119,8 @@ def test_world_cut_drops_one_direction_counts_and_traces_it():
     probes = {pid: Probe(world.process(pid)) for pid in world.spawn(2)}
     world.cut("p00", "p01", at=5.0, until=15.0)
     for at in (1.0, 7.0, 20.0):
-        world.scheduler.at(at, world.u_send, "p00", "p01", "probe", at)
-        world.scheduler.at(at, world.u_send, "p01", "p00", "probe", at)
+        world.scheduler.at(at, world.transport.u_send, "p00", "p01", "probe", at)
+        world.scheduler.at(at, world.transport.u_send, "p01", "p00", "probe", at)
     world.run_for(30.0)
     assert probes["p01"].payloads == [1.0, 20.0]
     assert probes["p00"].payloads == [1.0, 7.0, 20.0]
@@ -143,7 +143,7 @@ def test_transport_counters():
     world = World(seed=5)
     world.spawn(2)
     Probe(world.process("p01"))
-    world.u_send("p00", "p01", "probe", 1)
+    world.transport.u_send("p00", "p01", "probe", 1)
     world.run_for(50.0)
     counters = world.metrics.counters
     assert counters.get("net.sent") == 1
@@ -155,9 +155,9 @@ def test_transport_layer_attribution():
     world = World(seed=6)
     world.spawn(2)
     Probe(world.process("p01"))
-    world.u_send("p00", "p01", "probe", 1)  # default layer
-    world.u_send("p00", "p01", "probe", 2, layer="fd")
-    world.u_send("p00", "p01", "probe", 3, layer="abcast")
+    world.transport.u_send("p00", "p01", "probe", 1)  # default layer
+    world.transport.u_send("p00", "p01", "probe", 2, layer="fd")
+    world.transport.u_send("p00", "p01", "probe", 3, layer="abcast")
     world.run_for(50.0)
     counters = world.metrics.counters
     assert counters.get("net.sent") == 3

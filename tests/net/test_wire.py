@@ -199,7 +199,7 @@ def _ping_world(link: LinkModel):
     world.spawn(2)
     arrivals = []
     world.process("p01").register_port("ping", lambda src, p: arrivals.append(world.now))
-    world.u_send("p00", "p01", "ping", ("hello", Blob(4096)), layer="other")
+    world.transport.u_send("p00", "p01", "ping", ("hello", Blob(4096)), layer="other")
     world.run_for(5_000.0)
     return world, arrivals
 

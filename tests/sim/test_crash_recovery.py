@@ -86,7 +86,7 @@ def test_transport_drops_datagrams_addressed_to_dead_incarnation():
     got = []
     world.process("p01").register_port("sink", lambda src, p: got.append(p))
     world.start()
-    world.u_send("p00", "p01", "sink", "in-flight")
+    world.transport.u_send("p00", "p01", "sink", "in-flight")
     world.crash("p01")
     world.process("p01").recover()
     world.process("p01").register_port("sink", lambda src, p: got.append(p))
@@ -103,7 +103,7 @@ def test_transport_drops_datagrams_sent_by_dead_incarnation():
     got = []
     world.process("p01").register_port("sink", lambda src, p: got.append(p))
     world.start()
-    world.u_send("p00", "p01", "sink", "from-the-grave")
+    world.transport.u_send("p00", "p01", "sink", "from-the-grave")
     world.crash("p00")
     world.process("p00").recover()
     world.run_for(50.0)

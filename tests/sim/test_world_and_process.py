@@ -49,7 +49,7 @@ def test_component_start_called_once(world):
 def test_transport_delivers_between_processes(world):
     world.spawn(2)
     echo = Echo(world.process("p01"))
-    world.u_send("p00", "p01", "echo", {"k": 1})
+    world.transport.u_send("p00", "p01", "echo", {"k": 1})
     world.run_for(100.0)
     assert echo.received == [("p00", {"k": 1})]
 
@@ -58,7 +58,7 @@ def test_crashed_process_receives_nothing(world):
     world.spawn(2)
     echo = Echo(world.process("p01"))
     world.crash("p01")
-    world.u_send("p00", "p01", "echo", "lost")
+    world.transport.u_send("p00", "p01", "echo", "lost")
     world.run_for(100.0)
     assert echo.received == []
     assert world.alive() == ["p00"]
@@ -76,7 +76,7 @@ def test_crash_suppresses_scheduled_timers(world):
 
 def test_unknown_port_is_traced_not_fatal(world):
     world.spawn(1)
-    world.u_send("p00", "p00", "nope", None)
+    world.transport.u_send("p00", "p00", "nope", None)
     world.run_for(10.0)
     assert world.trace.count(event="unknown_port") == 1
 
@@ -102,11 +102,11 @@ def test_partition_blocks_messages(world):
     world.spawn(2)
     echo = Echo(world.process("p01"))
     world.split([["p00"], ["p01"]])
-    world.u_send("p00", "p01", "echo", "blocked")
+    world.transport.u_send("p00", "p01", "echo", "blocked")
     world.run_for(50.0)
     assert echo.received == []
     world.heal()
-    world.u_send("p00", "p01", "echo", "through")
+    world.transport.u_send("p00", "p01", "echo", "through")
     world.run_for(50.0)
     assert echo.received == [("p00", "through")]
 
@@ -114,7 +114,7 @@ def test_partition_blocks_messages(world):
 def test_partition_cuts_in_flight_messages(world):
     world.spawn(2)
     echo = Echo(world.process("p01"))
-    world.u_send("p00", "p01", "echo", "in-flight")
+    world.transport.u_send("p00", "p01", "echo", "in-flight")
     world.split([["p00"], ["p01"]])  # split before delivery event fires
     world.run_for(50.0)
     assert echo.received == []
@@ -158,12 +158,12 @@ def test_past_split_and_heal_clamp_to_now(world):
     world.run_for(200.0)
     world.split([["p00"], ["p01"]], at=10.0)
     world.run_for(0.0)
-    world.u_send("p00", "p01", "echo", "blocked")
+    world.transport.u_send("p00", "p01", "echo", "blocked")
     world.run_for(50.0)
     assert echo.received == []
     world.heal(at=40.0)  # also in the past
     world.run_for(0.0)
-    world.u_send("p00", "p01", "echo", "through")
+    world.transport.u_send("p00", "p01", "echo", "through")
     world.run_for(50.0)
     assert echo.received == [("p00", "through")]
     assert world.metrics.counters.get("world.fault_past_clamped") == 2
