@@ -1,6 +1,6 @@
 """Alternating parent / change pairs of the contract command, with the verdict.
 
-    python benchmarks/pairs.py PARENT --workload W --seeds 1:11 [--json FILE]
+    python benchmarks/pairs.py PARENT --workload W --seeds 1:11 [--trace] [--json FILE]
 
 Runs one pair per seed of the contract command: the ``command`` that
 ``BENCHMARK.json`` names, with ``--workload W --seed N --seconds S
@@ -15,6 +15,11 @@ least nine tenths of the pairs (ties count for neither) and the medians
 differ by more than the distance between the parent's quartiles.  Last, whether every
 exact metric — anything measured on the simulated clock or counted —
 is identical pair for pair.
+
+With ``--trace`` each pair also runs the traced contract form
+(``--trace 1``) on both sides, and the tool prints both sides' medians
+of every ``*.host_self_us_per_op`` and ``*.calls_per_op``: where a
+host-time saving sits, layer by layer.
 
 Each side runs the benchmark code of its own revision.  Run nothing else
 on the machine meanwhile: host time is the claim.
@@ -42,6 +47,8 @@ HOST_METRICS = ("setup_s", "host_ops_per_s", "host_peak_rss_mb")
 CLAIMED = "host_ops_per_s"
 #: Share of the pairs the change must win to claim a gain.
 WIN_SHARE = 0.9
+#: Suffixes of the traced per-layer metrics ``--trace`` tabulates.
+TRACED_SUFFIXES = (".host_self_us_per_op", ".calls_per_op")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -98,11 +105,12 @@ def contract_metrics() -> dict[str, str]:
     return {entry["name"]: entry["better"] for entry in contract()["end_to_end"]}
 
 
-def contract_command(workload: str, seed: int) -> list[str]:
-    """The contract command for one run, from BENCHMARK.json."""
+def contract_command(workload: str, seed: int, trace: bool = False) -> list[str]:
+    """The contract command for one run, from BENCHMARK.json: the
+    end-to-end form, or with ``trace`` the traced per-layer form."""
     spec = contract()
     return [*spec["command"], "--workload", workload, "--seed", str(seed),
-            "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+            "--seconds", str(spec["run_seconds"]), "--trace", "1" if trace else "0"]
 
 
 def export(revision: str, into: Path) -> Path:
@@ -119,10 +127,10 @@ def export(revision: str, into: Path) -> Path:
     return into
 
 
-def run_side(root: Path, workload: str, seed: int) -> dict:
+def run_side(root: Path, workload: str, seed: int, trace: bool = False) -> dict:
     """One contract run in ``root``; its last stdout line, parsed."""
     done = subprocess.run(
-        contract_command(workload, seed), cwd=root, capture_output=True, text=True
+        contract_command(workload, seed, trace), cwd=root, capture_output=True, text=True
     )
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -132,7 +140,9 @@ def run_side(root: Path, workload: str, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
-def run_pairs(parent_root: Path, workload: str, seeds: list[int]) -> list[dict]:
+def run_pairs(
+    parent_root: Path, workload: str, seeds: list[int], trace: bool = False
+) -> list[dict]:
     roots = {"parent": parent_root, "change": _ROOT}
     runs = []
     for index, seed in enumerate(seeds):
@@ -140,6 +150,8 @@ def run_pairs(parent_root: Path, workload: str, seeds: list[int]) -> list[dict]:
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             pair[side] = run_side(roots[side], workload, seed)
+        if trace:
+            pair["traced"] = {side: run_side(roots[side], workload, seed, True) for side in order}
         values = {side: pair[side]["metrics"] for side in ("parent", "change")}
         print(f"[pairs] seed {seed} ({order[0]} first): " + ", ".join(
             f"{name} {values['parent'][name]['value']:.6g} -> {values['change'][name]['value']:.6g}"
@@ -183,6 +195,30 @@ def report(runs: list[dict]) -> bool:
     return result.claimed and identical and healthy
 
 
+def traced_medians(runs: list[dict]) -> list[tuple[str, float, float]]:
+    """``(metric, parent median, change median)`` of every traced
+    ``*.host_self_us_per_op`` and ``*.calls_per_op``, in the order the
+    traced runs list them."""
+    first = runs[0]["traced"]["parent"]["metrics"]
+    names = [name for name in first if name.endswith(TRACED_SUFFIXES)]
+    return [
+        (name, *(
+            statistics.median(run["traced"][side]["metrics"][name]["value"] for run in runs)
+            for side in ("parent", "change")
+        ))
+        for name in names
+    ]
+
+
+def report_traced(runs: list[dict]) -> None:
+    """Print :func:`traced_medians` with each ratio (base: parent)."""
+    print(f"\ntraced medians over {len(runs)} pair(s)")
+    print(f"{'metric':40s} {'parent':>10s} {'change':>10s} {'ratio':>7s}")
+    for name, parent, change in traced_medians(runs):
+        ratio = f"{change / parent:7.3f}" if parent else f"{'-':>7s}"
+        print(f"{name:40s} {parent:10.6g} {change:10.6g} {ratio}")
+
+
 def seed_range(text: str) -> list[int]:
     """``A:B`` -> seeds A..B-1; ``A,B,C`` -> those."""
     if ":" in text:
@@ -196,14 +232,19 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent", help="git revision of the parent")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1:11"))
+    parser.add_argument("--trace", action="store_true",
+                        help="also run the traced form and tabulate per-layer host time")
     parser.add_argument("--json", type=Path, help="write every run here")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
         parent_root = export(args.parent, Path(tmp))
-        runs = run_pairs(parent_root, args.workload, args.seeds)
+        runs = run_pairs(parent_root, args.workload, args.seeds, args.trace)
     if args.json:
         args.json.write_text(json.dumps(runs, indent=2) + "\n")
-    return 0 if report(runs) else 1
+    ok = report(runs)
+    if args.trace:
+        report_traced(runs)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 medians further apart than the parent's quartiles."""
 
 import pytest
-from pairs import contract, contract_command, quartiles, seed_range, verdict
+from pairs import contract, contract_command, quartiles, seed_range, traced_medians, verdict
 
 PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]
 
@@ -60,6 +60,34 @@ def test_the_command_is_the_contract_command():
     assert command[len(spec["command"]):] == [
         "--workload", "bank_commute", "--seed", "7",
         "--seconds", str(spec["run_seconds"]), "--trace", "0",
+    ]
+
+
+def test_the_traced_command_differs_only_in_its_trace_flag():
+    plain = contract_command("bulk_ring", 3)
+    traced = contract_command("bulk_ring", 3, trace=True)
+    assert traced[:-1] == plain[:-1] and (plain[-1], traced[-1]) == ("0", "1")
+
+
+def traced_run(**values):
+    return {"metrics": {name.replace("__", "."): {"value": value, "unit": "-"}
+                        for name, value in values.items()}}
+
+
+def test_traced_medians_are_per_layer_host_time_and_calls_only():
+    readings = [(10.0, 100.0, 7.0), (30.0, 300.0, 8.0), (20.0, 200.0, 9.0)]
+    runs = [
+        {"traced": {
+            "parent": traced_run(fd__host_self_us_per_op=us, fd__calls_per_op=calls,
+                                 fd__msgs_per_op=msgs),
+            "change": traced_run(fd__host_self_us_per_op=us / 2, fd__calls_per_op=calls - 50,
+                                 fd__msgs_per_op=msgs),
+        }}
+        for us, calls, msgs in readings
+    ]
+    assert traced_medians(runs) == [
+        ("fd.host_self_us_per_op", 20.0, 10.0),
+        ("fd.calls_per_op", 200.0, 150.0),
     ]
 
 

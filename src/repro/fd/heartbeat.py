@@ -30,7 +30,7 @@ the process's reliable channel (*suppression*) sends a heartbeat to a
 peer only when nothing at all has been handed to the transport for it
 for a whole ``heartbeat_interval`` — our outbound traffic already proves
 our liveness to them (what traffic cannot do is *ask*: see
-``_must_ask`` for the one heartbeat that goes out regardless).  Even
+``_keepalive`` for the one heartbeat that goes out regardless).  Even
 then the keep-alive goes out as whatever the channel owes that peer —
 its buffered segments, else the ACK it is holding
 (:meth:`ReliableChannel.flush_toward`) — and as a heartbeat only if it
@@ -63,8 +63,10 @@ timeout after the keep-alive that would have come next: ``staleness``).
 Fresh evidence only moves expiries later, so the armed timer is left
 alone (it fires early, finds nothing expired and re-arms); evidence from
 a peer *currently suspected* re-scans at once.  The detector keeps what
-these scans read — ``last_heard``, incarnations, keep-alive deadlines —
-and nothing else.
+these scans and its keep-alive pass read — ``last_heard``, incarnations,
+cadences, keep-alive deadlines, what each peer's heartbeat said — in one
+record per peer, and nothing else: the tap and the pass read each peer's
+record once.
 
 **One suspicion object.**  A monitor is what a layer is *built with*:
 it reads ``monitor.suspects`` and subscribes to the edges
@@ -83,9 +85,9 @@ generic broadcast's closer, consensus's ``coordinator(0)``, the ring's
 head — so the small timeout is paid on the 2(n−1) links to and from it
 instead of on all n(n−1).  Five rules, each stated where it is code:
 :func:`watcher` (R1), :class:`StarMonitor` (R2 first-hand watching, R5
-reports), ``_cadence_of`` (R3 cadence follows the readers; the exclusion
+reports), ``_cadence`` (R3 cadence follows the readers; the exclusion
 monitor stays a first-hand mesh at its own) and ``_on_heartbeat`` /
-``_must_ask`` (R4 answer in kind).  DESIGN.md §8 has the ◇S argument.
+``_keepalive`` (R4 answer in kind).  DESIGN.md §8 has the ◇S argument.
 
 The detector is unreliable in the sense of Chandra–Toueg [10]: it can
 suspect correct processes (small timeouts, message loss, partitions) and
@@ -107,6 +109,7 @@ from repro.sim.scheduler import DUE_SLACK, Timer
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.net.reliable import ReliableChannel
+    from repro.net.transport import Route
 
 PORT = "fd.hb"
 REPORT_PORT = "fd.report"
@@ -205,7 +208,7 @@ class Monitor:
     def reads(self, peer: str) -> bool:
         """Whether this monitor needs the link from ``peer`` kept warm at
         its own timeout (what we owe ``peer`` in return, see
-        :meth:`HeartbeatFailureDetector._cadence_of`): it watches every
+        :meth:`HeartbeatFailureDetector._cadence`): it watches every
         peer first-hand."""
         return True
 
@@ -215,11 +218,11 @@ class Monitor:
         return False
 
     def _heard(self, peer: str) -> None:
-        """Evidence from ``peer`` arrived.  A monitor suspecting it revises
-        at once; otherwise its timer merely fires early and re-arms — a
-        scan per datagram would be O(n) on the hot path for nothing."""
-        if peer in self.suspects:
-            self._check()
+        """Evidence from ``peer``, whom this monitor suspects, arrived:
+        revise at once.  The tap calls this for suspects only; evidence
+        from a trusted peer merely makes the timer fire early and re-arm
+        — a scan per datagram would be O(n) on the hot path for nothing."""
+        self._check()
 
     def _arm(self, when: float) -> None:
         """Scan at ``when`` — unless a scan is due sooner anyway: one that
@@ -342,8 +345,7 @@ class StarMonitor(Monitor):
         super().restart()
 
     def _heard(self, peer: str) -> None:
-        if peer in self.suspects:
-            self._check(heard=peer)
+        self._check(heard=peer)
 
     def _check(self, heard: str | None = None) -> None:
         if not self.active:
@@ -367,7 +369,7 @@ class StarMonitor(Monitor):
             entered |= entering
             if (first_hand, senior) != (self.first_hand, self._senior):
                 self.first_hand, self._senior = first_hand, senior
-                detector._cadence.clear()  # ahead of the scan, which reads it
+                detector._forget_cadence()  # ahead of the scan, which reads it
             self._scan(first_hand)
             if watcher(members, self.suspects) == first:
                 break
@@ -441,6 +443,37 @@ class StarMonitor(Monitor):
         self._check()  # a retraction may have changed the watcher
 
 
+class _Peer:
+    """What the detector keeps about one peer, in one record: the
+    evidence the monitors read, what the link owes it and what it said."""
+
+    __slots__ = ("pid", "heard", "incarnation", "interval", "asks", "said", "said_until",
+                 "deadline", "kept", "route")
+
+    def __init__(self, pid: str, route: "Route") -> None:
+        self.pid = pid
+        #: When the peer was last heard, and its highest incarnation
+        #: heard (None = never heard).
+        self.heard: float | None = None
+        self.incarnation: int | None = None
+        #: (R3, R4) The longest silence the link owes the peer on our
+        #: readers' account and whether a heartbeat to it asks — None
+        #: until read (see ``_cadence``), again whenever a monitor
+        #: changes its mind.
+        self.interval: float | None = None
+        self.asks = False
+        #: (R4) What the peer's latest heartbeat said — whether it watches
+        #: us first-hand — and until when that holds: one small timeout.
+        self.said: bool | None = None
+        self.said_until = float("-inf")
+        #: When the next heartbeat to the peer falls due, as of the
+        #: keep-alive pass numbered ``kept`` (see ``_keepalive``).
+        self.deadline = 0.0
+        self.kept = -1
+        #: The transport route to the peer: when we last sent it anything.
+        self.route = route
+
+
 class HeartbeatFailureDetector(Component):
     """Shared liveness evidence + any number of per-client monitors."""
 
@@ -460,18 +493,15 @@ class HeartbeatFailureDetector(Component):
         #: by default (the paper's constant stream); the new architecture
         #: stack passes its own.
         self._channel = channel
-        self._last_heard: dict[str, float] = {}
-        self._incarnations: dict[str, int] = {}
+        #: One record per peer heard from, watched or kept warm.
+        self._peers: dict[str, _Peer] = {}
         self._reincarnation_listeners: list[ReincarnationCallback] = []
         self._monitors: list[Monitor] = []
         self._small_timeout = 0.0  # of the fastest monitor held (see ``_read_by``)
-        self._cadence: dict[str, tuple[float, bool]] = {}  # see ``_cadence_of``
-        #: When the next heartbeat to each peer falls due (see ``_keepalive``).
-        self._deadlines: dict[str, float] = {}
+        #: Keep-alive passes so far: a deadline set by an earlier pass than
+        #: the last one belongs to a peer that left the set meanwhile.
+        self._passes = 0
         self._timer: Timer | None = None
-        #: (R4) What each peer's latest heartbeat said — whether it watches
-        #: us first-hand — and until when that holds: one small timeout.
-        self._said: dict[str, tuple[bool, float]] = {}
         # Bound handles: one increment per datagram-scale event — the
         # dominant background work in long runs.
         counters = process.world.metrics.counters
@@ -506,14 +536,23 @@ class HeartbeatFailureDetector(Component):
         Always a new list: the tap may be iterating the old one."""
         self._monitors = monitors
         self._small_timeout = min((m.timeout for m in monitors), default=0.0)
-        self._cadence.clear()
+        self._forget_cadence()
+
+    def _peer(self, pid: str) -> _Peer:
+        """The record of ``pid``, made on first use."""
+        peer = self._peers.get(pid)
+        if peer is None:
+            peer = self._peers[pid] = _Peer(pid, self.world.transport.route(self.pid, pid))
+        return peer
 
     def last_heard(self, pid: str) -> float | None:
-        return self._last_heard.get(pid)
+        peer = self._peers.get(pid)
+        return None if peer is None else peer.heard
 
     def incarnation_of(self, pid: str) -> int | None:
         """Highest incarnation heard from ``pid`` (None = never heard)."""
-        return self._incarnations.get(pid)
+        peer = self._peers.get(pid)
+        return None if peer is None else peer.incarnation
 
     def on_reincarnation(self, listener: ReincarnationCallback) -> None:
         """Register ``listener(pid, incarnation)`` fired when liveness
@@ -526,9 +565,15 @@ class HeartbeatFailureDetector(Component):
     # ------------------------------------------------------------------
     # Heartbeat machinery
     # ------------------------------------------------------------------
-    def _cadence_of(self, peer: str) -> tuple[float, bool]:
-        """What the monitors held here make of the link to ``peer``, until
-        one of them changes its mind (``_cadence`` is cleared then).
+    def _forget_cadence(self) -> None:
+        """A monitor changed its mind: every link's cadence is read anew."""
+        for peer in self._peers.values():
+            peer.interval = None
+
+    def _cadence(self, peer: _Peer) -> float:
+        """What the monitors held here make of the link to ``peer``, read
+        once until one of them changes its mind (:meth:`_forget_cadence`);
+        returns the interval.
         (R3) The longest silence ``peer`` is owed on their account:
         ``heartbeat_interval`` where the fastest of them reads the link
         (watching is mutual, R1 — and a detector cannot see its peers'
@@ -536,16 +581,17 @@ class HeartbeatFailureDetector(Component):
         quarter of the fastest timeout that does read it.  (R4) And what a
         heartbeat to ``peer`` says: a monitor that does not watch
         everybody watches *you* first-hand — answer in kind."""
-        known = self._cadence.get(peer)
-        if known is None:
-            monitors = self._monitors
-            reader = min((m.timeout for m in monitors if m.reads(peer)), default=0.0)
-            interval = self.heartbeat_interval
-            if reader > self._small_timeout:
-                interval = max(interval, reader / SILENCES_PER_TIMEOUT)
-            asks = any(m.asks(peer) for m in monitors)
-            known = self._cadence[peer] = (interval, asks)
-        return known
+        if peer.interval is not None:
+            return peer.interval
+        pid = peer.pid
+        monitors = self._monitors
+        reader = min((m.timeout for m in monitors if m.reads(pid)), default=0.0)
+        interval = self.heartbeat_interval
+        if reader > self._small_timeout:
+            interval = max(interval, reader / SILENCES_PER_TIMEOUT)
+        peer.asks = any(m.asks(pid) for m in monitors)
+        peer.interval = interval
+        return interval
 
     def staleness(self, peer: str) -> float:
         """How much older than on a fast link ``peer``'s last datagram may
@@ -558,78 +604,93 @@ class HeartbeatFailureDetector(Component):
         ``peer`` allows toward us is the one we allow toward it.  Zero
         wherever the small-timeout monitor reads, and in every
         traditional stack.)"""
-        return self._cadence_of(peer)[0] - self.heartbeat_interval
-
-    def _told(self, peer: str, asks: bool) -> bool:
-        """Whether ``peer``'s latest heartbeat said ``asks`` and still holds."""
-        said = self._said.get(peer)
-        return said is not None and said[0] is asks and said[1] > self.now
+        record = self._peers.get(peer) or self._peer(peer)
+        return self._cadence(record) - self.heartbeat_interval
 
     def _interval(self, peer: str) -> float:
         """The longest silence ``peer`` is owed: what our own readers make
         it, or ``heartbeat_interval`` while it has asked (R4)."""
-        return self._owed(peer)[0]
+        return self._owed(self._peer(peer))
 
-    def _owed(self, peer: str) -> tuple[float, bool]:
-        """:meth:`_interval` and whether a heartbeat to ``peer`` asks, from
-        one read of the link's cadence."""
-        interval, asks = self._cadence_of(peer)
-        if interval > self.heartbeat_interval and self._told(peer, True):
-            return self.heartbeat_interval, asks
-        return interval, asks
-
-    def _must_ask(self, peer: str) -> bool:
-        """Traffic proves our liveness to ``peer`` but cannot ask it for
-        its own.  The question goes out regardless while the peer answers
-        only because it is asked (its heartbeats say it does not watch
-        us), or is silent: its cadence toward us may be the slow one."""
-        if self._told(peer, False):
-            return True
-        heard = self._last_heard.get(peer)
-        return heard is None or self.now - heard >= self.heartbeat_interval
+    def _owed(self, peer: _Peer) -> float:
+        """:meth:`_interval` of a record."""
+        interval = self._cadence(peer)
+        if (
+            interval > self.heartbeat_interval
+            and peer.said is True
+            and peer.said_until > self.now
+        ):
+            return self.heartbeat_interval
+        return interval
 
     def _keepalive(self) -> None:
         """Send the keep-alives that have fallen due (or will within the
         slack) and sleep until the next deadline.  A deadline is looked at
         again only once reached: traffic sent meanwhile has moved it,
         which counts as one suppressed heartbeat — and so does a due
-        keep-alive that goes out as what the channel owed the peer."""
-        now = self.now
-        transport = self.world.transport
+        keep-alive that goes out as what the channel owed the peer.
+
+        Each peer's record is read once.  (R4) A heartbeat asks the
+        question regardless of traffic — traffic proves our liveness but
+        cannot ask for the peer's — while the peer answers only because
+        it is asked (its heartbeats say it does not watch us), or is
+        silent: its cadence toward us may be the slow one."""
+        now = self._scheduler._now
+        beat = self.heartbeat_interval
         channel = self._channel
-        deadlines: dict[str, float] = {}
-        for peer in self.peer_provider():
-            if peer == self.pid:
+        peers = self._peers
+        last_pass = self._passes
+        self._passes = this_pass = last_pass + 1
+        wake = None
+        for pid in self.peer_provider():
+            if pid == self.pid:
                 continue
-            deadline = self._deadlines.get(peer, now)  # a new peer is owed one at once
-            interval, asks = self._owed(peer)
+            peer = peers.get(pid) or self._peer(pid)
+            # A peer new to the set is owed one at once; one that left is
+            # forgotten (its deadline is from an older pass).
+            deadline = peer.deadline if peer.kept == last_pass else now
+            interval = peer.interval
+            if interval is None:
+                interval = self._cadence(peer)
+            said_holds = peer.said_until > now
+            if interval > beat and said_holds and peer.said is True:
+                interval = beat
             due_by = now + interval * KEEPALIVE_SLACK + DUE_SLACK
             if deadline <= due_by:
-                suppress = channel is not None and not (asks and self._must_ask(peer))
-                sent = transport.last_sent(self.pid, peer) if suppress else None
+                suppress = channel is not None
+                if suppress and peer.asks:
+                    heard = peer.heard
+                    suppress = not (
+                        (said_holds and peer.said is False)
+                        or heard is None
+                        or now - heard >= beat
+                    )
+                sent = peer.route.last_sent if suppress else None
                 if sent is not None and sent + interval > due_by:
                     # Our own traffic since proved our liveness to this peer.
                     self._inc_suppressed()
                     deadline = sent + interval
-                elif suppress and channel.flush_toward(peer):
+                elif suppress and channel.flush_toward(pid):
                     # What the channel owed this peer left instead.
                     self._inc_suppressed()
                     deadline = now + interval
                 else:
                     self._inc_explicit()
-                    self.world.transport.u_send(self.pid, peer, PORT, asks, layer="fd")
+                    self.world.transport.u_send(self.pid, pid, PORT, peer.asks, layer="fd")
                     deadline = now + interval
-            deadlines[peer] = deadline
-        # Peers that left the set are forgotten; with nobody to talk to,
-        # look for peers again one interval on.
-        self._deadlines = deadlines
-        wake = min(deadlines.values(), default=now + self.heartbeat_interval)
+            peer.deadline = deadline
+            peer.kept = this_pass
+            if wake is None or deadline < wake:
+                wake = deadline
+        # With nobody to talk to, look for peers again one interval on.
+        if wake is None:
+            wake = now + beat
         self._timer = self.schedule(max(0.0, wake - now), self._keepalive)
 
     def _hurry(self, peers: Collection[str]) -> None:
         """The silence owed to ``peers`` just shrank: their heartbeat is due now."""
-        for peer in peers:
-            self._deadlines[peer] = self.now
+        for pid in peers:
+            self._peer(pid).deadline = self.now
         if self._timer is not None:
             self._timer.cancel()
             self._keepalive()
@@ -642,8 +703,9 @@ class HeartbeatFailureDetector(Component):
         datagrams, never sight."""
         if not self._monitors:
             return  # nothing to ask for, and every link is fast already
-        slow = asks and self._interval(src) > self.heartbeat_interval
-        self._said[src] = (asks, self.now + self._small_timeout)
+        peer = self._peers.get(src) or self._peer(src)
+        slow = asks and self._owed(peer) > self.heartbeat_interval
+        peer.said, peer.said_until = asks, self._scheduler._now + self._small_timeout
         if slow:
             self._inc_answered()
             self._hurry((src,))
@@ -656,21 +718,24 @@ class HeartbeatFailureDetector(Component):
         heartbeat included, refreshes ``last_heard``.  A higher incarnation
         means the peer crashed and came back: whoever listens (monitoring)
         hears of it first.  A *lower* one is a stale pre-crash datagram —
-        it must never vouch for the recovered process.
+        it must never vouch for the recovered process.  A monitor hears
+        of it only if it suspects ``src``.
         """
         if src == self.pid:
             return
-        known = self._incarnations.get(src)
+        peer = self._peers.get(src) or self._peer(src)
+        known = peer.incarnation
         if known != incarnation:
             if known is not None and incarnation < known:
                 return
-            self._incarnations[src] = incarnation
+            peer.incarnation = incarnation
             if known is not None:
                 self.trace("reincarnated", peer=src, incarnation=incarnation)
                 for listener in self._reincarnation_listeners:
                     listener(src, incarnation)
-        self._last_heard[src] = self.now
+        peer.heard = self._scheduler._now
         if port != PORT:
             self._inc_tap()
         for mon in self._monitors:
-            mon._heard(src)
+            if src in mon.suspects:
+                mon._heard(src)

@@ -2,34 +2,63 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable
 
 
 class Counters:
-    """A bag of named monotonically increasing counters."""
+    """A bag of named monotonically increasing counters.
+
+    A counter exists from its first increment on, in the order of first
+    increments; the backing mapping is a plain ``dict`` (a ``Counter``
+    subclass takes the interpreter's slow path on every item access).
+    """
 
     def __init__(self) -> None:
-        self._values: Counter[str] = Counter()
+        self._values: dict[str, int] = {}
 
     def inc(self, name: str, amount: int = 1) -> None:
-        self._values[name] += amount
+        values = self._values
+        try:
+            values[name] += amount
+        except KeyError:
+            values[name] = amount
 
-    def handle(self, name: str) -> Callable[[int], None]:
-        """A pre-resolved increment callable for one counter.
+    def handle(self, *names: str) -> Callable[..., None]:
+        """A pre-resolved increment callable for one or more counters.
 
         Hot paths (one increment per simulated datagram) pay for an
-        f-string format plus a method lookup on every ``inc`` call;
-        a handle resolves the name once so the per-event cost is a
-        single dict ``__setitem__``.  Handles stay valid across
+        f-string format plus a method lookup on every ``inc`` call; a
+        handle resolves the names once, so a bump is one closure call
+        plus one dict update per counter.  A handle of one name takes
+        ``amount`` (default 1).  A handle of several takes one amount per
+        name and updates them in the order named: the transport's six
+        counters of a datagram are one call.  Handles stay valid across
         :meth:`clear` — the backing mapping is cleared in place.
         """
         values = self._values
+        if len(names) == 1:
+            (name,) = names
 
-        def bump(amount: int = 1) -> None:
-            values[name] += amount
+            def bump(amount: int = 1) -> None:
+                try:
+                    values[name] += amount
+                except KeyError:
+                    values[name] = amount
 
-        return bump
+            return bump
+
+        def bump_each(*amounts: int) -> None:
+            # An index, not ``zip``: this runs once per datagram, and the
+            # iterator pair costs more than the six updates it feeds.
+            i = 0
+            for name in names:
+                try:
+                    values[name] += amounts[i]
+                except KeyError:
+                    values[name] = amounts[i]
+                i += 1
+
+        return bump_each
 
     def get(self, name: str) -> int:
         return self._values.get(name, 0)

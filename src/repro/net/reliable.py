@@ -80,11 +80,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.net.wire import INT_BYTES, datagram_size, payload_size, tuple_size
 from repro.sim.process import Component, Process
 from repro.sim.scheduler import DUE_SLACK, Timer
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.net.transport import Route
 
 PORT = "rc"
 
@@ -164,12 +167,46 @@ class _Pending:
     transmits: int = 0
 
 
-class _Rto:
-    """One peer's round-trip estimator and retransmission timer."""
+class _Peer:
+    """Everything the channel keeps about one peer, in one record: both
+    directions of the connection, the coalescing buffer and the owed
+    ACK, the round-trip estimator and the retransmission timer, and the
+    transport route the datagrams take.  A reincarnation of the peer
+    resets the connection fields of this one record."""
 
-    __slots__ = ("srtt", "rttvar", "base", "backoff", "timer")
+    __slots__ = (
+        "pid", "route", "incarnation", "next_seq", "outbox", "discard_floor",
+        "next_expected", "reorder", "sendbuf", "flush_due", "ack_timer",
+        "srtt", "rttvar", "base", "backoff", "timer",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, pid: str, route: "Route") -> None:
+        self.pid = pid
+        self.route = route
+        #: Highest incarnation observed; a jump resets the connection.
+        #: An unknown peer is at incarnation 0 by definition (every
+        #: process starts there): send state built before first contact
+        #: belongs to the incarnation-0 connection.
+        self.incarnation = 0
+        self.next_seq = 0
+        #: Unacknowledged segments, seq-ascending by construction
+        #: (appended in send order; a reincarnation rebuilds it ascending).
+        self.outbox: deque[_Pending] = deque()
+        #: Sequence floor left behind by :meth:`ReliableChannel.discard`:
+        #: seqs below it may have been dropped unsent and will never be
+        #: retransmitted, so a receiver stalled below the floor (the
+        #: excluded peer rejoined on the same connection) is told to
+        #: skip ahead with a GAP datagram instead of waiting forever.
+        self.discard_floor = 0
+        self.next_expected = 0
+        self.reorder: dict[int, tuple[str, Any]] = {}
+        #: Segments awaiting a coalesced flush, and whether one is posted.
+        self.sendbuf: list[_Pending] = []
+        self.flush_due = False
+        #: The hold timer of an owed ACK, which sends it on its own
+        #: should no datagram go this way first (coalescing only).
+        self.ack_timer: Timer | None = None
+        # The round-trip estimator (RFC 6298) and retransmission timer.
         self.srtt: float | None = None
         self.rttvar = 0.0
         #: The RTO before back-off: ``RTO_MIN`` until the first sample.
@@ -224,33 +261,13 @@ class ReliableChannel(Component):
         super().__init__(process, "rc")
         self.coalesce_delay = coalesce_delay
         self.max_segment_batch = max(1, max_segment_batch)
-        self._next_seq: dict[str, int] = {}
-        #: Unacknowledged segments per peer, seq-ascending by construction
-        #: (appended in send order; a reincarnation rebuilds it ascending).
-        self._outbox: dict[str, deque[_Pending]] = {}
-        self._rto: dict[str, _Rto] = {}
-        #: Per-peer sequence floor left behind by :meth:`discard`: seqs
-        #: below it may have been dropped unsent and will never be
-        #: retransmitted, so a receiver stalled below the floor (the
-        #: excluded peer rejoined on the same connection) is told to
-        #: skip ahead with a GAP datagram instead of waiting forever.
-        self._discard_floor: dict[str, int] = {}
-        self._next_expected: dict[str, int] = {}
-        self._reorder_buffer: dict[str, dict[int, tuple[str, Any]]] = {}
-        #: Highest incarnation observed per peer; a jump resets the
-        #: connection state for that peer (crash-recovery model).
-        self._peer_incarnation: dict[str, int] = {}
+        #: One record per peer (see :class:`_Peer`).
+        self._peers: dict[str, _Peer] = {}
         self._stuck_listeners: list[Callable[[str, float], None]] = []
-        #: Segments awaiting a coalesced flush, per peer (coalescing only).
-        self._sendbuf: dict[str, list[_Pending]] = {}
-        self._flush_scheduled: set[str] = set()
-        #: Peers owed an ACK, with the hold timer that sends it on its own
-        #: should no datagram go their way first (coalescing only).
-        self._ack_owed: dict[str, Timer] = {}
         counters = self.world.metrics.counters
         self._counters = counters
         self._spans = self.world.trace.spans
-        self._inc_sent = counters.handle("rc.sent")
+        self._transport = self.world.transport
         self._inc_delivered = counters.handle("rc.delivered")
         self._inc_retransmits = counters.handle("rc.retransmits")
         self._inc_duplicates = counters.handle("rc.duplicates_received")
@@ -259,13 +276,21 @@ class ReliableChannel(Component):
         self._inc_batches = counters.handle("rc.batches")
         self._inc_coalesced = counters.handle("rc.segments_coalesced")
         self._inc_piggybacked = counters.handle("rc.acks_piggybacked")
-        #: Per port: its ``rc.sent.port.<port>`` handle and its wire bytes.
+        #: Per port: the handle of ``rc.sent`` and ``rc.sent.port.<port>``,
+        #: and the port's wire bytes.
         self._ports: dict[str, tuple[Callable, int]] = {}
         self.register_port(PORT, self._on_datagram)
 
     @property
     def incarnation(self) -> int:
         return self.process.incarnation
+
+    def _peer(self, pid: str) -> _Peer:
+        """The record of ``pid``, made on first contact either way."""
+        peer = self._peers.get(pid)
+        if peer is None:
+            peer = self._peers[pid] = _Peer(pid, self._transport.route(self.pid, pid))
+        return peer
 
     # ------------------------------------------------------------------
     # Sending
@@ -290,73 +315,70 @@ class ReliableChannel(Component):
             self._send(dst, port, payload, layer, size)
 
     def _send(self, dst: str, port: str, payload: Any, layer: str, size: int | None) -> None:
-        self._inc_sent()
         known = self._ports.get(port)
         if known is None:
             known = self._ports[port] = (
-                self._counters.handle(f"rc.sent.port.{port}"),
+                self._counters.handle("rc.sent", f"rc.sent.port.{port}"),
                 payload_size(port),
             )
-        known[0]()
+        known[0](1, 1)
         if dst == self.pid:
             # Local delivery: immediate, reliable and ordered by the
             # scheduler; no acks needed.
-            self.schedule(0.0, self.process.dispatch, port, self.pid, payload)
+            self.process.post(0.0, self.process.dispatch, port, dst, payload)
             return
         if size is None:
             size = payload_size(payload)
-        now = self.now
-        seq = self._next_seq.get(dst, 0)
-        self._next_seq[dst] = seq + 1
+        now = self._scheduler._now
+        peer = self._peers.get(dst) or self._peer(dst)
+        seq = peer.next_seq
+        peer.next_seq = seq + 1
         pending = _Pending(seq, port, payload, now, layer, size)
-        outbox = self._outbox.get(dst)
-        if outbox is None:
-            outbox = self._outbox[dst] = deque()
-            self._rto[dst] = _Rto()
-        outbox.append(pending)
-        self._ensure_armed(dst)
+        peer.outbox.append(pending)
+        self._ensure_armed(peer)
         spans = self._spans
         if spans.enabled:
             pending.span = spans.begin(self.pid, layer, f"rc:{port}", "queue", now)
         if self.coalesce_delay is None:
             pending.last_sent = now
             pending.transmits = 1
-            self._transmit_data(dst, pending, layer)
+            self._transmit_data(peer, pending, layer)
             if pending.span is not None:
                 # No coalescing wait on the direct path: zero queue time.
                 pending.span.end = now
             return
-        buffered = self._sendbuf.setdefault(dst, [])
+        buffered = peer.sendbuf
         buffered.append(pending)
         if len(buffered) >= self.max_segment_batch:
-            self._flush(dst)
-        elif dst not in self._flush_scheduled:
-            self._flush_scheduled.add(dst)
-            last = self.world.transport.last_sent(self.pid, dst)
+            self._flush(peer)
+        elif not peer.flush_due:
+            peer.flush_due = True
+            last = peer.route.last_sent
             idle = last is None or now - last >= self.coalesce_delay
-            self.schedule(INSTANT if idle else self.coalesce_delay, self._flush, dst)
+            self.process.post(INSTANT if idle else self.coalesce_delay, self._flush, peer)
 
-    def _flush(self, dst: str) -> None:
-        """Send everything buffered for ``dst`` as one BATCH datagram.
+    def _flush(self, peer: _Peer) -> None:
+        """Send everything buffered for ``peer`` as one BATCH datagram.
 
         The datagram is attributed to the first segment's layer — a
         packed datagram is one wire message, and mixed batches are rare
         enough that finer attribution is not worth a per-segment counter.
         """
-        self._flush_scheduled.discard(dst)
-        buffered = self._sendbuf.pop(dst, None)
+        peer.flush_due = False
+        buffered = peer.sendbuf
         if not buffered:
             return
+        peer.sendbuf = []
         # Close every segment's queue span (the coalescing wait ends
         # here); the wire datagram rides under the first segment's span.
-        now = self.now
+        now = self._scheduler._now
         for e in buffered:
             e.last_sent = now
             e.transmits = 1
             if e.span is not None:
                 e.span.end = now
         if len(buffered) == 1:
-            self._transmit_data(dst, buffered[0], buffered[0].layer)
+            self._transmit_data(peer, buffered[0], buffered[0].layer)
             return
         self._inc_batches()
         self._inc_coalesced(len(buffered) - 1)
@@ -365,22 +387,22 @@ class ReliableChannel(Component):
         # batch must not absorb the abcast payload bodies packed behind
         # it, or the ordering-vs-dissemination byte split is noise.
         split = [(e.layer, e.size) for e in buffered]
-        self._transmit_batch(dst, buffered, buffered[0].layer, split)
+        self._transmit_batch(peer, buffered, buffered[0].layer, split)
 
     def _segment_bytes(self, entry: _Pending) -> int:
         """Wire bytes of a segment's three items ``(seq, port, payload)``."""
         return INT_BYTES + self._ports[entry.port][1] + entry.size
 
-    def _transmit_data(self, dst: str, entry: _Pending, layer: str) -> None:
+    def _transmit_data(self, peer: _Peer, entry: _Pending, layer: str) -> None:
         """One segment as one DATA datagram (its items follow the header)."""
         self._transmit(
-            entry.span, dst, "DATA", (entry.seq, entry.port, entry.payload), layer,
+            entry.span, peer, "DATA", (entry.seq, entry.port, entry.payload), layer,
             self._segment_bytes(entry),
         )
 
     def _transmit_batch(
         self,
-        dst: str,
+        peer: _Peer,
         entries: list[_Pending],
         layer: str,
         byte_split: list[tuple[str, int]] | None = None,
@@ -388,28 +410,28 @@ class ReliableChannel(Component):
         """Several segments as one BATCH datagram: one tuple of segments."""
         segments = tuple((e.seq, e.port, e.payload) for e in entries)
         items = tuple_size(sum(tuple_size(self._segment_bytes(e)) for e in entries))
-        self._transmit(entries[0].span, dst, "BATCH", (segments,), layer, items, byte_split)
+        self._transmit(entries[0].span, peer, "BATCH", (segments,), layer, items, byte_split)
 
     def _transmit(
         self,
         span: Any,
-        dst: str,
+        peer: _Peer,
         kind: str,
         body: tuple,
         layer: str,
         body_bytes: int,
         byte_split: list[tuple[str, int]] | None = None,
     ) -> None:
-        """Put one datagram for ``dst`` on the wire.
+        """Put one datagram for ``peer`` on the wire.
 
         ``body_bytes`` is the wire size of the ``body`` items, which the
         caller knows without walking them; the transport is handed the
         datagram's size, so nothing is sized twice.
 
         Whatever its kind, it opens with the same header — our
-        incarnation, the incarnation we believe ``dst`` to run and the
+        incarnation, the incarnation we believe ``peer`` to run and the
         cumulative ACK for the reverse direction — so an ACK owed to
-        ``dst`` rides it and its hold timer is cancelled.
+        ``peer`` rides it and its hold timer is cancelled.
         The ACK field is the channel's own overhead: its bytes go to
         ``rc``, not to the layer of the data it rides.
 
@@ -417,31 +439,29 @@ class ReliableChannel(Component):
         datagram's transit span chains to the segment's queue span —
         including for retransmissions long after the original send.
         """
-        held = self._ack_owed.pop(dst, None)
+        held = peer.ack_timer
         if held is not None:
+            peer.ack_timer = None
             held.cancel()
             if kind != "ACK":
                 self._inc_piggybacked()
         datagram = (
-            kind,
-            self.incarnation,
-            self._peer_incarnation.get(dst, 0),
-            self._next_expected.get(dst, 0),
+            kind, self.process.incarnation, peer.incarnation, peer.next_expected
         ) + body
         if layer != "rc":
             byte_split = _ACK_FIELD if byte_split is None else byte_split + _ACK_FIELD
         size = datagram_size(_HEAD_BYTES[kind] + body_bytes)
         if span is None:
-            self.world.transport.u_send(
-                self.pid, dst, PORT, datagram, layer=layer, byte_split=byte_split, size=size
+            self._transport.u_send(
+                self.pid, peer.pid, PORT, datagram, layer=layer, byte_split=byte_split, size=size
             )
             return
         spans = self._spans
         prev = spans._current
         spans._current = span
         try:
-            self.world.transport.u_send(
-                self.pid, dst, PORT, datagram, layer=layer, byte_split=byte_split, size=size
+            self._transport.u_send(
+                self.pid, peer.pid, PORT, datagram, layer=layer, byte_split=byte_split, size=size
             )
         finally:
             spans._current = prev
@@ -461,22 +481,24 @@ class ReliableChannel(Component):
         the DECIDE that carries ``remove(dst)`` is typically among them,
         and a member that removes itself learns of it no other way.
         """
-        self._flush(dst)
-        dropped = self._outbox.get(dst)
-        self._discard_floor[dst] = self._next_seq.get(dst, 0)
+        peer = self._peer(dst)
+        self._flush(peer)
+        dropped = peer.outbox
+        peer.discard_floor = peer.next_seq
         if dropped:
             self.trace("discard", dst=dst, count=len(dropped))
             dropped.clear()
-            self._disarm(self._rto[dst])
+            self._disarm(peer)
 
     def unacked(self, dst: str) -> int:
-        return len(self._outbox.get(dst, ()))
+        peer = self._peers.get(dst)
+        return 0 if peer is None else len(peer.outbox)
 
     def oldest_unacked_age(self, dst: str) -> float:
-        pending = self._outbox.get(dst)
-        if not pending:
+        peer = self._peers.get(dst)
+        if peer is None or not peer.outbox:
             return 0.0
-        return self.now - pending[0].first_sent
+        return self.now - peer.outbox[0].first_sent
 
     def on_stuck(self, listener: Callable[[str, float], None]) -> None:
         """Register an output-triggered suspicion listener.
@@ -493,7 +515,10 @@ class ReliableChannel(Component):
     # ------------------------------------------------------------------
     def _on_datagram(self, src: str, datagram: tuple) -> None:
         kind, incarnation, believes_us, ack = datagram[:4]
-        if not self._note_peer_incarnation(src, incarnation):
+        peer = self._peers.get(src) or self._peer(src)
+        if incarnation != peer.incarnation and not self._note_peer_incarnation(
+            peer, incarnation
+        ):
             self.world.metrics.counters.inc("net.stale_incarnation_dropped")
             return
         if believes_us != self.process.incarnation:
@@ -503,79 +528,79 @@ class ReliableChannel(Component):
             # our real incarnation) so the peer learns of us and resets.
             self.world.metrics.counters.inc("rc.stale_connection_dropped")
             if kind != "ACK":
-                self._send_ack(src)
+                self._send_ack(peer)
             return
-        self._on_ack(src, ack)
+        self._on_ack(peer, ack)
         if kind == "DATA":
             seq, port, payload = datagram[4:]
-            self._admit(src, seq, port, payload)
-            self._request_ack(src)
+            self._admit(peer, seq, port, payload)
+            self._request_ack(peer)
         elif kind == "BATCH":
             for seq, port, payload in datagram[4]:
-                self._admit(src, seq, port, payload)
+                self._admit(peer, seq, port, payload)
                 if self.process.crashed:
                     return
             # One cumulative ACK covers the whole batch.
-            self._request_ack(src)
+            self._request_ack(peer)
         elif kind == "GAP":
-            self._skip_hole(src, datagram[4])
-            self._request_ack(src)
+            self._skip_hole(peer, datagram[4])
+            self._request_ack(peer)
 
-    def _send_ack(self, src: str) -> None:
-        self._transmit(None, src, "ACK", (), "rc", 0)
+    def _send_ack(self, peer: _Peer) -> None:
+        self._transmit(None, peer, "ACK", (), "rc", 0)
 
     def flush_toward(self, dst: str) -> bool:
         """Transmit now what the channel holds for ``dst`` — its buffered
         segments, else the ACK it owes — and say whether a datagram left.
         A due keep-alive goes out as this datagram instead of a heartbeat."""
-        if self._sendbuf.get(dst):
-            self._flush(dst)
-        elif dst in self._ack_owed:
-            self._send_ack(dst)
+        peer = self._peers.get(dst)
+        if peer is None:
+            return False
+        if peer.sendbuf:
+            self._flush(peer)
+        elif peer.ack_timer is not None:
+            self._send_ack(peer)
         else:
             return False
         return True
 
-    def _request_ack(self, src: str) -> None:
-        """Owe ``src`` an ACK.  Without coalescing it is sent at once.
-        With it, the ACK rides the next datagram that goes to ``src``
+    def _request_ack(self, peer: _Peer) -> None:
+        """Owe ``peer`` an ACK.  Without coalescing it is sent at once.
+        With it, the ACK rides the next datagram that goes to ``peer``
         anyway — a reply, a consensus ACK, a DECIDE — and is sent on its
         own only if none has gone after ``ACK_HOLD`` ms (it is cumulative,
         so delaying it is always safe).  Data is never flushed early for
         an ACK's sake."""
         if self.coalesce_delay is None:
-            self._send_ack(src)
-        elif src not in self._ack_owed:
-            self._ack_owed[src] = self.schedule(ACK_HOLD, self._send_ack, src)
+            self._send_ack(peer)
+        elif peer.ack_timer is None:
+            peer.ack_timer = self.schedule(ACK_HOLD, self._send_ack, peer)
 
-    def _note_peer_incarnation(self, src: str, incarnation: int) -> bool:
-        """Track ``src``'s incarnation; returns False for stale traffic.
+    def _note_peer_incarnation(self, peer: _Peer, incarnation: int) -> bool:
+        """Track the peer's incarnation; returns False for stale traffic.
 
         On a jump the peer has recovered from a crash: its old connection
         state (receive counters, reorder buffer) is void, and anything
         still unacknowledged towards it must be re-sent on the new
         connection — renumbered from zero, in the original FIFO order.
         """
-        # An unknown peer is at incarnation 0 by definition (every process
-        # starts there): send state built before first contact belongs to
-        # the incarnation-0 connection and must be renumbered on a jump.
-        known = self._peer_incarnation.get(src, 0)
+        known = peer.incarnation
         if incarnation < known:
             return False
         if incarnation > known:
-            self.trace("peer_reincarnated", peer=src, incarnation=incarnation)
+            self.trace("peer_reincarnated", peer=peer.pid, incarnation=incarnation)
             self.world.metrics.counters.inc("rc.peer_reincarnations")
-            self._next_expected.pop(src, None)
-            self._reorder_buffer.pop(src, None)
+            peer.next_expected = 0
+            peer.reorder = {}
             # The new connection is renumbered from zero; an exclusion
             # hole in the old numbering is meaningless on it.
-            self._discard_floor.pop(src, None)
+            peer.discard_floor = 0
             # Coalescing buffers hold old-connection sequence numbers;
             # their segments are in the outbox and get renumbered below.
-            self._sendbuf.pop(src, None)
-            self._flush_scheduled.discard(src)
-            pending = self._outbox.get(src)
-            self._next_seq.pop(src, None)
+            peer.sendbuf = []
+            peer.flush_due = False
+            pending = peer.outbox
+            peer.next_seq = 0
             if pending:
                 # A new connection: first transmissions again (so the
                 # ACKs they draw are clean samples), no back-off.
@@ -586,38 +611,40 @@ class ReliableChannel(Component):
                 ]
                 pending.clear()
                 pending.extend(entries)
-                self._next_seq[src] = len(entries)
-                self._peer_incarnation[src] = incarnation
-                self._rto[src].backoff = 0
-                self._ensure_armed(src)
+                peer.next_seq = len(entries)
+                peer.incarnation = incarnation
+                peer.backoff = 0
+                self._ensure_armed(peer)
                 for e in entries:
-                    self._transmit_data(src, e, e.layer)
-        self._peer_incarnation[src] = incarnation
+                    self._transmit_data(peer, e, e.layer)
+        peer.incarnation = incarnation
         return True
 
-    def _admit(self, src: str, seq: int, port: str, payload: Any) -> None:
+    def _admit(self, peer: _Peer, seq: int, port: str, payload: Any) -> None:
         """Run one DATA segment through the reorder buffer (no ACK —
         the caller acknowledges once per datagram / coalescing window)."""
-        expected = self._next_expected.get(src, 0)
-        buffer = self._reorder_buffer.setdefault(src, {})
+        expected = peer.next_expected
+        buffer = peer.reorder
         if seq < expected or seq in buffer:
             self._inc_duplicates()
             return
         buffer[seq] = (port, payload)
-        self._drain(src, buffer, expected)
+        self._drain(peer, buffer, expected)
 
-    def _drain(self, src: str, buffer: dict[int, tuple[str, Any]], expected: int) -> None:
+    def _drain(self, peer: _Peer, buffer: dict[int, tuple[str, Any]], expected: int) -> None:
         """Dispatch the contiguous run of ``buffer`` from ``expected`` on."""
+        process = self.process
+        src = peer.pid
         while expected in buffer:
             port, payload = buffer.pop(expected)
             expected += 1
-            self._next_expected[src] = expected
+            peer.next_expected = expected
             self._inc_delivered()
-            self.process.dispatch(port, src, payload)
-            if self.process.crashed:
+            process.dispatch(port, src, payload)
+            if process.crashed:
                 return
 
-    def _skip_hole(self, src: str, floor: int) -> None:
+    def _skip_hole(self, peer: _Peer, floor: int) -> None:
         """Advance past a sender-declared discard hole (GAP datagram).
 
         Everything below ``floor`` was addressed to this process's
@@ -627,35 +654,33 @@ class ReliableChannel(Component):
         and are dropped with it; delivery resumes contiguously from the
         floor.
         """
-        expected = self._next_expected.get(src, 0)
-        if floor <= expected:
+        if floor <= peer.next_expected:
             return
-        buffer = self._reorder_buffer.setdefault(src, {})
+        buffer = peer.reorder
         stale = [seq for seq in buffer if seq < floor]
         for seq in stale:
             del buffer[seq]
-        self._next_expected[src] = floor
+        peer.next_expected = floor
         self.world.metrics.counters.inc("rc.gap_skips")
-        self.trace("gap_skip", src=src, floor=floor, dropped=len(stale))
-        self._drain(src, buffer, floor)
+        self.trace("gap_skip", src=peer.pid, floor=floor, dropped=len(stale))
+        self._drain(peer, buffer, floor)
 
-    def _on_ack(self, src: str, ack_up_to: int) -> None:
-        pending = self._outbox.get(src)
+    def _on_ack(self, peer: _Peer, ack_up_to: int) -> None:
+        pending = peer.outbox
         if pending and pending[0].seq < ack_up_to:
             head = pending.popleft()
             while pending and pending[0].seq < ack_up_to:
                 pending.popleft()
-            rto = self._rto[src]
             # Karn's rule, on the oldest segment the ACK covers: younger
             # ones may have sat in the receiver's reorder buffer waiting
             # for a retransmitted head, which is not a round trip.
             if head.transmits == 1:
                 self._inc_rtt_samples()
-                rto.sample(self.now - head.last_sent)
+                peer.sample(self._scheduler._now - head.last_sent)
             if not pending:
-                self._disarm(rto)
-        floor = self._discard_floor.get(src, 0)
-        if ack_up_to < floor < self._next_seq.get(src, 0):
+                self._disarm(peer)
+        floor = peer.discard_floor
+        if ack_up_to < floor < peer.next_seq:
             # The receiver is waiting for a segment below the discard
             # floor — we dropped it on exclusion and will never resend
             # it.  The peer has rejoined (we sent it something above the
@@ -665,56 +690,55 @@ class ReliableChannel(Component):
             # is merely an old one: a notice now could overtake the last
             # transmission :meth:`discard` made and void it.
             self.world.metrics.counters.inc("rc.gap_notices")
-            self._transmit(None, src, "GAP", (floor,), "rc", INT_BYTES)
+            self._transmit(None, peer, "GAP", (floor,), "rc", INT_BYTES)
 
     # ------------------------------------------------------------------
     # Retransmission + output-triggered suspicion
     # ------------------------------------------------------------------
-    def _ensure_armed(self, dst: str) -> None:
-        """Arm the timer towards ``dst`` one RTO out unless it is running
+    def _ensure_armed(self, peer: _Peer) -> None:
+        """Arm the timer towards ``peer`` one RTO out unless it is running
         (``active`` rather than ``is None``: a timer that came due while
         the process was crashed has fired without running)."""
-        rto = self._rto[dst]
-        if rto.timer is None or not rto.timer.active:
-            rto.timer = self.schedule(rto.timeout(), self._on_timeout, dst)
+        timer = peer.timer
+        if timer is None or not timer.active:
+            peer.timer = self.schedule(peer.timeout(), self._on_timeout, peer)
 
     @staticmethod
-    def _disarm(rto: _Rto) -> None:
-        if rto.timer is not None:
-            rto.timer.cancel()
-            rto.timer = None
+    def _disarm(peer: _Peer) -> None:
+        if peer.timer is not None:
+            peer.timer.cancel()
+            peer.timer = None
 
-    def _on_timeout(self, dst: str) -> None:
-        """The retransmission timer towards ``dst`` expired: re-send what
+    def _on_timeout(self, peer: _Peer) -> None:
+        """The retransmission timer towards ``peer`` expired: re-send what
         has been out for a whole RTO, back off, report the age of the
         oldest unacked segment to the ``on_stuck`` listeners, and
         re-arm for the segment that falls due next."""
-        rto = self._rto[dst]
-        rto.timer = None
-        pending = self._outbox[dst]
+        peer.timer = None
+        pending = peer.outbox
         if not pending:
             return
         now = self.now
-        timeout = rto.timeout()
+        timeout = peer.timeout()
         sent_before = now - timeout + DUE_SLACK
         due = [p for p in pending if p.transmits and p.last_sent <= sent_before]
         if due:
             if timeout < RTO_MAX:
-                rto.backoff += 1
+                peer.backoff += 1
                 self._inc_backoffs()
-                timeout = rto.timeout()
-            self._retransmit(dst, due)
+                timeout = peer.timeout()
+            self._retransmit(peer, due)
         age = now - pending[0].first_sent
-        # Listeners may send (arming the timer) or discard ``dst``.
+        # Listeners may send (arming the timer) or discard the peer.
         for listener in self._stuck_listeners:
-            listener(dst, age)
-        if pending and rto.timer is None:
+            listener(peer.pid, age)
+        if pending and peer.timer is None:
             oldest = min((p.last_sent for p in pending if p.transmits), default=now)
-            rto.timer = self.schedule(
-                max(0.0, oldest + timeout - now), self._on_timeout, dst
+            peer.timer = self.schedule(
+                max(0.0, oldest + timeout - now), self._on_timeout, peer
             )
 
-    def _retransmit(self, dst: str, entries: list[_Pending]) -> None:
+    def _retransmit(self, peer: _Peer, entries: list[_Pending]) -> None:
         now = self.now
         for entry in entries:
             entry.last_sent = now
@@ -726,6 +750,6 @@ class ReliableChannel(Component):
         for i in range(0, len(entries), step):
             chunk = entries[i:i + step]
             if len(chunk) == 1:
-                self._transmit_data(dst, chunk[0], "rc")
+                self._transmit_data(peer, chunk[0], "rc")
             else:
-                self._transmit_batch(dst, chunk, "rc")
+                self._transmit_batch(peer, chunk, "rc")

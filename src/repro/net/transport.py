@@ -27,10 +27,21 @@ for the failure-detection component:
   recovered process.  Sinks are themselves incarnation-fenced — a sink
   registered by a dead incarnation's component stops firing the moment
   the process recovers.
-* **last-sent tracking** — ``last_sent(src, dst)`` reports when ``src``
-  last handed the transport any datagram for ``dst``.  The failure
-  detector uses it to *suppress* explicit heartbeats on links our own
-  traffic already keeps warm.
+* **last-sent tracking** — ``route(src, dst).last_sent`` is when ``src``
+  last handed the transport any datagram for ``dst`` (None = never).
+  Send-time, not delivery-time: a lost datagram still counts — the
+  sender cannot know, exactly as with piggybacked liveness over a real
+  network.  The failure detector uses it to *suppress* explicit
+  heartbeats on links our own traffic already keeps warm (the
+  suppression window bounds the resulting evidence gap to one heartbeat
+  period), the reliable channel to tell an idle link from a busy one.
+
+**One route per link.**  Everything the per-datagram path reads about a
+directed pair — its link model, its last-sent slot, the two processes
+whose incarnations stamp and fence the datagram, its counter handles —
+lives in one :class:`Route`, made on first use and looked up once per
+datagram.  The failure detector and the reliable channel hold the
+routes of their own links.
 """
 
 from __future__ import annotations
@@ -42,7 +53,33 @@ from repro.net.wire import wire_size
 from repro.sim.randomness import fork_rng
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.sim.process import Process
     from repro.sim.world import World
+
+
+class Route:
+    """One directed link as the datagram path reads it.
+
+    ``link`` follows :meth:`UnreliableTransport.set_link` and the
+    transport's ``default_link``; the process ends are filled in once
+    they exist (an end that does not exist has incarnation 0).
+    """
+
+    __slots__ = ("src", "dst", "loopback", "link", "last_sent", "src_process",
+                 "dst_process", "bumps")
+
+    def __init__(self, src: str, dst: str, link: LinkModel) -> None:
+        self.src = src
+        self.dst = dst
+        self.loopback = src == dst
+        self.link = link
+        #: When ``src`` last handed the transport a datagram for ``dst``.
+        self.last_sent: float | None = None
+        self.src_process: "Process | None" = None
+        self.dst_process: "Process | None" = None
+        #: (layer, port) -> the counter handles of one datagram (see
+        #: :meth:`UnreliableTransport._bumps`).
+        self.bumps: dict[tuple[str, str], tuple] = {}
 
 
 class UnreliableTransport:
@@ -50,30 +87,20 @@ class UnreliableTransport:
 
     def __init__(self, world: "World", default_link: LinkModel = LAN) -> None:
         self.world = world
-        self.default_link = default_link
+        self._default_link = default_link
         self._links: dict[tuple[str, str], LinkModel] = {}
+        self._routes: dict[tuple[str, str], Route] = {}
         self._rng = fork_rng(world.seed, "transport")
         self._spans = world.trace.spans
-        # Counters resolved once into handles: the send path bumps six per
-        # datagram.
+        self._scheduler = world.scheduler
         counters = world.metrics.counters
         self._counters = counters
-        self._inc_sent = counters.handle("net.sent")
-        self._inc_bytes = counters.handle("net.bytes")
         self._inc_delivered = counters.handle("net.delivered")
         self._inc_dropped_partition = counters.handle("net.dropped.partition")
         self._inc_dropped_loss = counters.handle("net.dropped.loss")
         self._inc_dropped_crashed = counters.handle("net.dropped.crashed")
         self._inc_duplicated = counters.handle("net.duplicated")
         self._inc_stale = counters.handle("net.stale_incarnation_dropped")
-        #: (src, layer, port) -> the handles of one datagram's counters
-        #: ``net.bytes.sent.<src>`` (per-sender wire bytes, the
-        #: measurement half of bandwidth-*balanced* dissemination — the
-        #: aggregate ``net.bytes`` cannot show whether the load sits on
-        #: one NIC or is spread around a ring), ``net.sent.<layer>``,
-        #: ``net.bytes.<layer>`` and ``net.sent.port.<port>``, and the
-        #: sender's last-sent map.
-        self._send_keys: dict[tuple[str, str, str], tuple] = {}
         #: layer -> the ``net.bytes.<layer>`` handle, for a byte split.
         self._byte_keys: dict[str, Callable[[int], None]] = {}
         #: pid -> (incarnation at registration, sink).  One sink per
@@ -81,18 +108,43 @@ class UnreliableTransport:
         #: overwrites, and the stored incarnation fences out callbacks
         #: into components of a dead incarnation.
         self._liveness_sinks: dict[str, tuple[int, Callable[[str, int, str], None]]] = {}
-        #: src pid -> {dst pid -> time of last datagram handed to us}.
-        self._last_sent: dict[str, dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
+    @property
+    def default_link(self) -> LinkModel:
+        return self._default_link
+
+    @default_link.setter
+    def default_link(self, model: LinkModel) -> None:
+        """Every link without its own model follows the default."""
+        self._default_link = model
+        for key, route in self._routes.items():
+            if key not in self._links:
+                route.link = model
+
     def set_link(self, src: str, dst: str, model: LinkModel) -> None:
         """Override the link model for one directed pair."""
         self._links[(src, dst)] = model
+        self.route(src, dst).link = model
 
     def link(self, src: str, dst: str) -> LinkModel:
-        return self._links.get((src, dst), self.default_link)
+        return self._links.get((src, dst), self._default_link)
+
+    def route(self, src: str, dst: str) -> Route:
+        """The one :class:`Route` of the directed pair, made on first use."""
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[(src, dst)] = Route(src, dst, self.link(src, dst))
+            self._resolve(route)
+        return route
+
+    def _resolve(self, route: Route) -> None:
+        """Fill in whichever process ends of ``route`` exist by now."""
+        processes = self.world.processes
+        route.src_process = processes.get(route.src)
+        route.dst_process = processes.get(route.dst)
 
     # ------------------------------------------------------------------
     # Traffic-aware liveness hooks
@@ -109,31 +161,25 @@ class UnreliableTransport:
         """
         self._liveness_sinks[process.pid] = (process.incarnation, sink)
 
-    def last_sent(self, src: str, dst: str) -> float | None:
-        """When ``src`` last sent ``dst`` any datagram (None = never).
-
-        Send-time, not delivery-time: a lost datagram still counts — the
-        sender cannot know, exactly as with piggybacked liveness over a
-        real network.  The suppression window bounds the resulting
-        evidence gap to one heartbeat period.
-        """
-        per_dst = self._last_sent.get(src)
-        return None if per_dst is None else per_dst.get(dst)
-
     # ------------------------------------------------------------------
     # Datagram service
     # ------------------------------------------------------------------
-    def _keys(self, key: tuple[str, str, str]) -> tuple:
-        src, layer, port = key
+    def _bumps(self, route: Route, layer: str, port: str) -> tuple:
+        """The counter handles of a datagram on ``route`` from ``layer`` to
+        ``port``: ``net.sent``, ``net.bytes``, ``net.bytes.sent.<src>``
+        (per-sender wire bytes, the measurement half of bandwidth-
+        *balanced* dissemination — the aggregate ``net.bytes`` cannot show
+        whether the load sits on one NIC or is spread around a ring),
+        ``net.sent.<layer>``, ``net.bytes.<layer>`` and
+        ``net.sent.port.<port>`` as one handle; and the same six split
+        around a byte split, whose layers are charged between them."""
+        names = ("net.sent", "net.bytes", f"net.bytes.sent.{route.src}", f"net.sent.{layer}")
+        tail = (f"net.bytes.{layer}", f"net.sent.port.{port}")
         handle = self._counters.handle
-        keys = self._send_keys[key] = (
-            handle(f"net.bytes.sent.{src}"),
-            handle(f"net.sent.{layer}"),
-            handle(f"net.bytes.{layer}"),
-            handle(f"net.sent.port.{port}"),
-            self._last_sent.setdefault(src, {}),
+        bumps = route.bumps[(layer, port)] = (
+            handle(*names, *tail), handle(*names), handle(*tail)
         )
-        return keys
+        return bumps
 
     def u_send(
         self,
@@ -176,18 +222,16 @@ class UnreliableTransport:
         """
         if size is None:
             size = wire_size(payload)
-        key = (src, layer, port)
-        keys = self._send_keys.get(key)
-        if keys is None:
-            keys = self._keys(key)
-        inc_pid_bytes, inc_layer_sent, inc_layer_bytes, inc_port_sent, per_dst = keys
-        self._inc_sent()
-        self._inc_bytes(size)
-        inc_pid_bytes(size)
-        inc_layer_sent()
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self.route(src, dst)
+        bumps = route.bumps.get((layer, port))
+        if bumps is None:
+            bumps = self._bumps(route, layer, port)
         if byte_split is None:
-            inc_layer_bytes(size)
+            bumps[0](1, size, size, 1, size, 1)
         else:
+            bumps[1](1, size, size, 1)
             accounted = 0
             byte_keys = self._byte_keys
             for seg_layer, seg_bytes in byte_split:
@@ -196,58 +240,56 @@ class UnreliableTransport:
                     inc = byte_keys[seg_layer] = self._counters.handle(f"net.bytes.{seg_layer}")
                 inc(seg_bytes)
                 accounted += seg_bytes
-            inc_layer_bytes(size - accounted)
-        inc_port_sent()
-        now = self.world.scheduler._now
-        per_dst[dst] = now
+            bumps[2](size - accounted, 1)
+        now = self._scheduler._now
+        route.last_sent = now
         # Partitions are checked once, at delivery time (the authoritative
-        # check: the simulated wire is cut for in-flight traffic too); the
-        # old send-time pre-check was a duplicate on the hot path.
-        model = self.link(src, dst)
-        if src != dst and model.drops(self._rng):
+        # check: the simulated wire is cut for in-flight traffic too).
+        # A loopback datagram is never lost, duplicated or delayed.
+        model = route.link
+        rng = self._rng
+        loopback = route.loopback
+        if not loopback and model.drops(rng):
             self._inc_dropped_loss()
             return
-        copies = 2 if (src != dst and model.duplicates(self._rng)) else 1
-        src_inc = self._incarnation(src)
-        dst_inc = self._incarnation(dst)
-        post = self.world.scheduler.post
+        copies = 2 if (not loopback and model.duplicates(rng)) else 1
+        src_process, dst_process = route.src_process, route.dst_process
+        if src_process is None or dst_process is None:
+            self._resolve(route)
+            src_process, dst_process = route.src_process, route.dst_process
+        src_inc = 0 if src_process is None else src_process.incarnation
+        dst_inc = 0 if dst_process is None else dst_process.incarnation
+        post = self._scheduler.post
         spans = self._spans
-        transmit = 0.0 if src == dst else model.transmit_ms(size)
+        transmit = 0.0 if loopback else model.transmit_ms(size)
         for _ in range(copies):
-            delay = 0.0 if src == dst else model.sample_delay(self._rng) + transmit
+            delay = 0.0 if loopback else model.sample_delay(rng) + transmit
             # One transit span per datagram copy, child of whatever span
             # context caused this send — the causal edge of the hop.
             # Spans carry the payload's *size*, never its body: trace
             # artifacts must stay small under large-payload workloads.
-            span = (
-                spans.begin(src, layer, f"net:{port}", "transit", now)
-                if spans.enabled
-                else None
-            )
-            if span is not None:
+            span = None
+            if spans.enabled:
+                span = spans.begin(src, layer, f"net:{port}", "transit", now)
                 span.note(bytes=size)
-            post(delay, self._deliver, src, dst, port, payload, src_inc, dst_inc, span)
+            post(delay, self._deliver, route, port, payload, src_inc, dst_inc, span)
         if copies == 2:
             self._inc_duplicated()
 
-    def _incarnation(self, pid: str) -> int:
-        process = self.world.processes.get(pid)
-        return 0 if process is None else process.incarnation
-
     def _deliver(
         self,
-        src: str,
-        dst: str,
+        route: Route,
         port: str,
         payload: Any,
-        src_inc: int = 0,
-        dst_inc: int = 0,
-        span: Any = None,
+        src_inc: int,
+        dst_inc: int,
+        span: Any,
     ) -> None:
-        now = self.world.scheduler.now
         if span is not None:
-            span.end = now
-        process = self.world.processes.get(dst)
+            span.end = self._scheduler._now
+        if route.dst_process is None or route.src_process is None:
+            self._resolve(route)  # an end that did not exist at send time
+        process = route.dst_process
         if process is None or process.crashed:
             self._inc_dropped_crashed()
             if span is not None:
@@ -256,7 +298,10 @@ class UnreliableTransport:
         # Incarnation fence (crash-recovery model): the packet must have
         # been sent by the sender's *current* incarnation and addressed
         # to the receiver's *current* incarnation.
-        if self._incarnation(src) != src_inc or process.incarnation != dst_inc:
+        sender = route.src_process
+        if (0 if sender is None else sender.incarnation) != src_inc or (
+            process.incarnation != dst_inc
+        ):
             self._inc_stale()
             if span is not None:
                 span.note(dropped="stale_incarnation")
@@ -264,7 +309,8 @@ class UnreliableTransport:
         # Partitions stop messages both at send time and in flight: the
         # simulated "wire" is cut, which matches how tests expect an
         # abrupt split to behave.
-        if src != dst and not self.world.partitions.connected(src, dst):
+        src = route.src
+        if not route.loopback and not self.world.partitions.connected(src, route.dst):
             self._inc_dropped_partition()
             if span is not None:
                 span.note(dropped="partition")
@@ -273,7 +319,7 @@ class UnreliableTransport:
         # Liveness tap: every surviving datagram is evidence that its
         # sender's *current* incarnation is alive (the fences above
         # already dropped anything from a replaced incarnation).
-        entry = self._liveness_sinks.get(dst)
+        entry = self._liveness_sinks.get(route.dst)
         if entry is not None and entry[0] == process.incarnation:
             entry[1](src, src_inc, port)
         if span is None:

@@ -113,6 +113,15 @@ class Process:
             self._spans._current,
         )
 
+    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """:meth:`schedule` for an event nobody cancels: the same
+        incarnation fence and span context, no :class:`Timer` (the
+        scheduler's :meth:`~repro.sim.scheduler.Scheduler.post`)."""
+        self._scheduler.post(
+            delay, self._fire_if_alive, self.incarnation, callback, args,
+            self._spans._current,
+        )
+
     def _fire_if_alive(
         self,
         incarnation: int,
@@ -195,6 +204,9 @@ class Component:
         self.pid = process.pid
         self.world = process.world
         self._scheduler = process.world.scheduler
+        #: :meth:`Process.schedule` of the hosting process, bound once:
+        #: a component's timers die with its process's incarnation.
+        self.schedule = process.schedule
         process.add_component(self)
 
     # Convenience accessors -------------------------------------------------
@@ -211,9 +223,6 @@ class Component:
     def spans(self):
         """The world's causal span log (see ``repro.sim.tracing.SpanLog``)."""
         return self.process._spans
-
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
-        return self.process.schedule(delay, callback, *args)
 
     def register_port(self, port: str, handler: PortHandler) -> None:
         self.process.register_port(port, handler)

@@ -170,22 +170,25 @@ class Scheduler:
         """
         ran = 0
         queue = self._queue
+        heappop = heapq.heappop
         # One loop body, no helper: it runs once per simulated event, and
         # a peek-then-delegate structure pays a second heap access plus a
-        # method call per event.
+        # method call per event.  The one event past ``until`` goes back:
+        # entries are keyed by unique ``(when, tick)``, so the pop order
+        # is the same as if it had never left.
         while queue:
             if max_events is not None and ran >= max_events:
                 break
-            when, _, entry = queue[0]
+            item = heappop(queue)
+            when, _, entry = item
             if entry.__class__ is not tuple and entry.cancelled:
-                heapq.heappop(queue)
                 if self._cancelled_pending > 0:
                     self._cancelled_pending -= 1
                 continue
             if until is not None and when > until:
+                heapq.heappush(queue, item)
                 self._now = until
                 break
-            heapq.heappop(queue)
             self._now = when
             self._events_processed += 1
             if entry.__class__ is tuple:

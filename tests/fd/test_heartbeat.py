@@ -265,15 +265,21 @@ def test_stopped_monitor_is_no_longer_a_reader():
     # hears of datagrams nor holds the cadence; what is left is the slow
     # one's (it is the fastest reader now: a plain detector is back to
     # ``heartbeat_interval``) — until a star-shaped reader shows up.
+    # The tap hands a monitor the datagrams of the peers it suspects, so
+    # the probe is a suspicion of p01 that nothing revises: the fast
+    # monitor's timer is off and its ``_heard`` only records.
     world, fds = fd_world()
     fd = fds["p00"]
     fast = fd.monitor(["p01", "p02"], timeout=40.0)
     slow = fd.monitor(["p01", "p02"], timeout=2_000.0)
-    heard = []
-    fast._heard = heard.append
     world.start()
     world.run_for(50.0)
-    assert fd._monitors == [fast, slow] and "p01" in heard
+    heard = []
+    fast._heard = heard.append
+    fast._timer.cancel()
+    fast.suspects.add("p01")
+    world.run_for(50.0)
+    assert fd._monitors == [fast, slow] and "p01" in heard and "p02" not in heard
     fast.stop()
     del heard[:]
     world.run_for(50.0)

@@ -253,3 +253,30 @@ def test_a_crash_reported_while_a_member_is_blind_to_the_head_reaches_it_after_t
     assert [e[2:] for e in edges(world, 300.0) if e[1] == "p02"] == [
         ("suspect", "p00", None), ("trust", "p00", None), ("suspect", "p04", "p00"),
     ]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 14(b): a member that becomes watcher counts the exclusion timeout "
+    "from up to one slow keep-alive interval before the crash",
+)
+@pytest.mark.parametrize("head_after", [100.0, 300.0])
+def test_a_new_watcher_waits_the_whole_exclusion_timeout_of_a_crash(head_after):
+    # p03 crashes, then the head p00.  p01, the watcher now, kept p03's
+    # link warm every 500 ms until then (exclusion timeout / 4); it must
+    # still give p03 the whole exclusion timeout from the crash before
+    # it votes, as it does when the head crashes later (2 256-2 259 ms).
+    # Today it votes 1 771-1 775 ms after the crash on seeds 1-5:
+    # ``staleness`` follows the cadence of now, not of when p03 was last
+    # heard.
+    world, _stacks = idle_group()
+    world.crash("p03", at=3_000.0)
+    world.crash("p00", at=3_000.0 + head_after)
+    world.run_for(6_000.0)
+    voted = [
+        r.time - 3_000.0
+        for r in world.trace.select(pid="p01", component="monitoring")
+        if r.event == "fd_suspicion" and r.details["suspect"] == "p03"
+    ]
+    exclusion_timeout = StackConfig().monitoring.exclusion_timeout
+    assert voted and voted[0] >= exclusion_timeout

@@ -7,11 +7,16 @@ exercising every component (channel, rbcast, fd, consensus, abcast,
 gbcast, membership) must leave the ``other`` bucket empty, in both the
 datagram and the byte counters — otherwise per-layer cost claims
 silently leak traffic.
+
+The sums must hold through faults too: on a ring run with loss,
+duplication, a partition and a crash with recovery, every datagram is
+counted once per layer, per port and per sender, and reading the
+counters creates, reorders or changes none of them.
 """
 
 from __future__ import annotations
 
-from repro.core.new_stack import build_new_group
+from repro.core.new_stack import StackConfig, build_new_group, enable_recovery
 from repro.net.topology import LinkModel
 from repro.net.wire import Blob
 from repro.sim.world import World
@@ -80,3 +85,66 @@ def test_every_active_layer_has_matching_byte_counters():
     # All per-layer bytes sum to the global byte counter: the split
     # attribution loses nothing (framing remainders included).
     assert sum(got_bytes.values()) == counters.get("net.bytes")
+
+
+def _faulty_ring_run(probe=None):
+    """n = 5 on the ring overlay at 2 MB/s, with loss, duplication, a
+    partition and a crash with recovery; ``probe(counters)`` runs every
+    100 ms of simulated time."""
+    link = LinkModel(3.0, 8.0, drop_prob=0.05, dup_prob=0.05, bytes_per_ms=2_000.0)
+    world = World(seed=7, default_link=link, trace_enabled=False)
+    config = StackConfig(dissemination="ring", coalesce_delay=1.0, max_segment_batch=8)
+    stacks = build_new_group(world, 5, config=config)
+    enable_recovery(world, stacks, config=config)
+    world.start()
+    for i in range(40):
+        pid = ("p00", "p01")[i % 2]
+        payload = ("op", pid, i, Blob(4096))
+        world.scheduler.at(25.0 * i, lambda p=pid, pl=payload: bcast(stacks, p, pl))
+    world.split([["p00", "p01", "p02"], ["p03", "p04"]], at=300.0)
+    world.heal(at=700.0)
+    world.crash("p03", at=400.0)
+    world.recover("p03", at=1_500.0)
+    if probe is not None:
+        for k in range(1, 60):
+            world.scheduler.at(100.0 * k, probe, world.metrics.counters)
+    world.run_for(6_000.0)
+    return world
+
+
+def test_counter_sums_hold_on_a_faulty_ring_run():
+    world = _faulty_ring_run()
+    counters = world.metrics.counters
+    # The faults happened.
+    for name in ("net.dropped.loss", "net.duplicated", "net.dropped.partition",
+                 "net.stale_incarnation_dropped", "rc.retransmits"):
+        assert counters.get(name) > 0, name
+    assert world.processes["p03"].incarnation == 1
+    sent = counters.by_prefix("net.sent.")
+    by_port = {k: v for k, v in sent.items() if k.startswith("port.")}
+    by_layer = {k: v for k, v in sent.items() if not k.startswith("port.")}
+    assert sum(by_layer.values()) == sum(by_port.values()) == counters.get("net.sent")
+    assert counters.total("net.sent.port.") == counters.get("net.sent")
+    byte_counts = counters.by_prefix("net.bytes.")
+    by_sender = {k: v for k, v in byte_counts.items() if k.startswith("sent.")}
+    by_layer = {k: v for k, v in byte_counts.items() if not k.startswith("sent.")}
+    assert set(by_sender) == {f"sent.{pid}" for pid in world.processes}
+    assert sum(by_layer.values()) == sum(by_sender.values()) == counters.get("net.bytes")
+    assert counters.total("net.bytes.sent.") == counters.get("net.bytes")
+
+
+def test_reading_counters_changes_nothing():
+    def probe(counters):
+        before = list(counters.snapshot().items())
+        counters.get("net.sent")
+        counters.get("no.such.counter")
+        counters["no.such.counter.either"]
+        counters.by_prefix("net.sent.")
+        counters.by_prefix("no.such.")
+        counters.total("net.bytes.")
+        assert list(counters.snapshot().items()) == before
+
+    read = _faulty_ring_run(probe).metrics.counters.snapshot()
+    unread = _faulty_ring_run().metrics.counters.snapshot()
+    # The same counters, the same values, created in the same order.
+    assert list(read.items()) == list(unread.items())

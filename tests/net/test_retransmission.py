@@ -82,7 +82,7 @@ def test_no_spurious_retransmission_on_the_benched_link(seed):
         assert counters.get("rc.retransmits") == 0
         assert counters.get("rc.duplicates_received") == 0
         assert counters.get("rc.rtt_samples") > 0
-        assert 6.0 <= sender._rto["p01"].srtt <= 6.0 + 16.0 + 1.0 + ACK_HOLD
+        assert 6.0 <= sender._peers["p01"].srtt <= 6.0 + 16.0 + 1.0 + ACK_HOLD
         if echo:
             assert counters.get("rc.acks_piggybacked") > 0
             assert counters.get("net.sent.rc") <= 2  # at most the last ACK each way
@@ -151,7 +151,7 @@ def test_backoff_ends_with_the_next_clean_sample():
         sender.send("p01", "app", "cut off")
         world.run_for(500.0)  # 40 + 80 + 160 < 500: three doublings so far
         counters = world.metrics.counters
-        estimator = sender._rto["p01"]
+        estimator = sender._peers["p01"]
         assert counters.get("rc.backoffs") == estimator.backoff == 3
         world.heal()
         assert run_until(world, lambda: sink.received == ["cut off"], timeout=RTO_MAX)
