@@ -178,6 +178,13 @@ class ConsensusAtomicBroadcast(Component):
         self._callbacks: list[AdeliverFn] = []
         self._needs: list[NeedsFn] = []
         self.delivered_log: list[AppMessage] = []
+        counters = self.world.metrics.counters
+        self._count_broadcasts = counters.cell("abcast.broadcasts")
+        self._count_repaired = counters.cell("abcast.repaired")
+        self._count_instances = counters.cell("abcast.instances")
+        self._count_pipelined = counters.cell("abcast.instances_pipelined")
+        self._count_decide_first = counters.cell("abcast.decide_before_dissemination")
+        self._count_delivered = counters.cell("abcast.delivered")
         rbcast.register(MSG_TAG, self._on_rdeliver, layer="abcast")
         consensus.on_decide(self._on_decide)
         consensus.on_solicit(self._on_solicit)
@@ -199,7 +206,7 @@ class ConsensusAtomicBroadcast(Component):
         context) roots a trace keyed by the incarnation-stamped message
         id, and every hop until each process's ``adeliver`` chains to it.
         """
-        self.world.metrics.counters.inc("abcast.broadcasts")
+        self._count_broadcasts.n += 1
         self.world.metrics.latency.begin("abcast", message.id, self.now)
         self.spans.wrap(
             self.pid, "abcast", "abcast", "send", self.now, message.id,
@@ -300,7 +307,7 @@ class ConsensusAtomicBroadcast(Component):
         named it: resume a head instance blocked on it (re-sent on our
         request or late the ordinary way — rbcast does not say)."""
         if self._blocked is not None and mid in self._blocked[2]:
-            self.world.metrics.counters.inc("abcast.repaired")
+            self._count_repaired.n += 1
             self._apply_ready_batches()
             self._maybe_start_instances()
 
@@ -336,9 +343,9 @@ class ConsensusAtomicBroadcast(Component):
             self._next_proposal += 1
             self._proposal_ids[index] = batch_ids
             self._assigned.update(batch_ids)
-            self.world.metrics.counters.inc("abcast.instances")
+            self._count_instances.n += 1
             if len(self._proposal_ids) > 1:
-                self.world.metrics.counters.inc("abcast.instances_pipelined")
+                self._count_pipelined.n += 1
             # Id-only proposal: the bodies stay with rbcast.  The
             # proposer pid rides along so a process that decides before
             # dissemination knows whom to ask for a repair first.
@@ -464,7 +471,7 @@ class ConsensusAtomicBroadcast(Component):
         self._blocked = (key, proposer, frozenset(missing), namer)
         if waiting:
             return  # some of the bodies arrived: same wait, same timer
-        self.world.metrics.counters.inc("abcast.decide_before_dissemination")
+        self._count_decide_first.n += 1
         self.trace(
             "blocked", key=str(key), missing=" ".join(map(str, sorted(missing))),
             named_by=str(namer) if namer else "decision",
@@ -544,7 +551,7 @@ class ConsensusAtomicBroadcast(Component):
         del self._pending[mid]
         self._delivered.add(mid)
         self._assigned.discard(mid)
-        self.world.metrics.counters.inc("abcast.delivered")
+        self._count_delivered.n += 1
         self.world.metrics.latency.end("abcast", mid, self.now)
         self.delivered_log.append(message)
         if self.world.trace.enabled:

@@ -191,16 +191,16 @@ class ReliableBroadcast(Component):
         #: Never above our own watermark (our report is a term of the min).
         self._pruned: dict[str, int] = {}
         counters = self.world.metrics.counters
-        self._inc_broadcasts = counters.handle("rb.broadcasts")
-        self._inc_delivered = counters.handle("rb.delivered")
-        self._inc_relayed = counters.handle("rb.relayed")
-        self._inc_forwarded = counters.handle("rb.forwarded")
-        self._inc_reroutes = counters.handle("rb.reroutes")
-        self._inc_nacks = counters.handle("rb.nacks_sent")
+        self._count_broadcasts = counters.cell("rb.broadcasts")
+        self._count_delivered = counters.cell("rb.delivered")
+        self._count_relayed = counters.cell("rb.relayed")
+        self._count_forwarded = counters.cell("rb.forwarded")
+        self._count_reroutes = counters.cell("rb.reroutes")
+        self._count_nacks = counters.cell("rb.nacks_sent")
         #: Packets re-sent in answer to a NACK (the counter keeps the
         #: name the benchmark reads).
-        self._inc_repairs = counters.handle("rb.overlay_repairs")
-        self._inc_pruned = counters.handle("rb.stable_pruned")
+        self._count_repairs = counters.cell("rb.overlay_repairs")
+        self._count_pruned = counters.cell("rb.stable_pruned")
         self.register_port(PORT, self._on_message)
         self.register_port(STABILITY_PORT, self._on_stability)
         self.register_port(NACK_PORT, self._on_nack)
@@ -222,7 +222,7 @@ class ReliableBroadcast(Component):
     def rbcast(self, tag: str, payload: Any) -> MsgId:
         """Reliably broadcast ``payload`` to the current group (incl. self)."""
         mid = MsgId(self._origin, next(self._next_seq))
-        self._inc_broadcasts()
+        self._count_broadcasts.n += 1
         packet = (mid, self.pid, tag, payload)
         members = self.group_provider()
         if not self._takes_overlay(payload):
@@ -236,7 +236,7 @@ class ReliableBroadcast(Component):
                 members, self.pid, self.pid, self._suspects()
             )
             if reroutes:
-                self._inc_reroutes(reroutes)
+                self._count_reroutes.n += reroutes
             targets = ([self.pid] if self.pid in members else []) + hops
         self._send(packet, f"rb:{tag}", targets)
         return mid
@@ -278,7 +278,7 @@ class ReliableBroadcast(Component):
                 return []
             peers = [q for q in self.group_provider() if q != self.pid]
             if peers:
-                self._inc_relayed()
+                self._count_relayed.n += 1
             return peers
         if opid == self.pid:
             return []  # our own packet looped back via self-delivery
@@ -286,9 +286,9 @@ class ReliableBroadcast(Component):
             self.group_provider(), opid, self.pid, self._suspects()
         )
         if reroutes:
-            self._inc_reroutes(reroutes)
+            self._count_reroutes.n += reroutes
         if hops:
-            self._inc_forwarded()
+            self._count_forwarded.n += 1
         return hops
 
     def _on_message(self, src: str, packet: tuple) -> None:
@@ -312,7 +312,7 @@ class ReliableBroadcast(Component):
         if handler is None:
             self.trace("unhandled_tag", tag=tag, mid=str(mid))
             return
-        self._inc_delivered()
+        self._count_delivered.n += 1
         handler(origin, payload, mid)
 
     def peer_suspected(self, pid: str) -> None:
@@ -416,7 +416,7 @@ class ReliableBroadcast(Component):
         the ``rb`` port, so dedup, forwarding and the tag handlers need no
         second entry point.
         """
-        self._inc_nacks()
+        self._count_nacks.n += 1
         self.trace("nack", peer=peer)
         self.channel.send(peer, NACK_PORT, dict(self._watermarks))
 
@@ -429,7 +429,7 @@ class ReliableBroadcast(Component):
                     self._send(packets[seq], "rb:repair", [src])
                     resent += 1
         if resent:
-            self._inc_repairs(resent)
+            self._count_repairs.n += resent
             self.trace("repair", peer=src, packets=resent)
 
     def _on_stability(self, src: str, watermarks: dict[str, int]) -> None:
@@ -462,7 +462,7 @@ class ReliableBroadcast(Component):
                 if not retained:
                     del self._retained[origin]
         if pruned:
-            self._inc_pruned(pruned)
+            self._count_pruned.n += pruned
             self.trace("pruned", count=pruned)
 
     def seen_size(self) -> int:

@@ -164,6 +164,15 @@ class ChandraTouegConsensus(Component):
         #: coordinator is known *before* an instance starts.
         self.monitor = monitor
         self.monitor.subscribe(self.peer_suspected)
+        counters = self.world.metrics.counters
+        self._count_proposals = counters.cell("consensus.proposals")
+        self._count_collected = counters.cell("consensus.collected")
+        self._count_rounds = counters.cell("consensus.rounds")
+        self._count_messages = counters.cell("consensus.messages")
+        self._count_fast_path_proposals = counters.cell("consensus.fast_path_proposals")
+        self._count_decisions_broadcast = counters.cell("consensus.decisions_broadcast")
+        self._count_local_decides = counters.cell("consensus.fast_path_local_decides")
+        self._count_decided = counters.cell("consensus.decided")
         self.register_port(PORT, self._on_message)
         rbcast.register(DECIDE_TAG, self._on_decide_broadcast, layer="consensus")
 
@@ -190,7 +199,7 @@ class ChandraTouegConsensus(Component):
         inst.est = value
         inst.ts = 0
         inst.has_estimate = True
-        self.world.metrics.counters.inc("consensus.proposals")
+        self._count_proposals.n += 1
         self.trace("propose", instance=instance)
         spans = self.spans
         if spans.enabled:
@@ -220,7 +229,7 @@ class ChandraTouegConsensus(Component):
         self._decisions[instance] = _COLLECTED
         self._instances.pop(instance, None)
         self._pre_propose_buffer.pop(instance, None)
-        self.world.metrics.counters.inc("consensus.collected")
+        self._count_collected.n += 1
 
     def abandon(self, instance: InstanceKey) -> None:
         """Stop participating in an instance that will never be needed.
@@ -284,7 +293,7 @@ class ChandraTouegConsensus(Component):
         inst.round = rnd
         inst.phase = WAIT_PROPOSE
         coord = inst.coordinator(rnd)
-        self.world.metrics.counters.inc("consensus.rounds")
+        self._count_rounds.n += 1
         if self.fast_path and rnd == 0 and coord == self.pid:
             # Round-0 fast path: we are the coordinator and already hold
             # a value, so the self-addressed ESTIMATE and the majority
@@ -308,7 +317,7 @@ class ChandraTouegConsensus(Component):
     # Message handling
     # ------------------------------------------------------------------
     def _send(self, dst: str, payload: tuple) -> None:
-        self.world.metrics.counters.inc("consensus.messages")
+        self._count_messages.n += 1
         self.channel.send(dst, PORT, payload)
 
     def _on_message(self, src: str, payload: tuple) -> None:
@@ -394,7 +403,7 @@ class ChandraTouegConsensus(Component):
         inst.ts = 1  # round-0 lock, as in _handle_propose
         inst.phase = WAIT_DECIDE
         state.acks.add(self.pid)
-        self.world.metrics.counters.inc("consensus.fast_path_proposals")
+        self._count_fast_path_proposals.n += 1
         for peer in inst.participants:
             if peer != self.pid:
                 self._send(peer, ("PROPOSE", key, 0, state.proposed))
@@ -435,9 +444,8 @@ class ChandraTouegConsensus(Component):
         if state.closed or not state.has_proposed or len(state.acks) < inst.majority:
             return
         state.closed = True
-        counters = self.world.metrics.counters
-        counters.inc("consensus.decisions_broadcast")
-        counters.inc(f"consensus.decided_round_{rnd}")
+        self._count_decisions_broadcast.n += 1
+        self.world.metrics.counters.inc(f"consensus.decided_round_{rnd}")
         spans = self.spans
         if spans.enabled:
             spans.point(self.pid, "consensus", "decide:bcast", "proc", self.now).note(
@@ -448,7 +456,7 @@ class ChandraTouegConsensus(Component):
             # Local short-circuit: the majority is in, so decide here and
             # now instead of waiting for the DECIDE rbcast to loop back
             # over the self-link; its later self-delivery is a no-op.
-            counters.inc("consensus.fast_path_local_decides")
+            self._count_local_decides.n += 1
             self._decide(key, state.proposed)
 
     def _coord_on_nack(self, key: InstanceKey, inst: _Instance, rnd: int) -> None:
@@ -481,7 +489,7 @@ class ChandraTouegConsensus(Component):
         if inst is not None:
             inst.decided = True
             inst.decision = value
-        self.world.metrics.counters.inc("consensus.decided")
+        self._count_decided.n += 1
         self.trace("decide", instance=key)
         spans = self.spans
         if spans.enabled:

@@ -502,13 +502,13 @@ class HeartbeatFailureDetector(Component):
         #: the last one belongs to a peer that left the set meanwhile.
         self._passes = 0
         self._timer: Timer | None = None
-        # Bound handles: one increment per datagram-scale event — the
+        # Counter cells: one increment per datagram-scale event — the
         # dominant background work in long runs.
         counters = process.world.metrics.counters
-        self._inc_explicit = counters.handle("fd.explicit_hb")
-        self._inc_suppressed = counters.handle("fd.suppressed")
-        self._inc_tap = counters.handle("fd.tap_refreshes")
-        self._inc_answered = counters.handle("fd.answered_in_kind")
+        self._count_explicit = counters.cell("fd.explicit_hb")
+        self._count_suppressed = counters.cell("fd.suppressed")
+        self._count_tap = counters.cell("fd.tap_refreshes")
+        self._count_answered = counters.cell("fd.answered_in_kind")
         self.register_port(PORT, self._on_heartbeat)
         process.world.transport.register_liveness_sink(process, self._on_traffic)
 
@@ -668,14 +668,14 @@ class HeartbeatFailureDetector(Component):
                 sent = peer.route.last_sent if suppress else None
                 if sent is not None and sent + interval > due_by:
                     # Our own traffic since proved our liveness to this peer.
-                    self._inc_suppressed()
+                    self._count_suppressed.n += 1
                     deadline = sent + interval
                 elif suppress and channel.flush_toward(pid):
                     # What the channel owed this peer left instead.
-                    self._inc_suppressed()
+                    self._count_suppressed.n += 1
                     deadline = now + interval
                 else:
-                    self._inc_explicit()
+                    self._count_explicit.n += 1
                     self.world.transport.u_send(self.pid, pid, PORT, peer.asks, layer="fd")
                     deadline = now + interval
             peer.deadline = deadline
@@ -707,7 +707,7 @@ class HeartbeatFailureDetector(Component):
         slow = asks and self._owed(peer) > self.heartbeat_interval
         peer.said, peer.said_until = asks, self._scheduler._now + self._small_timeout
         if slow:
-            self._inc_answered()
+            self._count_answered.n += 1
             self._hurry((src,))
 
     # ------------------------------------------------------------------
@@ -735,7 +735,7 @@ class HeartbeatFailureDetector(Component):
                     listener(src, incarnation)
         peer.heard = self._scheduler._now
         if port != PORT:
-            self._inc_tap()
+            self._count_tap.n += 1
         for mon in self._monitors:
             if src in mon.suspects:
                 mon._heard(src)

@@ -77,6 +77,7 @@ from repro.abcast.consensus_based import ConsensusAtomicBroadcast
 from repro.broadcast.rbcast import ReliableBroadcast
 from repro.fd.heartbeat import Monitor, watcher
 from repro.gbcast.conflict import AckedClassIndex, ConflictRelation
+from repro.metrics.counters import Cell
 from repro.net.message import AppMessage, MsgId
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Component, Process
@@ -142,15 +143,21 @@ class ThriftyGenericBroadcast(Component):
         self.monitor = monitor
         monitor.subscribe(self.nudge)
         self.delivered_log: list[tuple[AppMessage, str]] = []
-        # Per-op bookkeeping, resolved once: counter handles, and per
-        # conflict class its ``gbcast.broadcasts.<class>`` handle and
-        # ``gbcast.<class>`` latency tag, per path its counter handle.
+        # Per-op bookkeeping, resolved once: counter cells, and per
+        # conflict class its ``gbcast.broadcasts.<class>`` cell and
+        # ``gbcast.<class>`` latency tag, per path its counter cell.
         metrics = self.world.metrics
         self._latency = metrics.latency
-        self._inc_broadcasts = metrics.counters.handle("gbcast.broadcasts")
-        self._inc_delivered = metrics.counters.handle("gbcast.delivered")
-        self._classes: dict[str, tuple[Callable[..., None], str]] = {}
-        self._paths: dict[str, Callable[..., None]] = {}
+        counters = self._counters = metrics.counters
+        self._classes: dict[str, tuple[Cell, str]] = {}
+        self._paths: dict[str, Cell] = {}
+        self._count_broadcasts = counters.cell("gbcast.broadcasts")
+        self._count_delivered = counters.cell("gbcast.delivered")
+        self._count_conflicts = counters.cell("gbcast.conflicts_detected")
+        self._count_acks_early = counters.cell("gbcast.acks_early")
+        self._count_closes_deferred = counters.cell("gbcast.closes_deferred")
+        self._count_endstages = counters.cell("gbcast.endstages")
+        self._count_tail_ordered = counters.cell("gbcast.tail_ordered")
         self.register_port(ACK_PORT, self._on_ack)
         rbcast.register(CHK_TAG, self._on_chk, layer="gbcast")
         abcast.on_adeliver(self._on_adeliver, needs=self._bodies_needed)
@@ -163,9 +170,9 @@ class ThriftyGenericBroadcast(Component):
 
     def gbcast(self, message: AppMessage) -> None:
         """Generic-broadcast ``message`` (its class drives ordering)."""
-        inc_class, tag = self._class_handles(message.msg_class)
-        self._inc_broadcasts()
-        inc_class()
+        class_count, tag = self._class_entry(message.msg_class)
+        self._count_broadcasts.n += 1
+        class_count.n += 1
         now = self.now
         self._latency.begin(tag, message.id, now)
         self.spans.wrap(
@@ -173,11 +180,11 @@ class ThriftyGenericBroadcast(Component):
             self.rbcast.rbcast, CHK_TAG, message,
         )
 
-    def _class_handles(self, msg_class: str) -> tuple[Callable[..., None], str]:
+    def _class_entry(self, msg_class: str) -> tuple[Cell, str]:
         known = self._classes.get(msg_class)
         if known is None:
             known = self._classes[msg_class] = (
-                self.world.metrics.counters.handle(f"gbcast.broadcasts.{msg_class}"),
+                self._counters.cell(f"gbcast.broadcasts.{msg_class}"),
                 f"gbcast.{msg_class}",
             )
         return known
@@ -226,7 +233,7 @@ class ThriftyGenericBroadcast(Component):
             return
         if self._ack_index.clashes(message.msg_class):
             self.trace("conflict", mid=str(message.id), cls=message.msg_class)
-            self.world.metrics.counters.inc("gbcast.conflicts_detected")
+            self._count_conflicts.n += 1
             self._close_stage("conflict")
             return
         self._acked[message.id] = message
@@ -241,7 +248,7 @@ class ThriftyGenericBroadcast(Component):
         for stage, mid in acks:
             if stage > self._stage:
                 self._early_acks.append((src, stage, mid))
-                self.world.metrics.counters.inc("gbcast.acks_early")
+                self._count_acks_early.n += 1
             elif stage == self._stage and mid not in self._delivered:
                 self._acks_received.setdefault(mid, set()).add(src)
                 self._check_fast(mid)
@@ -301,7 +308,7 @@ class ThriftyGenericBroadcast(Component):
             if self._deferred_at is None:
                 self._deferred_at = self.now
                 self.trace("close_deferred", stage=self._stage, reason=reason)
-                self.world.metrics.counters.inc("gbcast.closes_deferred")
+                self._count_closes_deferred.n += 1
                 self._watch()
             return
         self._deferred_at = None
@@ -319,8 +326,8 @@ class ThriftyGenericBroadcast(Component):
         self.trace(
             "endstage", stage=self._stage, reason=reason, size=len(closure_ids), tail=len(tail)
         )
-        self.world.metrics.counters.inc("gbcast.endstages")
-        self.world.metrics.counters.inc("gbcast.tail_ordered", len(tail))
+        self._count_endstages.n += 1
+        self._count_tail_ordered.n += len(tail)
         payload = (self._stage, tuple(closure_ids), tail)
         endstage = AppMessage(self.process.msg_ids.next(), self.pid, payload, ENDSTAGE_CLASS)
         self.abcast.abcast(endstage)
@@ -393,14 +400,12 @@ class ThriftyGenericBroadcast(Component):
         self._ack_times.pop(message.id, None)
         self._acks_received.pop(message.id, None)
         self._watch()
-        inc_path = self._paths.get(path)
-        if inc_path is None:
-            inc_path = self._paths[path] = self.world.metrics.counters.handle(
-                f"gbcast.delivered.{path}"
-            )
-        self._inc_delivered()
-        inc_path()
-        self._latency.end(self._class_handles(message.msg_class)[1], message.id, self.now)
+        path_count = self._paths.get(path)
+        if path_count is None:
+            path_count = self._paths[path] = self._counters.cell(f"gbcast.delivered.{path}")
+        self._count_delivered.n += 1
+        path_count.n += 1
+        self._latency.end(self._class_entry(message.msg_class)[1], message.id, self.now)
         self.delivered_log.append((message, path))
         if self.world.trace.enabled:
             self.trace("gdeliver", mid=str(message.id), path=path, cls=message.msg_class)

@@ -2,79 +2,68 @@
 
 from __future__ import annotations
 
-from typing import Callable
+
+class Cell:
+    """One counter's value, added to in place: ``cell.n += amount``.
+
+    An unbumped cell holds ``False``, which sums as 0: the first add of
+    any amount, 0 included, makes ``n`` an ``int`` and the counter
+    visible — so a counter exists from its first increment on, without
+    a check on the increment.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self) -> None:
+        self.n = False
 
 
 class Counters:
     """A bag of named monotonically increasing counters.
 
-    A counter exists from its first increment on, in the order of first
-    increments; the backing mapping is a plain ``dict`` (a ``Counter``
-    subclass takes the interpreter's slow path on every item access).
+    Every counter is a :class:`Cell`.  Hot paths resolve their cells once
+    (:meth:`cell`, at construction or on the first use of a dynamic name)
+    and add to them inline; :meth:`inc` is the cold-path spelling of the
+    same add, so a name bumped both ways is one counter.  A cell nobody
+    has bumped is invisible to every read.  Reads list counters in name
+    order, whatever the order they were made, bumped or read in.
     """
 
     def __init__(self) -> None:
-        self._values: dict[str, int] = {}
+        self._cells: dict[str, Cell] = {}
+
+    def cell(self, name: str) -> Cell:
+        """The cell of ``name``, made on first use; it stays valid across
+        :meth:`clear`."""
+        cell = self._cells.get(name)
+        if cell is None:
+            cell = self._cells[name] = Cell()
+        return cell
 
     def inc(self, name: str, amount: int = 1) -> None:
-        values = self._values
         try:
-            values[name] += amount
+            self._cells[name].n += amount
         except KeyError:
-            values[name] = amount
-
-    def handle(self, *names: str) -> Callable[..., None]:
-        """A pre-resolved increment callable for one or more counters.
-
-        Hot paths (one increment per simulated datagram) pay for an
-        f-string format plus a method lookup on every ``inc`` call; a
-        handle resolves the names once, so a bump is one closure call
-        plus one dict update per counter.  A handle of one name takes
-        ``amount`` (default 1).  A handle of several takes one amount per
-        name and updates them in the order named: the transport's six
-        counters of a datagram are one call.  Handles stay valid across
-        :meth:`clear` — the backing mapping is cleared in place.
-        """
-        values = self._values
-        if len(names) == 1:
-            (name,) = names
-
-            def bump(amount: int = 1) -> None:
-                try:
-                    values[name] += amount
-                except KeyError:
-                    values[name] = amount
-
-            return bump
-
-        def bump_each(*amounts: int) -> None:
-            # An index, not ``zip``: this runs once per datagram, and the
-            # iterator pair costs more than the six updates it feeds.
-            i = 0
-            for name in names:
-                try:
-                    values[name] += amounts[i]
-                except KeyError:
-                    values[name] = amounts[i]
-                i += 1
-
-        return bump_each
+            self.cell(name).n += amount
 
     def get(self, name: str) -> int:
-        return self._values.get(name, 0)
+        cell = self._cells.get(name)
+        return 0 if cell is None else cell.n or 0
 
     def snapshot(self) -> dict[str, int]:
-        return dict(self._values)
+        return {
+            name: cell.n for name, cell in sorted(self._cells.items()) if cell.n is not False
+        }
 
     def by_prefix(self, prefix: str) -> dict[str, int]:
         """All counters under ``prefix``, keyed by the remaining suffix.
 
-        ``by_prefix("net.sent.")`` returns e.g. ``{"fd": 120, "abcast": 48}``
+        ``by_prefix("net.sent.")`` returns e.g. ``{"abcast": 48, "fd": 120}``
         — the per-layer breakdown the benchmarks report.
         """
         return {
             name[len(prefix):]: value
-            for name, value in self._values.items()
+            for name, value in self.snapshot().items()
             if name.startswith(prefix)
         }
 
@@ -83,11 +72,13 @@ class Counters:
         return sum(self.by_prefix(prefix).values())
 
     def clear(self) -> None:
-        self._values.clear()
+        """Zero every counter; cells held by components stay valid."""
+        for cell in self._cells.values():
+            cell.n = False
 
     def __getitem__(self, name: str) -> int:
         return self.get(name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        items = ", ".join(f"{k}={v}" for k, v in sorted(self._values.items()))
+        items = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
         return f"Counters({items})"

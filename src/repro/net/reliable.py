@@ -82,6 +82,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.metrics.counters import Cell
 from repro.net.wire import INT_BYTES, datagram_size, payload_size, tuple_size
 from repro.sim.process import Component, Process
 from repro.sim.scheduler import DUE_SLACK, Timer
@@ -268,17 +269,17 @@ class ReliableChannel(Component):
         self._counters = counters
         self._spans = self.world.trace.spans
         self._transport = self.world.transport
-        self._inc_delivered = counters.handle("rc.delivered")
-        self._inc_retransmits = counters.handle("rc.retransmits")
-        self._inc_duplicates = counters.handle("rc.duplicates_received")
-        self._inc_rtt_samples = counters.handle("rc.rtt_samples")
-        self._inc_backoffs = counters.handle("rc.backoffs")
-        self._inc_batches = counters.handle("rc.batches")
-        self._inc_coalesced = counters.handle("rc.segments_coalesced")
-        self._inc_piggybacked = counters.handle("rc.acks_piggybacked")
-        #: Per port: the handle of ``rc.sent`` and ``rc.sent.port.<port>``,
-        #: and the port's wire bytes.
-        self._ports: dict[str, tuple[Callable, int]] = {}
+        self._count_delivered = counters.cell("rc.delivered")
+        self._count_retransmits = counters.cell("rc.retransmits")
+        self._count_duplicates = counters.cell("rc.duplicates_received")
+        self._count_rtt_samples = counters.cell("rc.rtt_samples")
+        self._count_backoffs = counters.cell("rc.backoffs")
+        self._count_batches = counters.cell("rc.batches")
+        self._count_coalesced = counters.cell("rc.segments_coalesced")
+        self._count_piggybacked = counters.cell("rc.acks_piggybacked")
+        self._count_sent = counters.cell("rc.sent")
+        #: Per port: the ``rc.sent.port.<port>`` cell and the port's wire bytes.
+        self._ports: dict[str, tuple[Cell, int]] = {}
         self.register_port(PORT, self._on_datagram)
 
     @property
@@ -318,10 +319,11 @@ class ReliableChannel(Component):
         known = self._ports.get(port)
         if known is None:
             known = self._ports[port] = (
-                self._counters.handle("rc.sent", f"rc.sent.port.{port}"),
+                self._counters.cell(f"rc.sent.port.{port}"),
                 payload_size(port),
             )
-        known[0](1, 1)
+        self._count_sent.n += 1
+        known[0].n += 1
         if dst == self.pid:
             # Local delivery: immediate, reliable and ordered by the
             # scheduler; no acks needed.
@@ -380,8 +382,8 @@ class ReliableChannel(Component):
         if len(buffered) == 1:
             self._transmit_data(peer, buffered[0], buffered[0].layer)
             return
-        self._inc_batches()
-        self._inc_coalesced(len(buffered) - 1)
+        self._count_batches.n += 1
+        self._count_coalesced.n += len(buffered) - 1
         # Datagram *count* goes to the first segment's layer (one wire
         # message); *bytes* are split per segment — a consensus-headed
         # batch must not absorb the abcast payload bodies packed behind
@@ -444,7 +446,7 @@ class ReliableChannel(Component):
             peer.ack_timer = None
             held.cancel()
             if kind != "ACK":
-                self._inc_piggybacked()
+                self._count_piggybacked.n += 1
         datagram = (
             kind, self.process.incarnation, peer.incarnation, peer.next_expected
         ) + body
@@ -626,7 +628,7 @@ class ReliableChannel(Component):
         expected = peer.next_expected
         buffer = peer.reorder
         if seq < expected or seq in buffer:
-            self._inc_duplicates()
+            self._count_duplicates.n += 1
             return
         buffer[seq] = (port, payload)
         self._drain(peer, buffer, expected)
@@ -639,7 +641,7 @@ class ReliableChannel(Component):
             port, payload = buffer.pop(expected)
             expected += 1
             peer.next_expected = expected
-            self._inc_delivered()
+            self._count_delivered.n += 1
             process.dispatch(port, src, payload)
             if process.crashed:
                 return
@@ -675,7 +677,7 @@ class ReliableChannel(Component):
             # ones may have sat in the receiver's reorder buffer waiting
             # for a retransmitted head, which is not a round trip.
             if head.transmits == 1:
-                self._inc_rtt_samples()
+                self._count_rtt_samples.n += 1
                 peer.sample(self._scheduler._now - head.last_sent)
             if not pending:
                 self._disarm(peer)
@@ -725,7 +727,7 @@ class ReliableChannel(Component):
         if due:
             if timeout < RTO_MAX:
                 peer.backoff += 1
-                self._inc_backoffs()
+                self._count_backoffs.n += 1
                 timeout = peer.timeout()
             self._retransmit(peer, due)
         age = now - pending[0].first_sent
@@ -743,7 +745,7 @@ class ReliableChannel(Component):
         for entry in entries:
             entry.last_sent = now
             entry.transmits += 1
-        self._inc_retransmits(len(entries))
+        self._count_retransmits.n += len(entries)
         # Retransmissions batch too — they are pure channel overhead, so
         # fewer datagrams is a direct win.
         step = 1 if self.coalesce_delay is None else self.max_segment_batch

@@ -38,7 +38,7 @@ for the failure-detection component:
 
 **One route per link.**  Everything the per-datagram path reads about a
 directed pair — its link model, its last-sent slot, the two processes
-whose incarnations stamp and fence the datagram, its counter handles —
+whose incarnations stamp and fence the datagram, its counter cells —
 lives in one :class:`Route`, made on first use and looked up once per
 datagram.  The failure detector and the reliable channel hold the
 routes of their own links.
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.metrics.counters import Cell
 from repro.net.topology import LAN, LinkModel
 from repro.net.wire import wire_size
 from repro.sim.randomness import fork_rng
@@ -66,7 +67,7 @@ class Route:
     """
 
     __slots__ = ("src", "dst", "loopback", "link", "last_sent", "src_process",
-                 "dst_process", "bumps")
+                 "dst_process", "cells")
 
     def __init__(self, src: str, dst: str, link: LinkModel) -> None:
         self.src = src
@@ -77,9 +78,9 @@ class Route:
         self.last_sent: float | None = None
         self.src_process: "Process | None" = None
         self.dst_process: "Process | None" = None
-        #: (layer, port) -> the counter handles of one datagram (see
-        #: :meth:`UnreliableTransport._bumps`).
-        self.bumps: dict[tuple[str, str], tuple] = {}
+        #: (layer, port) -> the counter cells of one datagram (see
+        #: :meth:`UnreliableTransport._cells`).
+        self.cells: dict[tuple[str, str], tuple[Cell, ...]] = {}
 
 
 class UnreliableTransport:
@@ -95,14 +96,14 @@ class UnreliableTransport:
         self._scheduler = world.scheduler
         counters = world.metrics.counters
         self._counters = counters
-        self._inc_delivered = counters.handle("net.delivered")
-        self._inc_dropped_partition = counters.handle("net.dropped.partition")
-        self._inc_dropped_loss = counters.handle("net.dropped.loss")
-        self._inc_dropped_crashed = counters.handle("net.dropped.crashed")
-        self._inc_duplicated = counters.handle("net.duplicated")
-        self._inc_stale = counters.handle("net.stale_incarnation_dropped")
-        #: layer -> the ``net.bytes.<layer>`` handle, for a byte split.
-        self._byte_keys: dict[str, Callable[[int], None]] = {}
+        self._count_delivered = counters.cell("net.delivered")
+        self._count_dropped_partition = counters.cell("net.dropped.partition")
+        self._count_dropped_loss = counters.cell("net.dropped.loss")
+        self._count_dropped_crashed = counters.cell("net.dropped.crashed")
+        self._count_duplicated = counters.cell("net.duplicated")
+        self._count_stale = counters.cell("net.stale_incarnation_dropped")
+        #: layer -> the ``net.bytes.<layer>`` cell, for a byte split.
+        self._byte_cells: dict[str, Cell] = {}
         #: pid -> (incarnation at registration, sink).  One sink per
         #: process; re-registration (a recovered incarnation's fresh FD)
         #: overwrites, and the stored incarnation fences out callbacks
@@ -164,22 +165,20 @@ class UnreliableTransport:
     # ------------------------------------------------------------------
     # Datagram service
     # ------------------------------------------------------------------
-    def _bumps(self, route: Route, layer: str, port: str) -> tuple:
-        """The counter handles of a datagram on ``route`` from ``layer`` to
+    def _cells(self, route: Route, layer: str, port: str) -> tuple[Cell, ...]:
+        """The counter cells of a datagram on ``route`` from ``layer`` to
         ``port``: ``net.sent``, ``net.bytes``, ``net.bytes.sent.<src>``
         (per-sender wire bytes, the measurement half of bandwidth-
         *balanced* dissemination — the aggregate ``net.bytes`` cannot show
         whether the load sits on one NIC or is spread around a ring),
         ``net.sent.<layer>``, ``net.bytes.<layer>`` and
-        ``net.sent.port.<port>`` as one handle; and the same six split
-        around a byte split, whose layers are charged between them."""
-        names = ("net.sent", "net.bytes", f"net.bytes.sent.{route.src}", f"net.sent.{layer}")
-        tail = (f"net.bytes.{layer}", f"net.sent.port.{port}")
-        handle = self._counters.handle
-        bumps = route.bumps[(layer, port)] = (
-            handle(*names, *tail), handle(*names), handle(*tail)
+        ``net.sent.port.<port>``."""
+        cell = self._counters.cell
+        cells = route.cells[(layer, port)] = (
+            cell("net.sent"), cell("net.bytes"), cell(f"net.bytes.sent.{route.src}"),
+            cell(f"net.sent.{layer}"), cell(f"net.bytes.{layer}"), cell(f"net.sent.port.{port}"),
         )
-        return bumps
+        return cells
 
     def u_send(
         self,
@@ -225,22 +224,28 @@ class UnreliableTransport:
         route = self._routes.get((src, dst))
         if route is None:
             route = self.route(src, dst)
-        bumps = route.bumps.get((layer, port))
-        if bumps is None:
-            bumps = self._bumps(route, layer, port)
+        cells = route.cells.get((layer, port))
+        if cells is None:
+            cells = self._cells(route, layer, port)
+        sent, sent_bytes, src_bytes, layer_sent, layer_bytes, port_sent = cells
+        sent.n += 1
+        sent_bytes.n += size
+        src_bytes.n += size
+        layer_sent.n += 1
+        port_sent.n += 1
         if byte_split is None:
-            bumps[0](1, size, size, 1, size, 1)
+            layer_bytes.n += size
         else:
-            bumps[1](1, size, size, 1)
+            # Each segment's bytes go to its own layer, the framing to ``layer``.
             accounted = 0
-            byte_keys = self._byte_keys
+            byte_cells = self._byte_cells
             for seg_layer, seg_bytes in byte_split:
-                inc = byte_keys.get(seg_layer)
-                if inc is None:
-                    inc = byte_keys[seg_layer] = self._counters.handle(f"net.bytes.{seg_layer}")
-                inc(seg_bytes)
+                seg_cell = byte_cells.get(seg_layer)
+                if seg_cell is None:
+                    seg_cell = byte_cells[seg_layer] = self._counters.cell(f"net.bytes.{seg_layer}")
+                seg_cell.n += seg_bytes
                 accounted += seg_bytes
-            bumps[2](size - accounted, 1)
+            layer_bytes.n += size - accounted
         now = self._scheduler._now
         route.last_sent = now
         # Partitions are checked once, at delivery time (the authoritative
@@ -250,7 +255,7 @@ class UnreliableTransport:
         rng = self._rng
         loopback = route.loopback
         if not loopback and model.drops(rng):
-            self._inc_dropped_loss()
+            self._count_dropped_loss.n += 1
             return
         copies = 2 if (not loopback and model.duplicates(rng)) else 1
         src_process, dst_process = route.src_process, route.dst_process
@@ -274,7 +279,7 @@ class UnreliableTransport:
                 span.note(bytes=size)
             post(delay, self._deliver, route, port, payload, src_inc, dst_inc, span)
         if copies == 2:
-            self._inc_duplicated()
+            self._count_duplicated.n += 1
 
     def _deliver(
         self,
@@ -291,7 +296,7 @@ class UnreliableTransport:
             self._resolve(route)  # an end that did not exist at send time
         process = route.dst_process
         if process is None or process.crashed:
-            self._inc_dropped_crashed()
+            self._count_dropped_crashed.n += 1
             if span is not None:
                 span.note(dropped="crashed")
             return
@@ -302,7 +307,7 @@ class UnreliableTransport:
         if (0 if sender is None else sender.incarnation) != src_inc or (
             process.incarnation != dst_inc
         ):
-            self._inc_stale()
+            self._count_stale.n += 1
             if span is not None:
                 span.note(dropped="stale_incarnation")
             return
@@ -311,11 +316,11 @@ class UnreliableTransport:
         # abrupt split to behave.
         src = route.src
         if not route.loopback and not self.world.partitions.connected(src, route.dst):
-            self._inc_dropped_partition()
+            self._count_dropped_partition.n += 1
             if span is not None:
                 span.note(dropped="partition")
             return
-        self._inc_delivered()
+        self._count_delivered.n += 1
         # Liveness tap: every surviving datagram is evidence that its
         # sender's *current* incarnation is alive (the fences above
         # already dropped anything from a replaced incarnation).

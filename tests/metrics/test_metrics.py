@@ -22,31 +22,43 @@ def test_counters_basics():
     assert c.get("x") == 0
 
 
-def test_counter_handles_agree_with_string_keyed_inc():
-    # A bound handle is an alias for inc(name, ...): increments through
+def test_counter_cells_agree_with_string_keyed_inc():
+    # A cell is the counter inc(name, ...) bumps: increments through
     # either side land on the same counter, in any interleaving.
     c = Counters()
-    bump = c.handle("net.sent")
-    bump()
+    cell = c.cell("net.sent")
+    cell.n += 1
     c.inc("net.sent")
-    bump(3)
+    cell.n += 3
     c.inc("net.sent", 2)
     assert c.get("net.sent") == 7
     assert c.snapshot() == {"net.sent": 7}
-    # Two handles to the same name share the counter.
-    c.handle("net.sent")(5)
+    # Two resolutions of the same name share the counter.
+    c.cell("net.sent").n += 5
     assert c.get("net.sent") == 12
 
 
-def test_counter_handles_survive_clear():
+def test_counter_cells_survive_clear():
     c = Counters()
-    bump = c.handle("x")
-    bump(4)
+    cell = c.cell("x")
+    cell.n += 4
     c.clear()
     assert c.get("x") == 0
-    bump()  # the handle must still target the live mapping
+    cell.n += 1  # the cell must still be the live counter
     assert c.get("x") == 1
     assert c.snapshot() == {"x": 1}
+
+
+def test_a_cell_is_a_counter_from_its_first_increment_on():
+    c = Counters()
+    cell = c.cell("x")
+    assert c.snapshot() == {} and "x" not in c.by_prefix("")
+    cell.n += 0
+    assert c.snapshot() == {"x": 0}
+    c.clear()
+    assert c.snapshot() == {}
+    c.inc("y", 0)
+    assert c.snapshot() == {"y": 0}
 
 
 def test_counters_by_prefix_and_total():

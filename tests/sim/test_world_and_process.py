@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.process import Component
-from repro.sim.world import World, make_pid
+from repro.sim.world import make_pid
 
 
 class Echo(Component):
