@@ -357,16 +357,17 @@ def run_fd_idle(count: int) -> dict:
     head = sorted(build_new_group(world, count))[0]
     handled: dict[str, int] = {}
     links = {"star": 0, "mesh": 0}
-    u_send = world.transport.u_send
+    send = world.transport.send
 
-    def spy(src, dst, port, payload, **kwargs):
+    def spy(route, port, payload, *args):
         if port == "fd.hb" and world.now >= 200.0:
+            src, dst = route.src, route.dst
             handled[src] = handled.get(src, 0) + 1
             handled[dst] = handled.get(dst, 0) + 1
             links["star" if head in (src, dst) else "mesh"] += 1
-        u_send(src, dst, port, payload, **kwargs)
+        send(route, port, payload, *args)
 
-    world.transport.u_send = spy
+    world.transport.send = spy
     world.run_for(1_200.0)
     return {
         "keepalives_per_s": links["star"] + links["mesh"],

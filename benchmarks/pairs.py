@@ -8,13 +8,17 @@ Runs one pair per seed of the contract command: the ``command`` that
 temporary export of revision ``PARENT`` (``git archive``, so the
 repository gets no worktree entry), the other in this checkout.  Even
 pairs run the parent first, odd pairs the change.  It then prints, for
-every contract metric, each side's median and quartiles; for
+every contract metric, each side's median and quartiles and its verdict
+against the bound ``BENCHMARK.json`` fixes for it (:func:`judge`:
+``worse``, ``unresolved``, ``same`` or ``better``); for
 ``host_ops_per_s``, the claimed metric, wins and ties and the verdict of
 the small-sandbox rule: a gain is claimed only when the change wins at
 least nine tenths of the pairs (ties count for neither) and the medians
-differ by more than the distance between the parent's quartiles.  Last, whether every
-exact metric — anything measured on the simulated clock or counted —
-is identical pair for pair.
+differ by more than the distance between the parent's quartiles.  Last,
+whether every exact metric — anything measured on the simulated clock
+or counted — is identical pair for pair.  The exit status is non-zero on
+any ``worse``, on a claim that does not hold and on exact metrics that
+differ.
 
 With ``--trace`` each pair also runs the traced contract form
 (``--trace 1``) on both sides, and the tool prints both sides' medians
@@ -96,6 +100,31 @@ def verdict(parent: list[float], change: list[float], better: str) -> Verdict:
     )
 
 
+def judge(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The verdict on one end-to-end metric of paired readings against
+    its ``bound``, a share of the parent's median; the parent's *spread*
+    is its inter-quartile distance as a share of its median.
+
+    ``worse``: the change's median is worse than the parent's by more
+    than both the bound and the spread.  ``unresolved``: otherwise, where
+    the spread exceeds the bound — unless every change reading is better
+    than every parent reading, which is ``better``: a spread that wide
+    says nothing of a same median.  Otherwise ``better`` where the median gains more than the
+    spread (any gain, for a metric that repeats exactly), else ``same``."""
+    p_low, p_median, p_high = quartiles(parent)
+    c_median = quartiles(change)[1]
+    sign = 1.0 if better == "lower" else -1.0
+    scale = abs(p_median) or 1.0
+    spread = (p_high - p_low) / scale
+    worsening = sign * (c_median - p_median) / scale
+    if worsening > max(bound, spread):
+        return "worse"
+    if spread > bound:
+        every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
+        return "better" if every_run_better else "unresolved"
+    return "better" if -worsening > spread else "same"
+
+
 def contract() -> dict:
     return json.loads((_ROOT / "BENCHMARK.json").read_text())
 
@@ -103,6 +132,11 @@ def contract() -> dict:
 def contract_metrics() -> dict[str, str]:
     """End-to-end metric -> its ``better`` direction, from BENCHMARK.json."""
     return {entry["name"]: entry["better"] for entry in contract()["end_to_end"]}
+
+
+def contract_bounds() -> dict[str, float]:
+    """End-to-end metric -> its ``bound``, from BENCHMARK.json."""
+    return {entry["name"]: entry["bound"] for entry in contract()["end_to_end"]}
 
 
 def contract_command(workload: str, seed: int, trace: bool = False) -> list[str]:
@@ -161,19 +195,24 @@ def run_pairs(
     return runs
 
 
-def report(runs: list[dict]) -> bool:
-    """Print the table, the verdict on ``host_ops_per_s`` and the
-    exact-metric check; True when the claim holds and the exact metrics
-    match."""
+def report(runs: list[dict]) -> tuple[bool, bool]:
+    """Print the table with every metric's verdict, the verdict on
+    ``host_ops_per_s`` and the exact-metric check.  Returns whether the
+    claim holds with the exact metrics matching, and whether any metric
+    is ``worse``."""
     directions = contract_metrics()
+    bounds = contract_bounds()
     print(f"{'metric':20s} {'parent q1 / median / q3':>32s} {'change q1 / median / q3':>32s}"
-          f" {'ratio':>7s}")
+          f" {'ratio':>7s} {'bound':>6s}  verdict")
+    any_worse = False
     for name in directions:
-        sides = [[run[side]["metrics"][name]["value"] for run in runs]
-                 for side in ("parent", "change")]
-        (pl, pm, ph), (cl, cm, ch) = (quartiles(values) for values in sides)
+        parent, change = ([run[side]["metrics"][name]["value"] for run in runs]
+                          for side in ("parent", "change"))
+        (pl, pm, ph), (cl, cm, ch) = quartiles(parent), quartiles(change)
+        word = judge(parent, change, directions[name], bounds[name])
+        any_worse |= word == "worse"
         print(f"{name:20s} {pl:10.6g} {pm:10.6g} {ph:10.6g} {cl:10.6g} {cm:10.6g} {ch:10.6g}"
-              f" {cm / pm if pm else float('nan'):7.3f}")
+              f" {cm / pm if pm else float('nan'):7.3f} {bounds[name]:6.2f}  {word}")
     parent = [run["parent"]["metrics"][CLAIMED]["value"] for run in runs]
     change = [run["change"]["metrics"][CLAIMED]["value"] for run in runs]
     result = verdict(parent, change, directions[CLAIMED])
@@ -192,7 +231,7 @@ def report(runs: list[dict]) -> bool:
     )
     print(f"exact metrics identical: {'yes' if identical else 'no'} ({', '.join(exact)})")
     print(f"every run correct with 0 failed: {'yes' if healthy else 'no'}")
-    return result.claimed and identical and healthy
+    return result.claimed and identical and healthy, any_worse
 
 
 def traced_medians(runs: list[dict]) -> list[tuple[str, float, float]]:
@@ -241,10 +280,10 @@ def main(argv: list[str]) -> int:
         runs = run_pairs(parent_root, args.workload, args.seeds, args.trace)
     if args.json:
         args.json.write_text(json.dumps(runs, indent=2) + "\n")
-    ok = report(runs)
+    ok, any_worse = report(runs)
     if args.trace:
         report_traced(runs)
-    return 0 if ok else 1
+    return 0 if ok and not any_worse else 1
 
 
 if __name__ == "__main__":

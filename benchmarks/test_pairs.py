@@ -2,7 +2,18 @@
 medians further apart than the parent's quartiles."""
 
 import pytest
-from pairs import contract, contract_command, quartiles, seed_range, traced_medians, verdict
+from pairs import (
+    contract,
+    contract_bounds,
+    contract_command,
+    contract_metrics,
+    judge,
+    quartiles,
+    report,
+    seed_range,
+    traced_medians,
+    verdict,
+)
 
 PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]
 
@@ -94,3 +105,77 @@ def test_traced_medians_are_per_layer_host_time_and_calls_only():
 def test_seed_ranges():
     assert seed_range("1:4") == [1, 2, 3]
     assert seed_range("5,9") == [5, 9]
+
+
+# ----------------------------------------------------------------------
+# One verdict per end-to-end metric, against its bound
+# ----------------------------------------------------------------------
+#: A parent whose inter-quartile distance is 2 % of its median.
+STEADY = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+
+
+def test_a_metric_is_worse_beyond_both_its_bound_and_the_parent_spread():
+    low, median, high = quartiles(STEADY)
+    assert (high - low) / median == pytest.approx(0.02)
+    assert judge(STEADY, [p * 1.06 for p in STEADY], "lower", 0.05) == "worse"
+    assert judge(STEADY, [p * 0.94 for p in STEADY], "higher", 0.05) == "worse"
+    # Within the bound: the same, whichever way it leans.
+    assert judge(STEADY, [p * 1.04 for p in STEADY], "lower", 0.05) == "same"
+    # Beyond a bound narrower than the spread, but not beyond the spread.
+    assert judge(STEADY, [p * 1.015 for p in STEADY], "lower", 0.01) == "unresolved"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_not_same():
+    noisy = [80.0, 120.0, 100.0, 90.0, 110.0, 100.0, 85.0, 115.0, 95.0, 105.0]
+    assert judge(noisy, list(noisy), "higher", 0.05) == "unresolved"
+    # ... unless every change reading beats every parent reading.
+    assert judge(noisy, [p + 100.0 for p in noisy], "higher", 0.05) == "better"
+    # Worse beyond the spread is worse all the same.
+    assert judge(noisy, [p * 0.5 for p in noisy], "higher", 0.05) == "worse"
+
+
+def test_exact_metrics_are_same_when_equal_and_better_on_any_gain():
+    exact = [59.6] * 10
+    assert judge(exact, list(exact), "lower", 0.15) == "same"
+    assert judge(exact, [59.5] * 10, "lower", 0.15) == "better"
+    assert judge(exact, [59.7] * 10, "lower", 0.15) == "same"  # within the bound
+    assert judge(exact, [59.6 * 1.2] * 10, "lower", 0.15) == "worse"
+
+
+def test_a_host_gain_within_the_parent_spread_is_the_same():
+    assert judge(STEADY, [p * 1.01 for p in STEADY], "higher", 0.25) == "same"
+    assert judge(STEADY, [p * 1.10 for p in STEADY], "higher", 0.25) == "better"
+
+
+def contract_line(jitter: float, **scaled: float) -> dict:
+    """One contract line: every end-to-end metric at 10, the host ones
+    times ``jitter``, each metric named in ``scaled`` times its factor."""
+    host = ("setup_s", "host_ops_per_s", "host_peak_rss_mb")
+    return {"correct": True, "failed": 0, "metrics": {
+        name: {"value": 10.0 * (jitter if name in host else 1.0) * scaled.get(name, 1.0),
+               "unit": "-"}
+        for name in contract_metrics()
+    }}
+
+
+def verdicts_printed(out: str) -> dict[str, str]:
+    names = set(contract_metrics())
+    return {row[0]: row[-1] for row in map(str.split, out.splitlines()) if row and row[0] in names}
+
+
+def test_report_prints_every_metric_s_verdict_and_flags_a_worse_one(capsys):
+    assert set(contract_bounds()) == set(contract_metrics())
+    jitter = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98]
+    faster = [{"parent": contract_line(j), "change": contract_line(j, host_ops_per_s=1.3)}
+              for j in jitter]
+    assert report(faster) == (True, False)
+    assert verdicts_printed(capsys.readouterr().out) == {
+        "setup_s": "same", "sim_latency_p50_ms": "same", "wire_msgs_per_op": "same",
+        "wire_bytes_per_op": "same", "host_ops_per_s": "better", "host_peak_rss_mb": "same",
+    }
+    heavier = [{"parent": contract_line(j),
+                "change": contract_line(j, host_ops_per_s=1.3, host_peak_rss_mb=1.2)}
+               for j in jitter]
+    claimed, any_worse = report(heavier)
+    assert claimed and any_worse
+    assert verdicts_printed(capsys.readouterr().out)["host_peak_rss_mb"] == "worse"

@@ -104,6 +104,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Collection
 
 from repro.net.overlay import watcher
+from repro.net.wire import wire_size
 from repro.sim.process import Component, Process
 from repro.sim.scheduler import DUE_SLACK, Timer
 
@@ -113,6 +114,8 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 
 PORT = "fd.hb"
 REPORT_PORT = "fd.report"
+#: Wire size of a heartbeat, whose payload is one flag (see ``_keepalive``).
+HEARTBEAT_BYTES = wire_size(False)
 
 #: Share of a heartbeat interval by which a heartbeat may go out early so
 #: that one firing of the keep-alive timer serves neighbouring deadlines:
@@ -232,8 +235,13 @@ class Monitor:
             if timer.when <= when:
                 return
             timer.cancel()
-        delay = max(0.0, when - self._detector.now)
-        self._timer = self._detector.schedule(delay, self._check)
+        detector = self._detector
+        delay = max(0.0, when - detector._scheduler._now)
+        self._timer = detector.schedule(delay, self._expire)
+
+    def _expire(self) -> None:
+        """The expiry timer: a scan."""
+        self._check()
 
     def _edge(self, suspect: bool, peer: str, **via: str) -> None:
         """One transition of ``peer``: the set, then everybody who reads it."""
@@ -326,6 +334,8 @@ class StarMonitor(Monitor):
         #: The latest report ignored on arrival, its sender, and until when
         #: it may still be adopted (see ``_on_report``).
         self._early: tuple[str, tuple[tuple[str, int], ...], float] | None = None
+        #: The member list the last completed ``_check`` read (see ``_expire``).
+        self._checked: list[str] | None = None
         self._inc = detector.world.metrics.counters.inc
         detector.register_port(REPORT_PORT, self._on_report)
 
@@ -346,6 +356,45 @@ class StarMonitor(Monitor):
 
     def _heard(self, peer: str) -> None:
         self._check(heard=peer)
+
+    def _expire(self) -> None:
+        """The expiry timer, without the rescan while nothing ``_check``
+        derives from has moved since it last ran — the member list is the
+        same object (one per view) and nobody is suspected: the watcher,
+        ``first_hand`` and every baseline are as they were, so a scan
+        could only re-arm, or suspect a first-hand peer, which is left to
+        ``_check`` the moment one has expired.  (A kept early report needs
+        no rescan either: ``_check`` adopts it only once its sender is the
+        watcher, and with the same list and no suspect the watcher is the
+        one it was.)  A suspect rescans every expiry, so a suspicion ends
+        on evidence whether or not the tap reports it (``_heard``)."""
+        if self._peers() is not self._checked or self.suspects:
+            self._check()
+            return
+        detector = self._detector
+        records = detector._peers
+        beat = detector.heartbeat_interval
+        timeout = self.timeout
+        since_of = self._member_since
+        now = detector._scheduler._now
+        due = now + DUE_SLACK
+        wake = now + timeout
+        for pid in self.first_hand:
+            record = records[pid]  # made by the scan that watched it first
+            last = record.heard
+            since = since_of[pid]
+            if last is None or last < since:
+                last = since
+            interval = record.interval
+            if interval is None:
+                interval = detector._cadence(record)
+            expiry = last + timeout + (interval - beat)  # ``_scan``'s sum
+            if expiry <= due:
+                self._check()
+                return
+            if expiry < wake:
+                wake = expiry
+        self._arm(wake)
 
     def _check(self, heard: str | None = None) -> None:
         if not self.active:
@@ -383,6 +432,7 @@ class StarMonitor(Monitor):
             self._early = None
             if early[2] > detector.now:
                 self._adopt(first, early[1])  # it took over before we noticed
+        self._checked = members
 
     def _announce(self, suspect: bool, peer: str, **via: str) -> None:
         """An edge at a process that is its own watcher before or after it
@@ -509,8 +559,9 @@ class HeartbeatFailureDetector(Component):
         self._count_suppressed = counters.cell("fd.suppressed")
         self._count_tap = counters.cell("fd.tap_refreshes")
         self._count_answered = counters.cell("fd.answered_in_kind")
+        self._transport = process.world.transport
         self.register_port(PORT, self._on_heartbeat)
-        process.world.transport.register_liveness_sink(process, self._on_traffic)
+        self._transport.register_liveness_sink(process, self._on_traffic)
 
     def start(self) -> None:
         # Whoever chooses whom to watch chooses now: the first heartbeats say so.
@@ -542,7 +593,7 @@ class HeartbeatFailureDetector(Component):
         """The record of ``pid``, made on first use."""
         peer = self._peers.get(pid)
         if peer is None:
-            peer = self._peers[pid] = _Peer(pid, self.world.transport.route(self.pid, pid))
+            peer = self._peers[pid] = _Peer(pid, self._transport.route(self.pid, pid))
         return peer
 
     def last_heard(self, pid: str) -> float | None:
@@ -676,7 +727,7 @@ class HeartbeatFailureDetector(Component):
                     deadline = now + interval
                 else:
                     self._count_explicit.n += 1
-                    self.world.transport.u_send(self.pid, pid, PORT, peer.asks, layer="fd")
+                    self._transport.send(peer.route, PORT, peer.asks, "fd", HEARTBEAT_BYTES)
                     deadline = now + interval
             peer.deadline = deadline
             peer.kept = this_pass

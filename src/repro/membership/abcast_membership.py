@@ -78,6 +78,9 @@ class AbcastGroupMembership(Component):
         self.channel = channel
         self.abcast = abcast
         self.view = initial_view
+        #: ``current_members()`` and the view it was made from.
+        self._members: list[str] = []
+        self._members_of: View | None = None
         self._view_callbacks: list[NewViewFn] = []
         self._removal_callbacks: list[Callable[[str], None]] = []
         #: Snapshot sections ``name -> (cut, install)`` in registration
@@ -105,9 +108,14 @@ class AbcastGroupMembership(Component):
     # Providers used by the components below us
     # ------------------------------------------------------------------
     def current_members(self) -> list[str]:
-        if self.view is None:
-            return []
-        return self.view.member_list()
+        """The installed view's members, in view order: one list per
+        installed view, handed to every caller — read-only by contract
+        (the star monitor tells a view change by the list's identity)."""
+        view = self.view
+        if view is not self._members_of:
+            self._members_of = view
+            self._members = [] if view is None else view.member_list()
+        return self._members
 
     def current_view(self) -> View | None:
         return self.view

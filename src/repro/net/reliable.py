@@ -145,8 +145,12 @@ PORT_LAYERS = {
 
 
 def layer_of_port(port: str) -> str:
-    """Best-effort layer attribution for a port name."""
-    return PORT_LAYERS.get(port, port.split(".", 1)[0])
+    """Best-effort layer attribution for a port name: the table's, else
+    the name up to its first dot (split only on a miss)."""
+    layer = PORT_LAYERS.get(port)
+    if layer is None:
+        layer = port.split(".", 1)[0]
+    return layer
 
 
 @dataclass(slots=True)
@@ -454,17 +458,13 @@ class ReliableChannel(Component):
             byte_split = _ACK_FIELD if byte_split is None else byte_split + _ACK_FIELD
         size = datagram_size(_HEAD_BYTES[kind] + body_bytes)
         if span is None:
-            self._transport.u_send(
-                self.pid, peer.pid, PORT, datagram, layer=layer, byte_split=byte_split, size=size
-            )
+            self._transport.send(peer.route, PORT, datagram, layer, size, byte_split)
             return
         spans = self._spans
         prev = spans._current
         spans._current = span
         try:
-            self._transport.u_send(
-                self.pid, peer.pid, PORT, datagram, layer=layer, byte_split=byte_split, size=size
-            )
+            self._transport.send(peer.route, PORT, datagram, layer, size, byte_split)
         finally:
             spans._current = prev
 

@@ -36,6 +36,10 @@ class LinkModel:
     dup_prob: float = 0.0
     bytes_per_ms: float | None = None
 
+    # The draws one at a time.  The transport does not call these: its
+    # ``UnreliableTransport.send`` makes the same draws inline and is the
+    # authority on their order; they stay for link-level tests.
+
     def sample_delay(self, rng: random.Random) -> float:
         if self.delay_jitter <= 0:
             return self.delay_min

@@ -190,6 +190,23 @@ class UnreliableTransport:
         byte_split: list[tuple[str, int]] | None = None,
         size: int | None = None,
     ) -> None:
+        """:meth:`send` by name: sizes ``payload`` unless ``size`` is
+        given (it must equal ``wire_size(payload)``) and resolves the
+        route of ``src`` → ``dst``.  The protocol layers hold their routes
+        and call :meth:`send`; this is the spelling for everything else."""
+        if size is None:
+            size = wire_size(payload)
+        self.send(self.route(src, dst), port, payload, layer, size, byte_split)
+
+    def send(
+        self,
+        route: Route,
+        port: str,
+        payload: Any,
+        layer: str,
+        size: int,
+        byte_split: list[tuple[str, int]] | None = None,
+    ) -> None:
         """Best-effort send; may drop, delay or duplicate.
 
         ``layer`` attributes the datagram to the protocol layer that
@@ -214,16 +231,14 @@ class UnreliableTransport:
         payload bodies coalesced behind it and the ordering-vs-
         dissemination split would be noise.
 
-        ``size`` is the datagram's ``wire_size(payload)`` when the caller
-        knows it already (the reliable channel sizes each segment once);
-        it must equal that, or byte counters and bandwidth delays drift.
-        Without it the payload is walked here.
+        ``size`` is the datagram's ``wire_size(payload)``, which the
+        caller knows without walking the payload (the reliable channel
+        sizes each segment once, a heartbeat is a constant); it must equal
+        that, or byte counters and bandwidth delays drift.  The datagram
+        leaves on ``route``, the one :class:`Route` of its link
+        (:meth:`route`): the link draws happen here, inline — drop, then
+        duplicate, then one delay per copy; a loopback draws nothing.
         """
-        if size is None:
-            size = wire_size(payload)
-        route = self._routes.get((src, dst))
-        if route is None:
-            route = self.route(src, dst)
         cells = route.cells.get((layer, port))
         if cells is None:
             cells = self._cells(route, layer, port)
@@ -246,36 +261,47 @@ class UnreliableTransport:
                 seg_cell.n += seg_bytes
                 accounted += seg_bytes
             layer_bytes.n += size - accounted
-        now = self._scheduler._now
+        scheduler = self._scheduler
+        now = scheduler._now
         route.last_sent = now
         # Partitions are checked once, at delivery time (the authoritative
         # check: the simulated wire is cut for in-flight traffic too).
-        # A loopback datagram is never lost, duplicated or delayed.
+        # The link draws, in their fixed order: drop, duplicate, then one
+        # delay per copy.  A loopback datagram is never lost, duplicated
+        # or delayed, and draws nothing.
         model = route.link
         rng = self._rng
-        loopback = route.loopback
-        if not loopback and model.drops(rng):
-            self._count_dropped_loss.n += 1
-            return
-        copies = 2 if (not loopback and model.duplicates(rng)) else 1
+        copies, delay_min, jitter, transmit = 1, 0.0, 0.0, 0.0
+        if not route.loopback:
+            drop_prob, dup_prob = model.drop_prob, model.dup_prob
+            if drop_prob > 0 and rng.random() < drop_prob:
+                self._count_dropped_loss.n += 1
+                return
+            if dup_prob > 0 and rng.random() < dup_prob:
+                copies = 2
+            if model.bytes_per_ms is not None:
+                transmit = size / model.bytes_per_ms
+            delay_min, jitter = model.delay_min, model.delay_jitter
         src_process, dst_process = route.src_process, route.dst_process
         if src_process is None or dst_process is None:
             self._resolve(route)
             src_process, dst_process = route.src_process, route.dst_process
         src_inc = 0 if src_process is None else src_process.incarnation
         dst_inc = 0 if dst_process is None else dst_process.incarnation
-        post = self._scheduler.post
         spans = self._spans
-        transmit = 0.0 if loopback else model.transmit_ms(size)
+        post = scheduler.post
         for _ in range(copies):
-            delay = 0.0 if loopback else model.sample_delay(rng) + transmit
+            if jitter <= 0:
+                delay = delay_min + transmit
+            else:
+                delay = delay_min + rng.random() * jitter + transmit
             # One transit span per datagram copy, child of whatever span
             # context caused this send — the causal edge of the hop.
             # Spans carry the payload's *size*, never its body: trace
             # artifacts must stay small under large-payload workloads.
             span = None
             if spans.enabled:
-                span = spans.begin(src, layer, f"net:{port}", "transit", now)
+                span = spans.begin(route.src, layer, f"net:{port}", "transit", now)
                 span.note(bytes=size)
             post(delay, self._deliver, route, port, payload, src_inc, dst_inc, span)
         if copies == 2:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.net.message import MsgIdFactory
-from repro.sim.scheduler import Timer
+from repro.sim.scheduler import TimerOwner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.world import World
@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 PortHandler = Callable[[str, Any], None]
 
 
-class Process:
+class Process(TimerOwner):
     """One simulated node: identity, ports, timers, crash state."""
 
     def __init__(self, pid: str, world: "World") -> None:
@@ -92,57 +92,10 @@ class Process:
     # ------------------------------------------------------------------
     # Time and timers
     # ------------------------------------------------------------------
+    # ``schedule`` and ``post``: see :class:`~repro.sim.scheduler.TimerOwner`.
     @property
     def now(self) -> float:
         return self._scheduler._now
-
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
-        """Schedule a callback that is suppressed if this process crashes.
-
-        The callback is also fenced by incarnation: a timer set by
-        incarnation ``i`` never fires once the process has recovered
-        into incarnation ``i+1`` (the old incarnation's event loop died
-        with it).
-
-        The ambient causal-span context active at scheduling time is
-        captured and re-activated around the callback, so spans begun by
-        timer-driven work chain back to the event that armed the timer.
-        """
-        return self._scheduler.schedule(
-            delay, self._fire_if_alive, self.incarnation, callback, args,
-            self._spans._current,
-        )
-
-    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """:meth:`schedule` for an event nobody cancels: the same
-        incarnation fence and span context, no :class:`Timer` (the
-        scheduler's :meth:`~repro.sim.scheduler.Scheduler.post`)."""
-        self._scheduler.post(
-            delay, self._fire_if_alive, self.incarnation, callback, args,
-            self._spans._current,
-        )
-
-    def _fire_if_alive(
-        self,
-        incarnation: int,
-        callback: Callable[..., None],
-        args: tuple,
-        ctx: Any = None,
-    ) -> None:
-        # Bound-method guard instead of a per-call closure: scheduling is
-        # on the per-datagram hot path and closure allocation showed up
-        # in profiles.
-        if not self.crashed and self.incarnation == incarnation:
-            if ctx is None:
-                callback(*args)
-                return
-            spans = self._spans
-            prev = spans._current
-            spans._current = ctx
-            try:
-                callback(*args)
-            finally:
-                spans._current = prev
 
     # ------------------------------------------------------------------
     # Crash / recovery
@@ -210,6 +163,7 @@ class Component:
         process.add_component(self)
 
     # Convenience accessors -------------------------------------------------
+    # ``schedule`` and ``post``: see :class:`~repro.sim.scheduler.TimerOwner`.
     @property
     def now(self) -> float:
         return self._scheduler._now

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from heapq import heappush
 from typing import Any, Callable
 
 #: Slack for "has this deadline come?": a timer armed ``deadline - now``
@@ -28,9 +29,14 @@ class Timer:
 
     Returned by :meth:`Scheduler.schedule` and :meth:`Scheduler.at`.
     Cancelling an already-fired or already-cancelled timer is a no-op.
+
+    A timer a process arms carries that ``owner``, its ``incarnation``
+    and the span context ``ctx`` of the moment: the fence (see
+    :class:`TimerOwner`).
     """
 
-    __slots__ = ("when", "callback", "args", "cancelled", "fired", "_sched")
+    __slots__ = ("when", "callback", "args", "cancelled", "fired", "_sched", "owner",
+                 "incarnation", "ctx")
 
     def __init__(
         self,
@@ -38,6 +44,9 @@ class Timer:
         callback: Callable[..., None],
         args: tuple,
         sched: "Scheduler | None" = None,
+        owner: Any = None,
+        incarnation: int = 0,
+        ctx: Any = None,
     ):
         self.when = when
         self.callback = callback
@@ -45,6 +54,9 @@ class Timer:
         self.cancelled = False
         self.fired = False
         self._sched = sched
+        self.owner = owner
+        self.incarnation = incarnation
+        self.ctx = ctx
 
     def cancel(self) -> None:
         if not self.cancelled and not self.fired:
@@ -61,15 +73,76 @@ class Timer:
         return f"Timer(when={self.when:.3f}, {state})"
 
 
+class TimerOwner:
+    """Timers and posted events fenced by their owner's incarnation — the
+    base of :class:`~repro.sim.process.Process`.
+
+    The owner provides ``_scheduler``, ``crashed``, ``incarnation`` and
+    ``_spans`` (its span log).  An entry it arms carries the owner, the
+    incarnation of the moment and the span context of the moment;
+    :meth:`Scheduler.run` checks and restores them.  Stamp and check both
+    live in this module.
+    """
+
+    __slots__ = ()
+
+    _scheduler: "Scheduler"
+    crashed: bool
+    incarnation: int
+    _spans: Any
+
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
+        """Schedule a callback that is suppressed if this process crashes.
+
+        The callback is also fenced by incarnation: a timer set by
+        incarnation ``i`` never fires once the process has recovered
+        into incarnation ``i+1`` (the old incarnation's event loop died
+        with it).
+
+        The ambient causal-span context active at scheduling time is
+        captured and re-activated around the callback, so spans begun by
+        timer-driven work chain back to the event that armed the timer.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        scheduler = self._scheduler
+        when = scheduler._now + delay
+        timer = Timer(
+            when, callback, args, scheduler, self, self.incarnation, self._spans._current
+        )
+        heappush(scheduler._queue, (when, next(scheduler._counter), timer))
+        return timer
+
+    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """:meth:`schedule` for an event nobody cancels: the same
+        incarnation fence and span context, no :class:`Timer` (an owned
+        :meth:`Scheduler.post`)."""
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        scheduler = self._scheduler
+        heappush(scheduler._queue, (
+            scheduler._now + delay, next(scheduler._counter),
+            (callback, args, self, self.incarnation, self._spans._current),
+        ))
+
+
 class Scheduler:
     """A deterministic event loop over simulated time.
 
     Queue entries are ``(when, tick, Timer)`` for cancellable timers, or
-    ``(when, tick, (callback, args))`` for fire-and-forget events posted
-    via :meth:`post` — the tuple-packed fast path used for per-datagram
-    delivery hops, which skips the Timer allocation and its state
-    bookkeeping.  Ties are still broken by the insertion tick, so the
-    two kinds interleave deterministically.
+    ``(when, tick, (callback, args, owner, incarnation, ctx))`` for
+    fire-and-forget events posted via :meth:`post` (ownerless) or
+    :meth:`TimerOwner.post` — the tuple-packed
+    fast path used for per-datagram delivery hops, which skips the Timer
+    allocation and its state bookkeeping.  Ties are still broken by the
+    insertion tick, so the two kinds interleave deterministically.
+
+    **The incarnation fence lives here.**  Both kinds carry the same
+    three fields (see :class:`Timer`): an owner process (a
+    :class:`TimerOwner`, or ``None``), the incarnation that armed the
+    entry, and the span context to restore.  :meth:`run` skips
+    the callback of an entry whose owner crashed or recovered since; the
+    skipped entry still counts as an event and its timer as fired.
     """
 
     #: Events executed across every Scheduler instance in this process —
@@ -157,7 +230,8 @@ class Scheduler:
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         heapq.heappush(
-            self._queue, (self._now + delay, next(self._counter), (callback, args))
+            self._queue,
+            (self._now + delay, next(self._counter), (callback, args, None, 0, None)),
         )
 
     def pending(self) -> int:
@@ -192,10 +266,27 @@ class Scheduler:
             self._now = when
             self._events_processed += 1
             if entry.__class__ is tuple:
-                entry[0](*entry[1])
+                callback, args, owner, incarnation, ctx = entry
             else:
                 entry.fired = True
-                entry.callback(*entry.args)
+                callback, args, owner = entry.callback, entry.args, entry.owner
+                if owner is not None:
+                    incarnation, ctx = entry.incarnation, entry.ctx
+            # The fence: an owner's callback runs only in the incarnation
+            # that armed it, under the span context it was armed in.
+            if owner is None:
+                callback(*args)
+            elif not owner.crashed and owner.incarnation == incarnation:
+                if ctx is None:
+                    callback(*args)
+                else:
+                    spans = owner._spans
+                    prev = spans._current
+                    spans._current = ctx
+                    try:
+                        callback(*args)
+                    finally:
+                        spans._current = prev
             ran += 1
         else:
             if until is not None and until > self._now:

@@ -229,14 +229,14 @@ def test_stopped_monitor_schedules_nothing():
 # ----------------------------------------------------------------------
 def heartbeat_times(world, src, dst):
     sent = []
-    u_send = world.transport.u_send
+    send = world.transport.send
 
-    def spy(s, d, port, payload, **kwargs):
-        if (s, d, port) == (src, dst, "fd.hb"):
+    def spy(route, port, payload, *args):
+        if (route.src, route.dst, port) == (src, dst, "fd.hb"):
             sent.append((world.now, payload))
-        u_send(s, d, port, payload, **kwargs)
+        send(route, port, payload, *args)
 
-    world.transport.u_send = spy
+    world.transport.send = spy
     return sent
 
 

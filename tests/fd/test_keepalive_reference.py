@@ -107,8 +107,8 @@ def build_new(states, provider, channel):
     world.spawn(5)
     fd = HeartbeatFailureDetector(world.process("p00"), lambda: provider[0], HB, channel)
     sent = []
-    world.transport.u_send = lambda src, dst, port, payload, layer: sent.append(
-        (dst, port, payload, layer)
+    world.transport.send = lambda route, port, payload, layer, size: sent.append(
+        (route.dst, port, payload, layer)
     )
     world.scheduler._now = NOW
     for pid, state in states.items():

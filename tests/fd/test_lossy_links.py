@@ -24,25 +24,31 @@ from repro.explore.runner import run_scenario
 from repro.net.transport import UnreliableTransport
 
 
-def test_only_three_consecutive_losses_raise_a_false_suspicion(monkeypatch):
+def false_suspicions(monkeypatch, seeds):
+    """Run the fault-free lossy explore scenarios of ``seeds``; check that
+    every first-hand false suspicion follows at least three consecutive
+    losses.  Returns (scenarios, first-hand suspicions, relayed ones)."""
     sent = defaultdict(list)  # (world, src, dst) -> [(time, lost)]
-    u_send = UnreliableTransport.u_send
+    send = UnreliableTransport.send
 
-    def spy(self, src, dst, port, payload, **kwargs):
+    def spy(self, route, port, payload, *args):
         before = self._counters.get("net.dropped.loss")
-        u_send(self, src, dst, port, payload, **kwargs)
+        send(self, route, port, payload, *args)
         lost = self._counters.get("net.dropped.loss") > before
-        sent[self.world, src, dst].append((self.world.now, lost))
+        sent[self.world, route.src, route.dst].append((self.world.now, lost))
 
-    monkeypatch.setattr(UnreliableTransport, "u_send", spy)
+    monkeypatch.setattr(UnreliableTransport, "send", spy)
     scenarios = suspicions = relayed = 0
-    for seed in range(200):
+    for seed in seeds:
         config = scenario_for_seed(seed)
         if config.link.drop_prob == 0.0:
             continue
         scenarios += 1
         result, world = run_scenario(config, trace=True)
         assert result.ok and result.converged, seed
+        # The spy sees the scenario's datagrams, losses included: a spy
+        # on a path nothing takes would leave every window below empty.
+        assert sent and any(lost for log in sent.values() for _, lost in log), seed
         # Nobody ends the run blind: a member that lost sight of the
         # watcher and was not answered would suspect everyone by now.
         for pid in world.pids():
@@ -67,6 +73,11 @@ def test_only_three_consecutive_losses_raise_a_false_suspicion(monkeypatch):
             ]
             assert all(in_window) and len(in_window) >= 3, (seed, record, in_window)
         sent.clear()
+    return scenarios, suspicions, relayed
+
+
+def test_only_three_consecutive_losses_raise_a_false_suspicion(monkeypatch):
+    scenarios, suspicions, relayed = false_suspicions(monkeypatch, range(200))
     assert scenarios == 95
     # A Poisson count with a mean near 4 (3-5 across variants of the
     # keep-alive rule that differ only in sample path; 4-5 per 206 over
@@ -75,4 +86,14 @@ def test_only_three_consecutive_losses_raise_a_false_suspicion(monkeypatch):
     assert suspicions <= 8
     # Each false suspicion of a watcher's reaches the n - 2 others
     # (2 first-hand and 0 relayed when this was written).
+    assert relayed <= suspicions * 3, (suspicions, relayed)
+
+
+def test_false_suspicions_that_do_occur_follow_three_losses(monkeypatch):
+    # Seeds 0:200 may read no first-hand false suspicion at all (their
+    # sample path read 0 since the star monitor), which leaves the window
+    # check above nothing to check; seeds 200:600 read 4 (and 4 relayed).
+    scenarios, suspicions, relayed = false_suspicions(monkeypatch, range(200, 600))
+    assert scenarios == 206
+    assert 1 <= suspicions <= 10, suspicions
     assert relayed <= suspicions * 3, (suspicions, relayed)

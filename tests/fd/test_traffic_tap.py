@@ -154,14 +154,14 @@ def test_crashed_peer_suspected_no_later_with_suppression():
 def heartbeat_log(world, src, dst):
     """Times at which ``src`` hands the transport a heartbeat for ``dst``."""
     sent = []
-    u_send = world.transport.u_send
+    send = world.transport.send
 
-    def spy(s, d, port, payload, **kwargs):
-        if (s, d, port) == (src, dst, "fd.hb"):
+    def spy(route, port, payload, *args):
+        if (route.src, route.dst, port) == (src, dst, "fd.hb"):
             sent.append(world.now)
-        u_send(s, d, port, payload, **kwargs)
+        send(route, port, payload, *args)
 
-    world.transport.u_send = spy
+    world.transport.send = spy
     return sent
 
 
@@ -205,14 +205,14 @@ def keepalive_with_an_owed_ack(star):
         StarMonitor(fds["p00"], lambda: list(pids), 60.0, channels["p00"])
     Chatter(world.process("p00"))
     wire = []
-    u_send = world.transport.u_send
+    send = world.transport.send
 
-    def spy(src, dst, port, payload, **kwargs):
-        if (src, dst) == ("p00", "p01") and world.now > 11.0:
+    def spy(route, port, payload, *args):
+        if (route.src, route.dst) == ("p00", "p01") and world.now > 11.0:
             wire.append((world.now, port, payload[0] if port == "rc" else payload))
-        u_send(src, dst, port, payload, **kwargs)
+        send(route, port, payload, *args)
 
-    world.transport.u_send = spy
+    world.transport.send = spy
     world.start()
     world.scheduler.at(10.0, channels["p01"].send, "p00", "app", "x")
     world.run_for(11.0 + ACK_HOLD + 1.0)

@@ -44,14 +44,14 @@ def failover_run():
         sys.path.remove(str(_PERF))
     workload = workloads.BY_NAME["failover"].quick()
     wire = []
-    u_send = UnreliableTransport.u_send
+    send = UnreliableTransport.send
 
-    def spy(self, src, dst, port, payload, **kwargs):
+    def spy(self, route, port, payload, *args):
         wire.append((port, payload))
-        u_send(self, src, dst, port, payload, **kwargs)
+        send(self, route, port, payload, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(UnreliableTransport, "u_send", spy)
+        patch.setattr(UnreliableTransport, "send", spy)
         group = harness.Group(workload, seed=1)
         group.drive(workloads.reference_schedule(workload, seed=1))
         assert group.drain()

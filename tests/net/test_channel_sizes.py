@@ -29,23 +29,14 @@ def spy_on_sizes(world):
     """Record ``(kind, layer, size handed over, wire_size, byte split,
     datagram)`` of every datagram sent."""
     seen = []
-    u_send = world.transport.u_send
+    send = world.transport.send
 
-    def spy(src, dst, port, payload, **kwargs):
+    def spy(route, port, payload, layer, size, byte_split=None):
         kind = payload[0] if isinstance(payload, tuple) else None
-        seen.append(
-            (
-                kind,
-                kwargs.get("layer"),
-                kwargs.get("size"),
-                wire_size(payload),
-                kwargs.get("byte_split"),
-                payload,
-            )
-        )
-        u_send(src, dst, port, payload, **kwargs)
+        seen.append((kind, layer, size, wire_size(payload), byte_split, payload))
+        send(route, port, payload, layer, size, byte_split)
 
-    world.transport.u_send = spy
+    world.transport.send = spy
     return seen
 
 

@@ -60,14 +60,14 @@ def test_segments_wait_for_the_window_only_behind_a_recent_datagram():
     Sink(world.process("p01"))
     sender = channels["p00"]
     wire = []  # (time, kind, segments) of every datagram p00 sends
-    u_send = world.transport.u_send
+    send = world.transport.send
 
-    def spy(src, dst, port, datagram, **kwargs):
-        if src == "p00":
+    def spy(route, port, datagram, *args):
+        if route.src == "p00":
             wire.append((world.now, datagram[0], 1 if datagram[0] == "DATA" else len(datagram[4])))
-        u_send(src, dst, port, datagram, **kwargs)
+        send(route, port, datagram, *args)
 
-    world.transport.u_send = spy
+    world.transport.send = spy
 
     def cascade():
         sender.send("p01", "app", 0)

@@ -17,6 +17,7 @@ counters creates, reorders or changes none of them.
 from __future__ import annotations
 
 from repro.core.new_stack import StackConfig, build_new_group, enable_recovery
+from repro.net.reliable import PORT_LAYERS, layer_of_port
 from repro.net.topology import LinkModel
 from repro.net.wire import Blob
 from repro.sim.world import World
@@ -148,3 +149,22 @@ def test_reading_counters_changes_nothing():
     unread = _faulty_ring_run().metrics.counters.snapshot()
     # The same counters, the same values, created in the same order.
     assert list(read.items()) == list(unread.items())
+
+
+class Unsplittable(str):
+    """A port name that fails the test if anything splits it."""
+
+    def split(self, *_args, **_kwargs):
+        raise AssertionError(f"{self!r} was split")
+
+
+def test_a_mapped_port_is_looked_up_not_split():
+    for port, layer in PORT_LAYERS.items():
+        assert layer_of_port(Unsplittable(port)) == layer
+
+
+def test_an_unmapped_port_is_attributed_by_its_prefix():
+    assert "fd.report" not in PORT_LAYERS and "app" not in PORT_LAYERS
+    assert layer_of_port("fd.report") == "fd"
+    assert layer_of_port("gm.state.extra") == "gm"
+    assert layer_of_port("app") == "app"

@@ -1,8 +1,13 @@
 """Unit tests for the discrete-event scheduler."""
 
+import ast
+import inspect
+from types import SimpleNamespace
+
 import pytest
 
-from repro.sim.scheduler import Scheduler
+from repro.sim import scheduler as scheduler_module
+from repro.sim.scheduler import Scheduler, TimerOwner
 
 
 def test_events_run_in_time_order():
@@ -231,3 +236,73 @@ def test_cancel_after_fire_is_noop():
     sched.run()
     t.cancel()
     assert sched._cancelled_pending == 0
+
+
+# ----------------------------------------------------------------------
+# The incarnation fence lives in the run loop
+# ----------------------------------------------------------------------
+class Owner(TimerOwner):
+    """What the run loop reads of a process: crash state, incarnation,
+    span log."""
+
+    def __init__(self, sched):
+        self._scheduler = sched
+        self.crashed = False
+        self.incarnation = 0
+        self._spans = SimpleNamespace(_current=None)
+
+
+def test_a_fenced_out_timer_still_counts_and_fires():
+    sched, seen = Scheduler(), []
+    owner = Owner(sched)
+    crashed = owner.schedule(1.0, seen.append, "crashed")
+    replaced = owner.schedule(2.0, seen.append, "replaced")
+    owner.crashed = True
+    sched.run(until=1.5)
+    owner.crashed, owner.incarnation = False, 1
+    current = owner.schedule(1.5, seen.append, "current")
+    assert sched.run() == 2
+    assert seen == ["current"]
+    assert sched.events_processed == 3
+    assert crashed.fired and replaced.fired and current.fired
+    assert not any(t.active for t in (crashed, replaced, current))
+
+
+def test_a_fenced_out_posted_event_still_counts():
+    sched, seen = Scheduler(), []
+    owner = Owner(sched)
+    owner.post(1.0, seen.append, "old")
+    owner.incarnation = 1
+    owner.post(1.0, seen.append, "new")
+    sched.post(1.0, seen.append, "ownerless")
+    assert sched.run() == 3
+    assert seen == ["new", "ownerless"]
+
+
+def test_the_run_loop_restores_the_span_context_around_an_owned_callback():
+    sched = Scheduler()
+    owner = Owner(sched)
+    spans = owner._spans
+    seen = []
+
+    def callback():
+        seen.append(spans._current)
+        raise RuntimeError("the context must be restored anyway")
+
+    spans._current = "armed-under"
+    owner.schedule(1.0, callback)
+    spans._current = "ambient"
+    with pytest.raises(RuntimeError):
+        sched.run()
+    assert seen == ["armed-under"] and spans._current == "ambient"
+
+
+def test_the_scheduler_imports_nothing_of_the_process_module():
+    tree = ast.parse(inspect.getsource(scheduler_module))
+    imported = {
+        name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in ([node.module] if isinstance(node, ast.ImportFrom) else
+                     [alias.name for alias in node.names])
+    }
+    assert imported == {"__future__", "heapq", "itertools", "typing"}
