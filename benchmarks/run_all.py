@@ -36,6 +36,7 @@ a cumulative-time top-N table.  See ``docs/benchmarks.md``.
 from __future__ import annotations
 
 import argparse
+import ast
 import cProfile
 import dataclasses
 import importlib
@@ -102,17 +103,38 @@ def _component_options() -> int:
     )
 
 
+def code_lines(source: str) -> int:
+    """Non-blank lines of ``source`` that are neither comment-only nor
+    part of a module, class or function docstring: a size that deleting
+    documentation does not lower."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(
+        1
+        for number, line in enumerate(source.splitlines(), 1)
+        if line.strip() and not line.lstrip().startswith("#") and number not in docstrings
+    )
+
+
 def simplicity_meta() -> dict:
     """The size of what the numbers were taken on: configuration fields
     of the stack, the options the traditional stacks take (a constructor
     keyword other than ``is_member``, counted per stack; Totem inherits
     RMP's), the defaulted constructor parameters of the components and
-    the world, non-blank source lines under ``src/repro`` and non-blank
+    the world, non-blank source lines under ``src/repro`` (all of them,
+    and the code lines among them, :func:`code_lines`) and non-blank
     lines of the benches that take them (``benchmarks/*.py``, the frozen
     ``benchmarks/perf/`` apart)."""
 
     def lines(paths) -> int:
         return sum(1 for path in paths for line in path.read_text().splitlines() if line.strip())
+
+    src = list((_HERE.parent / "src" / "repro").rglob("*.py"))
 
     return {
         "stack_config_fields": len(dataclasses.fields(StackConfig)),
@@ -123,7 +145,8 @@ def simplicity_meta() -> dict:
             if param.kind is param.KEYWORD_ONLY and name != "is_member"
         ),
         "component_options": _component_options(),
-        "src_lines": lines((_HERE.parent / "src" / "repro").rglob("*.py")),
+        "src_lines": lines(src),
+        "src_code_lines": sum(code_lines(path.read_text()) for path in src),
         "bench_lines": lines(_HERE.glob("*.py")),
     }
 
@@ -220,8 +243,8 @@ def check(document: dict, baseline_path: Path, tolerance: float) -> list[str]:
                        path="scenarios")
     # The simplicity trajectory goes into every CI log.  One-sided: the
     # stacks may lose configuration fields and options, never gain one
-    # unnoticed (``src_lines`` and ``bench_lines`` are recorded for the
-    # trajectory only).
+    # unnoticed (``src_lines``, ``src_code_lines`` and ``bench_lines``
+    # are recorded for the trajectory only).
     meta_before, meta_now = baseline.get("meta", {}), document.get("meta", {})
     for key in sorted(meta_now):
         print(f"[bench] meta.{key}: {meta_before.get(key)} -> {meta_now[key]}")

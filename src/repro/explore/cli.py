@@ -196,6 +196,10 @@ def run_sweep(args: argparse.Namespace) -> int:
                     ],
                     "unconverged": [r.seed for r in summary.unconverged],
                     "ok": summary.ok,
+                    # Every swept seed's fingerprint: two trees that
+                    # simulate alike print the same bytes, one that
+                    # moves any run does not.
+                    "runs": {str(r.seed): r.result.fingerprint for r in summary.reports},
                 },
                 sort_keys=True,
             )

@@ -460,13 +460,9 @@ class ReliableChannel(Component):
         if span is None:
             self._transport.send(peer.route, PORT, datagram, layer, size, byte_split)
             return
-        spans = self._spans
-        prev = spans._current
-        spans._current = span
-        try:
-            self._transport.send(peer.route, PORT, datagram, layer, size, byte_split)
-        finally:
-            spans._current = prev
+        self._spans.within(
+            span, self._transport.send, peer.route, PORT, datagram, layer, size, byte_split
+        )
 
     def discard(self, dst: str) -> None:
         """Drop buffered messages for ``dst`` (after membership exclusion).

@@ -359,10 +359,4 @@ class UnreliableTransport:
         # Activate the transit span around dispatch: everything the
         # receiving stack does in reaction — sends, timers — chains to
         # this datagram in the causal tree.
-        spans = self._spans
-        prev = spans._current
-        spans._current = span
-        try:
-            process.dispatch(port, src, payload)
-        finally:
-            spans._current = prev
+        self._spans.within(span, process.dispatch, port, src, payload)

@@ -12,9 +12,8 @@ the wall clock.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 #: Slack for "has this deadline come?": a timer armed ``deadline - now``
@@ -25,44 +24,33 @@ DUE_SLACK = 1e-6
 
 
 class Timer:
-    """Handle for a scheduled callback; supports cancellation.
+    """A ticket for a scheduled callback: its heap key and a cancel flag.
 
-    Returned by :meth:`Scheduler.schedule` and :meth:`Scheduler.at`.
-    Cancelling an already-fired or already-cancelled timer is a no-op.
-
-    A timer a process arms carries that ``owner``, its ``incarnation``
-    and the span context ``ctx`` of the moment: the fence (see
-    :class:`TimerOwner`).
+    Returned by :meth:`Scheduler.schedule`, :meth:`Scheduler.at` and
+    :meth:`TimerOwner.schedule`; the callback itself lives in the heap
+    entry.  Cancelling an already-fired or already-cancelled timer is a
+    no-op.  ``fired`` and ``active`` are read off the scheduler: entries
+    run in strictly increasing ``(when, tick)`` order, so a timer not
+    cancelled has fired iff its key is at or below the last one run.
     """
 
-    __slots__ = ("when", "callback", "args", "cancelled", "fired", "_sched", "owner",
-                 "incarnation", "ctx")
+    __slots__ = ("when", "tick", "cancelled", "_sched")
 
-    def __init__(
-        self,
-        when: float,
-        callback: Callable[..., None],
-        args: tuple,
-        sched: "Scheduler | None" = None,
-        owner: Any = None,
-        incarnation: int = 0,
-        ctx: Any = None,
-    ):
+    def __init__(self, when: float, tick: int, sched: "Scheduler"):
         self.when = when
-        self.callback = callback
-        self.args = args
+        self.tick = tick
         self.cancelled = False
-        self.fired = False
         self._sched = sched
-        self.owner = owner
-        self.incarnation = incarnation
-        self.ctx = ctx
 
     def cancel(self) -> None:
-        if not self.cancelled and not self.fired:
+        if self.active:
             self.cancelled = True
-            if self._sched is not None:
-                self._sched._note_cancelled()
+            self._sched._cancelled.add(self.tick)
+
+    @property
+    def fired(self) -> bool:
+        sched = self._sched
+        return not self.cancelled and (self.when, self.tick) <= (sched._now, sched._last_tick)
 
     @property
     def active(self) -> bool:
@@ -107,11 +95,11 @@ class TimerOwner:
             raise ValueError(f"negative delay: {delay}")
         scheduler = self._scheduler
         when = scheduler._now + delay
-        timer = Timer(
-            when, callback, args, scheduler, self, self.incarnation, self._spans._current
-        )
-        heappush(scheduler._queue, (when, next(scheduler._counter), timer))
-        return timer
+        tick = next(scheduler._counter)
+        heappush(scheduler._queue, (
+            when, tick, callback, args, self, self.incarnation, self._spans._current
+        ))
+        return Timer(when, tick, scheduler)
 
     def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """:meth:`schedule` for an event nobody cancels: the same
@@ -122,27 +110,26 @@ class TimerOwner:
         scheduler = self._scheduler
         heappush(scheduler._queue, (
             scheduler._now + delay, next(scheduler._counter),
-            (callback, args, self, self.incarnation, self._spans._current),
+            callback, args, self, self.incarnation, self._spans._current,
         ))
 
 
 class Scheduler:
     """A deterministic event loop over simulated time.
 
-    Queue entries are ``(when, tick, Timer)`` for cancellable timers, or
-    ``(when, tick, (callback, args, owner, incarnation, ctx))`` for
-    fire-and-forget events posted via :meth:`post` (ownerless) or
-    :meth:`TimerOwner.post` — the tuple-packed
-    fast path used for per-datagram delivery hops, which skips the Timer
-    allocation and its state bookkeeping.  Ties are still broken by the
-    insertion tick, so the two kinds interleave deterministically.
+    Every queue entry is one flat tuple ``(when, tick, callback, args,
+    owner, incarnation, ctx)``, built only in this module.  ``tick`` is
+    the insertion counter: it breaks ties, so entries pop in strictly
+    increasing ``(when, tick)`` order, and it names the entry — a
+    cancelled :class:`Timer` puts its tick in ``_cancelled``, and
+    :meth:`run` drops that entry when it pops, without counting it.
 
-    **The incarnation fence lives here.**  Both kinds carry the same
-    three fields (see :class:`Timer`): an owner process (a
-    :class:`TimerOwner`, or ``None``), the incarnation that armed the
-    entry, and the span context to restore.  :meth:`run` skips
-    the callback of an entry whose owner crashed or recovered since; the
-    skipped entry still counts as an event and its timer as fired.
+    **The incarnation fence lives here.**  ``owner`` is a
+    :class:`TimerOwner` (or ``None``), ``incarnation`` the one that armed
+    the entry and ``ctx`` the span context to restore.  :meth:`run`
+    skips the callback of an entry whose owner crashed or recovered
+    since; the skipped entry still counts as an event and its timer as
+    fired.
     """
 
     #: Events executed across every Scheduler instance in this process —
@@ -152,19 +139,18 @@ class Scheduler:
     #: determinism is unaffected.
     total_events_processed = 0
 
-    #: Compaction policy for cancelled timers (see :meth:`_note_cancelled`):
-    #: below the floor a linear sweep is cheaper than the bookkeeping;
-    #: above it, compact once cancelled entries exceed the fraction.
-    COMPACT_MIN_CANCELLED = 64
-    COMPACT_FRACTION = 0.5
+    #: Heap compactions: none, a cancelled entry is dropped when it pops.
+    #: A constant kept only because the perf observatory reports it
+    #: (``benchmarks/perf/harness.py``, ``sim.heap_compactions``).
+    compactions = 0
 
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, Timer | tuple]] = []
+        self._queue: list[tuple] = []
         self._counter = itertools.count()
+        self._cancelled: set[int] = set()
         self._now = 0.0
+        self._last_tick = -1
         self._events_processed = 0
-        self._cancelled_pending = 0
-        self.compactions = 0
 
     @property
     def now(self) -> float:
@@ -179,59 +165,24 @@ class Scheduler:
         """Schedule ``callback(*args)`` to run ``delay`` ms from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        # :meth:`at` inlined: every protocol timer comes through here.
-        when = self._now + delay
-        timer = Timer(when, callback, args, self)
-        heapq.heappush(self._queue, (when, next(self._counter), timer))
-        return timer
+        return self.at(self._now + delay, callback, *args)
 
     def at(self, when: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``."""
         if when < self._now:
             raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
-        timer = Timer(when, callback, args, self)
-        heapq.heappush(self._queue, (when, next(self._counter), timer))
-        return timer
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Timer.cancel`; triggers lazy heap compaction.
-
-        Long-delay cancelled timers (FD heartbeats under suppression)
-        would otherwise linger until their deadline pops, bloating
-        :meth:`pending` and every heap operation.  When cancelled entries
-        dominate, rebuild the heap without them.  Determinism is
-        preserved: entries are ``(when, tick)``-keyed with unique ticks,
-        so pop order after ``heapify`` is identical to lazy popping.
-        """
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending >= self.COMPACT_MIN_CANCELLED
-            and self._cancelled_pending >= len(self._queue) * self.COMPACT_FRACTION
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        # In-place so aliases held by an in-progress run() loop stay valid.
-        live = [
-            e for e in self._queue if e[2].__class__ is tuple or not e[2].cancelled
-        ]
-        self._queue[:] = live
-        heapq.heapify(self._queue)
-        self._cancelled_pending = 0
-        self.compactions += 1
+        tick = next(self._counter)
+        heappush(self._queue, (when, tick, callback, args, None, 0, None))
+        return Timer(when, tick, self)
 
     def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule an *uncancellable* ``callback(*args)`` in ``delay`` ms.
-
-        The fast path for high-volume events that are never cancelled
-        (datagram delivery): the event is packed as a plain tuple, with
-        no :class:`Timer` handle.
-        """
+        """Schedule an *uncancellable* ``callback(*args)`` in ``delay`` ms:
+        the same entry as :meth:`schedule`, no :class:`Timer` ticket."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        heapq.heappush(
+        heappush(
             self._queue,
-            (self._now + delay, next(self._counter), (callback, args, None, 0, None)),
+            (self._now + delay, next(self._counter), callback, args, None, 0, None),
         )
 
     def pending(self) -> int:
@@ -244,7 +195,7 @@ class Scheduler:
         """
         ran = 0
         queue = self._queue
-        heappop = heapq.heappop
+        cancelled = self._cancelled
         # One loop body, no helper: it runs once per simulated event, and
         # a peek-then-delegate structure pays a second heap access plus a
         # method call per event.  The one event past ``until`` goes back:
@@ -254,24 +205,17 @@ class Scheduler:
             if max_events is not None and ran >= max_events:
                 break
             item = heappop(queue)
-            when, _, entry = item
-            if entry.__class__ is not tuple and entry.cancelled:
-                if self._cancelled_pending > 0:
-                    self._cancelled_pending -= 1
+            when, tick, callback, args, owner, incarnation, ctx = item
+            if tick in cancelled:
+                cancelled.discard(tick)
                 continue
             if until is not None and when > until:
-                heapq.heappush(queue, item)
+                heappush(queue, item)
                 self._now = until
                 break
             self._now = when
+            self._last_tick = tick
             self._events_processed += 1
-            if entry.__class__ is tuple:
-                callback, args, owner, incarnation, ctx = entry
-            else:
-                entry.fired = True
-                callback, args, owner = entry.callback, entry.args, entry.owner
-                if owner is not None:
-                    incarnation, ctx = entry.incarnation, entry.ctx
             # The fence: an owner's callback runs only in the incarnation
             # that armed it, under the span context it was armed in.
             if owner is None:
@@ -280,13 +224,7 @@ class Scheduler:
                 if ctx is None:
                     callback(*args)
                 else:
-                    spans = owner._spans
-                    prev = spans._current
-                    spans._current = ctx
-                    try:
-                        callback(*args)
-                    finally:
-                        spans._current = prev
+                    owner._spans.within(ctx, callback, *args)
             ran += 1
         else:
             if until is not None and until > self._now:

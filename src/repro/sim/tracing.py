@@ -188,14 +188,21 @@ class SpanLog:
             fn(*args, **kwargs)
             return None
         span = self.begin(pid, layer, name, kind, now, mid=mid)
+        self.within(span, fn, *args, **kwargs)
+        span.end = now
+        return span
+
+    def within(self, span: Span, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> None:
+        """Run ``fn(*args, **kwargs)`` with ``span`` as the ambient
+        context, and restore the previous context however ``fn`` ends.
+        The one place the ambient context is swapped: timer fires,
+        datagram deliveries and channel transmissions all come here."""
         prev = self._current
         self._current = span
         try:
             fn(*args, **kwargs)
         finally:
             self._current = prev
-        span.end = now
-        return span
 
     def set_max_spans(self, max_spans: int | None) -> None:
         """Switch to (or resize) ring-buffer mode, keeping current spans."""

@@ -16,7 +16,7 @@ REPO = Path(__file__).resolve().parents[2]
 if str(REPO / "benchmarks") not in sys.path:  # the benches import each other by module name
     sys.path.insert(0, str(REPO / "benchmarks"))
 
-from run_all import simplicity_meta  # noqa: E402
+from run_all import code_lines, simplicity_meta  # noqa: E402
 
 
 def test_the_measured_configuration_is_the_default_one(monkeypatch):
@@ -64,3 +64,23 @@ def test_knob_count_is_the_pinned_one():
     meta = simplicity_meta()
     for knobs in ("stack_config_fields", "traditional_knobs", "component_options"):
         assert meta[knobs] == baseline["meta"][knobs], knobs
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    snippet = '''"""Module docstring,
+on two lines."""
+
+#: A documented constant.
+LIMIT = 3  # a trailing comment keeps its line
+
+
+class Box:
+    """One line."""
+
+    def open(self):
+        """Two
+        lines."""
+        text = """a string that is not a docstring"""
+        return text
+'''
+    assert code_lines(snippet) == 5

@@ -130,3 +130,17 @@ def test_corpus_entry_replays_via_cli(capsys):
     entry = REPO_ROOT / "tests" / "explore" / "corpus" / "one-closer-liveness-ladder.json"
     assert explore_main(["--replay", str(entry)]) == 0
     assert "REPRODUCED" in capsys.readouterr().out
+
+
+def test_sweep_json_records_every_seeds_fingerprint(capsys):
+    # ``--json`` is the artifact that proves two trees simulate alike:
+    # it must carry each run's fingerprint, not only the verdicts.
+    from repro.explore.cli import main as explore_main
+    from repro.explore.explorer import explore_seed
+
+    runs = []
+    for _ in range(2):
+        assert explore_main(["--seeds", "0:3", "--json"]) == 0
+        runs.append(json.loads(capsys.readouterr().out)["runs"])
+    assert runs[0] == runs[1]
+    assert runs[0] == {str(seed): explore_seed(seed).result.fingerprint for seed in range(3)}

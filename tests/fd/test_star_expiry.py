@@ -82,10 +82,10 @@ class Twin:
             self.view = others[:position] + [ME] + others[position:]
 
     def state(self) -> tuple:
-        queue = self.world.scheduler._queue
+        scheduler = self.world.scheduler
         armed = sorted(
-            (when, tick) for when, tick, entry in queue
-            if entry.__class__ is tuple or not entry.cancelled
+            (when, tick) for when, tick, *_ in scheduler._queue
+            if tick not in scheduler._cancelled
         )
         timer = self.monitor._timer
         return (

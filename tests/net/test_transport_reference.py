@@ -107,7 +107,7 @@ def state(world: World) -> tuple:
     """Every queued datagram — time, tick, route, port, payload and
     incarnation stamps, its transit span — the counters, the stream."""
     entries = []
-    for when, tick, (callback, args, owner, incarnation, ctx) in sorted(world.scheduler._queue):
+    for when, tick, callback, args, owner, incarnation, ctx in sorted(world.scheduler._queue):
         route, port, payload, src_inc, dst_inc, span = args
         assert callback.__name__ == "_deliver" and (owner, incarnation, ctx) == (None, 0, None)
         entries.append((when, tick, route.src, route.dst, port, payload, src_inc, dst_inc,

@@ -2,12 +2,11 @@
 
 import ast
 import inspect
-from types import SimpleNamespace
-
 import pytest
 
 from repro.sim import scheduler as scheduler_module
 from repro.sim.scheduler import Scheduler, TimerOwner
+from repro.sim.tracing import SpanLog
 
 
 def test_events_run_in_time_order():
@@ -167,59 +166,29 @@ def test_zero_delay_runs_at_current_time():
     assert times == [5.0]
 
 
-def test_compaction_evicts_cancelled_timers():
-    # Regression: cancelled long-delay timers (suppressed FD heartbeats)
-    # used to linger in the heap until their deadline popped.  Once they
-    # dominate the queue a compaction rebuilds the heap without them.
-    sched = Scheduler()
-    timers = [sched.schedule(1_000.0 + i, lambda: None) for i in range(200)]
-    assert sched.pending() == 200
-    for t in timers[:150]:
-        t.cancel()
-    # The 100th cancel crossed both thresholds (>= 64 and >= half the
-    # queue) and compacted 100 entries away; the remaining 50 cancels sit
-    # below the floor and linger until the next compaction or their pop.
-    assert sched.compactions >= 1
-    assert sched.pending() == 100
-    assert sched._cancelled_pending == 50
-
-
-def test_no_compaction_below_floor():
-    sched = Scheduler()
-    timers = [sched.schedule(10.0 + i, lambda: None) for i in range(20)]
-    for t in timers:  # 100% cancelled, but under COMPACT_MIN_CANCELLED
-        t.cancel()
-    assert sched.compactions == 0
-    sched.run()
-    assert sched.pending() == 0
-
-
-def test_compaction_preserves_tick_order():
-    # Fingerprint check: the exact same workload, with compaction forced
-    # on one scheduler and disabled on the other, fires the surviving
-    # timers in the identical order — (when, tick) keys with unique
-    # ticks make heapify-after-filter order-equivalent to lazy popping.
-    def workload(sched):
+def test_cancelled_entries_leave_the_firing_order_of_the_rest_unchanged():
+    # The same workload with and without the doomed timers: cancelling
+    # them must not move a survivor, same-time collisions included, and
+    # a dropped entry is not an event.
+    def workload(cancel):
+        sched = Scheduler()
         seen = []
-        keep = []
         doomed = []
         for i in range(200):
-            target = doomed if i % 3 else keep
-            # Deliberate same-time collisions so ties exercise tick order.
-            target.append(sched.schedule(float(i % 7), seen.append, i))
-        for t in doomed:
-            t.cancel()
+            timer = sched.schedule(float(i % 7), seen.append, i)
+            if i % 3:
+                doomed.append(timer)
+        if cancel:
+            for t in doomed:
+                t.cancel()
         sched.run()
-        return seen
+        return sched, seen
 
-    compacting = Scheduler()
-    lazy = Scheduler()
-    lazy.COMPACT_MIN_CANCELLED = 10**9  # never compact
-    order_a = workload(compacting)
-    order_b = workload(lazy)
-    assert compacting.compactions >= 1
-    assert lazy.compactions == 0
-    assert order_a == order_b
+    sched, survivors = workload(cancel=True)
+    _, everything = workload(cancel=False)
+    assert survivors == [i for i in everything if i % 3 == 0]
+    assert sched.events_processed == len(survivors)
+    assert sched.pending() == 0 and not sched._cancelled
 
 
 def test_double_cancel_counts_once():
@@ -227,7 +196,9 @@ def test_double_cancel_counts_once():
     t = sched.schedule(5.0, lambda: None)
     t.cancel()
     t.cancel()
-    assert sched._cancelled_pending == 1
+    assert sched._cancelled == {t.tick}
+    assert sched.run() == 0
+    assert not sched._cancelled and t.cancelled and not t.fired
 
 
 def test_cancel_after_fire_is_noop():
@@ -235,7 +206,8 @@ def test_cancel_after_fire_is_noop():
     t = sched.schedule(1.0, lambda: None)
     sched.run()
     t.cancel()
-    assert sched._cancelled_pending == 0
+    assert not sched._cancelled
+    assert t.fired and not t.cancelled
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +221,7 @@ class Owner(TimerOwner):
         self._scheduler = sched
         self.crashed = False
         self.incarnation = 0
-        self._spans = SimpleNamespace(_current=None)
+        self._spans = SpanLog()
 
 
 def test_a_fenced_out_timer_still_counts_and_fires():
