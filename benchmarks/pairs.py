@@ -1,6 +1,7 @@
 """Alternating parent / change pairs of the contract command, with the verdict.
 
-    python benchmarks/pairs.py PARENT --workload W --seeds 1:11 [--trace] [--json FILE]
+    python benchmarks/pairs.py PARENT --workload W --seeds 1:11 [--claim METRIC]
+                                      [--trace] [--json FILE]
 
 Runs one pair per seed of the contract command: the ``command`` that
 ``BENCHMARK.json`` names, with ``--workload W --seed N --seconds S
@@ -10,15 +11,21 @@ repository gets no worktree entry), the other in this checkout.  Even
 pairs run the parent first, odd pairs the change.  It then prints, for
 every contract metric, each side's median and quartiles and its verdict
 against the bound ``BENCHMARK.json`` fixes for it (:func:`judge`:
-``worse``, ``unresolved``, ``same`` or ``better``); for
-``host_ops_per_s``, the claimed metric, wins and ties and the verdict of
-the small-sandbox rule: a gain is claimed only when the change wins at
-least nine tenths of the pairs (ties count for neither) and the medians
-differ by more than the distance between the parent's quartiles.  Last,
-whether every exact metric — anything measured on the simulated clock
-or counted — is identical pair for pair.  The exit status is non-zero on
-any ``worse``, on a claim that does not hold and on exact metrics that
-differ.
+``worse``, ``unresolved``, ``same`` or ``better``), and whether every
+exact metric — anything measured on the simulated clock or counted — is
+identical pair for pair.
+
+``--claim METRIC`` names the end-to-end metric a gain is claimed on,
+judged in that metric's own direction.  A host metric (read off the host
+clock) is claimed by the small-sandbox rule: the change wins at least
+nine tenths of the pairs (ties count for neither) and the medians differ
+by more than the distance between the parent's quartiles.  An exact
+metric is claimed where :func:`judge` reads ``better``.  No gain is
+claimed by default.
+
+Exit status: 1 on any ``worse``, on a run that is not correct or has
+failed ops, and on exact metrics that differ (unless the claim names an
+exact metric); else 2 where the claim does not hold; else 0.
 
 With ``--trace`` each pair also runs the traced contract form
 (``--trace 1``) on both sides, and the tool prints both sides' medians
@@ -26,7 +33,7 @@ of every ``*.host_self_us_per_op`` and ``*.calls_per_op``: where a
 host-time saving sits, layer by layer.
 
 Each side runs the benchmark code of its own revision.  Run nothing else
-on the machine meanwhile: host time is the claim.
+on the machine meanwhile: host time is measured.
 """
 
 from __future__ import annotations
@@ -47,8 +54,10 @@ _ROOT = Path(__file__).resolve().parent.parent
 #: Metrics read off the host clock, as ``benchmarks/perf/run.py`` names
 #: them; every other contract metric must repeat exactly.
 HOST_METRICS = ("setup_s", "host_ops_per_s", "host_peak_rss_mb")
-#: The metric a host-time claim is judged on.
-CLAIMED = "host_ops_per_s"
+#: Exit statuses of :func:`main`: a regression (a ``worse`` metric, an
+#: unhealthy run, exact metrics that differ), then a claim that does not
+#: hold.
+REGRESSED, NOT_CLAIMED = 1, 2
 #: Share of the pairs the change must win to claim a gain.
 WIN_SHARE = 0.9
 #: Suffixes of the traced per-layer metrics ``--trace`` tabulates.
@@ -195,32 +204,37 @@ def run_pairs(
     return runs
 
 
-def report(runs: list[dict]) -> tuple[bool, bool]:
-    """Print the table with every metric's verdict, the verdict on
-    ``host_ops_per_s`` and the exact-metric check.  Returns whether the
-    claim holds with the exact metrics matching, and whether any metric
-    is ``worse``."""
+def report(runs: list[dict], claim: str | None = None) -> int:
+    """Print the table with every metric's verdict, the verdict on the
+    ``claim`` (if any), the exact-metric check and the health check.
+    Returns the exit status (see the module docstring)."""
     directions = contract_metrics()
     bounds = contract_bounds()
     print(f"{'metric':20s} {'parent q1 / median / q3':>32s} {'change q1 / median / q3':>32s}"
           f" {'ratio':>7s} {'bound':>6s}  verdict")
-    any_worse = False
+    readings, words = {}, {}
     for name in directions:
-        parent, change = ([run[side]["metrics"][name]["value"] for run in runs]
-                          for side in ("parent", "change"))
+        parent, change = readings[name] = tuple(
+            [run[side]["metrics"][name]["value"] for run in runs]
+            for side in ("parent", "change"))
         (pl, pm, ph), (cl, cm, ch) = quartiles(parent), quartiles(change)
-        word = judge(parent, change, directions[name], bounds[name])
-        any_worse |= word == "worse"
+        words[name] = judge(parent, change, directions[name], bounds[name])
         print(f"{name:20s} {pl:10.6g} {pm:10.6g} {ph:10.6g} {cl:10.6g} {cm:10.6g} {ch:10.6g}"
-              f" {cm / pm if pm else float('nan'):7.3f} {bounds[name]:6.2f}  {word}")
-    parent = [run["parent"]["metrics"][CLAIMED]["value"] for run in runs]
-    change = [run["change"]["metrics"][CLAIMED]["value"] for run in runs]
-    result = verdict(parent, change, directions[CLAIMED])
-    print(f"{CLAIMED}: change wins {result.wins} of {result.pairs} pairs, {result.ties} tied; "
-          f"median ratio {result.ratio:.3f} (base: parent); gain {result.gain:.6g} vs "
-          f"parent inter-quartile distance {result.parent_spread:.6g}: "
-          f"{'CLAIMED' if result.claimed else 'not claimed'}")
+              f" {cm / pm if pm else float('nan'):7.3f} {bounds[name]:6.2f}  {words[name]}")
     exact = [name for name in directions if name not in HOST_METRICS]
+    holds = True
+    if claim in HOST_METRICS:
+        result = verdict(*readings[claim], directions[claim])
+        holds = result.claimed
+        print(f"{claim}: change wins {result.wins} of {result.pairs} pairs, {result.ties} tied; "
+              f"median ratio {result.ratio:.3f} (base: parent); gain {result.gain:.6g} vs "
+              f"parent inter-quartile distance {result.parent_spread:.6g}: "
+              f"{'CLAIMED' if holds else 'not claimed'}")
+    elif claim:
+        holds = words[claim] == "better"
+        print(f"{claim}: {words[claim]}: {'CLAIMED' if holds else 'not claimed'}")
+    else:
+        print("claim: none")
     identical = all(
         run["parent"]["metrics"][name] == run["change"]["metrics"][name]
         for run in runs for name in exact
@@ -231,7 +245,9 @@ def report(runs: list[dict]) -> tuple[bool, bool]:
     )
     print(f"exact metrics identical: {'yes' if identical else 'no'} ({', '.join(exact)})")
     print(f"every run correct with 0 failed: {'yes' if healthy else 'no'}")
-    return result.claimed and identical and healthy, any_worse
+    if "worse" in words.values() or not healthy or not (identical or claim in exact):
+        return REGRESSED
+    return 0 if holds else NOT_CLAIMED
 
 
 def traced_medians(runs: list[dict]) -> list[tuple[str, float, float]]:
@@ -271,6 +287,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent", help="git revision of the parent")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1:11"))
+    parser.add_argument("--claim", choices=sorted(contract_metrics()),
+                        help="the end-to-end metric a gain is claimed on (default: none)")
     parser.add_argument("--trace", action="store_true",
                         help="also run the traced form and tabulate per-layer host time")
     parser.add_argument("--json", type=Path, help="write every run here")
@@ -280,10 +298,10 @@ def main(argv: list[str]) -> int:
         runs = run_pairs(parent_root, args.workload, args.seeds, args.trace)
     if args.json:
         args.json.write_text(json.dumps(runs, indent=2) + "\n")
-    ok, any_worse = report(runs)
+    status = report(runs, args.claim)
     if args.trace:
         report_traced(runs)
-    return 0 if ok and not any_worse else 1
+    return status
 
 
 if __name__ == "__main__":

@@ -1,14 +1,17 @@
 """The verdict of ``pairs.py``: nine tenths of the pairs won, and the
-medians further apart than the parent's quartiles."""
+medians further apart than the parent's quartiles; and its exit status."""
 
 import pytest
 from pairs import (
+    NOT_CLAIMED,
+    REGRESSED,
     contract,
     contract_bounds,
     contract_command,
     contract_metrics,
     judge,
     quartiles,
+    main,
     report,
     seed_range,
     traced_medians,
@@ -163,19 +166,68 @@ def verdicts_printed(out: str) -> dict[str, str]:
     return {row[0]: row[-1] for row in map(str.split, out.splitlines()) if row and row[0] in names}
 
 
+JITTER = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98]
+
+
+def pairs_of(**scaled: float) -> list[dict]:
+    """Six pairs whose change side is the parent's times ``scaled``."""
+    return [{"parent": contract_line(j), "change": contract_line(j, **scaled)} for j in JITTER]
+
+
 def test_report_prints_every_metric_s_verdict_and_flags_a_worse_one(capsys):
     assert set(contract_bounds()) == set(contract_metrics())
-    jitter = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98]
-    faster = [{"parent": contract_line(j), "change": contract_line(j, host_ops_per_s=1.3)}
-              for j in jitter]
-    assert report(faster) == (True, False)
+    faster = pairs_of(host_ops_per_s=1.3)
+    assert report(faster, "host_ops_per_s") == 0
     assert verdicts_printed(capsys.readouterr().out) == {
         "setup_s": "same", "sim_latency_p50_ms": "same", "wire_msgs_per_op": "same",
         "wire_bytes_per_op": "same", "host_ops_per_s": "better", "host_peak_rss_mb": "same",
     }
-    heavier = [{"parent": contract_line(j),
-                "change": contract_line(j, host_ops_per_s=1.3, host_peak_rss_mb=1.2)}
-               for j in jitter]
-    claimed, any_worse = report(heavier)
-    assert claimed and any_worse
+    heavier = pairs_of(host_ops_per_s=1.3, host_peak_rss_mb=1.2)
+    assert report(heavier, "host_ops_per_s") == REGRESSED
     assert verdicts_printed(capsys.readouterr().out)["host_peak_rss_mb"] == "worse"
+
+
+def test_a_comparison_that_claims_nothing_exits_0_when_nothing_regressed(capsys):
+    assert report(pairs_of()) == 0
+    assert "claim: none" in capsys.readouterr().out
+    # A gain nobody claimed is no failure either.
+    assert report(pairs_of(host_ops_per_s=1.3)) == 0
+
+
+def test_a_claim_that_does_not_hold_exits_2(capsys):
+    assert report(pairs_of(), "host_ops_per_s") == NOT_CLAIMED
+    assert "host_ops_per_s: change wins 0 of 6 pairs" in capsys.readouterr().out
+    # A claim in the wrong direction does not hold: more memory is no gain.
+    assert report(pairs_of(host_peak_rss_mb=1.05), "host_peak_rss_mb") == NOT_CLAIMED
+
+
+def test_a_lower_is_better_claim_on_peak_memory_holds_downwards(capsys):
+    assert report(pairs_of(host_peak_rss_mb=0.86), "host_peak_rss_mb") == 0
+    out = capsys.readouterr().out
+    assert "host_peak_rss_mb: change wins 6 of 6 pairs" in out and "CLAIMED" in out
+    assert verdicts_printed(out)["host_peak_rss_mb"] == "better"
+
+
+def test_unhealthy_runs_exit_1_whatever_the_claim():
+    failed = pairs_of(host_peak_rss_mb=0.86)
+    failed[2]["change"]["failed"] = 1
+    assert report(failed, "host_peak_rss_mb") == REGRESSED
+    wrong = pairs_of()
+    wrong[0]["parent"]["correct"] = False
+    assert report(wrong) == REGRESSED
+
+
+def test_exact_metrics_that_differ_exit_1_unless_an_exact_metric_is_claimed():
+    fewer = pairs_of(wire_msgs_per_op=0.95)
+    assert report(fewer) == REGRESSED
+    assert report(fewer, "host_peak_rss_mb") == REGRESSED
+    assert report(fewer, "wire_msgs_per_op") == 0
+    # An exact metric is claimed where judge reads better.
+    assert report(pairs_of(), "wire_msgs_per_op") == NOT_CLAIMED
+    assert report(pairs_of(wire_msgs_per_op=1.05), "wire_msgs_per_op") == NOT_CLAIMED
+
+
+def test_the_claim_must_be_an_end_to_end_metric_of_the_contract(capsys):
+    with pytest.raises(SystemExit):
+        main(["HEAD", "--workload", "failover", "--claim", "sim.events_per_op"])
+    assert "invalid choice" in capsys.readouterr().err

@@ -25,7 +25,6 @@ bugs (``tests/explore/test_explorer_detects.py``).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -33,6 +32,7 @@ from repro.checkers import InvariantViolation, app_history, check_agreement
 from repro.core.new_stack import build_new_group, enable_recovery
 from repro.explore.observers import ObserverPanel
 from repro.explore.scenario import ScenarioConfig
+from repro.sim.randomness import sha256
 from repro.sim.world import World
 from repro.workload.driver import schedule_broadcasts
 from repro.workload.generators import explore_mix
@@ -88,7 +88,7 @@ def _fingerprint(panel: ObserverPanel, world: World, violation: dict | None) -> 
         else [violation["invariant"], violation["actor"], violation["detail"]],
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
