@@ -107,6 +107,7 @@ from typing import Any, Callable, Iterable
 
 from repro.broadcast.rbcast import ReliableBroadcast
 from repro.consensus.chandra_toueg import ChandraTouegConsensus
+from repro.broadcast.delivered import DeliveredIds
 from repro.net.message import AppMessage, MsgId
 from repro.sim.process import Component, Process
 from repro.sim.scheduler import Timer
@@ -151,7 +152,9 @@ class ConsensusAtomicBroadcast(Component):
         self.window = window
         self.max_batch = max_batch
         self._pending: dict[MsgId, AppMessage] = {}
-        self._delivered: set[MsgId] = set()
+        #: Disjoint from ``_pending`` (a message leaves it as it is
+        #: delivered), so an id is looked up there first, in the cheaper dict.
+        self._delivered = DeliveredIds()
         #: Decided, not yet applied id vectors keyed by (epoch, index) —
         #: may include future-epoch decisions from faster processes.
         #: Values are ``(proposer_pid, (MsgId, ...))``.
@@ -296,7 +299,7 @@ class ConsensusAtomicBroadcast(Component):
     # Protocol
     # ------------------------------------------------------------------
     def _on_rdeliver(self, _origin: str, message: AppMessage, _rb_mid: MsgId) -> None:
-        if message.id in self._delivered or message.id in self._pending:
+        if message.id in self._pending or message.id in self._delivered:
             return
         self._pending[message.id] = message
         self.body_arrived(message.id)
@@ -419,7 +422,7 @@ class ConsensusAtomicBroadcast(Component):
             missing = [
                 mid
                 for mid in batch_ids
-                if mid not in self._delivered and mid not in self._pending
+                if mid not in self._pending and mid not in self._delivered
             ]
             if missing:
                 # Decided before dissemination: block delivery (instance

@@ -43,6 +43,7 @@ from typing import Callable
 
 from repro.abcast.interfaces import TaggedBroadcast
 from repro.membership.view import View
+from repro.broadcast.delivered import DeliveredIds
 from repro.net.message import AppMessage, MsgId
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Component, Process
@@ -74,7 +75,7 @@ class SequencerCore(Component):
         self._ordered: dict[int, AppMessage | None] = {}
         self._ordered_ids: set[MsgId] = set()
         self._next_deliver = 0
-        self._delivered: set[MsgId] = set()
+        self._delivered = DeliveredIds()
         self._callbacks: list[AdeliverFn] = []
         self.delivered_log: list[AppMessage] = []
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from repro.abcast.sequencer import SequencerCore, ViewProvider
 from repro.membership.view import View
+from repro.broadcast.delivered import DeliveredIds
 from repro.net.message import AppMessage
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Process
@@ -137,7 +138,7 @@ class TokenRingAtomicBroadcast(SequencerCore):
         self._ordered = dict(snapshot["ordered"])
         self._ordered_ids = {m.id for m in self._ordered.values() if m is not None}
         self._next_deliver = snapshot["next_deliver"]
-        self._delivered = set(snapshot["delivered"])
+        self._delivered = DeliveredIds(snapshot["delivered"])
         self.generation = snapshot["generation"]
         self._pending = {
             mid: msg for mid, msg in self._pending.items() if mid not in self._delivered

@@ -71,13 +71,15 @@ Invariants enforced (and tested property-style in
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Sequence
+from typing import Callable, Iterator
 
 from repro.abcast.consensus_based import ConsensusAtomicBroadcast
 from repro.broadcast.rbcast import ReliableBroadcast
 from repro.fd.heartbeat import Monitor, watcher
 from repro.gbcast.conflict import AckedClassIndex, ConflictRelation
 from repro.metrics.counters import Cell
+from repro.broadcast.delivered import DeliveredIds
 from repro.net.message import AppMessage, MsgId
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Component, Process
@@ -94,6 +96,38 @@ FAST_PATH_TIMEOUT = 250.0
 
 GdeliverFn = Callable[[AppMessage], None]
 GroupProvider = Callable[[], list[str]]
+
+#: The ways a message is g-delivered, as :class:`DeliveryLog` stores them.
+PATHS = ("fast", "closure")
+_PATH_CODES = {path: code for code, path in enumerate(PATHS)}
+
+
+class DeliveryLog(Sequence):
+    """What a member g-delivered, in order, read as ``(message, path)``
+    pairs: one list of messages and one byte per delivery for its path,
+    not a tuple per delivery."""
+
+    __slots__ = ("messages", "_paths")
+
+    def __init__(self) -> None:
+        self.messages: list[AppMessage] = []
+        self._paths = bytearray()
+
+    def append(self, message: AppMessage, path: str) -> None:
+        self.messages.append(message)
+        self._paths.append(_PATH_CODES[path])
+
+    def __len__(self) -> int:
+        return len(self.messages)
+
+    def __getitem__(self, index: int) -> tuple[AppMessage, str]:
+        return self.messages[index], PATHS[self._paths[index]]
+
+    def __iter__(self) -> Iterator[tuple[AppMessage, str]]:
+        return zip(self.messages, map(PATHS.__getitem__, self._paths))
+
+    def __repr__(self) -> str:
+        return f"DeliveryLog({list(self)!r})"
 
 
 class ThriftyGenericBroadcast(Component):
@@ -135,14 +169,16 @@ class ThriftyGenericBroadcast(Component):
         #: Acks ``(src, stage, mid)`` of members already in a later stage.
         self._early_acks: list[tuple[str, int, MsgId]] = []
         self._pending: dict[MsgId, AppMessage] = {}
-        self._delivered: set[MsgId] = set()
+        #: Disjoint from ``_pending`` (a message leaves it as it is
+        #: delivered), so an id is looked up there first, in the cheaper dict.
+        self._delivered = DeliveredIds()
         self._callbacks: list[GdeliverFn] = []
         #: The stack's small-timeout monitor: a fast path stalled by a
         #: suspected member closes on the suspicion edge instead of
         #: waiting for the ack timeout (Section 4.3).
         self.monitor = monitor
         monitor.subscribe(self.nudge)
-        self.delivered_log: list[tuple[AppMessage, str]] = []
+        self.delivered_log = DeliveryLog()
         # Per-op bookkeeping, resolved once: counter cells, and per
         # conflict class its ``gbcast.broadcasts.<class>`` cell and
         # ``gbcast.<class>`` latency tag, per path its counter cell.
@@ -206,7 +242,7 @@ class ThriftyGenericBroadcast(Component):
     # Fast path
     # ------------------------------------------------------------------
     def _on_chk(self, _origin: str, message: AppMessage, _mid: MsgId) -> None:
-        if message.id in self._delivered or message.id in self._pending:
+        if message.id in self._pending or message.id in self._delivered:
             return
         self._pending[message.id] = message
         self.abcast.body_arrived(message.id)  # an ENDSTAGE may be waiting for it
@@ -249,7 +285,7 @@ class ThriftyGenericBroadcast(Component):
             if stage > self._stage:
                 self._early_acks.append((src, stage, mid))
                 self._count_acks_early.n += 1
-            elif stage == self._stage and mid not in self._delivered:
+            elif stage == self._stage and (mid in self._pending or mid not in self._delivered):
                 self._acks_received.setdefault(mid, set()).add(src)
                 self._check_fast(mid)
 
@@ -341,10 +377,12 @@ class ThriftyGenericBroadcast(Component):
         stage, closure, tail = message.payload
         if stage != self._stage or message.sender not in self.group_provider():
             return []
+        # An id acked in this stage is held (pending or delivered): the
+        # fast-delivered bulk of a closure set never reaches the store.
         return [
             mid
             for mid in closure + tail
-            if mid not in self._delivered and mid not in self._pending
+            if mid not in self._pending and mid not in self._acked and mid not in self._delivered
         ]
 
     def _on_adeliver(self, message: AppMessage) -> None:
@@ -360,8 +398,11 @@ class ThriftyGenericBroadcast(Component):
             self.trace("endstage_ignored", sender=message.sender)
             return
         for mid in closure + tail:  # each in MsgId order, closure set first
-            if mid not in self._delivered:
-                self._deliver(self._pending[mid], "closure")
+            # Not pending is delivered: abcast held this ENDSTAGE below
+            # a-delivery until every body it names was one or the other.
+            message = self._pending.get(mid)
+            if message is not None:
+                self._deliver(message, "closure")
         self._stage += 1
         self._frozen = False
         self._deferred_at = None
@@ -388,10 +429,9 @@ class ThriftyGenericBroadcast(Component):
     # Delivery
     # ------------------------------------------------------------------
     def _deliver(self, message: AppMessage, path: str) -> None:
-        if message.id in self._delivered:
+        if self._pending.pop(message.id, None) is None and message.id in self._delivered:
             return
         self._delivered.add(message.id)
-        self._pending.pop(message.id, None)
         # NOTE: the message stays in self._acked until the stage closes.
         # Removing it here would let a conflicting message be acked in
         # the same stage (its blocker gone) and ride a closure set ahead
@@ -406,7 +446,7 @@ class ThriftyGenericBroadcast(Component):
         self._count_delivered.n += 1
         path_count.n += 1
         self._latency.end(self._class_entry(message.msg_class)[1], message.id, self.now)
-        self.delivered_log.append((message, path))
+        self.delivered_log.append(message, path)
         if self.world.trace.enabled:
             self.trace("gdeliver", mid=str(message.id), path=path, cls=message.msg_class)
         spans = self.spans

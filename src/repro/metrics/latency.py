@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,10 +64,14 @@ def percentile(sorted_samples: list[float], fraction: float) -> float:
 
 
 class LatencyRecorder:
-    """Collects latency samples grouped by a string tag."""
+    """Collects latency samples grouped by a string tag.
+
+    A tag's samples are an ``array('d')``: each is the IEEE double it
+    was recorded as, in 8 bytes instead of a boxed float.
+    """
 
     def __init__(self) -> None:
-        self._samples: dict[str, list[float]] = {}
+        self._samples: dict[str, array] = {}
         self._open: dict[tuple[str, object], float] = {}
         #: Per-tag cache of the sorted sample view: stats() used to
         #: re-sort the full list on every call, which is quadratic when
@@ -74,7 +79,10 @@ class LatencyRecorder:
         self._sorted_cache: dict[str, list[float]] = {}
 
     def record(self, tag: str, value: float) -> None:
-        self._samples.setdefault(tag, []).append(value)
+        samples = self._samples.get(tag)
+        if samples is None:
+            samples = self._samples[tag] = array("d")
+        samples.append(value)
         self._sorted_cache.pop(tag, None)
 
     def begin(self, tag: str, key: object, at: float) -> None:

@@ -7,7 +7,8 @@ a deterministic tie-break that is identical at every process.
 Both structs are on every datagram's path, so they are built for the
 interpreter: a :class:`MsgId` is a tuple (it hashes and compares in C),
 and an :class:`AppMessage` keeps its wire size once it has been sized
-(see ``repro.net.wire.payload_size``).
+(see ``repro.net.wire.payload_size``).  Every member keeps every message
+it delivered, so an :class:`AppMessage` is slotted: no ``__dict__``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class MsgId(NamedTuple):
         return f"{self.sender}#{self.seq}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppMessage:
     """An application message carried by the broadcast primitives.
 
@@ -63,8 +64,9 @@ class AppMessage:
 
     #: Wire size, set by ``repro.net.wire.payload_size`` the first time
     #: the message is sized (the message is immutable, so it holds at
-    #: every hop and for every peer).  A class attribute, not a field.
-    _size = None
+    #: every hop and for every peer).  A slot outside ``__init__``,
+    #: ``__eq__``, ``__hash__`` and ``__repr__``, and not on the wire.
+    _size: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return f"{self.id}[{self.msg_class}]"

@@ -49,6 +49,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.membership.view import View
+from repro.broadcast.delivered import DeliveredIds
 from repro.net.message import MsgId
 from repro.net.reliable import ReliableChannel
 from repro.sim.process import Component, Process
@@ -83,7 +84,7 @@ class ViewSynchrony(Component):
         self.msg_port = f"{self.name}.msg"
         self._handlers: dict[str, DeliverFn] = {}
         self._received: Received = {}
-        self._delivered_ids: set[MsgId] = set()
+        self._delivered_ids = DeliveredIds()
         self._queued_out: list[tuple[MsgId, str, Any]] = []
         self._future_msgs: list[tuple[int, MsgId, str, str, Any]] = []
         self._view_callbacks: list[NewViewFn] = []

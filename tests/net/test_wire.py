@@ -114,7 +114,8 @@ def reference_size(obj):
     if t is MsgId:
         names = MsgId._fields
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        names = [field.name for field in dataclasses.fields(obj)]
+        # An AppMessage's kept size is a slot, not something on the wire.
+        names = [field.name for field in dataclasses.fields(obj) if field.name != "_size"]
     else:
         return LEN_PREFIX + len(str(obj))
     return LEN_PREFIX + sum(reference_size(getattr(obj, name)) for name in names)
@@ -165,9 +166,42 @@ def test_an_app_message_is_sized_once():
     assert message._size is None
     size = payload_size(message)
     assert message._size == size == reference_size(message)
-    # Not a field: equality, hashing and repr ignore it.
+    # Outside equality, hashing and repr.
     assert message == AppMessage(MsgId("p00", 1), "p00", ("body", Blob(100)), "c")
     assert "_size" not in repr(message)
+
+
+def test_the_reference_sizer_charges_an_app_message_its_four_wire_fields():
+    message = AppMessage(MsgId("p00", 1), "p00", "body", "c")
+    payload_size(message)  # sets _size; it must not count
+    assert reference_size(message) == LEN_PREFIX + sum(
+        reference_size(part) for part in (message.id, "p00", "body", "c")
+    )
+
+
+def test_a_slotted_app_message_reads_as_before():
+    mid = MsgId("p01", 4, 1)
+    message = AppMessage(mid, "p01", ("deposit", 5), "deposit")
+    twin = AppMessage(mid, "p01", ("deposit", 5), "deposit")
+    payload_size(twin)
+    assert not hasattr(message, "__dict__")
+    assert message == twin and hash(message) == hash(twin)  # _size set on one only
+    assert hash(message) == hash((mid, "p01", ("deposit", 5), "deposit"))
+    assert message != AppMessage(mid, "p01", ("deposit", 5))
+    assert str(message) == "p01~1#4[deposit]"
+    assert repr(message) == (
+        "AppMessage(id=MsgId(sender='p01', seq=4, incarnation=1), sender='p01', "
+        "payload=('deposit', 5), msg_class='deposit')"
+    )
+    assert payload_size(message) == payload_size(twin) == (
+        LEN_PREFIX
+        + payload_size(mid)
+        + payload_size("p01")
+        + payload_size(("deposit", 5))
+        + payload_size("deposit")
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        message.payload = None
 
 
 def test_msg_id_hashes_and_orders_as_its_tuple():
