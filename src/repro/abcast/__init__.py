@@ -1,14 +1,1 @@
 """Atomic broadcast protocols (consensus-based, sequencer, token ring)."""
-
-from repro.abcast.consensus_based import ConsensusAtomicBroadcast
-from repro.abcast.interfaces import AtomicBroadcast, TaggedBroadcast
-from repro.abcast.sequencer import SequencerAtomicBroadcast
-from repro.abcast.token_ring import TokenRingAtomicBroadcast
-
-__all__ = [
-    "AtomicBroadcast",
-    "ConsensusAtomicBroadcast",
-    "SequencerAtomicBroadcast",
-    "TaggedBroadcast",
-    "TokenRingAtomicBroadcast",
-]

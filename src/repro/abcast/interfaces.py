@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Protocol, runtime_checkable
 
-from repro.net.message import AppMessage, MsgId
+from repro.net.message import MsgId
 
 
 @runtime_checkable
@@ -34,14 +34,3 @@ class TaggedBroadcast(Protocol):
     def bcast(self, tag: str, payload: Any) -> MsgId: ...
 
     def register(self, tag: str, handler: Callable[[str, Any, MsgId], None]) -> None: ...
-
-
-@runtime_checkable
-class AtomicBroadcast(Protocol):
-    """Common client-facing API of every atomic broadcast protocol."""
-
-    delivered_log: list[AppMessage]
-
-    def abcast(self, message: AppMessage) -> None: ...
-
-    def on_adeliver(self, callback: Callable[[AppMessage], None]) -> None: ...

@@ -1,5 +1,1 @@
 """Reliable broadcast."""
-
-from repro.broadcast.rbcast import ReliableBroadcast
-
-__all__ = ["ReliableBroadcast"]

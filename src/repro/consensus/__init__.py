@@ -1,5 +1,1 @@
 """Consensus (Chandra-Toueg, diamond-S failure detector)."""
-
-from repro.consensus.chandra_toueg import ChandraTouegConsensus
-
-__all__ = ["ChandraTouegConsensus"]

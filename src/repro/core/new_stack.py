@@ -37,7 +37,6 @@ from repro.broadcast.rbcast import RELAY_POLICIES, ReliableBroadcast
 from repro.consensus.chandra_toueg import ChandraTouegConsensus
 from repro.fd.heartbeat import HeartbeatFailureDetector, StarMonitor
 from repro.gbcast.conflict import RBCAST_ABCAST, ConflictRelation
-from repro.gbcast.quorum import QuorumGenericBroadcast
 from repro.gbcast.thrifty import ThriftyGenericBroadcast
 from repro.membership.abcast_membership import AbcastGroupMembership
 from repro.membership.view import View
@@ -212,7 +211,13 @@ class NewArchitectureStack:
             max_batch=cfg.abcast_max_batch,
         )
         self.membership = AbcastGroupMembership(process, self.channel, self.abcast, initial_view)
-        gbcast_class = QuorumGenericBroadcast if cfg.quorum_fast_path else ThriftyGenericBroadcast
+        if cfg.quorum_fast_path:
+            # Imported where it is built: a plain group run never loads it.
+            from repro.gbcast.quorum import QuorumGenericBroadcast
+
+            gbcast_class = QuorumGenericBroadcast
+        else:
+            gbcast_class = ThriftyGenericBroadcast
         self.gbcast = gbcast_class(
             process,
             self.channel,

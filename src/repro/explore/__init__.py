@@ -16,36 +16,3 @@ harness:
 * :mod:`repro.explore.cli` — ``python -m repro explore``: sweeps, and
   ``--replay`` of a repro file or corpus entry with causal span tracing.
 """
-
-from repro.explore.explorer import (
-    adversarial_plan,
-    explore_seed,
-    load_repro,
-    probe_instants,
-    replay_repro,
-    scenario_for_seed,
-    sweep,
-    write_repro,
-)
-from repro.explore.observers import InvariantViolation, ObserverPanel
-from repro.explore.runner import RunResult, run_scenario
-from repro.explore.scenario import ScenarioConfig, StackKnobs
-from repro.explore.shrink import shrink_scenario
-
-__all__ = [
-    "InvariantViolation",
-    "ObserverPanel",
-    "RunResult",
-    "ScenarioConfig",
-    "StackKnobs",
-    "adversarial_plan",
-    "explore_seed",
-    "load_repro",
-    "probe_instants",
-    "replay_repro",
-    "run_scenario",
-    "scenario_for_seed",
-    "shrink_scenario",
-    "sweep",
-    "write_repro",
-]

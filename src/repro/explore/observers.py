@@ -1,8 +1,8 @@
 """Online invariant checking for exploration runs.
 
-The invariants are the incremental observers of :mod:`repro.checkers`
-(re-exported here); :class:`ObserverPanel` hooks them into the live
-delivery and view-install paths of every stack, so a violated invariant
+The invariants are the incremental observers of :mod:`repro.checkers`;
+:class:`ObserverPanel` hooks them into the live delivery and
+view-install paths of every stack, so a violated invariant
 aborts the run at the exact simulated instant it first becomes
 observable — with the failing schedule still small enough to shrink,
 instead of thousands of events later at the end of the run.
@@ -24,7 +24,6 @@ from repro.checkers import (
     AgreementPrefixObserver,
     FifoObserver,
     IncarnationObserver,
-    InvariantViolation,
     NoDuplicatesObserver,
     Observer,
     OrderObserver,
@@ -32,18 +31,6 @@ from repro.checkers import (
 )
 from repro.gbcast.conflict import ConflictRelation
 from repro.net.message import AppMessage
-
-__all__ = [
-    "AgreementPrefixObserver",
-    "FifoObserver",
-    "IncarnationObserver",
-    "InvariantViolation",
-    "NoDuplicatesObserver",
-    "Observer",
-    "ObserverPanel",
-    "OrderObserver",
-    "ViewObserver",
-]
 
 
 class ObserverPanel:

@@ -1,10 +1,1 @@
 """Unreliable failure detection (heartbeats, per-client monitors)."""
-
-from repro.fd.heartbeat import HeartbeatFailureDetector, Monitor, StarMonitor, watcher
-
-__all__ = [
-    "HeartbeatFailureDetector",
-    "Monitor",
-    "StarMonitor",
-    "watcher",
-]

@@ -1,6 +1,1 @@
 """Group membership on top of atomic broadcast, and group views."""
-
-from repro.membership.abcast_membership import AbcastGroupMembership
-from repro.membership.view import View
-
-__all__ = ["AbcastGroupMembership", "View"]

@@ -1,14 +1,1 @@
 """Counters, latency recorders, interval trackers."""
-
-from repro.metrics.counters import Counters
-from repro.metrics.latency import LatencyRecorder, LatencyStats, percentile
-from repro.metrics.recorder import IntervalTracker, MetricsRecorder
-
-__all__ = [
-    "Counters",
-    "IntervalTracker",
-    "LatencyRecorder",
-    "LatencyStats",
-    "MetricsRecorder",
-    "percentile",
-]

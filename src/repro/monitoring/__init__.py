@@ -1,5 +1,1 @@
 """The monitoring component: exclusion policies decoupled from suspicion."""
-
-from repro.monitoring.component import MonitoringComponent, MonitoringPolicy
-
-__all__ = ["MonitoringComponent", "MonitoringPolicy"]

@@ -85,13 +85,3 @@ class MsgIdFactory:
 
     def message(self, payload: Any, msg_class: str = DEFAULT_CLASS) -> AppMessage:
         return AppMessage(self.next(), self.pid, payload, msg_class)
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """What the unreliable transport actually carries."""
-
-    src: str
-    dst: str
-    port: str
-    payload: Any = field(compare=False)

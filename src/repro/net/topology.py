@@ -61,9 +61,6 @@ class LinkModel:
 #: Loss-free, low-jitter LAN-like link — the common default for benches.
 LAN = LinkModel(delay_min=1.0, delay_jitter=1.0, drop_prob=0.0, dup_prob=0.0)
 
-#: A lossy link used by reliability tests (the reliable channel must mask it).
-LOSSY = LinkModel(delay_min=1.0, delay_jitter=4.0, drop_prob=0.1, dup_prob=0.05)
-
 
 class PartitionState:
     """Tracks the current partitioning of processes into components.

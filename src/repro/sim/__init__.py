@@ -1,20 +1,1 @@
 """Deterministic discrete-event simulation substrate."""
-
-from repro.sim.process import Component, Process
-from repro.sim.randomness import derive_seed, fork_rng
-from repro.sim.scheduler import Scheduler, Timer
-from repro.sim.tracing import TraceLog, TraceRecord
-from repro.sim.world import World, make_pid
-
-__all__ = [
-    "Component",
-    "Process",
-    "Scheduler",
-    "Timer",
-    "TraceLog",
-    "TraceRecord",
-    "World",
-    "derive_seed",
-    "fork_rng",
-    "make_pid",
-]

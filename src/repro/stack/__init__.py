@@ -1,7 +1,1 @@
 """Protocol composition kernel (Appia/Ensemble-style event routing)."""
-
-from repro.stack.events import DOWN, UP, Event
-from repro.stack.kernel import StackKernel
-from repro.stack.layer import Layer
-
-__all__ = ["DOWN", "Event", "Layer", "StackKernel", "UP"]

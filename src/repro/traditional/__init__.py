@@ -11,25 +11,9 @@ reformation).  Every stack is built by ``repro.sim.world.build_group``
 """
 
 from repro.traditional.ensemble import EnsembleStack
-from repro.traditional.gm_membership import TraditionalMembership
 from repro.traditional.isis import IsisStack
-from repro.traditional.phoenix import PhoenixStack, PhoenixViewMembership
-from repro.traditional.ring_membership import RingMembership
-from repro.traditional.ring_recovery import RingReformation
+from repro.traditional.phoenix import PhoenixStack
 from repro.traditional.rmp import RMPStack
 from repro.traditional.totem import TotemStack
-from repro.traditional.view_synchrony import FlushViewSynchrony, ViewSynchrony
 
-__all__ = [
-    "EnsembleStack",
-    "FlushViewSynchrony",
-    "IsisStack",
-    "PhoenixStack",
-    "PhoenixViewMembership",
-    "RMPStack",
-    "RingMembership",
-    "RingReformation",
-    "TotemStack",
-    "TraditionalMembership",
-    "ViewSynchrony",
-]
+__all__ = ["EnsembleStack", "IsisStack", "PhoenixStack", "RMPStack", "TotemStack"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.explore.observers import (
+from repro.checkers import (
     AgreementPrefixObserver,
     FifoObserver,
     IncarnationObserver,

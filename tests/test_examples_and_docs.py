@@ -137,7 +137,7 @@ def test_docs_name_only_real_stack_config_fields(doc):
 @pytest.mark.parametrize(
     "package, heading",
     [
-        ("repro.gbcast", "Conflict relations (`repro.gbcast`)"),
+        ("repro.gbcast.conflict", "Conflict relations (`repro.gbcast.conflict`)"),
         ("repro.replication", "Replication (`repro.replication`)"),
     ],
     ids=["gbcast", "replication"],

@@ -1,10 +1,10 @@
 """No module imports a name it never uses (pyflakes' F401, offline).
 
-Walks every module under ``src``, ``tests`` and ``benchmarks`` (read
-only).  A name counts as used if it appears as a ``Name`` anywhere in
-its module, inside a string annotation, or in ``__all__``.  ``__future__``
-imports are skipped, and an import line marked ``# noqa: F401`` (or a
-bare ``# noqa``) is honoured.
+Walks every module under ``src``, ``tests``, ``benchmarks`` and
+``examples`` (read only).  A name counts as used if it appears as a
+``Name`` anywhere in its module, inside a string annotation, or in
+``__all__``.  ``__future__`` imports are skipped, and an import line
+marked ``# noqa: F401`` (or a bare ``# noqa``) is honoured.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TREES = ("src", "tests", "benchmarks")
+TREES = ("src", "tests", "benchmarks", "examples")
 NOQA = re.compile(r"#\s*noqa(?!:)|#\s*noqa:[^#]*\bF401\b")
 
 
