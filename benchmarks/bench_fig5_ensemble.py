@@ -33,7 +33,8 @@ def scenario_fig5_ensemble() -> Result:
     )
     g.send("p01", "after")
     assert world.run_until(lambda: "after" in g.log("p02"), timeout=60_000)
-    bounces, blocked_ms = counters.get("ens.bounces"), world.metrics.intervals.total("vs.blocked")
+    bounces = counters.get("ens.bounces")
+    blocked_ms = sum(world.metrics.latency.samples("vs.blocked"), 0.0)
     r.table(
         "Fig. 5  Ensemble sample stack  (bottom->top: "
         + " / ".join(EnsembleStack.LAYERS) + ")",

@@ -37,7 +37,7 @@ def run_churn(kind, **build):
     g.drain(sent, ["p01"])
     m = world.metrics
     return {
-        "blocked_ms": m.intervals.total("vs.blocked"),
+        "blocked_ms": sum(m.latency.samples("vs.blocked"), 0.0),
         "episodes": m.counters.get("vs.blocks"),
         "queued_sends": m.counters.get("vs.sends_blocked"),
         "send_delay": m.latency.stats("vs.send_delay").mean if m.latency.samples("vs.send_delay") else 0.0,

@@ -50,7 +50,7 @@ def run_passive():
     world = World(seed=21)
     config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=60_000.0))
     stacks = build_new_group(world, 3, conflict=PASSIVE_REPLICATION, config=config)
-    attach_passive_replicas(stacks, apply_kv, {}, primary_suspicion_timeout=120.0)
+    attach_passive_replicas(stacks, apply_kv, {})
     client = spawn_client(world, sorted(stacks), mode="primary")
     world.start()
     for i in range(10):

@@ -32,7 +32,7 @@ def main() -> None:
     )
     world = World(seed=5)
     stacks = build_new_group(world, 3, conflict=PASSIVE_REPLICATION, config=config)
-    replicas = attach_passive_replicas(stacks, apply_kv, {}, primary_suspicion_timeout=120.0)
+    replicas = attach_passive_replicas(stacks, apply_kv, {})
     client = spawn_client(world, sorted(stacks), mode="primary", retry_timeout=400.0)
     world.start()
 

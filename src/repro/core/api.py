@@ -40,7 +40,6 @@ class GroupCommunication:
         self._adeliver: list[DeliverFn] = []
         self._rdeliver: list[DeliverFn] = []
         self._gdeliver: list[DeliverFn] = []
-        self.delivered: list[AppMessage] = []
         stack.gbcast.on_gdeliver(self._dispatch)
         stack.membership.on_new_view(self._on_view)
         self._view_callbacks: list[NewViewFn] = []
@@ -103,7 +102,6 @@ class GroupCommunication:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, message: AppMessage) -> None:
-        self.delivered.append(message)
         for callback in self._gdeliver:
             callback(message)
         if message.msg_class == ABCAST_CLASS:
@@ -116,6 +114,12 @@ class GroupCommunication:
     def _on_view(self, view: View) -> None:
         for callback in self._view_callbacks:
             callback(view)
+
+    @property
+    def delivered(self) -> list[AppMessage]:
+        """Every message this member g-delivered, in order: generic
+        broadcast's own log (read it, do not change it)."""
+        return self.stack.gbcast.delivered_log.messages
 
     def delivered_payloads(self) -> list[Any]:
         return [m.payload for m in self.delivered]

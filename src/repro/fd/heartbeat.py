@@ -4,10 +4,10 @@ A single failure-detection component per process records when each peer
 was last heard and broadcasts heartbeats on the *unreliable* transport.
 Clients (consensus, the monitoring component, membership layers of the
 traditional stacks) each read a :class:`Monitor` with their own timeout
-— this is the ``start_stop_monitor`` interface of Fig. 9 and the basis of
-Section 3.3.2: consensus can use a small timeout (seconds) while the
-monitoring component uses a large one (minutes), over the same liveness
-evidence.
+— the start half of Fig. 9's ``start_stop_monitor`` interface (a monitor
+lives as long as the stack that built it) and the basis of Section
+3.3.2: consensus can use a small timeout (seconds) while the monitoring
+component uses a large one (minutes), over the same liveness evidence.
 
 **One evidence path.**  Liveness evidence reaches the detector in one
 place, the **liveness tap** it registers on the transport: every
@@ -69,9 +69,9 @@ record per peer, and nothing else: the tap and the pass read each peer's
 record once.
 
 **One suspicion object.**  A monitor is what a layer is *built with*:
-it reads ``monitor.suspects`` and subscribes to the edges
+it reads ``monitor.suspects`` and subscribes to the suspicions
 (:meth:`Monitor.subscribe`).  Any number of layers may subscribe to one
-monitor; an edge reaches them within one event, **top-down** — last
+monitor; a suspicion reaches them within one event, **top-down** — last
 subscribed, first told.  A stack is built bottom-up, so what orders
 (generic broadcast, consensus) moves before what repairs (reliable
 broadcast's NACKs), whose answers would otherwise sit in front of the
@@ -139,9 +139,9 @@ ReincarnationCallback = Callable[[str, int], None]
 class Monitor:
     """One client's view of the failure detector.
 
-    ``suspects`` is the current set of suspected peers; edge listeners
-    (``on_suspect`` / ``on_trust``, or :meth:`subscribe`) fire on
-    transitions.  Monitors can be stopped (Fig. 9's ``start_stop_monitor``).
+    ``suspects`` is the current set of suspected peers; listeners added
+    with :meth:`subscribe` hear each suspicion edge.  A trust edge updates
+    ``suspects`` and the trace and tells nobody: who needs it reads the set.
     """
 
     def __init__(
@@ -149,18 +149,13 @@ class Monitor:
         detector: "HeartbeatFailureDetector",
         peers: PeerProvider | list[str],
         timeout: float,
-        on_suspect: SuspicionCallback | None = None,
-        on_trust: SuspicionCallback | None = None,
     ) -> None:
         self._detector = detector
         fixed = list(peers) if isinstance(peers, list) else None
         self._peers: PeerProvider = peers if fixed is None else lambda: fixed
         self.timeout = timeout
         self._suspect_listeners: list[SuspicionCallback] = []
-        self._trust_listeners: list[SuspicionCallback] = []
-        self.subscribe(on_suspect, on_trust)
         self.suspects: set[str] = set()
-        self.active = True
         #: When each peer (re-)entered the watched set.  A peer that
         #: joins (or a recovered process re-admitted to the view) gets a
         #: full timeout of grace from that moment — without this, a
@@ -172,38 +167,13 @@ class Monitor:
         #: builds its membership after its monitors).
         self._timer: Timer | None = None
         self._arm(detector.now)
-        detector._read_by(detector._monitors + [self])  # fed its evidence from now on
+        detector._read_by(self)  # fed its evidence from now on
 
-    def subscribe(
-        self,
-        on_suspect: SuspicionCallback | None = None,
-        on_trust: SuspicionCallback | None = None,
-    ) -> None:
-        """Add edge listeners.  Every listener sees every later edge,
-        inside the event that found it, the latest subscriber first."""
-        if on_suspect is not None:
-            self._suspect_listeners.insert(0, on_suspect)
-        if on_trust is not None:
-            self._trust_listeners.insert(0, on_trust)
-
-    def stop(self) -> None:
-        """Stop reporting — and stop being a reader: the detector no
-        longer feeds this monitor nor keeps a link warm on its account."""
-        self.active = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        detector = self._detector
-        detector._read_by([m for m in detector._monitors if m is not self])
-
-    def restart(self) -> None:
-        self.active = True
-        self.suspects.clear()
-        self._member_since.clear()
-        detector = self._detector
-        if self not in detector._monitors:
-            detector._read_by(detector._monitors + [self])
-        self._check()
+    def subscribe(self, on_suspect: SuspicionCallback) -> None:
+        """Add a suspicion listener.  Every listener sees every later
+        suspicion, inside the event that found it, the latest subscriber
+        first."""
+        self._suspect_listeners.insert(0, on_suspect)
 
     def suspected(self, pid: str) -> bool:
         return pid in self.suspects
@@ -252,17 +222,16 @@ class Monitor:
         self._announce(suspect, peer, **via)
 
     def _announce(self, suspect: bool, peer: str, **via: str) -> None:
-        """The trace, the listeners."""
+        """The trace, and on a suspicion the listeners."""
         self._detector.trace(
             "suspect" if suspect else "trust", peer=peer, timeout=self.timeout, **via
         )
-        for listener in self._suspect_listeners if suspect else self._trust_listeners:
-            listener(peer)
+        if suspect:
+            for listener in self._suspect_listeners:
+                listener(peer)
 
     def _check(self) -> None:
         """Scan the monitored set; peers that left it are forgotten."""
-        if not self.active:
-            return
         peers = set(self._peers())
         peers.discard(self._detector.pid)
         self.suspects &= peers
@@ -349,11 +318,6 @@ class StarMonitor(Monitor):
     def asks(self, peer: str) -> bool:
         return peer in self.first_hand
 
-    def restart(self) -> None:
-        self.first_hand, self._senior, self._reporting = set(), set(), False
-        self._early = None
-        super().restart()
-
     def _heard(self, peer: str) -> None:
         self._check(heard=peer)
 
@@ -397,8 +361,6 @@ class StarMonitor(Monitor):
         self._arm(wake)
 
     def _check(self, heard: str | None = None) -> None:
-        if not self.active:
-            return
         detector = self._detector
         me = detector.pid
         members = self._peers()
@@ -462,8 +424,6 @@ class StarMonitor(Monitor):
         because it noticed the old one's death a few milliseconds before
         this process will, nothing would ever repeat what it said on
         taking over (``_check`` adopts it on turning to the sender)."""
-        if not self.active:
-            return
         members = self._peers()
         if src == watcher(members, self.suspects):
             self._adopt(src, entries)
@@ -572,21 +532,15 @@ class HeartbeatFailureDetector(Component):
     # ------------------------------------------------------------------
     # Client interface (Fig. 9: start_stop_monitor / suspect)
     # ------------------------------------------------------------------
-    def monitor(
-        self,
-        peers: PeerProvider | list[str],
-        timeout: float,
-        on_suspect: SuspicionCallback | None = None,
-        on_trust: SuspicionCallback | None = None,
-    ) -> Monitor:
+    def monitor(self, peers: PeerProvider | list[str], timeout: float) -> Monitor:
         """Create and start a monitor with its own timeout."""
-        return Monitor(self, peers, timeout, on_suspect, on_trust)
+        return Monitor(self, peers, timeout)
 
-    def _read_by(self, monitors: list[Monitor]) -> None:
-        """The monitors that are fed evidence and hold the links' cadence.
+    def _read_by(self, monitor: Monitor) -> None:
+        """One more monitor is fed evidence and holds the links' cadence.
         Always a new list: the tap may be iterating the old one."""
-        self._monitors = monitors
-        self._small_timeout = min((m.timeout for m in monitors), default=0.0)
+        self._monitors = monitors = self._monitors + [monitor]
+        self._small_timeout = min(m.timeout for m in monitors)
         self._forget_cadence()
 
     def _peer(self, pid: str) -> _Peer:

@@ -115,20 +115,22 @@ class LatencyRecorder:
         return len(doomed)
 
     def abandon_owner(self, pid: str) -> int:
-        """Abandon open intervals keyed by a message id minted by ``pid``.
+        """Abandon open intervals whose key is a tuple that starts with
+        ``pid``: a message id it minted (its first field is the sender),
+        a request it issued, a view change it was blocked in.
 
         Called from :meth:`repro.sim.process.Process.crash`: intervals
         opened for the crashed process's own messages can only be closed
-        if the message still gets relayed; most never will, and in soak
-        runs with repeated crashes they accumulate without bound.
+        if the message still gets relayed; most never will, its other
+        intervals never will, and in soak runs with repeated crashes they
+        accumulate without bound.
         """
 
         def owned(_tag: str, key: object) -> bool:
-            sender = getattr(key, "sender", None)
-            if sender is None:
+            if not isinstance(key, tuple) or not key or not isinstance(key[0], str):
                 return False
             # Strip rbcast-origin / incarnation decorations: "p00~1!rb" -> "p00".
-            return sender.split("~")[0].split("!")[0] == pid
+            return key[0].split("~")[0].split("!")[0] == pid
 
         return self.abandon_if(owned)
 

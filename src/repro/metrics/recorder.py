@@ -1,8 +1,9 @@
 """Combined metrics recorder attached to each simulated world.
 
-Bundles counters, latency samples, and interval tracking (used e.g. to
-measure how long senders stay blocked during a view change, Section 4.4
-of the paper).
+Bundles counters and latency samples.  An interval of any kind is a
+latency sample: how long senders stay blocked during a view change
+(Section 4.4 of the paper) is the ``vs.blocked`` tag, one sample per
+blocking episode.
 """
 
 from __future__ import annotations
@@ -11,52 +12,13 @@ from repro.metrics.counters import Counters
 from repro.metrics.latency import LatencyRecorder
 
 
-class IntervalTracker:
-    """Accumulates total open-interval time per tag.
-
-    ``begin(tag, key, at)`` / ``end(tag, key, at)`` bracket an interval;
-    ``total(tag)`` returns the summed durations of closed intervals.
-    Intervals still open at ``close_all`` are closed at the given time.
-    """
-
-    def __init__(self) -> None:
-        self._open: dict[tuple[str, object], float] = {}
-        self._totals: dict[str, float] = {}
-        self._counts: dict[str, int] = {}
-
-    def begin(self, tag: str, key: object, at: float) -> None:
-        self._open.setdefault((tag, key), at)
-
-    def end(self, tag: str, key: object, at: float) -> None:
-        started = self._open.pop((tag, key), None)
-        if started is None:
-            return
-        self._totals[tag] = self._totals.get(tag, 0.0) + (at - started)
-        self._counts[tag] = self._counts.get(tag, 0) + 1
-
-    def close_all(self, at: float) -> None:
-        for (tag, key) in list(self._open):
-            self.end(tag, key, at)
-
-    def total(self, tag: str) -> float:
-        return self._totals.get(tag, 0.0)
-
-    def count(self, tag: str) -> int:
-        return self._counts.get(tag, 0)
-
-    def open_count(self) -> int:
-        return len(self._open)
-
-
 class MetricsRecorder:
     """All measurement state for one simulation run."""
 
     def __init__(self) -> None:
         self.counters = Counters()
         self.latency = LatencyRecorder()
-        self.intervals = IntervalTracker()
 
     def clear(self) -> None:
         self.counters.clear()
         self.latency.clear()
-        self.intervals = IntervalTracker()

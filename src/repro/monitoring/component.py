@@ -9,14 +9,15 @@ failure-detection timeouts while exclusions use large ones
 
 Supported exclusion policies (all from the paper):
 
-* **failure-detector suspicion** with a large timeout (``use_fd``);
+* **failure-detector suspicion** with a large timeout
+  (``exclusion_timeout``), always on;
 * **threshold voting** — exclude ``q`` only after ``votes_required``
   distinct processes also suspect ``q`` ("decide on the removal of q
   only after having learned that a threshold of other processes also
   suspect q");
 * **output-triggered suspicion** [12] — the reliable channel reports
   how long its oldest unacknowledged message to a peer has waited, and
-  past the policy's threshold the peer is suspected
+  past the same ``exclusion_timeout`` the peer is suspected
   (``use_output_triggered``); an exclusion is the only way to safely
   discard such messages.
 
@@ -51,19 +52,17 @@ VOTE_PORT = "mon.vote"
 
 @dataclass(frozen=True)
 class MonitoringPolicy:
-    """Configuration of the exclusion policy."""
+    """Configuration of the exclusion policy: one large timeout, for the
+    failure detector's silence and the channel's unacknowledged output
+    alike."""
 
     exclusion_timeout: float = 2_000.0
     votes_required: int = 1
-    use_fd: bool = True
     use_output_triggered: bool = False
-    output_stuck_timeout: float = 2_000.0
 
     def __post_init__(self) -> None:
         if self.votes_required < 1:
             raise ValueError("votes_required must be >= 1")
-        if not self.use_fd and not self.use_output_triggered:
-            raise ValueError("at least one suspicion source must be enabled")
 
 
 class MonitoringComponent(Component):
@@ -85,14 +84,8 @@ class MonitoringComponent(Component):
         self._votes: dict[str, set[str]] = {}
         self._excluded_requested: set[str] = set()
         self.register_port(VOTE_PORT, self._on_vote)
-        if self.policy.use_fd:
-            self.monitor = fd.monitor(
-                membership.current_members,
-                self.policy.exclusion_timeout,
-                on_suspect=self._on_local_suspicion,
-            )
-        else:
-            self.monitor = None
+        self.monitor = fd.monitor(membership.current_members, self.policy.exclusion_timeout)
+        self.monitor.subscribe(self._on_local_suspicion)
         if self.policy.use_output_triggered:
             channel.on_stuck(self._on_output_stuck)
         fd.on_reincarnation(self._on_reincarnation)
@@ -117,7 +110,7 @@ class MonitoringComponent(Component):
             self.trace("suspicion_cleared", peer=pid, incarnation=incarnation, votes=len(votes))
 
     def _on_output_stuck(self, dst: str, age: float) -> None:
-        if age < self.policy.output_stuck_timeout:
+        if age < self.policy.exclusion_timeout:
             return
         if dst not in self.membership.current_members():
             return

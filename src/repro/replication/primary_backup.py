@@ -14,9 +14,12 @@ possible: either the update is delivered before the primary change
 with the old epoch — and ignored; the client times out, learns the new
 primary and re-issues the request).
 
-A primary change merely ROTATES the server list ([s1;s2;s3] →
-[s2;s3;s1]); the old primary is not excluded (that is the monitoring
-component's job, on a much larger timeout).
+A backup requests the change when the stack's small-timeout monitor
+(``stack.suspicion_monitor``, the one consensus and generic broadcast
+read) suspects the primary: no second monitor, and no link kept warm on
+the replica's account.  A primary change merely ROTATES the server list
+([s1;s2;s3] → [s2;s3;s1]); the old primary is not excluded (that is the
+monitoring component's job, on a much larger timeout).
 
 FIFO requirement (footnote 9 of the paper): the primary serialises its
 updates through :class:`~repro.replication.replica.PrimaryReplica` — it
@@ -44,7 +47,6 @@ class PassiveReplicaGB(PrimaryReplica):
         stack: NewArchitectureStack,
         apply_fn: ApplyFn,
         initial_state: Any,
-        primary_suspicion_timeout: float = 120.0,
     ) -> None:
         super().__init__(stack.process, stack.channel, apply_fn, initial_state)
         self.stack = stack
@@ -54,11 +56,7 @@ class PassiveReplicaGB(PrimaryReplica):
         self._change_requested_for: set[int] = set()
         stack.gbcast.on_gdeliver(self._on_gdeliver)
         stack.membership.on_new_view(self._on_new_view)
-        self.monitor = stack.fd.monitor(
-            lambda: self.server_list,
-            primary_suspicion_timeout,
-            on_suspect=self._on_suspicion,
-        )
+        stack.suspicion_monitor.subscribe(self._on_suspicion)
 
     # ------------------------------------------------------------------
     # Roles
@@ -139,11 +137,9 @@ def attach_passive_replicas(
     stacks: dict[str, NewArchitectureStack],
     apply_fn: ApplyFn,
     initial_state: Any,
-    primary_suspicion_timeout: float = 120.0,
 ) -> dict[str, PassiveReplicaGB]:
     """Wire a PassiveReplicaGB onto every stack (conflict relation must be
     PASSIVE_REPLICATION)."""
     return {
-        pid: PassiveReplicaGB(stack, apply_fn, initial_state, primary_suspicion_timeout)
-        for pid, stack in stacks.items()
+        pid: PassiveReplicaGB(stack, apply_fn, initial_state) for pid, stack in stacks.items()
     }

@@ -201,13 +201,13 @@ class AppInterfaceLayer(Layer):
             if not self.blocked:
                 self.blocked = True
                 self.kernel.world.metrics.counters.inc("vs.blocks")
-                self.kernel.world.metrics.intervals.begin(
+                self.kernel.world.metrics.latency.begin(
                     "vs.blocked", (self.pid, event.get("view_id")), self.now
                 )
         elif event.type == UNBLOCK:
             if self.blocked:
                 self.blocked = False
-                self.kernel.world.metrics.intervals.end(
+                self.kernel.world.metrics.latency.end(
                     "vs.blocked", (self.pid, event.get("view_id")), self.now
                 )
                 queued, self._queue = self._queue, []
@@ -228,9 +228,8 @@ class FailureDetectionLayer(Layer):
         self.monitor = None
 
     def start(self) -> None:
-        self.monitor = self.fd.monitor(
-            self.kernel.group_provider, self.timeout, on_suspect=self._suspect
-        )
+        self.monitor = self.fd.monitor(self.kernel.group_provider, self.timeout)
+        self.monitor.subscribe(self._suspect)
 
     def _suspect(self, pid: str) -> None:
         self.emit_up(SUSPECT, pid=pid)

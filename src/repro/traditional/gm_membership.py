@@ -52,9 +52,8 @@ class TraditionalMembership(Component):
         self._state_provider: StateProvider = lambda: None
         self._state_installer: StateInstaller = lambda state: None
         # THE defining coupling: one timeout, straight to exclusion.
-        self.monitor = fd.monitor(
-            vs.current_members, exclusion_timeout, on_suspect=self._on_suspect
-        )
+        self.monitor = fd.monitor(vs.current_members, exclusion_timeout)
+        self.monitor.subscribe(self._on_suspect)
         self.register_port(SUSPECT_PORT, self._on_suspect_report)
         self.register_port(JOIN_PORT, self._on_join_request)
         self.register_port(STATE_PORT, self._on_state)

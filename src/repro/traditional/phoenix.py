@@ -75,9 +75,8 @@ class PhoenixViewMembership(ViewSynchrony):
         self._gathering: dict[int, dict[str, Received]] = {}
         self._proposed_for: set[int] = set()
         self._pending_joins: set[str] = set()
-        self.monitor = fd.monitor(
-            self.current_members, exclusion_timeout, on_suspect=lambda _q: self._act()
-        )
+        self.monitor = fd.monitor(self.current_members, exclusion_timeout)
+        self.monitor.subscribe(lambda _q: self._act())
         self.register_port(GATHER_PORT, self._on_gather)
         self.register_port(GATHER_OK_PORT, self._on_gather_ok)
         self.register_port(PROPOSAL_PORT, self._on_proposal)

@@ -71,9 +71,8 @@ class RingMembership(Component):
         self.reformation = RingReformation(
             process, channel, token, self.current_view, self._install
         )
-        self.monitor = fd.monitor(
-            self.current_members, exclusion_timeout, on_suspect=lambda _q: self._act()
-        )
+        self.monitor = fd.monitor(self.current_members, exclusion_timeout)
+        self.monitor.subscribe(lambda _q: self._act())
         self.register_port(JOIN_REQ_PORT, self._on_join_request)
         self.register_port(STATE_PORT, self._on_state)
         if mode == "rmp":

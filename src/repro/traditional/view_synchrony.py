@@ -157,7 +157,7 @@ class ViewSynchrony(Component):
         if not self.blocked:
             self.blocked = True
             self.world.metrics.counters.inc("vs.blocks")
-            self.world.metrics.intervals.begin("vs.blocked", (self.pid, self.view.id), self.now)
+            self.world.metrics.latency.begin("vs.blocked", (self.pid, self.view.id), self.now)
             self.trace("blocked", view=self.view.id)
 
     def _install(self, new_view: View) -> None:
@@ -171,7 +171,7 @@ class ViewSynchrony(Component):
                 self.channel.discard(gone)
         if self.blocked:
             self.blocked = False
-            self.world.metrics.intervals.end("vs.blocked", (self.pid, old_view.id), self.now)
+            self.world.metrics.latency.end("vs.blocked", (self.pid, old_view.id), self.now)
         self.world.metrics.counters.inc("vs.views_installed")
         self.trace("new_view", view=str(new_view))
         # Release messages queued while blocked (they carry the new view id).

@@ -3,6 +3,7 @@ invalid configuration is rejected where it is written, and the number of
 fields — and of the traditional stacks' options — is the one
 ``BENCH_abgb.json`` pins."""
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.new_stack import StackConfig
+from repro.monitoring.component import MonitoringPolicy
 
 REPO = Path(__file__).resolve().parents[2]
 if str(REPO / "benchmarks") not in sys.path:  # the benches import each other by module name
@@ -64,6 +66,13 @@ def test_knob_count_is_the_pinned_one():
     meta = simplicity_meta()
     for knobs in ("stack_config_fields", "traditional_knobs", "component_options"):
         assert meta[knobs] == baseline["meta"][knobs], knobs
+
+
+def test_monitoring_policy_is_one_timeout_a_threshold_and_a_switch():
+    # One large timeout decides exclusion, for silence and stuck output
+    # alike; a field added here must be added on purpose.
+    fields = [field.name for field in dataclasses.fields(MonitoringPolicy)]
+    assert fields == ["exclusion_timeout", "votes_required", "use_output_triggered"]
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines():

@@ -9,6 +9,14 @@ from repro.sim.world import World
 from tests.conftest import run_until
 
 
+def suspect_records(world, pid):
+    return world.trace.select(pid=pid, component="fd", event="suspect")
+
+
+def trust_records(world, pid):
+    return world.trace.select(pid=pid, component="fd", event="trust")
+
+
 def fd_world(count=3, seed=1, hb=10.0, link=None):
     world = World(seed=seed, default_link=link or LinkModel(1.0, 1.0))
     pids = world.spawn(count)
@@ -41,10 +49,9 @@ def test_suspicion_revised_when_heartbeats_resume():
     # Diamond-S-style behaviour: a partition causes a (wrong) suspicion
     # which is withdrawn once communication is restored.
     world, fds = fd_world()
-    suspected, trusted = [], []
-    monitor = fds["p00"].monitor(
-        ["p01"], timeout=50.0, on_suspect=suspected.append, on_trust=trusted.append
-    )
+    suspected = []
+    monitor = fds["p00"].monitor(["p01"], timeout=50.0)
+    monitor.subscribe(suspected.append)
     world.start()
     world.run_for(100.0)
     world.split([["p00"], ["p01", "p02"]])
@@ -52,7 +59,7 @@ def test_suspicion_revised_when_heartbeats_resume():
     world.heal()
     assert run_until(world, lambda: "p01" not in monitor.suspects, timeout=1_000)
     assert suspected == ["p01"]
-    assert trusted == ["p01"]
+    assert [r.details["peer"] for r in trust_records(world, "p00")] == ["p01"]
 
 
 def test_traffic_is_evidence_exactly_as_a_heartbeat_is():
@@ -64,12 +71,7 @@ def test_traffic_is_evidence_exactly_as_a_heartbeat_is():
     world = World(seed=1, default_link=LinkModel(1.0, 0.0))
     pids = world.spawn(3)
     fd = HeartbeatFailureDetector(world.process("p00"), lambda: list(pids), 10.0)
-    edges = []
-    fd.monitor(
-        ["p01", "p02"], timeout=30.0,
-        on_suspect=lambda q: edges.append(("suspect", q, world.now)),
-        on_trust=lambda q: edges.append(("trust", q, world.now)),
-    )
+    fd.monitor(["p01", "p02"], timeout=30.0)
     send = world.transport.u_send
     for t in (0.0, 10.0, 20.0, 100.0):
         world.scheduler.at(t, lambda: send("p01", "p00", "fd.hb", False, layer="fd"))
@@ -77,6 +79,11 @@ def test_traffic_is_evidence_exactly_as_a_heartbeat_is():
     world.start()
     world.run_for(120.0)
     assert fd.last_heard("p01") == fd.last_heard("p02") == 101.0
+    edges = [
+        (r.event, r.details["peer"], r.time)
+        for r in world.trace.select(pid="p00", component="fd")
+        if r.event in ("suspect", "trust")
+    ]
     assert edges == [
         ("suspect", "p01", 51.0), ("suspect", "p02", 51.0),
         ("trust", "p01", 101.0), ("trust", "p02", 101.0),
@@ -97,57 +104,34 @@ def test_independent_timeouts_per_monitor():
     assert run_until(world, lambda: "p01" in large.suspects, timeout=10_000)
 
 
-def test_stopped_monitor_reports_nothing():
+def test_every_subscriber_hears_every_suspicion_top_down():
+    # One monitor, any number of suspicion listeners: each sees every
+    # later suspicion within the edge's event, top-down — the latest
+    # subscriber (in a stack: the highest layer) hears first.  A trust
+    # edge tells nobody: it moves ``suspects`` and writes its record.
     world, fds = fd_world()
+    first, second, order = [], [], []
     monitor = fds["p00"].monitor(["p01"], timeout=50.0)
-    world.start()
-    world.run_for(100.0)
-    monitor.stop()
-    world.crash("p01")
-    world.run_for(2_000.0)
-    assert monitor.suspects == set()
-    monitor.restart()
-    assert run_until(world, lambda: "p01" in monitor.suspects, timeout=1_000)
-
-
-def test_subscribed_listeners_see_what_the_constructor_listener_sees():
-    # One monitor, any number of edge listeners: whoever subscribes —
-    # before the first edge, while the monitor is stopped, after a
-    # restart — sees every later edge, exactly as ``on_suspect=`` /
-    # ``on_trust=`` do, within the edge's event and top-down: the latest
-    # subscriber (in a stack: the highest layer) hears first.
-    world, fds = fd_world()
-    ctor, early, while_stopped, order = [], [], [], []
-    monitor = fds["p00"].monitor(
-        ["p01"], timeout=50.0,
-        on_suspect=lambda q: ctor.append(("suspect", q, world.now)),
-        on_trust=lambda q: ctor.append(("trust", q, world.now)),
-    )
-    monitor.subscribe(
-        lambda q: early.append(("suspect", q, world.now)),
-        lambda q: early.append(("trust", q, world.now)),
-    )
-    monitor.subscribe(on_suspect=lambda q: order.append("first"))
-    monitor.subscribe(on_suspect=lambda q: order.append("second"))
+    monitor.subscribe(lambda q: first.append((q, world.now)))
+    monitor.subscribe(lambda q: second.append((q, world.now)))
+    monitor.subscribe(lambda q: order.append("first"))
+    monitor.subscribe(lambda q: order.append("second"))
     world.start()
     world.run_for(100.0)
     world.split([["p00"], ["p01", "p02"]])
     assert run_until(world, lambda: "p01" in monitor.suspects, timeout=1_000)
     world.heal()
     assert run_until(world, lambda: "p01" not in monitor.suspects, timeout=1_000)
-    assert [e[:2] for e in ctor] == [("suspect", "p01"), ("trust", "p01")]
-    assert early == ctor and order == ["second", "first"]
-    # A stopped monitor reports nothing, to anyone.
-    monitor.stop()
-    monitor.subscribe(lambda q: while_stopped.append(("suspect", q, world.now)))
+    (suspected,) = suspect_records(world, "p00")
+    (trusted,) = trust_records(world, "p00")
+    assert first == second == [("p01", suspected.time)] and order == ["second", "first"]
+    assert trusted.time > suspected.time
+    # A later subscriber hears the next suspicion, and so does everybody.
+    late = []
+    monitor.subscribe(late.append)
     world.crash("p01")
-    world.run_for(2_000.0)
-    assert len(ctor) == 2 and while_stopped == []
-    # Restarted, it finds the dead peer again and tells everybody.
-    monitor.restart()
     assert run_until(world, lambda: "p01" in monitor.suspects, timeout=1_000)
-    assert ctor[2][:2] == ("suspect", "p01")
-    assert early == ctor and while_stopped == ctor[2:]
+    assert late == ["p01"] and [q for q, _ in first] == ["p01", "p01"] and first == second
 
 
 def test_monitor_forgets_departed_peers():
@@ -174,10 +158,6 @@ def test_never_suspects_self():
 # ----------------------------------------------------------------------
 # Monitors run on expiry timers, not on a tick
 # ----------------------------------------------------------------------
-def suspect_records(world, pid):
-    return [r for r in world.trace.select(component="fd", event="suspect") if r.pid == pid]
-
-
 def test_crash_is_suspected_at_last_heard_plus_timeout_exactly():
     world, fds = fd_world(hb=10.0, link=LinkModel(1.0, 3.0))
     fds["p00"].monitor(["p01"], timeout=37.0)
@@ -206,22 +186,6 @@ def test_peer_that_enters_the_set_and_never_speaks_is_suspected_within_two_timeo
     # a full timeout of grace from there.
     assert 50.0 <= world.now - entered <= 2 * 50.0 + 1.0
     assert "p01" not in monitor.suspects
-
-
-def test_stopped_monitor_schedules_nothing():
-    # Detectors without start(): no heartbeat traffic, so every event
-    # left is a monitor's.
-    world, fds = fd_world()
-    monitor = fds["p00"].monitor(["p01"], timeout=50.0)
-    world.scheduler.run_for(0.0)  # the first scan
-    assert world.scheduler.pending() > 0
-    monitor.stop()
-    before = world.scheduler.events_processed
-    world.scheduler.run_for(10_000.0)
-    assert world.scheduler.events_processed == before
-    monitor.restart()
-    world.scheduler.run_for(100.0)
-    assert monitor.suspects == {"p01"}
 
 
 # ----------------------------------------------------------------------
@@ -259,15 +223,10 @@ def test_traditional_stream_is_constant_whatever_plain_monitors_it_holds():
     assert all(fd._interval(peer) == 10.0 for fd in fds.values() for peer in fds)
 
 
-def test_stopped_monitor_is_no_longer_a_reader():
-    # Two plain monitors, 40 ms and 2 s: the fast one is why the links
-    # are kept warm every ``heartbeat_interval``.  Stopped, it neither
-    # hears of datagrams nor holds the cadence; what is left is the slow
-    # one's (it is the fastest reader now: a plain detector is back to
-    # ``heartbeat_interval``) — until a star-shaped reader shows up.
-    # The tap hands a monitor the datagrams of the peers it suspects, so
-    # the probe is a suspicion of p01 that nothing revises: the fast
-    # monitor's timer is off and its ``_heard`` only records.
+def test_the_tap_hands_a_monitor_only_its_suspects_datagrams():
+    # The probe is a suspicion of p01 that nothing revises: the fast
+    # monitor's timer is off and its ``_heard`` only records.  Datagrams
+    # from p02, whom it trusts, reach it only as ``last_heard``.
     world, fds = fd_world()
     fd = fds["p00"]
     fast = fd.monitor(["p01", "p02"], timeout=40.0)
@@ -280,17 +239,4 @@ def test_stopped_monitor_is_no_longer_a_reader():
     fast.suspects.add("p01")
     world.run_for(50.0)
     assert fd._monitors == [fast, slow] and "p01" in heard and "p02" not in heard
-    fast.stop()
-    del heard[:]
-    world.run_for(50.0)
-    assert fd._monitors == [slow] and heard == []
-    # A reader that watches only p01 first-hand, faster than ``slow``:
-    # p02's link falls to the slow reader's timeout / 4 ...
-    fast.reads = lambda peer: peer == "p01"
-    fast.restart()
-    assert fd._monitors == [slow, fast]
-    assert (fd._interval("p01"), fd._interval("p02")) == (10.0, 500.0)
-    # ... and stopped, it no longer holds p01's link either.
-    fast.stop()
-    assert (fd._interval("p01"), fd._interval("p02")) == (10.0, 10.0)
     assert slow.suspects == set()

@@ -44,15 +44,19 @@ class Twin:
         self.fd = HeartbeatFailureDetector(process, self.members, HEARTBEAT, channel=channel)
         self.monitor = monitor_class(self.fd, self.members, TIMEOUT, channel)
         self.fd.monitor(self.members, 10 * TIMEOUT)
-        self.edges: list[tuple[float, str, str]] = []
-        self.monitor.subscribe(
-            lambda peer: self.edges.append((world.now, peer, "suspect")),
-            lambda peer: self.edges.append((world.now, peer, "trust")),
-        )
         world.start()
 
     def members(self) -> list[str]:
         return self.view
+
+    @property
+    def edges(self) -> list[tuple[float, str, str]]:
+        """The star monitor's edges, read from its trace records."""
+        return [
+            (r.time, r.details["peer"], r.event)
+            for r in self.world.trace.select(pid=ME, component="fd")
+            if r.event in ("suspect", "trust") and r.details["timeout"] == TIMEOUT
+        ]
 
     def step(self, step: tuple) -> None:
         kind, *args = step
@@ -89,7 +93,7 @@ class Twin:
         )
         timer = self.monitor._timer
         return (
-            list(self.edges),
+            self.edges,
             set(self.monitor.suspects),
             set(self.monitor.first_hand),
             None if timer is None or not timer.active else timer.when,

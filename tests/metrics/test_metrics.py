@@ -1,4 +1,5 @@
-"""Unit tests for counters, latency recorder and interval tracker."""
+"""Unit tests for counters, the latency recorder (intervals included) and
+the metrics recorder."""
 
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from repro.metrics.counters import Counters
 from repro.metrics.latency import LatencyRecorder, LatencyStats, percentile
-from repro.metrics.recorder import IntervalTracker, MetricsRecorder
+from repro.metrics.recorder import MetricsRecorder
 from repro.net.message import MsgId
 from repro.sim.world import World
 
@@ -196,8 +197,10 @@ def test_abandon_owner_matches_decorated_senders():
     rec.begin("abcast", MsgId("p00~1!rb", 2), 0.0)  # rbcast/incarnation decorations
     rec.begin("abcast", MsgId("p01", 3), 0.0)
     rec.begin("other", "not-a-msgid", 0.0)
-    assert rec.abandon_owner("p00") == 2
-    assert rec.open_intervals() == 2
+    rec.begin("vs.blocked", ("p00", 3), 0.0)  # any tuple key that starts with the pid
+    rec.begin("vs.blocked", ("p01", 3), 0.0)
+    assert rec.abandon_owner("p00") == 3
+    assert rec.open_intervals() == 3
     assert rec.abandon_owner("p00") == 0
 
 
@@ -215,39 +218,33 @@ def test_crash_prunes_open_intervals():
 
 
 def test_interval_tracker_totals_and_counts():
-    tracker = IntervalTracker()
-    tracker.begin("b", "k1", 0.0)
-    tracker.begin("b", "k2", 5.0)
-    tracker.end("b", "k1", 10.0)
-    assert tracker.total("b") == 10.0
-    assert tracker.count("b") == 1
-    assert tracker.open_count() == 1
-    tracker.close_all(20.0)
-    assert tracker.total("b") == 25.0
-    assert tracker.open_count() == 0
-
-
-def test_interval_double_begin_keeps_first():
-    tracker = IntervalTracker()
-    tracker.begin("b", "k", 0.0)
-    tracker.begin("b", "k", 5.0)  # ignored
-    tracker.end("b", "k", 10.0)
-    assert tracker.total("b") == 10.0
+    # An interval is a latency sample: a tag's total is the sum of its
+    # samples, in the order the intervals closed, and its count their
+    # number (how ``vs.blocked`` reads the time senders stayed blocked).
+    rec = LatencyRecorder()
+    rec.begin("b", "k1", 0.0)
+    rec.begin("b", "k2", 5.0)
+    assert rec.end("b", "k1", 10.0)
+    assert sum(rec.samples("b")) == 10.0 and len(rec.samples("b")) == 1
+    assert rec.open_intervals("b") == 1
+    assert rec.end("b", "k2", 20.0)
+    assert rec.samples("b") == [10.0, 15.0] and sum(rec.samples("b")) == 25.0
+    assert rec.open_intervals() == 0
 
 
 def test_interval_end_without_begin_is_noop():
-    tracker = IntervalTracker()
-    tracker.end("b", "k", 10.0)
-    assert tracker.total("b") == 0.0
-    assert tracker.count("b") == 0
+    rec = LatencyRecorder()
+    assert not rec.end("b", "k", 10.0)
+    assert sum(rec.samples("b")) == 0.0
+    assert rec.samples("b") == [] and "b" not in rec.tags()
 
 
 def test_metrics_recorder_clear():
     m = MetricsRecorder()
     m.counters.inc("x")
     m.latency.record("t", 1.0)
-    m.intervals.begin("b", "k", 0.0)
+    m.latency.begin("b", "k", 0.0)
     m.clear()
     assert m.counters.get("x") == 0
     assert m.latency.stats("t").count == 0
-    assert m.intervals.open_count() == 0
+    assert m.latency.open_intervals() == 0

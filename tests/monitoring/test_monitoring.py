@@ -12,8 +12,6 @@ from tests.conftest import new_group, run_until
 def test_policy_validation():
     with pytest.raises(ValueError):
         MonitoringPolicy(votes_required=0)
-    with pytest.raises(ValueError):
-        MonitoringPolicy(use_fd=False, use_output_triggered=False)
 
 
 def test_crash_leads_to_exclusion_after_large_timeout():
@@ -109,29 +107,34 @@ def test_isolated_minority_is_excluded_by_the_primary_partition():
 
 
 def test_output_triggered_exclusion():
+    # p02 is alive and heard by everybody, but what p00 and p01 send it
+    # is lost (one-way cuts): their detectors never suspect it, their
+    # channels' output to it gets stuck, and the two output suspicions
+    # exclude it.  p02's own suspicions of them are one vote each, short
+    # of the two required.
     config = StackConfig(
         monitoring=MonitoringPolicy(
-            use_fd=False,
-            use_output_triggered=True,
-            output_stuck_timeout=300.0,
-            exclusion_timeout=999_999.0,
+            exclusion_timeout=300.0, votes_required=2, use_output_triggered=True
         ),
     )
-    world, stacks, _ = new_group(seed=5, config=config)
+    world, stacks, _ = new_group(count=4, seed=5, config=config)
     world.run_for(50.0)
-    world.crash("p02")
-    # Generate traffic that gets stuck in the channel buffer for p02.
     sent_at = world.now
-    stacks["p00"].channel.send("p02", "gb.ack", [(0, None)])
+    for pid in ("p00", "p01"):
+        world.cut(pid, "p02")
+        stacks[pid].channel.send("p02", "gb.ack", [(0, None)])
     assert run_until(
         world,
         lambda: "p02" not in stacks["p00"].membership.view,
         timeout=60_000,
     )
-    assert world.metrics.counters.get("monitoring.output_suspicions") >= 1
-    # The policy's threshold is the one that counts: the first suspicion
-    # comes at the first retransmission expiry past it.
+    assert stacks["p00"].membership.view.members == ("p00", "p01", "p03")
+    assert world.metrics.counters.get("monitoring.output_suspicions") >= 2
+    assert all("p02" not in stacks[pid].monitoring.monitor.suspects for pid in ("p00", "p01"))
+    # The exclusion timeout is the output threshold too: the first
+    # suspicion comes at the first retransmission expiry past it.
     first = world.trace.select(component="monitoring", event="output_suspicion")[0]
+    assert first.details["suspect"] == "p02"
     assert 300.0 <= first.time - sent_at <= 300.0 + RTO_MAX
 
 

@@ -1,11 +1,12 @@
 """Tests for passive replication over generic broadcast (Fig. 8)."""
 
-from repro.core.new_stack import StackConfig
+from repro.core.new_stack import StackConfig, build_new_group
 from repro.gbcast.conflict import PASSIVE_REPLICATION, PRIMARY_CHANGE, UPDATE
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
 from repro.replication.client import spawn_client
 from repro.replication.primary_backup import attach_passive_replicas
+from repro.sim.world import World
 
 from tests.conftest import new_group, run_until
 
@@ -18,13 +19,11 @@ def apply_kv(state, command):
     return new_state, ("stored", key, value)
 
 
-def passive_setup(count=3, seed=1, config=None, suspicion=120.0):
+def passive_setup(count=3, seed=1, config=None):
     world, stacks, _ = new_group(
         count=count, seed=seed, conflict=PASSIVE_REPLICATION, config=config
     )
-    replicas = attach_passive_replicas(
-        stacks, apply_kv, {}, primary_suspicion_timeout=suspicion
-    )
+    replicas = attach_passive_replicas(stacks, apply_kv, {})
     client = spawn_client(world, sorted(stacks), mode="primary", retry_timeout=400.0)
     world.start()
     return world, stacks, replicas, client
@@ -70,11 +69,11 @@ def test_fifo_updates_apply_in_primary_order():
 
 
 def test_primary_crash_rotation_without_exclusion():
-    # The Fig. 8 mechanism: backups suspect the primary (small timeout),
-    # g-broadcast primary-change, the view head rotates — but the old
-    # primary is NOT excluded from the membership.
+    # The Fig. 8 mechanism: backups suspect the primary (the stack's
+    # small-timeout monitor), g-broadcast primary-change, the view head
+    # rotates — but the old primary is NOT excluded from the membership.
     config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=60_000.0))
-    world, stacks, replicas, client = passive_setup(seed=4, config=config, suspicion=100.0)
+    world, stacks, replicas, client = passive_setup(seed=4, config=config)
     world.run_for(100.0)
     world.crash("p00")
     results = []
@@ -92,7 +91,7 @@ def test_false_suspicion_costs_only_a_rotation():
     # Section 4.3: with suspicion decoupled from exclusion, a wrong
     # suspicion costs one rotated view, not a kill + state transfer.
     config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=60_000.0))
-    world, stacks, replicas, client = passive_setup(seed=5, config=config, suspicion=80.0)
+    world, stacks, replicas, client = passive_setup(seed=5, config=config)
     world.run_for(100.0)
     from repro.net.topology import LinkModel
 
@@ -242,3 +241,24 @@ def test_primary_change_while_updates_are_queued_sits_at_one_position():
     assert len(positions) == 1
     states = [r.state for r in replicas.values()]
     assert all(state == states[0] for state in states)
+
+
+def idle_keepalives(passive):
+    """Datagrams the detectors of an idle n = 5 group send in 10 s."""
+    world = World(seed=1, default_link=LinkModel(3.0, 8.0))
+    stacks = build_new_group(world, 5, conflict=PASSIVE_REPLICATION)
+    if passive:
+        attach_passive_replicas(stacks, apply_kv, {})
+    world.start()
+    world.run_for(10_000.0)
+    return stacks, world.metrics.counters.get("net.sent.fd")
+
+
+def test_passive_replicas_read_the_stacks_monitors_and_cost_no_keepalive():
+    # The replica suspects the primary on the stack's small-timeout star:
+    # a process holds the stack's two monitors and nothing keeps a link
+    # warm on the replica's account.
+    stacks, passive = idle_keepalives(passive=True)
+    for stack in stacks.values():
+        assert stack.fd._monitors == [stack.suspicion_monitor, stack.monitoring.monitor]
+    assert passive == idle_keepalives(passive=False)[1] == 5_604

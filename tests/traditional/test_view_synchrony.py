@@ -134,5 +134,5 @@ def test_blocked_interval_metrics(kind):
         world, lambda: all(nodes[p].view.id == 1 for p in ("p00", "p01")), timeout=10_000
     )
     assert world.metrics.counters.get("vs.blocks") == 2
-    assert world.metrics.intervals.total("vs.blocked") > 0
-    assert world.metrics.intervals.open_count() == 0  # p02 crashed unblocked
+    assert sum(world.metrics.latency.samples("vs.blocked")) > 0
+    assert world.metrics.latency.open_intervals("vs.blocked") == 0  # p02 crashed unblocked
