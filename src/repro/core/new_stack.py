@@ -125,11 +125,6 @@ class StackConfig:
     #: Max DATA segments packed into one coalesced datagram.
     max_segment_batch: int = 8
     monitoring: MonitoringPolicy = field(default_factory=MonitoringPolicy)
-    #: Use the quorum (n - floor((n-1)/3)) fast path of Aguilera et al. [1]
-    #: instead of the all-ack fast path: with n > 3f the fast path keeps
-    #: working through up to f crashes, at the cost of a gather round on
-    #: stage closure.
-    quorum_fast_path: bool = False
 
     def __post_init__(self) -> None:
         valid = {
@@ -211,14 +206,7 @@ class NewArchitectureStack:
             max_batch=cfg.abcast_max_batch,
         )
         self.membership = AbcastGroupMembership(process, self.channel, self.abcast, initial_view)
-        if cfg.quorum_fast_path:
-            # Imported where it is built: a plain group run never loads it.
-            from repro.gbcast.quorum import QuorumGenericBroadcast
-
-            gbcast_class = QuorumGenericBroadcast
-        else:
-            gbcast_class = ThriftyGenericBroadcast
-        self.gbcast = gbcast_class(
+        self.gbcast = ThriftyGenericBroadcast(
             process,
             self.channel,
             self.rbcast,

@@ -250,15 +250,12 @@ class ThriftyGenericBroadcast(Component):
             self._try_ack(message)
             self._close_if_suspects_block()
 
-    def _suspects_block_fast_path(self) -> bool:
-        """True when current suspicions make the fast path unreachable."""
-        suspects = self.monitor.suspects
-        return bool(suspects) and not suspects.isdisjoint(self.group_provider())
-
     def _close_if_suspects_block(self) -> None:
+        """Close the stage once a suspected member blocks the fast path."""
         if self._frozen or not self._pending:
             return
-        if self._suspects_block_fast_path():
+        suspects = self.monitor.suspects
+        if suspects and not suspects.isdisjoint(self.group_provider()):
             self._close_stage("suspect")
 
     def _try_ack(self, message: AppMessage) -> None:
@@ -348,10 +345,6 @@ class ThriftyGenericBroadcast(Component):
                 self._watch()
             return
         self._deferred_at = None
-        self._end_stage(reason)
-
-    def _end_stage(self, reason: str) -> None:
-        """Close the stage with this process's frozen acked set."""
         self._abcast_endstage(sorted(self._acked), reason)
 
     def _abcast_endstage(self, closure_ids: list[MsgId], reason: str) -> None:

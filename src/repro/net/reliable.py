@@ -134,8 +134,6 @@ _HEAD_BYTES = {
 PORT_LAYERS = {
     "cons": "consensus",
     "gb.ack": "gbcast",
-    "gb.gather": "gbcast",
-    "gb.gather_ok": "gbcast",
     "gm.state": "membership",
     "gm.join_req": "membership",
     "rb": "rbcast",

@@ -1,10 +1,13 @@
 """The explore frontier, pinned: every seed known to fail, as a strict xfail.
 
-Each test runs one seed's adversarial scenario and asserts what a fixed
-protocol must give — no violation, and a converged group.  Today each
-fails as ROADMAP items 1 and 3 describe.  A fix turns its pin XPASS,
-which fails the suite until the marker goes; a timing change that hides
-a seed without a fix shows up the same way.
+``frontier.json`` lists the seeds, per sampler profile and with the way
+each fails; the nightly deep sweep is held to the same file
+(``check_frontier.py``).  Each test runs one seed's adversarial scenario
+and asserts what a fixed protocol must give — no violation, and a
+converged group.  Today each fails as ROADMAP items 1 and 3 describe.  A
+fix turns its pin XPASS, which fails the suite until the marker goes
+(and its entry with it); a timing change that hides a seed without a fix
+shows up the same way.
 
 Two samplers: the default draw (``explore_seed``), and the same draw
 forced to the shipping ``StackConfig()`` knobs — ``abcast_window`` 4,
@@ -26,12 +29,24 @@ from repro.explore.explorer import (
 )
 from repro.explore.runner import run_scenario
 
+from tests.explore.check_frontier import FRONTIER, mismatches
+
 AGREEMENT = "ROADMAP 1: a re-admitted incarnation holds a forgotten vote (agreement-prefix)"
 UNCONVERGED = "ROADMAP 3: a head crash wedges delivery (the run does not converge)"
+REASONS = {"agreement-prefix": AGREEMENT, "unconverged": UNCONVERGED}
 
 
-def pin(reason: str):
-    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+def pinned(profile: str) -> list:
+    """``profile``'s frontier seeds, each a strict xfail."""
+    return [
+        pytest.param(
+            entry["seed"],
+            marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError, reason=REASONS[entry["family"]]
+            ),
+        )
+        for entry in FRONTIER[profile]
+    ]
 
 
 def ship_result(seed: int):
@@ -50,25 +65,33 @@ def assert_clean_and_converged(result) -> None:
     assert result.converged, f"{result.deliveries} deliveries, {result.events} events"
 
 
-@pytest.mark.parametrize(
-    "seed",
-    [
-        pytest.param(523, marks=pin(AGREEMENT)),
-        pytest.param(762, marks=pin(UNCONVERGED)),
-        pytest.param(1029, marks=pin(UNCONVERGED)),
-    ],
-)
+@pytest.mark.parametrize("seed", pinned("default"))
 def test_default_sampler_seed_is_clean_and_converges(seed):
     assert_clean_and_converged(explore_seed(seed).result)
 
 
-@pytest.mark.parametrize(
-    "seed",
-    [
-        pytest.param(134, marks=pin(AGREEMENT)),
-        pytest.param(359, marks=pin(AGREEMENT)),
-        pytest.param(147, marks=pin(UNCONVERGED)),
-    ],
-)
+@pytest.mark.parametrize("seed", pinned("ship"))
 def test_ship_profile_seed_is_clean_and_converges(seed):
     assert_clean_and_converged(ship_result(seed))
+
+
+def test_the_nightly_gate_holds_a_sweep_to_exactly_the_pinned_seeds_in_its_range():
+    entries = FRONTIER["default"]
+    sweep = {
+        "seeds": [0, 1300],
+        "violations": [{"seed": 523, "invariant": "agreement-prefix", "repro": None}],
+        "unconverged": [762, 1029],
+    }
+    assert mismatches(sweep, entries) == []
+    assert mismatches({**sweep, "seeds": [0, 600], "unconverged": []}, entries) == []
+    assert mismatches({**sweep, "unconverged": [5, 762, 1029]}, entries) == [
+        "seed 5: unconverged, not pinned"
+    ]
+    assert mismatches({**sweep, "violations": []}, entries) == [
+        "seed 523: pinned as agreement-prefix, not seen"
+    ]
+    moved = [{"seed": 523, "invariant": "conflict-order", "repro": None}]
+    assert mismatches({**sweep, "violations": moved}, entries) == [
+        "seed 523: conflict-order, not pinned",
+        "seed 523: pinned as agreement-prefix, not seen",
+    ]

@@ -10,7 +10,6 @@ in abcast's blocked-head path.
 from repro.abcast.consensus_based import REPAIR_INTERVAL
 from repro.core.new_stack import StackConfig, build_new_group
 from repro.gbcast.conflict import ABCAST_CLASS
-from repro.gbcast.quorum import GATHER_OK_PORT
 from repro.gbcast.thrifty import ENDSTAGE_CLASS
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.message import AppMessage, MsgId
@@ -95,6 +94,7 @@ def test_a_backlog_of_any_length_is_ordered_by_the_next_instance():
         for message in endstages(stack):
             _stage, closure, tail = message.payload
             assert not set(closure) & set(tail)
+            assert all(type(mid) is MsgId for mid in closure + tail)
     assert sum(len(m.payload[2]) for m in endstages(stacks["p00"])) >= 50
 
 
@@ -176,24 +176,3 @@ def test_remove_before_its_endstage_in_one_batch_voids_it_unasked():
     gb(stacks, "p01", "after")
     assert run_until(world, lambda: all(log(s) == [("after", "fast")] for s in survivors))
 
-
-def test_quorum_variant_gathers_ids_and_delivers_the_tail():
-    world, stacks = group(count=4, quorum_fast_path=True, **PATIENT)
-    world.run_for(50.0)
-    world.crash("p03")
-    gathered = []
-    ports = stacks["p00"].process._ports
-    on_ok = ports[GATHER_OK_PORT]
-    ports[GATHER_OK_PORT] = lambda src, payload: (gathered.append(payload), on_ok(src, payload))
-    for i in range(6):
-        gb(stacks, f"p0{i % 3}", ("op", i))
-    alive = [stacks[p] for p in ("p00", "p01", "p02")]
-    assert run_until(world, lambda: all(len(log(s)) == 6 for s in alive))
-    assert gathered
-    for _stage, acked in gathered:
-        assert acked and all(type(mid) is MsgId for mid in acked)
-    for message in endstages(stacks["p00"]):
-        _stage, closure, tail = message.payload
-        assert all(type(mid) is MsgId for mid in closure + tail)
-    assert world.metrics.counters.get("gbcast.tail_ordered") > 0
-    assert len({tuple(order(s)) for s in alive}) == 1

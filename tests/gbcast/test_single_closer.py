@@ -141,24 +141,6 @@ def test_divergent_suspicions_order_two_endstages_first_wins():
     assert_clean(stacks)
 
 
-def test_quorum_variant_gathers_once_per_stage():
-    config = StackConfig(quorum_fast_path=True, monitoring=NO_EXCLUSION)
-    world, stacks, _ = new_group(count=4, seed=11, config=config)
-    for i in range(6):
-        stacks[f"p0{i % 4}"].gbcast.gbcast_payload(("op", i), ABCAST_CLASS)
-        world.run_for(30.0)
-    assert run_until(world, lambda: all(len(delivered(s)) == 6 for s in stacks.values()))
-    world.run_for(500.0)
-    (stages,) = {s.gbcast.stage for s in stacks.values()}
-    counters = world.metrics.counters
-    # Six pairwise-conflicting ops close at least two stages (an
-    # ENDSTAGE orders at most what its gatherer holds), one gather each.
-    assert counters.get("gbcast.gathers") == counters.get("gbcast.endstages") == stages
-    assert stages >= 2
-    assert counters.get("gbcast.closes_deferred") > 0
-    assert len({tuple(delivered(s)) for s in stacks.values()}) == 1
-
-
 def test_process_outside_its_own_view_never_closes():
     world, stacks, _ = new_group(seed=13)
     world.run_for(50.0)

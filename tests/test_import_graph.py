@@ -30,7 +30,6 @@ NOT_ON_THE_RUN_PATH = (
     "repro.abcast.sequencer",
     "repro.abcast.token_ring",
     "repro.abcast.interfaces",
-    "repro.gbcast.quorum",
     "repro.core.composed",
     "repro.stack",
     "repro.traditional",
@@ -46,23 +45,22 @@ from repro import StackConfig, World, bank_relation, build_new_group
 from repro.gbcast.conflict import DEPOSIT, WITHDRAWAL
 
 world = World(seed=5)
-stacks = build_new_group(world, 3, bank_relation(), StackConfig(**json.loads(sys.argv[1])))
+stacks = build_new_group(world, 3, bank_relation(), StackConfig())
 first = stacks["p00"].gbcast
 first.gbcast_payload("deposit", DEPOSIT)
 first.gbcast_payload("withdrawal", WITHDRAWAL)
 world.run_for(500.0)
 print(json.dumps({
-    "gbcast": type(first).__name__,
     "delivered": [len(stack.gbcast.delivered_log) for stack in stacks.values()],
     "modules": sorted(name for name in sys.modules if name.split(".")[0] == "repro"),
 }))
 """
 
 
-def _run_group(**options) -> dict:
+def _run_group() -> dict:
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", RUN_SCRIPT, json.dumps(options)],
+        [sys.executable, "-c", RUN_SCRIPT],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return json.loads(done.stdout)
@@ -76,16 +74,8 @@ def _off_the_run_path(module: str) -> bool:
 
 def test_a_plain_group_run_loads_only_what_it_builds():
     run = _run_group()
-    assert run["gbcast"] == "ThriftyGenericBroadcast"
     assert run["delivered"] == [2, 2, 2]
     assert [name for name in run["modules"] if _off_the_run_path(name)] == []
-
-
-def test_the_quorum_fast_path_loads_the_quorum_gbcast_and_delivers():
-    run = _run_group(quorum_fast_path=True)
-    assert run["gbcast"] == "QuorumGenericBroadcast"
-    assert run["delivered"] == [2, 2, 2]
-    assert "repro.gbcast.quorum" in run["modules"]
 
 
 def test_only_the_facades_import_in_their_init():
