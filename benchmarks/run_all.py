@@ -59,6 +59,7 @@ from scenarios import SCENARIOS  # noqa: E402
 
 import repro  # noqa: E402
 from repro.core.new_stack import StackConfig  # noqa: E402
+from repro.monitoring.component import MonitoringPolicy  # noqa: E402
 from repro.sim.process import Component  # noqa: E402
 from repro.sim.scheduler import Scheduler  # noqa: E402
 from repro.sim.world import World  # noqa: E402
@@ -123,7 +124,8 @@ def code_lines(source: str) -> int:
 
 def simplicity_meta() -> dict:
     """The size of what the numbers were taken on: configuration fields
-    of the stack, the options the traditional stacks take (a constructor
+    of the stack and of its exclusion policy, the options the traditional
+    stacks take (a constructor
     keyword other than ``is_member``, counted per stack; Totem inherits
     RMP's), the defaulted constructor parameters of the components and
     the world, non-blank source lines under ``src/repro`` (all of them,
@@ -138,6 +140,7 @@ def simplicity_meta() -> dict:
 
     return {
         "stack_config_fields": len(dataclasses.fields(StackConfig)),
+        "monitoring_policy_fields": len(dataclasses.fields(MonitoringPolicy)),
         "traditional_knobs": sum(
             1
             for stack in (IsisStack, PhoenixStack, RMPStack, EnsembleStack)
@@ -250,6 +253,7 @@ def check(document: dict, baseline_path: Path, tolerance: float) -> list[str]:
         print(f"[bench] meta.{key}: {meta_before.get(key)} -> {meta_now[key]}")
     for key, grew in (
         ("stack_config_fields", "StackConfig grew a knob"),
+        ("monitoring_policy_fields", "MonitoringPolicy grew a knob"),
         ("traditional_knobs", "a traditional stack grew an option"),
         ("component_options", "a component constructor grew a defaulted parameter"),
     ):

@@ -140,8 +140,8 @@ class ConsensusAtomicBroadcast(Component):
         rbcast: ReliableBroadcast,
         consensus: ChandraTouegConsensus,
         group_provider: GroupProvider,
-        window: int = 1,
-        max_batch: int | None = None,
+        window: int,
+        max_batch: int,
     ) -> None:
         super().__init__(process, "abcast")
         if window < 1:
@@ -332,8 +332,7 @@ class ConsensusAtomicBroadcast(Component):
             batch_ids = [mid for mid in sorted(self._pending) if mid not in self._assigned]
             if not batch_ids:
                 return
-            if self.max_batch is not None:
-                batch_ids = batch_ids[: self.max_batch]
+            batch_ids = batch_ids[: self.max_batch]
             # Read the group fresh every iteration: under the consensus
             # fast path propose() can decide *synchronously* (singleton
             # majority), and applying that decision here may bump the

@@ -44,9 +44,9 @@ join with a value of its own choosing instead of letting the proposal
 wait for one.  An ESTIMATE is not announced — it reaches a coordinator
 that has nothing to propose yet, and that is for its client to end.
 
-A third refinement is a constructor argument: the **round-0 fast path**
-(``fast_path=True``; the new-architecture stack always builds it so, the
-Phoenix baseline keeps the classic round).  The round-0 coordinator proposes its own value immediately instead of
+A third refinement is the **round-0 fast path**, which every instance
+runs (the new-architecture stack and Phoenix's view consensus alike).
+The round-0 coordinator proposes its own value immediately instead of
 first reading a majority of estimates.  The estimate read exists only to
 discover a previously *locked* value — one some majority may already
 have ACKed in an earlier round — and no round precedes round 0, so every
@@ -58,8 +58,8 @@ argument: the coordinator's self-addressed round-0 ESTIMATE is suppressed
 explicit ACKer would, so the majority behind a decision still intersects
 every later coordinator's estimate read; and on a majority of ACKs the
 coordinator decides locally at once while the DECIDE rbcast propagates
-to everyone else.  With it off every round, round 0 included, is the
-classic three-phase round above.
+to everyone else.  Every later round is the classic three-phase round
+above.
 
 Adoption locks a value with ``ts = round + 1``, so a round-0 lock
 (``ts = 1``) is distinguishable from a never-adopted initial estimate
@@ -149,12 +149,10 @@ class ChandraTouegConsensus(Component):
         channel: ReliableChannel,
         rbcast: ReliableBroadcast,
         monitor: Monitor,
-        fast_path: bool = False,
     ) -> None:
         super().__init__(process, "consensus")
         self.channel = channel
         self.rbcast = rbcast
-        self.fast_path = fast_path
         self._instances: dict[InstanceKey, _Instance] = {}
         self._pre_propose_buffer: dict[InstanceKey, list[tuple[str, tuple]]] = {}
         self._decisions: dict[InstanceKey, Any] = {}
@@ -294,7 +292,7 @@ class ChandraTouegConsensus(Component):
         inst.phase = WAIT_PROPOSE
         coord = inst.coordinator(rnd)
         self._count_rounds.n += 1
-        if self.fast_path and rnd == 0 and coord == self.pid:
+        if rnd == 0 and coord == self.pid:
             # Round-0 fast path: we are the coordinator and already hold
             # a value, so the self-addressed ESTIMATE and the majority
             # estimate read are both skipped (see the module docstring
@@ -452,12 +450,11 @@ class ChandraTouegConsensus(Component):
                 instance=str(key)
             )
         self.rbcast.rbcast(DECIDE_TAG, (key, state.proposed))
-        if self.fast_path:
-            # Local short-circuit: the majority is in, so decide here and
-            # now instead of waiting for the DECIDE rbcast to loop back
-            # over the self-link; its later self-delivery is a no-op.
-            self._count_local_decides.n += 1
-            self._decide(key, state.proposed)
+        # Local short-circuit: the majority is in, so decide here and now
+        # instead of waiting for the DECIDE rbcast to loop back over the
+        # self-link; its later self-delivery is a no-op.
+        self._count_local_decides.n += 1
+        self._decide(key, state.proposed)
 
     def _coord_on_nack(self, key: InstanceKey, inst: _Instance, rnd: int) -> None:
         state = inst.coord_rounds.get(rnd)

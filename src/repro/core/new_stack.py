@@ -96,10 +96,10 @@ class StackConfig:
     #: The window automatically collapses to 1 while a membership ctl op
     #: is pending (see ``repro.abcast.consensus_based``).
     abcast_window: int = 4
-    #: Cap on messages per consensus proposal batch (None = unlimited).
-    #: With ``abcast_window > 1`` a burst splits across concurrent
-    #: instances instead of riding one giant batch.
-    abcast_max_batch: int | None = 4
+    #: Cap on messages per consensus proposal batch.  With
+    #: ``abcast_window > 1`` a burst splits across concurrent instances
+    #: instead of riding one giant batch.
+    abcast_max_batch: int = 4
     #: Reliable-broadcast relay policy: ``"lazy"`` relays only for
     #: origins the FD currently suspects, asking its peers for what it
     #: lacks when a suspicion arises — O(n) datagrams per broadcast in the
@@ -130,7 +130,7 @@ class StackConfig:
         valid = {
             "suspicion_timeout": self.suspicion_timeout > 0,
             "abcast_window": self.abcast_window >= 1,
-            "abcast_max_batch": self.abcast_max_batch is None or self.abcast_max_batch >= 1,
+            "abcast_max_batch": self.abcast_max_batch is not None and self.abcast_max_batch >= 1,
             "relay_policy": self.relay_policy in RELAY_POLICIES,
             "dissemination": self.dissemination in POLICIES,
             "coalesce_delay": self.coalesce_delay is None or self.coalesce_delay >= 0,
@@ -195,7 +195,7 @@ class NewArchitectureStack:
             dissemination=cfg.dissemination,
         )
         self.consensus = ChandraTouegConsensus(
-            process, self.channel, self.rbcast, self.suspicion_monitor, fast_path=True
+            process, self.channel, self.rbcast, self.suspicion_monitor
         )
         self.abcast = ConsensusAtomicBroadcast(
             process,

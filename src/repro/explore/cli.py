@@ -173,6 +173,11 @@ def run_sweep(args: argparse.Namespace) -> int:
                 f"{report.result.deliveries} deliveries, "
                 f"{report.result.events} events)"
             )
+            for pid, waits in report.result.stats.get("blocked", {}).items():
+                for mid, namer in waits.items():
+                    print(f"  {pid}: abcast blocked on {mid}, named_by={namer}")
+            if report.result.stats.get("posthoc"):
+                print(f"  posthoc: {report.result.stats['posthoc']}")
 
     summary = sweep(
         args.seeds,

@@ -16,7 +16,13 @@ Safety is checked in two phases:
   incarnations, views), over every actor's full streams;
 * **post-hoc** — after quiescence, uniform agreement alone over the
   processes that never crashed: a completeness property, which only
-  makes sense once the run has settled.
+  makes sense once the run has settled.  A run that did not converge
+  while a live member's atomic broadcast still waits for a decided body
+  has not settled: it is reported unconverged, not as an agreement
+  violation, with the history difference and every live member's
+  ``waiting_on()`` in its ``stats``.  A run that converged, or went
+  quiet with nobody waiting, and whose histories differ fails as
+  ``agreement``.
 
 ``mutation`` deliberately injects a bug into one process's stack — the
 self-test proving the harness detects, shrinks and replays real ordering
@@ -273,8 +279,22 @@ def run_scenario(config: ScenarioConfig, trace: bool = False):
             "phase": "online",
         }
 
+    live = {pid: stack for pid, stack in sorted(stacks.items()) if not stack.process.crashed}
+    # What each live member's atomic broadcast waits for: decided ids
+    # whose bodies it lacks, each with what named it.
+    blocked = {
+        pid: {
+            str(mid): str(namer) if namer else "decision"
+            for mid, namer in sorted(stack.abcast.waiting_on().items())
+        }
+        for pid, stack in live.items()
+    }
+    posthoc = None
     if violation is None:
         violation = _posthoc_agreement(stacks, participants())
+        if violation is not None and not converged and any(blocked.values()):
+            # Histories that never settled: a stall, not a divergence.
+            posthoc, violation = violation["detail"], None
 
     result = RunResult(
         violation=violation,
@@ -299,9 +319,11 @@ def run_scenario(config: ScenarioConfig, trace: bool = False):
                     "watcher": stack.suspicion_monitor.watcher,
                     "first_hand": sorted(stack.suspicion_monitor.first_hand),
                 }
-                for pid, stack in sorted(stacks.items())
-                if not stack.process.crashed
+                for pid, stack in live.items()
             },
+            "blocked": blocked,
+            # The participants' history difference of an unconverged run.
+            "posthoc": posthoc,
         },
     )
     return result, world

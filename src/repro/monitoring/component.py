@@ -15,11 +15,10 @@ Supported exclusion policies (all from the paper):
   distinct processes also suspect ``q`` ("decide on the removal of q
   only after having learned that a threshold of other processes also
   suspect q");
-* **output-triggered suspicion** [12] — the reliable channel reports
-  how long its oldest unacknowledged message to a peer has waited, and
-  past the same ``exclusion_timeout`` the peer is suspected
-  (``use_output_triggered``); an exclusion is the only way to safely
-  discard such messages.
+* **output-triggered suspicion** [12], always on — the reliable channel
+  reports how long its oldest unacknowledged message to a peer has
+  waited, and past the same ``exclusion_timeout`` the peer is suspected;
+  an exclusion is the only way to safely discard such messages.
 
 The component gossips suspicion votes over reliable channels and calls
 ``membership.remove`` once the policy threshold is met; on the removal
@@ -58,7 +57,6 @@ class MonitoringPolicy:
 
     exclusion_timeout: float = 2_000.0
     votes_required: int = 1
-    use_output_triggered: bool = False
 
     def __post_init__(self) -> None:
         if self.votes_required < 1:
@@ -74,10 +72,10 @@ class MonitoringComponent(Component):
         fd: HeartbeatFailureDetector,
         membership: AbcastGroupMembership,
         channel: ReliableChannel,
-        policy: MonitoringPolicy | None = None,
+        policy: MonitoringPolicy,
     ) -> None:
         super().__init__(process, "monitoring")
-        self.policy = policy or MonitoringPolicy()
+        self.policy = policy
         self.fd = fd
         self.membership = membership
         self.channel = channel
@@ -86,8 +84,7 @@ class MonitoringComponent(Component):
         self.register_port(VOTE_PORT, self._on_vote)
         self.monitor = fd.monitor(membership.current_members, self.policy.exclusion_timeout)
         self.monitor.subscribe(self._on_local_suspicion)
-        if self.policy.use_output_triggered:
-            channel.on_stuck(self._on_output_stuck)
+        channel.on_stuck(self._on_output_stuck)
         fd.on_reincarnation(self._on_reincarnation)
         membership.on_removal(self._on_removed)
 

@@ -26,6 +26,12 @@ updates through :class:`~repro.replication.replica.PrimaryReplica` — it
 issues update *k+1* only after delivering its own update *k* — so updates
 apply in primary-processing order even though the relation does not
 order them.
+
+State transfer: a joiner — a new process, or an excluded one that
+recovered — takes the replica core's snapshot (state, dedup table) with
+the primary-change ``epoch`` and the rotated ``server_list`` of its
+sponsor, so it applies the current primary's updates instead of
+discarding them as stale and agrees with the group on who is primary.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ class PassiveReplicaGB(PrimaryReplica):
         self._change_requested_for: set[int] = set()
         stack.gbcast.on_gdeliver(self._on_gdeliver)
         stack.membership.on_new_view(self._on_new_view)
+        stack.membership.set_state_handlers(self.snapshot, self.install_snapshot)
         stack.suspicion_monitor.subscribe(self._on_suspicion)
 
     # ------------------------------------------------------------------
@@ -76,6 +83,15 @@ class PassiveReplicaGB(PrimaryReplica):
         self.stack.gbcast.gbcast_payload(
             ("update", self.epoch, client, req_id, new_state, result), UPDATE
         )
+
+    def snapshot(self) -> dict[str, Any]:
+        return {**super().snapshot(), "epoch": self.epoch, "server_list": list(self.server_list)}
+
+    def install_snapshot(self, snapshot: dict[str, Any] | None) -> None:
+        super().install_snapshot(snapshot)
+        if snapshot is not None:
+            self.epoch = snapshot["epoch"]
+            self.server_list = list(snapshot["server_list"])
 
     # ------------------------------------------------------------------
     # Generic broadcast deliveries

@@ -20,6 +20,13 @@ order although the relation leaves updates unordered.
 Each replica owns its state: it starts from its own copy of the initial
 state and copies what it receives, so ``apply_fn`` may mutate the state
 it is given.
+
+State transfer: :meth:`Replica.snapshot` / :meth:`Replica.install_snapshot`
+carry the state and the executed-request dedup table, so a joiner — or a
+recovered incarnation rejoining the group — resumes with an identical
+copy of the application state and keeps the exactly-once guarantee.  A
+replication style adds what its own role logic needs and registers the
+section with the membership.
 """
 
 from __future__ import annotations
@@ -80,6 +87,20 @@ class Replica(Component):
 
     def _reply(self, client: str, req_id: int | None, result: Any) -> None:
         self.channel.send(client, REPLY_PORT, (req_id, result, self._server_hint()))
+
+    # ------------------------------------------------------------------
+    # Snapshot / restore (membership state transfer, crash recovery)
+    # ------------------------------------------------------------------
+    def snapshot(self) -> dict[str, Any]:
+        """Everything a fresh replica needs to resume exactly-once."""
+        return {"state": copy.deepcopy(self.state), "executed": dict(self._executed)}
+
+    def install_snapshot(self, snapshot: dict[str, Any] | None) -> None:
+        if snapshot is None:
+            return  # joined a group without replicas; nothing to restore
+        self.state = copy.deepcopy(snapshot["state"])
+        self._executed = dict(snapshot["executed"])
+        self.world.metrics.counters.inc("replica.snapshots_installed")
 
 
 class PrimaryReplica(Replica):

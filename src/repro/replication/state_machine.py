@@ -15,17 +15,15 @@ Requests are deduplicated by ``(client, req_id)``: with clients sending
 to all replicas, the same request is broadcast up to n times but
 executed once.
 
-Crash recovery: a replica registers :meth:`ActiveReplica.snapshot` /
-:meth:`ActiveReplica.install_snapshot` (state, executed-request dedup
-table, command log) as the membership state-transfer handlers, so a
-joiner — or a recovered incarnation rejoining the group — resumes with
-an identical copy of the application state and keeps the exactly-once
-guarantee across its crash.
+Crash recovery: a replica registers the replica core's snapshot (state,
+executed-request dedup table) plus its command log as the membership
+state-transfer handlers, so a joiner — or a recovered incarnation
+rejoining the group — resumes with an identical copy of the application
+state and keeps the exactly-once guarantee across its crash.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Callable
 
 from repro.core.new_stack import NewArchitectureStack
@@ -73,25 +71,14 @@ class ActiveReplica(Replica):
         self.world.metrics.counters.inc("replica.executed")
         self._complete(client, req_id, result)
 
-    # ------------------------------------------------------------------
-    # Snapshot / restore (membership state transfer, crash recovery)
-    # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        """Everything a fresh replica needs to resume exactly-once."""
-        return {
-            "state": copy.deepcopy(self.state),
-            "executed": dict(self._executed),
-            "command_log": list(self.command_log),
-        }
+        return {**super().snapshot(), "command_log": list(self.command_log)}
 
     def install_snapshot(self, snapshot: dict[str, Any] | None) -> None:
-        if snapshot is None:
-            return  # joined a group without replicas; nothing to restore
-        self.state = copy.deepcopy(snapshot["state"])
-        self._executed = dict(snapshot["executed"])
-        self.command_log = list(snapshot["command_log"])
-        self.world.metrics.counters.inc("replica.snapshots_installed")
-        self.trace("snapshot_installed", commands=len(self.command_log))
+        super().install_snapshot(snapshot)
+        if snapshot is not None:
+            self.command_log = list(snapshot["command_log"])
+            self.trace("snapshot_installed", commands=len(self.command_log))
 
 
 def attach_active_replicas(

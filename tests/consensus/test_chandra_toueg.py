@@ -10,7 +10,7 @@ from repro.sim.world import World
 from tests.conftest import run_until
 
 
-def consensus_world(count=3, seed=1, suspicion_timeout=60.0, link=None, fast_path=False):
+def consensus_world(count=3, seed=1, suspicion_timeout=60.0, link=None):
     world = World(seed=seed, default_link=link or LinkModel(1.0, 1.0))
     pids = world.spawn(count)
     nodes = {}
@@ -21,7 +21,7 @@ def consensus_world(count=3, seed=1, suspicion_timeout=60.0, link=None, fast_pat
         fd = HeartbeatFailureDetector(proc, lambda: list(pids))
         rb = ReliableBroadcast(proc, channel, lambda: list(pids))
         monitor = fd.monitor(list(pids), suspicion_timeout)
-        cons = ChandraTouegConsensus(proc, channel, rb, monitor, fast_path=fast_path)
+        cons = ChandraTouegConsensus(proc, channel, rb, monitor)
         cons.on_decide(lambda key, value, pid=pid: decisions[pid].__setitem__(key, value))
         nodes[pid] = cons
     return world, pids, nodes, decisions

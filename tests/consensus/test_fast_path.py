@@ -1,7 +1,7 @@
 """Round-0 consensus fast path: latency wins, safety, interleavings.
 
-The fast path (``fast_path=True``, what the new stack always builds)
-lets the round-0 coordinator propose without a majority estimate read,
+The fast path (what every instance runs) lets the round-0 coordinator
+propose without a majority estimate read,
 count its own adoption as an implicit ACK, and decide locally at
 majority-ACK time.  These tests pin the three wins, the safety-critical
 lock-timestamp encoding (shared with classic rounds), and the
@@ -19,7 +19,7 @@ from tests.consensus.test_chandra_toueg import consensus_world, everyone_decided
 # The fast path itself
 # ----------------------------------------------------------------------
 def test_round0_decide_without_estimate_read():
-    world, pids, nodes, decisions = consensus_world(fast_path=True)
+    world, pids, nodes, decisions = consensus_world()
     world.start()
     for pid in pids:
         nodes[pid].propose("k", f"value-from-{pid}", pids)
@@ -38,7 +38,7 @@ def test_round0_decide_without_estimate_read():
 def test_implicit_self_ack_reaches_majority_with_one_peer():
     # n = 3, one participant dead from the start: majority (2) is the
     # coordinator's implicit self-ACK plus a single network ACK.
-    world, pids, nodes, decisions = consensus_world(fast_path=True)
+    world, pids, nodes, decisions = consensus_world()
     world.start()
     world.run_for(10.0)
     world.crash("p02")
@@ -50,7 +50,7 @@ def test_implicit_self_ack_reaches_majority_with_one_peer():
 
 
 def test_coordinator_decides_locally_before_rbcast_returns():
-    world, pids, nodes, _ = consensus_world(fast_path=True)
+    world, pids, nodes, _ = consensus_world()
     decided_at = {}
     for pid in pids:
         nodes[pid].on_decide(
@@ -67,7 +67,7 @@ def test_coordinator_decides_locally_before_rbcast_returns():
 
 
 def test_singleton_group_decides_instantly():
-    world, pids, nodes, decisions = consensus_world(count=1, fast_path=True)
+    world, pids, nodes, decisions = consensus_world(count=1)
     world.start()
     nodes["p00"].propose("solo", "only-value", pids)
     # Majority of 1 is the implicit self-ACK: no network round at all.
@@ -78,9 +78,7 @@ def test_fast_path_tolerates_coordinator_crash_after_propose():
     # Crash the round-0 coordinator right after its fast-path PROPOSE is
     # out (before the decision spreads): survivors must agree in a later
     # round, on a value that is safe w.r.t. any round-0 majority.
-    world, pids, nodes, decisions = consensus_world(
-        fast_path=True, suspicion_timeout=40.0
-    )
+    world, pids, nodes, decisions = consensus_world(suspicion_timeout=40.0)
     world.start()
     for pid in pids:
         nodes[pid].propose("k", pid, pids)
@@ -104,7 +102,7 @@ def test_round0_lock_wins_max_ts_against_higher_pid_initial_estimate():
     # ts = rnd encoding both would carry ts = 0 and the (ts, src)
     # tie-break would pick p02's unlocked value — exactly the window in
     # which a fast-path round-0 decision could already exist.
-    world, pids, nodes, _ = consensus_world(fast_path=True)
+    world, pids, nodes, _ = consensus_world()
     world.start()
     p01 = nodes["p01"]
     p01.propose("k", "own-value", pids)
@@ -120,36 +118,42 @@ def test_round0_lock_wins_max_ts_against_higher_pid_initial_estimate():
 
 
 def test_classic_rounds_lock_with_the_same_encoding():
-    world, pids, nodes, _ = consensus_world(fast_path=False)
+    # Round 1 is a classic round (coordinator p01 reads estimates first);
+    # adopting its proposal locks with ts = rnd + 1 = 2, above any
+    # round-0 lock.
+    world, pids, nodes, _ = consensus_world()
     world.start()
-    p01 = nodes["p01"]
-    p01.propose("k", "own-value", pids)
-    p01._on_message("p00", ("PROPOSE", "k", 0, "other"))
-    assert p01._instances["k"].ts == 1
+    p02 = nodes["p02"]
+    p02.propose("k", "own-value", pids)
+    p02._on_message("p00", ("ABORT", "k", 0))
+    assert p02._instances["k"].round == 1
+    p02._on_message("p01", ("PROPOSE", "k", 1, "other"))
+    assert p02._instances["k"].ts == 2
 
 
 def test_classic_round_ignores_the_duplicate_propose_too():
-    # n = 5, classic rounds: the coordinator proposes on the third
+    # n = 5, round 1 (classic): its coordinator p01 proposes on the third
     # ESTIMATE and answers the fourth and fifth with a catch-up PROPOSE,
     # a duplicate for a participant that already adopted.  A NACK for it
     # could reach the coordinator before the third ACK and abort a live
     # round; the duplicate is ignored instead.
-    world, pids, nodes, _ = consensus_world(count=5, fast_path=False)
+    world, pids, nodes, _ = consensus_world(count=5)
     world.start()
     p04 = nodes["p04"]
     p04.propose("k", "own-value", pids)
-    p04._on_message("p00", ("PROPOSE", "k", 0, "value"))
+    p04._on_message("p00", ("ABORT", "k", 0))
+    p04._on_message("p01", ("PROPOSE", "k", 1, "value"))
     sent = world.metrics.counters.get("consensus.messages")
-    p04._on_message("p00", ("PROPOSE", "k", 0, "value"))
+    p04._on_message("p01", ("PROPOSE", "k", 1, "value"))
     assert world.metrics.counters.get("consensus.messages") == sent  # no NACK
-    assert p04._instances["k"].round == 0
+    assert p04._instances["k"].round == 1
 
 
 # ----------------------------------------------------------------------
 # Interleavings with collect()/abandon() and late estimates
 # ----------------------------------------------------------------------
 def test_late_estimate_gets_catch_up_propose_without_abort():
-    world, pids, nodes, decisions = consensus_world(fast_path=True)
+    world, pids, nodes, decisions = consensus_world()
     world.start()
     for pid in ("p00", "p01"):
         nodes[pid].propose("k", pid, pids)
@@ -168,7 +172,7 @@ def test_late_estimate_gets_catch_up_propose_without_abort():
 
 
 def test_decide_then_collect_ignores_stragglers():
-    world, pids, nodes, decisions = consensus_world(fast_path=True)
+    world, pids, nodes, decisions = consensus_world()
     world.start()
     for pid in pids:
         nodes[pid].propose("k", pid, pids)
@@ -186,7 +190,7 @@ def test_decide_then_collect_ignores_stragglers():
 
 
 def test_abandon_mid_round0_voids_the_instance_everywhere():
-    world, pids, nodes, decisions = consensus_world(fast_path=True)
+    world, pids, nodes, decisions = consensus_world()
     world.start()
     nodes["p00"].propose("k", "doomed", pids)  # fast-path PROPOSE in flight
     for pid in pids:

@@ -55,8 +55,12 @@ def test_invalid_configuration_is_rejected_at_construction(bad):
 
 
 def test_disabling_values_are_valid():
-    config = StackConfig(abcast_max_batch=None, coalesce_delay=None)
-    assert config.abcast_max_batch is None and config.coalesce_delay is None
+    assert StackConfig(coalesce_delay=None).coalesce_delay is None
+
+
+def test_abcast_batches_are_always_capped():
+    with pytest.raises(ValueError, match="abcast_max_batch"):
+        StackConfig(abcast_max_batch=None)
 
 
 def test_knob_count_is_the_pinned_one():
@@ -64,15 +68,20 @@ def test_knob_count_is_the_pinned_one():
     # should lower it.
     baseline = json.loads((REPO / "benchmarks" / "baseline" / "BENCH_abgb.json").read_text())
     meta = simplicity_meta()
-    for knobs in ("stack_config_fields", "traditional_knobs", "component_options"):
+    for knobs in (
+        "stack_config_fields",
+        "traditional_knobs",
+        "component_options",
+        "monitoring_policy_fields",
+    ):
         assert meta[knobs] == baseline["meta"][knobs], knobs
 
 
-def test_monitoring_policy_is_one_timeout_a_threshold_and_a_switch():
+def test_monitoring_policy_is_one_timeout_and_a_threshold():
     # One large timeout decides exclusion, for silence and stuck output
     # alike; a field added here must be added on purpose.
     fields = [field.name for field in dataclasses.fields(MonitoringPolicy)]
-    assert fields == ["exclusion_timeout", "votes_required", "use_output_triggered"]
+    assert fields == ["exclusion_timeout", "votes_required"]
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines():

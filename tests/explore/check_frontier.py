@@ -3,15 +3,20 @@
     PYTHONPATH=src python -m repro explore --seeds 0:1300 --json > explore.json
     python tests/explore/check_frontier.py explore.json
 
+    PYTHONPATH=src python tests/explore/ship_sweep.py 0:1300 > ship.json
+    python tests/explore/check_frontier.py --profile ship ship.json
+
 Exits 0 when the sweep's violation seeds (each with its invariant) and
-its unconverged seeds are exactly the ``default`` entries of
-``frontier.json`` whose seed lies in the swept range; else prints every
-difference and exits 1.  So a new failure fails, and so does a pinned
-seed that no longer fails (or fails another way) while its entry stays.
+its unconverged seeds are exactly the entries of ``frontier.json`` under
+the sampler profile (``--profile``, ``default`` unless given) whose seed
+lies in the swept range; else prints every difference and exits 1.  So
+a new failure fails, and so does a pinned seed that no longer fails (or
+fails another way) while its entry stays.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -34,12 +39,17 @@ def mismatches(doc: dict, entries: list[dict]) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    doc = json.loads(Path(argv[0]).read_text())
-    problems = mismatches(doc, FRONTIER["default"])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--profile", choices=sorted(FRONTIER), default="default")
+    parser.add_argument("sweep", type=Path, help="an explore --json summary")
+    args = parser.parse_args(argv)
+    doc = json.loads(args.sweep.read_text())
+    problems = mismatches(doc, FRONTIER[args.profile])
     for problem in problems:
         print(problem)
     lo, hi = doc["seeds"]
-    print(f"seeds {lo}:{hi}: {'differs from' if problems else 'matches'} the pinned frontier")
+    verdict = "differs from" if problems else "matches"
+    print(f"seeds {lo}:{hi}: {verdict} the pinned {args.profile} frontier")
     return 1 if problems else 0
 
 

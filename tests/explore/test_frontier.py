@@ -17,6 +17,7 @@ the seed unchanged.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -29,7 +30,7 @@ from repro.explore.explorer import (
 )
 from repro.explore.runner import run_scenario
 
-from tests.explore.check_frontier import FRONTIER, mismatches
+from tests.explore.check_frontier import FRONTIER, main, mismatches
 
 AGREEMENT = "ROADMAP 1: a re-admitted incarnation holds a forgotten vote (agreement-prefix)"
 UNCONVERGED = "ROADMAP 3: a head crash wedges delivery (the run does not converge)"
@@ -95,3 +96,36 @@ def test_the_nightly_gate_holds_a_sweep_to_exactly_the_pinned_seeds_in_its_range
         "seed 523: conflict-order, not pinned",
         "seed 523: pinned as agreement-prefix, not seen",
     ]
+
+
+def test_the_nightly_gate_judges_each_profile_against_its_own_entries(tmp_path, capsys):
+    sweep = {
+        "seeds": [0, 1300],
+        "violations": [
+            {"seed": 134, "invariant": "agreement-prefix", "repro": None},
+            {"seed": 359, "invariant": "agreement-prefix", "repro": None},
+        ],
+        "unconverged": [147, 1029],
+    }
+    path = tmp_path / "ship.json"
+    path.write_text(json.dumps(sweep))
+    assert main(["--profile", "ship", str(path)]) == 0
+    assert main([str(path)]) == 1
+    assert "seed 134: agreement-prefix, not pinned" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: explore_seed(2007).result, lambda: ship_result(2581)],
+    ids=["default-2007", "ship-2581"],
+)
+def test_a_head_wedge_reads_unconverged_not_agreement(run):
+    # ROADMAP 3's wedge: the survivors' atomic broadcast waits for a body
+    # only the decision names, so their histories differ because they
+    # stall, not because they diverged (ROADMAP 23(a)).
+    result = run()
+    assert result.violation is None, result.violation
+    assert not result.converged
+    assert result.stats["posthoc"]
+    namers = [namer for waits in result.stats["blocked"].values() for namer in waits.values()]
+    assert namers and set(namers) == {"decision"}

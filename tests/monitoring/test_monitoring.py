@@ -113,9 +113,7 @@ def test_output_triggered_exclusion():
     # exclude it.  p02's own suspicions of them are one vote each, short
     # of the two required.
     config = StackConfig(
-        monitoring=MonitoringPolicy(
-            exclusion_timeout=300.0, votes_required=2, use_output_triggered=True
-        ),
+        monitoring=MonitoringPolicy(exclusion_timeout=300.0, votes_required=2),
     )
     world, stacks, _ = new_group(count=4, seed=5, config=config)
     world.run_for(50.0)

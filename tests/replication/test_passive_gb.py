@@ -5,8 +5,8 @@ from repro.gbcast.conflict import PASSIVE_REPLICATION, PRIMARY_CHANGE, UPDATE
 from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
 from repro.replication.client import spawn_client
-from repro.replication.primary_backup import attach_passive_replicas
-from repro.sim.world import World
+from repro.replication.primary_backup import PassiveReplicaGB, attach_passive_replicas
+from repro.sim.world import World, add_joiner
 
 from tests.conftest import new_group, run_until
 
@@ -262,3 +262,63 @@ def test_passive_replicas_read_the_stacks_monitors_and_cost_no_keepalive():
     for stack in stacks.values():
         assert stack.fd._monitors == [stack.suspicion_monitor, stack.monitoring.monitor]
     assert passive == idle_keepalives(passive=False)[1] == 5_604
+
+
+# ----------------------------------------------------------------------
+# State transfer: a joiner takes the state, the dedup table, the epoch
+# and the server list of its sponsor.
+# ----------------------------------------------------------------------
+def join_passive_replica(world, stacks, replicas, config, sponsor):
+    joiner = add_joiner(world, stacks, config=config)
+    replicas[joiner.pid] = PassiveReplicaGB(joiner, apply_kv, {})
+    joiner.membership.request_join(sponsor)
+    assert run_until(
+        world,
+        lambda: all(joiner.pid in stacks[pid].membership.view for pid in replicas),
+        timeout=30_000,
+    )
+    return replicas[joiner.pid]
+
+
+def test_a_joiner_after_a_primary_change_applies_the_new_primarys_updates():
+    # p00 crashes, p01 takes over (epoch 1), p00 is excluded, p04 joins:
+    # p04 must start from the group's state at epoch 1, or it discards
+    # every update of the new primary as stale.
+    config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=1_000.0))
+    world, stacks, replicas, client = passive_setup(seed=7, config=config)
+    done = []
+    client.submit(("x", 1), callback=done.append)
+    assert run_until(world, lambda: len(done) == 1, timeout=20_000)
+    world.crash("p00")
+    client.submit(("y", 2), callback=done.append)
+    assert run_until(world, lambda: len(done) == 2, timeout=30_000)
+    assert run_until(world, lambda: "p00" not in stacks["p01"].membership.view, timeout=30_000)
+    del replicas["p00"]
+    joiner = join_passive_replica(world, stacks, replicas, config, sponsor="p01")
+    assert joiner.epoch == 1
+    assert joiner.state == {"x": 1, "y": 2}
+    client.submit(("z", 3), callback=done.append)
+    assert run_until(world, lambda: len(done) == 3, timeout=30_000)
+    expected = {"x": 1, "y": 2, "z": 3}
+    assert run_until(
+        world, lambda: all(r.state == expected for r in replicas.values()), timeout=20_000
+    )
+    assert {r.epoch for r in replicas.values()} == {1}
+    assert all(r.server_list == ["p01", "p02", joiner.pid] for r in replicas.values())
+    assert world.metrics.counters.get("passive.stale_updates") == 0
+
+
+def test_a_joiner_with_no_earlier_primary_change_starts_from_the_groups_state():
+    config = StackConfig(monitoring=MonitoringPolicy(exclusion_timeout=60_000.0))
+    world, stacks, replicas, client = passive_setup(seed=8, config=config)
+    done = []
+    client.submit(("x", 1), callback=done.append)
+    assert run_until(world, lambda: len(done) == 1, timeout=20_000)
+    joiner = join_passive_replica(world, stacks, replicas, config, sponsor="p00")
+    # Before any later update: the state and the dedup table came with
+    # the snapshot, so a retry of the executed request is answered.
+    assert joiner.state == {"x": 1}
+    assert joiner._executed == replicas["p00"]._executed
+    assert joiner.epoch == 0
+    assert joiner.server_list == ["p00", "p01", "p02", joiner.pid]
+    assert joiner.server_list == replicas["p00"].server_list
