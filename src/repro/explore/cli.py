@@ -1,23 +1,31 @@
 """Command-line interface: ``python -m repro explore``.
 
-Sweep mode explores a seed range, shrinking failures and writing repro
-files::
+Sweep mode explores a seed range under both sampler profiles
+(``default`` and ``ship``, see ``repro.explore.explorer.PROFILES``),
+shrinking failures and writing the repro files of failing and
+unconverged runs::
 
     python -m repro explore --seeds 0:50 --budget-events 200000 --out repros/
 
+``--json`` prints ``{"seeds": [lo, hi], "violations": [{"profile", "seed",
+"invariant", "repro"}], "unconverged": [{"profile", "seed", "repro"}],
+"ok", "runs": {profile: {seed: fingerprint}}}``, the document
+``tests/explore/check_frontier.py`` judges against the pinned failures.
+
 Replay mode re-executes a saved repro file with causal span tracing,
-verifies the recorded failure reproduces byte-identically, checks the
+verifies the recorded outcome reproduces byte-identically, checks the
 span tree's integrity and prints the per-layer critical-path
 attribution of the run's deliveries and its slowest delivery chains;
 ``--chrome`` exports the annotated trace for Perfetto /
 ``chrome://tracing``.  A corpus entry replays too, and is expected to
 run clean and converge::
 
-    python -m repro explore --replay repros/repro-seed7-conflict-order.json
+    python -m repro explore --replay repros/repro-seed7-default-conflict-order.json
     python -m repro explore --replay tests/explore/corpus/one-closer-liveness-ladder.json --chrome t.json
 
-Exit status: 0 when the sweep found no violations (or the replay
-reproduced exactly, with an intact span tree); 1 otherwise.
+Exit status: 0 when the sweep found no violations in either profile
+(unconverged runs do not count), or the replay reproduced exactly, with
+an intact span tree; 1 otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import argparse
 import json
 import sys
 
-from repro.explore.explorer import replay_repro, sweep
+from repro.explore.explorer import PROFILES, replay_repro, sweep
 from repro.sim import critpath
 
 
@@ -123,9 +131,8 @@ def run_replay(args: argparse.Namespace) -> int:
     else:
         print(f"replay {args.replay} (seed {config.seed}, {config.processes} "
               f"processes, {config.duration} ms):")
-        actual = result.violation["invariant"] if result.violation else None
         print(f"  expected invariant:   {expected['invariant']}")
-        print(f"  actual invariant:     {actual}")
+        print(f"  actual invariant:     {result.verdict}")
         print(f"  expected fingerprint: {expected['fingerprint']}")
         print(f"  actual fingerprint:   {result.fingerprint}")
         print(f"  converged:            {result.converged}")
@@ -154,30 +161,32 @@ def run_replay(args: argparse.Namespace) -> int:
 
 
 def run_sweep(args: argparse.Namespace) -> int:
+    def tagged(r) -> dict:
+        return {"profile": r.profile, "seed": r.seed, "repro": r.repro_path and str(r.repro_path)}
+
     def progress(report) -> None:
         if args.json:
             return
+        result = report.result
+        where = f" -> {report.repro_path}" if report.repro_path else ""
         if report.failed:
-            invariant = report.result.violation["invariant"]
-            where = f" -> {report.repro_path}" if report.repro_path else ""
-            print(f"seed {report.seed}: VIOLATION [{invariant}]{where}")
-            for pid, fd in report.result.stats.get("fd", {}).items():
+            print(f"seed {report.seed} ({report.profile}): VIOLATION [{result.verdict}]{where}")
+            for pid, fd in result.stats.get("fd", {}).items():
                 print(
                     f"  {pid}: suspects {fd['suspects']}, watcher {fd['watcher']}, "
                     f"first-hand {fd['first_hand']}"
                 )
         else:
-            verdict = "ok (converged, " if report.result.converged else "UNCONVERGED ("
+            verdict = "ok (converged, " if result.converged else "UNCONVERGED ("
             print(
-                f"seed {report.seed}: {verdict}"
-                f"{report.result.deliveries} deliveries, "
-                f"{report.result.events} events)"
+                f"seed {report.seed} ({report.profile}): {verdict}"
+                f"{result.deliveries} deliveries, {result.events} events){where}"
             )
-            for pid, waits in report.result.stats.get("blocked", {}).items():
+            for pid, waits in result.stats.get("blocked", {}).items():
                 for mid, namer in waits.items():
                     print(f"  {pid}: abcast blocked on {mid}, named_by={namer}")
-            if report.result.stats.get("posthoc"):
-                print(f"  posthoc: {report.result.stats['posthoc']}")
+            if result.stats.get("posthoc"):
+                print(f"  posthoc: {result.stats['posthoc']}")
 
     summary = sweep(
         args.seeds,
@@ -187,32 +196,30 @@ def run_sweep(args: argparse.Namespace) -> int:
         progress=progress,
     )
     if args.json:
+        runs = {profile: {} for profile in PROFILES}
+        for r in summary.reports:
+            runs[r.profile][str(r.seed)] = r.result.fingerprint
         print(
             json.dumps(
                 {
                     "seeds": [args.seeds.start, args.seeds.stop],
                     "violations": [
-                        {
-                            "seed": r.seed,
-                            "invariant": r.result.violation["invariant"],
-                            "repro": str(r.repro_path) if r.repro_path else None,
-                        }
-                        for r in summary.failures
+                        {**tagged(r), "invariant": r.result.verdict} for r in summary.failures
                     ],
-                    "unconverged": [r.seed for r in summary.unconverged],
+                    "unconverged": [tagged(r) for r in summary.unconverged],
                     "ok": summary.ok,
-                    # Every swept seed's fingerprint: two trees that
-                    # simulate alike print the same bytes, one that
-                    # moves any run does not.
-                    "runs": {str(r.seed): r.result.fingerprint for r in summary.reports},
+                    # Every swept seed's fingerprint, per profile: two
+                    # trees that simulate alike print the same bytes,
+                    # one that moves any run does not.
+                    "runs": runs,
                 },
                 sort_keys=True,
             )
         )
     else:
         print(
-            f"swept {len(summary.reports)} seeds: "
-            f"{len(summary.failures)} violations, "
+            f"swept {len(summary.reports)} runs ({len(args.seeds)} seeds × "
+            f"{len(PROFILES)} profiles): {len(summary.failures)} violations, "
             f"{len(summary.unconverged)} unconverged"
         )
     return 0 if summary.ok else 1

@@ -1,18 +1,19 @@
 """Seeded adversarial schedule exploration.
 
 Each seed deterministically expands into one scenario (group size, mix,
-link behaviour, stack knobs) plus an adversarial fault plan.  The plan is
-not random noise: a fault-free **probe run** first harvests the
-*protocol-sensitive instants* from the trace — consensus round
-boundaries, generic-broadcast stage edges and conflict detections,
-view-change ctl ops, abcast epoch bumps — and crashes, partitions and
-recoveries are aimed at those instants (with a little jitter), because
-that is where ordering and agreement bugs live.
+link behaviour, stack knobs) under each of two :data:`PROFILES`, plus an
+adversarial fault plan.  The plan is not random noise: a fault-free
+**probe run** first harvests the *protocol-sensitive instants* from the
+trace — consensus round boundaries, generic-broadcast stage edges and
+conflict detections, view-change ctl ops, abcast epoch bumps — and
+crashes, partitions and recoveries are aimed at those instants (with a
+little jitter), because that is where ordering and agreement bugs live.
 
 A violated invariant produces a **repro file**: seed, full scenario
 config, fault plan (shrunk to a minimal reproduction), the violated
 invariant and the run fingerprint — everything ``--replay`` needs to
-re-execute the failure byte-identically.
+re-execute the failure byte-identically.  So does a run that does not
+converge, unshrunk, recorded as ``unconverged``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
+from repro.core.new_stack import StackConfig
 from repro.explore.runner import RunResult, run_scenario
-from repro.explore.scenario import ScenarioConfig, StackKnobs
+from repro.explore.scenario import ScenarioConfig
 from repro.explore.shrink import shrink_scenario
+from repro.monitoring.component import MonitoringPolicy
 from repro.net.topology import LinkModel
 from repro.sim.randomness import fork_rng
 from repro.sim.world import World, make_pid
@@ -52,8 +55,19 @@ LINK_PROFILES = (
 )
 
 
-def scenario_for_seed(seed: int, budget_events: int = 200_000) -> ScenarioConfig:
-    """Deterministically expand a seed into a (fault-free) scenario."""
+#: The stacks every seed runs under.  ``default`` draws five stack knobs;
+#: ``ship`` takes the same draws, then runs ``StackConfig()`` but for the
+#: two a deployment sets: the dissemination overlay and exclusion timeout.
+PROFILES = ("default", "ship")
+
+
+def scenario_for_seed(
+    seed: int, profile: str = "default", budget_events: int = 200_000
+) -> ScenarioConfig:
+    """Deterministically expand a seed into a (fault-free) scenario
+    under ``profile`` (one of :data:`PROFILES`)."""
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}")
     rng = fork_rng(seed, "explore-scenario")
     config = ScenarioConfig(
         seed=seed,
@@ -63,17 +77,21 @@ def scenario_for_seed(seed: int, budget_events: int = 200_000) -> ScenarioConfig
         relation=rng.choice(["rbcast_abcast", "bank"]),
         conflict_weight=rng.choice([0.1, 0.3, 0.6, 0.9]),
         link=rng.choice(LINK_PROFILES),
-        stack=StackKnobs(
+        stack=StackConfig(
             abcast_window=rng.choice([1, 1, 4]),
             relay_policy=rng.choice(["eager", "lazy"]),
             coalesce_delay=rng.choice([None, 0.5]),
-            exclusion_timeout=rng.choice([900.0, 2_000.0]),
+            monitoring=MonitoringPolicy(exclusion_timeout=rng.choice([900.0, 2_000.0])),
             # Half flood (the default everywhere), half ring.  Four
             # entries, so every other draw of every seed keeps its value.
             dissemination=rng.choice(["flood", "flood", "ring", "ring"]),
         ),
         budget_events=budget_events,
     )
+    if profile == "ship":
+        drawn = config.stack
+        shipping = StackConfig(dissemination=drawn.dissemination, monitoring=drawn.monitoring)
+        config = replace(config, stack=shipping)
     if config.stack.dissemination == "flood":
         return config
     # Only bodies above rbcast's ``DIRECT_MAX_BYTES`` take the overlay.
@@ -124,7 +142,7 @@ def adversarial_plan(config: ScenarioConfig, instants: list[float]) -> FaultPlan
         cut = rng.randrange(1, minority + 1)
         island = rng.sample(pids, cut)
         mainland = [p for p in pids if p not in island]
-        length = rng.uniform(80.0, min(400.0, config.stack.exclusion_timeout * 0.4))
+        length = rng.uniform(80.0, min(400.0, config.stack.monitoring.exclusion_timeout * 0.4))
         events.append(
             FaultEvent(at=at, kind="partition", target=[mainland, sorted(island)])
         )
@@ -136,22 +154,27 @@ def adversarial_plan(config: ScenarioConfig, instants: list[float]) -> FaultPlan
 # ----------------------------------------------------------------------
 # Repro files
 # ----------------------------------------------------------------------
-REPRO_VERSION = 1
+#: 2 since the ``stack`` object holds every ``StackConfig`` field.
+REPRO_VERSION = 2
 
 
 def write_repro(path: str | Path, config: ScenarioConfig, result: RunResult) -> Path:
-    """Persist a failing schedule as a replayable JSON artifact."""
-    if result.violation is None:
-        raise ValueError("refusing to write a repro file for a clean run")
+    """Persist a failing or unconverged schedule as a replayable JSON
+    artifact."""
+    if result.verdict is None:
+        raise ValueError("refusing to write a repro file for a clean, converged run")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": REPRO_VERSION,
         "seed": config.seed,
-        "invariant": result.violation["invariant"],
+        "invariant": result.verdict,
         "violation": result.violation,
         "fingerprint": result.fingerprint,
         "fd_at_end": result.stats.get("fd"),
+        # What each live abcast waits on; an unconverged run's history gap.
+        "blocked": result.stats.get("blocked"),
+        "posthoc": result.stats.get("posthoc"),
         "config": config.to_json_obj(),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -161,14 +184,14 @@ def write_repro(path: str | Path, config: ScenarioConfig, result: RunResult) -> 
 def load_repro(path: str | Path) -> tuple[ScenarioConfig, dict]:
     """Load a repro file or a corpus entry; returns (config, expected outcome).
 
-    A repro file expects its recorded invariant and fingerprint.  A
-    corpus entry (``tests/explore/corpus``, no ``version`` key) expects
-    a clean, converged run: its expected invariant and fingerprint are
-    None."""
+    A repro file expects its recorded invariant (``unconverged`` for a
+    run that did not converge) and fingerprint.  A corpus entry
+    (``tests/explore/corpus``, no ``version`` key) expects a clean,
+    converged run: its expected invariant and fingerprint are None."""
     obj = json.loads(Path(path).read_text())
-    config = ScenarioConfig.from_json_obj(obj["config"])
     if "version" in obj and obj["version"] != REPRO_VERSION:
         raise ValueError(f"unsupported repro version {obj['version']!r}")
+    config = ScenarioConfig.from_json_obj(obj["config"])
     expected = {
         "invariant": obj.get("invariant"),
         "fingerprint": obj.get("fingerprint"),
@@ -189,18 +212,13 @@ class Replay(NamedTuple):
 
 def replay_repro(path: str | Path) -> Replay:
     """Re-execute a repro file or corpus entry (see :func:`load_repro`)
-    with span tracing on; ``reproduced`` is True iff the run matches what
-    the file expects.  Tracing does not change the run."""
+    with span tracing on; ``reproduced`` is True iff the run's verdict is
+    the expected one, and so is its fingerprint where the file records
+    one.  Tracing does not change the run."""
     config, expected = load_repro(path)
     result, world = run_scenario(config, trace=True)
-    actual = result.violation["invariant"] if result.violation else None
-    if expected["fingerprint"] is None:  # a corpus entry
-        reproduced = actual is None and result.converged
-    else:
-        reproduced = (
-            actual == expected["invariant"]
-            and result.fingerprint == expected["fingerprint"]
-        )
+    recorded = expected["fingerprint"]
+    reproduced = result.verdict == expected["invariant"] and recorded in (None, result.fingerprint)
     return Replay(config, expected, result, world, reproduced)
 
 
@@ -209,13 +227,12 @@ def replay_repro(path: str | Path) -> Replay:
 # ----------------------------------------------------------------------
 @dataclass
 class SeedReport:
-    """Everything one explored seed produced."""
+    """Everything one explored seed produced under one profile."""
 
     seed: int
+    profile: str
     config: ScenarioConfig
     result: RunResult
-    shrunk_config: ScenarioConfig | None = None
-    shrink_attempts: int = 0
     repro_path: Path | None = None
 
     @property
@@ -235,20 +252,22 @@ class SweepSummary:
 
     @property
     def unconverged(self) -> list[SeedReport]:
-        return [r for r in self.reports if not r.failed and not r.result.converged]
+        return [r for r in self.reports if r.result.verdict == "unconverged"]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def explore_seed(seed: int, budget_events: int = 200_000) -> SeedReport:
-    """Probe, arm, and run one seed's adversarial schedule."""
-    base = scenario_for_seed(seed, budget_events=budget_events)
+def explore_seed(
+    seed: int, profile: str = "default", budget_events: int = 200_000
+) -> SeedReport:
+    """Probe, arm, and run one seed's adversarial schedule under ``profile``."""
+    base = scenario_for_seed(seed, profile, budget_events=budget_events)
     instants = probe_instants(base)
     config = base.with_plan(adversarial_plan(base, instants))
     result, _world = run_scenario(config)
-    return SeedReport(seed=seed, config=config, result=result)
+    return SeedReport(seed=seed, profile=profile, config=config, result=result)
 
 
 def reproduces_invariant(invariant: str):
@@ -256,11 +275,7 @@ def reproduces_invariant(invariant: str):
     violate the same invariant?"""
 
     def predicate(candidate: ScenarioConfig) -> bool:
-        result, _world = run_scenario(candidate)
-        return (
-            result.violation is not None
-            and result.violation["invariant"] == invariant
-        )
+        return run_scenario(candidate)[0].verdict == invariant
 
     return predicate
 
@@ -273,34 +288,24 @@ def sweep(
     max_shrink_attempts: int = 80,
     progress=None,
 ) -> SweepSummary:
-    """Explore every seed; shrink failures and write their repro files."""
+    """Explore every seed under every profile; shrink failures and write
+    the repro files of failing and unconverged runs."""
     summary = SweepSummary()
     for seed in seeds:
-        report = explore_seed(seed, budget_events=budget_events)
-        if report.failed:
-            invariant = report.result.violation["invariant"]
-            final_config, final_result = report.config, report.result
-            if shrink:
-                predicate = reproduces_invariant(invariant)
-                shrunk, attempts = shrink_scenario(
-                    report.config, predicate, max_attempts=max_shrink_attempts
+        for profile in PROFILES:
+            report = explore_seed(seed, profile, budget_events=budget_events)
+            config, result = report.config, report.result
+            if report.failed and shrink:
+                # The shrinker accepts only candidates that still fail so.
+                predicate = reproduces_invariant(result.verdict)
+                config, _attempts = shrink_scenario(
+                    config, predicate, max_attempts=max_shrink_attempts
                 )
-                report.shrunk_config = shrunk
-                report.shrink_attempts = attempts
-                final_result, _world = run_scenario(shrunk)
-                if (
-                    final_result.violation is not None
-                    and final_result.violation["invariant"] == invariant
-                ):
-                    final_config = shrunk
-                else:  # pragma: no cover - shrinker always re-validates
-                    final_result = report.result
-            if out_dir is not None:
-                name = f"repro-seed{seed}-{invariant}.json"
-                report.repro_path = write_repro(
-                    Path(out_dir) / name, final_config, final_result
-                )
-        summary.reports.append(report)
-        if progress is not None:
-            progress(report)
+                result, _world = run_scenario(config)
+            if out_dir is not None and result.verdict is not None:
+                name = f"repro-seed{seed}-{profile}-{result.verdict}.json"
+                report.repro_path = write_repro(Path(out_dir) / name, config, result)
+            summary.reports.append(report)
+            if progress is not None:
+                progress(report)
     return summary

@@ -68,6 +68,14 @@ class RunResult:
     def ok(self) -> bool:
         return self.violation is None
 
+    @property
+    def verdict(self) -> str | None:
+        """The violated invariant, ``"unconverged"``, or None when clean
+        and converged."""
+        if self.violation is not None:
+            return self.violation["invariant"]
+        return None if self.converged else "unconverged"
+
     def to_json_obj(self) -> dict:
         return {
             "violation": self.violation,
@@ -172,10 +180,9 @@ MUTATIONS = {
 def build_world(config: ScenarioConfig, trace: bool = False):
     """World + stacks + observer panel for ``config`` (faults applied)."""
     relation = config.conflict_relation()
-    stack_config = config.stack.stack_config()
     world = World(seed=config.seed, default_link=config.link, trace_enabled=trace)
     stacks = build_new_group(
-        world, config.processes, conflict=relation, config=stack_config
+        world, config.processes, conflict=relation, config=config.stack
     )
     panel = ObserverPanel(
         relation,
@@ -188,7 +195,7 @@ def build_world(config: ScenarioConfig, trace: bool = False):
             world,
             stacks,
             conflict=relation,
-            config=stack_config,
+            config=config.stack,
             on_rebuild=lambda pid, stack: panel.attach(stack, late=True),
         )
     if config.mutation is not None:

@@ -1,7 +1,7 @@
 """Scenario configuration: everything one exploration run needs, as data.
 
 A :class:`ScenarioConfig` fully determines a run — seed, group size,
-workload mix, link behaviour, stack knobs, fault plan, budgets, optional
+workload mix, link behaviour, ``StackConfig``, fault plan, budgets, optional
 injected mutation — and round-trips through JSON, which is what makes
 failing schedules shrinkable, storable in a corpus, and replayable
 byte-identically (``python -m repro explore --replay FILE``).
@@ -34,36 +34,6 @@ RELATIONS: dict[str, tuple[ConflictRelation, str, str]] = {
 }
 
 
-_STACK_DEFAULTS = StackConfig()
-
-
-@dataclass(frozen=True)
-class StackKnobs:
-    """The subset of :class:`repro.core.new_stack.StackConfig` the
-    explorer sweeps (plus the monitoring exclusion timeout), with the
-    same defaults; everything else stays at ``StackConfig``'s own."""
-
-    abcast_window: int = _STACK_DEFAULTS.abcast_window
-    exclusion_timeout: float = _STACK_DEFAULTS.monitoring.exclusion_timeout
-    relay_policy: str = _STACK_DEFAULTS.relay_policy
-    coalesce_delay: float | None = _STACK_DEFAULTS.coalesce_delay
-    dissemination: str = _STACK_DEFAULTS.dissemination
-
-    def stack_config(self) -> StackConfig:
-        knobs = asdict(self)
-        exclusion_timeout = knobs.pop("exclusion_timeout")
-        return StackConfig(
-            **knobs, monitoring=MonitoringPolicy(exclusion_timeout=exclusion_timeout)
-        )
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "StackKnobs":
-        return StackKnobs(**obj)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One deterministic exploration scenario."""
@@ -76,7 +46,7 @@ class ScenarioConfig:
     conflict_weight: float = 0.3        # weight of the conflicting class
     payload_bytes: int | None = None    # modelled app payload size (Blob)
     link: LinkModel = field(default_factory=LinkModel)
-    stack: StackKnobs = field(default_factory=StackKnobs)
+    stack: StackConfig = field(default_factory=StackConfig)
     plan: FaultPlan = field(default_factory=FaultPlan)
     budget_events: int = 200_000
     quiesce_timeout: float = 60_000.0   # max extra simulated ms to converge
@@ -180,7 +150,7 @@ class ScenarioConfig:
                 for key, value in asdict(self.link).items()
                 if key != "bytes_per_ms" or value is not None
             },
-            "stack": self.stack.to_json_obj(),
+            "stack": asdict(self.stack),
             "plan": self.plan.to_json_obj(),
             "budget_events": self.budget_events,
             "quiesce_timeout": self.quiesce_timeout,
@@ -190,6 +160,10 @@ class ScenarioConfig:
 
     @staticmethod
     def from_json_obj(obj: dict[str, Any]) -> "ScenarioConfig":
+        # Every StackConfig field, ``monitoring`` nested; an unknown key
+        # raises TypeError.
+        stack = obj.get("stack", {})
+        monitoring = MonitoringPolicy(**stack.get("monitoring", {}))
         return ScenarioConfig(
             seed=int(obj["seed"]),
             processes=int(obj["processes"]),
@@ -203,7 +177,7 @@ class ScenarioConfig:
                 else int(obj["payload_bytes"])
             ),
             link=LinkModel(**obj.get("link", {})),
-            stack=StackKnobs.from_json_obj(obj.get("stack", {})),
+            stack=StackConfig(**{**stack, "monitoring": monitoring}),
             plan=FaultPlan.from_json_obj(obj.get("plan", [])),
             budget_events=int(obj.get("budget_events", 200_000)),
             quiesce_timeout=float(obj.get("quiesce_timeout", 60_000.0)),

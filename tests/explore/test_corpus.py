@@ -7,7 +7,6 @@ mid-consensus).  Every tier-1 run re-executes all of them with the full
 online battery and the post-hoc agreement check.
 """
 
-import dataclasses
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -15,11 +14,13 @@ from pathlib import Path
 import pytest
 
 from repro.checkers import app_history
+from repro.core.new_stack import StackConfig
 from repro.explore import runner
 from repro.explore.observers import ObserverPanel
 from repro.explore.explorer import load_repro
 from repro.explore.runner import run_scenario
-from repro.explore.scenario import ScenarioConfig, StackKnobs
+from repro.explore.scenario import ScenarioConfig
+from repro.monitoring.component import MonitoringPolicy
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 ENTRIES = sorted(CORPUS_DIR.glob("*.json"))
@@ -75,8 +76,18 @@ def test_corpus_entry_round_trips_through_json(path):
 def test_corpus_entry_writes_every_stack_key(path):
     # An entry pins the configuration it was recorded on; a key left to
     # a default would silently follow the next change of that default.
+    # Loading fills a missing key with its default, writing puts it back.
     stack = json.loads(path.read_text())["config"]["stack"]
-    assert set(stack) == {f.name for f in dataclasses.fields(StackKnobs)}
+    assert stack == entry(path).to_json_obj()["stack"]
+
+
+def test_the_stack_round_trips_every_stack_config_field():
+    stack = StackConfig(suspicion_timeout=45.0, monitoring=MonitoringPolicy(votes_required=2))
+    config = ScenarioConfig(stack=stack)
+    assert ScenarioConfig.from_json_obj(config.to_json_obj()).stack == stack
+    for unknown in ({"exclusion_timeout": 900.0}, {"monitoring": {"use_output_triggered": True}}):
+        with pytest.raises(TypeError):
+            ScenarioConfig.from_json_obj({**config.to_json_obj(), "stack": unknown})
 
 
 #: Counters that must move for an entry to still hit the mechanism it
@@ -123,7 +134,7 @@ def test_one_way_cut_entry_blinds_one_member_to_the_head_only():
         (record.pid, record.event, record.details["peer"])
         for record in world.trace.select(component="fd")
         if record.event in ("suspect", "trust")
-        and record.details["timeout"] == config.stack.stack_config().suspicion_timeout
+        and record.details["timeout"] == config.stack.suspicion_timeout
     ]
     assert edges == [("p03", "suspect", "p00"), ("p03", "trust", "p00")]
 

@@ -206,13 +206,14 @@ def test_view_observer_flags_non_increasing_ids():
 def test_conditional_observers_are_scoped_by_the_scenario():
     from dataclasses import replace
 
+    from repro.core.new_stack import StackConfig
     from repro.explore.observers import ObserverPanel
-    from repro.explore.scenario import ScenarioConfig, StackKnobs
+    from repro.explore.scenario import ScenarioConfig
     from repro.net.topology import LinkModel
     from repro.workload.generators import FaultEvent, FaultPlan
 
-    eager = ScenarioConfig(seed=0, stack=StackKnobs(relay_policy="eager"))
-    lazy = replace(eager, stack=StackKnobs(relay_policy="lazy"))
+    eager = ScenarioConfig(seed=0, stack=StackConfig(relay_policy="eager"))
+    lazy = replace(eager, stack=StackConfig(relay_policy="lazy"))
     assert eager.fifo_checkable()
     assert not lazy.fifo_checkable()  # false suspicions can flood at any time
 

@@ -136,11 +136,14 @@ def test_sweep_json_records_every_seeds_fingerprint(capsys):
     # ``--json`` is the artifact that proves two trees simulate alike:
     # it must carry each run's fingerprint, not only the verdicts.
     from repro.explore.cli import main as explore_main
-    from repro.explore.explorer import explore_seed
+    from repro.explore.explorer import PROFILES, explore_seed
 
     runs = []
     for _ in range(2):
         assert explore_main(["--seeds", "0:3", "--json"]) == 0
         runs.append(json.loads(capsys.readouterr().out)["runs"])
     assert runs[0] == runs[1]
-    assert runs[0] == {str(seed): explore_seed(seed).result.fingerprint for seed in range(3)}
+    assert runs[0] == {
+        profile: {str(seed): explore_seed(seed, profile).result.fingerprint for seed in range(3)}
+        for profile in PROFILES
+    }

@@ -54,7 +54,7 @@ def false_suspicions(monkeypatch, seeds):
         for pid in world.pids():
             fd = next(c for c in world.process(pid).components() if c.name == "fd")
             assert all(2 * len(m.suspects) < config.processes for m in fd._monitors), (seed, pid)
-        timeout = config.stack.stack_config().suspicion_timeout
+        timeout = config.stack.suspicion_timeout
         slowest = config.link.delay_min + config.link.delay_jitter
         for record in world.trace.select(component="fd", event="suspect"):
             if record.details["timeout"] != timeout:
