@@ -12,15 +12,15 @@ simulator events the scenario executed.
 
 All scenarios run in simulated time with fixed seeds, so every figure —
 the event count included — is deterministic and the document is a pure
-function of the tree: the committed baseline under
-``benchmarks/baseline/`` can be compared exactly, with a small numeric
-tolerance for safety.  Host time is not measured here; that is
-``benchmarks/perf/``'s job.
+function of the tree: the committed ``BENCH_abgb.json`` at the repo root
+is the one pinned baseline, read by ``--check`` within ``--tolerance``
+(CPython versions may differ in the last bit of a float sum).  Host time
+is not measured here; that is ``benchmarks/perf/``'s job.
 
 Usage::
 
     python benchmarks/run_all.py [--out BENCH_abgb.json]
-                                 [--check benchmarks/baseline/BENCH_abgb.json]
+                                 [--check BENCH_abgb.json]
                                  [--tolerance 0.25]
                                  [--profile PROFILE.txt] [--profile-top 25]
 
@@ -79,10 +79,10 @@ TRAJECTORY = (
 )
 
 
-def _component_options() -> int:
-    """Parameters with a default on the constructor of ``World`` and of
-    every component class of the package (each constructor counted where
-    it is defined)."""
+def component_defaults() -> list[tuple[type, str]]:
+    """``(class, parameter)`` for every parameter with a default on the
+    constructor of ``World`` and of every component class of the package
+    (each constructor counted where it is defined)."""
     for module in pkgutil.walk_packages(repro.__path__, "repro."):
         importlib.import_module(module.name)
 
@@ -96,11 +96,14 @@ def _component_options() -> int:
         for cls in subclasses(Component)
         if cls.__module__.startswith("repro.") and "__init__" in vars(cls)
     }
-    return sum(
-        1
-        for cls in classes | {World}
-        for param in inspect.signature(cls).parameters.values()
-        if param.default is not param.empty
+    return sorted(
+        (
+            (cls, param.name)
+            for cls in classes | {World}
+            for param in inspect.signature(cls).parameters.values()
+            if param.default is not param.empty
+        ),
+        key=lambda item: (item[0].__module__, item[0].__qualname__, item[1]),
     )
 
 
@@ -147,7 +150,7 @@ def simplicity_meta() -> dict:
             for name, param in inspect.signature(stack).parameters.items()
             if param.kind is param.KEYWORD_ONLY and name != "is_member"
         ),
-        "component_options": _component_options(),
+        "component_options": len(component_defaults()),
         "src_lines": lines(src),
         "src_code_lines": sum(code_lines(path.read_text()) for path in src),
         "bench_lines": lines(_HERE.glob("*.py")),

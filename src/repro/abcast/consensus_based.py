@@ -113,7 +113,6 @@ from repro.sim.process import Component, Process
 from repro.sim.scheduler import Timer
 
 MSG_TAG = "abc.msg"
-INSTANCE_PREFIX = "abc"
 #: While the head instance is blocked on a decided-but-missing body,
 #: ask rbcast for a repair this often (ms), one member per attempt.
 REPAIR_INTERVAL = 50.0
@@ -285,12 +284,8 @@ class ConsensusAtomicBroadcast(Component):
         # Buffered consensus traffic for instances behind the snapshot
         # position will never be proposed here; reclaim it.
         self.consensus.prune_pre_propose(
-            lambda key: isinstance(key, tuple)
-            and key[0] == INSTANCE_PREFIX
-            and (
-                key[1] < self._epoch
-                or (key[1] == self._epoch and key[2] < self._next_instance)
-            )
+            lambda key: key[0] < self._epoch
+            or (key[0] == self._epoch and key[1] < self._next_instance)
         )
         self._apply_ready_batches()
         self._maybe_start_instances()
@@ -352,12 +347,12 @@ class ConsensusAtomicBroadcast(Component):
             # proposer pid rides along so a process that decides before
             # dissemination knows whom to ask for a repair first.
             self.consensus.propose(
-                (INSTANCE_PREFIX, self._epoch, index),
+                (self._epoch, index),
                 (self.pid, tuple(batch_ids)),
                 group,
             )
 
-    def _on_solicit(self, key: Any) -> None:
+    def _on_solicit(self, key: tuple[int, int]) -> None:
         """A coordinator's PROPOSE found no instance here: join with an
         empty id vector, so that it is ACKed now and not when a body
         gives this process something to propose (module docstring).
@@ -369,9 +364,7 @@ class ConsensusAtomicBroadcast(Component):
         retired when the instance is applied and abandoned with the
         rest on an epoch bump or a snapshot install.
         """
-        if not (isinstance(key, tuple) and key[0] == INSTANCE_PREFIX):
-            return
-        epoch, index = key[1], key[2]
+        epoch, index = key
         if epoch != self._epoch or index < self._next_instance:
             return
         group = self.group_provider()
@@ -382,10 +375,8 @@ class ConsensusAtomicBroadcast(Component):
         self.world.metrics.counters.inc("abcast.instances_joined")
         self.consensus.propose(key, (self.pid, ()), group)
 
-    def _on_decide(self, key: Any, value: Any) -> None:
-        if not (isinstance(key, tuple) and key[0] == INSTANCE_PREFIX):
-            return
-        epoch, index = key[1], key[2]
+    def _on_decide(self, key: tuple[int, int], value: Any) -> None:
+        epoch, index = key
         if epoch < self._epoch or (
             epoch == self._epoch and index < self._next_instance
         ):
@@ -394,10 +385,10 @@ class ConsensusAtomicBroadcast(Component):
             # the consensus state, the batch is not applied.
             self.consensus.collect(key)
             return
-        if (epoch, index) in self._decided_batches:
+        if key in self._decided_batches:
             return
         proposer, batch_ids = value
-        self._decided_batches[(epoch, index)] = (proposer, tuple(batch_ids))
+        self._decided_batches[key] = (proposer, tuple(batch_ids))
         self._apply_ready_batches()
         self._maybe_start_instances()
 
@@ -454,7 +445,7 @@ class ConsensusAtomicBroadcast(Component):
             self._unblock()
             # The batch is applied; the consensus instance can be
             # garbage-collected (a tombstone keeps late messages inert).
-            self.consensus.collect((INSTANCE_PREFIX,) + key)
+            self.consensus.collect(key)
             self._retire_proposal(self._next_instance)
             self._next_instance += 1
             self._next_proposal = max(self._next_proposal, self._next_instance)
@@ -525,16 +516,12 @@ class ConsensusAtomicBroadcast(Component):
         voided = [k for k in self._decided_batches if k[0] == self._epoch]
         for key in voided:
             del self._decided_batches[key]
-            self.consensus.collect((INSTANCE_PREFIX,) + key)
+            self.consensus.collect(key)
         self._abandon_proposals(from_index=self._next_instance)
         # Peers may have started old-epoch instances we never proposed;
         # their buffered consensus traffic is now void too.
         stale_epoch = self._epoch
-        self.consensus.prune_pre_propose(
-            lambda key: isinstance(key, tuple)
-            and key[0] == INSTANCE_PREFIX
-            and key[1] <= stale_epoch
-        )
+        self.consensus.prune_pre_propose(lambda key: key[0] <= stale_epoch)
         if voided:
             self.world.metrics.counters.inc("abcast.instances_voided", len(voided))
         self._epoch += 1
@@ -545,7 +532,7 @@ class ConsensusAtomicBroadcast(Component):
 
     def _abandon_proposals(self, from_index: int) -> None:
         for index in [i for i in self._proposal_ids if i >= from_index]:
-            self.consensus.abandon((INSTANCE_PREFIX, self._epoch, index))
+            self.consensus.abandon((self._epoch, index))
             self._retire_proposal(index)
 
     def _adeliver(self, message: AppMessage) -> None:

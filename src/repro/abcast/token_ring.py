@@ -47,7 +47,7 @@ class TokenRingAtomicBroadcast(SequencerCore):
         process: Process,
         channel: ReliableChannel,
         view_provider: ViewProvider,
-        max_orders_per_token: int = 10,
+        max_orders_per_token: int,
     ) -> None:
         super().__init__(process, channel, view_provider)
         self.max_orders_per_token = max_orders_per_token

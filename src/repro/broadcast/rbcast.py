@@ -102,7 +102,7 @@ STABILITY_PORT = "rb.stable"
 NACK_PORT = "rb.nack"
 RELAY_POLICIES = ("eager", "lazy")
 #: Largest payload (``wire.payload_size``, bytes) that skips the overlay.
-#: What orders is small: a DECIDE is 57 B, an id-only ENDSTAGE 58 B plus
+#: What orders is small: a DECIDE is 52 B, an id-only ENDSTAGE 58 B plus
 #: 23 B per id it names (eight ids go direct, a longer tail takes the
 #: ring like a body).  What is worth balancing is not: a CHK is 4 146 B
 #: with a 4 KiB payload — and 114 B with a 64 B one, direct as well:

@@ -5,7 +5,7 @@ Sweep mode explores a seed range under both sampler profiles
 shrinking failures and writing the repro files of failing and
 unconverged runs::
 
-    python -m repro explore --seeds 0:50 --budget-events 200000 --out repros/
+    python -m repro explore --seeds 0:50 --out repros/
 
 ``--json`` prints ``{"seeds": [lo, hi], "violations": [{"profile", "seed",
 "invariant", "repro"}], "unconverged": [{"profile", "seed", "repro"}],
@@ -15,8 +15,8 @@ unconverged runs::
 Replay mode re-executes a saved repro file with causal span tracing,
 verifies the recorded outcome reproduces byte-identically, checks the
 span tree's integrity and prints the per-layer critical-path
-attribution of the run's deliveries and its slowest delivery chains;
-``--chrome`` exports the annotated trace for Perfetto /
+attribution of the run's deliveries and its three slowest delivery
+chains; ``--chrome`` exports the annotated trace for Perfetto /
 ``chrome://tracing``.  A corpus entry replays too, and is expected to
 run clean and converge::
 
@@ -36,6 +36,9 @@ import sys
 
 from repro.explore.explorer import PROFILES, replay_repro, sweep
 from repro.sim import critpath
+
+#: Delivery critical paths ``--replay`` renders, slowest first.
+SLOWEST_SHOWN = 3
 
 
 def parse_seed_range(text: str) -> range:
@@ -65,13 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed range to sweep, half-open (default 0:20)",
     )
     parser.add_argument(
-        "--budget-events",
-        type=int,
-        default=200_000,
-        metavar="N",
-        help="max simulator events per run (default 200000)",
-    )
-    parser.add_argument(
         "--out",
         default=None,
         metavar="DIR",
@@ -94,14 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="with --replay: export the annotated trace as Chrome-trace JSON",
-    )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=3,
-        metavar="N",
-        help="with --replay: render the N slowest delivery critical paths "
-        "(default 3)",
     )
     parser.add_argument(
         "--json",
@@ -137,8 +125,7 @@ def run_replay(args: argparse.Namespace) -> int:
         print(f"  actual fingerprint:   {result.fingerprint}")
         print(f"  converged:            {result.converged}")
         print("  REPRODUCED" if matches else "  DID NOT REPRODUCE")
-        print(f"spans: {len(spans)} recorded, {spans.dropped} dropped, "
-              f"{len(integrity)} integrity errors")
+        print(f"spans: {len(spans)} recorded, {len(integrity)} integrity errors")
         for problem in integrity[:10]:
             print(f"  INTEGRITY: {problem}")
         for kind, layer in (("gdeliver", "gbcast"), ("adeliver", "abcast")):
@@ -146,9 +133,9 @@ def run_replay(args: argparse.Namespace) -> int:
             print(f"  {layer} deliveries (critical path):")
             for key in sorted(block):
                 print(f"    {key}: {block[key]}")
-        slow = critpath.slowest_deliveries(spans, args.top, "gdeliver", "gbcast")
+        slow = critpath.slowest_deliveries(spans, SLOWEST_SHOWN, "gdeliver", "gbcast")
         if not slow:
-            slow = critpath.slowest_deliveries(spans, args.top, "adeliver", "abcast")
+            slow = critpath.slowest_deliveries(spans, SLOWEST_SHOWN, "adeliver", "abcast")
         if slow:
             print(f"slowest {len(slow)} delivery chain(s):")
             for record in slow:
@@ -190,7 +177,6 @@ def run_sweep(args: argparse.Namespace) -> int:
 
     summary = sweep(
         args.seeds,
-        budget_events=args.budget_events,
         out_dir=args.out,
         shrink=not args.no_shrink,
         progress=progress,

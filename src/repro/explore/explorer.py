@@ -61,9 +61,7 @@ LINK_PROFILES = (
 PROFILES = ("default", "ship")
 
 
-def scenario_for_seed(
-    seed: int, profile: str = "default", budget_events: int = 200_000
-) -> ScenarioConfig:
+def scenario_for_seed(seed: int, profile: str = "default") -> ScenarioConfig:
     """Deterministically expand a seed into a (fault-free) scenario
     under ``profile`` (one of :data:`PROFILES`)."""
     if profile not in PROFILES:
@@ -86,7 +84,6 @@ def scenario_for_seed(
             # entries, so every other draw of every seed keeps its value.
             dissemination=rng.choice(["flood", "flood", "ring", "ring"]),
         ),
-        budget_events=budget_events,
     )
     if profile == "ship":
         drawn = config.stack
@@ -259,11 +256,9 @@ class SweepSummary:
         return not self.failures
 
 
-def explore_seed(
-    seed: int, profile: str = "default", budget_events: int = 200_000
-) -> SeedReport:
+def explore_seed(seed: int, profile: str = "default") -> SeedReport:
     """Probe, arm, and run one seed's adversarial schedule under ``profile``."""
-    base = scenario_for_seed(seed, profile, budget_events=budget_events)
+    base = scenario_for_seed(seed, profile)
     instants = probe_instants(base)
     config = base.with_plan(adversarial_plan(base, instants))
     result, _world = run_scenario(config)
@@ -282,10 +277,8 @@ def reproduces_invariant(invariant: str):
 
 def sweep(
     seeds: range,
-    budget_events: int = 200_000,
     out_dir: str | Path | None = None,
     shrink: bool = True,
-    max_shrink_attempts: int = 80,
     progress=None,
 ) -> SweepSummary:
     """Explore every seed under every profile; shrink failures and write
@@ -293,14 +286,12 @@ def sweep(
     summary = SweepSummary()
     for seed in seeds:
         for profile in PROFILES:
-            report = explore_seed(seed, profile, budget_events=budget_events)
+            report = explore_seed(seed, profile)
             config, result = report.config, report.result
             if report.failed and shrink:
                 # The shrinker accepts only candidates that still fail so.
                 predicate = reproduces_invariant(result.verdict)
-                config, _attempts = shrink_scenario(
-                    config, predicate, max_attempts=max_shrink_attempts
-                )
+                config, _attempts = shrink_scenario(config, predicate)
                 result, _world = run_scenario(config)
             if out_dir is not None and result.verdict is not None:
                 name = f"repro-seed{seed}-{profile}-{result.verdict}.json"

@@ -195,7 +195,7 @@ PASSES = (shrink_events, shrink_processes, shrink_times, shrink_duration)
 def shrink_scenario(
     config: ScenarioConfig,
     reproduces: Predicate,
-    max_attempts: int = 120,
+    max_attempts: int = 80,
 ) -> tuple[ScenarioConfig, int]:
     """Run all passes round-robin to a fixed point (or attempt budget).
 

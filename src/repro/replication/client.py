@@ -48,8 +48,8 @@ class ReplicationClient(Component):
         process: Process,
         channel: ReliableChannel,
         servers: list[str],
-        mode: str = "all",
-        retry_timeout: float = 400.0,
+        mode: str,
+        retry_timeout: float,
     ) -> None:
         if mode not in ("all", "primary"):
             raise ValueError(f"unknown client mode {mode!r}")

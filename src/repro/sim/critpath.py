@@ -125,7 +125,6 @@ def summarize_deliveries(
         "deliveries": n,
         "complete": sum(1 for p in paths if p["complete"]),
         "spans": len(spanlog),
-        "spans_dropped": spanlog.dropped,
         "integrity_errors": len(integrity),
     }
     if n == 0:

@@ -24,9 +24,8 @@ of the same seeded scenario produce byte-identical
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 #: Sentinel meaning "use the ambient current span as parent".
 _AMBIENT = object()
@@ -104,14 +103,12 @@ class SpanLog:
     append a per-trace counter (``"p00#5/2"``).
     """
 
-    def __init__(self, enabled: bool = True, max_spans: int | None = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.dropped = 0
         self._current: Span | None = None
         self._hops: dict[str, int] = {}
         self._roots: dict[str, int] = {}
-        self.max_spans = max_spans
-        self.spans: Any = [] if max_spans is None else deque(maxlen=max_spans)
+        self.spans: list[Span] = []
 
     # -- recording ------------------------------------------------------
     def begin(
@@ -147,8 +144,6 @@ class SpanLog:
             span = Span(f"{trace}/{hop}", trace, parent.sid, pid, layer, name, kind, start)
         if mid is not None:
             span.details = {"mid": str(mid)}
-        if self.max_spans is not None and len(self.spans) == self.max_spans:
-            self.dropped += 1
         self.spans.append(span)
         return span
 
@@ -204,16 +199,6 @@ class SpanLog:
         finally:
             self._current = prev
 
-    def set_max_spans(self, max_spans: int | None) -> None:
-        """Switch to (or resize) ring-buffer mode, keeping current spans."""
-        self.max_spans = max_spans
-        if max_spans is None:
-            self.spans = list(self.spans)
-        else:
-            if len(self.spans) > max_spans:
-                self.dropped += len(self.spans) - max_spans
-            self.spans = deque(self.spans, maxlen=max_spans)
-
     # -- queries --------------------------------------------------------
     def __len__(self) -> int:
         return len(self.spans)
@@ -242,12 +227,12 @@ class SpanLog:
         return out
 
     def check_integrity(self) -> list[str]:
-        """Span-tree integrity: every parent resolvable (unless the ring
-        buffer evicted spans), no cycles in parent chains."""
+        """Span-tree integrity: every parent resolvable, no cycles in
+        parent chains."""
         problems: list[str] = []
         index = self.by_id()
         for s in self.spans:
-            if s.parent is not None and s.parent not in index and self.dropped == 0:
+            if s.parent is not None and s.parent not in index:
                 problems.append(f"orphan span {s.sid}: parent {s.parent} not recorded")
         for s in self.spans:
             seen = set()
@@ -265,7 +250,6 @@ class SpanLog:
         self._hops.clear()
         self._roots.clear()
         self._current = None
-        self.dropped = 0
 
 
 #: Ceiling on exported attribute strings.  Trace artifacts record
@@ -289,35 +273,19 @@ def _json_safe(value: Any) -> Any:
 class TraceLog:
     """In-memory trace with query helpers and an owned :class:`SpanLog`.
 
-    ``max_records`` switches the record store to a bounded ring buffer
-    (oldest evicted, counted in :attr:`dropped`) so soak runs can keep
-    tracing enabled without unbounded growth.
+    Every record and span is kept: a run too long to trace runs with
+    ``enabled=False``.
     """
 
-    def __init__(self, enabled: bool = True, max_records: int | None = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.max_records = max_records
-        self.dropped = 0
-        self.records: Any = [] if max_records is None else deque(maxlen=max_records)
+        self.records: list[TraceRecord] = []
         self.spans = SpanLog(enabled=enabled)
 
     def emit(self, time: float, pid: str, component: str, event: str, **details: Any) -> None:
         if not self.enabled:
             return
-        record = TraceRecord(time, pid, component, event, details)
-        if self.max_records is not None and len(self.records) == self.max_records:
-            self.dropped += 1
-        self.records.append(record)
-
-    def set_max_records(self, max_records: int | None) -> None:
-        """Switch to (or resize) ring-buffer mode, keeping current records."""
-        self.max_records = max_records
-        if max_records is None:
-            self.records = list(self.records)
-        else:
-            if len(self.records) > max_records:
-                self.dropped += len(self.records) - max_records
-            self.records = deque(self.records, maxlen=max_records)
+        self.records.append(TraceRecord(time, pid, component, event, details))
 
     def select(
         self,
@@ -326,30 +294,13 @@ class TraceLog:
         event: str | None = None,
     ) -> list[TraceRecord]:
         """Filter records by any combination of pid, component, event."""
-        return [r for r in self._iter(pid, component, event)]
-
-    def count(
-        self,
-        pid: str | None = None,
-        component: str | None = None,
-        event: str | None = None,
-    ) -> int:
-        return sum(1 for _ in self._iter(pid, component, event))
-
-    def _iter(
-        self,
-        pid: str | None,
-        component: str | None,
-        event: str | None,
-    ) -> Iterator[TraceRecord]:
-        for r in self.records:
-            if pid is not None and r.pid != pid:
-                continue
-            if component is not None and r.component != component:
-                continue
-            if event is not None and r.event != event:
-                continue
-            yield r
+        return [
+            r
+            for r in self.records
+            if (pid is None or r.pid == pid)
+            and (component is None or r.component == component)
+            and (event is None or r.event == event)
+        ]
 
     def dump(self) -> str:
         """Canonical textual serialisation of the whole trace.
@@ -454,12 +405,7 @@ class TraceLog:
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
-            "otherData": {
-                "spans": len(self.spans),
-                "spans_dropped": self.spans.dropped,
-                "records": len(self.records),
-                "records_dropped": self.dropped,
-            },
+            "otherData": {"spans": len(self.spans), "records": len(self.records)},
         }
 
     def export_chrome(self, path: str) -> str:
@@ -472,7 +418,6 @@ class TraceLog:
 
     def clear(self) -> None:
         self.records.clear()
-        self.dropped = 0
         self.spans.clear()
 
     def __len__(self) -> int:

@@ -35,7 +35,7 @@ class World:
 
     def __init__(
         self,
-        seed: int = 0,
+        seed: int,
         default_link: LinkModel = LAN,
         trace_enabled: bool = True,
     ) -> None:

@@ -42,7 +42,7 @@ class TraditionalMembership(Component):
         channel: ReliableChannel,
         vs: FlushViewSynchrony,
         fd: HeartbeatFailureDetector,
-        exclusion_timeout: float = 500.0,
+        exclusion_timeout: float,
     ) -> None:
         super().__init__(process, "tgm")
         self.channel = channel

@@ -68,7 +68,7 @@ class PhoenixViewMembership(ViewSynchrony):
         consensus: ChandraTouegConsensus,
         fd: HeartbeatFailureDetector,
         initial_view: View | None,
-        exclusion_timeout: float = 500.0,
+        exclusion_timeout: float,
     ) -> None:
         super().__init__(process, channel, initial_view)
         self.consensus = consensus
@@ -148,15 +148,10 @@ class PhoenixViewMembership(ViewSynchrony):
         self._proposed_for.add(target_view_id)
         self._block()
         self.world.metrics.counters.inc("pvs.view_proposals")
-        self.consensus.propose(
-            ("pview", target_view_id), proposal, self.view.member_list()
-        )
+        self.consensus.propose(target_view_id, proposal, self.view.member_list())
 
-    def _on_decide(self, key: Any, value: Any) -> None:
-        if not (isinstance(key, tuple) and key[0] == "pview") or self.view is None:
-            return
-        target_view_id = key[1]
-        if target_view_id != self.view.id + 1:
+    def _on_decide(self, target_view_id: int, value: Any) -> None:
+        if self.view is None or target_view_id != self.view.id + 1:
             return
         new_members, merged = value
         self._deliver_merged(merged)

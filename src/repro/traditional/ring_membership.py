@@ -54,7 +54,7 @@ class RingMembership(Component):
         fd: HeartbeatFailureDetector,
         initial_view: View | None,
         mode: str,
-        exclusion_timeout: float = 500.0,
+        exclusion_timeout: float,
     ) -> None:
         if mode not in ("rmp", "totem"):
             raise ValueError(f"unknown ring membership mode {mode!r}")

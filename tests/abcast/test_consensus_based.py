@@ -135,7 +135,7 @@ def test_outsider_retains_replayed_decisions_instead_of_applying_them():
     )
     joiner = add_joiner(world, stacks)
     ghost = stacks["p00"].process.msg_ids.message("replayed-prefix")
-    joiner.abcast._on_decide(("abc", 0, 0), ("p00", (ghost.id,)))
+    joiner.abcast._on_decide((0, 0), ("p00", (ghost.id,)))
     world.run_for(50.0)
     assert joiner.abcast.delivered_log == []  # retained, not applied
     # And no repair either: an outsider must not PULL for bodies of a

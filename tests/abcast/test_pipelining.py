@@ -112,6 +112,44 @@ def test_membership_change_under_pipelining_bumps_epoch():
     assert result, result.violations
 
 
+def test_a_decided_batch_behind_a_membership_op_is_voided_and_reproposed(monkeypatch):
+    # The epoch rule on its own: every member already holds the decision
+    # of (0, 1) when (0, 0)'s membership op is applied.  No sampled
+    # schedule reaches this (round 0 of (0, 1) waits for its coordinator,
+    # which proposes nothing while a ctl op is pending), so the bodies
+    # are disseminated with proposals held back and both decisions are
+    # handed to ``_on_decide`` directly.
+    world, stacks = pipelined_group(count=4, seed=5)
+    world.run_for(50.0)
+    for stack in stacks.values():
+        monkeypatch.setattr(stack.abcast, "_maybe_start_instances", lambda: None)
+    stacks["p00"].membership.remove("p03")
+    bcast(stacks, "p01", "m")
+    assert run_until(world, lambda: all(len(s.abcast._pending) == 2 for s in stacks.values()))
+    pending = stacks["p00"].abcast._pending.values()
+    (ctl,) = [msg for msg in pending if msg.msg_class.startswith("_")]
+    (body,) = [msg for msg in pending if msg.payload == "m"]
+    for stack in stacks.values():
+        stack.abcast._on_decide((0, 1), ("p01", (body.id,)))
+    monkeypatch.undo()
+    decided = []
+    stacks["p00"].consensus.on_decide(lambda key, value: decided.append((key, value)))
+    for stack in stacks.values():
+        stack.abcast._on_decide((0, 0), ("p00", (ctl.id,)))
+
+    survivors = ("p00", "p01", "p02")
+    assert run_until(world, lambda: all(logs({p: stacks[p]}) == {p: ["m"]} for p in survivors))
+    world.run_for(500.0)
+    # Every member that applied the op voided the one decided batch.
+    assert world.metrics.counters.get("abcast.instances_voided") == 4
+    assert all(stacks[p].abcast.epoch == 1 for p in survivors)
+    # The voided batch's message was proposed again, in the new epoch.
+    assert [key for key, (_proposer, ids) in decided if body.id in ids] == [(1, 0)]
+    for pid in survivors:
+        ids = [msg.id for msg in stacks[pid].abcast.delivered_log]
+        assert ids == [ctl.id, body.id], pid
+
+
 def test_join_under_pipelining_state_transfer_carries_epoch():
     # A joiner's snapshot must carry (epoch, next_instance), not just an
     # instance number, or it would apply batches at the wrong position.

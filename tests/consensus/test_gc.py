@@ -46,9 +46,7 @@ def test_abcast_autocollects_applied_instances():
     # Every applied abcast instance was collected at every process:
     # the live instance tables stay small.
     for stack in stacks.values():
-        live = [
-            k for k in stack.consensus._instances if isinstance(k, tuple) and k[0] == "abc"
-        ]
+        live = list(stack.consensus._instances)
         assert len(live) <= 2, live
     assert world.metrics.counters.get("consensus.collected") > 0
 

@@ -8,7 +8,6 @@ stragglers stay inert.  The ``pre_propose_buffered()`` gauge makes the
 bound observable (it is published in the bench ``decision_path`` block).
 """
 
-from repro.abcast.consensus_based import INSTANCE_PREFIX
 from repro.core.new_stack import StackConfig
 
 from tests.conftest import new_group, run_until
@@ -20,19 +19,17 @@ def test_prune_reclaims_and_tombstones_matching_keys():
     world.start()
     node = nodes["p00"]
     for i in range(40):
-        node._on_message("p01", ("ESTIMATE", (INSTANCE_PREFIX, 0, i), 0, f"v{i}", 0))
-    node._on_message("p01", ("ESTIMATE", (INSTANCE_PREFIX, 1, 0), 0, "keep", 0))
+        node._on_message("p01", ("ESTIMATE", (0, i), 0, f"v{i}", 0))
+    node._on_message("p01", ("ESTIMATE", (1, 0), 0, "keep", 0))
     assert node.pre_propose_buffered() == 41
 
-    reclaimed = node.prune_pre_propose(
-        lambda key: key[0] == INSTANCE_PREFIX and key[1] == 0
-    )
+    reclaimed = node.prune_pre_propose(lambda key: key[0] == 0)
     assert reclaimed == 40
     assert node.pre_propose_buffered() == 1  # the epoch-1 entry survives
     assert world.metrics.counters.get("consensus.pre_propose_pruned") == 40
 
     # Stragglers for a pruned key hit the tombstone, not the buffer.
-    node._on_message("p01", ("ESTIMATE", (INSTANCE_PREFIX, 0, 7), 0, "zombie", 0))
+    node._on_message("p01", ("ESTIMATE", (0, 7), 0, "zombie", 0))
     assert node.pre_propose_buffered() == 1
 
 
@@ -60,7 +57,7 @@ def test_epoch_bump_bounds_pre_propose_memory():
     world.run_for(30.0)
     consensus = stacks["p00"].consensus
     consensus._on_message(
-        "p01", ("ESTIMATE", (INSTANCE_PREFIX, 0, 99), 0, ("p01", ()), 0)
+        "p01", ("ESTIMATE", (0, 99), 0, ("p01", ()), 0)
     )
     assert consensus.pre_propose_buffered() >= 1
     stacks["p00"].membership.remove("p03")
@@ -81,12 +78,12 @@ def test_epoch_bump_bounds_pre_propose_memory():
         old = [
             key
             for key in stack.consensus._pre_propose_buffer
-            if key[0] == INSTANCE_PREFIX and key[1] < stack.abcast.epoch
+            if key[0] < stack.abcast.epoch
         ]
         assert old == [], (pid, old)
     consensus._on_message(
-        "p01", ("ESTIMATE", (INSTANCE_PREFIX, 0, 99), 0, ("p01", ()), 0)
+        "p01", ("ESTIMATE", (0, 99), 0, ("p01", ()), 0)
     )
     assert all(
-        key != (INSTANCE_PREFIX, 0, 99) for key in consensus._pre_propose_buffer
+        key != (0, 99) for key in consensus._pre_propose_buffer
     )

@@ -66,7 +66,7 @@ def test_abcast_batches_are_always_capped():
 def test_knob_count_is_the_pinned_one():
     # A new field or option must re-pin ``meta`` on purpose; a deleted one
     # should lower it.
-    baseline = json.loads((REPO / "benchmarks" / "baseline" / "BENCH_abgb.json").read_text())
+    baseline = json.loads((REPO / "BENCH_abgb.json").read_text())
     meta = simplicity_meta()
     for knobs in (
         "stack_config_fields",

@@ -23,7 +23,7 @@ def test_endstage_from_excluded_sender_is_void():
     assert gb._bodies_needed(ghost) == []
     gb._on_adeliver(ghost)  # sender "ghost" is not a member
     assert gb.stage == stage_before
-    assert world.trace.count(pid="p00", event="endstage_ignored") == 1
+    assert len(world.trace.select(pid="p00", event="endstage_ignored")) == 1
 
 
 def test_stale_endstage_for_closed_stage_is_ignored():

@@ -220,13 +220,13 @@ def test_world_start_is_idempotent_across_rebuilds():
     world.crash("p02")
     world.run_for(50.0)
     world.recover("p02")
-    beats_before = world.trace.count(pid="p02", component="fd")
+    beats_before = len(world.trace.select(pid="p02", component="fd"))
     world.start()
     world.start()
     world.run_for(100.0)
     # Exactly one heartbeat loop on the recovered process: duplicated
     # start() calls must not double the beat rate.
-    beats = world.trace.count(pid="p02", component="fd") - beats_before
+    beats = len(world.trace.select(pid="p02", component="fd")) - beats_before
     assert beats <= 100.0 / HEARTBEAT_INTERVAL + 2
 
 

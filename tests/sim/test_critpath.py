@@ -126,5 +126,4 @@ def test_live_run_causal_trees_complete():
     assert block["deliveries"] == 3 * closures
     assert block["complete"] == block["deliveries"]
     assert block["integrity_errors"] == 0
-    assert block["spans_dropped"] == 0
     assert block["mean_latency_ms"] > 0

@@ -116,8 +116,8 @@ def test_events_exiting_edges_are_traced_not_fatal():
     world.start()
     kernel.route(Event("up-and-out", UP, {}), 0)
     kernel.route(Event("down-and-out", DOWN, {}), -1)
-    assert world.trace.count(event="event_exited_top") == 1
-    assert world.trace.count(event="event_exited_bottom") == 1
+    assert len(world.trace.select(event="event_exited_top")) == 1
+    assert len(world.trace.select(event="event_exited_bottom")) == 1
 
 
 def test_layer_lookup_and_names():

@@ -143,7 +143,9 @@ def test_invalid_mode_rejected():
     world = World(seed=7)
     world.spawn(1)
     with pytest.raises(ValueError):
-        RingMembership(world.process("p00"), None, None, None, None, mode="nope")
+        RingMembership(
+            world.process("p00"), None, None, None, None, mode="nope", exclusion_timeout=500.0
+        )
 
 
 @RINGS
