@@ -235,15 +235,16 @@ def report(runs: list[dict], claim: str | None = None) -> int:
         print(f"{claim}: {words[claim]}: {'CLAIMED' if holds else 'not claimed'}")
     else:
         print("claim: none")
-    identical = all(
-        run["parent"]["metrics"][name] == run["change"]["metrics"][name]
-        for run in runs for name in exact
-    )
+    differ = [
+        name for name in exact
+        if any(run["parent"]["metrics"][name] != run["change"]["metrics"][name] for run in runs)
+    ]
+    identical = not differ
     healthy = all(
         run[side]["correct"] and run[side]["failed"] == 0
         for run in runs for side in ("parent", "change")
     )
-    print(f"exact metrics identical: {'yes' if identical else 'no'} ({', '.join(exact)})")
+    print(f"exact metrics identical: {'yes' if identical else 'no'} ({', '.join(differ or exact)})")
     print(f"every run correct with 0 failed: {'yes' if healthy else 'no'}")
     if "worse" in words.values() or not healthy or not (identical or claim in exact):
         return REGRESSED

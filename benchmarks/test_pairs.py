@@ -231,3 +231,12 @@ def test_the_claim_must_be_an_end_to_end_metric_of_the_contract(capsys):
     with pytest.raises(SystemExit):
         main(["HEAD", "--workload", "failover", "--claim", "sim.events_per_op"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_exact_metrics_that_differ_are_the_ones_named(capsys):
+    assert report(pairs_of(wire_bytes_per_op=0.97)) == REGRESSED
+    line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("exact"))
+    assert line == "exact metrics identical: no (wire_bytes_per_op)"
+    assert report(pairs_of()) == 0
+    line = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("exact"))
+    assert line == "exact metrics identical: yes (sim_latency_p50_ms, wire_msgs_per_op, wire_bytes_per_op)"

@@ -151,8 +151,10 @@ def adversarial_plan(config: ScenarioConfig, instants: list[float]) -> FaultPlan
 # ----------------------------------------------------------------------
 # Repro files
 # ----------------------------------------------------------------------
-#: 2 since the ``stack`` object holds every ``StackConfig`` field.
-REPRO_VERSION = 2
+#: 2 since the ``stack`` object holds every ``StackConfig`` field; 3
+#: since ``config`` holds exactly the ``ScenarioConfig`` fields (no
+#: budgets) and ``link`` every ``LinkModel`` field.
+REPRO_VERSION = 3
 
 
 def write_repro(path: str | Path, config: ScenarioConfig, result: RunResult) -> Path:

@@ -48,6 +48,12 @@ from repro.workload.generators import explore_mix
 HORIZON_MARGIN = 50.0
 #: Slice width of the quiescence phase (progress-check granularity).
 SLICE_MS = 100.0
+#: Simulator events one run may process before it stops unconverged.
+BUDGET_EVENTS = 200_000
+#: Max extra simulated ms past the horizon to converge.
+QUIESCE_TIMEOUT = 60_000.0
+#: No-progress window, simulated ms, that ends a converged run.
+QUIET_WINDOW = 400.0
 
 
 @dataclass
@@ -234,7 +240,6 @@ def run_scenario(config: ScenarioConfig, trace: bool = False):
 
     never_crashed = set(pids) - config.plan.crashed_pids()
     horizon = max(config.duration, config.plan.duration()) + HORIZON_MARGIN
-    budget = config.budget_events
     violation: dict | None = None
     converged = False
     budget_exhausted = False
@@ -258,23 +263,23 @@ def run_scenario(config: ScenarioConfig, trace: bool = False):
         return True
 
     try:
-        ran = world.run_for(horizon, max_events=budget)
-        # Quiescence phase: converge AND go quiet for quiet_window ms (a
+        ran = world.run_for(horizon, max_events=BUDGET_EVENTS)
+        # Quiescence phase: converge AND go quiet for QUIET_WINDOW ms (a
         # late rbcast relay or a recovering process may still be catching
         # up right after the nominal target is reached).
-        deadline = world.now + config.quiesce_timeout
+        deadline = world.now + QUIESCE_TIMEOUT
         last_progress = panel.progress()
         quiet_since = world.now
         while world.now < deadline:
-            if ran >= budget:
+            if ran >= BUDGET_EVENTS:
                 budget_exhausted = True
                 break
-            ran += world.run_for(SLICE_MS, max_events=budget - ran)
+            ran += world.run_for(SLICE_MS, max_events=BUDGET_EVENTS - ran)
             progress = panel.progress()
             if progress != last_progress:
                 last_progress = progress
                 quiet_since = world.now
-            if is_converged() and world.now - quiet_since >= config.quiet_window:
+            if is_converged() and world.now - quiet_since >= QUIET_WINDOW:
                 converged = True
                 break
     except InvariantViolation as exc:

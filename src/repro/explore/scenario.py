@@ -1,15 +1,17 @@
 """Scenario configuration: everything one exploration run needs, as data.
 
 A :class:`ScenarioConfig` fully determines a run — seed, group size,
-workload mix, link behaviour, ``StackConfig``, fault plan, budgets, optional
+workload mix, link behaviour, ``StackConfig``, fault plan, optional
 injected mutation — and round-trips through JSON, which is what makes
 failing schedules shrinkable, storable in a corpus, and replayable
-byte-identically (``python -m repro explore --replay FILE``).
+byte-identically (``python -m repro explore --replay FILE``).  What no
+scenario varies (the event budget, the quiescence bounds) is a constant
+of :mod:`repro.explore.runner`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 from repro.core.new_stack import StackConfig
@@ -48,9 +50,6 @@ class ScenarioConfig:
     link: LinkModel = field(default_factory=LinkModel)
     stack: StackConfig = field(default_factory=StackConfig)
     plan: FaultPlan = field(default_factory=FaultPlan)
-    budget_events: int = 200_000
-    quiesce_timeout: float = 60_000.0   # max extra simulated ms to converge
-    quiet_window: float = 400.0         # no-progress window ending the run
     mutation: str | None = None         # deliberate bug injection (tests)
 
     def __post_init__(self) -> None:
@@ -143,44 +142,35 @@ class ScenarioConfig:
             "relation": self.relation,
             "conflict_weight": self.conflict_weight,
             "payload_bytes": self.payload_bytes,
-            # The four stochastic fields always, the bandwidth term only
-            # when set: corpus entries and repro files predate it.
-            "link": {
-                key: value
-                for key, value in asdict(self.link).items()
-                if key != "bytes_per_ms" or value is not None
-            },
+            "link": asdict(self.link),
             "stack": asdict(self.stack),
             "plan": self.plan.to_json_obj(),
-            "budget_events": self.budget_events,
-            "quiesce_timeout": self.quiesce_timeout,
-            "quiet_window": self.quiet_window,
             "mutation": self.mutation,
         }
 
     @staticmethod
     def from_json_obj(obj: dict[str, Any]) -> "ScenarioConfig":
-        # Every StackConfig field, ``monitoring`` nested; an unknown key
-        # raises TypeError.
-        stack = obj.get("stack", {})
+        """The scenario :meth:`to_json_obj` wrote: every key it writes,
+        no other.  A missing or unknown key raises (``ValueError`` at
+        the top level, ``TypeError`` inside ``link`` and ``stack``)."""
+        keys = {f.name for f in fields(ScenarioConfig)}
+        if set(obj) != keys:
+            raise ValueError(
+                f"scenario keys: missing {sorted(keys - set(obj))}, "
+                f"unknown {sorted(set(obj) - keys)}"
+            )
+        stack = obj["stack"]
         monitoring = MonitoringPolicy(**stack.get("monitoring", {}))
         return ScenarioConfig(
             seed=int(obj["seed"]),
             processes=int(obj["processes"]),
             duration=float(obj["duration"]),
             rate=float(obj["rate"]),
-            relation=obj.get("relation", "rbcast_abcast"),
-            conflict_weight=float(obj.get("conflict_weight", 0.3)),
-            payload_bytes=(
-                None
-                if obj.get("payload_bytes") is None
-                else int(obj["payload_bytes"])
-            ),
-            link=LinkModel(**obj.get("link", {})),
+            relation=obj["relation"],
+            conflict_weight=float(obj["conflict_weight"]),
+            payload_bytes=None if obj["payload_bytes"] is None else int(obj["payload_bytes"]),
+            link=LinkModel(**obj["link"]),
             stack=StackConfig(**{**stack, "monitoring": monitoring}),
-            plan=FaultPlan.from_json_obj(obj.get("plan", [])),
-            budget_events=int(obj.get("budget_events", 200_000)),
-            quiesce_timeout=float(obj.get("quiesce_timeout", 60_000.0)),
-            quiet_window=float(obj.get("quiet_window", 400.0)),
-            mutation=obj.get("mutation"),
+            plan=FaultPlan.from_json_obj(obj["plan"]),
+            mutation=obj["mutation"],
         )

@@ -127,10 +127,7 @@ class LatencyRecorder:
         """
 
         def owned(_tag: str, key: object) -> bool:
-            if not isinstance(key, tuple) or not key or not isinstance(key[0], str):
-                return False
-            # Strip rbcast-origin / incarnation decorations: "p00~1!rb" -> "p00".
-            return key[0].split("~")[0].split("!")[0] == pid
+            return isinstance(key, tuple) and key[:1] == (pid,)
 
         return self.abandon_if(owned)
 

@@ -2,9 +2,9 @@
 
 Section 3.2.2: "Atomic broadcast is not needed in passive replication.
 Instead, view synchrony provides the right abstraction" — this module is
-that standard solution, running on the Isis stack, so the benchmarks can
-compare it with the generic-broadcast solution of
-:mod:`repro.replication.primary_backup`:
+that standard solution, running on the Isis stack; its contrast with the
+generic-broadcast solution of :mod:`repro.replication.primary_backup` is
+held by ``tests/replication/test_passive_vs.py``:
 
 * the primary (head of the current view) processes requests and
   broadcasts updates with the view-synchronous primitive;

@@ -66,10 +66,9 @@ def test_panel_saw_every_stream_the_stacks_hold(path, monkeypatch):
 
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
 def test_corpus_entry_round_trips_through_json(path):
-    config = entry(path)
-    assert ScenarioConfig.from_json_obj(config.to_json_obj()) == config
-    # The link is written back with exactly the keys it was recorded with.
-    assert config.to_json_obj()["link"] == json.loads(path.read_text())["config"]["link"]
+    # An entry is exactly what the writer writes: every scenario key,
+    # every link field, every stack field.
+    assert entry(path).to_json_obj() == json.loads(path.read_text())["config"]
 
 
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
@@ -90,9 +89,32 @@ def test_the_stack_round_trips_every_stack_config_field():
             ScenarioConfig.from_json_obj({**config.to_json_obj(), "stack": unknown})
 
 
+def test_a_scenario_object_holds_every_top_level_key_and_no_other():
+    obj = ScenarioConfig().to_json_obj()
+    assert ScenarioConfig.from_json_obj(obj) == ScenarioConfig()
+    missing = {key: value for key, value in obj.items() if key != "payload_bytes"}
+    with pytest.raises(ValueError, match="missing \\['payload_bytes'\\]"):
+        ScenarioConfig.from_json_obj(missing)
+    with pytest.raises(ValueError, match="unknown \\['budget_events'\\]"):
+        ScenarioConfig.from_json_obj({**obj, "budget_events": 200_000})
+
+
+def test_a_version_2_repro_file_is_refused(tmp_path):
+    path = tmp_path / "repro.json"
+    path.write_text(json.dumps({"version": 2, "config": ScenarioConfig().to_json_obj()}))
+    with pytest.raises(ValueError, match="unsupported repro version 2"):
+        load_repro(path)
+
+
 #: Counters that must move for an entry to still hit the mechanism it
 #: was recorded for (the fast-path entries have their own test below).
 MECHANISM_COUNTERS = {
+    # The lifecycle on the shipped stack: a crash, its exclusion, then a
+    # recovery that rejoins by an ordered join with one state transfer.
+    "crash-exclusion-recovery-rejoin": (
+        "monitoring.exclusions_requested", "gm.remove_requests", "gm.join_requests",
+        "gm.state_transfers", "world.recoveries",
+    ),
     # A member out of a partition a-delivers an ENDSTAGE 26 ms behind
     # the others, whose acks for the next stage are already there.
     "acks-arrive-a-stage-early": ("gbcast.acks_early",),

@@ -191,16 +191,23 @@ def test_abandon_if_and_open_intervals_gauge():
     assert rec.open_intervals("a") == 0
 
 
-def test_abandon_owner_matches_decorated_senders():
+def test_abandon_owner_matches_the_keys_the_program_makes():
+    # Every latency key starts with a bare pid: a message id's sender
+    # (abcast, gbcast, the sequencer, view synchrony), whatever its
+    # incarnation, and Ensemble's, the client's and ``vs.blocked``'s
+    # ``(pid, ...)`` tuples.
     rec = LatencyRecorder()
     rec.begin("abcast", MsgId("p00", 1), 0.0)
-    rec.begin("abcast", MsgId("p00~1!rb", 2), 0.0)  # rbcast/incarnation decorations
+    rec.begin("gbcast", MsgId("p00", 2, 1), 0.0)
+    rec.begin("abcast", ("p00", 1), 0.0)  # Ensemble
+    rec.begin("request", ("p00", 7), 0.0)
+    rec.begin("vs.blocked", ("p00", 3), 0.0)
     rec.begin("abcast", MsgId("p01", 3), 0.0)
-    rec.begin("other", "not-a-msgid", 0.0)
-    rec.begin("vs.blocked", ("p00", 3), 0.0)  # any tuple key that starts with the pid
     rec.begin("vs.blocked", ("p01", 3), 0.0)
-    assert rec.abandon_owner("p00") == 3
-    assert rec.open_intervals() == 3
+    rec.begin("abcast", MsgId("p000", 4), 0.0)  # a longer pid
+    rec.begin("other", "p00", 0.0)  # not a tuple
+    assert rec.abandon_owner("p00") == 5
+    assert rec.open_intervals() == 4
     assert rec.abandon_owner("p00") == 0
 
 

@@ -82,16 +82,17 @@ def test_package_docstring_snippet():
     assert repro.__version__ == "1.0.0"
 
 
-def test_python_dash_m_repro_selfcheck():
+@pytest.mark.parametrize("args", [[], ["5"], ["explorer"]], ids=["none", "seed", "typo"])
+def test_python_dash_m_repro_has_one_subcommand(args):
     result = subprocess.run(
-        [sys.executable, "-m", "repro", "5"],
+        [sys.executable, "-m", "repro", *args],
         capture_output=True,
         text=True,
         timeout=120,
         cwd=REPO,
     )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "OK: 1/1 seeds passed" in result.stdout
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert result.stderr.startswith("usage: python -m repro explore")
 
 
 # ----------------------------------------------------------------------
@@ -173,16 +174,14 @@ def test_docs_quote_only_commands_the_cli_parses():
     # Every ``python -m repro ...`` in README.md and docs/ goes through
     # the parser the command line uses: a deleted subcommand or option
     # cannot linger.
-    from repro.__main__ import selfcheck_seeds
     from repro.explore.cli import build_parser
 
     commands = list(_quoted_commands())
     assert len(commands) >= 4
     for doc, args in commands:
-        if args[:1] == ["explore"]:
-            try:
-                build_parser().parse_args(args[1:])
-            except SystemExit:
-                pytest.fail(f"{doc}: python -m repro {' '.join(args)}")
-        else:
-            assert selfcheck_seeds(args), f"{doc}: python -m repro {' '.join(args)}"
+        command = f"{doc}: python -m repro {' '.join(args)}"
+        assert args[:1] == ["explore"], command
+        try:
+            build_parser().parse_args(args[1:])
+        except SystemExit:
+            pytest.fail(command)
